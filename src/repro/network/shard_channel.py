@@ -1,31 +1,28 @@
-"""Inter-shard channel transport.
+"""Inter-process transport of the sharded core's ``mp`` backend.
 
-Shard workers and the coordinator exchange :class:`ShardReport` /
-:class:`GrainPlan` objects over *channels*.  Two implementations with
-one interface:
+Only the ``mp`` backend has a transport.  ``mode="inproc"`` runs every
+shard and the coordinator in one interpreter and hands reports and
+plans over as Python objects; so does the lead worker for its own
+shard 0.  Between the lead and each peer worker process runs one
+duplex ``multiprocessing.Pipe``, wrapped in a :class:`PipeChannel`;
+one more carries the lead's single result message to the parent.
 
-* :class:`PipeChannel` — a ``multiprocessing.Pipe`` connection for the
-  process-per-shard backend.  We pickle explicitly and move raw bytes
-  (``send_bytes``/``recv_bytes``) instead of using ``Connection.send``
-  so the transport can account exactly what crossed the process
-  boundary;
-* :class:`LoopbackChannel` — an in-memory queue pair for the
-  in-process backend, which runs shards round-robin in one interpreter
-  (the configuration the determinism tests diff against the mp
-  backend).  It pays the same pickle round-trip so that (a) byte
-  accounting matches the pipe transport and (b) anything that would
-  fail to cross a real process boundary fails loudly in-process too.
+A channel pickles explicitly and moves raw bytes
+(``send_bytes``/``recv_bytes``).  A delivery batch is pickled once, by
+the coordinator, and rides inside the plan as that ``bytes`` object
+(:meth:`repro.sim.sync.GrainPlan.to_wire`), so the bytes
+``channel_bytes`` counts are the bytes that cross the pipe.
 
-Virtual-time results never depend on which channel carried a message:
-delivery *order* is fixed by :attr:`ShardMessage.order_key` sorting in
-the coordinator, and delivery *time* is the message's arrival stamp.
+Virtual-time results never depend on how a message travelled:
+delivery *order* is the natural sort order of the message tuples
+``(arrival, src, seq, ...)`` in the coordinator, and delivery *time*
+is the message's arrival stamp.
 """
 
 from __future__ import annotations
 
 import pickle
-from collections import deque
-from typing import Any, Tuple
+from typing import Any
 
 _PROTO = pickle.HIGHEST_PROTOCOL
 
@@ -34,86 +31,24 @@ class ChannelClosed(EOFError):
     """The peer went away mid-conversation."""
 
 
-class _ChannelStats:
-    __slots__ = ("tx_msgs", "tx_bytes", "rx_msgs", "rx_bytes")
-
-    def __init__(self) -> None:
-        self.tx_msgs = 0
-        self.tx_bytes = 0
-        self.rx_msgs = 0
-        self.rx_bytes = 0
-
-
 class PipeChannel:
-    """One end of a ``multiprocessing.Pipe`` with byte accounting."""
+    """One end of a ``multiprocessing.Pipe``, pickling explicitly."""
 
     def __init__(self, conn) -> None:
         self._conn = conn
-        self.stats = _ChannelStats()
 
     def send(self, obj: Any) -> None:
-        blob = pickle.dumps(obj, protocol=_PROTO)
-        self._conn.send_bytes(blob)
-        self.stats.tx_msgs += 1
-        self.stats.tx_bytes += len(blob)
+        try:
+            self._conn.send_bytes(pickle.dumps(obj, _PROTO))
+        except (BrokenPipeError, ConnectionResetError) as exc:
+            raise ChannelClosed(str(exc)) from exc
 
     def recv(self) -> Any:
         try:
             blob = self._conn.recv_bytes()
         except (EOFError, OSError) as exc:
             raise ChannelClosed(str(exc)) from exc
-        self.stats.rx_msgs += 1
-        self.stats.rx_bytes += len(blob)
         return pickle.loads(blob)
-
-    def poll(self, timeout: float = 0.0) -> bool:
-        return self._conn.poll(timeout)
 
     def close(self) -> None:
         self._conn.close()
-
-
-class LoopbackChannel:
-    """In-memory channel end; see :func:`loopback_pair`."""
-
-    def __init__(self, inbox: deque, outbox: deque) -> None:
-        self._inbox = inbox
-        self._outbox = outbox
-        self.stats = _ChannelStats()
-
-    def send(self, obj: Any) -> None:
-        blob = pickle.dumps(obj, protocol=_PROTO)
-        self._outbox.append(blob)
-        self.stats.tx_msgs += 1
-        self.stats.tx_bytes += len(blob)
-
-    def recv(self) -> Any:
-        if not self._inbox:
-            raise ChannelClosed("loopback inbox empty")
-        blob = self._inbox.popleft()
-        self.stats.rx_msgs += 1
-        self.stats.rx_bytes += len(blob)
-        return pickle.loads(blob)
-
-    def poll(self, timeout: float = 0.0) -> bool:
-        return bool(self._inbox)
-
-    def close(self) -> None:
-        self._inbox.clear()
-        self._outbox.clear()
-
-
-def pipe_pair() -> Tuple[PipeChannel, PipeChannel]:
-    """A connected (parent end, child end) pipe channel pair."""
-    import multiprocessing as mp
-    a, b = mp.Pipe(duplex=True)
-    return PipeChannel(a), PipeChannel(b)
-
-
-def loopback_pair() -> Tuple[LoopbackChannel, LoopbackChannel]:
-    """A connected in-memory channel pair with pipe-identical
-    semantics (including the pickle round-trip)."""
-    q_ab: deque = deque()
-    q_ba: deque = deque()
-    return (LoopbackChannel(inbox=q_ba, outbox=q_ab),
-            LoopbackChannel(inbox=q_ab, outbox=q_ba))

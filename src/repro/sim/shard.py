@@ -8,9 +8,12 @@ barrier-window protocol of :mod:`repro.sim.sync`.  Two backends run
 the *identical* worker/coordinator code:
 
 ``mode="mp"``
-    one OS process per shard (``multiprocessing``), reports and plans
-    carried over :class:`~repro.network.shard_channel.PipeChannel`s —
-    the throughput configuration on multi-core hosts;
+    one OS process per shard (``multiprocessing``).  The *lead* worker
+    simulates shard 0 and runs the coordinator; each peer worker talks
+    to it over one :class:`~repro.network.shard_channel.PipeChannel`
+    (one pipe hop per round), and the calling process only forks,
+    waits for the lead's single result message and reaps — the
+    throughput configuration on multi-core hosts;
 ``mode="inproc"``
     shards run round-robin in the calling interpreter — zero process
     overhead, trivially debuggable, and the cross-check that virtual
@@ -53,9 +56,9 @@ from repro.sim.errors import SimulationError
 from repro.sim.event import Event
 from repro.sim.process import Process
 from repro.sim.simulator import Simulator
-from repro.sim.sync import (INF, BarrierPost, GrainPlan, ShardMessage,
-                            ShardMetrics, ShardReport, SyncCoordinator,
-                            SyncError, normalize_lookahead)
+from repro.sim.sync import (INF, BarrierPost, GrainPlan, ShardMetrics,
+                            ShardReport, SyncCoordinator, SyncError,
+                            WireMessage, normalize_lookahead)
 
 #: Slack when validating send latencies against the lookahead matrix
 #: (floats only; latencies are exact sums of µs-scale model constants).
@@ -134,12 +137,13 @@ class ShardContext:
                             max_events=spec.trace_max_events)
         self.outputs: Dict[str, Any] = {}
         self._lookahead_row = spec.lookahead[spec.shard_id]
-        self._outbox: List[ShardMessage] = []
+        self._outbox: List[WireMessage] = []
         self._posts: List[BarrierPost] = []
         self._handlers: Dict[str, Callable[[Any], None]] = {}
         self._seq = 0
         self._barrier_gates: Dict[str, Event] = {}
         self._procs: List[Process] = []
+        self._finishers: List[Callable[[], None]] = []
 
     # -- building -----------------------------------------------------
 
@@ -171,6 +175,12 @@ class ShardContext:
         """Export a (picklable) result; lands in ``ShardedRun.outputs``."""
         self.outputs[key] = value
 
+    def at_finish(self, fn: Callable[[], None]) -> None:
+        """Run ``fn()`` once after global termination, before the
+        published outputs are collected — where a shard program
+        finalises what it published (e.g. folds a partial batch)."""
+        self._finishers.append(fn)
+
     # -- messaging ----------------------------------------------------
 
     def send(self, dst: int, kind: str, payload: Any = None, *,
@@ -201,9 +211,8 @@ class ShardContext:
                 "no faster path exists; fix the lookahead matrix or the "
                 "workload's latency model")
         self._seq += 1
-        self._outbox.append(ShardMessage(
-            arrival=arrival, dst=dst, kind=kind, src=self.shard,
-            seq=self._seq, nbytes=nbytes, payload=payload))
+        self._outbox.append((arrival, self.shard, self._seq, dst, kind,
+                             nbytes, payload))
         self.metrics.msgs_sent += 1
         if self.log.enabled:
             self.log.emit(self.sim.now, XSHARD_SEND, src=self.shard,
@@ -263,7 +272,7 @@ class ShardContext:
 
     # -- worker internals ---------------------------------------------
 
-    def _take_outbox(self) -> List[ShardMessage]:
+    def _take_outbox(self) -> List[WireMessage]:
         out, self._outbox = self._outbox, []
         return out
 
@@ -272,6 +281,12 @@ class ShardContext:
         return posts
 
     def _check_quiescent(self) -> None:
+        for proc in self._procs:
+            # A crashed process is "triggered", not alive: without this
+            # it would pass as finished and the run would end short.
+            # (Process._resume already put its name into the args.)
+            if proc.exception is not None:
+                raise proc.exception
         stuck = [p.name for p in self._procs if p.is_alive]
         if stuck:
             preview = ", ".join(stuck[:5])
@@ -304,14 +319,14 @@ class ShardWorkerState:
         for name, t_rel in plan.releases:
             ctx._apply_release(name, t_rel)
         if log.enabled:
-            for msg in plan.deliver:
+            for arrival, src, seq, _, kind, nbytes, _ in plan.deliver:
                 # The (src, seq) pair is the join key linking this
                 # half to the sender's xshard_send.
-                log.emit(msg.arrival, XSHARD_RECV, src=msg.src,
-                         seq=msg.seq, msg=msg.kind, nbytes=msg.nbytes)
-        for msg in plan.deliver:
-            m.msgs_recv += 1
-            ctx._schedule_delivery(msg.kind, msg.payload, msg.arrival)
+                log.emit(arrival, XSHARD_RECV, src=src, seq=seq,
+                         msg=kind, nbytes=nbytes)
+        m.msgs_recv += len(plan.deliver)
+        for arrival, _, _, _, kind, _, payload in plan.deliver:
+            ctx._schedule_delivery(kind, payload, arrival)
         backlog = sim.pending
         if backlog > m.max_backlog:
             m.max_backlog = backlog
@@ -331,11 +346,13 @@ class ShardWorkerState:
         m.busy_s += time.perf_counter() - t0
         return ShardReport(shard=ctx.shard, next_time=sim.peek(),
                            sent=ctx._take_outbox(),
-                           barriers=ctx._take_posts(), events=n)
+                           barriers=ctx._take_posts())
 
     def finish(self) -> ShardOutput:
         ctx = self.ctx
         ctx._check_quiescent()
+        for fn in ctx._finishers:
+            fn()
         ctx.metrics.final_clock_us = ctx.sim.now
         trace = [(e.t, e.kind, e.op, e.thread, e.node, e.attrs)
                  for e in ctx.log.events]
@@ -346,36 +363,103 @@ class ShardWorkerState:
                            trace_dropped=ctx.log.dropped_events)
 
 
-def _worker_main(conn, spec: ShardSpec, builder: Callable,
-                 params: Dict[str, Any]) -> None:
-    """Child-process entry point of the mp backend."""
+class ShardedError(SimulationError):
+    """A shard worker died; carries its traceback."""
+
+
+def _recv(channel: PipeChannel, shard: int, want: str):
+    """Next ``want`` message from shard ``shard``'s worker."""
+    try:
+        tag, body = channel.recv()
+    except ChannelClosed as exc:
+        raise ShardedError(
+            f"shard {shard} worker exited unexpectedly") from exc
+    if tag == "error":
+        raise ShardedError(f"shard {shard} failed:\n{body}")
+    if tag != want:  # pragma: no cover - protocol guard
+        raise ShardedError(f"shard {shard}: expected {want!r}, got {tag!r}")
+    return body
+
+
+def _peer_main(conn, foreign, spec: ShardSpec, builder: Callable,
+               params: Dict[str, Any]) -> None:
+    """Process entry point of shards 1..N-1 of the mp backend."""
+    for end in foreign:
+        end.close()
     channel = PipeChannel(conn)
     try:
         state = ShardWorkerState(spec, builder, params)
         channel.send(("report", state.first_report()))
         while True:
-            tag, body = channel.recv()
-            if tag == "finish":
+            wire = channel.recv()
+            if wire is None:
                 channel.send(("output", state.finish()))
                 return
-            if tag != "plan":  # pragma: no cover - protocol guard
-                raise SyncError(f"worker got unexpected {tag!r}")
-            channel.send(("report", state.run_grain(body)))
-    except BaseException:
+            plan = GrainPlan.from_wire(wire)
+            channel.send(("report", state.run_grain(plan)))
+    except ChannelClosed:
+        pass                    # the lead is gone: nobody left to tell
+    except Exception:
         try:
             channel.send(("error", traceback.format_exc()))
-        except Exception:  # pragma: no cover - parent already gone
+        except Exception:  # pragma: no cover - lead already gone
             pass
     finally:
         channel.close()
 
 
-class ShardedError(SimulationError):
-    """A shard worker died; carries its traceback."""
+def _lead_main(done_conn, peer_conns, foreign, spec: ShardSpec,
+               builder: Callable, params: Dict[str, Any]) -> None:
+    """Process entry point of the lead worker: shard 0 plus the
+    coordinator, so a round costs one pipe hop per peer and the lead's
+    own grain overlaps the peers'.  Sends the parent exactly one
+    message: ``("done", outputs, coordinator counters)`` or
+    ``("error", text)``."""
+    for end in foreign:
+        end.close()
+    done = PipeChannel(done_conn)
+    peers = [PipeChannel(conn) for conn in peer_conns]
+
+    def gather(local, want):
+        return [local] + [_recv(ch, i, want)
+                          for i, ch in enumerate(peers, start=1)]
+
+    def tell(messages):
+        for i, (ch, message) in enumerate(zip(peers, messages), start=1):
+            try:
+                ch.send(message)
+            except ChannelClosed as exc:
+                raise ShardedError(
+                    f"shard {i} worker exited unexpectedly") from exc
+
+    try:
+        coord = SyncCoordinator(spec.lookahead, spec.nshards)
+        state = ShardWorkerState(spec, builder, params)
+        reports = gather(state.first_report(), "report")
+        while True:
+            plans = coord.round(reports)
+            if plans[0].done:
+                tell([None] * len(peers))
+                outputs = gather(state.finish(), "output")
+                done.send(("done", outputs, coord.counters()))
+                return
+            # Every peer gets its plan before the lead starts its own
+            # grain, so all grains overlap — this is where the
+            # parallelism lives.
+            tell([plan.to_wire() for plan in plans[1:]])
+            reports = gather(state.run_grain(plans[0]), "report")
+    except ShardedError as exc:
+        done.send(("error", str(exc)))
+    except Exception:
+        done.send(("error", f"shard 0 failed:\n{traceback.format_exc()}"))
+    finally:
+        for ch in peers:
+            ch.close()
+        done.close()
 
 
 class ShardedSimulator:
-    """Coordinator over ``nshards`` conservative shard workers.
+    """Front end of ``nshards`` conservative shard workers.
 
     Not a :class:`Simulator` subclass on purpose: it has no single
     clock or heap, and every capability it offers goes through
@@ -419,24 +503,22 @@ class ShardedSimulator:
                            lookahead=frozen, trace=self.trace,
                            trace_max_events=self.trace_max_events)
                  for i in range(self.nshards)]
-        coord = SyncCoordinator(matrix, self.nshards)
         t0 = time.perf_counter()
-        if self.mode == "inproc" or self.nshards == 1:
-            outputs = self._drive_inproc(coord, specs, builder, params)
-        else:
-            outputs = self._drive_mp(coord, specs, builder, params)
+        drive = (self._drive_inproc
+                 if self.mode == "inproc" or self.nshards == 1
+                 else self._drive_mp)
+        outputs, (rounds, msgs_routed, channel_bytes) = drive(
+            specs, builder, params)
         wall = time.perf_counter() - t0
-        outputs.sort(key=lambda o: o.shard)
         for out in outputs:
-            out.metrics.channel_bytes = coord.channel_bytes[out.shard]
+            out.metrics.channel_bytes = channel_bytes[out.shard]
         run = ShardedRun(
             nshards=self.nshards, mode=self.mode,
             outputs=[o.outputs for o in outputs],
             metrics=[o.metrics for o in outputs],
             events=sum(o.events for o in outputs),
             now=max((o.now for o in outputs), default=0.0),
-            rounds=coord.rounds, msgs_routed=coord.msgs_routed,
-            wall_s=wall,
+            rounds=rounds, msgs_routed=msgs_routed, wall_s=wall,
             shard_events=[o.trace for o in outputs],
             trace_dropped=sum(o.trace_dropped for o in outputs))
         self.last_run = run
@@ -444,79 +526,74 @@ class ShardedSimulator:
 
     # -- backends -----------------------------------------------------
 
-    def _drive_inproc(self, coord, specs, builder, params):
+    # Both return ``(outputs in shard order, coordinator counters)``.
+
+    def _drive_inproc(self, specs, builder, params):
+        coord = SyncCoordinator(specs[0].lookahead, self.nshards)
         workers = [ShardWorkerState(spec, builder, params)
                    for spec in specs]
         reports = [w.first_report() for w in workers]
         while True:
             plans = coord.round(reports)
             if plans[0].done:
-                return [w.finish() for w in workers]
+                return [w.finish() for w in workers], coord.counters()
             reports = [w.run_grain(plan)
                        for w, plan in zip(workers, plans)]
 
-    def _drive_mp(self, coord, specs, builder, params):
+    def _drive_mp(self, specs, builder, params):
+        """Start the lead and the peers, wait for the lead's one result
+        message, reap."""
         ctx = multiprocessing.get_context(self.mp_context)
-        channels: List[PipeChannel] = []
-        procs = []
+        done_rx, done_tx = ctx.Pipe(duplex=False)
+        pipes = [ctx.Pipe(duplex=True) for _ in specs[1:]]
+        lead_ends = [lead for lead, _ in pipes]
+        ends = [done_rx, done_tx] + [end for pair in pipes for end in pair]
+        # A forked child inherits every end open in the parent; each
+        # must close the ones it does not own, or a dead process's pipe
+        # never reads EOF in its correspondent.  (Spawned children get
+        # only the ends passed to them.)
+        inherits = ctx.get_start_method() == "fork"
+
+        def foreign(own):
+            return [e for e in ends if e not in own] if inherits else []
+
+        procs = [ctx.Process(
+            target=_lead_main, name="shard-0", daemon=True,
+            args=(done_tx, lead_ends, foreign([done_tx] + lead_ends),
+                  specs[0], builder, params))]
+        for spec, (_, peer_end) in zip(specs[1:], pipes):
+            procs.append(ctx.Process(
+                target=_peer_main, name=f"shard-{spec.shard_id}",
+                daemon=True,
+                args=(peer_end, foreign([peer_end]), spec, builder,
+                      params)))
+        ok = False
         try:
-            for spec in specs:
-                parent_conn, child_conn = ctx.Pipe(duplex=True)
-                proc = ctx.Process(
-                    target=_worker_main,
-                    args=(child_conn, spec, builder, params),
-                    name=f"shard-{spec.shard_id}", daemon=True)
-                proc.start()
-                child_conn.close()
-                channels.append(PipeChannel(parent_conn))
-                procs.append(proc)
-            reports = [self._recv_report(ch, i)
-                       for i, ch in enumerate(channels)]
-            while True:
-                plans = coord.round(reports)
-                if plans[0].done:
-                    for ch in channels:
-                        ch.send(("finish", None))
-                    return [self._recv_output(ch, i)
-                            for i, ch in enumerate(channels)]
-                # Send every plan before collecting any report so the
-                # workers' grains overlap — this is where the
-                # parallelism lives.
-                for ch, plan in zip(channels, plans):
-                    ch.send(("plan", plan))
-                reports = [self._recv_report(ch, i)
-                           for i, ch in enumerate(channels)]
-        finally:
-            for ch in channels:
-                try:
-                    ch.close()
-                except Exception:
-                    pass
             for proc in procs:
+                proc.start()
+            for end in ends[1:]:
+                end.close()
+            try:
+                msg = PipeChannel(done_rx).recv()
+            except ChannelClosed as exc:
+                raise ShardedError(
+                    "shard 0 worker exited unexpectedly") from exc
+            if msg[0] != "done":
+                raise ShardedError(msg[1])
+            ok = True
+            return msg[1], msg[2]
+        finally:
+            for end in ends:
+                end.close()
+            for proc in procs:
+                if proc.pid is None:       # never started
+                    continue
+                if not ok:
+                    proc.terminate()
                 proc.join(timeout=5.0)
                 if proc.is_alive():  # pragma: no cover - hang guard
-                    proc.terminate()
-                    proc.join(timeout=5.0)
-
-    @staticmethod
-    def _recv(channel: PipeChannel, shard: int, want: str):
-        try:
-            tag, body = channel.recv()
-        except ChannelClosed as exc:
-            raise ShardedError(
-                f"shard {shard} worker exited unexpectedly") from exc
-        if tag == "error":
-            raise ShardedError(f"shard {shard} failed:\n{body}")
-        if tag != want:  # pragma: no cover - protocol guard
-            raise ShardedError(
-                f"shard {shard}: expected {want!r}, got {tag!r}")
-        return body
-
-    def _recv_report(self, channel, shard) -> ShardReport:
-        return self._recv(channel, shard, "report")
-
-    def _recv_output(self, channel, shard) -> ShardOutput:
-        return self._recv(channel, shard, "output")
+                    proc.kill()
+                    proc.join()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<ShardedSimulator nshards={self.nshards} "

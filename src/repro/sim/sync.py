@@ -66,31 +66,16 @@ class SyncDeadlock(SyncError):
     """Every shard drained while a collective was still incomplete."""
 
 
-@dataclass(frozen=True)
-class ShardMessage:
-    """One timestamped cross-shard message.
-
-    ``arrival`` is absolute virtual time — the sender stamped it as
-    ``send_time + wire latency`` where the latency is at least the
-    lookahead between the two shards (validated at send time).
-    Delivery order at the receiver is the total order
-    ``(arrival, src, seq)``, which is independent of transport
-    (pipe vs in-process) and of arrival interleaving.
-    """
-
-    arrival: float
-    dst: int
-    kind: str
-    src: int
-    seq: int
-    #: Modeled wire bytes (metrics only; the real cost is the pickled
-    #: size accounted by the coordinator).
-    nbytes: int = 0
-    payload: Any = None
-
-    @property
-    def order_key(self) -> Tuple[float, int, int]:
-        return (self.arrival, self.src, self.seq)
+#: A cross-shard message is a plain tuple
+#: ``(arrival, src, seq, dst, kind, nbytes, payload)``.  ``arrival`` is
+#: absolute virtual time — the sender stamped it as ``send_time + wire
+#: latency``, the latency validated against the lookahead at send time.
+#: ``(src, seq)`` is unique, so the tuple's natural sort order *is* the
+#: delivery order ``(arrival, src, seq)`` — independent of transport
+#: and of arrival interleaving — and comparison never reaches the
+#: payload.  ``nbytes`` is the modeled wire size (metrics only; the
+#: real cost is the pickled size the coordinator accounts).
+WireMessage = Tuple[float, int, int, int, str, int, Any]
 
 
 @dataclass(frozen=True)
@@ -115,12 +100,8 @@ class ShardReport:
     shard: int
     #: Earliest pending local event time (``inf`` when drained).
     next_time: float
-    sent: List[ShardMessage] = field(default_factory=list)
+    sent: List[WireMessage] = field(default_factory=list)
     barriers: List[BarrierPost] = field(default_factory=list)
-    #: Events processed during the grain that produced this report.
-    events: int = 0
-    #: Worker-side failure (traceback text); aborts the run.
-    error: Optional[str] = None
 
 
 @dataclass
@@ -128,7 +109,11 @@ class GrainPlan:
     """What the coordinator tells a shard to do next."""
 
     horizon: float
-    deliver: List[ShardMessage] = field(default_factory=list)
+    deliver: List[WireMessage] = field(default_factory=list)
+    #: ``deliver`` pickled — the bytes ``channel_bytes`` counted, and
+    #: what the mp backend ships to a peer process instead of the list
+    #: (``None`` for an empty batch).
+    blob: Optional[bytes] = None
     #: ``(barrier name, absolute release time)`` pairs.
     releases: List[Tuple[str, float]] = field(default_factory=list)
     done: bool = False
@@ -136,6 +121,18 @@ class GrainPlan:
     #: id the flight recorder's ``sync_round`` annotations carry, so
     #: grains from different shards line up in the merged timeline.
     round: int = 0
+
+    def to_wire(self) -> tuple:
+        """What crosses a pipe: the already-pickled batch, not the
+        list — a delivery batch is serialized exactly once."""
+        return (self.horizon, self.blob, self.releases, self.round)
+
+    @classmethod
+    def from_wire(cls, wire: tuple) -> "GrainPlan":
+        horizon, blob, releases, rnd = wire
+        return cls(horizon=horizon,
+                   deliver=pickle.loads(blob) if blob else [],
+                   releases=releases, round=rnd)
 
 
 @dataclass
@@ -159,8 +156,8 @@ class ShardMetrics:
     stall_grains: int = 0
     msgs_sent: int = 0
     msgs_recv: int = 0
-    #: Serialized bytes of inter-shard traffic addressed to this shard
-    #: (coordinator-side accounting; identical for both backends).
+    #: Pickled size of every delivery batch addressed to this shard
+    #: (coordinator-side accounting, whichever backend carried it).
     channel_bytes: int = 0
     #: Peak pending-event backlog observed at grain boundaries.
     max_backlog: int = 0
@@ -219,9 +216,10 @@ def normalize_lookahead(lookahead, nshards: int) -> List[List[float]]:
 class SyncCoordinator:
     """Pure-state round engine: ``reports in -> plans out``.
 
-    Runs in the parent for the multiprocessing backend and inline for
-    the in-process backend; either way the arithmetic (and therefore
-    every horizon and release time) is identical.
+    Runs in the lead worker (the process that also simulates shard 0)
+    for the multiprocessing backend and inline for the in-process
+    backend; either way the arithmetic (and therefore every horizon
+    and release time) is identical.
     """
 
     def __init__(self, lookahead, nshards: int) -> None:
@@ -229,10 +227,15 @@ class SyncCoordinator:
         self.lookahead = normalize_lookahead(lookahead, nshards)
         self.rounds = 0
         self._barriers: Dict[str, _BarrierState] = {}
-        #: Per-destination serialized channel bytes (both backends use
-        #: this number so metrics agree between inproc and mp runs).
+        #: Per-destination serialized channel bytes (both backends
+        #: count here, so inproc and mp runs account alike).
         self.channel_bytes: List[int] = [0] * nshards
         self.msgs_routed = 0
+
+    def counters(self) -> tuple:
+        """``(rounds, msgs_routed, channel_bytes per shard)`` — what a
+        finished run reports."""
+        return self.rounds, self.msgs_routed, self.channel_bytes
 
     # -- collectives ----------------------------------------------------
 
@@ -277,23 +280,20 @@ class SyncCoordinator:
         if len(reports) != S:
             raise SyncError(f"expected {S} reports, got {len(reports)}")
         self.rounds += 1
-        for r in reports:
-            if r.error is not None:
-                raise SyncError(
-                    f"shard {r.shard} failed:\n{r.error}")
 
         # Route messages; delivery lists are sorted by the
         # transport-independent total order.
-        deliver: List[List[ShardMessage]] = [[] for _ in range(S)]
+        deliver: List[List[WireMessage]] = [[] for _ in range(S)]
         for r in reports:
             for msg in r.sent:
-                if not 0 <= msg.dst < S:
-                    raise SyncError(f"message to unknown shard {msg.dst}")
-                deliver[msg.dst].append(msg)
+                dst = msg[3]
+                if not 0 <= dst < S:
+                    raise SyncError(f"message to unknown shard {dst}")
+                deliver[dst].append(msg)
             for post in r.barriers:
                 self._post(post)
         for batch in deliver:
-            batch.sort(key=lambda m: m.order_key)
+            batch.sort()
             self.msgs_routed += len(batch)
         releases = self._drain_releases()
 
@@ -304,7 +304,7 @@ class SyncCoordinator:
             eff[r.shard] = min(eff[r.shard], r.next_time)
         for i, batch in enumerate(deliver):
             if batch:
-                eff[i] = min(eff[i], batch[0].arrival)
+                eff[i] = min(eff[i], batch[0][0])
         if releases:
             t_rel = min(t for _, t in releases)
             # Releases are broadcast: every shard may act at t_rel.
@@ -357,11 +357,13 @@ class SyncCoordinator:
                      for j in range(S) if j != i),
                     default=INF)
             batch = deliver[i]
+            blob = None
             if batch:
-                blob = len(pickle.dumps(batch,
-                                        protocol=pickle.HIGHEST_PROTOCOL))
-                self.channel_bytes[i] += blob
+                # The one serialization of this batch: its length is
+                # the accounting, and the mp backend sends these bytes.
+                blob = pickle.dumps(batch, pickle.HIGHEST_PROTOCOL)
+                self.channel_bytes[i] += len(blob)
             plans.append(GrainPlan(horizon=horizon, deliver=batch,
-                                   releases=list(releases),
+                                   blob=blob, releases=releases,
                                    round=self.rounds))
         return plans

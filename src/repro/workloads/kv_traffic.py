@@ -48,9 +48,7 @@ from repro.obs.events import OP_BEGIN, OP_END, POLICY_ACTION
 from repro.obs.slo import SLOMonitor, detect_anomalies, slo_summary
 from repro.sim.shard import ShardContext, ShardedSimulator
 from repro.util.rng import StreamFamily
-from repro.workloads.sharded import _commute_hash, _tq
-
-_MASK64 = (1 << 64) - 1
+from repro.workloads.sharded import _commute_hash_rows, _tq
 
 #: Fixed histogram geometry: 256 log-spaced bins over [0.1 µs, 1 s].
 #: Fixed edges are what make the merge an elementwise sum.
@@ -252,6 +250,44 @@ class _ClientLRU:
         return False
 
 
+class _DigestFold:
+    """Per-client digests ``sum(_commute_hash(a, b, c, d)) mod 2^64``,
+    folded a chunk at a time: effects are appended to a fixed numpy
+    chunk and hashed together when it fills (and once at the end).
+    Addition commutes, so the digests equal the one-at-a-time fold;
+    the chunk is small and fixed, so memory does not grow with the
+    run."""
+
+    CHUNK = 4096
+
+    def __init__(self, nclients: int) -> None:
+        self._rows = np.empty((self.CHUNK, 5), dtype=np.int64)
+        self._n = 0
+        self._acc = np.zeros(nclients, dtype=np.uint64)
+        self._seen = np.zeros(nclients, dtype=bool)
+
+    def add(self, client: int, a: int, b: int, c: int, d: int) -> None:
+        n = self._n
+        self._rows[n] = (client, a, b, c, d)
+        self._n = n + 1
+        if n + 1 == self.CHUNK:
+            self._flush()
+
+    def _flush(self) -> None:
+        rows = self._rows[:self._n]
+        clients = rows[:, 0]
+        np.add.at(self._acc, clients, _commute_hash_rows(rows[:, 1:]))
+        self._seen[clients] = True
+        self._n = 0
+
+    def finish_into(self, digests: dict) -> None:
+        """Fold the partial chunk and write ``{client: digest}`` for
+        every client that folded at least one effect."""
+        self._flush()
+        for client in np.flatnonzero(self._seen):
+            digests[int(client)] = int(self._acc[client])
+
+
 class _TrafficCore:
     """Per-shard traffic state: the clients homed here, their caches
     and connection sets, and this shard's share of the histograms."""
@@ -264,7 +300,12 @@ class _TrafficCore:
         m = MACHINES[p.machine]
         self.t = m.transport
         self.topo = make_topology(m, p.nnodes)
-        self.part = part
+        nodes = range(p.nnodes)
+        #: Per-request lookups, tabulated once: wire latency from each
+        #: node homed here (every send starts at one), and node->shard.
+        self._lat = {a: [self.topo.latency(a, b) for b in nodes]
+                     for a in range(lo, hi)}
+        self._shard_of = [part.shard_of(n) for n in nodes]
         fam = StreamFamily(p.seed, "kv-traffic")
         self.fam = fam
         self.zipf = ZipfianKeys(p.nkeys, p.zipf_s)
@@ -275,7 +316,10 @@ class _TrafficCore:
         self.counts = {"requests": 0, "hits": 0, "misses": 0,
                        "conns": 0, "puts": 0, "gets": 0,
                        "failures": 0}
+        #: Published empty; filled when the shard finishes.
         self.digests = {}
+        self._fold = _DigestFold(p.nclients)
+        ctx.at_finish(lambda: self._fold.finish_into(self.digests))
         #: Lossy-fabric plane: a time-evolving link trace plus an
         #: optional repair policy observing per-link health.  All three
         #: stay ``None`` on a healthy fabric so the pre-trace code path
@@ -324,7 +368,7 @@ class _TrafficCore:
 
     def _latency(self, src: int, dst: int, nbytes: int,
                  extra: float = 0.0) -> float:
-        return (self.topo.latency(src, dst)
+        return (self._lat[src][dst]
                 + self.t.wire_time(nbytes) + extra)
 
     def server_of(self, key: int) -> tuple:
@@ -370,7 +414,7 @@ class _TrafficCore:
                 self._ops[(client, seq)] = op
             if self.trace is None:
                 self.ctx.send(
-                    self.part.shard_of(server), "kv_req",
+                    self._shard_of[server], "kv_req",
                     (server, node, client, seq, hit, is_put,
                      _tq(sim.now)),
                     latency=self._latency(node, server, req_bytes,
@@ -443,10 +487,7 @@ class _TrafficCore:
             attempt += 1
         # Fold the fate chain into the digest so replay bit-identity
         # covers retries and exhausted requests, not just completions.
-        self.digests[client] = (
-            self.digests.get(client, 0)
-            + _commute_hash(seq, attempt, int(failed), _FATE_SALT)
-        ) & _MASK64
+        self._fold.add(client, seq, attempt, failed, _FATE_SALT)
         if failed:
             self.counts["failures"] += 1
             if self.slo is not None:
@@ -475,7 +516,7 @@ class _TrafficCore:
             det_rep = max(0.0, lat(server, via) + lat(via, node)
                           - lat(server, node))
         self.ctx.send(
-            self.part.shard_of(server), "kv_treq",
+            self._shard_of[server], "kv_treq",
             (server, node, client, seq, hit, is_put, _tq(t0),
              service + d_rep + det_rep),
             latency=((t_try - t0)
@@ -507,7 +548,7 @@ class _TrafficCore:
             service += _PUT_EXTRA_US
         rep_bytes = _PUT_REP_BYTES if is_put else _GET_REP_BYTES
         self.ctx.send(
-            self.part.shard_of(node), "kv_rep",
+            self._shard_of[node], "kv_rep",
             (client, seq, hit, is_put, t0),
             latency=self._latency(server, node, rep_bytes, service),
             nbytes=rep_bytes)
@@ -519,7 +560,7 @@ class _TrafficCore:
         server, node, client, seq, hit, is_put, t0, svc = payload
         rep_bytes = _PUT_REP_BYTES if is_put else _GET_REP_BYTES
         self.ctx.send(
-            self.part.shard_of(node), "kv_rep",
+            self._shard_of[node], "kv_rep",
             (client, seq, hit, is_put, t0),
             latency=self._latency(server, node, rep_bytes, svc),
             nbytes=rep_bytes)
@@ -534,10 +575,7 @@ class _TrafficCore:
         c["requests"] += 1
         c["hits" if hit else "misses"] += 1
         c["puts" if is_put else "gets"] += 1
-        self.digests[client] = (
-            self.digests.get(client, 0)
-            + _commute_hash(seq, int(hit), int(is_put), _tq(fct))
-        ) & _MASK64
+        self._fold.add(client, seq, hit, is_put, _tq(fct))
         if self.slo is not None:
             node = client % self.p.nnodes
             infl = self.inflight.get(node, 0)

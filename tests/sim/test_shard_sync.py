@@ -2,6 +2,8 @@
 arithmetic, topology-derived lookahead, bounded drains, per-shard RNG
 stream splitting, shard collectives, and the metrics rollups."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from repro.network.partition import (lookahead_matrix, min_lookahead,
                                      partition_nodes)
 from repro.runtime.collectives import ShardFence, dissemination_cost_us
 from repro.runtime.metrics import RuntimeMetrics
-from repro.sim.shard import (ShardContext, ShardedSimulator, ShardSpec)
+from repro.sim.shard import (ShardContext, ShardedError,
+                             ShardedSimulator, ShardSpec)
 from repro.sim.simulator import Simulator
 from repro.sim.sync import (INF, BarrierPost, ShardMetrics, ShardReport,
                             SyncCoordinator, SyncDeadlock, SyncError,
@@ -98,6 +101,59 @@ def test_horizon_bounds_drained_peer_by_wakeup_chain():
     assert plans[0].horizon == pytest.approx(14.0)   # (10 + 2) + 2
 
 
+def _msg(arrival, src, seq, dst, payload=None):
+    # the wire format: (arrival, src, seq, dst, kind, nbytes, payload)
+    return (arrival, src, seq, dst, "m", 8, payload)
+
+
+def test_messages_route_by_destination_in_arrival_order():
+    coord = SyncCoordinator(2.0, 2)
+    late, early = _msg(9.0, 0, 1, 1, "late"), _msg(7.0, 0, 2, 1, "early")
+    back = _msg(8.0, 1, 1, 0)
+    plans = coord.round([_report(0, 20.0, sent=[late, early]),
+                         _report(1, 20.0, sent=[back])])
+    assert plans[1].deliver == [early, late]
+    assert plans[0].deliver == [back]
+    assert coord.msgs_routed == 3
+    # An incoming message floors its destination's effective time.
+    assert plans[0].horizon == pytest.approx(7.0 + 2.0)
+    assert plans[1].horizon == pytest.approx(8.0 + 2.0)
+
+
+def test_equal_arrival_messages_deliver_in_src_seq_order():
+    coord = SyncCoordinator(2.0, 3)
+    from1 = [_msg(5.0, 1, 2, 0, "1b"), _msg(5.0, 1, 1, 0, "1a")]
+    from2 = [_msg(5.0, 2, 1, 0, "2a"), _msg(4.0, 2, 2, 0, "first")]
+    # Reports arrive in shard order, but neither that nor the order a
+    # shard sent in decides delivery: (arrival, src, seq) does.
+    plans = coord.round([_report(0, 20.0), _report(1, 20.0, sent=from1),
+                         _report(2, 20.0, sent=from2)])
+    assert [m[6] for m in plans[0].deliver] == ["first", "1a", "1b", "2a"]
+    # Payloads never take part in the ordering (dicts do not compare).
+    clash = [_msg(5.0, 1, 3, 0, {"x": 1}), _msg(5.0, 2, 3, 0, {"x": 0})]
+    coord.round([_report(0, 20.0), _report(1, 20.0, sent=clash[:1]),
+                 _report(2, 20.0, sent=clash[1:])])
+
+
+def test_batch_is_pickled_once_and_its_length_is_channel_bytes():
+    coord = SyncCoordinator(2.0, 2)
+    sent = [_msg(7.0, 0, 1, 1, (3, True)), _msg(8.0, 0, 2, 1, (4, False))]
+    plans = coord.round([_report(0, 20.0, sent=sent), _report(1, 20.0)])
+    assert plans[0].blob is None and plans[0].deliver == []
+    assert pickle.loads(plans[1].blob) == sent
+    assert coord.channel_bytes == [0, len(plans[1].blob)]
+    # What crosses the pipe carries those bytes, not the list, and
+    # decodes to the same plan.
+    wire = plans[1].to_wire()
+    assert wire[1] is plans[1].blob
+    again = type(plans[1]).from_wire(pickle.loads(pickle.dumps(wire)))
+    assert (again.horizon, again.deliver, again.releases, again.round) == \
+        (plans[1].horizon, sent, [], 1)
+    with pytest.raises(SyncError, match="unknown shard"):
+        coord.round([_report(0, 20.0, sent=[_msg(9.0, 0, 3, 2)]),
+                     _report(1, 20.0)])
+
+
 def test_all_drained_terminates():
     coord = SyncCoordinator(2.0, 2)
     plans = coord.round([_report(0, INF), _report(1, INF)])
@@ -170,8 +226,8 @@ def test_send_below_lookahead_rejected():
     ctx = _ctx()
     with pytest.raises(SyncError, match="below lookahead"):
         ctx.send(1, "msg", latency=1.0)
-    ctx.send(1, "msg", latency=2.0)      # exactly the bound is fine
-    assert len(ctx._take_outbox()) == 1
+    ctx.send(1, "msg", "p", latency=2.0, nbytes=8)   # the bound is fine
+    assert ctx._take_outbox() == [(2.0, 0, 1, 1, "msg", 8, "p")]
 
 
 def test_same_shard_send_takes_delivery_path():
@@ -182,6 +238,45 @@ def test_same_shard_send_takes_delivery_path():
     ctx.sim.run()
     assert got == ["hi"]
     assert ctx._take_outbox() == []
+
+
+def _crashing_builder(ctx):
+    def crasher():
+        yield ctx.sim.sleep(1.0)
+        raise RuntimeError("kv-client blew up")
+
+    def bystander():
+        yield ctx.sim.sleep(5.0)
+
+    ctx.spawn(bystander(), name="bystander")
+    if ctx.shard == ctx.nshards - 1:
+        ctx.spawn(crasher(), name="crasher")
+
+
+def test_crashed_process_is_an_error_not_a_short_run():
+    sharded = ShardedSimulator(2, lookahead=2.0, mode="inproc")
+    with pytest.raises(RuntimeError, match="kv-client blew up") as info:
+        sharded.run(_crashing_builder)
+    assert "crasher" in str(info.value)
+    with pytest.raises(ShardedError, match="shard 1 failed") as info:
+        ShardedSimulator(2, lookahead=2.0, mode="mp").run(_crashing_builder)
+    assert "kv-client blew up" in str(info.value)
+    assert "crasher" in str(info.value)
+
+
+def _finishing_builder(ctx):
+    seen = []
+    ctx.publish("seen", seen)
+    ctx.on_message("tick", seen.append)
+    ctx.send(ctx.shard, "tick", "delivered", latency=1.0)
+    ctx.at_finish(lambda: seen.append(f"finished at {ctx.sim.now}"))
+
+
+@pytest.mark.parametrize("mode", ["inproc", "mp"])
+def test_at_finish_runs_after_the_last_event_before_outputs_ship(mode):
+    run = ShardedSimulator(2, lookahead=2.0, mode=mode).run(
+        _finishing_builder)
+    assert run.outputs == [{"seen": ["delivered", "finished at 1.0"]}] * 2
 
 
 def test_simulator_shards_dispatch():
