@@ -106,7 +106,7 @@ overhang accesses wait "abnormally large" times).
 **Measured:** Pointer 25-45%, Update 10-24%, Neighborhood 15-21% — all
 inside or near the paper's bands.  Field reproduces *directionally* at
 9-18%: the pathology (uncached overhang GETs with heavy-tailed waits,
-confirmed by the tracer — see tests/trace) and the GM-vs-LAPI
+confirmed by the state view — see tests/trace) and the GM-vs-LAPI
 asymmetry are present, but our progress model is conservative: any
 thread blocked in a *network* operation polls and can service its
 node's handlers, which caps the waits more aggressively than the real

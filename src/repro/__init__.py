@@ -16,7 +16,10 @@ simulator:
 * :mod:`repro.workloads` — GET/PUT microbenchmarks + the DIS
   Stressmark subset (Pointer, Update, Neighborhood, Field);
 * :mod:`repro.experiments` — runners regenerating every evaluation
-  figure (6, 7, 8, 9) and the section-6 overhead claim.
+  figure (6, 7, 8, 9) and the section-6 overhead claim;
+* :mod:`repro.obs` — the flight recorder: one event log behind the
+  latency breakdown, the section-4.6 time-in-state view, the exports
+  and ``python -m repro report``.
 
 Quickstart::
 

@@ -1,46 +1,13 @@
-"""Command-line entry point: regenerate figures, or fuzz the runtime.
+"""Command-line front door: every ``python -m repro`` subcommand.
 
-Usage::
-
-    python -m repro fig6_get [--quick]
-    python -m repro fig6_put
-    python -m repro fig7
-    python -m repro fig8a | fig8b
-    python -m repro fig9a | fig9b
-    python -m repro miss_overhead
-    python -m repro all [--quick]
-
-    python -m repro fuzz --seed 0 --ops 200 --quick
-    python -m repro fuzz --seed 0..9 --ops 500 --matrix full
-    python -m repro fuzz --seed 0..24 --faults --fault-profile chaos
-
-    python -m repro trace pointer --quick --format chrome
-    python -m repro trace field --breakdown
-    python -m repro trace pointer --fault-profile drop --fault-seed 3
-
-    python -m repro run pointer --quick
-    python -m repro run field --fault-profile chaos --fault-seed 7
-
-    python -m repro campaign --spec smoke
-    python -m repro campaign --spec service --workers 4
-
-``--quick`` truncates size/scale sweeps for a fast look; the full
-sweeps match EXPERIMENTS.md.  ``fuzz`` runs the model-based
-differential harness (see :mod:`repro.testing`): each seed generates a
-race-free random UPC program, replays it across the config matrix, and
-compares every result with a flat-memory oracle, shrinking any failure
-to a pytest reproducer; ``--faults`` additionally replays each program
-under a deterministic fault plan — the reliability layer must still
-converge to the oracle.  ``trace`` runs a stressmark with the protocol
-flight recorder on and exports Chrome-trace / JSONL / CSV artifacts
-plus the latency-breakdown table (see :mod:`repro.obs` and
-docs/OBSERVABILITY.md).  ``run`` executes one DIS stressmark plainly
-and prints its summary — the quickest way to watch a fault profile
-(``--fault-profile``/``--fault-seed``, see docs/FAULTS.md) play out.
-``campaign`` runs a declared config matrix across worker processes
-with per-cell checkpoints: a killed campaign resumes without
-re-executing completed cells, merges into ``BENCH_*`` trajectory
-files and renders every figure in one command (docs/CAMPAIGNS.md).
+``python -m repro --help`` lists the subcommands (figure runners, ``run``,
+``trace``, ``kvtraffic``, ``fuzz``, ``report``, ``campaign``) and
+``python -m repro <command> --help`` each one's options — this module
+is the one registry that declares them.  The options several commands
+share (workload, fault plane, sharding) are each defined once, in the
+three ``_*_options`` group builders below; the subcommand bodies live
+next to the code they drive (:mod:`repro.obs.cli`,
+:mod:`repro.obs.report`, :mod:`repro.campaign.cli`).
 """
 
 from __future__ import annotations
@@ -109,203 +76,20 @@ def _parse_seeds(text: str):
     return [int(text)]
 
 
-def run_main(argv) -> int:
-    """``python -m repro run`` — execute one DIS stressmark and print
-    its summary (optionally under a fault profile)."""
-    from repro.network.params import MACHINES
-    from repro.obs.cli import WORKLOADS, _workload
-    from repro.obs.events import EventLog
-
-    ap = argparse.ArgumentParser(
-        prog="python -m repro run",
-        description="Run a DIS stressmark and print its summary; "
-                    "--fault-profile injects deterministic faults "
-                    "(see docs/FAULTS.md).")
-    ap.add_argument("workload", choices=WORKLOADS,
-                    help="which stressmark to run")
-    ap.add_argument("--quick", action="store_true",
-                    help="small problem sizes (smoke mode)")
-    ap.add_argument("--nthreads", type=int, default=8,
-                    help="UPC threads (default 8)")
-    ap.add_argument("--machine", default="gm", choices=sorted(MACHINES),
-                    help="machine model (default gm)")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--fault-profile", default=None, metavar="SPEC",
-                    help="fault plan: a profile name (drop, dup, delay, "
-                         "stall, pin, chaos), inline JSON, or a JSON "
-                         "file path")
-    ap.add_argument("--fault-seed", type=int, default=None,
-                    help="override the fault plan's RNG seed")
-    ap.add_argument("--link-trace", default=None, metavar="SPEC",
-                    help="time-evolving link degradation: a shape name "
-                         "(flap, burst, degrade, gray), inline JSON, "
-                         "or a JSON file path (see docs/FAULTS.md)")
-    ap.add_argument("--trace-seed", type=int, default=None,
-                    help="override the link trace's seed")
-    ap.add_argument("--repair-policy", default=None,
-                    choices=("do_nothing", "retransmit_tuning",
-                             "disable_and_repair", "path_failover"),
-                    help="repair policy acting on per-link health "
-                         "(needs --link-trace or --fault-profile)")
-    ap.add_argument("--shards", type=int, default=None, metavar="N",
-                    help="run on the sharded PDES core with N shards "
-                         "(field only; one worker process per shard, "
-                         "see docs/PERFORMANCE.md)")
-    ap.add_argument("--shard-backend", default=None,
-                    choices=("mp", "inproc"),
-                    help="sharded-core backend (default: mp for N>1)")
-    args = ap.parse_args(argv)
-
-    if args.shards is not None:
-        if args.workload != "field":
-            ap.error("--shards currently applies to the field "
-                     "stressmark only (the other stressmarks exercise "
-                     "full-runtime protocol paths that span shard "
-                     "boundaries; they run on the pooled core)")
-        if args.fault_profile is not None or args.link_trace is not None:
-            ap.error("--shards excludes --fault-profile/--link-trace "
-                     "(the fault plane lives in the pooled runtime's "
-                     "transport; use 'python -m repro kvtraffic "
-                     "--link-trace' for the sharded core)")
-        return _run_sharded_field(args)
-
-    fault_plan = None
-    if args.fault_profile is not None:
-        from repro.faults import resolve_profile
-        try:
-            fault_plan = resolve_profile(args.fault_profile,
-                                         fault_seed=args.fault_seed)
-        except ValueError as exc:
-            ap.error(str(exc))
-    link_trace = None
-    if args.link_trace is not None:
-        from repro.faults import resolve_trace
-        from repro.obs.cli import _cli_nnodes
-        try:
-            link_trace = resolve_trace(
-                args.link_trace,
-                _cli_nnodes(args.machine, args.nthreads),
-                trace_seed=args.trace_seed)
-        except ValueError as exc:
-            ap.error(str(exc))
-    if args.repair_policy and fault_plan is None and link_trace is None:
-        ap.error("--repair-policy needs --link-trace or "
-                 "--fault-profile to observe")
-
-    runner = _workload(args.workload, args.quick, args.machine,
-                       args.nthreads, args.seed,
-                       EventLog(enabled=False), None,
-                       fault_plan=fault_plan, link_trace=link_trace,
-                       repair_policy=args.repair_policy)
-    t0 = time.time()
-    result = runner()
-    run = result.run
-    m = run.metrics
-    print(f"run {args.workload}: {run.elapsed_us:.1f} virtual us, "
-          f"{run.sim_events} sim events, remote ops "
-          f"{m.remote_ops} (rdma share {m.rdma_fraction:.0%}), "
-          f"cache hit rate {run.cache_stats.hit_rate:.3f} "
-          f"({time.time() - t0:.1f}s)")
-    if fault_plan is not None or link_trace is not None:
-        print(f"  faults: {m.faults_injected} injected, "
-              f"{m.timeouts} timeouts, {m.retries} retries, "
-              f"{m.rdma_timeouts} rdma->am fallbacks, "
-              f"{m.pin_degrades} degraded handles")
-        noisy = m.noisy_links(3)
-        if noisy:
-            links = ", ".join(
-                f"{r['src']}->{r['dst']} ({r['timeouts']}t/"
-                f"{r['retries']}r)" for r in noisy)
-            print(f"  noisy links: {links}")
-    if args.repair_policy:
-        print(f"  policy {args.repair_policy}: {m.policy_actions} "
-              f"action(s), {m.kv_failover_ops} kv failover op(s)")
+def _figure_main(args) -> int:
+    runners = _runners(args.quick)
+    names = sorted(runners) if args.command == "all" else [args.command]
+    for name in names:
+        t0 = time.time()
+        fig = runners[name]()
+        print(fig.render())
+        print(f"({time.time() - t0:.1f}s)\n")
     return 0
 
 
-def _run_sharded_field(args) -> int:
-    """``python -m repro run field --shards N`` — the Field mix on the
-    sharded PDES core, with the per-shard metric rollups."""
-    from repro.runtime.metrics import RuntimeMetrics
-    from repro.workloads.sharded import field_nnodes, run_field_sharded
-
-    if args.shards < 1:
-        raise SystemExit("--shards must be >= 1")
-    nnodes = field_nnodes(args.nthreads)
-    if args.shards > nnodes:
-        raise SystemExit(
-            f"--shards {args.shards} exceeds the {nnodes} node(s) of a "
-            f"{args.nthreads}-thread field run")
-    mode = args.shard_backend or ("inproc" if args.shards == 1 else "mp")
-    ntokens, probes = (3, 2) if args.quick else (8, 4)
-    t0 = time.time()
-    res = run_field_sharded(args.nthreads, args.shards,
-                            ntokens=ntokens, probes=probes,
-                            machine=args.machine, mode=mode)
-    run = res["run"]
-    metrics = RuntimeMetrics()
-    metrics.attach_shards(run.metrics)
-    s = metrics.shard_summary()
-    print(f"run field --shards {args.shards} ({mode}): "
-          f"{res['now']:.1f} virtual us, {run.events} sim events, "
-          f"{run.events_per_sec:,.0f} ev/s aggregate "
-          f"({time.time() - t0:.1f}s)")
-    print(f"  sync: {s['sync_rounds']} rounds, "
-          f"{s['sync_stall_grains']} stall grains, "
-          f"{s['channel_msgs']} cross-shard msgs, "
-          f"{s['channel_bytes']:,} channel bytes")
-    for m in run.metrics:
-        d = m.as_dict()
-        print(f"  shard {d['shard']}: nodes {d['nodes'][0]}.."
-              f"{d['nodes'][1] - 1}, {d['events']} events, "
-              f"backlog {d['max_backlog']}, "
-              f"clock {d['final_clock_us']:.1f} us, "
-              f"busy {d['busy_s']:.3f}s")
-    return 0
-
-
-def fuzz_main(argv) -> int:
+def fuzz_main(args) -> int:
+    from repro.obs.cli import resolve_fault_plane
     from repro.testing import MATRICES, config_by_name, fuzz
-
-    ap = argparse.ArgumentParser(
-        prog="python -m repro fuzz",
-        description="Differential fuzz: random race-free UPC programs "
-                    "replayed across the config matrix against a "
-                    "flat-memory oracle.")
-    ap.add_argument("--seed", type=_parse_seeds, default=[0],
-                    help="seed N or inclusive range A..B (default 0)")
-    ap.add_argument("--ops", type=int, default=200,
-                    help="approximate ops per generated program")
-    ap.add_argument("--nthreads", type=int, default=4,
-                    help="UPC threads per program (default 4)")
-    ap.add_argument("--matrix", default=None,
-                    help="'quick', 'full', or comma-separated config "
-                         "point names (default: quick)")
-    ap.add_argument("--quick", action="store_true",
-                    help="force the quick matrix (smoke mode)")
-    ap.add_argument("--corpus", default=None, metavar="DIR",
-                    help="serialize shrunk failures as JSON here")
-    ap.add_argument("--no-shrink", action="store_true",
-                    help="report failures without minimizing them")
-    ap.add_argument("--trace-dir", default=None, metavar="DIR",
-                    help="dump a flight-recorder JSONL log of each "
-                         "shrunk failing program here (CI artifact)")
-    ap.add_argument("--faults", action="store_true",
-                    help="also replay every program under a "
-                         "deterministic fault plan; the reliability "
-                         "layer must still match the oracle")
-    ap.add_argument("--fault-profile", default="chaos", metavar="SPEC",
-                    help="fault plan for --faults: a profile name, "
-                         "inline JSON, or a JSON file path "
-                         "(default chaos)")
-    ap.add_argument("--fault-seed", type=int, default=None,
-                    help="base fault RNG seed (each program seed "
-                         "derives its own)")
-    ap.add_argument("--kv", action="store_true",
-                    help="include KV-store ops (kv_create/put/get/"
-                         "del/multi-get over both access paths) in "
-                         "the generated programs")
-    args = ap.parse_args(argv)
 
     if args.quick or args.matrix is None:
         configs = list(MATRICES["quick"])
@@ -316,17 +100,10 @@ def fuzz_main(argv) -> int:
             configs = [config_by_name(n.strip())
                        for n in args.matrix.split(",") if n.strip()]
         except KeyError as exc:
-            ap.error(str(exc))
+            args.error(str(exc))
 
-    fault_plan = None
-    if args.faults:
-        from repro.faults import resolve_profile
-        try:
-            fault_plan = resolve_profile(args.fault_profile,
-                                         fault_seed=args.fault_seed)
-        except ValueError as exc:
-            ap.error(str(exc))
-
+    fault_plan = (resolve_fault_plane(args, 0)[0] if args.faults
+                  else None)
     t0 = time.time()
     report = fuzz(args.seed, n_ops=args.ops, nthreads=args.nthreads,
                   configs=configs, shrink_failures=not args.no_shrink,
@@ -342,66 +119,14 @@ def fuzz_main(argv) -> int:
     return 0 if report.ok else 1
 
 
-def kvtraffic_main(argv) -> int:
-    """``python -m repro kvtraffic`` — open-loop Zipfian KV traffic on
-    the sharded core; prints SLO quantiles and the cache hit rate."""
+def kvtraffic_main(args) -> int:
+    """Open-loop Zipfian KV traffic on the sharded core; prints SLO
+    quantiles and the cache hit rate."""
+    from repro.obs.cli import check_shards, resolve_fault_plane
     from repro.workloads.kv_traffic import TrafficParams, run_kv_traffic
 
-    ap = argparse.ArgumentParser(
-        prog="python -m repro kvtraffic",
-        description="Open-loop Zipfian/Poisson KV service traffic on "
-                    "the sharded event core (see docs/SERVICE.md).")
-    ap.add_argument("--requests", type=int, default=100_000,
-                    help="total requests across all clients")
-    ap.add_argument("--skew", type=float, default=0.9,
-                    help="Zipf exponent s (default 0.9)")
-    ap.add_argument("--shards", type=int, default=1)
-    ap.add_argument("--shard-backend", choices=("inproc", "mp"),
-                    default="inproc",
-                    help="sharded-core backend (default inproc)")
-    ap.add_argument("--nclients", type=int, default=32)
-    ap.add_argument("--nnodes", type=int, default=8)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--machine", default="gm")
-    ap.add_argument("--slo-target-us", type=float, default=0.0,
-                    metavar="US",
-                    help="arm the streaming SLO monitor with this "
-                         "latency target (µs); prints windowed "
-                         "burn-rate / anomaly summary")
-    ap.add_argument("--slo-window-us", type=float, default=5000.0,
-                    metavar="US",
-                    help="SLO rolling-window width in virtual µs "
-                         "(default 5000)")
-    ap.add_argument("--link-trace", default=None, metavar="SPEC",
-                    help="time-evolving link degradation: a shape name "
-                         "(flap, burst, degrade, gray), inline JSON, "
-                         "or a JSON file path (see docs/FAULTS.md)")
-    ap.add_argument("--trace-seed", type=int, default=None,
-                    help="override the link trace's seed")
-    ap.add_argument("--repair-policy", default=None,
-                    choices=("do_nothing", "retransmit_tuning",
-                             "disable_and_repair", "path_failover"),
-                    help="repair policy acting on per-link health "
-                         "(needs --link-trace)")
-    ap.add_argument("--trace-dir", default=None, metavar="DIR",
-                    help="arm the flight recorder and write run "
-                         "artifacts (events.jsonl, trace.json, "
-                         "slo.json, shard_summary.json) here — "
-                         "feed the directory to 'python -m repro "
-                         "report'")
-    args = ap.parse_args(argv)
-
-    link_trace = None
-    if args.link_trace is not None:
-        from repro.faults import resolve_trace
-        try:
-            link_trace = resolve_trace(args.link_trace, args.nnodes,
-                                       trace_seed=args.trace_seed)
-        except ValueError as exc:
-            ap.error(str(exc))
-    if args.repair_policy and link_trace is None:
-        ap.error("--repair-policy needs --link-trace to observe")
-
+    check_shards(args, args.nnodes)
+    _, link_trace, repair_policy = resolve_fault_plane(args, args.nnodes)
     p = TrafficParams(nnodes=args.nnodes, nclients=args.nclients,
                       requests=args.requests, zipf_s=args.skew,
                       seed=args.seed, machine=args.machine,
@@ -409,7 +134,7 @@ def kvtraffic_main(argv) -> int:
                       slo_window_us=args.slo_window_us,
                       link_trace=(link_trace.to_json()
                                   if link_trace is not None else ""),
-                      repair_policy=args.repair_policy or "")
+                      repair_policy=repair_policy or "")
     t0 = time.time()
     res = run_kv_traffic(p, args.shards, mode=args.shard_backend,
                          trace=args.trace_dir is not None)
@@ -457,34 +182,28 @@ def kvtraffic_main(argv) -> int:
 def _write_kvtraffic_artifacts(out_dir, res, slo) -> None:
     """Write the kvtraffic run directory ``python -m repro report``
     consumes: merged events (jsonl + validated Chrome trace),
-    slo.json, shard_summary.json."""
+    slo.json, shard_summary.json, links.json."""
     import os
 
     from repro.campaign.artifacts import atomic_write_json
-    from repro.obs.export import dump_jsonl, export_chrome_sharded
+    from repro.obs.cli import write_artifacts
     from repro.obs.shardlog import merge_shard_events
     from repro.runtime.metrics import RuntimeMetrics
 
-    os.makedirs(out_dir, exist_ok=True)
-    run = res.extra["run"]
-    log = merge_shard_events(run.shard_events, run.trace_dropped)
-    path = os.path.join(out_dir, "kvtraffic.events.jsonl")
-    n = dump_jsonl(log, path)
-    print(f"  wrote {path} ({n} lines)")
-    path = os.path.join(out_dir, "kvtraffic.trace.json")
-    doc = export_chrome_sharded(log, path)
-    print(f"  wrote {path} ({len(doc['traceEvents'])} chrome events, "
-          "validated)")
-    if slo is not None:
-        path = atomic_write_json(os.path.join(out_dir, "slo.json"),
-                                 slo, indent=1, sort_keys=True)
+    def write_json(name, doc):
+        path = atomic_write_json(os.path.join(out_dir, name), doc,
+                                 indent=1, sort_keys=True)
         print(f"  wrote {path}")
+
+    run = res.extra["run"]
+    write_artifacts(
+        out_dir, "kvtraffic", ("jsonl", "chrome"),
+        merge_shard_events(run.shard_events, run.trace_dropped))
+    if slo is not None:
+        write_json("slo.json", slo)
     metrics = RuntimeMetrics()
     metrics.attach_shards(run.metrics)
-    path = atomic_write_json(
-        os.path.join(out_dir, "shard_summary.json"),
-        metrics.shard_summary(), indent=1, sort_keys=True)
-    print(f"  wrote {path}")
+    write_json("shard_summary.json", metrics.shard_summary())
     links = res.extra.get("links")
     if links:
         doc = {
@@ -498,58 +217,242 @@ def _write_kvtraffic_artifacts(out_dir, res, slo) -> None:
             doc["policy"] = {"name": policy["name"],
                              "digest": policy["digest"],
                              "decisions": policy["decisions"]}
-        path = atomic_write_json(os.path.join(out_dir, "links.json"),
-                                 doc, indent=1, sort_keys=True)
-        print(f"  wrote {path}")
+        write_json("links.json", doc)
+
+
+# -- shared option groups: each flag is defined exactly once -----------
+
+def _shard_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return n
+
+
+def _workload_options(ap, *, machine=False, nthreads=None, seed=None,
+                      seed_type=int, quick=None) -> None:
+    """``--machine/--nthreads/--seed/--quick``.  A command names the
+    ones it takes by passing its documented default (``quick``: its
+    help line, since what "quick" trims is per command)."""
+    from repro.network.params import MACHINES
+
+    if machine:
+        ap.add_argument("--machine", default="gm",
+                        choices=sorted(MACHINES),
+                        help="machine model (default gm)")
+    if nthreads is not None:
+        ap.add_argument("--nthreads", type=int, default=nthreads,
+                        help="UPC threads (default %(default)s)")
+    if seed is not None:
+        ap.add_argument("--seed", type=seed_type, default=seed,
+                        help="workload seed; fuzz takes N or an "
+                             "inclusive range A..B (default %(default)s)")
+    if quick is not None:
+        ap.add_argument("--quick", action="store_true", help=quick)
+
+
+def _fault_options(ap, *, profile=True, profile_default=None,
+                   link=True) -> None:
+    """The fault plane: a static ``--fault-profile`` and/or a
+    time-evolving ``--link-trace`` watched by a ``--repair-policy``;
+    resolved by :func:`repro.obs.cli.resolve_fault_plane`."""
+    from repro.faults import POLICIES
+
+    if profile:
+        ap.add_argument("--fault-profile", default=profile_default,
+                        metavar="SPEC",
+                        help="fault plan: a profile name (drop, dup, "
+                             "delay, stall, pin, chaos), inline JSON, or "
+                             "a JSON file path (see docs/FAULTS.md; "
+                             "default %(default)s)")
+        ap.add_argument("--fault-seed", type=int, default=None,
+                        help="override the fault plan's RNG seed (fuzz: "
+                             "the base each program seed derives from)")
+    if link:
+        ap.add_argument("--link-trace", default=None, metavar="SPEC",
+                        help="time-evolving link degradation: a shape "
+                             "name (flap, burst, degrade, gray), inline "
+                             "JSON, or a JSON file path (see "
+                             "docs/FAULTS.md)")
+        ap.add_argument("--trace-seed", type=int, default=None,
+                        help="override the link trace's seed")
+        ap.add_argument("--repair-policy", default=None, choices=POLICIES,
+                        help="repair policy acting on per-link health "
+                             "(needs a fault source to observe)")
+
+
+def _shard_options(ap, *, shards, backend) -> None:
+    """``--shards/--shard-backend`` with the command's own defaults;
+    ranges are checked by :func:`repro.obs.cli.check_shards`."""
+    ap.add_argument("--shards", type=_shard_count, default=shards,
+                    metavar="N",
+                    help="run on the sharded PDES core with N shards "
+                         "(run/trace: field only; see "
+                         "docs/PERFORMANCE.md; default %(default)s)")
+    ap.add_argument("--shard-backend", default=backend,
+                    choices=("inproc", "mp"),
+                    help="sharded-core backend: in-process, or one "
+                         "worker process per shard (default "
+                         "%(default)s; None picks mp for N>1)")
+
+
+# -- the registry ------------------------------------------------------
+
+def build_parser() -> argparse.ArgumentParser:
+    """The one parser behind ``python -m repro``."""
+    from repro.campaign.cli import campaign_main
+    from repro.obs.cli import FORMATS, WORKLOADS, stressmark_main
+    from repro.obs.report import report_main
+
+    ap = argparse.ArgumentParser(
+        prog="python -m repro",
+        description="Reproduce 'Scalable RDMA performance in PGAS "
+                    "languages' (IPDPS 2009) on the simulator: "
+                    "regenerate a figure, or run, record, load, fuzz "
+                    "and sweep the runtime.")
+    sub = ap.add_subparsers(dest="command", metavar="COMMAND",
+                            required=True)
+
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help, description=help)
+        p.set_defaults(func=func, error=p.error)
+        return p
+
+    for name in sorted(_runners(True)) + ["all"]:
+        p = command(name, _figure_main,
+                    "regenerate every figure" if name == "all"
+                    else f"regenerate {name}")
+        _workload_options(p, quick="truncate sweeps for a fast look")
+
+    def stressmark(name, help, shards, backend):
+        p = command(name, stressmark_main, help)
+        p.add_argument("workload", choices=WORKLOADS,
+                       help="which stressmark")
+        _workload_options(p, machine=True, nthreads=8, seed=1,
+                          quick="small problem sizes (smoke mode)")
+        _fault_options(p)
+        _shard_options(p, shards=shards, backend=backend)
+        return p
+
+    stressmark("run", "run a DIS stressmark and print its summary; "
+               "--fault-profile injects deterministic faults (see "
+               "docs/FAULTS.md)", shards=None, backend=None)
+    p = stressmark("trace", "run a DIS stressmark with the protocol "
+                   "flight recorder on and export the event trace (see "
+                   "docs/OBSERVABILITY.md)", shards=1, backend="inproc")
+    p.add_argument("--out", default="trace-out", metavar="DIR",
+                   help="artifact directory (default trace-out)")
+    p.add_argument("--format", dest="formats", action="append",
+                   choices=FORMATS, default=None,
+                   help="export format; repeatable "
+                        "(default: chrome and jsonl)")
+    p.add_argument("--breakdown", action="store_true",
+                   help="render the remote-GET latency decomposition")
+    p.add_argument("--sample-us", type=float, default=100.0,
+                   help="counter sampling interval in virtual µs "
+                        "(0 disables; default 100)")
+    p.add_argument("--max-events", type=int, default=None,
+                   help="flight-recorder memory bound (drop-newest)")
+
+    p = command("kvtraffic", kvtraffic_main,
+                "open-loop Zipfian/Poisson KV service traffic on the "
+                "sharded event core (see docs/SERVICE.md)")
+    p.add_argument("--requests", type=int, default=100_000,
+                   help="total requests across all clients")
+    p.add_argument("--skew", type=float, default=0.9,
+                   help="Zipf exponent s (default 0.9)")
+    p.add_argument("--nclients", type=int, default=32)
+    p.add_argument("--nnodes", type=int, default=8)
+    p.add_argument("--slo-target-us", type=float, default=0.0,
+                   metavar="US",
+                   help="arm the streaming SLO monitor with this "
+                        "latency target (µs); prints windowed "
+                        "burn-rate / anomaly summary")
+    p.add_argument("--slo-window-us", type=float, default=5000.0,
+                   metavar="US",
+                   help="SLO rolling-window width in virtual µs "
+                        "(default 5000)")
+    p.add_argument("--trace-dir", default=None, metavar="DIR",
+                   help="arm the flight recorder and write run "
+                        "artifacts (events.jsonl, trace.json, slo.json, "
+                        "shard_summary.json) here — feed the directory "
+                        "to 'python -m repro report'")
+    _workload_options(p, machine=True, seed=0)
+    _fault_options(p, profile=False)
+    _shard_options(p, shards=1, backend="inproc")
+
+    p = command("fuzz", fuzz_main,
+                "differential fuzz: random race-free UPC programs "
+                "replayed across the config matrix against a "
+                "flat-memory oracle, failures shrunk to a pytest "
+                "reproducer (see repro.testing)")
+    p.add_argument("--ops", type=int, default=200,
+                   help="approximate ops per generated program")
+    p.add_argument("--matrix", default=None,
+                   help="'quick', 'full', or comma-separated config "
+                        "point names (default: quick)")
+    p.add_argument("--corpus", default=None, metavar="DIR",
+                   help="serialize shrunk failures as JSON here")
+    p.add_argument("--no-shrink", action="store_true",
+                   help="report failures without minimizing them")
+    p.add_argument("--trace-dir", default=None, metavar="DIR",
+                   help="dump a flight-recorder JSONL log of each "
+                        "shrunk failing program here (CI artifact)")
+    p.add_argument("--faults", action="store_true",
+                   help="also replay every program under the "
+                        "--fault-profile plan; the reliability layer "
+                        "must still match the oracle")
+    p.add_argument("--kv", action="store_true",
+                   help="include KV-store ops (kv_create/put/get/del/"
+                        "multi-get over both access paths) in the "
+                        "generated programs")
+    _workload_options(p, nthreads=4, seed=[0], seed_type=_parse_seeds,
+                      quick="force the quick matrix (smoke mode)")
+    _fault_options(p, profile_default="chaos", link=False)
+
+    p = command("report", report_main,
+                "render one unified report (text + JSON) from a traced "
+                "run directory: latency breakdown, SLO windows, "
+                "per-shard rollups, anomaly flags")
+    p.add_argument("run_dir", metavar="RUN-DIR",
+                   help="directory holding run artifacts "
+                        "(*.events.jsonl, slo.json, shard_summary.json, "
+                        "links.json, campaign.json)")
+    p.add_argument("--out", default=None, metavar="DIR",
+                   help="where to write report.txt/report.json "
+                        "(default: the run dir itself)")
+
+    p = command("campaign", campaign_main,
+                "run, resume, and render a checkpointed sweep matrix "
+                "(see docs/CAMPAIGNS.md)")
+    p.add_argument("--spec", default="smoke",
+                   help="built-in spec name, JSON file, or inline "
+                        "JSON (default: smoke; see --list-specs)")
+    p.add_argument("--run-dir", default=None,
+                   help="checkpoint/output directory (default: "
+                        "campaign-runs/<spec name>)")
+    p.add_argument("--workers", type=int, default=None,
+                   help="worker processes (default: the spec's; "
+                        "0 = in-process)")
+    p.add_argument("--max-cells", type=int, default=None,
+                   help="execute at most N cells this invocation "
+                        "(the rest stay pending for a resume)")
+    p.add_argument("--no-resume", action="store_true",
+                   help="ignore existing checkpoints and re-run "
+                        "every cell")
+    p.add_argument("--render-only", action="store_true",
+                   help="skip execution; re-render from existing "
+                        "checkpoints")
+    p.add_argument("--list-specs", action="store_true",
+                   help="list built-in campaign specs and exit")
+    p.add_argument("--list-cells", action="store_true",
+                   help="expand the spec, list its cells, and exit")
+    return ap
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "fuzz":
-        return fuzz_main(argv[1:])
-    if argv and argv[0] == "kvtraffic":
-        return kvtraffic_main(argv[1:])
-    if argv and argv[0] == "trace":
-        from repro.obs.cli import trace_main
-        return trace_main(argv[1:])
-    if argv and argv[0] == "run":
-        return run_main(argv[1:])
-    if argv and argv[0] == "report":
-        from repro.obs.report import report_main
-        return report_main(argv[1:])
-    if argv and argv[0] == "campaign":
-        from repro.campaign.cli import campaign_main
-        return campaign_main(argv[1:])
-    ap = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="Reproduce figures from 'Scalable RDMA performance "
-                    "in PGAS languages' (IPDPS 2009) on the simulator.")
-    ap.add_argument("figure",
-                    choices=sorted(_runners(True)) + ["all", "fuzz",
-                                                      "kvtraffic",
-                                                      "trace", "run",
-                                                      "report",
-                                                      "campaign"],
-                    help="which figure to regenerate ('fuzz' runs the "
-                         "differential harness; 'kvtraffic' the KV "
-                         "service traffic harness; 'trace' the flight "
-                         "recorder; 'run' one stressmark; 'report' "
-                         "renders a unified report from a traced run "
-                         "directory; 'campaign' a checkpointed, "
-                         "resumable sweep matrix)")
-    ap.add_argument("--quick", action="store_true",
-                    help="truncate sweeps for a fast look")
-    args = ap.parse_args(argv)
-
-    runners = _runners(args.quick)
-    names = sorted(runners) if args.figure == "all" else [args.figure]
-    for name in names:
-        t0 = time.time()
-        fig = runners[name]()
-        print(fig.render())
-        print(f"({time.time() - t0:.1f}s)\n")
-    return 0
+    args = build_parser().parse_args(argv)
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -14,43 +14,14 @@ early — CI uses it to exercise the resume path.
 
 from __future__ import annotations
 
-import argparse
 import os
-from typing import List, Optional
 
 from repro.campaign.render import render_campaign
 from repro.campaign.runner import run_campaign
 from repro.campaign.spec import SPECS, resolve_spec
 
 
-def campaign_main(argv: Optional[List[str]] = None) -> int:
-    ap = argparse.ArgumentParser(
-        prog="python -m repro campaign",
-        description=__doc__.splitlines()[0])
-    ap.add_argument("--spec", default="smoke",
-                    help="built-in spec name, JSON file, or inline "
-                         "JSON (default: smoke; see --list-specs)")
-    ap.add_argument("--run-dir", default=None,
-                    help="checkpoint/output directory (default: "
-                         "campaign-runs/<spec name>)")
-    ap.add_argument("--workers", type=int, default=None,
-                    help="worker processes (default: the spec's; "
-                         "0 = in-process)")
-    ap.add_argument("--max-cells", type=int, default=None,
-                    help="execute at most N cells this invocation "
-                         "(the rest stay pending for a resume)")
-    ap.add_argument("--no-resume", action="store_true",
-                    help="ignore existing checkpoints and re-run "
-                         "every cell")
-    ap.add_argument("--render-only", action="store_true",
-                    help="skip execution; re-render from existing "
-                         "checkpoints")
-    ap.add_argument("--list-specs", action="store_true",
-                    help="list built-in campaign specs and exit")
-    ap.add_argument("--list-cells", action="store_true",
-                    help="expand the spec, list its cells, and exit")
-    args = ap.parse_args(argv)
-
+def campaign_main(args) -> int:
     if args.list_specs:
         for name in sorted(SPECS):
             spec = SPECS[name]()

@@ -58,26 +58,6 @@ class Cluster:
         else:
             self.transport.links_down.add((src, dst))
 
-    def link_up(self, src: int, dst: int) -> bool:
-        return (src, dst) not in self.transport.links_down
-
-    def effective_loss(self, src: int, dst: int, t: float) -> float:
-        """Per-link effective loss probability at instant ``t``: the
-        installed trace's drop probability, 0.0 on a healthy fabric,
-        and 0.0 for a detoured (disabled/down) link — its traffic no
-        longer crosses the sick segment."""
-        faults = self.transport.faults
-        if faults is None or faults.trace is None:
-            return 0.0
-        policy = self.transport.policy
-        if policy is not None:
-            mode = policy.mode_of(src, dst, t)
-            if mode.mode == "disabled" and mode.via is not None:
-                return 0.0
-        if not self.link_up(src, dst):
-            return 0.0
-        return faults.trace.drop_prob(src, dst, t)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<Cluster {self.machine.name} nodes={self.nnodes} "
                 f"transport={self.params.name}>")

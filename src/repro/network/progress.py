@@ -168,11 +168,7 @@ class PollingProgress(ProgressEngine):
             log.emit(t0, QUEUE_ENTER, op=op_id, node=self.node.id,
                      pollers=self._pollers)
         if self._pollers == 0:
-            sim = self.sim
-            if sim.pooled:
-                ev = sim.oneshot(self._await_name)
-            else:
-                ev = Event(sim, name=f"await-poll[{self.node.id}]")
+            ev = self.sim.oneshot(self._await_name)
             self._waiters.append(ev)
             self._backlog_changed(len(self._waiters))
             yield ev

@@ -4,6 +4,7 @@
 runtime: a structured :class:`EventLog` every protocol layer emits
 typed, timestamped, causally-linked events into, plus the analyzers
 and exporters on top — latency breakdowns (:mod:`repro.obs.breakdown`),
+the Paraver-style time-in-state projection (:mod:`repro.obs.states`),
 Chrome-trace / JSONL export (:mod:`repro.obs.export`) and counter
 time-series sampling (:mod:`repro.obs.sampler`).
 

@@ -31,8 +31,6 @@ from repro.obs.events import (
     COMP_WIRE,
     COMPONENTS,
     EventLog,
-    OP_BEGIN,
-    OP_END,
     PHASE,
 )
 
@@ -88,42 +86,29 @@ def collect_breakdowns(log: EventLog,
     span, which keeps detached continuations (put tails) out of a
     containing op's budget.
     """
-    begins: Dict[int, object] = {}
     out: Dict[int, OpBreakdown] = {}
-    phases: Dict[int, List] = {}
-    for e in log:
-        if e.op < 0:
-            continue
-        if e.kind == OP_BEGIN:
-            begins[e.op] = e
-        elif e.kind == PHASE:
-            phases.setdefault(e.op, []).append(e)
-        elif e.kind == OP_END:
-            b = begins.get(e.op)
-            if b is None or b.attrs.get("name") not in names:
-                continue
-            if e.attrs.get("proto") not in protos:
-                continue
-            out[e.op] = OpBreakdown(
-                op=e.op, name=b.attrs.get("name", "?"),
-                proto=e.attrs.get("proto", "?"),
+    for op_id, (b, e) in log.op_spans().items():
+        if (b.attrs.get("name") in names
+                and e.attrs.get("proto") in protos):
+            out[op_id] = OpBreakdown(
+                op=op_id, name=b.attrs["name"], proto=e.attrs["proto"],
                 thread=b.thread, node=b.node, t0=b.t, t1=e.t,
                 nbytes=int(e.attrs.get("nbytes", 0)))
     eps = 1e-9
-    for op_id, bd in out.items():
-        for ph in phases.get(op_id, ()):
-            if ph.t > bd.t1 + eps:
-                continue  # detached continuation after op end
-            comp = ph.attrs.get("comp")
-            dur = float(ph.attrs.get("dur", 0.0))
-            if comp == COMP_QUEUE:
-                bd.queue += dur
-            elif comp == COMP_WIRE:
-                bd.wire += dur
-            elif comp == COMP_HANDLER:
-                bd.handler += dur
-            elif comp == COMP_PIGGYBACK:
-                bd.piggyback += dur
+    for ph in log:
+        bd = out.get(ph.op) if ph.kind == PHASE else None
+        if bd is None or ph.t > bd.t1 + eps:
+            continue  # not a kept op, or a detached continuation
+        comp = ph.attrs.get("comp")
+        dur = float(ph.attrs.get("dur", 0.0))
+        if comp == COMP_QUEUE:
+            bd.queue += dur
+        elif comp == COMP_WIRE:
+            bd.wire += dur
+        elif comp == COMP_HANDLER:
+            bd.handler += dur
+        elif comp == COMP_PIGGYBACK:
+            bd.piggyback += dur
     return [out[k] for k in sorted(out)]
 
 

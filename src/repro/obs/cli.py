@@ -1,312 +1,110 @@
-"""``python -m repro trace`` — run a workload with the flight recorder.
+"""``python -m repro run`` / ``trace`` — one DIS stressmark, plain or
+with the flight recorder armed.
 
-Examples::
-
-    python -m repro trace pointer --quick --format chrome
-    python -m repro trace field --breakdown
-    python -m repro trace neighborhood --out traces --format jsonl
-    python -m repro trace field --format csv --nthreads 16
-
-Artifacts land in ``--out`` (default ``trace-out/``):
+``trace`` is ``run`` on the same code path with an enabled
+:class:`~repro.obs.events.EventLog`; its artifacts land in ``--out``
+(default ``trace-out/``):
 
 * ``<workload>.trace.json``   — Chrome trace-event JSON (``--format
   chrome``); open in chrome://tracing or Perfetto.  Validated before
   writing.
 * ``<workload>.events.jsonl`` — raw event stream (``--format jsonl``).
-* ``<workload>.state.csv``    — the legacy Paraver-style state
-  intervals (``--format csv``).
+* ``<workload>.state.csv``    — Paraver-style ``thread,state,t0,t1``
+  intervals, a projection of the same log (``--format csv``; see
+  :mod:`repro.obs.states`).
 * ``<workload>.breakdown.txt``— the latency decomposition table
   (``--breakdown``; also printed).
+
+The option parsers live in :mod:`repro.__main__`; this module also
+holds the helpers every subcommand shares for the fault-plane and
+sharding option groups (one resolver, one validator, one printer each).
 """
 
 from __future__ import annotations
 
-import argparse
+import functools
 import os
 import time
-from typing import Callable, Dict
 
 from repro.network.params import MACHINES
 from repro.obs.breakdown import collect_breakdowns, render_breakdown
 from repro.obs.events import EventLog, OP_END
-from repro.obs.export import dump_jsonl, export_chrome
+from repro.obs.export import (
+    dump_jsonl,
+    export_chrome,
+    export_chrome_sharded,
+)
 from repro.obs.sampler import CounterSampler
+from repro.obs.states import dump_csv, state_records
+from repro.runtime.metrics import RuntimeMetrics
+from repro.runtime.runtime import Runtime, RuntimeConfig
 
 FORMATS = ("chrome", "jsonl", "csv")
 
-
-def _cli_nnodes(machine: str, nthreads: int) -> int:
-    """Node count a DIS run with machine defaults will use — what
-    trace-shape generators need before the Runtime exists."""
-    tpn = MACHINES[machine].default_threads_per_node
-    return max(1, -(-nthreads // tpn))
-
-
-def _workload(name: str, quick: bool, machine: str, nthreads: int,
-              seed: int, events: EventLog, tracer,
-              fault_plan=None, link_trace=None,
-              repair_policy=None) -> Callable:
-    """Build a zero-argument runner for one DIS stressmark."""
-    from repro.workloads import (
-        CornerTurnParams,
-        FieldParams,
-        NeighborhoodParams,
-        PointerParams,
-        TransitiveParams,
-        UpdateParams,
-        run_corner_turn,
-        run_field,
-        run_neighborhood,
-        run_pointer,
-        run_transitive,
-        run_update,
-    )
-
-    kw = dict(machine=MACHINES[machine], nthreads=nthreads, seed=seed,
-              events=events, tracer=tracer, fault_plan=fault_plan,
-              link_trace=link_trace, repair_policy=repair_policy)
-    if name == "pointer":
-        p = PointerParams(**kw, nelems=1 << 10 if quick else 1 << 14,
-                          hops=12 if quick else 48)
-        return lambda: run_pointer(p)
-    if name == "update":
-        p = UpdateParams(**kw, nelems=1 << 10 if quick else 1 << 14,
-                         hops=16 if quick else 64)
-        return lambda: run_update(p)
-    if name == "field":
-        p = FieldParams(**kw,
-                        nelems=max(2048, nthreads * 16) if quick
-                        else 1 << 15,
-                        ntokens=2 if quick else 8)
-        return lambda: run_field(p)
-    if name == "neighborhood":
-        p = NeighborhoodParams(**kw, dim=64 if quick else 256,
-                               samples=8 if quick else 24,
-                               iterations=1 if quick else 2)
-        return lambda: run_neighborhood(p)
-    if name == "transitive":
-        p = TransitiveParams(**kw, nverts=16 if quick else 48)
-        return lambda: run_transitive(p)
-    if name == "corner_turn":
-        p = CornerTurnParams(**kw, dim=32 if quick else 64, tile=8)
-        return lambda: run_corner_turn(p)
-    raise KeyError(name)
-
-
 WORKLOADS = ("pointer", "update", "field", "neighborhood",
-             "transitive", "corner_turn")
+             "transitive", "corner_turn")     # _run_workload's table
 
 
-def _trace_sharded(ap, args, formats) -> int:
-    """``trace field --shards N``: run the *sharded* event core with
-    every shard's flight recorder armed, merge the per-shard logs into
-    one timeline and export per-shard track groups plus linked
-    cross-shard spans."""
-    if args.workload != "field":
-        ap.error("--shards supports the 'field' workload only "
-                 "(the sharded core's message-passing mix)")
-    if args.breakdown:
-        ap.error("--breakdown needs the full-runtime recorder; "
-                 "it is not available with --shards")
-    if "csv" in formats:
-        ap.error("csv (Paraver state) export is full-runtime only; "
-                 "not available with --shards")
-    if args.fault_profile is not None or args.link_trace is not None:
-        ap.error("fault plans and link traces run on the full runtime "
-                 "only; not available with --shards (use 'python -m "
-                 "repro kvtraffic --link-trace' for the sharded core)")
+def _run_workload(name: str, quick: bool, machine: str, nthreads: int,
+                  **common):
+    """Run one DIS stressmark at its ``--quick`` or full size;
+    ``common`` goes to its params unchanged (seed, events, faults)."""
+    import repro.workloads as w
 
-    from repro.obs.export import export_chrome_sharded
-    from repro.obs.shardlog import merge_shard_events, xshard_pairs
-    from repro.runtime.metrics import RuntimeMetrics
-    from repro.workloads.sharded import run_field_sharded
+    def size(small, full):
+        return small if quick else full
 
-    t0 = time.time()
-    res = run_field_sharded(args.nthreads, args.shards,
-                            machine=args.machine,
-                            mode=args.shard_backend, trace=True,
-                            trace_max_events=args.max_events)
-    wall = time.time() - t0
-    run = res["run"]
-    log = merge_shard_events(run.shard_events, run.trace_dropped)
-    pairs = xshard_pairs(log)
-    linked = sum(1 for s, r in pairs.values()
-                 if s is not None and r is not None)
-
-    os.makedirs(args.out, exist_ok=True)
-    artifacts = []
-    if "chrome" in formats:
-        path = os.path.join(args.out, f"{args.workload}.trace.json")
-        doc = export_chrome_sharded(log, path)
-        artifacts.append(f"{path} ({len(doc['traceEvents'])} chrome "
-                         "events, validated)")
-    if "jsonl" in formats:
-        path = os.path.join(args.out, f"{args.workload}.events.jsonl")
-        n = dump_jsonl(log, path)
-        artifacts.append(f"{path} ({n} lines)")
-
-    n_ops = sum(1 for e in log if e.kind == OP_END)
-    print(f"trace {args.workload} --shards {args.shards} "
-          f"({args.shard_backend}): {run.now:.1f} virtual us, "
-          f"{run.events} sim events, {len(log)} recorded events "
-          f"({log.dropped_events} dropped), {n_ops} ops, "
-          f"{len(pairs)} cross-shard msgs ({linked} linked) "
-          f"({wall:.1f}s)")
-    metrics = RuntimeMetrics()
-    metrics.attach_shards(run.metrics)
-    s = metrics.shard_summary()
-    print(f"  sync: {s['sync_rounds']} rounds, "
-          f"{s['sync_stall_grains']} stall grains "
-          f"(mean {s['sync_stall_mean']:.2f}/shard), "
-          f"{s['channel_msgs']} channel msgs, "
-          f"{s['channel_bytes']} channel bytes")
-    for line in artifacts:
-        print(f"  wrote {line}")
-    return 0
+    params, run, sizes = {
+        "pointer": (w.PointerParams, w.run_pointer, dict(
+            nelems=size(1 << 10, 1 << 14), hops=size(12, 48))),
+        "update": (w.UpdateParams, w.run_update, dict(
+            nelems=size(1 << 10, 1 << 14), hops=size(16, 64))),
+        "field": (w.FieldParams, w.run_field, dict(
+            nelems=size(max(2048, nthreads * 16), 1 << 15),
+            ntokens=size(2, 8))),
+        "neighborhood": (w.NeighborhoodParams, w.run_neighborhood, dict(
+            dim=size(64, 256), samples=size(8, 24),
+            iterations=size(1, 2))),
+        "transitive": (w.TransitiveParams, w.run_transitive, dict(
+            nverts=size(16, 48))),
+        "corner_turn": (w.CornerTurnParams, w.run_corner_turn, dict(
+            dim=size(32, 64), tile=8)),
+    }[name]
+    return run(params(machine=MACHINES[machine], nthreads=nthreads,
+                      **common, **sizes))
 
 
-def trace_main(argv) -> int:
-    ap = argparse.ArgumentParser(
-        prog="python -m repro trace",
-        description="Run a DIS stressmark with the protocol flight "
-                    "recorder on and export the event trace.")
-    ap.add_argument("workload", choices=WORKLOADS,
-                    help="which stressmark to record")
-    ap.add_argument("--out", default="trace-out", metavar="DIR",
-                    help="artifact directory (default trace-out)")
-    ap.add_argument("--format", dest="formats", action="append",
-                    choices=FORMATS, default=None,
-                    help="export format; repeatable "
-                         "(default: chrome and jsonl)")
-    ap.add_argument("--breakdown", action="store_true",
-                    help="render the remote-GET latency decomposition")
-    ap.add_argument("--quick", action="store_true",
-                    help="small problem sizes (smoke mode)")
-    ap.add_argument("--nthreads", type=int, default=8,
-                    help="UPC threads (default 8)")
-    ap.add_argument("--machine", default="gm",
-                    choices=sorted(MACHINES),
-                    help="machine model (default gm)")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--fault-profile", default=None, metavar="SPEC",
-                    help="fault plan: a profile name (drop, dup, delay, "
-                         "stall, pin, chaos), inline JSON, or a JSON "
-                         "file path (see docs/FAULTS.md)")
-    ap.add_argument("--fault-seed", type=int, default=None,
-                    help="override the fault plan's RNG seed")
-    ap.add_argument("--link-trace", default=None, metavar="SPEC",
-                    help="time-evolving link degradation: a shape name "
-                         "(flap, burst, degrade, gray), inline JSON, or "
-                         "a JSON file path (see docs/FAULTS.md)")
-    ap.add_argument("--trace-seed", type=int, default=None,
-                    help="override the link trace's seed")
-    ap.add_argument("--repair-policy", default=None,
-                    choices=("do_nothing", "retransmit_tuning",
-                             "disable_and_repair", "path_failover"),
-                    help="repair policy acting on per-link health "
-                         "(needs --link-trace or --fault-profile)")
-    ap.add_argument("--sample-us", type=float, default=100.0,
-                    help="counter sampling interval in virtual µs "
-                         "(0 disables; default 100)")
-    ap.add_argument("--max-events", type=int, default=None,
-                    help="flight-recorder memory bound (drop-newest)")
-    ap.add_argument("--shards", type=int, default=1,
-                    help="run the sharded event core with N shards and "
-                         "merge per-shard flight logs (field only)")
-    ap.add_argument("--shard-backend", choices=("inproc", "mp"),
-                    default="inproc",
-                    help="sharded-core backend (default inproc)")
-    args = ap.parse_args(argv)
-    formats = args.formats or ["chrome", "jsonl"]
-    if args.shards > 1:
-        return _trace_sharded(ap, args, formats)
+# -- shared option-group helpers ---------------------------------------
 
-    log = EventLog(enabled=True, max_events=args.max_events)
-    tracer = None
-    if "csv" in formats:
-        from repro.trace import Tracer
-        tracer = Tracer()
-    fault_plan = None
-    if args.fault_profile is not None:
-        from repro.faults import resolve_profile
-        try:
-            fault_plan = resolve_profile(args.fault_profile,
-                                         fault_seed=args.fault_seed)
-        except ValueError as exc:
-            ap.error(str(exc))
-    link_trace = None
-    if args.link_trace is not None:
-        from repro.faults import resolve_trace
-        try:
-            link_trace = resolve_trace(
-                args.link_trace,
-                _cli_nnodes(args.machine, args.nthreads),
-                trace_seed=args.trace_seed)
-        except ValueError as exc:
-            ap.error(str(exc))
-    if args.repair_policy and fault_plan is None and link_trace is None:
-        ap.error("--repair-policy needs --link-trace or "
-                 "--fault-profile to observe")
+def resolve_fault_plane(args, nnodes: int):
+    """``(fault_plan, link_trace, repair_policy)`` from whichever of
+    the fault-plane flags the subcommand carries; a bad spec or a
+    policy with nothing to observe is one argparse error."""
+    from repro.faults import resolve_profile, resolve_trace
 
-    runner = _workload(args.workload, args.quick, args.machine,
-                       args.nthreads, args.seed, log, tracer,
-                       fault_plan=fault_plan, link_trace=link_trace,
-                       repair_policy=args.repair_policy)
+    profile = getattr(args, "fault_profile", None)
+    trace_spec = getattr(args, "link_trace", None)
+    fault_plan = link_trace = None
+    try:
+        if profile is not None:
+            fault_plan = resolve_profile(profile, args.fault_seed)
+        if trace_spec is not None:
+            link_trace = resolve_trace(trace_spec, nnodes,
+                                       trace_seed=args.trace_seed)
+    except ValueError as exc:
+        args.error(str(exc))
+    policy = getattr(args, "repair_policy", None)
+    if policy and fault_plan is None and link_trace is None:
+        sources = ("--link-trace or --fault-profile"
+                   if hasattr(args, "fault_profile") else "--link-trace")
+        args.error(f"--repair-policy needs {sources} to observe")
+    return fault_plan, link_trace, policy
 
-    t0 = time.time()
-    # The sampler needs the Runtime, which the stressmark builds
-    # internally — hook the construction point.
-    sampler_box = {}
-    if args.sample_us > 0:
-        from repro.runtime.runtime import Runtime
-        orig_init = Runtime.__init__
 
-        def hooked(self, config, sim=None,
-                   _orig=orig_init, _box=sampler_box):
-            _orig(self, config, sim)
-            if config.events is log and "sampler" not in _box:
-                sampler = CounterSampler(self,
-                                         interval_us=args.sample_us)
-                sampler.start()
-                _box["sampler"] = sampler
-
-        Runtime.__init__ = hooked
-        try:
-            result = runner()
-        finally:
-            Runtime.__init__ = orig_init
-    else:
-        result = runner()
-    wall = time.time() - t0
-    sampler = sampler_box.get("sampler")
-
-    os.makedirs(args.out, exist_ok=True)
-    artifacts = []
-    if "chrome" in formats:
-        path = os.path.join(args.out, f"{args.workload}.trace.json")
-        doc = export_chrome(log, path,
-                            counters=sampler.samples if sampler else None)
-        artifacts.append(f"{path} ({len(doc['traceEvents'])} chrome "
-                         "events, validated)")
-    if "jsonl" in formats:
-        path = os.path.join(args.out, f"{args.workload}.events.jsonl")
-        n = dump_jsonl(log, path)
-        artifacts.append(f"{path} ({n} lines)")
-    if "csv" in formats and tracer is not None:
-        from repro.trace import dump_csv
-        path = os.path.join(args.out, f"{args.workload}.state.csv")
-        n = dump_csv(tracer, path)
-        artifacts.append(f"{path} ({n} state intervals)")
-
-    run = result.run
-    n_ops = sum(1 for e in log if e.kind == OP_END)
-    print(f"trace {args.workload}: {run.elapsed_us:.1f} virtual us, "
-          f"{run.sim_events} sim events, {len(log)} recorded events "
-          f"({log.dropped_events} dropped), {n_ops} ops, "
-          f"{len(sampler.samples) if sampler else 0} counter samples "
-          f"({wall:.1f}s)")
-    if fault_plan is not None or link_trace is not None:
-        m = run.metrics
+def print_fault_summary(m, armed: bool, repair_policy) -> None:
+    """What the fault plane did to a full-runtime run with metrics
+    ``m``."""
+    if armed:
         print(f"  faults: {m.faults_injected} injected, "
               f"{m.timeouts} timeouts, {m.retries} retries, "
               f"{m.rdma_timeouts} rdma->am fallbacks, "
@@ -317,13 +115,186 @@ def trace_main(argv) -> int:
                 f"{r['src']}->{r['dst']} ({r['timeouts']}t/"
                 f"{r['retries']}r)" for r in noisy)
             print(f"  noisy links: {links}")
-    if args.repair_policy:
-        m = run.metrics
-        print(f"  policy {args.repair_policy}: {m.policy_actions} "
+    if repair_policy:
+        print(f"  policy {repair_policy}: {m.policy_actions} "
               f"action(s), {m.kv_failover_ops} kv failover op(s)")
-    for line in artifacts:
-        print(f"  wrote {line}")
 
+
+def check_shards(args, nnodes: int) -> None:
+    """The one ``--shards`` range check (``>= 1`` is the option's
+    type): a shard owns at least one node."""
+    if args.shards > nnodes:
+        args.error(f"--shards {args.shards} exceeds the {nnodes} "
+                   "node(s) of this run")
+
+
+def print_shard_summary(shard_metrics, per_shard: bool = False) -> None:
+    """Conservative-sync rollup of a sharded run, optionally with one
+    line per shard."""
+    metrics = RuntimeMetrics()
+    metrics.attach_shards(shard_metrics)
+    s = metrics.shard_summary()
+    print(f"  sync: {s['sync_rounds']} rounds, "
+          f"{s['sync_stall_grains']} stall grains "
+          f"(mean {s['sync_stall_mean']:.2f}/shard), "
+          f"{s['channel_msgs']} channel msgs, "
+          f"{s['channel_bytes']} channel bytes")
+    if per_shard:
+        for m in shard_metrics:
+            d = m.as_dict()
+            print(f"  shard {d['shard']}: nodes {d['nodes'][0]}.."
+                  f"{d['nodes'][1] - 1}, {d['events']} events, "
+                  f"backlog {d['max_backlog']}, "
+                  f"clock {d['final_clock_us']:.1f} us, "
+                  f"busy {d['busy_s']:.3f}s")
+
+
+# -- the subcommand ----------------------------------------------------
+
+def write_artifacts(out_dir: str, stem: str, formats, log,
+                    chrome=export_chrome_sharded) -> None:
+    """Export ``log`` as ``<out_dir>/<stem>.*`` in each of ``formats``,
+    in that order; ``chrome`` is the exporter for the run's track
+    layout (shards, or nodes for the full runtime)."""
+    os.makedirs(out_dir, exist_ok=True)
+    stem = os.path.join(out_dir, stem)
+    for fmt in formats:
+        if fmt == "chrome":
+            doc = chrome(log, f"{stem}.trace.json")
+            print(f"  wrote {stem}.trace.json "
+                  f"({len(doc['traceEvents'])} chrome events, validated)")
+        elif fmt == "jsonl":
+            n = dump_jsonl(log, f"{stem}.events.jsonl")
+            print(f"  wrote {stem}.events.jsonl ({n} lines)")
+        else:
+            n = dump_csv(state_records(log), f"{stem}.state.csv")
+            print(f"  wrote {stem}.state.csv ({n} state intervals)")
+
+
+def _sharded_field(args, recording: bool) -> int:
+    """``run|trace field --shards N``: the Field mix on the sharded
+    PDES core.  Recording arms every shard's flight recorder, merges
+    the per-shard logs into one timeline and exports per-shard track
+    groups plus linked cross-shard spans."""
+    from repro.obs.report import xshard_stats
+    from repro.obs.shardlog import merge_shard_events
+    from repro.workloads.sharded import field_nnodes, run_field_sharded
+
+    if args.workload != "field":
+        args.error("--shards applies to the field stressmark only (the "
+                   "other stressmarks exercise full-runtime protocol "
+                   "paths that span shard boundaries; they run on the "
+                   "pooled core)")
+    if args.fault_profile is not None or args.link_trace is not None:
+        args.error("--shards excludes --fault-profile/--link-trace (the "
+                   "fault plane lives in the full runtime's transport; "
+                   "use 'python -m repro kvtraffic --link-trace' for the "
+                   "sharded core)")
+    if recording and (args.breakdown or "csv" in args.formats):
+        args.error("--breakdown and --format csv need the full-runtime "
+                   "recorder; they are not available with --shards")
+    check_shards(args, field_nnodes(args.nthreads))
+
+    mode = args.shard_backend or ("inproc" if args.shards == 1 else "mp")
+    if recording:       # a fixed small mix keeps the timeline readable
+        ntokens, probes = 4, 2
+    else:
+        ntokens, probes = (3, 2) if args.quick else (8, 4)
+    t0 = time.time()
+    res = run_field_sharded(
+        args.nthreads, args.shards, ntokens=ntokens, probes=probes,
+        machine=args.machine, mode=mode, trace=recording,
+        trace_max_events=args.max_events if recording else None)
+    wall = time.time() - t0
+    run = res["run"]
+    head = f"{args.command} field --shards {args.shards} ({mode}): "
+    if not recording:
+        print(f"{head}{res['now']:.1f} virtual us, {run.events} sim "
+              f"events, {run.events_per_sec:,.0f} ev/s aggregate "
+              f"({wall:.1f}s)")
+        print_shard_summary(run.metrics, per_shard=True)
+        return 0
+    log = merge_shard_events(run.shard_events, run.trace_dropped)
+    x = xshard_stats(log)
+    n_ops = len(log.by_kind(OP_END))
+    print(f"{head}{run.now:.1f} virtual us, "
+          f"{run.events} sim events, {len(log)} recorded events "
+          f"({log.dropped_events} dropped), {n_ops} ops, "
+          f"{x['msgs']} cross-shard msgs ({x['linked']} linked) "
+          f"({wall:.1f}s)")
+    print_shard_summary(run.metrics)
+    write_artifacts(args.out, args.workload, args.formats, log)
+    return 0
+
+
+def stressmark_main(args) -> int:
+    """``run`` and ``trace``: execute one DIS stressmark and print its
+    summary; ``trace`` arms the recorder and exports what it saw."""
+    recording = args.command == "trace"
+    if recording:   # canonical order, whatever order they were given in
+        args.formats = [f for f in FORMATS
+                        if f in (args.formats or ("chrome", "jsonl"))]
+    # ``run`` is unsharded unless --shards is given; ``trace`` defaults
+    # to --shards 1, which is the full runtime.
+    if args.shards is not None and (args.shards > 1 or not recording):
+        return _sharded_field(args, recording)
+
+    # Trace-shape generators need the node count before the Runtime
+    # exists: what a run with the machine's defaults will use.
+    fault_plan, link_trace, repair_policy = resolve_fault_plane(
+        args, RuntimeConfig(machine=MACHINES[args.machine],
+                            nthreads=args.nthreads).nnodes)
+    log = EventLog(enabled=recording,
+                   max_events=args.max_events if recording else None)
+
+    t0 = time.time()
+    # The sampler needs the Runtime, which the stressmark builds
+    # internally — hook the construction point.
+    sampler = None
+    orig_init = Runtime.__init__
+
+    def hooked(self, config, sim=None):
+        nonlocal sampler
+        orig_init(self, config, sim)
+        if config.events is log and sampler is None:
+            sampler = CounterSampler(self, interval_us=args.sample_us)
+            sampler.start()
+
+    if recording and args.sample_us > 0:
+        Runtime.__init__ = hooked
+    try:
+        result = _run_workload(
+            args.workload, args.quick, args.machine, args.nthreads,
+            seed=args.seed, events=log, fault_plan=fault_plan,
+            link_trace=link_trace, repair_policy=repair_policy)
+    finally:
+        Runtime.__init__ = orig_init
+    wall = time.time() - t0
+
+    run = result.run
+    m = run.metrics
+    if recording:
+        n_ops = len(log.by_kind(OP_END))
+        print(f"trace {args.workload}: {run.elapsed_us:.1f} virtual us, "
+              f"{run.sim_events} sim events, {len(log)} recorded events "
+              f"({log.dropped_events} dropped), {n_ops} ops, "
+              f"{len(sampler.samples) if sampler else 0} counter samples "
+              f"({wall:.1f}s)")
+    else:
+        print(f"run {args.workload}: {run.elapsed_us:.1f} virtual us, "
+              f"{run.sim_events} sim events, remote ops "
+              f"{m.remote_ops} (rdma share {m.rdma_fraction:.0%}), "
+              f"cache hit rate {run.cache_stats.hit_rate:.3f} "
+              f"({wall:.1f}s)")
+    print_fault_summary(
+        m, fault_plan is not None or link_trace is not None,
+        repair_policy)
+    if not recording:
+        return 0
+
+    write_artifacts(args.out, args.workload, args.formats, log,
+                    functools.partial(export_chrome, counters=(
+                        sampler.samples if sampler else None)))
     if args.breakdown:
         table = render_breakdown(collect_breakdowns(log))
         print(table)

@@ -1,13 +1,13 @@
 """The flight recorder: typed, timestamped, causally-linked events.
 
-The interval tracer (:mod:`repro.trace`) answers "how long did thread
-3 spend in ``get:am``?"; it cannot answer "where did remote GET #4217
-spend its 14 µs?".  This module records *op-level* events: every
-protocol layer — op engine, bulk engine, address cache, pinned table,
-transport, progress engine — emits events tagged with a causal
-``op_id`` allocated at operation begin, so one remote GET becomes a
-reconstructable span tree from the initiator through the wire to the
-target handler and back.
+This module records *op-level* events, so one log answers both "how
+long did thread 3 spend in ``get:am``?" (the time-in-state projection,
+:mod:`repro.obs.states`) and "where did remote GET #4217 spend its
+14 µs?" (:mod:`repro.obs.breakdown`).  Every protocol layer — op
+engine, bulk engine, address cache, pinned table, transport, progress
+engine — emits events tagged with a causal ``op_id`` allocated at
+operation begin, so one remote GET becomes a reconstructable span tree
+from the initiator through the wire to the target handler and back.
 
 Cost discipline: recording must be free when off.  Every
 instrumentation site guards with ``if log.enabled:`` (one attribute
@@ -232,7 +232,10 @@ class EventLog:
         return [e for e in self.events if e.op == op]
 
     def op_spans(self) -> Dict[int, Tuple[TraceEvent, TraceEvent]]:
-        """Map op_id -> (op_begin, op_end) for completed operations."""
+        """Map op_id -> (op_begin, op_end) for completed operations,
+        in completion order.  The one begin/end pairing every analyzer
+        and exporter reads; an ``op_begin`` that never met its
+        ``op_end`` (a truncated log) has no entry."""
         begins: Dict[int, TraceEvent] = {}
         spans: Dict[int, Tuple[TraceEvent, TraceEvent]] = {}
         for e in self.events:
@@ -241,7 +244,7 @@ class EventLog:
             if e.kind == OP_BEGIN:
                 begins[e.op] = e
             elif e.kind == OP_END:
-                b = begins.get(e.op)
+                b = begins.pop(e.op, None)
                 if b is not None:
                     spans[e.op] = (b, e)
         return spans

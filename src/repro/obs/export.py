@@ -27,7 +27,6 @@ from repro.obs.events import (
     EventLog,
     HANDLER_BEGIN,
     HANDLER_END,
-    OP_BEGIN,
     OP_END,
     SYNC_ROUND,
     TraceEvent,
@@ -53,10 +52,28 @@ SYNC_TID = 1_000_001
 XSHARD_TID = 1_000_002
 
 
-def _span_name(begin: TraceEvent, end: Optional[TraceEvent]) -> str:
+def span_name(begin: TraceEvent, end: TraceEvent) -> str:
+    """``name:proto`` for spans that resolved a protocol, else ``name``
+    (also the ``state`` of :mod:`repro.obs.states`)."""
     name = str(begin.attrs.get("name", "op"))
-    proto = end.attrs.get("proto") if end is not None else None
+    proto = end.attrs.get("proto")
     return f"{name}:{proto}" if proto else name
+
+
+def _finish(meta: List[dict], events: List[dict],
+            dest: Union[str, TextIO, None]) -> dict:
+    """Order, validate and (optionally) write a trace-event document."""
+    events.sort(key=lambda d: d["ts"])
+    doc = {"traceEvents": meta + events, "displayTimeUnit": "ms"}
+    problems = validate_chrome(doc)
+    if problems:
+        raise ValueError("invalid chrome trace: " + "; ".join(problems))
+    if isinstance(dest, str):
+        with open(dest, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+    elif dest is not None:
+        json.dump(doc, dest)
+    return doc
 
 
 def export_chrome(log: EventLog, dest: Union[str, TextIO, None] = None,
@@ -72,7 +89,7 @@ def export_chrome(log: EventLog, dest: Union[str, TextIO, None] = None,
     events: List[dict] = []
     meta: List[dict] = []
     seen_tracks: set = set()
-    begins: Dict[int, TraceEvent] = {}
+    spans = log.op_spans()
     handler_open: Dict[Tuple[int, int], List[TraceEvent]] = {}
     piggy_ops: set = set()
 
@@ -87,15 +104,13 @@ def export_chrome(log: EventLog, dest: Union[str, TextIO, None] = None,
                      "tid": tid, "ts": 0, "args": {"name": name}})
 
     for e in log:
-        if e.kind == OP_BEGIN:
-            begins[e.op] = e
-        elif e.kind == OP_END:
-            b = begins.pop(e.op, None)
-            if b is None:
+        if e.kind == OP_END:
+            b, end = spans.get(e.op, (None, None))
+            if end is not e:
                 continue
             pid, tid = max(b.node, 0), max(b.thread, 0)
             track(pid, tid, f"upc thread {tid}")
-            name = _span_name(b, e)
+            name = span_name(b, e)
             args = {"op_id": e.op}
             for k in ("nbytes", "proto", "index", "segments", "parent"):
                 v = e.attrs.get(k, b.attrs.get(k))
@@ -137,18 +152,7 @@ def export_chrome(log: EventLog, dest: Union[str, TextIO, None] = None,
                            "tid": 0, "ts": float(t),
                            "args": {"value": float(value)}})
 
-    events.sort(key=lambda d: d["ts"])
-    doc = {"traceEvents": meta + events, "displayTimeUnit": "ms"}
-    problems = validate_chrome(doc)
-    if problems:
-        raise ValueError("invalid chrome trace: " + "; ".join(problems))
-    if dest is not None:
-        if isinstance(dest, str):
-            with open(dest, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh)
-        else:
-            json.dump(doc, dest)
-    return doc
+    return _finish(meta, events, dest)
 
 
 def export_chrome_sharded(log: EventLog,
@@ -173,7 +177,7 @@ def export_chrome_sharded(log: EventLog,
     events: List[dict] = []
     meta: List[dict] = []
     seen_tracks: set = set()
-    begins: Dict[int, TraceEvent] = {}
+    spans = log.op_spans()
 
     def track(pid: int, tid: int, name: str) -> None:
         if (pid, tid) in seen_tracks:
@@ -187,11 +191,9 @@ def export_chrome_sharded(log: EventLog,
 
     for e in log:
         pid = int(e.attrs.get("shard", 0))
-        if e.kind == OP_BEGIN:
-            begins[e.op] = e
-        elif e.kind == OP_END:
-            b = begins.pop(e.op, None)
-            if b is None:
+        if e.kind == OP_END:
+            b, end = spans.get(e.op, (None, None))
+            if end is not e:
                 continue
             bpid = int(b.attrs.get("shard", pid))
             tid = max(b.thread, 0)
@@ -203,7 +205,7 @@ def export_chrome_sharded(log: EventLog,
                     args[k] = v
             if b.node >= 0:
                 args["node"] = b.node
-            events.append({"ph": "X", "name": _span_name(b, e),
+            events.append({"ph": "X", "name": span_name(b, e),
                            "pid": bpid, "tid": tid, "ts": b.t,
                            "dur": max(e.t - b.t, 0.0), "args": args})
         elif e.kind == SYNC_ROUND:
@@ -243,18 +245,7 @@ def export_chrome_sharded(log: EventLog,
                 "args": {"link": link, "src": e.attrs.get("src"),
                          "nbytes": e.attrs.get("nbytes", 0)}})
 
-    events.sort(key=lambda d: d["ts"])
-    doc = {"traceEvents": meta + events, "displayTimeUnit": "ms"}
-    problems = validate_chrome(doc)
-    if problems:
-        raise ValueError("invalid chrome trace: " + "; ".join(problems))
-    if dest is not None:
-        if isinstance(dest, str):
-            with open(dest, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh)
-        else:
-            json.dump(doc, dest)
-    return doc
+    return _finish(meta, events, dest)
 
 
 def validate_chrome(doc: object) -> List[str]:

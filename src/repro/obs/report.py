@@ -25,7 +25,6 @@ same directory, so a CI artifact of the run dir is self-describing.
 
 from __future__ import annotations
 
-import argparse
 import glob
 import json
 import os
@@ -33,7 +32,6 @@ from typing import Dict, List, Optional
 
 from repro.obs.events import (
     EventLog,
-    OP_BEGIN,
     OP_END,
     SYNC_ROUND,
     XSHARD_RECV,
@@ -52,20 +50,11 @@ def _percentile(sorted_vals: List[float], q: float) -> float:
 
 
 def op_latency_table(log: EventLog) -> List[dict]:
-    """Per-span-name latency rollup from OP_BEGIN/OP_END pairs."""
-    begins: Dict[int, object] = {}
+    """Per-span-name latency rollup over the log's completed ops."""
     durs: Dict[str, List[float]] = {}
-    for e in log:
-        if e.op < 0:
-            continue
-        if e.kind == OP_BEGIN:
-            begins[e.op] = e
-        elif e.kind == OP_END:
-            b = begins.pop(e.op, None)
-            if b is None:
-                continue
-            name = str(b.attrs.get("name", "op"))
-            durs.setdefault(name, []).append(max(e.t - b.t, 0.0))
+    for b, e in log.op_spans().values():
+        name = str(b.attrs.get("name", "op"))
+        durs.setdefault(name, []).append(max(e.t - b.t, 0.0))
     rows = []
     for name in sorted(durs):
         vals = sorted(durs[name])
@@ -231,22 +220,11 @@ def build_report(run_dir: str) -> dict:
     for path in sorted(glob.glob(os.path.join(run_dir,
                                               "*.events.jsonl"))):
         report["events"].append(analyze_events(path))
-    slo_path = os.path.join(run_dir, "slo.json")
-    if os.path.exists(slo_path):
-        with open(slo_path, encoding="utf-8") as fh:
-            report["slo"] = json.load(fh)
-    ss_path = os.path.join(run_dir, "shard_summary.json")
-    if os.path.exists(ss_path):
-        with open(ss_path, encoding="utf-8") as fh:
-            report["shard_summary"] = json.load(fh)
-    links_path = os.path.join(run_dir, "links.json")
-    if os.path.exists(links_path):
-        with open(links_path, encoding="utf-8") as fh:
-            report["links"] = json.load(fh)
-    campaign_path = os.path.join(run_dir, "campaign.json")
-    if os.path.exists(campaign_path):
-        with open(campaign_path, encoding="utf-8") as fh:
-            report["campaign"] = json.load(fh)
+    for key in ("slo", "shard_summary", "links", "campaign"):
+        path = os.path.join(run_dir, f"{key}.json")
+        if os.path.exists(path):
+            with open(path, encoding="utf-8") as fh:
+                report[key] = json.load(fh)
     return report
 
 
@@ -278,22 +256,9 @@ def render_report(report: dict) -> str:
     return "\n".join(lines)
 
 
-def report_main(argv) -> int:
-    ap = argparse.ArgumentParser(
-        prog="python -m repro report",
-        description="Render one unified report (text + JSON) from a "
-                    "traced run directory: latency breakdown, SLO "
-                    "windows, per-shard rollups, anomaly flags.")
-    ap.add_argument("run_dir", metavar="RUN-DIR",
-                    help="directory holding run artifacts "
-                         "(*.events.jsonl, slo.json, "
-                         "shard_summary.json)")
-    ap.add_argument("--out", default=None, metavar="DIR",
-                    help="where to write report.txt/report.json "
-                         "(default: the run dir itself)")
-    args = ap.parse_args(argv)
+def report_main(args) -> int:
     if not os.path.isdir(args.run_dir):
-        ap.error(f"not a directory: {args.run_dir}")
+        args.error(f"not a directory: {args.run_dir}")
 
     report = build_report(args.run_dir)
     text = render_report(report)

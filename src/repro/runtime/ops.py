@@ -100,14 +100,12 @@ class OpEngine:
         if owner_thread == thread.id:
             yield sim.sleep(p.local_access_us)
             rt.metrics.record_get("local", sim.now - t0)
-            self._trace(thread, "get:local", t0)
             self._end(thread, op_id, "local", nbytes=nbytes)
             return array.read(index, nelems)
 
         if owner_node_id == thread.node.id:
             yield sim.sleep(p.shm_access_us + p.copy_time(nbytes))
             rt.metrics.record_get("shm", sim.now - t0)
-            self._trace(thread, "get:shm", t0)
             self._end(thread, op_id, "shm", nbytes=nbytes)
             return array.read(index, nelems)
 
@@ -124,7 +122,6 @@ class OpEngine:
         finally:
             src.progress.leave_runtime()
         rt.metrics.record_get("remote", sim.now - t0)
-        self._trace(thread, f"get:{proto}", t0)
         self._end(thread, op_id, proto, nbytes=nbytes)
         return array.read(index, nelems)
 
@@ -156,7 +153,6 @@ class OpEngine:
         finally:
             src.progress.leave_runtime()
         rt.metrics.record_get("remote", sim.now - t0)
-        self._trace(thread, f"get:{proto}", t0)
         self._end(thread, op_id, proto, nbytes=nbytes)
         return [array.read(start, count) for start, count in segments]
 
@@ -288,7 +284,6 @@ class OpEngine:
             yield sim.sleep(p.local_access_us)
             array.write(index, values)
             rt.metrics.record_put("local", sim.now - t0)
-            self._trace(thread, "put:local", t0)
             self._end(thread, op_id, "local", nbytes=nbytes)
             return
 
@@ -296,7 +291,6 @@ class OpEngine:
             yield sim.sleep(p.shm_access_us + p.copy_time(nbytes))
             array.write(index, values)
             rt.metrics.record_put("shm", sim.now - t0)
-            self._trace(thread, "put:shm", t0)
             self._end(thread, op_id, "shm", nbytes=nbytes)
             return
 
@@ -310,7 +304,6 @@ class OpEngine:
         finally:
             src.progress.leave_runtime()
         rt.metrics.record_put("remote", sim.now - t0)
-        self._trace(thread, f"put:{proto}", t0)
         self._end(thread, op_id, proto, nbytes=nbytes)
         return ticket
 
@@ -340,7 +333,6 @@ class OpEngine:
         finally:
             src.progress.leave_runtime()
         rt.metrics.record_put("remote", sim.now - t0)
-        self._trace(thread, f"put:{proto}", t0)
         self._end(thread, op_id, proto, nbytes=nbytes)
         return ticket
 
@@ -461,11 +453,6 @@ class OpEngine:
             raise AffinityError(
                 f"span [{index}, {index + nelems}) crosses a block "
                 "boundary; use memget/memput for multi-block transfers")
-
-    def _trace(self, thread: "UPCThread", state: str, t0: float) -> None:
-        tracer = self.rt.config.tracer
-        if tracer is not None:
-            tracer.record(thread.id, state, t0, self.rt.sim.now)
 
     def _check_live(self, array: SharedArray) -> None:
         if array.freed:

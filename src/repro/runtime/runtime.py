@@ -97,8 +97,6 @@ class RuntimeConfig:
     #: single segment is never split, whatever its size).
     bulk_max_coalesce_bytes: int = 64 * 1024
     seed: int = 0
-    #: Optional Paraver-style tracer (see :mod:`repro.trace`).
-    tracer: Optional[object] = None
     #: Optional flight recorder (an :class:`repro.obs.EventLog`); when
     #: None a disabled log is used and recording costs one branch per
     #: instrumentation site (see :mod:`repro.obs`).

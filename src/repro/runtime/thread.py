@@ -305,14 +305,10 @@ class UPCThread:
 
     def barrier(self):
         """``upc_barrier``: fence + global barrier."""
-        t0 = self.runtime.sim.now
         op_id = self._span_begin("barrier")
         yield from self.fence()
         yield from self._in_runtime(
             self.runtime.barrier_mgr.wait(self))
-        tracer = self.runtime.config.tracer
-        if tracer is not None:
-            tracer.record(self.id, "barrier", t0, self.runtime.sim.now)
         self._span_end(op_id)
 
     def barrier_notify(self):
@@ -379,12 +375,8 @@ class UPCThread:
             raise UPCRuntimeError(f"negative compute time {usec}")
         self.runtime.metrics.compute_time_us += usec
         if usec > 0:
-            t0 = self.runtime.sim.now
             op_id = self._span_begin("compute")
             yield self.runtime.sim.sleep(usec)
-            tracer = self.runtime.config.tracer
-            if tracer is not None:
-                tracer.record(self.id, "compute", t0, self.runtime.sim.now)
             self._span_end(op_id, usec=usec)
 
     def poll(self):

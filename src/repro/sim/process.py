@@ -46,13 +46,7 @@ class Process(Event):
         self._resume_cb = self._resume
         # First step happens via a zero-delay event so that spawning is
         # itself an observable point in time and spawn order == run order.
-        if sim.pooled:
-            kick = sim.sleep(0.0)
-            kick.add_callback(self._resume_cb)
-        else:
-            kick = Event(sim, name=f"start:{self.name}")
-            kick.add_callback(self._resume_cb)
-            kick.succeed()
+        sim.sleep(0.0).add_callback(self._resume_cb)
 
     @property
     def is_alive(self) -> bool:

@@ -91,11 +91,7 @@ class Resource:
         in :meth:`release`) drop their references once it fires, so
         recycling after dispatch is safe.
         """
-        sim = self.sim
-        if sim.pooled:
-            ev = sim.oneshot(self._acq_name)
-        else:
-            ev = Event(sim, name=f"acquire:{self.name}")
+        ev = self.sim.oneshot(self._acq_name)
         if self._users < self.capacity and not self._waiters:
             self._account()
             self._users += 1
@@ -154,11 +150,7 @@ class Queue:
 
     def get(self) -> Event:
         """Event that fires with the next item."""
-        sim = self.sim
-        if sim.pooled:
-            ev = sim.oneshot("get:" + self.name)
-        else:
-            ev = Event(sim, name=f"get:{self.name}")
+        ev = self.sim.oneshot("get:" + self.name)
         if self._items:
             ev.succeed(self._items.popleft())
         else:

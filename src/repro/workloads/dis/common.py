@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Optional
 
 from repro.core.address_cache import DEFAULT_CAPACITY, EvictionPolicy
@@ -33,8 +33,6 @@ class DISBase:
     bulk_max_inflight: int = 8
     bulk_max_coalesce_bytes: int = 64 * 1024
     seed: int = 0
-    #: Optional Paraver-style tracer (see :mod:`repro.trace`).
-    tracer: Optional[Any] = None
     #: Optional flight recorder (an :class:`repro.obs.EventLog`).
     events: Optional[Any] = None
     #: Optional deterministic fault plan / reliability knobs (see
@@ -46,36 +44,12 @@ class DISBase:
     #: it (a :data:`repro.faults.POLICIES` name).
     link_trace: Optional[Any] = None
     repair_policy: Optional[str] = None
-    #: Event-core selection: True runs the pooled fast core, False the
-    #: legacy reference core (see repro.sim.simulator).  Schedules are
-    #: bit-identical; benchmarks flip this to measure the speedup.
-    pooled_core: bool = True
 
     def runtime(self) -> Runtime:
-        cfg = RuntimeConfig(
-            machine=self.machine,
-            nthreads=self.nthreads,
-            threads_per_node=self.threads_per_node,
-            cache_enabled=self.cache_enabled,
-            cache_capacity=self.cache_capacity,
-            cache_policy=self.cache_policy,
-            pinning_policy=self.pinning_policy,
-            pin_chunk_bytes=self.pin_chunk_bytes,
-            piggyback=self.piggyback,
-            use_rdma_put=self.use_rdma_put,
-            bulk_enabled=self.bulk_enabled,
-            bulk_max_inflight=self.bulk_max_inflight,
-            bulk_max_coalesce_bytes=self.bulk_max_coalesce_bytes,
-            seed=self.seed,
-            tracer=self.tracer,
-            events=self.events,
-            fault_plan=self.fault_plan,
-            reliability=self.reliability,
-            link_trace=self.link_trace,
-            repair_policy=self.repair_policy,
-        )
-        from repro.sim.simulator import Simulator
-        return Runtime(cfg, sim=Simulator(pooled=self.pooled_core))
+        """A runtime configured by the fields above: each one is the
+        :class:`RuntimeConfig` field of the same name."""
+        return Runtime(RuntimeConfig(**{
+            f.name: getattr(self, f.name) for f in fields(DISBase)}))
 
 
 @dataclass

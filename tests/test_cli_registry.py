@@ -1,0 +1,247 @@
+"""The ``python -m repro`` subcommand registry: every documented
+command line parses, no subcommand gained or lost an option, each
+shared option is defined once and validated the same way everywhere."""
+
+import argparse
+import glob
+import os
+import re
+import shlex
+
+import pytest
+
+from repro.__main__ import build_parser, main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# -- docs cannot drift from the parser ---------------------------------
+
+_DOC_FILES = (["README.md", ".github/workflows/ci.yml"]
+              + sorted(os.path.relpath(p, ROOT) for p in
+                       glob.glob(os.path.join(ROOT, "docs", "*.md"))))
+_COMMAND = re.compile(r"^\s*(?:- )?(?:run: |\$ |if )?python -m repro (.*)$")
+
+
+def _documented_commands(rel):
+    """``(line number, argv)`` of every ``python -m repro ...`` that
+    *starts* a shell line of one doc file (prose mentions are not
+    commands), joined with its continuation lines, comments and shell
+    tails stripped."""
+    with open(os.path.join(ROOT, rel), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    for i, line in enumerate(lines):
+        m = _COMMAND.match(line)
+        if not m:
+            continue
+        text, j = m.group(1), i
+        # "\" continues a shell line; a YAML folded scalar continues
+        # with a bare, deeper-indented "--flag" line.
+        while text.endswith("\\") or (
+                j + 1 < len(lines)
+                and lines[j + 1].lstrip().startswith("--")):
+            j += 1
+            text = text.rstrip("\\") + " " + lines[j].strip()
+        text = re.split(r"\s#|\s\||;", text.rstrip("\\"))[0]
+        if re.search(r"[<\[]|\.\.\.", text):
+            continue            # a usage synopsis, not a command
+        yield i + 1, shlex.split(text)
+
+
+@pytest.mark.parametrize("rel", _DOC_FILES)
+def test_documented_command_lines_parse(rel, capsys):
+    parser = build_parser()
+    for lineno, argv in _documented_commands(rel):
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"{rel}:{lineno}: python -m repro "
+                        f"{' '.join(argv)}\n{capsys.readouterr().err}")
+        assert callable(args.func)
+
+
+def test_the_docs_actually_document_commands():
+    documented = [argv for rel in _DOC_FILES
+                  for _, argv in _documented_commands(rel)]
+    assert len(documented) >= 30
+    assert {"run", "trace", "kvtraffic", "fuzz", "report",
+            "campaign"} <= {argv[0] for argv in documented}
+
+
+# -- no new option, none lost ------------------------------------------
+
+#: Flag -> default of every subcommand at the parent commit (968c92b),
+#: where ``run``/``trace``/``kvtraffic``/``fuzz`` each built their own
+#: parser.  Adding, dropping or re-defaulting an option is a deliberate
+#: edit of this table.
+PARENT_FLAGS = {
+    "campaign": {"--list-cells": False, "--list-specs": False,
+                 "--max-cells": None, "--no-resume": False,
+                 "--render-only": False, "--run-dir": None,
+                 "--spec": "smoke", "--workers": None},
+    "fuzz": {"--corpus": None, "--fault-profile": "chaos",
+             "--fault-seed": None, "--faults": False, "--kv": False,
+             "--matrix": None, "--no-shrink": False, "--nthreads": 4,
+             "--ops": 200, "--quick": False, "--seed": [0],
+             "--trace-dir": None},
+    "kvtraffic": {"--link-trace": None, "--machine": "gm",
+                  "--nclients": 32, "--nnodes": 8,
+                  "--repair-policy": None, "--requests": 100000,
+                  "--seed": 0, "--shard-backend": "inproc",
+                  "--shards": 1, "--skew": 0.9, "--slo-target-us": 0.0,
+                  "--slo-window-us": 5000.0, "--trace-dir": None,
+                  "--trace-seed": None},
+    "report": {"--out": None, "run_dir": None},
+    "run": {"--fault-profile": None, "--fault-seed": None,
+            "--link-trace": None, "--machine": "gm", "--nthreads": 8,
+            "--quick": False, "--repair-policy": None, "--seed": 1,
+            "--shard-backend": None, "--shards": None,
+            "--trace-seed": None, "workload": None},
+    "trace": {"--breakdown": False, "--fault-profile": None,
+              "--fault-seed": None, "--format": None,
+              "--link-trace": None, "--machine": "gm",
+              "--max-events": None, "--nthreads": 8,
+              "--out": "trace-out", "--quick": False,
+              "--repair-policy": None, "--sample-us": 100.0,
+              "--seed": 1, "--shard-backend": "inproc", "--shards": 1,
+              "--trace-seed": None, "workload": None},
+}
+FIGURES = ("address_ablation", "alloc_latency", "capacity",
+           "directory_memory", "fig6_get", "fig6_put", "fig7", "fig8a",
+           "fig8b", "fig9a", "fig9b", "miss_overhead", "all")
+
+
+def _subparsers():
+    (action,) = [a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _flags(parser):
+    return {(a.option_strings[0] if a.option_strings else a.dest):
+            a.default for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)}
+
+
+def test_subcommand_set_is_the_parents():
+    assert set(_subparsers()) == set(PARENT_FLAGS) | set(FIGURES)
+
+
+@pytest.mark.parametrize("command", sorted(PARENT_FLAGS))
+def test_flag_set_and_defaults_equal_the_parents(command):
+    assert _flags(_subparsers()[command]) == PARENT_FLAGS[command]
+
+
+@pytest.mark.parametrize("figure", FIGURES)
+def test_figures_take_only_quick(figure):
+    assert _flags(_subparsers()[figure]) == {"--quick": False}
+
+
+def test_shared_options_are_defined_exactly_once():
+    """One ``add_argument`` call per shared flag in all of src/repro
+    (there were three to four copies of each)."""
+    sources = []
+    for path in glob.glob(os.path.join(ROOT, "src", "repro", "**",
+                                       "*.py"), recursive=True):
+        with open(path, encoding="utf-8") as fh:
+            sources.append(fh.read())
+    text = "\n".join(sources)
+    for flag in ("--fault-profile", "--fault-seed", "--link-trace",
+                 "--trace-seed", "--repair-policy", "--shards",
+                 "--shard-backend", "--machine", "--nthreads", "--seed",
+                 "--quick"):
+        n = len(re.findall(r'add_argument\(\s*"%s"' % flag, text))
+        assert n == 1, f"{flag} is defined {n} times"
+
+
+# -- one validation, one message ---------------------------------------
+
+def _usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err.splitlines()[-1].split("error: ")[1]
+
+
+_SHARDABLE = (["run", "field"], ["trace", "field"], ["kvtraffic"])
+
+
+def test_shards_zero_is_one_argparse_error_everywhere(capsys):
+    messages = {_usage_error(cmd + ["--shards", "0"], capsys)
+                for cmd in _SHARDABLE}
+    assert messages == {"argument --shards: must be >= 1"}
+
+
+def test_more_shards_than_nodes_is_one_argparse_error_everywhere(capsys):
+    messages = {
+        _usage_error(["run", "field", "--shards", "9"], capsys),
+        _usage_error(["trace", "field", "--shards", "9"], capsys),
+        _usage_error(["kvtraffic", "--nnodes", "2", "--shards", "9"],
+                     capsys)}
+    assert messages == {"--shards 9 exceeds the 2 node(s) of this run"}
+
+
+def test_unknown_machine_is_one_argparse_error_everywhere(capsys):
+    messages = {_usage_error(cmd + ["--machine", "bogus"], capsys)
+                for cmd in (["run", "pointer"], ["trace", "pointer"],
+                            ["kvtraffic"])}
+    (message,) = messages
+    assert message.startswith(
+        "argument --machine: invalid choice: 'bogus'")
+
+
+def test_repair_policy_needs_a_fault_source(capsys):
+    for cmd in (["run", "pointer"], ["trace", "pointer"],
+                ["kvtraffic"]):
+        message = _usage_error(
+            cmd + ["--repair-policy", "do_nothing"], capsys)
+        assert message.startswith("--repair-policy needs --link-trace")
+
+
+def test_bad_fault_specs_are_argparse_errors(capsys):
+    assert "unknown fault profile" in _usage_error(
+        ["run", "pointer", "--fault-profile", "nope"], capsys)
+    assert "unknown fault profile" in _usage_error(
+        ["fuzz", "--faults", "--fault-profile", "nope"], capsys)
+    for cmd in (["trace", "pointer"], ["kvtraffic"]):
+        assert "nope" in _usage_error(
+            cmd + ["--link-trace", "nope"], capsys)
+
+
+def test_sharded_run_and_trace_reject_the_same_combinations(capsys):
+    for cmd in ("run", "trace"):
+        assert "field stressmark only" in _usage_error(
+            [cmd, "pointer", "--shards", "2"], capsys)
+        assert "--shards excludes" in _usage_error(
+            [cmd, "field", "--shards", "2", "--link-trace", "flap"],
+            capsys)
+
+
+# -- run ---------------------------------------------------------------
+
+def test_cli_run_pointer_quick(capsys):
+    assert main(["run", "pointer", "--quick"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("run pointer: ")
+    assert "remote ops" in out and "cache hit rate" in out
+    assert "faults:" not in out
+
+
+def test_cli_run_under_a_fault_profile_is_deterministic(capsys):
+    argv = ["run", "pointer", "--quick", "--fault-profile", "drop",
+            "--fault-seed", "3"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    injected = int(re.search(r"faults: (\d+) injected", first).group(1))
+    assert injected > 0
+    assert main(argv) == 0
+    wall = re.compile(r"\(\d+\.\ds\)")
+    assert wall.sub("", capsys.readouterr().out) == wall.sub("", first)
+
+
+@pytest.mark.shard
+def test_cli_run_field_sharded(capsys):
+    assert main(["run", "field", "--shards", "2", "--quick"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("run field --shards 2 (mp): ")
+    assert "  sync: " in out and "channel msgs" in out
+    assert "  shard 0: nodes 0..0" in out and "  shard 1: " in out

@@ -1,47 +1,43 @@
-"""Round-trip tests for trace export/import."""
+"""Round-trip tests for the state-interval CSV (``--format csv``)."""
+
+import io
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.trace import Tracer, dumps, loads
-from repro.trace.export import load_csv
-import io
+from repro.obs.states import StateRecord, dump_csv, load_csv
 
 
-def sample_tracer():
-    t = Tracer()
-    t.record(0, "compute", 0.0, 5.5)
-    t.record(1, "get:am", 5.5, 9.25)
-    t.record(0, "barrier", 9.25, 12.0)
-    return t
+def dumps(records):
+    buf = io.StringIO()
+    dump_csv(records, buf)
+    return buf.getvalue()
+
+
+def loads(text):
+    return load_csv(io.StringIO(text))
+
+
+SAMPLE = [StateRecord(0, "compute", 0.0, 5.5),
+          StateRecord(1, "get:am", 5.5, 9.25),
+          StateRecord(0, "barrier", 9.25, 12.0)]
 
 
 def test_roundtrip_preserves_records():
-    t = sample_tracer()
-    t2 = loads(dumps(t))
-    assert len(t2) == len(t)
-    assert [r.__dict__ if hasattr(r, "__dict__") else
-            (r.thread, r.state, r.t0, r.t1) for r in t2]
-    for a, b in zip(t, t2):
-        assert (a.thread, a.state, a.t0, a.t1) == \
-            (b.thread, b.state, b.t0, b.t1)
+    assert loads(dumps(SAMPLE)) == SAMPLE
 
 
 def test_file_roundtrip(tmp_path):
-    from repro.trace import dump_csv, load_csv
-    t = sample_tracer()
     path = str(tmp_path / "trace.csv")
-    n = dump_csv(t, path)
-    assert n == 3
-    t2 = load_csv(path)
-    assert len(t2) == 3
+    assert dump_csv(SAMPLE, path) == 3
+    assert load_csv(path) == SAMPLE
 
 
 def test_load_rejects_garbage():
     with pytest.raises(ValueError, match="not a trace CSV"):
-        load_csv(io.StringIO("a,b\n1,2\n"))
+        loads("a,b\n1,2\n")
     with pytest.raises(ValueError, match="malformed"):
-        load_csv(io.StringIO("thread,state,t0,t1\n1,compute,0\n"))
+        loads("thread,state,t0,t1\n1,compute,0\n")
 
 
 @settings(max_examples=25, deadline=None)
@@ -53,13 +49,7 @@ def test_load_rejects_garbage():
               st.floats(0, 1e6, allow_nan=False)),
     max_size=40))
 def test_property_roundtrip_exact(records):
-    t = Tracer()
-    for thread, state, a, b in records:
-        t0, t1 = min(a, b), max(a, b)
-        t.record(thread, state, t0, t1)
-    t2 = loads(dumps(t))
-    assert len(t2) == len(t)
-    for a, b in zip(t, t2):
-        # repr() round-trips floats exactly.
-        assert (a.thread, a.state, a.t0, a.t1) == \
-            (b.thread, b.state, b.t0, b.t1)
+    recs = [StateRecord(thread, state, min(a, b), max(a, b))
+            for thread, state, a, b in records]
+    # repr() round-trips floats exactly.
+    assert loads(dumps(recs)) == recs
