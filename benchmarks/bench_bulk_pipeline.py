@@ -17,13 +17,13 @@ pipeline-only (coalescing off), and the full engine at defaults.
 
 import numpy as np
 
-from benchmarks.conftest import BULK_BENCH_BLOCKS
-
 from repro.network import GM_MARENOSTRUM
 from repro.runtime import Runtime, RuntimeConfig
 
 #: Elements per block (u4): 256 B per block on the wire.
 BLOCKSIZE = 64
+#: Remote-block counts swept.
+BULK_BENCH_BLOCKS = [4, 16, 64]
 
 
 def _run_memget(remote_blocks: int, **kw):

@@ -16,52 +16,7 @@ import argparse
 import sys
 import time
 
-from repro.experiments import (
-    GM_SCALES,
-    LAPI_SCALES,
-    fig6_get,
-    fig6_put,
-    fig7,
-    fig8,
-    fig9,
-    miss_overhead,
-)
-
-_QUICK_SIZES = [1, 64, 1024, 16384, 262144, 4194304]
-_QUICK_SCALES = [(8, 2), (32, 8), (128, 32)]
-_QUICK_LAPI = [(4, 2), (32, 2), (128, 8)]
-
-
-def _runners(quick: bool):
-    reps = 5 if quick else 10
-    sizes = _QUICK_SIZES if quick else None
-    gm_scales = _QUICK_SCALES if quick else [s for s in GM_SCALES
-                                             if s[0] <= 1024]
-    lapi_scales = _QUICK_LAPI if quick else LAPI_SCALES
-    fig8_scales = _QUICK_SCALES if quick else GM_SCALES
-    seeds = (1, 2) if quick else (1, 2, 3)
-    from repro.experiments.capacity import capacity_speedup
-    from repro.experiments.scalability import (
-        address_space_ablation,
-        allocation_latency,
-        directory_memory,
-    )
-
-    return {
-        "fig6_get": lambda: fig6_get(sizes=sizes, reps=reps),
-        "fig6_put": lambda: fig6_put(sizes=sizes, reps=reps),
-        "fig7": lambda: fig7(reps=reps),
-        "fig8a": lambda: fig8("pointer", scales=fig8_scales, seed=1),
-        "fig8b": lambda: fig8("neighborhood", scales=fig8_scales, seed=1),
-        "fig9a": lambda: fig9("gm", scales=gm_scales, seeds=seeds),
-        "fig9b": lambda: fig9("lapi", scales=lapi_scales, seeds=seeds),
-        "miss_overhead": lambda: miss_overhead(seeds=(1, 2, 3)),
-        "capacity": lambda: capacity_speedup(
-            threads=32 if quick else 64, nodes=8 if quick else 16),
-        "directory_memory": lambda: directory_memory(),
-        "address_ablation": lambda: address_space_ablation(),
-        "alloc_latency": lambda: allocation_latency(),
-    }
+from repro.experiments import EXPERIMENTS
 
 
 def _parse_seeds(text: str):
@@ -77,11 +32,11 @@ def _parse_seeds(text: str):
 
 
 def _figure_main(args) -> int:
-    runners = _runners(args.quick)
-    names = sorted(runners) if args.command == "all" else [args.command]
+    names = sorted(EXPERIMENTS) if args.command == "all" else [args.command]
     for name in names:
+        exp = EXPERIMENTS[name]
         t0 = time.time()
-        fig = runners[name]()
+        fig = exp.run(**(exp.quick if args.quick else exp.full))
         print(fig.render())
         print(f"({time.time() - t0:.1f}s)\n")
     return 0
@@ -318,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func, error=p.error)
         return p
 
-    for name in sorted(_runners(True)) + ["all"]:
+    for name in sorted(EXPERIMENTS) + ["all"]:
         p = command(name, _figure_main,
                     "regenerate every figure" if name == "all"
                     else f"regenerate {name}")

@@ -11,8 +11,8 @@ Kinds:
   machinery) at one (op, machine, size);
 * ``dis``       — one DIS stressmark scale point: paired cache-off/on
   runs across ``params["seeds"]``, reported as a 95% CI;
-* ``figure``    — one full figure runner from
-  :mod:`repro.experiments.figures` (the paper's tables);
+* ``figure``    — one row of :data:`repro.experiments.EXPERIMENTS`
+  (the paper's tables) at its quick preset;
 * ``kvtraffic`` — one open-loop Zipfian KV traffic run (FCT
   histograms, SLO windows);
 * ``lossy``     — one (trace shape, repair policy) traffic run with
@@ -28,10 +28,10 @@ records per-cell instead of letting it abort the campaign.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import time
-from dataclasses import replace
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 from repro.util.stats import DegenerateBaselineError, mean_ci95
 
@@ -53,9 +53,9 @@ def _machine(name: str):
 # ---------------------------------------------------------------------------
 
 def _micro_cell(params: Dict, seed: int) -> Dict:
+    from repro.experiments import micro_pair
     from repro.util.stats import improvement_pct
-    from repro.workloads.micro import (MicroParams, get_roundtrip_us,
-                                       put_overhead_us)
+    from repro.workloads.micro import get_roundtrip_us, put_overhead_us
 
     op = params.get("op", "get")
     fns = {"get": get_roundtrip_us, "put": put_overhead_us}
@@ -63,11 +63,8 @@ def _micro_cell(params: Dict, seed: int) -> Dict:
         raise ValueError(f"micro op must be get|put, got {op!r}")
     machine = _machine(params.get("machine", "gm"))
     size = int(params["size_bytes"])
-    reps = int(params.get("reps", 10))
-    z = fns[op](MicroParams(machine=machine, msg_bytes=size,
-                            cache_enabled=False, reps=reps, seed=seed))
-    w = fns[op](MicroParams(machine=machine, msg_bytes=size,
-                            cache_enabled=True, reps=reps, seed=seed))
+    z, w = micro_pair(fns[op], machine, size,
+                      int(params.get("reps", 10)), seed)
     return {
         "op": op,
         "machine": params.get("machine", "gm"),
@@ -138,7 +135,7 @@ def _dis_params(workload: str, threads: int, nodes: int, machine,
 
 
 def _dis_cell(params: Dict, seed: int) -> Dict:
-    from repro.experiments.harness import paired_run
+    from repro.experiments import paired_samples
 
     workload = params["workload"]
     threads = int(params.get("threads", 8))
@@ -151,17 +148,7 @@ def _dis_cell(params: Dict, seed: int) -> Dict:
     p, run = _dis_params(workload, threads, nodes,
                          _machine(machine_name), preset, capacity,
                          seeds[0])
-    samples: List[float] = []
-    hit_rates: List[float] = []
-    skipped = 0
-    for s in seeds:
-        pair = paired_run(run, replace(p, seed=s))
-        try:
-            samples.append(pair.improvement_pct)
-        except DegenerateBaselineError:
-            skipped += 1
-            continue
-        hit_rates.append(pair.hit_rate)
+    samples, hit_rates, skipped = paired_samples(run, p, seeds)
     payload = {
         "workload": workload,
         "threads": threads,
@@ -186,36 +173,23 @@ def _dis_cell(params: Dict, seed: int) -> Dict:
 
 
 # ---------------------------------------------------------------------------
-# figure: one paper-figure runner (the experiments/figures.py tables)
+# figure: one row of the experiment table
 # ---------------------------------------------------------------------------
 
 def _figure_cell(params: Dict, seed: int) -> Dict:
-    from repro.experiments import figures
+    from repro.experiments import EXPERIMENTS
 
     name = params["figure"]
-    sizes = params.get("sizes")
-    reps = int(params.get("reps", 10))
-    scales = ([tuple(s) for s in params["scales"]]
-              if params.get("scales") else None)
-    seeds = tuple(params.get("seeds", (1, 2, 3)))
-    runners: Dict[str, Callable[[], object]] = {
-        "fig6_get": lambda: figures.fig6_get(sizes=sizes, reps=reps),
-        "fig6_put": lambda: figures.fig6_put(sizes=sizes, reps=reps),
-        "fig7": lambda: figures.fig7(sizes=sizes, reps=reps),
-        "fig8a": lambda: figures.fig8("pointer", scales=scales,
-                                      seed=int(params.get("seed", 1))),
-        "fig8b": lambda: figures.fig8("neighborhood", scales=scales,
-                                      seed=int(params.get("seed", 1))),
-        "fig9a": lambda: figures.fig9("gm", scales=scales, seeds=seeds),
-        "fig9b": lambda: figures.fig9("lapi", scales=scales,
-                                      seeds=seeds),
-        "miss_overhead": lambda: figures.miss_overhead(seeds=seeds),
-    }
-    if name not in runners:
-        names = ", ".join(sorted(runners))
+    if name not in EXPERIMENTS:
+        names = ", ".join(sorted(EXPERIMENTS))
         raise ValueError(f"unknown figure {name!r} (expected one "
                          f"of: {names})")
-    fig = runners[name]()
+    exp = EXPERIMENTS[name]
+    # A leg shares its ``fixed`` params across figures: each runner
+    # takes the ones it has a keyword for, over its quick preset.
+    accepted = inspect.signature(exp.run).parameters
+    fig = exp.run(**{**exp.quick,
+                     **{k: v for k, v in params.items() if k in accepted}})
     return {
         "figure": name,
         "figure_id": fig.figure_id,

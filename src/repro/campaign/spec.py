@@ -165,32 +165,17 @@ def _smoke_spec() -> CampaignSpec:
 
 
 def _paper_spec() -> CampaignSpec:
+    from repro.experiments import EXPERIMENTS
+
     return CampaignSpec(
         name="paper",
         description="The paper's figure tables as campaign cells "
                     "(quick scales; minutes on 4 workers)",
         workers=4,
-        legs=[
-            {"kind": "figure",
-             "matrix": {"figure": ["fig6_get", "fig6_put", "fig7"]},
-             "fixed": {"sizes": [1, 64, 1024, 16384, 262144, 4194304],
-                       "reps": 5}},
-            {"kind": "figure",
-             "matrix": {"figure": ["fig8a", "fig8b"]},
-             "fixed": {"scales": [[8, 2], [32, 8], [128, 32]],
-                       "seed": 1}},
-            {"kind": "figure",
-             "matrix": {"figure": ["fig9a"]},
-             "fixed": {"scales": [[8, 2], [32, 8], [128, 32]],
-                       "seeds": [1, 2]}},
-            {"kind": "figure",
-             "matrix": {"figure": ["fig9b"]},
-             "fixed": {"scales": [[4, 2], [32, 2], [128, 8]],
-                       "seeds": [1, 2]}},
-            {"kind": "figure",
-             "matrix": {"figure": ["miss_overhead"]},
-             "fixed": {"seeds": [1, 2, 3]}},
-        ])
+        legs=[{"kind": "figure",
+               "matrix": {"figure": [
+                   name for name, exp in EXPERIMENTS.items()
+                   if exp.heading.startswith("E")]}}])
 
 
 def _service_spec() -> CampaignSpec:

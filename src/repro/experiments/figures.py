@@ -13,10 +13,8 @@ Scales follow the paper's axes:
   28 nodes (the paper varies threads per node up to 16);
 * Figure 8 uses the GM scale with address-cache capacities 4/10/100.
 
-Simulating the top GM scale point (2048 simulated UPC threads) costs
-minutes of wall clock in pure Python; callers (benchmarks, tests) pass
-a truncated ``scales`` list, while the EXPERIMENTS.md generator uses
-the full range.
+Which sizes, scales and seeds each entry point actually runs is
+decided in one place, :data:`repro.experiments.EXPERIMENTS`.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.harness import paired_run, repeat_ci
+from repro.experiments.harness import micro_pair, repeat_ci
 from repro.experiments.report import render_table
 from repro.network.params import (
     GM_MARENOSTRUM,
@@ -35,7 +33,6 @@ from repro.util.stats import improvement_pct
 from repro.workloads.micro import (
     FIG6_SIZES,
     FIG7_SIZES,
-    MicroParams,
     get_roundtrip_us,
     put_overhead_us,
 )
@@ -86,14 +83,9 @@ class FigureResult:
 # Figure 6: latency improvement vs message size.
 # ---------------------------------------------------------------------------
 
-def _micro_improvement(fn: Callable[[MicroParams], float],
-                       machine: MachineParams, size: int,
-                       reps: int) -> float:
-    z = fn(MicroParams(machine=machine, msg_bytes=size,
-                       cache_enabled=False, reps=reps))
-    w = fn(MicroParams(machine=machine, msg_bytes=size,
-                       cache_enabled=True, reps=reps))
-    return improvement_pct(z, w)
+def _micro_improvement(fn: Callable[..., float], machine: MachineParams,
+                       size: int, reps: int) -> float:
+    return improvement_pct(*micro_pair(fn, machine, size, reps))
 
 
 def fig6_get(sizes: Optional[Sequence[int]] = None,
@@ -161,10 +153,9 @@ def fig7(sizes: Optional[Sequence[int]] = None,
         row = {"size_bytes": size}
         for prefix, machine in (("gm", GM_MARENOSTRUM),
                                 ("lapi", LAPI_POWER5)):
-            for label, cache in (("nocache", False), ("cache", True)):
-                row[f"{prefix}_{label}_us"] = get_roundtrip_us(
-                    MicroParams(machine=machine, msg_bytes=size,
-                                cache_enabled=cache, reps=reps))
+            (row[f"{prefix}_nocache_us"],
+             row[f"{prefix}_cache_us"]) = micro_pair(
+                get_roundtrip_us, machine, size, reps)
         fig.add(**row)
     return fig
 

@@ -223,10 +223,6 @@ class PinManager:
             cost += self.cost_model.unpin_cost(region.size, self.page_size)
         return cost
 
-    @property
-    def region_count(self) -> int:
-        return len(self._regions)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<PinManager node={self.node_id} regions={len(self._regions)} "
                 f"bytes={self.pinned_bytes}>")

@@ -28,7 +28,7 @@ Quickstart::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -153,10 +153,6 @@ class RuntimeConfig:
     def nnodes(self) -> int:
         tpn = self.effective_threads_per_node
         return -(-self.nthreads // tpn)
-
-    def with_cache(self, enabled: bool) -> "RuntimeConfig":
-        """The paired configuration for Z-vs-W comparisons."""
-        return replace(self, cache_enabled=enabled)
 
 
 class Runtime:

@@ -81,9 +81,6 @@ class SharedMatrix(SharedArray):
         """UPC thread owning element (r, c) — round-robin over tiles."""
         return self.owner_thread(self.linear(r, c))
 
-    def tile_of(self, r: int, c: int) -> Tuple[int, int]:
-        return r // self.tile_r, c // self.tile_c
-
     def row_segment(self, r: int, c0: int, n: int) -> Tuple[int, int]:
         """(linear start, count) for matrix row ``r`` columns
         ``[c0, c0+n)`` — valid only while inside one tile."""

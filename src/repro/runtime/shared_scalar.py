@@ -48,10 +48,6 @@ class SharedScalar:
     # -- compatibility aliases ------------------------------------------
 
     @property
-    def owner_thread_id(self) -> int:
-        return self.owner
-
-    @property
     def home_node(self) -> int:
         return self._owner_node
 
@@ -100,10 +96,6 @@ class SharedScalar:
         else:
             self._check(index)
             self.data[0:1] = np.asarray(values, dtype=self.dtype).ravel()
-
-    def free_storage(self) -> None:
-        self.runtime.cluster.node(self._owner_node).memory.free(self.vaddr)
-        self.freed = True
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<SharedScalar {self.handle} @thread{self.owner}>"

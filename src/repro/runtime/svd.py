@@ -119,12 +119,6 @@ class SVDReplica:
             self.notifications_received += 1
         return entry
 
-    def set_local(self, handle: SVDHandle, local_base: int,
-                  local_bytes: int) -> None:
-        entry = self._require(handle)
-        entry.local_base = local_base
-        entry.local_bytes = local_bytes
-
     def remove(self, handle: SVDHandle) -> SVDEntry:
         """Deallocate: the entry dies but stays for error reporting."""
         entry = self._require(handle)

@@ -12,8 +12,6 @@ from repro.util.units import (
     MSEC,
     SEC,
     bytes_per_usec,
-    fmt_bytes,
-    fmt_usec,
 )
 from repro.util.stats import (
     ConfidenceInterval,
@@ -21,7 +19,7 @@ from repro.util.stats import (
     improvement_pct,
     mean_ci95,
 )
-from repro.util.rng import seeded_rng, split_seed
+from repro.util.rng import seeded_rng
 
 __all__ = [
     "KB",
@@ -31,12 +29,9 @@ __all__ = [
     "MSEC",
     "SEC",
     "bytes_per_usec",
-    "fmt_bytes",
-    "fmt_usec",
     "ConfidenceInterval",
     "RunningStats",
     "improvement_pct",
     "mean_ci95",
     "seeded_rng",
-    "split_seed",
 ]

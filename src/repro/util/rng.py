@@ -26,12 +26,6 @@ def seeded_rng(seed: int, *streams: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def split_seed(seed: int, index: int) -> int:
-    """Derive a stable 63-bit child seed for substream ``index``."""
-    ss = np.random.SeedSequence([_SALT, seed, index])
-    return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)
-
-
 class StreamFamily:
     """Explicit per-entity stream splitting for sharded execution.
 

@@ -131,10 +131,6 @@ class RunningStats:
     def variance(self) -> float:
         return self._m2 / (self.n - 1) if self.n > 1 else 0.0
 
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
-
     def merge(self, other: "RunningStats") -> None:
         """Fold another accumulator into this one (parallel merge)."""
         if other.n == 0:

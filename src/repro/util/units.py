@@ -26,23 +26,3 @@ def bytes_per_usec(megabytes_per_second: float) -> float:
         gap = 1.0 / bytes_per_usec(250.0)   # Myrinet ~250 MB/s
     """
     return megabytes_per_second * MB / SEC
-
-
-def fmt_bytes(n: int) -> str:
-    """Human-readable byte count (``4096 -> '4KB'``)."""
-    if n >= GB and n % GB == 0:
-        return f"{n // GB}GB"
-    if n >= MB and n % MB == 0:
-        return f"{n // MB}MB"
-    if n >= KB and n % KB == 0:
-        return f"{n // KB}KB"
-    return f"{n}B"
-
-
-def fmt_usec(t: float) -> str:
-    """Human-readable microsecond duration."""
-    if t >= SEC:
-        return f"{t / SEC:.3f}s"
-    if t >= MSEC:
-        return f"{t / MSEC:.3f}ms"
-    return f"{t:.2f}us"

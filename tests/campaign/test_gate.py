@@ -117,21 +117,28 @@ def _sim_core_doc(mode, speedups, trend):
 
 
 def test_sim_core_gate_same_numbers_as_before(tmp_path):
-    import benchmarks.bench_sim_core as bench
+    # The two ratios the retired sim-core bench gated: per-thread-count
+    # pooled/legacy speedup and the events/sec trend across the sweep.
+    metrics = [SPEEDUP,
+               GateMetric("pooled_eps_trend",
+                          lambda d: [("trend", d["pooled_eps_trend"])])]
+
+    def problems(report, baseline):
+        return check_baseline(report, baseline, metrics).problems
 
     base = _sim_core_doc("full", [(64, 2.0), (256, 2.5)], 1.0)
     path = _write(tmp_path, base)
     # Same mode: 20% tolerance. 1.99 vs floor 2.0 fails at nt=256.
     bad = _sim_core_doc("full", [(64, 2.0), (256, 1.99)], 1.0)
-    assert bench.check_baseline(bad, path)
+    assert problems(bad, path)
     ok = _sim_core_doc("full", [(64, 1.61), (256, 2.01)], 0.81)
-    assert not bench.check_baseline(ok, path)
+    assert not problems(ok, path)
     # Cross-mode: widened to 35%, so 1.7 at nt=256 passes.
     quick = _sim_core_doc("quick", [(64, 1.4), (256, 1.7)], 0.7)
-    assert not bench.check_baseline(quick, path)
+    assert not problems(quick, path)
     # Missing baseline is no longer a silent skip.
     with pytest.raises(BaselineError):
-        bench.check_baseline(ok, str(tmp_path / "gone.json"))
+        problems(ok, str(tmp_path / "gone.json"))
 
 
 def test_kv_service_gate_metrics(tmp_path):

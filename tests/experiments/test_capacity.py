@@ -22,3 +22,6 @@ def test_capacity_rows_monotone_hit_rate():
                            capacities=[2, 4, 8, 16], seed=2)
     hits = fig.series("hit_rate")
     assert all(a <= b + 0.02 for a, b in zip(hits, hits[1:]))
+    # ...and the speedup follows: half the working set vs all of it.
+    rows = {r["capacity"]: r for r in fig.rows()}
+    assert rows[4]["improvement_pct"] < rows[16]["improvement_pct"]

@@ -1,5 +1,6 @@
 """Tests for the section-2 scalability-rationale experiments."""
 
+from repro.experiments import EXPERIMENTS
 from repro.experiments.scalability import (
     address_space_ablation,
     allocation_latency,
@@ -31,6 +32,11 @@ def test_address_space_ablation_shows_blowup():
     assert ident["blowup_vs_svd"] >= 4.0
     assert 0 <= svd["fragmentation"] <= 1
     assert 0 <= ident["fragmentation"] <= 1
+    # At the configuration EXPERIMENTS.md records (X2: 16 nodes x 4
+    # threads) the blow-up approaches the node count.
+    fig = address_space_ablation(**EXPERIMENTS["address_ablation"].full)
+    assert fig.rows()[1]["model"] == "identical-addresses"
+    assert fig.rows()[1]["blowup_vs_svd"] >= 8.0
 
 
 def test_address_space_ablation_deterministic():

@@ -6,7 +6,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.faults import FaultPlan, LinkFault, PinBudget, PROFILES
+from repro.faults import (FaultPlan, LinkFault, LinkTrace, PinBudget,
+                          PROFILES)
 from repro.memory import PinLimitError
 from repro.network import GM_MARENOSTRUM
 from repro.obs import DEGRADE, FAULT_INJECT, RETRY, TIMEOUT
@@ -44,9 +45,12 @@ def run(plan, nthreads=8, events=None, **kw):
 
 def test_empty_plan_is_bit_identical_to_no_plan():
     _, base = run(None)
-    _, empty = run(FaultPlan(seed=123))
-    assert empty.elapsed_us == base.elapsed_us
-    assert empty.sim_events == base.sim_events
+    # Either fault language, armed but empty, must leave no trace.
+    for armed in (dict(plan=FaultPlan(seed=123)),
+                  dict(plan=None, link_trace=LinkTrace(seed=123))):
+        _, empty = run(**armed)
+        assert empty.elapsed_us == base.elapsed_us, armed
+        assert empty.sim_events == base.sim_events, armed
 
 
 def test_no_plan_installs_no_injector():

@@ -11,6 +11,7 @@ import pytest
 from repro.network import GM_MARENOSTRUM, LAPI_POWER5
 from repro.util.stats import improvement_pct
 from repro.workloads.micro import (
+    FIG7_SIZES,
     MicroParams,
     get_roundtrip_us,
     put_overhead_us,
@@ -71,9 +72,11 @@ def test_fig6_get_lapi_gain_persists_longer_than_gm():
 def test_fig6_put_gm_small_no_benefit():
     # "in GM we do not see any benefit of using the address cache for
     # small message transfers, up to 2 KBytes".
-    for size in (16, 256, 2048):
+    for size in (16, 256, 1024, 2048):
         imp = micro_improvement(put_overhead_us, GM_MARENOSTRUM, size)
         assert abs(imp) < 15.0
+    # ...and gains in the mid-size range, from copy avoidance.
+    assert micro_improvement(put_overhead_us, GM_MARENOSTRUM, 16384) > 10.0
 
 
 def test_fig6_put_lapi_regression_up_to_200pct():
@@ -105,11 +108,17 @@ def test_fig7_absolute_latencies_in_paper_range():
                                      cache_enabled=True, reps=REPS))
     assert 8.0 <= z <= 16.0
     assert 6.0 <= w <= 13.0
+    # The 8 KB end of the axis: grown, and still on the paper's plot.
+    for machine, ceiling in ((GM_MARENOSTRUM, 70.0), (LAPI_POWER5, 35.0)):
+        tiny, big = (get_roundtrip_us(MicroParams(
+            machine=machine, msg_bytes=size, cache_enabled=False,
+            reps=REPS)) for size in (1, 8192))
+        assert tiny < big <= ceiling
 
 
 def test_fig7_cached_always_below_uncached_small_gets():
     for machine in (GM_MARENOSTRUM, LAPI_POWER5):
-        for size in (1, 64, 1024, 8192):
+        for size in FIG7_SIZES:
             z = get_roundtrip_us(MicroParams(
                 machine=machine, msg_bytes=size, cache_enabled=False,
                 reps=REPS))
@@ -224,6 +233,7 @@ def test_miss_overhead_below_2pct():
     # "The overhead of unsuccessful attempts to cache remote addresses
     # is relatively small, typically 1.5% and never worse than 2%."
     from repro.experiments import miss_overhead
-    fig = miss_overhead(threads=32, nodes=8, seeds=(1, 2, 3))
-    for row in fig.rows():
-        assert row["overhead_pct"] <= 2.5
+    fig = miss_overhead(threads=32, nodes=8, seeds=(1, 2, 3, 4))
+    overheads = fig.series("overhead_pct")
+    assert max(overheads) <= 2.5
+    assert sum(overheads) / len(overheads) <= 2.0   # "typically 1.5%"

@@ -4,6 +4,9 @@ shared option is defined once and validated the same way everywhere."""
 
 import argparse
 import glob
+import importlib.util
+import inspect
+import json
 import os
 import re
 import shlex
@@ -11,6 +14,8 @@ import shlex
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.campaign.cells import run_cell
+from repro.experiments import EXPERIMENTS, FigureResult
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -151,6 +156,69 @@ def test_shared_options_are_defined_exactly_once():
                  "--quick"):
         n = len(re.findall(r'add_argument\(\s*"%s"' % flag, text))
         assert n == 1, f"{flag} is defined {n} times"
+
+
+# -- one experiment table behind every figure surface ------------------
+
+def test_experiment_table_is_the_figure_set():
+    assert set(EXPERIMENTS) == set(FIGURES) - {"all"}
+    # The campaign's figure cell accepts exactly the same names, and
+    # an unknown one is the one ValueError that lists them.
+    with pytest.raises(ValueError) as exc:
+        run_cell("figure", {"figure": "fig42"})
+    assert str(exc.value) == (
+        "unknown figure 'fig42' (expected one of: "
+        + ", ".join(sorted(EXPERIMENTS)) + ")")
+    with pytest.raises(TypeError):
+        EXPERIMENTS["fig10"] = EXPERIMENTS["fig7"]
+
+
+def test_presets_bind_to_their_runner_and_serialise():
+    for exp in EXPERIMENTS.values():
+        for preset in (exp.quick, exp.full):
+            inspect.signature(exp.run).bind(**preset)   # TypeError if not
+            json.dumps(dict(preset))        # a spec file can carry it
+
+
+def test_make_experiments_is_a_loop_over_the_table(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "make_experiments",
+        os.path.join(ROOT, "scripts", "make_experiments.py"))
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert set(script.NOTES) == set(EXPERIMENTS)
+
+    calls = []
+
+    def stub(name):
+        def run(**kwargs):
+            calls.append((name, kwargs))
+            fig = FigureResult(figure_id=name, title="stub",
+                               columns=["x"])
+            fig.add(x=1)
+            return fig
+        return run
+
+    monkeypatch.setattr(script, "EXPERIMENTS", {
+        name: exp._replace(run=stub(name))
+        for name, exp in EXPERIMENTS.items()})
+    out = tmp_path / "EXPERIMENTS.md"
+    for flags, preset in ((["--quick"], "quick"), ([], "full")):
+        del calls[:]
+        assert script.main(flags + ["--out", str(out)]) == 0
+        assert calls == [(name, dict(getattr(exp, preset)))
+                         for name, exp in EXPERIMENTS.items()]
+    text = out.read_text(encoding="utf-8")
+    headings = [line[3:] for line in text.splitlines()
+                if line.startswith("## ")]
+    # One section per row, in table order, then the closing note.
+    assert headings[:-1] == [exp.heading
+                             for exp in EXPERIMENTS.values()]
+    assert headings[:-1] == sorted(headings[:-1])
+    assert headings[-1].startswith("Note")
+    assert [line for line in text.splitlines()
+            if line.endswith(": stub")] == [
+                f"{name}: stub" for name in EXPERIMENTS]
 
 
 # -- one validation, one message ---------------------------------------

@@ -11,8 +11,8 @@ import os
 SRC = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src", "repro")
 
-#: PR 17 (one recorder, one front door): 22 427 -> this.
-SRC_LINES_CEILING = 21993
+#: PR 18 (one experiment table): 21 993 -> this.
+SRC_LINES_CEILING = 21932
 
 
 def _sources():
