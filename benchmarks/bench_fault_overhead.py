@@ -15,7 +15,7 @@ fabric fights back.
 
 import time
 
-from repro.faults import PROFILES, FaultPlan, LinkFault
+from repro.faults import PROFILES, FaultPlan, LinkRule
 from repro.network import GM_MARENOSTRUM
 from repro.workloads import FieldParams, run_field
 
@@ -25,7 +25,7 @@ _PARAMS = dict(machine=GM_MARENOSTRUM, nthreads=16, threads_per_node=4,
 
 #: Rules that can never fire: the window opens long after the run ends.
 _DORMANT = FaultPlan(seed=1, links=(
-    LinkFault(kind="drop", prob=1.0, t_start=1e12, scope="both"),))
+    LinkRule.static(loss=1.0, t_start=1e12),))
 
 
 def _run(fault_plan):

@@ -75,10 +75,10 @@ def _row(res: TrafficResult, policy: str, wall_s: float) -> Dict:
     }
 
 
-def _params(requests: int, seed: int, trace_json: str = "",
+def _params(requests: int, seed: int, plan_json: str = "",
             policy: str = "") -> TrafficParams:
     return TrafficParams(requests=requests, seed=seed, zipf_s=0.9,
-                         link_trace=trace_json, repair_policy=policy)
+                         fault_plan=plan_json, repair_policy=policy)
 
 
 def run_referee(seed: int = 13, trace_seed: int = 7) -> Dict:
@@ -230,7 +230,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap.add_argument("--shards", type=int, default=2,
                     help="shard count for the measured runs")
     ap.add_argument("--seed", type=int, default=9)
-    ap.add_argument("--trace-seed", type=int, default=7)
+    ap.add_argument("--fault-seed", type=int, default=7,
+                    help="seed of the generated degradation shapes")
     ap.add_argument("--baseline", default=None,
                     help="committed BENCH_lossy_fabric.json to gate "
                          "against (>20%% regression fails; missing or "
@@ -240,7 +241,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"lossy-fabric benchmark "
           f"({'quick' if args.quick else 'full'} scale)")
     report = run_bench(quick=args.quick, nshards=args.shards,
-                       seed=args.seed, trace_seed=args.trace_seed)
+                       seed=args.seed, trace_seed=args.fault_seed)
     atomic_write_json(args.out, report)
     print(f"wrote {args.out}")
 

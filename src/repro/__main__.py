@@ -57,6 +57,8 @@ def fuzz_main(args) -> int:
         except KeyError as exc:
             args.error(str(exc))
 
+    # Programs replay on clusters of different sizes, so there is no
+    # one node count to generate a shape profile for.
     fault_plan = (resolve_fault_plane(args, 0)[0] if args.faults
                   else None)
     t0 = time.time()
@@ -78,17 +80,24 @@ def kvtraffic_main(args) -> int:
     """Open-loop Zipfian KV traffic on the sharded core; prints SLO
     quantiles and the cache hit rate."""
     from repro.obs.cli import check_shards, resolve_fault_plane
-    from repro.workloads.kv_traffic import TrafficParams, run_kv_traffic
+    from repro.workloads.kv_traffic import (TrafficParams,
+                                            check_fault_plan,
+                                            run_kv_traffic)
 
     check_shards(args, args.nnodes)
-    _, link_trace, repair_policy = resolve_fault_plane(args, args.nnodes)
+    fault_plan, repair_policy = resolve_fault_plane(args, args.nnodes)
+    if fault_plan is not None:
+        try:
+            check_fault_plan(fault_plan)
+        except ValueError as exc:
+            args.error(str(exc))
     p = TrafficParams(nnodes=args.nnodes, nclients=args.nclients,
                       requests=args.requests, zipf_s=args.skew,
                       seed=args.seed, machine=args.machine,
                       slo_target_us=args.slo_target_us,
                       slo_window_us=args.slo_window_us,
-                      link_trace=(link_trace.to_json()
-                                  if link_trace is not None else ""),
+                      fault_plan=(fault_plan.to_json()
+                                  if fault_plan is not None else ""),
                       repair_policy=repair_policy or "")
     t0 = time.time()
     res = run_kv_traffic(p, args.shards, mode=args.shard_backend,
@@ -206,34 +215,27 @@ def _workload_options(ap, *, machine=False, nthreads=None, seed=None,
         ap.add_argument("--quick", action="store_true", help=quick)
 
 
-def _fault_options(ap, *, profile=True, profile_default=None,
-                   link=True) -> None:
-    """The fault plane: a static ``--fault-profile`` and/or a
-    time-evolving ``--link-trace`` watched by a ``--repair-policy``;
-    resolved by :func:`repro.obs.cli.resolve_fault_plane`."""
+def _fault_options(ap, *, profile_default=None, policy=True) -> None:
+    """The fault plane: a ``--fault-profile`` plan, optionally watched
+    by a ``--repair-policy``; resolved by
+    :func:`repro.obs.cli.resolve_fault_plane`."""
     from repro.faults import POLICIES
 
-    if profile:
-        ap.add_argument("--fault-profile", default=profile_default,
-                        metavar="SPEC",
-                        help="fault plan: a profile name (drop, dup, "
-                             "delay, stall, pin, chaos), inline JSON, or "
-                             "a JSON file path (see docs/FAULTS.md; "
-                             "default %(default)s)")
-        ap.add_argument("--fault-seed", type=int, default=None,
-                        help="override the fault plan's RNG seed (fuzz: "
-                             "the base each program seed derives from)")
-    if link:
-        ap.add_argument("--link-trace", default=None, metavar="SPEC",
-                        help="time-evolving link degradation: a shape "
-                             "name (flap, burst, degrade, gray), inline "
-                             "JSON, or a JSON file path (see "
-                             "docs/FAULTS.md)")
-        ap.add_argument("--trace-seed", type=int, default=None,
-                        help="override the link trace's seed")
+    ap.add_argument("--fault-profile", default=profile_default,
+                    metavar="SPEC",
+                    help="fault plan: a profile name (drop, dup, delay, "
+                         "stall, pin, chaos), a link-degradation shape "
+                         "(flap, burst, degrade, gray), inline JSON, or a "
+                         "JSON file path (see docs/FAULTS.md; default "
+                         "%(default)s)")
+    ap.add_argument("--fault-seed", type=int, default=None,
+                    help="override the fault plan's RNG seed; a shape's "
+                         "seed also picks its link (fuzz: the base each "
+                         "program seed derives from)")
+    if policy:
         ap.add_argument("--repair-policy", default=None, choices=POLICIES,
                         help="repair policy acting on per-link health "
-                             "(needs a fault source to observe)")
+                             "(needs a --fault-profile to observe)")
 
 
 def _shard_options(ap, *, shards, backend) -> None:
@@ -333,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "shard_summary.json) here — feed the directory "
                         "to 'python -m repro report'")
     _workload_options(p, machine=True, seed=0)
-    _fault_options(p, profile=False)
+    _fault_options(p)
     _shard_options(p, shards=1, backend="inproc")
 
     p = command("fuzz", fuzz_main,
@@ -363,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "generated programs")
     _workload_options(p, nthreads=4, seed=[0], seed_type=_parse_seeds,
                       quick="force the quick matrix (smoke mode)")
-    _fault_options(p, profile_default="chaos", link=False)
+    _fault_options(p, profile_default="chaos", policy=False)
 
     p = command("report", report_main,
                 "render one unified report (text + JSON) from a traced "

@@ -203,7 +203,7 @@ def _figure_cell(params: Dict, seed: int) -> Dict:
 # kvtraffic / lossy: service-level traffic cells
 # ---------------------------------------------------------------------------
 
-def _traffic_params(params: Dict, seed: int, link_trace: str = "",
+def _traffic_params(params: Dict, seed: int, fault_plan: str = "",
                     policy: str = ""):
     from repro.workloads.kv_traffic import TrafficParams
     return TrafficParams(
@@ -215,7 +215,7 @@ def _traffic_params(params: Dict, seed: int, link_trace: str = "",
         machine=params.get("machine", "gm"),
         slo_target_us=float(params.get("slo_target_us", 0.0)),
         slo_window_us=float(params.get("slo_window_us", 5000.0)),
-        link_trace=link_trace,
+        fault_plan=fault_plan,
         repair_policy=policy,
     )
 
@@ -263,10 +263,10 @@ def _lossy_cell(params: Dict, seed: int) -> Dict:
     trace_kw = dict(params.get("trace_kw") or {})
     if not trace_kw and params.get("trace", "full") == "compressed":
         trace_kw = dict(COMPRESSED_TRACE_KW.get(shape, {}))
-    tr = make_trace(shape, int(params.get("nnodes", 8)),
-                    int(params.get("trace_seed", 0)), **trace_kw)
+    plan = make_trace(shape, int(params.get("nnodes", 8)),
+                      int(params.get("trace_seed", 0)), **trace_kw)
     res = run_kv_traffic(
-        _traffic_params(params, seed, link_trace=tr.to_json(),
+        _traffic_params(params, seed, fault_plan=plan.to_json(),
                         policy=policy),
         nshards, mode=params.get("mode", "inproc"))
     q = res.quantiles()

@@ -4,9 +4,10 @@ The paper's protocols assume a lossless fabric (GM/Myrinet, LAPI/HPS)
 and unbounded registration memory.  This package relaxes both:
 
 * :mod:`repro.faults.plan` — a declarative, JSON-round-trippable
-  :class:`FaultPlan`: per-link drop/duplicate/delay rules with
-  probabilities and time windows, transient NIC stalls, target-handler
-  slowdowns, and injected pin-registration budgets;
+  :class:`FaultPlan`: per-link rules (:class:`LinkRule`) whose
+  segments give loss/corruption/duplication/delay over time (a static
+  fault is one open-ended segment), transient NIC stalls,
+  target-handler slowdowns, and injected pin-registration budgets;
 * :mod:`repro.faults.injector` — the :class:`FaultInjector` that draws
   every fault from a seeded RNG, so any failure is replayable from
   ``(workload seed, fault seed)`` alone;
@@ -14,7 +15,11 @@ and unbounded registration memory.  This package relaxes both:
   the recovery protocols: :class:`ReliabilityConfig` (timeouts, capped
   exponential backoff), the :class:`DedupLedger` that makes retried AM
   handlers idempotent, and :class:`ReliabilityError`;
-* :mod:`repro.faults.profiles` — named canned plans for CLI/chaos use.
+* :mod:`repro.faults.trace` — seeded degradation shapes (``flap``,
+  ``burst``, ``degrade``, ``gray``) built as plans, and the pure
+  identity hash the sharded traffic harness draws fates from;
+* :mod:`repro.faults.profiles` — named canned plans for CLI/chaos use
+  and the one ``--fault-profile`` resolver.
 
 The recovery logic itself lives where the protocols live: sequence
 numbers, retries and dedup in :mod:`repro.network.transport`; RDMA
@@ -32,9 +37,10 @@ from repro.faults.plan import (
     ANY_NODE,
     FaultPlan,
     HandlerStall,
-    LinkFault,
+    LinkRule,
     NicStall,
     PinBudget,
+    TraceSegment,
 )
 from repro.faults.policy import (
     POLICIES,
@@ -43,7 +49,7 @@ from repro.faults.policy import (
     PolicyEngine,
     decisions_digest,
 )
-from repro.faults.profiles import PROFILES, resolve_profile, resolve_trace
+from repro.faults.profiles import PROFILES, resolve_profile
 from repro.faults.reliability import (
     DedupLedger,
     ReliabilityConfig,
@@ -52,13 +58,9 @@ from repro.faults.reliability import (
 from repro.faults.trace import (
     COMPRESSED_TRACE_KW,
     TRACE_SHAPES,
-    LinkRule,
-    LinkTrace,
-    TraceSegment,
     fate_hash,
     fate_u01,
     make_trace,
-    sniff_trace_json,
 )
 
 __all__ = [
@@ -69,11 +71,9 @@ __all__ = [
     "FaultPlan",
     "HandlerStall",
     "HealthTracker",
-    "LinkFault",
     "LinkMode",
     "LinkRule",
     "COMPRESSED_TRACE_KW",
-    "LinkTrace",
     "NicStall",
     "NO_FAULT",
     "PinBudget",
@@ -92,6 +92,4 @@ __all__ = [
     "fold_ewma",
     "make_trace",
     "resolve_profile",
-    "resolve_trace",
-    "sniff_trace_json",
 ]

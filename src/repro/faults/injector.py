@@ -27,9 +27,6 @@ from repro.util.rng import seeded_rng
 #: RNG stream salt for fault draws (distinct from cache/workload
 #: streams so adding faults never perturbs their sequences).
 _FAULT_STREAM = 0xFA17
-#: Separate salt for link-trace draws, so adding a trace to a plan
-#: never perturbs the plan's own fault sequence.
-_TRACE_STREAM = 0x7ACE
 
 
 class Fate:
@@ -77,12 +74,10 @@ class FaultInjector:
     """
 
     __slots__ = ("plan", "sim", "events", "metrics", "injected",
-                 "_rng", "_am_links", "_rdma_links", "_pin_granted",
-                 "trace", "policy", "health", "_trace_rng")
+                 "_rng", "_pin_granted", "policy", "health")
 
     def __init__(self, plan: FaultPlan, sim, events=None,
-                 metrics=None, trace=None, policy=None,
-                 health=None) -> None:
+                 metrics=None, policy=None, health=None) -> None:
         self.plan = plan
         self.sim = sim
         self.events = events
@@ -90,25 +85,15 @@ class FaultInjector:
         #: Faults that actually fired (all kinds).
         self.injected = 0
         self._rng = seeded_rng(plan.seed, _FAULT_STREAM)
-        self._am_links = tuple(l for l in plan.links
-                               if l.scope in ("am", "both"))
-        self._rdma_links = tuple(l for l in plan.links
-                                 if l.scope in ("rdma", "both"))
         #: node id -> pin bytes already granted against the budget.
         self._pin_granted = {}
-        #: Optional time-evolving :class:`~repro.faults.trace.LinkTrace`
-        #: layered on top of the plan's static rules.
-        self.trace = trace if trace is not None and not trace.empty \
-            else None
         #: Optional :class:`~repro.faults.policy.PolicyEngine` — when a
-        #: link is detoured by ``disable_and_repair`` its trace fates
-        #: stop applying (the traffic no longer crosses the sick link).
+        #: link is detoured by ``disable_and_repair`` its rules stop
+        #: applying (the traffic no longer crosses the sick link).
         self.policy = policy
         #: Optional :class:`~repro.faults.health.HealthTracker`; every
         #: fate draw records one attempt against the link it rode.
         self.health = health
-        self._trace_rng = (seeded_rng(self.trace.seed, _TRACE_STREAM)
-                           if self.trace is not None else None)
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -123,81 +108,58 @@ class FaultInjector:
 
     # -- message fates -------------------------------------------------
 
-    def _link_fate(self, rules, src: int, dst: int, op_id: int) -> Fate:
-        now = self.sim.now
-        fate = NO_FAULT
-        for rule in rules:
-            if not rule.matches(src, dst, now):
-                continue
-            if self._rng.random() >= rule.prob:
-                continue
-            if fate is NO_FAULT:
-                fate = Fate()
-            if rule.kind == "drop":
-                # One draw decides the request leg; the reply leg is a
-                # separate message and only at risk if the request got
-                # through.
-                if not fate.drop_request and not fate.drop_reply:
-                    if self._rng.random() < 0.5:
-                        fate.drop_request = True
-                        self._fired("drop_request", op_id, dst,
-                                    src=src, dst=dst)
-                    else:
-                        fate.drop_reply = True
-                        self._fired("drop_reply", op_id, dst,
-                                    src=src, dst=dst)
-            elif rule.kind == "duplicate":
-                if not fate.duplicate:
-                    fate.duplicate = True
-                    self._fired("duplicate", op_id, dst, src=src, dst=dst)
-            else:  # delay
-                fate.delay_us += rule.delay_us
-                self._fired("delay", op_id, dst, src=src, dst=dst,
-                            delay_us=rule.delay_us)
-        return fate
+    def _link_fate(self, src: int, dst: int, op_id: int,
+                   family: str) -> Fate:
+        """Draw the fate of one ``family`` (``"am"``/``"rdma"``)
+        exchange on link ``src -> dst`` at the current instant.
 
-    def _trace_fate(self, src: int, dst: int, op_id: int) -> Fate:
-        """Fate contribution of the link trace at the current instant.
-
-        A link detoured by ``disable_and_repair`` no longer crosses the
-        sick fabric segment, so its trace condition stops applying (the
-        wire layer charges the two-hop detour latency instead).
+        The link's active segments compose into one condition first;
+        the draws then come in a fixed order — loss (then which leg),
+        corruption, duplication, each probabilistic delay.  A link
+        detoured by ``disable_and_repair`` no longer crosses the sick
+        fabric segment, so none of its rules apply (the wire layer
+        charges the two-hop detour latency instead).
         """
+        if not self.plan.links:
+            return NO_FAULT
         now = self.sim.now
         if self.policy is not None:
             mode = self.policy.mode_of(src, dst, now)
             if mode.mode == "disabled" and mode.via is not None:
                 return NO_FAULT
-        loss, corrupt, delay = self.trace.at(src, dst, now)
-        if loss == 0.0 and corrupt == 0.0 and delay == 0.0:
+        loss, corrupt, delay, duplicate, jitter = self.plan.link_at(
+            src, dst, now, family)
+        if not (loss or corrupt or delay or duplicate or jitter):
             return NO_FAULT
+        # A standing delay is the link's condition, not an event: it is
+        # paid without a draw and not counted as an injection.
         fate = Fate(delay_us=delay)
-        if loss and self._trace_rng.random() < loss:
-            if self._trace_rng.random() < 0.5:
+        rng = self._rng
+        if loss and rng.random() < loss:
+            # One draw decides the request leg; the reply leg is a
+            # separate message and only at risk if the request got
+            # through.
+            if rng.random() < 0.5:
                 fate.drop_request = True
-                self._fired("trace_drop_request", op_id, dst,
-                            src=src, dst=dst)
+                self._fired("drop_request", op_id, dst, src=src, dst=dst)
             else:
                 fate.drop_reply = True
-                self._fired("trace_drop_reply", op_id, dst,
-                            src=src, dst=dst)
-        elif corrupt and self._trace_rng.random() < corrupt:
+                self._fired("drop_reply", op_id, dst, src=src, dst=dst)
+        elif corrupt and rng.random() < corrupt:
             # A corrupt frame is detected and discarded by the
             # receiver: it behaves like a lost request leg but is
             # accounted separately.
             fate.drop_request = True
-            self._fired("trace_corrupt", op_id, dst, src=src, dst=dst)
+            self._fired("corrupt", op_id, dst, src=src, dst=dst)
+        if duplicate and rng.random() < duplicate:
+            fate.duplicate = True
+            self._fired("duplicate", op_id, dst, src=src, dst=dst)
+        for prob, delay_us in jitter:
+            if rng.random() < prob:
+                fate.delay_us += delay_us
+                self._fired("delay", op_id, dst, src=src, dst=dst,
+                            delay_us=delay_us)
         return fate
-
-    def _combine(self, a: Fate, b: Fate) -> Fate:
-        if a is NO_FAULT:
-            return b
-        if b is NO_FAULT:
-            return a
-        return Fate(drop_request=a.drop_request or b.drop_request,
-                    drop_reply=a.drop_reply or b.drop_reply,
-                    duplicate=a.duplicate or b.duplicate,
-                    delay_us=a.delay_us + b.delay_us)
 
     def _observe(self, src: int, dst: int, fate: Fate) -> None:
         """Record one attempt's health against the link it rode."""
@@ -208,24 +170,16 @@ class FaultInjector:
 
     def am_fate(self, src: int, dst: int, op_id: int = -1) -> Fate:
         """Fate for one AM request/reply exchange attempt."""
-        fate = (self._link_fate(self._am_links, src, dst, op_id)
-                if self._am_links else NO_FAULT)
-        if self.trace is not None:
-            fate = self._combine(fate, self._trace_fate(src, dst, op_id))
+        fate = self._link_fate(src, dst, op_id, "am")
         if self.health is not None:
             self._observe(src, dst, fate)
         return fate
 
     def rdma_fate(self, src: int, dst: int, op_id: int = -1) -> Fate:
-        """Fate for one one-sided RDMA operation.  A ``drop`` rule
-        firing (either leg) means the completion is lost."""
-        fate = (self._link_fate(self._rdma_links, src, dst, op_id)
-                if self._rdma_links else NO_FAULT)
-        if self.trace is not None:
-            fate = self._combine(fate, self._trace_fate(src, dst, op_id))
+        """Fate for one one-sided RDMA operation.  A loss on either
+        leg means the completion never arrives."""
+        fate = self._link_fate(src, dst, op_id, "rdma")
         if fate.drop_reply:
-            if fate is NO_FAULT:  # pragma: no cover - defensive
-                fate = Fate()
             fate.drop_request = True
         if self.health is not None:
             self._observe(src, dst, fate)

@@ -1,10 +1,11 @@
 """Named fault profiles for the CLI, CI chaos job, and fuzz runner.
 
-A profile is just a :class:`FaultPlan` template under a stable name;
-``--fault-profile chaos --fault-seed 7`` reproduces the exact run
-anywhere.  ``resolve_profile`` also accepts inline JSON or a path to a
-plan file, so a failing plan attached to a bug report replays with the
-same flag.
+A profile is just a :class:`FaultPlan` under a stable name — a canned
+static plan from :data:`PROFILES` or a seeded degradation shape from
+:data:`~repro.faults.trace.TRACE_SHAPES`; ``--fault-profile chaos
+--fault-seed 7`` reproduces the exact run anywhere.
+``resolve_profile`` also accepts inline JSON or a path to a plan file,
+so a failing plan attached to a bug report replays with the same flag.
 """
 
 from __future__ import annotations
@@ -12,28 +13,27 @@ from __future__ import annotations
 import os
 from typing import Dict, Optional
 
-from repro.faults.plan import FaultPlan, HandlerStall, LinkFault, \
+from repro.faults.plan import FaultPlan, HandlerStall, LinkRule, \
     NicStall, PinBudget
-from repro.faults.trace import LinkTrace, TRACE_SHAPES, make_trace, \
-    sniff_trace_json
+from repro.faults.trace import TRACE_SHAPES, make_trace
+
 
 #: Registry of canned plans (seed 0; override with ``--fault-seed``).
 PROFILES: Dict[str, FaultPlan] = {
     # Lossy fabric: ~5% of messages vanish, AM and RDMA alike.
     "drop": FaultPlan(
         name="drop",
-        links=(LinkFault(kind="drop", prob=0.05, scope="both"),),
+        links=(LinkRule.static(loss=0.05),),
     ),
     # At-least-once fabric: ~5% of AM requests delivered twice.
     "dup": FaultPlan(
         name="dup",
-        links=(LinkFault(kind="duplicate", prob=0.05, scope="am"),),
+        links=(LinkRule.static(duplicate=0.05, scope="am"),),
     ),
     # Congested fabric: ~20% of messages pay 25 µs extra latency.
     "delay": FaultPlan(
         name="delay",
-        links=(LinkFault(kind="delay", prob=0.2, delay_us=25.0,
-                         scope="both"),),
+        links=(LinkRule.static(delay_us=25.0, delay_prob=0.2),),
     ),
     # Wedged targets: handler dispatch and NIC injections stall.
     "stall": FaultPlan(
@@ -51,81 +51,36 @@ PROFILES: Dict[str, FaultPlan] = {
     # RDMA→AM fallback, unpinnable degradation) at once.
     "chaos": FaultPlan(
         name="chaos",
-        links=(LinkFault(kind="drop", prob=0.04, scope="both"),
-               LinkFault(kind="duplicate", prob=0.04, scope="am")),
+        links=(LinkRule.static(loss=0.04),
+               LinkRule.static(duplicate=0.04, scope="am")),
         pin_budgets=(PinBudget(budget_bytes=16 * 1024),),
     ),
 }
 
 
-def resolve_profile(spec: str,
-                    fault_seed: Optional[int] = None) -> FaultPlan:
+def resolve_profile(spec: str, fault_seed: Optional[int] = None,
+                    nnodes: int = 0) -> FaultPlan:
     """Turn a ``--fault-profile`` argument into a plan.
 
-    ``spec`` may be a registry name (``chaos``), inline JSON
-    (``'{"seed": 3, "links": [...]}'``), or a path to a JSON plan
-    file.  ``fault_seed`` overrides the plan's seed when given.
+    ``spec`` may be a canned profile name (``chaos``), a degradation
+    shape name (``flap``; generated for an ``nnodes``-node cluster),
+    inline JSON (``'{"seed": 3, "links": [...]}'``), or a path to a
+    JSON plan file.  ``fault_seed`` overrides the plan's seed when
+    given; a shape's seed also picks which link it degrades.
     """
+    if spec in TRACE_SHAPES:
+        return make_trace(spec, nnodes, fault_seed or 0)
     if spec in PROFILES:
         plan = PROFILES[spec]
     elif spec.lstrip().startswith("{"):
-        _reject_trace_spec(spec)
         plan = FaultPlan.from_json(spec)
     elif os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        _reject_trace_spec(text, origin=spec)
-        plan = FaultPlan.from_json(text)
+            plan = FaultPlan.from_json(fh.read())
     else:
-        names = ", ".join(sorted(PROFILES))
+        names = ", ".join([*sorted(PROFILES), *sorted(TRACE_SHAPES)])
         raise ValueError(f"unknown fault profile {spec!r} "
                          f"(not a name [{names}], inline JSON, or file)")
     if fault_seed is not None:
         plan = plan.with_seed(fault_seed)
     return plan
-
-
-def _reject_trace_spec(text: str, origin: str = "inline JSON") -> None:
-    if sniff_trace_json(text):
-        raise ValueError(
-            f"{origin} is a link trace (kind=link-trace), not a static "
-            f"fault plan — pass it via --link-trace, not --fault-profile")
-
-
-def resolve_trace(spec: str,
-                  nnodes: int,
-                  trace_seed: Optional[int] = None) -> LinkTrace:
-    """Turn a ``--link-trace`` argument into a :class:`LinkTrace`.
-
-    ``spec`` may be a generator shape name (``flap``, ``burst``,
-    ``degrade``, ``gray``), inline trace JSON (``{"kind":
-    "link-trace", ...}``), or a path to a trace file.  ``trace_seed``
-    overrides the trace's seed when given (and seeds the generators).
-    """
-    if spec in TRACE_SHAPES:
-        trace = make_trace(spec, nnodes, trace_seed or 0)
-        return trace
-    if spec.lstrip().startswith("{"):
-        if not sniff_trace_json(spec):
-            raise ValueError(
-                "inline JSON is not a link trace (no \"kind\": "
-                "\"link-trace\" marker) — static fault plans go "
-                "through --fault-profile, not --link-trace")
-        trace = LinkTrace.from_json(spec)
-    elif os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        if not sniff_trace_json(text):
-            raise ValueError(
-                f"{spec} is not a link trace (no \"kind\": "
-                f"\"link-trace\" marker) — static fault plans go "
-                f"through --fault-profile, not --link-trace")
-        trace = LinkTrace.from_json(text)
-    else:
-        names = ", ".join(sorted(TRACE_SHAPES))
-        raise ValueError(f"unknown link trace {spec!r} "
-                         f"(not a shape [{names}], inline JSON, or "
-                         f"file)")
-    if trace_seed is not None:
-        trace = trace.with_seed(trace_seed)
-    return trace

@@ -77,28 +77,23 @@ def _run_workload(name: str, quick: bool, machine: str, nthreads: int,
 # -- shared option-group helpers ---------------------------------------
 
 def resolve_fault_plane(args, nnodes: int):
-    """``(fault_plan, link_trace, repair_policy)`` from whichever of
-    the fault-plane flags the subcommand carries; a bad spec or a
-    policy with nothing to observe is one argparse error."""
-    from repro.faults import resolve_profile, resolve_trace
+    """``(fault_plan, repair_policy)`` from the subcommand's
+    fault-plane flags (shape profiles are generated for an
+    ``nnodes``-node cluster); a bad spec or a policy with nothing to
+    observe is one argparse error."""
+    from repro.faults import resolve_profile
 
-    profile = getattr(args, "fault_profile", None)
-    trace_spec = getattr(args, "link_trace", None)
-    fault_plan = link_trace = None
-    try:
-        if profile is not None:
-            fault_plan = resolve_profile(profile, args.fault_seed)
-        if trace_spec is not None:
-            link_trace = resolve_trace(trace_spec, nnodes,
-                                       trace_seed=args.trace_seed)
-    except ValueError as exc:
-        args.error(str(exc))
+    fault_plan = None
+    if args.fault_profile is not None:
+        try:
+            fault_plan = resolve_profile(args.fault_profile,
+                                         args.fault_seed, nnodes)
+        except ValueError as exc:
+            args.error(str(exc))
     policy = getattr(args, "repair_policy", None)
-    if policy and fault_plan is None and link_trace is None:
-        sources = ("--link-trace or --fault-profile"
-                   if hasattr(args, "fault_profile") else "--link-trace")
-        args.error(f"--repair-policy needs {sources} to observe")
-    return fault_plan, link_trace, policy
+    if policy and fault_plan is None:
+        args.error("--repair-policy needs --fault-profile to observe")
+    return fault_plan, policy
 
 
 def print_fault_summary(m, armed: bool, repair_policy) -> None:
@@ -185,11 +180,11 @@ def _sharded_field(args, recording: bool) -> int:
                    "other stressmarks exercise full-runtime protocol "
                    "paths that span shard boundaries; they run on the "
                    "pooled core)")
-    if args.fault_profile is not None or args.link_trace is not None:
-        args.error("--shards excludes --fault-profile/--link-trace (the "
-                   "fault plane lives in the full runtime's transport; "
-                   "use 'python -m repro kvtraffic --link-trace' for the "
-                   "sharded core)")
+    if args.fault_profile is not None:
+        args.error("--shards excludes --fault-profile (the fault plane "
+                   "lives in the full runtime's transport; use 'python "
+                   "-m repro kvtraffic --fault-profile' for the sharded "
+                   "core)")
     if recording and (args.breakdown or "csv" in args.formats):
         args.error("--breakdown and --format csv need the full-runtime "
                    "recorder; they are not available with --shards")
@@ -239,9 +234,9 @@ def stressmark_main(args) -> int:
     if args.shards is not None and (args.shards > 1 or not recording):
         return _sharded_field(args, recording)
 
-    # Trace-shape generators need the node count before the Runtime
-    # exists: what a run with the machine's defaults will use.
-    fault_plan, link_trace, repair_policy = resolve_fault_plane(
+    # Shape profiles need the node count before the Runtime exists:
+    # what a run with the machine's defaults will use.
+    fault_plan, repair_policy = resolve_fault_plane(
         args, RuntimeConfig(machine=MACHINES[args.machine],
                             nthreads=args.nthreads).nnodes)
     log = EventLog(enabled=recording,
@@ -266,7 +261,7 @@ def stressmark_main(args) -> int:
         result = _run_workload(
             args.workload, args.quick, args.machine, args.nthreads,
             seed=args.seed, events=log, fault_plan=fault_plan,
-            link_trace=link_trace, repair_policy=repair_policy)
+            repair_policy=repair_policy)
     finally:
         Runtime.__init__ = orig_init
     wall = time.time() - t0
@@ -286,9 +281,7 @@ def stressmark_main(args) -> int:
               f"{m.remote_ops} (rdma share {m.rdma_fraction:.0%}), "
               f"cache hit rate {run.cache_stats.hit_rate:.3f} "
               f"({wall:.1f}s)")
-    print_fault_summary(
-        m, fault_plan is not None or link_trace is not None,
-        repair_policy)
+    print_fault_summary(m, fault_plan is not None, repair_policy)
     if not recording:
         return 0
 

@@ -14,7 +14,7 @@ summary:
   (sync rounds, channel traffic, per-shard clocks);
 * ``links.json``          — per-link health totals, exhausted
   requests and repair-policy decisions (from ``kvtraffic
-  --link-trace``);
+  --fault-profile``);
 * ``campaign.json``       — a sweep campaign's manifest (from
   ``python -m repro campaign``): per-cell statuses and the spec
   that produced them.

@@ -35,41 +35,52 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.util.quantiles import LatencyDigest
 
-#: Histogram geometry — identical to the traffic harness's FCT
-#: histograms (256 log bins over [0.1 µs, 1 s]) so window quantiles
-#: and run quantiles are directly comparable.
+#: The one latency-histogram geometry: 256 log-spaced bins over
+#: [0.1 µs, 1 s], shared by the SLO windows here and the traffic
+#: harness's run histograms (:mod:`repro.workloads.kv_traffic`), so
+#: window quantiles and run quantiles are directly comparable.  Fixed
+#: edges are what make every cross-shard merge an elementwise sum.
 SLO_HIST_BINS = 256
 _HIST_LO_US = 0.1
 _HIST_HI_US = 1e6
-_LOG_LO = math.log(_HIST_LO_US)
-_LOG_SPAN = math.log(_HIST_HI_US) - _LOG_LO
+LOG_LO = math.log(_HIST_LO_US)
+LOG_SPAN = math.log(_HIST_HI_US) - LOG_LO
 
 
-def _bin_of(latency_us: float) -> int:
+def bin_of(latency_us: float) -> int:
+    """Histogram bin a latency falls in (clamped at both ends)."""
     if latency_us <= _HIST_LO_US:
         return 0
-    b = int((math.log(latency_us) - _LOG_LO) / _LOG_SPAN * SLO_HIST_BINS)
+    b = int((math.log(latency_us) - LOG_LO) / LOG_SPAN * SLO_HIST_BINS)
     return min(b, SLO_HIST_BINS - 1)
 
 
 def _bin_edge(idx: int) -> float:
     """Upper edge (µs) of histogram bin ``idx``."""
-    return math.exp(_LOG_LO + _LOG_SPAN * (idx + 1) / SLO_HIST_BINS)
+    return math.exp(LOG_LO + LOG_SPAN * (idx + 1) / SLO_HIST_BINS)
 
 
-def hist_quantile(hist: List[int], q: float) -> float:
-    """Quantile from a (possibly merged) window histogram — the upper
-    edge of the bin where the cumulative count crosses ``q``."""
+def quantile_bin(hist: List[int], q: float) -> int:
+    """The quantile rule: index of the bin where the cumulative count
+    crosses ``q`` (its upper edge is the reported quantile), or -1 for
+    an empty histogram.  A pure function of the (possibly merged)
+    counts, hence layout-invariant."""
     total = sum(hist)
     if total == 0:
-        return 0.0
+        return -1
     want = q * total
     cum = 0
     for idx, n in enumerate(hist):
         cum += n
         if cum >= want:
-            return _bin_edge(idx)
-    return _bin_edge(SLO_HIST_BINS - 1)  # pragma: no cover - guard
+            return idx
+    return SLO_HIST_BINS - 1  # pragma: no cover - guard
+
+
+def hist_quantile(hist: List[int], q: float) -> float:
+    """Quantile from a (possibly merged) window histogram."""
+    idx = quantile_bin(hist, q)
+    return _bin_edge(idx) if idx >= 0 else 0.0
 
 
 class SLOWindow:
@@ -131,7 +142,7 @@ class SLOMonitor:
         if w is None:
             w = self.windows[idx] = SLOWindow(idx)
         w.count += 1
-        w.hist[_bin_of(latency_us)] += 1
+        w.hist[bin_of(latency_us)] += 1
         if latency_us > self.target_us:
             w.violations += 1
         if hit:

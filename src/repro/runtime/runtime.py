@@ -115,20 +115,12 @@ class RuntimeConfig:
     #: fault plan (the default False preserves strict
     #: PinLimitError-raising behavior for capacity experiments).
     degrade_pin_failures: bool = False
-    #: Optional time-evolving :class:`repro.faults.LinkTrace`.  None —
-    #: or an *empty* trace — layers nothing on the fabric; a non-empty
-    #: trace installs the injector (with an empty plan if none was
-    #: configured) so the reliability protocols engage.
-    link_trace: Optional[object] = None
     #: Optional repair policy name (one of
     #: :data:`repro.faults.POLICIES`); None = static fabric.  Builds a
     #: :class:`repro.faults.PolicyEngine` over a per-link
     #: :class:`repro.faults.HealthTracker` and wires both into the
-    #: transport and injector.
+    #: transport and injector.  Needs a non-empty ``fault_plan``.
     repair_policy: Optional[str] = None
-    #: Policy thresholds (a :class:`repro.faults.PolicyConfig`); None
-    #: keeps the defaults.
-    policy_config: Optional[object] = None
 
     def __post_init__(self) -> None:
         if self.nthreads < 1:
@@ -212,27 +204,17 @@ class Runtime:
         # Fault plane + reliability layer.  An absent or *empty* plan
         # installs nothing — transport.faults stays None and every
         # hot-path site short-circuits on that, keeping fault-free
-        # runs bit-identical to the pre-fault build.  A non-empty link
-        # trace installs the injector too (over an empty plan when no
-        # static rules were configured) so the retransmit protocols
-        # engage against the evolving loss.
+        # runs bit-identical to the pre-fault build.
         self.faults = None
         self.health = None
         self.policy = None
-        trace = config.link_trace
-        if trace is not None and trace.empty:
-            trace = None
-        have_plan = (config.fault_plan is not None
-                     and not config.fault_plan.empty)
-        if have_plan or trace is not None:
+        plan = config.fault_plan
+        if plan is not None and not plan.empty:
             from repro.faults.injector import FaultInjector
-            from repro.faults.plan import FaultPlan
-            plan = config.fault_plan if have_plan else FaultPlan(
-                seed=trace.seed if trace is not None else 0)
             if config.repair_policy is not None:
                 from repro.faults.health import HealthTracker
                 from repro.faults.policy import PolicyConfig, PolicyEngine
-                pcfg = config.policy_config or PolicyConfig()
+                pcfg = PolicyConfig()
                 self.health = HealthTracker(pcfg.window_us)
                 self.policy = PolicyEngine(
                     config.repair_policy, pcfg, self.health,
@@ -241,7 +223,6 @@ class Runtime:
             self.faults = FaultInjector(plan, self.sim,
                                         events=self.events,
                                         metrics=self.metrics,
-                                        trace=trace,
                                         policy=self.policy,
                                         health=self.health)
             self.cluster.transport.faults = self.faults
@@ -251,8 +232,7 @@ class Runtime:
                 node.progress.faults = self.faults
         elif config.repair_policy is not None:
             raise UPCRuntimeError(
-                "repair_policy needs a fault plan or link trace to "
-                "observe — configure fault_plan or link_trace")
+                "repair_policy needs a non-empty fault_plan to observe")
         self.cluster.transport.metrics = self.metrics
         if config.reliability is not None:
             from repro.faults.reliability import DedupLedger

@@ -430,38 +430,31 @@ class _Driver:
 
 def run_config(program: Program, point: ConfigPoint,
                oracle: OracleResult,
-               fault_plan=None, link_trace=None,
-               repair_policy=None) -> List[Divergence]:
+               fault_plan=None, repair_policy=None) -> List[Divergence]:
     """Replay ``program`` under one config; return its divergences.
 
     With ``fault_plan`` set the run executes under deterministic fault
-    injection — drops, duplicates, stalls, pin exhaustion — and the
+    injection — drops, duplicates, stalls, pin exhaustion, a
+    time-evolving lossy fabric — optionally watched by a
+    ``repair_policy`` (:data:`repro.faults.POLICIES` name), and the
     reliability layer (see :mod:`repro.faults`) must still deliver
-    oracle-identical values.  Any divergence under faults is a real
-    recovery bug: a lost retry, a double-applied duplicate, a degraded
-    handle serving stale data.  ``link_trace`` (a
-    :class:`repro.faults.LinkTrace`) swaps the static plan for a
-    time-evolving lossy fabric, optionally watched by a
-    ``repair_policy`` (:data:`repro.faults.POLICIES` name) — again,
-    answers must not change, only timing.
+    oracle-identical values: only timing may change.  Any divergence
+    under faults is a real recovery bug: a lost retry, a
+    double-applied duplicate, a degraded handle serving stale data.
     """
     divs: List[Divergence] = []
 
     def div(kind, detail, **kw):
         if fault_plan is not None:
-            detail = f"[fault seed {fault_plan.seed}] {detail}"
-        if link_trace is not None:
-            detail = (f"[trace seed {link_trace.seed} "
-                      f"policy {repair_policy or 'none'}] {detail}")
+            policy = f" policy {repair_policy}" if repair_policy else ""
+            detail = f"[fault seed {fault_plan.seed}{policy}] {detail}"
         divs.append(Divergence(config=point.name, kind=kind,
                                detail=detail, program=program, **kw))
 
     cfg = point.runtime_config(program.nthreads,
                                seed=program.seed or 0)
     if fault_plan is not None:
-        cfg = replace(cfg, fault_plan=fault_plan)
-    if link_trace is not None:
-        cfg = replace(cfg, link_trace=link_trace,
+        cfg = replace(cfg, fault_plan=fault_plan,
                       repair_policy=repair_policy)
     rt = Runtime(cfg)
     driver = _Driver(rt, program)
@@ -513,7 +506,7 @@ def run_differential(program: Program,
                      configs: Optional[List[ConfigPoint]] = None,
                      oracle_result: Optional[OracleResult] = None,
                      stop_on_first: bool = False,
-                     fault_plan=None, link_trace=None,
+                     fault_plan=None,
                      repair_policy=None) -> List[Divergence]:
     """Replay ``program`` across ``configs`` (default: quick matrix)
     and return every divergence from the flat oracle."""
@@ -522,7 +515,6 @@ def run_differential(program: Program,
     for point in configs if configs is not None else list(QUICK_MATRIX):
         divs.extend(run_config(program, point, oracle,
                                fault_plan=fault_plan,
-                               link_trace=link_trace,
                                repair_policy=repair_policy))
         if divs and stop_on_first:
             break

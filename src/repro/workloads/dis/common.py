@@ -36,13 +36,10 @@ class DISBase:
     #: Optional flight recorder (an :class:`repro.obs.EventLog`).
     events: Optional[Any] = None
     #: Optional deterministic fault plan / reliability knobs (see
-    #: :mod:`repro.faults` and docs/FAULTS.md).
+    #: :mod:`repro.faults` and docs/FAULTS.md), and the repair policy
+    #: watching the plan's links (a :data:`repro.faults.POLICIES` name).
     fault_plan: Optional[Any] = None
     reliability: Optional[Any] = None
-    #: Optional time-evolving link degradation trace (a
-    #: :class:`repro.faults.LinkTrace`) and the repair policy watching
-    #: it (a :data:`repro.faults.POLICIES` name).
-    link_trace: Optional[Any] = None
     repair_policy: Optional[str] = None
 
     def runtime(self) -> Runtime:

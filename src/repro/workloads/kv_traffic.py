@@ -32,7 +32,6 @@ digests and quantiles.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,23 +39,21 @@ import numpy as np
 from repro.faults.health import HealthTracker
 from repro.faults.policy import (PolicyConfig, PolicyEngine,
                                  decisions_digest)
-from repro.faults.trace import LinkTrace, fate_u01
+from repro.faults.plan import FaultPlan
+from repro.faults.trace import fate_u01
 from repro.network.params import MACHINES, MachineParams
 from repro.network.partition import lookahead_matrix, partition_nodes
 from repro.network.topology import make_topology
 from repro.obs.events import OP_BEGIN, OP_END, POLICY_ACTION
-from repro.obs.slo import SLOMonitor, detect_anomalies, slo_summary
+from repro.obs.slo import (LOG_LO, LOG_SPAN, SLO_HIST_BINS, SLOMonitor,
+                           bin_of, detect_anomalies, quantile_bin,
+                           slo_summary)
 from repro.sim.shard import ShardContext, ShardedSimulator
 from repro.util.rng import StreamFamily
 from repro.workloads.sharded import _commute_hash_rows, _tq
 
-#: Fixed histogram geometry: 256 log-spaced bins over [0.1 µs, 1 s].
-#: Fixed edges are what make the merge an elementwise sum.
-HIST_BINS = 256
-_HIST_LO_US = 0.1
-_HIST_HI_US = 1e6
-_LOG_LO = math.log(_HIST_LO_US)
-_LOG_SPAN = math.log(_HIST_HI_US) - _LOG_LO
+#: FCT histograms use the SLO monitor's fixed log-bin geometry.
+HIST_BINS = SLO_HIST_BINS
 
 _GET_REQ_BYTES = 64
 _PUT_REQ_BYTES = 72
@@ -71,7 +68,7 @@ _KV_SCAN_US = 0.02
 #: Extra handler cost of a mutating request (lock + write-back).
 _PUT_EXTRA_US = 0.3
 
-#: Retransmit model under a link trace (client-side, planned whole at
+#: Retransmit model under a fault plan (client-side, planned whole at
 #: issue time so the fate chain is a pure function of identity).
 _TRACE_TIMEOUT_US = 30.0
 _TRACE_BACKOFF_US = 8.0
@@ -89,27 +86,15 @@ _FATE_SALT = 0x7ACE
 
 def hist_edges() -> np.ndarray:
     """The (BINS + 1) bin edges in µs, shared by every shard."""
-    return np.exp(_LOG_LO + _LOG_SPAN * np.arange(HIST_BINS + 1)
+    return np.exp(LOG_LO + LOG_SPAN * np.arange(HIST_BINS + 1)
                   / HIST_BINS)
-
-
-def _bin_of(fct_us: float) -> int:
-    if fct_us <= _HIST_LO_US:
-        return 0
-    b = int((math.log(fct_us) - _LOG_LO) / _LOG_SPAN * HIST_BINS)
-    return min(b, HIST_BINS - 1)
 
 
 def hist_quantile(hist: np.ndarray, q: float) -> float:
     """Quantile from a merged histogram: the upper edge of the bin
-    where the cumulative count crosses ``q`` — a pure function of the
-    summed counts, hence layout-invariant."""
-    total = int(hist.sum())
-    if total == 0:
-        return 0.0
-    cum = np.cumsum(hist)
-    idx = int(np.searchsorted(cum, q * total, side="left"))
-    return float(hist_edges()[min(idx + 1, HIST_BINS)])
+    where the cumulative count crosses ``q``."""
+    idx = quantile_bin(hist.tolist(), q)
+    return float(hist_edges()[idx + 1]) if idx >= 0 else 0.0
 
 
 def hist_cdf(hist: np.ndarray) -> list:
@@ -185,11 +170,12 @@ class TrafficParams:
     slo_target_us: float = 0.0
     #: SLO rolling-window width (µs of virtual time).
     slo_window_us: float = 5000.0
-    #: Link-trace JSON (``LinkTrace.to_json()``); "" = healthy fabric,
-    #: taking the exact pre-trace code path.
-    link_trace: str = ""
+    #: Fault-plan JSON (``FaultPlan.to_json()``; link loss, corruption
+    #: and standing delay only — see :func:`check_fault_plan`); "" =
+    #: healthy fabric, taking the exact pre-fault code path.
+    fault_plan: str = ""
     #: Repair policy name (:data:`repro.faults.POLICIES`); "" = none.
-    #: Requires a link trace to observe.
+    #: Requires a fault plan to observe.
     repair_policy: str = ""
 
     def per_client(self) -> int:
@@ -227,6 +213,28 @@ class TrafficResult:
             "miss_p50_us": hist_quantile(self.hist_miss, 0.50),
             "miss_p99_us": hist_quantile(self.hist_miss, 0.99),
         }
+
+
+def check_fault_plan(plan: FaultPlan) -> None:
+    """Raise the harness's one capability error for a plan it cannot
+    honour.  Fates here are identity hashes of whole request/reply
+    exchanges on a closed-form wire model: there are no NICs, handlers
+    or pins to stall, no second delivery, no per-message delay draw and
+    one protocol family."""
+    cannot = [f for f in ("nic_stalls", "handler_stalls", "pin_budgets")
+              if getattr(plan, f)]
+    segments = [seg for rule in plan.links for seg in rule.segments]
+    if any(seg.duplicate > 0 for seg in segments):
+        cannot.append("duplicate > 0")
+    if any(seg.delay_prob < 1 for seg in segments):
+        cannot.append("delay_prob < 1")
+    if any(seg.scope != "both" for seg in segments):
+        cannot.append('scope != "both"')
+    if cannot:
+        raise ValueError(
+            f"the kv traffic harness models link loss, corruption and "
+            f"standing delay only; fault plan {plan.name or 'custom'!r} "
+            f"also has: {', '.join(cannot)}")
 
 
 class _ClientLRU:
@@ -320,21 +328,22 @@ class _TrafficCore:
         self.digests = {}
         self._fold = _DigestFold(p.nclients)
         ctx.at_finish(lambda: self._fold.finish_into(self.digests))
-        #: Lossy-fabric plane: a time-evolving link trace plus an
+        #: Lossy-fabric plane: a fault plan's link rules plus an
         #: optional repair policy observing per-link health.  All three
-        #: stay ``None`` on a healthy fabric so the pre-trace code path
+        #: stay ``None`` on a healthy fabric so the pre-fault code path
         #: (and its bit-exact digests) is untouched.
-        self.trace = (LinkTrace.from_json(p.link_trace)
-                      if p.link_trace else None)
-        if self.trace is not None and self.trace.empty:
-            self.trace = None
+        self.plan = (FaultPlan.from_json(p.fault_plan)
+                     if p.fault_plan else None)
+        if self.plan is not None and self.plan.empty:
+            self.plan = None
         self.health = None
         self.policy = None
-        if p.repair_policy and self.trace is None:
+        if p.repair_policy and self.plan is None:
             raise ValueError(
-                "repair_policy needs a link trace to observe — "
-                "set link_trace too")
-        if self.trace is not None:
+                "repair_policy needs a fault plan to observe — "
+                "set fault_plan too")
+        if self.plan is not None:
+            check_fault_plan(self.plan)
             pcfg = PolicyConfig()
             self.health = HealthTracker(pcfg.window_us)
             if p.repair_policy:
@@ -412,7 +421,7 @@ class _TrafficCore:
                               node=node, name="kv_req", key=key,
                               hit=hit, put=is_put, nbytes=req_bytes)
                 self._ops[(client, seq)] = op
-            if self.trace is None:
+            if self.plan is None:
                 self.ctx.send(
                     self._shard_of[server], "kv_req",
                     (server, node, client, seq, hit, is_put,
@@ -429,8 +438,8 @@ class _TrafficCore:
     def _issue_traced(self, client: int, node: int, seq: int,
                       server: int, hit: bool, is_put: bool,
                       req_bytes: int, extra: float) -> None:
-        """Issue one request under the link trace: plan the whole
-        retransmit chain now, as a pure function of (trace seed, client,
+        """Issue one request under the fault plan: plan the whole
+        retransmit chain now, as a pure function of (plan seed, client,
         seq, attempt) hash draws and the policy's mode at each attempt
         instant — no RNG state, no reply-time feedback — so the fate
         sequence and every policy decision are bit-identical across
@@ -438,9 +447,9 @@ class _TrafficCore:
         boundary (its latency includes all the waiting, so it is never
         below the topology lookahead)."""
         t0 = self.sim.now
-        tr = self.trace
+        plan = self.plan
         eng = self.policy
-        seed = tr.seed
+        seed = plan.seed
         attempt = 0
         t_try = t0
         failed = False
@@ -453,17 +462,17 @@ class _TrafficCore:
                         and mode.via is not None)
             if detoured:
                 # Traffic no longer crosses the sick segment: no loss,
-                # no trace delay — the detour's cost is wire distance.
+                # no link delay — the detour's cost is wire distance.
                 dropped = False
                 d_req = d_rep = 0.0
             else:
-                d_req = tr.at(node, server, t_try)[2]
-                d_rep = tr.at(server, node, t_try)[2]
+                d_req = plan.link_at(node, server, t_try)[2]
+                d_rep = plan.link_at(server, node, t_try)[2]
                 dropped = (
                     fate_u01(seed, client, seq, attempt, 0)
-                    < tr.drop_prob(node, server, t_try)
+                    < plan.drop_prob(node, server, t_try)
                     or fate_u01(seed, client, seq, attempt, 1)
-                    < tr.drop_prob(server, node, t_try))
+                    < plan.drop_prob(server, node, t_try))
             if self.health is not None:
                 self.health.record(
                     t_try, node, server, attempts=1,
@@ -555,7 +564,7 @@ class _TrafficCore:
 
     def handle_treq(self, payload) -> None:
         """Traced-path request: the client planned the retransmit chain
-        and pre-folded service + trace delay + detour into ``svc``; the
+        and pre-folded service + link delay + detour into ``svc``; the
         reply rides the ordinary ``kv_rep`` path."""
         server, node, client, seq, hit, is_put, t0, svc = payload
         rep_bytes = _PUT_REP_BYTES if is_put else _GET_REP_BYTES
@@ -568,7 +577,7 @@ class _TrafficCore:
     def handle_rep(self, payload) -> None:
         client, seq, hit, is_put, t0 = payload
         fct = self.sim.now + self.t.o_recv_us - t0 / 1e6
-        b = _bin_of(fct)
+        b = bin_of(fct)
         self.hist[b] += 1
         (self.hist_hit if hit else self.hist_miss)[b] += 1
         c = self.counts

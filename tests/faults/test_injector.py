@@ -3,12 +3,15 @@
 from repro.faults import (
     FaultInjector,
     FaultPlan,
-    LinkFault,
+    LinkMode,
+    LinkRule,
     NicStall,
     NO_FAULT,
     PinBudget,
 )
+from repro.faults.injector import _FAULT_STREAM
 from repro.sim import Simulator
+from repro.util.rng import seeded_rng
 
 
 def make(plan: FaultPlan) -> FaultInjector:
@@ -22,9 +25,9 @@ def fate_bits(fate) -> tuple:
 
 def test_same_seed_same_fate_sequence():
     plan = FaultPlan(seed=5, links=(
-        LinkFault(kind="drop", prob=0.5, scope="both"),
-        LinkFault(kind="duplicate", prob=0.5),
-        LinkFault(kind="delay", prob=0.5, delay_us=7.0),
+        LinkRule.static(loss=0.5),
+        LinkRule.static(duplicate=0.5, scope="am"),
+        LinkRule.static(delay_us=7.0, delay_prob=0.5, scope="am"),
     ))
     a, b = make(plan), make(plan)
     seq_a = [fate_bits(a.am_fate(0, 1)) for _ in range(200)]
@@ -36,8 +39,7 @@ def test_same_seed_same_fate_sequence():
 
 
 def test_no_fault_singleton_is_never_mutated():
-    plan = FaultPlan(seed=1, links=(
-        LinkFault(kind="drop", prob=0.9, scope="both"),))
+    plan = FaultPlan(seed=1, links=(LinkRule.static(loss=0.9),))
     inj = make(plan)
     for _ in range(300):
         inj.am_fate(0, 1)
@@ -48,7 +50,7 @@ def test_no_fault_singleton_is_never_mutated():
 
 def test_scope_splits_am_from_rdma():
     plan = FaultPlan(seed=2, links=(
-        LinkFault(kind="drop", prob=1.0, scope="rdma"),))
+        LinkRule.static(loss=1.0, scope="rdma"),))
     inj = make(plan)
     assert inj.am_fate(0, 1) is NO_FAULT        # no AM rules at all
     assert inj.rdma_fate(0, 1).drop_request     # rule bites RDMA only
@@ -58,7 +60,7 @@ def test_rdma_drop_folds_reply_into_request():
     # For a one-sided op there is no reply message: any drop means the
     # completion never arrives, so both legs collapse to drop_request.
     plan = FaultPlan(seed=3, links=(
-        LinkFault(kind="drop", prob=1.0, scope="rdma"),))
+        LinkRule.static(loss=1.0, scope="rdma"),))
     inj = make(plan)
     for _ in range(50):
         fate = inj.rdma_fate(0, 1)
@@ -69,8 +71,7 @@ def test_rdma_drop_folds_reply_into_request():
 def test_time_window_gates_rules():
     sim = Simulator()
     plan = FaultPlan(seed=4, links=(
-        LinkFault(kind="drop", prob=1.0, t_start=100.0, t_end=200.0,
-                  scope="am"),))
+        LinkRule.static(loss=1.0, t_start=100.0, t_end=200.0, scope="am"),))
     inj = FaultInjector(plan, sim)
     assert inj.am_fate(0, 1) is NO_FAULT        # now=0, before window
     sim.now = 150.0
@@ -78,6 +79,56 @@ def test_time_window_gates_rules():
     assert fate.drop_request or fate.drop_reply
     sim.now = 200.0
     assert inj.am_fate(0, 1) is NO_FAULT        # t_end exclusive
+
+
+def test_one_stream_draws_in_a_fixed_order():
+    # Every link decision comes from the injector's one RNG, composed
+    # condition first, then loss (+ leg) -> corrupt -> duplicate ->
+    # each probabilistic delay; a standing delay costs no draw and is
+    # not an injection.
+    plan = FaultPlan(seed=11, links=(
+        LinkRule.static(loss=0.3, corrupt=0.3, delay_us=2.0),
+        LinkRule.static(duplicate=0.3, delay_us=5.0, delay_prob=0.3),
+    ))
+    inj = make(plan)
+    rng = seeded_rng(plan.seed, _FAULT_STREAM)
+    loss, corrupt, delay, duplicate, jitter = plan.link_at(0, 1, 0.0)
+    assert delay == 2.0 and jitter == ((0.3, 5.0),)
+    fired = 0
+    for _ in range(300):
+        want = [False, False, False, delay]
+        if rng.random() < loss:
+            want[0 if rng.random() < 0.5 else 1] = True
+            fired += 1
+        elif rng.random() < corrupt:
+            want[0] = True
+            fired += 1
+        if rng.random() < duplicate:
+            want[2] = True
+            fired += 1
+        if rng.random() < 0.3:
+            want[3] += 5.0
+            fired += 1
+        assert fate_bits(inj.am_fate(0, 1)) == tuple(want)
+    assert inj.injected == fired
+
+
+def test_detoured_link_is_exempt_from_all_its_rules():
+    # disable_and_repair routes around the sick segment: nothing on
+    # the direct link applies any more, static rules included, and no
+    # draw is spent on it.
+    class Detoured:
+        def mode_of(self, src, dst, now):
+            return (LinkMode(mode="disabled", via=2)
+                    if (src, dst) == (0, 1) else LinkMode())
+
+    plan = FaultPlan(seed=6, links=(LinkRule.static(loss=1.0, delay_us=9.0),))
+    inj = FaultInjector(plan, Simulator(), policy=Detoured())
+    assert inj.am_fate(0, 1) is NO_FAULT
+    assert inj.rdma_fate(0, 1) is NO_FAULT
+    assert inj.injected == 0
+    assert inj.am_fate(1, 0).delay_us == 9.0    # other links still sick
+    assert inj.injected == 1
 
 
 def test_nic_stall_accumulates_and_counts():

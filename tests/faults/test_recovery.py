@@ -2,12 +2,14 @@
 faulty fabric, degrade RDMA to AM gracefully, and stay bit-identical
 when the plan is empty."""
 
+import hashlib
+import re
 from dataclasses import replace
 
 import pytest
 
-from repro.faults import (FaultPlan, LinkFault, LinkTrace, PinBudget,
-                          PROFILES)
+from repro.__main__ import main
+from repro.faults import FaultPlan, LinkRule, PinBudget, PROFILES
 from repro.memory import PinLimitError
 from repro.network import GM_MARENOSTRUM
 from repro.obs import DEGRADE, FAULT_INJECT, RETRY, TIMEOUT
@@ -45,9 +47,8 @@ def run(plan, nthreads=8, events=None, **kw):
 
 def test_empty_plan_is_bit_identical_to_no_plan():
     _, base = run(None)
-    # Either fault language, armed but empty, must leave no trace.
-    for armed in (dict(plan=FaultPlan(seed=123)),
-                  dict(plan=None, link_trace=LinkTrace(seed=123))):
+    # The one fault language, armed but empty, must leave no trace.
+    for armed in (dict(plan=FaultPlan(seed=123)),):
         _, empty = run(**armed)
         assert empty.elapsed_us == base.elapsed_us, armed
         assert empty.sim_events == base.sim_events, armed
@@ -74,13 +75,79 @@ def test_chaos_run_is_replayable_from_seeds():
     assert (c.elapsed_us, c.sim_events) != (a.elapsed_us, a.sim_events)
 
 
+#: (workload, profile, nthreads) -> (sha256 of the flight-recorder
+#: JSONL, faults injected, timeouts, retries) of ``trace <workload>
+#: --nthreads N --fault-profile P --fault-seed 3``, produced at the
+#: last commit whose static profiles were kind/prob rules drawn by
+#: their own injector loop (bb4c6f0).  ``dup`` stays dormant on 8
+#: threads, so it is pinned once more where it fires.
+PARENT_STATIC_RUNS = {
+    ("pointer", "drop", 8):
+        ("f3c3715fe2c2f78f286566c5748e4c216da84c14dc0f4f9311e1d494a0f51d9e",
+         12, 12, 2),
+    ("pointer", "dup", 8):
+        ("65e1434383d4e7cdaf4e6a7088a5b3d11a3747db3e68ddb4fff34a0905959c9b",
+         0, 0, 0),
+    ("pointer", "delay", 8):
+        ("b629af2664220d175e62c81c537b14015b0b844172ae3da21884988585154c41",
+         37, 0, 0),
+    ("pointer", "stall", 8):
+        ("c855618759864b725348632ce45917aa83a82821223d1df3ed398a747ee82728",
+         25, 0, 0),
+    ("pointer", "pin", 8):
+        ("d323bcbe833e1a84869af1c8d648eddc5508fec648f7b2191a1a9afdf3cdf1fa",
+         2, 0, 0),
+    ("pointer", "chaos", 8):
+        ("78ba04bb4e664df8eb4ae8116f695aaf69e97bf761d8d696fd7e6d5ab0b3a59a",
+         18, 8, 8),
+    ("field", "drop", 8):
+        ("ffd090b3b548ff83d9bc20bc160cecce21d6a392bbb375f0e7b790eb802474b7",
+         3, 3, 1),
+    ("field", "dup", 8):
+        ("2888457c60c94802a467d2d4170e7564a69188a4d4d2d7f03bcd07b4ae4fb3fe",
+         0, 0, 0),
+    ("field", "delay", 8):
+        ("ba5fb494427d6c660b5728a63a55bdf6aa9d44ccc5b52e53b980d307c762c13d",
+         17, 0, 0),
+    ("field", "stall", 8):
+        ("53936ec6b1cc1cb8a6c665509c7b1a966ff8cdcbbc31908eaf84d9d1208e5617",
+         10, 0, 0),
+    ("field", "pin", 8):
+        ("604b1fd6202e680818acfc9f512255642192d70cf1ee96cb6295831dda6aa65a",
+         2, 0, 0),
+    ("field", "chaos", 8):
+        ("3d202ce60c5cac99c35caa65488516d98812861286e5ac769c1ccd21c5ffa0ba",
+         9, 3, 3),
+    ("pointer", "dup", 16):
+        ("8e3c3fead2449f9484466b691b51324b827f76d4544d5fa5770680b8c8e7369c",
+         2, 0, 0),
+}
+
+
+@pytest.mark.parametrize("workload,profile,nthreads",
+                         sorted(PARENT_STATIC_RUNS))
+def test_static_profiles_replay_the_parent_schedule(
+        tmp_path, capsys, workload, profile, nthreads):
+    # One injector path serves static and time-evolving rules; the six
+    # canned profiles must draw exactly the fates they always drew.
+    assert main(["trace", workload, "--nthreads", str(nthreads),
+                 "--fault-profile", profile, "--fault-seed", "3",
+                 "--format", "jsonl", "--out", str(tmp_path)]) == 0
+    counters = re.search(r"faults: (\d+) injected, (\d+) timeouts, "
+                         r"(\d+) retries", capsys.readouterr().out)
+    sha = hashlib.sha256(
+        (tmp_path / f"{workload}.events.jsonl").read_bytes()).hexdigest()
+    assert (sha, *map(int, counters.groups())) \
+        == PARENT_STATIC_RUNS[workload, profile, nthreads]
+
+
 # ---------------------------------------------------------------------------
 # Recovery paths
 # ---------------------------------------------------------------------------
 
 def test_duplicates_are_idempotent():
     plan = FaultPlan(seed=2, links=(
-        LinkFault(kind="duplicate", prob=0.5, scope="am"),))
+        LinkRule.static(duplicate=0.5, scope="am"),))
     rt, res = run(plan)                 # kernel self-checks every value
     tp = rt.cluster.transport
     assert tp.counters.by_kind.get("am-duplicate-delivery", 0) > 0
@@ -91,7 +158,7 @@ def test_drops_recover_via_retry():
     # Cache off keeps the traffic on AM, where the drop rule bites;
     # with the cache warm almost everything rides RDMA instead.
     plan = FaultPlan(seed=3, links=(
-        LinkFault(kind="drop", prob=0.15, scope="am"),))
+        LinkRule.static(loss=0.15, scope="am"),))
     rt, res = run(plan, cache_enabled=False)
     m = rt.metrics
     assert m.timeouts > 0 and m.retries > 0
@@ -103,7 +170,7 @@ def test_rdma_timeout_degrades_to_am_and_reseeds():
     # the fabric heals.  The fallback must invalidate the suspect cache
     # entry, complete over AM, and let RDMA resume once healthy.
     plan = FaultPlan(seed=4, links=(
-        LinkFault(kind="drop", prob=1.0, t_end=400.0, scope="rdma"),))
+        LinkRule.static(loss=1.0, t_end=400.0, scope="rdma"),))
     log = EventLog(enabled=True)
     rt, res = run(plan, events=log)
     m = rt.metrics
@@ -166,8 +233,7 @@ def test_real_pin_limit_degrades_when_configured():
 # ---------------------------------------------------------------------------
 
 def test_flight_recorder_captures_fault_lifecycle():
-    plan = FaultPlan(seed=6, links=(
-        LinkFault(kind="drop", prob=0.15, scope="both"),))
+    plan = FaultPlan(seed=6, links=(LinkRule.static(loss=0.15),))
     log = EventLog(enabled=True)
     rt, res = run(plan, events=log)
     kinds = {e.kind for e in log}

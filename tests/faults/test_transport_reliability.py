@@ -5,7 +5,7 @@ import pytest
 from repro.faults import (
     FaultInjector,
     FaultPlan,
-    LinkFault,
+    LinkRule,
     ReliabilityConfig,
     ReliabilityError,
 )
@@ -37,7 +37,7 @@ def test_retry_recovers_from_a_transient_drop_window():
     # Every message in [0, 10) drops; the retransmission after the
     # first timeout lands in a healthy fabric and completes the GET.
     plan = FaultPlan(seed=1, links=(
-        LinkFault(kind="drop", prob=1.0, t_end=10.0, scope="am"),))
+        LinkRule.static(loss=1.0, t_end=10.0, scope="am"),))
     sim, cluster = make(plan, ReliabilityConfig(am_timeout_us=30.0))
     src, dst = cluster.node(0), cluster.node(1)
     box = {}
@@ -57,7 +57,7 @@ def test_retry_recovers_from_a_transient_drop_window():
 
 def test_retry_budget_exhaustion_raises_reliability_error():
     plan = FaultPlan(seed=2, links=(
-        LinkFault(kind="drop", prob=1.0, scope="am"),))
+        LinkRule.static(loss=1.0, scope="am"),))
     sim, cluster = make(plan, ReliabilityConfig(
         am_timeout_us=20.0, max_retries=2, backoff_base_us=1.0,
         backoff_max_us=4.0))
@@ -76,7 +76,7 @@ def test_dropped_reply_releases_the_initiator_credit():
     # retransmission is answered from the dedup ledger; through it all
     # the per-destination credit pool must end the op fully released.
     plan = FaultPlan(seed=6, links=(
-        LinkFault(kind="drop", prob=1.0, t_end=5.0, scope="am"),))
+        LinkRule.static(loss=1.0, t_end=5.0, scope="am"),))
     sim, cluster = make(plan, ReliabilityConfig(am_timeout_us=30.0))
     src, dst = cluster.node(0), cluster.node(1)
     box = {}
@@ -93,7 +93,7 @@ def test_dropped_reply_releases_the_initiator_credit():
 
 def test_duplicate_delivery_is_absorbed_by_the_ledger():
     plan = FaultPlan(seed=3, links=(
-        LinkFault(kind="duplicate", prob=1.0, scope="am"),))
+        LinkRule.static(duplicate=1.0, scope="am"),))
     sim, cluster = make(plan)
     src, dst = cluster.node(0), cluster.node(1)
     box = {}
@@ -117,7 +117,7 @@ def test_ledger_replay_returns_original_payload_without_handler():
     # makes the first drop draw pick the *reply* leg, so the handler
     # runs on attempt one and the retransmission finds the ledger.
     plan = FaultPlan(seed=8, links=(
-        LinkFault(kind="drop", prob=1.0, t_end=5.0, scope="am"),))
+        LinkRule.static(loss=1.0, t_end=5.0, scope="am"),))
     sim, cluster = make(plan, ReliabilityConfig(am_timeout_us=30.0))
     src, dst = cluster.node(0), cluster.node(1)
     box = {"value": "first"}
@@ -139,7 +139,7 @@ def test_ledger_replay_returns_original_payload_without_handler():
 
 def test_rdma_get_drop_reports_failure_and_charges_timeout():
     plan = FaultPlan(seed=5, links=(
-        LinkFault(kind="drop", prob=1.0, scope="rdma"),))
+        LinkRule.static(loss=1.0, scope="rdma"),))
     rel = ReliabilityConfig(rdma_timeout_us=40.0)
     sim, cluster = make(plan, rel)
     src, dst = cluster.node(0), cluster.node(1)
@@ -157,7 +157,7 @@ def test_rdma_get_drop_reports_failure_and_charges_timeout():
 
 def test_rdma_put_drop_returns_none():
     plan = FaultPlan(seed=7, links=(
-        LinkFault(kind="drop", prob=1.0, scope="rdma"),))
+        LinkRule.static(loss=1.0, scope="rdma"),))
     sim, cluster = make(plan, ReliabilityConfig(rdma_timeout_us=40.0))
     src, dst = cluster.node(0), cluster.node(1)
 
@@ -173,7 +173,7 @@ def test_healthy_fabric_with_injector_matches_no_injector():
     # not perturb timing: the fault plane only costs where it bites.
     sim_a, cluster_a = make()
     plan = FaultPlan(seed=8, links=(
-        LinkFault(kind="drop", prob=1.0, t_start=1e9, scope="am"),))
+        LinkRule.static(loss=1.0, t_start=1e9, scope="am"),))
     sim_b, cluster_b = make(plan)
 
     def bench(sim, cluster):

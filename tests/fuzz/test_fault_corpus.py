@@ -9,8 +9,8 @@ from program seeds, so every cell here is a fixed, replayable point.
 
 import pytest
 
-from repro.faults import (POLICIES, PROFILES, FaultPlan, LinkFault,
-                          LinkRule, LinkTrace, TraceSegment)
+from repro.faults import (POLICIES, PROFILES, FaultPlan, LinkRule,
+                          TraceSegment)
 from repro.testing import (
     QUICK_MATRIX,
     config_by_name,
@@ -23,7 +23,7 @@ CHAOS = PROFILES["chaos"]
 #: Every link flaps together: three 300 µs loss storms.  Wildcard
 #: endpoints so the shape bites whatever cluster size the generated
 #: program runs on.
-FLAPPING = LinkTrace(seed=11, name="flap-all", links=(
+FLAPPING = FaultPlan(seed=11, name="flap-all", links=(
     LinkRule(segments=tuple(
         TraceSegment(t_start=s, t_end=s + 300.0, loss=0.5)
         for s in (100.0, 1100.0, 2100.0))),))
@@ -70,7 +70,7 @@ def test_flapping_trace_converges_under_each_policy(policy):
     # oracle bit for bit.
     program = generate_program(7, n_ops=100)
     divs = run_differential(program, configs=[config_by_name("gm-base")],
-                            link_trace=FLAPPING, repair_policy=policy)
+                            fault_plan=FLAPPING, repair_policy=policy)
     assert not divs, "\n\n".join(d.describe() for d in divs)
 
 
@@ -79,7 +79,7 @@ def test_total_drop_window_converges_after_healing():
     # must carry every op across the outage.
     program = generate_program(13, n_ops=80)
     plan = FaultPlan(seed=13, links=(
-        LinkFault(kind="drop", prob=1.0, t_end=300.0, scope="both"),))
+        LinkRule.static(loss=1.0, t_end=300.0),))
     divs = run_differential(program, configs=[config_by_name("gm-base")],
                             fault_plan=plan)
     assert not divs, "\n\n".join(d.describe() for d in divs)

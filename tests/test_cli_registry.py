@@ -77,7 +77,9 @@ def test_the_docs_actually_document_commands():
 #: Flag -> default of every subcommand at the parent commit (968c92b),
 #: where ``run``/``trace``/``kvtraffic``/``fuzz`` each built their own
 #: parser.  Adding, dropping or re-defaulting an option is a deliberate
-#: edit of this table.
+#: edit of this table; the one since: the second fault language's two
+#: flags (trace spec + trace seed) left ``run|trace|kvtraffic`` and
+#: ``kvtraffic`` gained ``--fault-profile``/``--fault-seed``.
 PARENT_FLAGS = {
     "campaign": {"--list-cells": False, "--list-specs": False,
                  "--max-cells": None, "--no-resume": False,
@@ -88,27 +90,26 @@ PARENT_FLAGS = {
              "--matrix": None, "--no-shrink": False, "--nthreads": 4,
              "--ops": 200, "--quick": False, "--seed": [0],
              "--trace-dir": None},
-    "kvtraffic": {"--link-trace": None, "--machine": "gm",
-                  "--nclients": 32, "--nnodes": 8,
+    "kvtraffic": {"--fault-profile": None, "--fault-seed": None,
+                  "--machine": "gm", "--nclients": 32, "--nnodes": 8,
                   "--repair-policy": None, "--requests": 100000,
                   "--seed": 0, "--shard-backend": "inproc",
                   "--shards": 1, "--skew": 0.9, "--slo-target-us": 0.0,
-                  "--slo-window-us": 5000.0, "--trace-dir": None,
-                  "--trace-seed": None},
+                  "--slo-window-us": 5000.0, "--trace-dir": None},
     "report": {"--out": None, "run_dir": None},
     "run": {"--fault-profile": None, "--fault-seed": None,
-            "--link-trace": None, "--machine": "gm", "--nthreads": 8,
+            "--machine": "gm", "--nthreads": 8,
             "--quick": False, "--repair-policy": None, "--seed": 1,
             "--shard-backend": None, "--shards": None,
-            "--trace-seed": None, "workload": None},
+            "workload": None},
     "trace": {"--breakdown": False, "--fault-profile": None,
               "--fault-seed": None, "--format": None,
-              "--link-trace": None, "--machine": "gm",
+              "--machine": "gm",
               "--max-events": None, "--nthreads": 8,
               "--out": "trace-out", "--quick": False,
               "--repair-policy": None, "--sample-us": 100.0,
               "--seed": 1, "--shard-backend": "inproc", "--shards": 1,
-              "--trace-seed": None, "workload": None},
+              "workload": None},
 }
 FIGURES = ("address_ablation", "alloc_latency", "capacity",
            "directory_memory", "fig6_get", "fig6_put", "fig7", "fig8a",
@@ -150,10 +151,9 @@ def test_shared_options_are_defined_exactly_once():
         with open(path, encoding="utf-8") as fh:
             sources.append(fh.read())
     text = "\n".join(sources)
-    for flag in ("--fault-profile", "--fault-seed", "--link-trace",
-                 "--trace-seed", "--repair-policy", "--shards",
-                 "--shard-backend", "--machine", "--nthreads", "--seed",
-                 "--quick"):
+    for flag in ("--fault-profile", "--fault-seed", "--repair-policy",
+                 "--shards", "--shard-backend", "--machine",
+                 "--nthreads", "--seed", "--quick"):
         n = len(re.findall(r'add_argument\(\s*"%s"' % flag, text))
         assert n == 1, f"{flag} is defined {n} times"
 
@@ -262,7 +262,7 @@ def test_repair_policy_needs_a_fault_source(capsys):
                 ["kvtraffic"]):
         message = _usage_error(
             cmd + ["--repair-policy", "do_nothing"], capsys)
-        assert message.startswith("--repair-policy needs --link-trace")
+        assert message == "--repair-policy needs --fault-profile to observe"
 
 
 def test_bad_fault_specs_are_argparse_errors(capsys):
@@ -271,8 +271,71 @@ def test_bad_fault_specs_are_argparse_errors(capsys):
     assert "unknown fault profile" in _usage_error(
         ["fuzz", "--faults", "--fault-profile", "nope"], capsys)
     for cmd in (["trace", "pointer"], ["kvtraffic"]):
-        assert "nope" in _usage_error(
-            cmd + ["--link-trace", "nope"], capsys)
+        assert "unknown fault profile" in _usage_error(
+            cmd + ["--fault-profile", "nope"], capsys)
+    # Malformed rules in outside JSON (a traceback each, before the
+    # one ``from_json``): an unknown rule key, a mistyped segment key,
+    # a non-numeric value.
+    for spec, named in (
+            ('{"links":[{"segments":[{"loss":0.1}],"bogus":1}]}',
+             "links[0]: unknown keys ['bogus']"),
+            ('{"links":[{"segments":[{"los":0.1}]}]}',
+             "links[0].segments[0]: unknown keys ['los']"),
+            ('{"links":[{"segments":[{"loss":"x"}]}]}',
+             "links[0].segments[0].loss must be a number, got 'x'")):
+        for cmd in (["run", "pointer", "--quick"], ["kvtraffic"],
+                    ["fuzz", "--faults"]):
+            assert named in _usage_error(
+                cmd + ["--fault-profile", spec], capsys)
+
+
+_STATIC = ("drop", "dup", "delay", "stall", "pin", "chaos")
+_SHAPES = ("flap", "burst", "degrade", "gray")
+
+
+@pytest.mark.parametrize("name", _STATIC + _SHAPES)
+def test_every_profile_name_resolves_everywhere(name):
+    """One flag family: the six canned plans and the four shapes go
+    through the one resolver and every fault-plane parser."""
+    from repro.faults import FaultPlan, resolve_profile
+    from repro.obs.cli import resolve_fault_plane
+
+    plan = resolve_profile(name, fault_seed=7, nnodes=8)
+    assert (plan.name, plan.seed) == (name, 7) and not plan.empty
+    assert FaultPlan.from_json(plan.to_json()) == plan
+    for cmd in (["run", "pointer"], ["trace", "pointer"], ["kvtraffic"]):
+        args = build_parser().parse_args(
+            cmd + ["--fault-profile", name, "--fault-seed", "7",
+                   "--repair-policy", "do_nothing"])
+        assert resolve_fault_plane(args, 8) == (plan, "do_nothing")
+
+
+@pytest.mark.shard
+def test_kvtraffic_honours_exactly_the_link_rule_subset(capsys):
+    # Static link loss is in the subset: the drop profile runs and the
+    # harness retransmits around it, under a repair policy too.
+    for extra in ([], ["--repair-policy", "retransmit_tuning"]):
+        assert main(["kvtraffic", "--requests", "5000", "--shards", "2",
+                     "--fault-profile", "drop", "--fault-seed", "3"]
+                    + extra) == 0
+        out = capsys.readouterr().out
+        m = re.search(r"lossy fabric: (\d+) exhausted", out)
+        assert m and int(m.group(1)) == 0
+        noisy = re.findall(r"\((\d+)t/(\d+)r\)", out)
+        assert noisy and all(int(r) > 0 for _, r in noisy)
+        assert ("policy retransmit_tuning:" in out) == bool(extra)
+    # What it cannot model is one named capability error, exit 2.
+    for name, cannot in (("dup", "duplicate > 0"),
+                         ("delay", "delay_prob < 1"),
+                         ("stall", "nic_stalls, handler_stalls"),
+                         ("pin", "pin_budgets"),
+                         ("chaos", "pin_budgets, duplicate > 0")):
+        message = _usage_error(
+            ["kvtraffic", "--fault-profile", name], capsys)
+        assert message.startswith(
+            "the kv traffic harness models link loss, corruption and "
+            f"standing delay only; fault plan '{name}' also has: ")
+        assert cannot in message
 
 
 def test_sharded_run_and_trace_reject_the_same_combinations(capsys):
@@ -280,7 +343,7 @@ def test_sharded_run_and_trace_reject_the_same_combinations(capsys):
         assert "field stressmark only" in _usage_error(
             [cmd, "pointer", "--shards", "2"], capsys)
         assert "--shards excludes" in _usage_error(
-            [cmd, "field", "--shards", "2", "--link-trace", "flap"],
+            [cmd, "field", "--shards", "2", "--fault-profile", "flap"],
             capsys)
 
 

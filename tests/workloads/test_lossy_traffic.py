@@ -10,14 +10,14 @@ the run.
 import numpy as np
 import pytest
 
-from repro.faults import LinkRule, LinkTrace, TraceSegment, make_trace
+from repro.faults import FaultPlan, LinkRule, TraceSegment, make_trace
 from repro.workloads.kv_traffic import (TrafficParams, run_kv_traffic)
 
 pytestmark = pytest.mark.shard
 
 #: A fabric that is definitely sick from t=0 on two specific links —
 #: no dependence on generator phase, so even short runs see drops.
-SICK = LinkTrace(seed=5, name="sick", links=(
+SICK = FaultPlan(seed=5, name="sick", links=(
     LinkRule(src=0, dst=1, segments=(
         TraceSegment(t_start=0.0, t_end=1e9, loss=0.35),)),
     LinkRule(src=1, dst=0, segments=(
@@ -56,7 +56,7 @@ def _fingerprint(res):
 @pytest.mark.parametrize("policy", ["", "do_nothing",
                                     "disable_and_repair"])
 def test_traced_run_is_shard_invariant(policy):
-    p = _params(link_trace=SICK.to_json(), repair_policy=policy)
+    p = _params(fault_plan=SICK.to_json(), repair_policy=policy)
     ref = _fingerprint(run_kv_traffic(p, 1))
     for nshards in (2, 4):
         assert _fingerprint(run_kv_traffic(p, nshards)) == ref
@@ -66,7 +66,7 @@ def test_traced_run_is_shard_invariant(policy):
 
 
 def test_traced_run_is_backend_invariant():
-    p = _params(link_trace=SICK.to_json(),
+    p = _params(fault_plan=SICK.to_json(),
                 repair_policy="retransmit_tuning")
     a = _fingerprint(run_kv_traffic(p, 2, mode="inproc"))
     b = _fingerprint(run_kv_traffic(p, 2, mode="mp"))
@@ -74,9 +74,9 @@ def test_traced_run_is_backend_invariant():
 
 
 def test_zero_trace_is_bit_identical_to_no_trace():
-    # "" and an empty LinkTrace take the exact pre-trace code path
+    # "" and an empty FaultPlan take the exact pre-fault code path
     base = run_kv_traffic(_params(), 2)
-    empty = run_kv_traffic(_params(link_trace=LinkTrace().to_json()), 2)
+    empty = run_kv_traffic(_params(fault_plan=FaultPlan().to_json()), 2)
     assert np.array_equal(base.hist, empty.hist)
     assert base.digests == empty.digests
     assert "links" not in base.extra and "links" not in empty.extra
@@ -95,7 +95,7 @@ def test_disable_and_repair_beats_do_nothing_under_flap():
                     period_us=1500.0, down_us=600.0)
     runs = {}
     for policy in ("do_nothing", "disable_and_repair"):
-        p = _params(requests=64_000, link_trace=tr.to_json(),
+        p = _params(requests=64_000, fault_plan=tr.to_json(),
                     repair_policy=policy)
         runs[policy] = run_kv_traffic(p, 2)
     dn = runs["do_nothing"].quantiles()["p99_us"]
@@ -110,10 +110,10 @@ def test_exhausted_requests_are_counted_not_hung():
     # a link that never delivers: every request crossing it exhausts
     # its retry budget and lands in the failure count, and the run
     # still terminates with every op accounted for
-    dead = LinkTrace(seed=1, name="dead", links=(
+    dead = FaultPlan(seed=1, name="dead", links=(
         LinkRule(src=0, dst=1, segments=(
             TraceSegment(t_start=0.0, t_end=1e9, loss=1.0),)),))
-    p = _params(requests=2_000, link_trace=dead.to_json())
+    p = _params(requests=2_000, fault_plan=dead.to_json())
     res = run_kv_traffic(p, 2)
     failures = sum(o["counts"]["failures"]
                    for o in res.extra["run"].outputs)
@@ -123,12 +123,12 @@ def test_exhausted_requests_are_counted_not_hung():
 
 
 def test_policy_without_trace_is_rejected():
-    with pytest.raises(ValueError, match="needs a link trace"):
+    with pytest.raises(ValueError, match="needs a fault plan"):
         run_kv_traffic(_params(repair_policy="do_nothing"), 2)
 
 
 def test_unknown_policy_is_rejected():
-    p = _params(link_trace=SICK.to_json(), repair_policy="percussive")
+    p = _params(fault_plan=SICK.to_json(), repair_policy="percussive")
     with pytest.raises(ValueError, match="unknown repair policy"):
         run_kv_traffic(p, 2)
 
@@ -138,7 +138,7 @@ def test_unknown_policy_is_rejected():
 # ---------------------------------------------------------------------------
 
 def test_link_totals_and_decisions_ride_the_merge():
-    p = _params(link_trace=SICK.to_json(),
+    p = _params(fault_plan=SICK.to_json(),
                 repair_policy="retransmit_tuning",
                 slo_target_us=30.0)
     res = run_kv_traffic(p, 4)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.faults import LinkRule, LinkTrace, TraceSegment
+from repro.faults import FaultPlan, LinkRule, TraceSegment
 from repro.workloads.kv_traffic import (TrafficParams, _DigestFold,
                                         run_kv_traffic)
 from repro.workloads.sharded import _commute_hash, _commute_hash_rows
@@ -73,7 +73,7 @@ def test_fold_is_order_independent(effects, rnd):
 # Pinned runs
 # ---------------------------------------------------------------------
 
-SICK = LinkTrace(seed=5, name="sick", links=(
+SICK = FaultPlan(seed=5, name="sick", links=(
     LinkRule(src=0, dst=1, segments=(
         TraceSegment(t_start=0.0, t_end=1e9, loss=0.35),)),
     LinkRule(src=1, dst=0, segments=(
@@ -84,7 +84,7 @@ SICK = LinkTrace(seed=5, name="sick", links=(
 def _params(case):
     kw = dict(nnodes=4, nclients=16, requests=4000, seed=11)
     if case == "sick":
-        kw.update(link_trace=SICK.to_json(),
+        kw.update(fault_plan=SICK.to_json(),
                   repair_policy="disable_and_repair")
     return TrafficParams(**kw)
 
