@@ -1,0 +1,108 @@
+#!/usr/bin/env python
+"""What one logical op costs the interpreter, counted not timed.
+
+Usage:
+    python scripts/op_cost.py WORKLOAD [--scale 0.05] [--seed 7] [--top 25]
+
+Runs one repetition of a ``bench/workloads.py`` workload (read-only
+import; nothing under ``bench/`` is touched) under ``sys.settrace``
+with per-opcode events on and prints, per logical op: interpreter
+opcodes, Python-level calls and simulator events, then the functions
+ranked by *self* opcodes.
+
+Why a count: on the shared 2-vCPU box wall time moves ±10 % between
+identical runs, which is as large as most per-op savings.  The opcode
+count repeats exactly run to run (``PYTHONHASHSEED=0`` is forced, as
+``bench/child.py`` does), so it ranks candidates that a timer cannot.
+It is a count, not a speed: C-level work (numpy, heapq, dict probes)
+is one opcode here whatever it costs, so a claimed gain is still
+measured with ``bench/run.py``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def count(workload, inputs):
+    """Run ``workload`` once under the tracer; returns the outcome and
+    self opcodes and calls per code object."""
+    opcodes = Counter()
+    calls = Counter()
+
+    def local(frame, event, arg):
+        if event == "opcode":
+            opcodes[frame.f_code] += 1
+        return local
+
+    def on_call(frame, event, arg):
+        calls[frame.f_code] += 1
+        frame.f_trace_opcodes = True
+        frame.f_trace_lines = False
+        return local
+
+    sys.settrace(on_call)
+    try:
+        outcome = workload.run(inputs)
+    finally:
+        sys.settrace(None)
+    return outcome, opcodes, calls
+
+
+def label(code) -> str:
+    path = Path(code.co_filename)
+    try:
+        path = path.relative_to(ROOT)
+    except ValueError:
+        path = Path(*path.parts[-2:])
+    return f"{path}:{code.co_firstlineno} {code.co_qualname}"
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("workload")
+    ap.add_argument("--scale", type=float, default=0.05)
+    ap.add_argument("--seed", type=int, default=7)
+    ap.add_argument("--top", type=int, default=25)
+    args = ap.parse_args(argv)
+
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        # String hashes order a few sets; pin them so the count repeats.
+        os.execve(sys.executable, [sys.executable, *sys.argv],
+                  {**os.environ, "PYTHONHASHSEED": "0"})
+
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+    from bench.workloads import WORKLOADS
+    if args.workload not in WORKLOADS:
+        ap.error(f"unknown workload {args.workload!r}; "
+                 f"choose from {', '.join(WORKLOADS)}")
+    w = WORKLOADS[args.workload]
+    outcome, by_code, calls = count(w, w.generate(args.seed, args.scale))
+    nops, ncalls = sum(by_code.values()), sum(calls.values())
+    if outcome.failed:
+        print(f"oracle failed: {outcome.failed} of {outcome.ops} ops",
+              file=sys.stderr)
+        return 1
+
+    ops = outcome.ops
+    events = outcome.counters["sim.core.events"]
+    print(f"{args.workload} seed {args.seed} scale {args.scale}: "
+          f"{ops} ops")
+    print(f"  opcodes/op  {nops / ops:10.1f}   ({nops} total)")
+    print(f"  calls/op    {ncalls / ops:10.1f}   ({ncalls} total)")
+    print(f"  events/op   {events / ops:10.2f}   ({events} total)")
+    print(f"\n  {'opcodes/op':>10}  {'share':>6}  {'calls/op':>8}  function")
+    for code, n in by_code.most_common(args.top):
+        print(f"  {n / ops:10.1f}  {n / nops:6.1%}  "
+              f"{calls[code] / ops:8.2f}  {label(code)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,6 +15,9 @@ NIC effects live elsewhere (:mod:`repro.network.transport`).
 
 from __future__ import annotations
 
+import math
+from array import array
+
 from repro.network.params import MachineParams
 
 
@@ -27,6 +30,10 @@ class Topology:
         self.nnodes = nnodes
         self.base_us = base_us
         self.per_hop_us = per_hop_us
+        #: Per-source latency rows, made and filled on first use (NaN =
+        #: not walked yet): a route is fixed, and walking it costs ~18
+        #: Python calls on the Clos.
+        self._rows: list = [None] * nnodes
 
     def hops(self, src: int, dst: int) -> int:
         """Number of switch hops between two nodes."""
@@ -36,9 +43,19 @@ class Topology:
 
     def latency(self, src: int, dst: int) -> float:
         """One-way wire latency in µs."""
-        if src == dst:
-            return 0.0
-        return self.base_us + self.hops(src, dst) * self.per_hop_us
+        n = self.nnodes
+        if not (0 <= src < n and 0 <= dst < n):
+            self._check(src)
+            self._check(dst)
+        row = self._rows[src]
+        if row is None:
+            row = self._rows[src] = array("d", [math.nan]) * n
+        lat = row[dst]
+        if lat != lat:
+            lat = row[dst] = (
+                0.0 if src == dst
+                else self.base_us + self.hops(src, dst) * self.per_hop_us)
+        return lat
 
     def _check(self, node: int) -> None:
         if not 0 <= node < self.nnodes:
@@ -97,12 +114,7 @@ class HPSSwitch(Topology):
 
 class FlatEthernet(Topology):
     """Commodity switched Ethernet: uniform single-switch fabric (the
-    TCP/IP sockets transport's usual home)."""
-
-    def hops(self, src: int, dst: int) -> int:
-        self._check(src)
-        self._check(dst)
-        return 0 if src == dst else 1
+    TCP/IP sockets transport's usual home) — the base class's one hop."""
 
 
 class Torus3D(Topology):

@@ -266,7 +266,9 @@ class Transport:
         """Occupy ``node``'s NIC while serializing ``nbytes``."""
         p = self.params
         frags = p.fragments(nbytes) if fragmented else 1
-        yield node.nic.acquire()
+        nic = node.nic
+        if not nic.acquire_now():
+            yield nic.acquire()
         try:
             if self.faults is not None:
                 stall = self.faults.nic_stall(node.id)
@@ -274,7 +276,7 @@ class Transport:
                     yield self.sim.sleep(stall)
             yield self.sim.sleep(frags * p.nic_gap_us + p.wire_time(nbytes))
         finally:
-            node.nic.release()
+            nic.release()
 
     def _wire(self, src: Node, dst: Node, extra: float = 0.0):
         """Pure latency of the fabric between two nodes.
@@ -345,8 +347,11 @@ class Transport:
             # resource whose release needs another handler CPU — the
             # ordering that would otherwise deadlock two busy nodes
             # exchanging eager traffic.
-            yield self._credit_pool(reply_to).acquire()
-        yield dst.handler_cpu.acquire()
+            credits = self._credit_pool(reply_to)
+            if not credits.acquire_now():
+                yield credits.acquire()
+        if not dst.handler_cpu.acquire_now():
+            yield dst.handler_cpu.acquire()
         if rec:
             # Credit + handler-CPU contention is queueing, same bucket
             # as waiting for the progress engine.
@@ -557,7 +562,8 @@ class Transport:
         assert dst.progress is not None
         yield from dst.progress.service(op_id)
         t_acq = self.sim.now
-        yield dst.handler_cpu.acquire()
+        if not dst.handler_cpu.acquire_now():
+            yield dst.handler_cpu.acquire()
         if rec:
             self._phase(op_id, COMP_QUEUE, t_acq)
             self.events.emit(self.sim.now, AM_RECV, op=op_id,
@@ -648,7 +654,9 @@ class Transport:
             # Local side: software overhead, bounce copy, a receive
             # credit at the destination, injection.
             yield self.sim.sleep(p.o_send_us + p.copy_time(nbytes))
-            yield self._credit_pool(dst).acquire()
+            credits = self._credit_pool(dst)
+            if not credits.acquire_now():
+                yield credits.acquire()
             self._record(wire.PUT_DATA, src, dst, nbytes + p.ctrl_bytes)
             t0 = self.sim.now
             if rec:
@@ -736,7 +744,8 @@ class Transport:
         assert dst.progress is not None
         yield from dst.progress.service(op_id)
         t_acq = self.sim.now
-        yield dst.handler_cpu.acquire()
+        if not dst.handler_cpu.acquire_now():
+            yield dst.handler_cpu.acquire()
         if rec:
             self._phase(op_id, COMP_QUEUE, t_acq)
             self.events.emit(self.sim.now, AM_RECV, op=op_id,
@@ -878,7 +887,9 @@ class Transport:
 
         def _fly():
             yield self.sim.sleep(self.params.o_send_us)
-            yield self._credit_pool(dst).acquire()
+            credits = self._credit_pool(dst)
+            if not credits.acquire_now():
+                yield credits.acquire()
             try:
                 if self.faults is None:
                     self._record(wire.ONEWAY, src, dst, nbytes)
@@ -960,7 +971,8 @@ class Transport:
         # — the data lands directly in registered user memory).
         self._record(wire.RDMA_READ_RESP, dst, src, nbytes)
         t1 = self.sim.now
-        yield dst.nic.acquire()
+        if not dst.nic.acquire_now():
+            yield dst.nic.acquire()
         if rec:
             # Contention for the target NIC's DMA engine.
             self._phase(op_id, COMP_QUEUE, t1)

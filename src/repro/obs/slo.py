@@ -12,8 +12,9 @@ way a service owner would:
   sum — the same layout-invariance discipline as the traffic
   histograms, so ``shards=1/2/4`` report bit-identical windows;
 * **quantiles** — per-window p50/p99 come from the window histogram
-  (mergeable); the run-level streaming digest is the existing P²
-  estimator (:class:`~repro.util.quantiles.LatencyDigest`);
+  (mergeable); the run-level digest keeps the samples and answers
+  with exact order statistics
+  (:class:`~repro.util.quantiles.LatencyDigest`);
 * **burn rate** — each window's violation fraction over the error
   budget ``1 - slo_quantile``: burn 1.0 means "spending budget exactly
   at the sustainable rate", 10 means "budget gone in a tenth of the
@@ -110,7 +111,7 @@ class SLOMonitor:
     """Streaming service-level monitor over a completion stream.
 
     ``observe(t, latency_us, ...)`` is the only hot-path call; it costs
-    a dict lookup, a histogram increment and three P² updates — no
+    a dict lookup, a histogram increment and one buffer append — no
     simulator interaction whatsoever.
     """
 
@@ -126,8 +127,7 @@ class SLOMonitor:
         self.window_us = float(window_us)
         self.slo_quantile = float(slo_quantile)
         self.windows: Dict[int, SLOWindow] = {}
-        #: Run-level streaming percentiles (P² — the existing
-        #: constant-space estimator).
+        #: Run-level percentiles (exact, from the recorded samples).
         self.digest = LatencyDigest()
 
     @property

@@ -160,12 +160,11 @@ class BulkEngine:
                 seg: Segment = (span_idx, offset, start, count)
                 offset += count
                 m.bulk_segments += 1
-                node = array.owner_node(start)
+                _, node, arena_start = array.locate(start)
                 if node == home:
                     items.append(_LocalItem(seg))
                     continue
                 nbytes = count * elem
-                arena_start = array.arena_offset(start)
                 msg = open_msgs.pop((node, arena_start), None)
                 if msg is not None and msg.nbytes + nbytes <= cap:
                     msg.segments.append(seg)
@@ -278,8 +277,8 @@ class BulkEngine:
         def msg_gen(msg: _Message):
             segs = [(start, count) for _, _, start, count in msg.segments]
             pieces = yield from rt.ops.bulk_get(
-                thread, array, msg.node, segs, msg.nbytes,
-                parent_op=op_id)
+                thread, array, msg.node, msg.arena_end - msg.nbytes,
+                segs, msg.nbytes, parent_op=op_id)
             for seg, piece in zip(msg.segments, pieces):
                 scatter(seg, piece)
 
@@ -321,8 +320,9 @@ class BulkEngine:
 
         def msg_gen(msg: _Message):
             pairs = [(seg[2], seg_values(seg)) for seg in msg.segments]
-            yield from rt.ops.bulk_put(thread, array, msg.node, pairs,
-                                       msg.nbytes, parent_op=op_id)
+            yield from rt.ops.bulk_put(
+                thread, array, msg.node, msg.arena_end - msg.nbytes,
+                pairs, msg.nbytes, parent_op=op_id)
 
         procs = yield from self._drive(thread, items, local_gen, msg_gen,
                                        window, op_id)

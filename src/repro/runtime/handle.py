@@ -32,6 +32,15 @@ class SVDHandle:
             raise ValueError(f"bad partition {self.partition}")
         if self.index < 0:
             raise ValueError(f"bad index {self.index}")
+        # Hashed several times per remote op (cache, directory and
+        # pinned-table keys), so computed once.  It must stay the value
+        # the generated __hash__ returned: set iteration order feeds
+        # RANDOM eviction.
+        object.__setattr__(self, "_hash",
+                           hash((self.partition, self.index)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_all(self) -> bool:

@@ -28,8 +28,9 @@ class RuntimeMetrics:
     put_local: RunningStats = field(default_factory=RunningStats)
     put_shm: RunningStats = field(default_factory=RunningStats)
     put_remote: RunningStats = field(default_factory=RunningStats)
-    #: Streaming percentiles of remote GET latency (P² estimators) —
-    #: the tail view that exposed Field's overhang waits (§4.6).
+    #: Exact percentiles of remote GET latency (order statistics of
+    #: the recorded samples) — the tail view that exposed Field's
+    #: overhang waits (§4.6).
     get_remote_digest: LatencyDigest = field(default_factory=LatencyDigest)
 
     #: Remote ops by protocol actually used.
@@ -196,8 +197,8 @@ class RuntimeMetrics:
         return {
             "remote_gets": self.get_remote.n,
             "remote_get_mean_us": self.get_remote.mean,
-            "remote_get_p50_us": self.get_remote_digest.p50.value,
-            "remote_get_p99_us": self.get_remote_digest.p99.value,
+            "remote_get_p50_us": self.get_remote_digest.p50,
+            "remote_get_p99_us": self.get_remote_digest.p99,
             "remote_puts": self.put_remote.n,
             "remote_put_mean_us": self.put_remote.mean,
             "shm_accesses": self.get_shm.n + self.put_shm.n,

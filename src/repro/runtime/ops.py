@@ -93,8 +93,7 @@ class OpEngine:
         op_id = self._begin(thread, "get", index=index, nelems=nelems)
         yield sim.sleep(p.o_sw_us)
 
-        owner_thread = array.owner_thread(index)
-        owner_node_id = array.owner_node(index)
+        owner_thread, owner_node_id, offset = array.locate(index)
         nbytes = array.span_bytes(nelems)
 
         if owner_thread == thread.id:
@@ -118,7 +117,7 @@ class OpEngine:
         src.progress.enter_runtime()
         try:
             proto = yield from self._remote_get(thread, src, dst, array,
-                                                index, nbytes, op_id)
+                                                offset, nbytes, op_id)
         finally:
             src.progress.leave_runtime()
         rt.metrics.record_get("remote", sim.now - t0)
@@ -126,16 +125,17 @@ class OpEngine:
         return array.read(index, nelems)
 
     def bulk_get(self, thread: "UPCThread", array: SharedArray,
-                 node_id: int, segments, nbytes: int,
+                 node_id: int, offset: int, segments, nbytes: int,
                  parent_op: int = -1):
         """One coalesced wire GET on behalf of the bulk engine.
 
         ``segments`` is a list of ``(start, count)`` affine segments
-        that the engine has already verified to live back-to-back in
-        ``node_id``'s arena, so the whole message is a single
-        ``base + offset`` RDMA-able range.  Protocol choice (RDMA fast
-        path vs. default AM) is decided here, per destination, exactly
-        as for a scalar GET.  Returns one NumPy array per segment.
+        that the engine has already verified to live back-to-back from
+        byte ``offset`` of ``node_id``'s arena, so the whole message is
+        a single ``base + offset`` RDMA-able range.  Protocol choice
+        (RDMA fast path vs. default AM) is decided here, per
+        destination, exactly as for a scalar GET.  Returns one NumPy
+        array per segment.
         """
         rt = self.rt
         sim = rt.sim
@@ -149,7 +149,7 @@ class OpEngine:
         src.progress.enter_runtime()
         try:
             proto = yield from self._remote_get(
-                thread, src, dst, array, segments[0][0], nbytes, op_id)
+                thread, src, dst, array, offset, nbytes, op_id)
         finally:
             src.progress.leave_runtime()
         rt.metrics.record_get("remote", sim.now - t0)
@@ -157,8 +157,9 @@ class OpEngine:
         return [array.read(start, count) for start, count in segments]
 
     def _remote_get(self, thread: "UPCThread", src: Node, dst: Node,
-                    array: SharedArray, index: int, nbytes: int,
+                    array: SharedArray, offset: int, nbytes: int,
                     op_id: int = -1):
+        """Fetch ``nbytes`` at byte ``offset`` of ``dst``'s arena."""
         rt = self.rt
         sim = rt.sim
         log = rt.events
@@ -192,7 +193,7 @@ class OpEngine:
             # then RDMA for the data itself.
             reply = yield from rt.cluster.transport.default_get(
                 src, dst, self.params.ctrl_bytes,
-                self._make_addr_handler(array, dst, index), op_id=op_id)
+                self._make_addr_handler(array, dst, offset), op_id=op_id)
             if reply.payload is not None:
                 yield from self._seed_cache(cache, array, src, dst,
                                             reply.payload, op_id)
@@ -210,11 +211,10 @@ class OpEngine:
         handler = self._make_get_handler(
             array, dst,
             want_addr=piggy.wants_address and cache.enabled,
-            touch_offset=array.arena_offset(index), touch_bytes=nbytes)
-        _, dst_vaddr = array.addr_of(index)
+            touch_offset=offset, touch_bytes=nbytes)
         reply = yield from rt.cluster.transport.default_get(
-            src, dst, nbytes, handler,
-            src_addr=src.memory.base, dst_addr=dst_vaddr, op_id=op_id)
+            src, dst, nbytes, handler, src_addr=src.memory.base,
+            dst_addr=array.node_base[dst.id] + offset, op_id=op_id)
         if reply.payload is not None:
             yield from self._seed_cache(cache, array, src, dst,
                                         reply.payload, op_id)
@@ -276,8 +276,7 @@ class OpEngine:
         op_id = self._begin(thread, "put", index=index, nelems=nelems)
         yield sim.sleep(p.o_sw_us)
 
-        owner_thread = array.owner_thread(index)
-        owner_node_id = array.owner_node(index)
+        owner_thread, owner_node_id, offset = array.locate(index)
         nbytes = array.span_bytes(nelems)
 
         if owner_thread == thread.id:
@@ -299,8 +298,8 @@ class OpEngine:
         src.progress.enter_runtime()
         try:
             ticket, proto = yield from self._remote_put(
-                thread, src, dst, array, [(index, values)], nbytes,
-                op_id)
+                thread, src, dst, array, [(index, values)], offset,
+                nbytes, op_id)
         finally:
             src.progress.leave_runtime()
         rt.metrics.record_put("remote", sim.now - t0)
@@ -308,14 +307,14 @@ class OpEngine:
         return ticket
 
     def bulk_put(self, thread: "UPCThread", array: SharedArray,
-                 node_id: int, pairs, nbytes: int,
+                 node_id: int, offset: int, pairs, nbytes: int,
                  parent_op: int = -1):
         """One coalesced wire PUT on behalf of the bulk engine.
 
         ``pairs`` is a list of ``(start, values)`` affine segments,
-        back-to-back in ``node_id``'s arena.  Locally complete on
-        return (relaxed); remote application — of every constituent
-        segment at once — is tracked for fence/barrier.
+        back-to-back from byte ``offset`` of ``node_id``'s arena.
+        Locally complete on return (relaxed); remote application — of
+        every constituent segment at once — is tracked for fence/barrier.
         """
         rt = self.rt
         sim = rt.sim
@@ -329,7 +328,7 @@ class OpEngine:
         src.progress.enter_runtime()
         try:
             ticket, proto = yield from self._remote_put(
-                thread, src, dst, array, pairs, nbytes, op_id)
+                thread, src, dst, array, pairs, offset, nbytes, op_id)
         finally:
             src.progress.leave_runtime()
         rt.metrics.record_put("remote", sim.now - t0)
@@ -337,16 +336,16 @@ class OpEngine:
         return ticket
 
     def _remote_put(self, thread: "UPCThread", src: Node, dst: Node,
-                    array: SharedArray, pairs, nbytes: int,
+                    array: SharedArray, pairs, offset: int, nbytes: int,
                     op_id: int = -1):
         """Issue one wire PUT covering ``pairs`` — a list of
         ``(index, values)`` segments contiguous in the target arena
-        (a single-segment list for the scalar path)."""
+        from byte ``offset`` (a single-segment list for the scalar
+        path)."""
         rt = self.rt
         sim = rt.sim
         log = rt.events
         cache = rt.addr_cache(src.id)
-        index = pairs[0][0]
         snapshots = [(i, np.asarray(v).copy()) for i, v in pairs]
 
         if rt.use_rdma_put:
@@ -378,11 +377,10 @@ class OpEngine:
         want_addr = piggy.wants_address and rt.use_rdma_put
         handler = self._make_get_handler(
             array, dst, want_addr=want_addr,
-            touch_offset=array.arena_offset(index), touch_bytes=nbytes)
-        _, dst_vaddr = array.addr_of(index)
+            touch_offset=offset, touch_bytes=nbytes)
         ticket = yield from rt.cluster.transport.default_put(
-            src, dst, nbytes, handler,
-            src_addr=src.memory.base, dst_addr=dst_vaddr, op_id=op_id)
+            src, dst, nbytes, handler, src_addr=src.memory.base,
+            dst_addr=array.node_base[dst.id] + offset, op_id=op_id)
         self._apply_on(ticket.remote_applied, array, snapshots)
         thread.track_put(ticket.remote_applied)
         if want_addr:
@@ -493,11 +491,10 @@ class OpEngine:
         return handler
 
     def _make_addr_handler(self, array: SharedArray, dst: Node,
-                           index: int):
+                           touch_offset: int):
         """EXPLICIT mode: a handler that *only* translates + pins."""
         rt = self.rt
         p = self.params
-        touch_offset = array.arena_offset(index)
 
         def handler(node: Node) -> Tuple[float, Optional[int], int]:
             replica = rt.svd(node.id)

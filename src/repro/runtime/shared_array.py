@@ -43,6 +43,7 @@ class SharedArray:
             raise LayoutError(
                 f"dtype {self.dtype} itemsize {self.dtype.itemsize} != "
                 f"layout elem_size {layout.elem_size}")
+        self._chunk_bytes = layout.thread_chunk_bytes
         #: The logical global array (data plane).
         self.data = np.zeros(layout.nelems, dtype=self.dtype)
         #: node id -> arena base vaddr (only nodes hosting threads).
@@ -94,6 +95,30 @@ class SharedArray:
     def total_bytes(self) -> int:
         return sum(self.node_bytes.values()) if self.node_bytes else 0
 
+    def locate(self, index: int) -> Tuple[int, int, int]:
+        """``(owner thread, owner node, byte offset within that node's
+        arena)`` of element ``index`` — the layout arithmetic of
+        :mod:`repro.runtime.layout` resolved in one pass, behind one
+        bounds check; the op engine calls this once per access.
+
+        The offset is computable on *any* node from directory metadata
+        alone — the initiator-side half of the RDMA address computation.
+        """
+        lay = self.layout
+        if not 0 <= index < lay.nelems:
+            raise LayoutError(
+                f"index {index} out of range [0, {lay.nelems})")
+        rt = self.runtime
+        if self.owner is not None:
+            return (self.owner, rt.node_of_thread(self.owner),
+                    index * lay.elem_size)
+        block, phase = divmod(index, lay.blocksize)
+        course, t = divmod(block, lay.nthreads)
+        node = rt.node_of_thread(t)
+        slot = t - rt.first_thread_of_node(node)
+        return t, node, (slot * self._chunk_bytes
+                         + (course * lay.blocksize + phase) * lay.elem_size)
+
     def owner_thread(self, index: int) -> int:
         if self.owner is not None:
             self.layout._check(index)
@@ -101,27 +126,16 @@ class SharedArray:
         return self.layout.thread_of(index)
 
     def owner_node(self, index: int) -> int:
-        return self.runtime.node_of_thread(self.owner_thread(index))
+        return self.locate(index)[1]
 
     def arena_offset(self, index: int) -> int:
-        """Byte offset of element ``index`` within its node's arena.
-
-        Computable on *any* node from directory metadata alone — the
-        initiator-side half of the RDMA address computation.
-        """
-        if self.owner is not None:
-            self.layout._check(index)
-            return index * self.layout.elem_size
-        t = self.owner_thread(index)
-        node = self.runtime.node_of_thread(t)
-        slot = t - self.runtime.first_thread_of_node(node)
-        return (slot * self.layout.thread_chunk_bytes
-                + self.layout.local_offset_bytes(index))
+        """Byte offset of element ``index`` within its node's arena."""
+        return self.locate(index)[2]
 
     def addr_of(self, index: int) -> Tuple[int, int]:
         """(node id, virtual address) of element ``index``."""
-        node = self.owner_node(index)
-        return node, self.node_base[node] + self.arena_offset(index)
+        _, node, offset = self.locate(index)
+        return node, self.node_base[node] + offset
 
     def span_bytes(self, nelems: int) -> int:
         return nelems * self.elem_size

@@ -57,17 +57,13 @@ class SharedScalar:
 
     # -- op-engine protocol (one-element object) --------------------------
 
-    def owner_thread(self, index: int = 0) -> int:
+    def locate(self, index: int = 0) -> Tuple[int, int, int]:
         self._check(index)
-        return self.owner
+        return self.owner, self._owner_node, 0
 
     def owner_node(self, index: int = 0) -> int:
         self._check(index)
         return self._owner_node
-
-    def arena_offset(self, index: int = 0) -> int:
-        self._check(index)
-        return 0
 
     def addr_of(self, index: int = 0) -> Tuple[int, int]:
         self._check(index)

@@ -338,7 +338,8 @@ class UPCThread:
                     op_id=op_id)
             else:
                 yield rt.sim.sleep(rt.cluster.params.shm_access_us)
-            yield lck._res.acquire()
+            if not lck._res.acquire_now():
+                yield lck._res.acquire()
             lck._grant(self.id)
             rt.metrics.lock_acquires += 1
 

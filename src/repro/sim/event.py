@@ -114,8 +114,13 @@ class Event:
             # the event is PROCESSED runs immediately (add_callback),
             # so the list cannot grow under us, and reusing it avoids
             # one list allocation per dispatched event.
+            # No subscriber of a fan-out runs at a quiescent point
+            # (Simulator.quiescent): the next one follows it.
+            sim = self.sim
+            sim._fanout = len(callbacks) > 1
             for fn in callbacks:
                 fn(self)
+            sim._fanout = False
             callbacks.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -159,14 +164,17 @@ class _PooledEvent(Event):
     def _process(self) -> None:
         self._status = PROCESSED
         cb = self._cb
+        callbacks = self._callbacks
+        sim = self.sim
+        sim._fanout = bool(callbacks)
         if cb is not None:
             self._cb = None
             cb(self)
-        callbacks = self._callbacks
         if callbacks:
             for fn in callbacks:
                 fn(self)
             callbacks.clear()
+            sim._fanout = False
 
 
 class Timeout(Event):

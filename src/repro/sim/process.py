@@ -56,7 +56,14 @@ class Process(Event):
         """Throw :class:`ProcessKilled` into the generator."""
         if self.triggered:
             return
-        self._step(None, ProcessKilled(reason))
+        # The killer keeps running once the victim's cleanup yields, so
+        # the victim must not see a quiescent simulator.
+        sim = self.sim
+        outer, sim._fanout = sim._fanout, True
+        try:
+            self._step(None, ProcessKilled(reason))
+        finally:
+            sim._fanout = outer
 
     # -- driving ------------------------------------------------------
 

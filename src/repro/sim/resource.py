@@ -92,11 +92,7 @@ class Resource:
         recycling after dispatch is safe.
         """
         ev = self.sim.oneshot(self._acq_name)
-        if self._users < self.capacity and not self._waiters:
-            self._account()
-            self._users += 1
-            self.acquisitions += 1
-            self.wait_stats.add(0.0)
+        if self.try_acquire():
             ev.succeed()
         else:
             self._waiters.append((ev, self.sim.now))
@@ -111,6 +107,20 @@ class Resource:
             self.wait_stats.add(0.0)
             return True
         return False
+
+    def acquire_now(self) -> bool:
+        """Take a slot without suspending, when that is exact; False
+        means the caller must ``yield self.acquire()``.
+
+        A grant on a free resource still costs a zero-delay event:
+        suspend, dispatch, resume.  When the simulator is
+        :meth:`~repro.sim.simulator.Simulator.quiescent` that event
+        would be the very next dispatch, so carrying on is the same
+        schedule.  A free slot alone is *not* enough: at an instant
+        where anything else is queued (the norm in symmetric workloads)
+        the caller would run on ahead of code that was due first.
+        """
+        return self.sim.quiescent() and self.try_acquire()
 
     def release(self) -> None:
         """Free one slot; grants the oldest waiter, FIFO."""

@@ -43,7 +43,7 @@ class Simulator:
     """Owns the clock and the pending-event heap."""
 
     __slots__ = ("now", "_heap", "_seq", "_nevents", "pooled",
-                 "_lane", "_entry_pool", "_event_pool")
+                 "_lane", "_entry_pool", "_event_pool", "_fanout")
 
     def __new__(cls, pooled: bool = True, shards: Optional[int] = None,
                 **kw):
@@ -81,6 +81,10 @@ class Simulator:
         # recycled kernel-internal events.
         self._entry_pool: List[list] = []
         self._event_pool: List[_PooledEvent] = []
+        # True while an event with several subscribers is being
+        # dispatched (and while kill() drives a victim): whoever
+        # yields now is followed by more code at this same instant.
+        self._fanout = False
 
     # -- factories ----------------------------------------------------
 
@@ -196,6 +200,25 @@ class Simulator:
         """Number of scheduled-but-unprocessed events (heap + lane)."""
         return len(self._heap) + len(self._lane)
 
+    def quiescent(self) -> bool:
+        """True when a zero-delay event scheduled right now would be
+        the very next dispatch, with nothing running in between.
+
+        That needs three things: the lane is empty and the heap top is
+        strictly later than ``now`` (anything already queued for this
+        instant carries a smaller sequence number and would go first),
+        and the event being dispatched has no further subscriber (one
+        would run, at this instant, as soon as the current one
+        yields).  A process that finds the simulator quiescent may
+        therefore take an outcome it would otherwise wait a zero-delay
+        event for — see :meth:`Resource.acquire_now` — and no other
+        process can tell: every later sequence number drops by one,
+        which reorders nothing.
+        """
+        heap = self._heap
+        return not (self._fanout or self._lane
+                    or (heap and heap[0][0] <= self.now))
+
     def peek(self) -> float:
         """Time of the next event, or ``float('inf')`` if none."""
         if self._lane:
@@ -242,9 +265,10 @@ class Simulator:
         When stopping at ``until`` the clock is advanced to exactly
         ``until`` even if no event sits there.
         """
+        self._fanout = False    # a callback that raised may have left it set
         if self.pooled:
             if until is None and max_events is None:
-                self._run_fast()
+                self.run_before(float("inf"))
                 return
             budget = max_events if max_events is not None else -1
             while self._heap or self._lane:
@@ -285,61 +309,6 @@ class Simulator:
         if until is not None and self.now < until:
             self.now = until
 
-    def _run_fast(self) -> None:
-        """Drain the queue with no until/budget checks (the hot loop).
-
-        Everything is inlined: lane-vs-heap merge, entry recycling and
-        event recycling happen without method-call overhead.  Dispatch
-        order is identical to repeated :meth:`step` calls.
-        """
-        lane = self._lane
-        heap = self._heap
-        entry_pool = self._entry_pool
-        entry_push = entry_pool.append
-        event_push = self._event_pool.append
-        pop = heapq.heappop
-        pooled_cls = _PooledEvent
-        lane_popleft = lane.popleft
-        lane_appendleft = lane.appendleft
-        n = 0
-        try:
-            while True:
-                if lane:
-                    entry = lane_popleft()
-                    if heap:
-                        top = heap[0]
-                        if top[0] <= entry[0] and top[1] < entry[1]:
-                            lane_appendleft(entry)
-                            entry = pop(heap)
-                elif heap:
-                    entry = pop(heap)
-                else:
-                    return
-                self.now = entry[0]
-                n += 1
-                ev = entry[2]
-                entry[2] = None
-                entry_push(entry)
-                # _process inlined for both event shapes (one method
-                # call per event is real money at 10^6 events/s);
-                # semantics identical to Event._process.
-                if ev.__class__ is pooled_cls:
-                    ev._status = 2  # PROCESSED
-                    cb = ev._cb
-                    if cb is not None:
-                        ev._cb = None
-                        cb(ev)
-                    callbacks = ev._callbacks
-                    if callbacks:
-                        for fn in callbacks:
-                            fn(ev)
-                        callbacks.clear()
-                    event_push(ev)
-                else:
-                    ev._process()
-        finally:
-            self._nevents += n
-
     def run_before(self, bound: float) -> int:
         """Process every event with ``t < bound`` (strict); return the
         number processed.
@@ -350,31 +319,35 @@ class Simulator:
         preempted by a message arriving exactly there.  Unlike
         :meth:`run`'s ``until`` handling the clock is **not** advanced
         to ``bound`` — it stays at the last processed event so the
-        shard's report reflects real progress, and ``bound`` may be
-        ``inf`` (final drain).
+        shard's report reflects real progress.  With ``bound=inf`` it
+        is also :meth:`run`'s plain drain — the one hot loop:
+        lane-vs-heap merge, entry recycling and event recycling are
+        inlined, and dispatch order is identical to repeated
+        :meth:`step` calls.
         """
+        self._fanout = False
         lane = self._lane
         heap = self._heap
         pop = heapq.heappop
         n = 0
         if self.pooled:
+            # Lane entries sit at ``now`` (see peek), and every event
+            # processed below keeps ``now < bound``: one check suffices.
+            if lane and lane[0][0] >= bound:
+                return 0
             entry_push = self._entry_pool.append
             event_push = self._event_pool.append
             pooled_cls = _PooledEvent
+            lane_popleft = lane.popleft
             try:
                 while True:
                     if lane:
-                        entry = lane[0]
-                        # Lane head time is the queue minimum (see
-                        # peek): at/after the bound means we're done.
-                        if entry[0] >= bound:
-                            return n
-                        top = heap[0] if heap else None
-                        if (top is not None and top[0] <= entry[0]
-                                and top[1] < entry[1]):
-                            entry = pop(heap)
-                        else:
-                            lane.popleft()
+                        entry = lane_popleft()
+                        if heap:
+                            top = heap[0]
+                            if top[0] <= entry[0] and top[1] < entry[1]:
+                                lane.appendleft(entry)
+                                entry = pop(heap)
                     elif heap:
                         if heap[0][0] >= bound:
                             return n
@@ -386,18 +359,27 @@ class Simulator:
                     ev = entry[2]
                     entry[2] = None
                     entry_push(entry)
-                    # Dispatch inlined exactly as in _run_fast.
+                    # _process inlined for both event shapes (one method
+                    # call per event is real money at 10^6 events/s);
+                    # semantics identical to Event._process.
                     if ev.__class__ is pooled_cls:
                         ev._status = 2  # PROCESSED
                         cb = ev._cb
-                        if cb is not None:
-                            ev._cb = None
-                            cb(ev)
                         callbacks = ev._callbacks
                         if callbacks:
+                            # Several subscribers: none of them runs at
+                            # a quiescent point (see quiescent()).
+                            self._fanout = True
+                            if cb is not None:
+                                ev._cb = None
+                                cb(ev)
                             for fn in callbacks:
                                 fn(ev)
                             callbacks.clear()
+                            self._fanout = False
+                        elif cb is not None:
+                            ev._cb = None
+                            cb(ev)
                         event_push(ev)
                     else:
                         ev._process()

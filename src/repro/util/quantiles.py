@@ -1,132 +1,66 @@
-"""Streaming quantile estimation (the P² algorithm).
+"""Latency percentiles: exact order statistics over a typed buffer.
 
-Jain & Chlamtac, "The P² algorithm for dynamic calculation of
-quantiles and histograms without storing observations" (CACM 1985).
-Remote-operation latencies at 10^5+ samples per run cannot all be
-kept; P² tracks a chosen quantile in O(1) space with piecewise-
-parabolic marker updates — exactly what the tail-latency views of the
-Field pathology need (the median-vs-max contrast of §4.6's trace).
+Remote-operation latencies arrive at 10^5+ samples per run, one per
+op, so the per-sample cost is what matters: ``add`` is one append to
+an ``array('d')`` (8 bytes a sample — a Python ``list`` of floats
+costs four times that), and the percentiles are computed only when
+somebody reads them, with one ``numpy.partition`` over the buffer.
+The answers are real observations, never interpolated — what the
+tail-latency views of the Field pathology need (the median-vs-max
+contrast of §4.6's trace).
 """
 
 from __future__ import annotations
 
 import math
-from typing import List
+from array import array
 
-
-class P2Quantile:
-    """Track one quantile ``q`` of a stream in constant space."""
-
-    __slots__ = ("q", "_n", "_heights", "_positions", "_desired",
-                 "_increments", "count")
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {q}")
-        self.q = q
-        self._n: List[float] = []      # first five observations
-        self._heights: List[float] = []
-        self._positions: List[float] = []
-        self._desired: List[float] = []
-        self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-        self.count = 0
-
-    def add(self, x: float) -> None:
-        self.count += 1
-        if len(self._heights) < 5:
-            self._n.append(x)
-            if len(self._n) == 5:
-                self._n.sort()
-                self._heights = self._n
-                # The seed buffer becomes the marker heights; drop the
-                # extra reference so each tracker carries exactly one
-                # five-element list from here on.
-                self._n = []
-                self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-                self._desired = [1.0, 1.0 + 2.0 * self.q,
-                                 1.0 + 4.0 * self.q, 3.0 + 2.0 * self.q,
-                                 5.0]
-            return
-        h = self._heights
-        pos = self._positions
-        # Find the cell and bump marker positions.
-        if x < h[0]:
-            h[0] = x
-            k = 0
-        elif x >= h[4]:
-            h[4] = x
-            k = 3
-        else:
-            k = 0
-            while k < 3 and x >= h[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            pos[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-        # Adjust the three middle markers.
-        for i in (1, 2, 3):
-            d = self._desired[i] - pos[i]
-            if ((d >= 1.0 and pos[i + 1] - pos[i] > 1.0)
-                    or (d <= -1.0 and pos[i - 1] - pos[i] < -1.0)):
-                step = 1.0 if d >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:
-                    h[i] = self._linear(i, step)
-                pos[i] += step
-
-    def _parabolic(self, i: int, d: float) -> float:
-        h, pos = self._heights, self._positions
-        return h[i] + d / (pos[i + 1] - pos[i - 1]) * (
-            (pos[i] - pos[i - 1] + d) * (h[i + 1] - h[i])
-            / (pos[i + 1] - pos[i])
-            + (pos[i + 1] - pos[i] - d) * (h[i] - h[i - 1])
-            / (pos[i] - pos[i - 1]))
-
-    def _linear(self, i: int, d: float) -> float:
-        h, pos = self._heights, self._positions
-        j = i + int(d)
-        return h[i] + d * (h[j] - h[i]) / (pos[j] - pos[i])
-
-    @property
-    def value(self) -> float:
-        """Current estimate (exact for < 5 samples).
-
-        The small-sample path uses an explicit **ceil-rank** rule:
-        the estimate is ``data[ceil(q * (n - 1))]``.  Banker's
-        rounding (``round``) would send e.g. the p50 of two samples to
-        the *lower* one and the p95 of four samples to the 3rd — the
-        upper tail must never round down.
-        """
-        if self.count == 0:
-            return 0.0
-        if len(self._heights) < 5:
-            data = sorted(self._n)
-            idx = min(len(data) - 1,
-                      max(0, math.ceil(self.q * (len(data) - 1))))
-            return data[idx]
-        return self._heights[2]
+import numpy as np
 
 
 class LatencyDigest:
-    """A bundle of P² trackers for the usual latency percentiles."""
+    """The usual latency percentiles of a stream of samples.
 
-    __slots__ = ("p50", "p95", "p99", "count")
+    The quantile rule is **ceil-rank**: ``q`` of ``n`` samples is
+    ``sorted(samples)[ceil(q * (n - 1))]``.  Rounding to nearest would
+    send the p50 of two samples to the *lower* one and the p95 of four
+    to the third — the upper tail must never round down.  An empty
+    digest reads 0.0.
+    """
+
+    __slots__ = ("_samples",)
 
     def __init__(self) -> None:
-        self.p50 = P2Quantile(0.50)
-        self.p95 = P2Quantile(0.95)
-        self.p99 = P2Quantile(0.99)
-        self.count = 0
+        self._samples = array("d")
 
     def add(self, x: float) -> None:
-        self.count += 1
-        self.p50.add(x)
-        self.p95.add(x)
-        self.p99.add(x)
+        self._samples.append(x)
+
+    @property
+    def count(self) -> int:
+        return len(self._samples)
+
+    def _quantile(self, q: float) -> float:
+        n = len(self._samples)
+        if n == 0:
+            return 0.0
+        k = math.ceil(q * (n - 1))
+        # frombuffer is a view; partition copies, so the buffer is
+        # never exported while a later add() may need to grow it.
+        return float(np.partition(np.frombuffer(self._samples), k)[k])
+
+    @property
+    def p50(self) -> float:
+        return self._quantile(0.50)
+
+    @property
+    def p95(self) -> float:
+        return self._quantile(0.95)
+
+    @property
+    def p99(self) -> float:
+        return self._quantile(0.99)
 
     def summary(self) -> str:
-        return (f"p50={self.p50.value:.2f} p95={self.p95.value:.2f} "
-                f"p99={self.p99.value:.2f} (n={self.count})")
+        return (f"p50={self.p50:.2f} p95={self.p95:.2f} "
+                f"p99={self.p99:.2f} (n={self.count})")

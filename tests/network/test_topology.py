@@ -3,7 +3,13 @@
 import pytest
 
 from repro.network import GM_MARENOSTRUM, LAPI_POWER5, make_topology
-from repro.network.topology import HPSSwitch, MyrinetClos, Topology
+from repro.network.topology import (
+    FlatEthernet,
+    HPSSwitch,
+    MyrinetClos,
+    Topology,
+    Torus3D,
+)
 
 
 def test_myrinet_hop_counts_match_paper():
@@ -45,6 +51,30 @@ def test_out_of_range_rejected():
         topo.latency(0, 4)
     with pytest.raises(ValueError):
         topo.hops(-1, 0)
+
+
+@pytest.mark.parametrize("cls", [Topology, MyrinetClos, HPSSwitch,
+                                 FlatEthernet, Torus3D])
+def test_latency_validates_both_ends_even_when_equal(cls):
+    # latency(n, n) used to return 0.0 before looking at n.
+    topo = cls(4, 1.0, 0.1)
+    for src, dst in [(99, 99), (-1, -1), (4, 4), (0, 4), (4, 0), (-1, 2)]:
+        with pytest.raises(ValueError, match="out of range"):
+            topo.latency(src, dst)
+    assert topo.latency(3, 3) == 0.0
+
+
+@pytest.mark.parametrize("topo", [
+    MyrinetClos(40, 1.0, 0.5, nodes_per_linecard=4, linecards_per_group=2),
+    HPSSwitch(9, 1.5, 0.1), FlatEthernet(5, 2.0, 0.3), Torus3D(27, 0.5, 0.1),
+], ids=lambda t: type(t).__name__)
+def test_tabled_latency_is_the_hop_formula(topo):
+    for _ in range(2):                      # cold, then from the table
+        for src in range(topo.nnodes):
+            for dst in range(topo.nnodes):
+                want = (0.0 if src == dst else
+                        topo.base_us + topo.hops(src, dst) * topo.per_hop_us)
+                assert topo.latency(src, dst) == want
 
 
 def test_make_topology_dispatches_on_machine():

@@ -6,6 +6,7 @@ import pytest
 from repro.core.piggyback import PiggybackConfig, PiggybackMode
 from repro.network import GM_MARENOSTRUM, LAPI_POWER5
 from repro.runtime import Runtime, RuntimeConfig
+from repro.runtime.errors import LayoutError
 
 
 def run_kernel(kernel, nthreads=8, tpn=4, machine=GM_MARENOSTRUM, **kw):
@@ -247,3 +248,20 @@ def test_disabled_piggyback_never_populates_cache():
         kernel, piggyback=PiggybackConfig(mode=PiggybackMode.DISABLED))
     assert rt.metrics.rdma_gets == 0
     assert len(rt.addr_cache(0)) == 0
+
+
+@pytest.mark.parametrize("index", [-1, 64, 10**6])
+def test_out_of_range_index_still_raises_layout_error(index):
+    # Ownership, node and offset come from one resolution per op; it
+    # must have kept exactly one bounds check, not zero.
+    def getter(th):
+        arr = yield from th.all_alloc(64, blocksize=8, dtype="u4")
+        yield from th.get(arr, index)
+
+    def putter(th):
+        arr = yield from th.all_alloc(64, blocksize=8, dtype="u4")
+        yield from th.put(arr, index, 7)
+
+    for kernel in (getter, putter):
+        with pytest.raises(LayoutError, match="out of range"):
+            run_kernel(kernel)

@@ -37,8 +37,8 @@ def test_summary_idempotent_after_real_run():
     assert first == second
     # The percentile estimators behind the summary must not have been
     # fed by the summary call itself.
-    assert rt.metrics.get_remote_digest.p50.count == \
-        rt.metrics.get_remote_digest.p50.count
+    assert rt.metrics.get_remote_digest.count == \
+        rt.metrics.get_remote.n
 
 
 @pytest.mark.shard

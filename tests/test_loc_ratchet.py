@@ -11,8 +11,9 @@ import os
 SRC = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src", "repro")
 
-#: PR 19 (one fault language): 21 932 -> this.
-SRC_LINES_CEILING = 21753
+#: PR 20 (per-GET diet; P2Quantile and the second hot loop gone):
+#: 21 753 -> this.
+SRC_LINES_CEILING = 21736
 
 
 def _sources():
