@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from typing import List, Optional, TYPE_CHECKING
 
-import numpy as np
-
 from repro.obs.events import OP_BEGIN, OP_END
 from repro.runtime.errors import UPCRuntimeError
 from repro.runtime.shared_array import SharedArray
@@ -72,7 +70,7 @@ class UPCThread:
             progress.leave_runtime()
         return result
 
-    def _span_begin(self, name: str) -> int:
+    def _span_begin(self, name: str, **attrs) -> int:
         """Open a flight-recorder span for a thread-level op (barrier,
         lock, compute — strictly sequential per thread)."""
         log = self.runtime.events
@@ -80,7 +78,7 @@ class UPCThread:
             return -1
         op_id = log.next_op_id()
         log.emit(self.runtime.sim.now, OP_BEGIN, op=op_id,
-                 thread=self.id, node=self.node.id, name=name)
+                 thread=self.id, node=self.node.id, name=name, **attrs)
         return op_id
 
     def _span_end(self, op_id: int, **attrs) -> None:
@@ -168,122 +166,53 @@ class UPCThread:
 
         Contract: with ``nelems == 1`` (the default) each entry is a
         NumPy *scalar*; with ``nelems > 1`` each entry is the fetched
-        array — the old implementation silently returned only ``v[0]``.
-        Through the bulk engine the window refills on every completion
-        (a sliding window) and adjacent same-destination reads coalesce
-        into single wire messages; the legacy path (engine off) keeps
-        the lock-step batch behaviour.
+        array.  Through the bulk engine the window refills on every
+        completion (a sliding window) and adjacent same-destination
+        reads coalesce into single wire messages; with the engine off
+        the reads go in lock-step batches of ``width``.
         """
         indices = list(indices)
         if self.runtime.config.bulk_enabled:
             vals = yield from self.runtime.bulk.get_spans(
                 self, array, [(i, nelems) for i in indices], window=width)
-            return [v[0] for v in vals] if nelems == 1 else vals
-        out = [None] * len(indices)
-        pos = 0
-        while pos < len(indices):
-            batch = indices[pos:pos + width]
-            if nelems == 1:
-                handles = [self.get_nb(array, i, 1) for i in batch]
-                values = yield from self.wait_all(handles)
-                for k, v in enumerate(values):
-                    out[pos + k] = v[0]
-            else:
-                # Multi-element entries may span affinity boundaries;
-                # memget splits them per owning block (ops.get cannot).
-                handles = [self.runtime.sim.process(
-                    self.memget(array, i, nelems),
-                    name=f"gather[t{self.id}]") for i in batch]
-                values = yield from self.wait_all(handles)
-                for k, v in enumerate(values):
-                    out[pos + k] = v
-            pos += len(batch)
-        return out
+        else:
+            vals = []
+            for pos in range(0, len(indices), width):
+                # memget splits an entry that spans affinity boundaries.
+                vals += yield from self.wait_all([
+                    self.runtime.sim.process(
+                        self.memget(array, i, nelems),
+                        name=f"gather[t{self.id}]")
+                    for i in indices[pos:pos + width]])
+        return [v[0] for v in vals] if nelems == 1 else vals
 
     def memget(self, array: SharedArray, index: int, nelems: int):
-        """``upc_memget``-style bulk read of a contiguous span.
-
-        A span crossing block (affinity) boundaries is split into one
-        transfer per owning block; through the bulk engine the
-        per-block transfers are coalesced per destination node and
-        pipelined under a bounded in-flight window (engine off: one
-        blocking round trip per block, in order).
-        """
-        if self.runtime.config.bulk_enabled:
-            out = yield from self.runtime.bulk.get_spans(
-                self, array, [(index, nelems)])
-            return out[0]
-        pieces = []
-        for start, count in self._segments(array, index, nelems):
-            out = yield from self.runtime.ops.get(self, array, start,
-                                                  count)
-            pieces.append(out)
-        if not pieces:
-            return np.empty(0, dtype=array.dtype)
-        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        """``upc_memget``-style bulk read of a contiguous span, split
+        into one transfer per owning block; through the bulk engine
+        those are coalesced per destination node and pipelined under a
+        bounded in-flight window (engine off: one blocking round trip
+        per block, in order)."""
+        out = yield from self.runtime.bulk.get_spans(
+            self, array, [(index, nelems)])
+        return out[0]
 
     def memput(self, array: SharedArray, index: int, values):
         """``upc_memput``-style bulk write (split per affine block,
         coalesced + pipelined by the bulk engine; locally complete on
         return, ordered by fence/barrier either way)."""
-        if self.runtime.config.bulk_enabled:
-            yield from self.runtime.bulk.put_spans(
-                self, array, [(index, values)])
-            return
-        values = np.asarray(values, dtype=array.dtype).ravel()
-        offset = 0
-        for start, count in self._segments(array, index, len(values)):
-            yield from self.runtime.ops.put(
-                self, array, start, values[offset:offset + count], count)
-            offset += count
+        return self.runtime.bulk.put_spans(self, array, [(index, values)])
 
     def memget_v(self, array: SharedArray, spans):
         """Vectored bulk read: fetch every ``(index, nelems)`` span in
         one engine pass, so segments of *different* spans bound for the
         same node coalesce (e.g. the rows of one remote tile become a
         single wire message).  Returns one array per span, in order."""
-        if self.runtime.config.bulk_enabled:
-            out = yield from self.runtime.bulk.get_spans(self, array,
-                                                         list(spans))
-            return out
-        out = []
-        for index, nelems in spans:
-            piece = yield from self.memget(array, index, nelems)
-            out.append(np.atleast_1d(piece))
-        return out
+        return self.runtime.bulk.get_spans(self, array, list(spans))
 
     def memput_v(self, array: SharedArray, puts):
         """Vectored bulk write of ``(index, values)`` pairs — the PUT
         mirror of :meth:`memget_v` (relaxed; order with fence)."""
-        if self.runtime.config.bulk_enabled:
-            yield from self.runtime.bulk.put_spans(self, array,
-                                                   list(puts))
-            return
-        for index, values in puts:
-            yield from self.memput(array, index, values)
-
-    @staticmethod
-    def _segments(array: SharedArray, index: int, nelems: int):
-        """Break ``[index, index+nelems)`` at block boundaries.
-
-        A zero-length span yields no segments: ``upc_memget(p, q, 0)``
-        is a no-op, and gather/memget_v callers expect empty results
-        rather than an error.
-        """
-        if nelems < 0:
-            raise UPCRuntimeError(f"nelems must be >= 0, got {nelems}")
-        if nelems == 0:
-            return
-        if array.owner is not None:
-            yield index, nelems
-            return
-        bs = array.layout.blocksize
-        pos, end = index, index + nelems
-        while pos < end:
-            block_end = (pos // bs + 1) * bs
-            count = min(end, block_end) - pos
-            yield pos, count
-            pos += count
+        return self.runtime.bulk.put_spans(self, array, list(puts))
 
     def track_put(self, remote_applied: Event) -> None:
         """Called by the op engine for every non-local put issued."""

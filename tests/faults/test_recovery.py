@@ -254,3 +254,57 @@ def test_summary_exposes_reliability_counters():
                 "degraded_handles", "faults_injected"):
         assert key in s
     assert s["faults_injected"] > 0
+
+
+# ---------------------------------------------------------------------------
+# A failed bulk op says which message failed
+# ---------------------------------------------------------------------------
+
+DARK = 400.0      # long after the allocation and the opening barrier
+
+
+def _memget_into_the_dark(nblocks):
+    """Thread 0 reads ``nblocks`` 16-element blocks starting at node
+    1's first, once the fabric has gone dark for good.  Returns the
+    runtime and the error the run raised."""
+    from repro.faults import ReliabilityConfig, ReliabilityError
+
+    plan = FaultPlan(seed=1, links=(
+        LinkRule.static(loss=1.0, t_start=DARK),))
+    rt = Runtime(RuntimeConfig(
+        machine=GM_MARENOSTRUM, nthreads=4, threads_per_node=2,
+        fault_plan=plan, reliability=ReliabilityConfig(max_retries=2),
+        seed=1))
+
+    def reader(th):
+        arr = yield from th.all_alloc(128, blocksize=16, dtype="u8")
+        yield from th.barrier()
+        if th.id == 0:
+            assert rt.sim.now < DARK
+            yield rt.sim.timeout(DARK)
+            yield from th.memget(arr, 32, 16 * nblocks)
+
+    rt.spawn(reader)
+    with pytest.raises(ReliabilityError) as failure:
+        rt.run()
+    return rt, failure.value
+
+
+def test_failed_one_message_span_names_its_message():
+    # One block: the plan is one message, run inline in thread 0.
+    rt, err = _memget_into_the_dark(1)
+    assert err.args[0] == ("bulk get t0->n1, message 1 of 1, failed after "
+                           "retries: am get 0->1 gave up after 2 retries (op -1)")
+    assert (err.src, err.dst, err.attempts) == (0, 1, 3)
+    assert "'upc0'" in err.args[1]
+    assert rt.bulk.live_messages == 0
+
+
+def test_failed_pipelined_span_names_its_message():
+    # Three blocks: threads 2 and 3 on node 1 own one each (two
+    # messages in flight; the second's budget runs out first), the
+    # third is thread 0's own.
+    rt, err = _memget_into_the_dark(3)
+    assert err.args[0] == ("bulk get t0->n1, message 2 of 2, failed after "
+                           "retries: am get 0->1 gave up after 2 retries (op -1)")
+    assert "'bulk[t0->n1]'" in err.args[1]

@@ -70,6 +70,40 @@ def test_sampler_collects_series_and_lets_the_sim_terminate():
     assert sampler.series("am_queue", node=0)
 
 
+@pytest.mark.parametrize("nelems", [16, 256],
+                         ids=["inline", "pipelined"])
+def test_bulk_inflight_gauge_returns_to_zero(nelems):
+    """After a span that succeeds and after one whose message runs out
+    of retries, for the one-message plan run inline (16 elements: one
+    block) and for the pipelined one."""
+    from repro.faults import (FaultPlan, LinkRule, ReliabilityConfig,
+                              ReliabilityError)
+
+    def reader(th):
+        arr = yield from th.all_alloc(512, blocksize=16, dtype="u8")
+        yield from th.barrier()
+        if th.id == 0:
+            yield th.runtime.sim.timeout(400.0)
+            yield from th.memget(arr, 32, nelems)
+
+    for plan in (None, FaultPlan(seed=1, links=(
+            LinkRule.static(loss=1.0, t_start=400.0),))):
+        rt = Runtime(RuntimeConfig(
+            machine=GM_MARENOSTRUM, nthreads=8, threads_per_node=2,
+            seed=1, fault_plan=plan,
+            reliability=ReliabilityConfig(max_retries=1)))
+        sampler = CounterSampler(rt, interval_us=5.0)
+        sampler.start()
+        rt.spawn(reader)
+        if plan is None:
+            rt.run()
+        else:
+            with pytest.raises(ReliabilityError):
+                rt.run()
+        assert max(v for _, v in sampler.series("bulk_inflight")) >= 1
+        assert rt.bulk.live_messages == 0
+
+
 def test_sampler_does_not_change_virtual_elapsed_time():
     base, _ = _run(events=None)
     sampled, _ = _run(events=EventLog(), sampler_interval=10.0)
