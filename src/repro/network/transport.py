@@ -121,7 +121,7 @@ class Transport:
         self.events = None
         #: Fault injector (installed by the Runtime when a non-empty
         #: FaultPlan is configured).  None == lossless fabric: every
-        #: protocol takes the exact pre-fault code path.
+        #: protocol's attempt loop runs once under ``NO_FAULT``.
         self.faults = None
         #: Reliability knobs; replaced wholesale by the Runtime when
         #: configured.  Only consulted on fault paths.
@@ -244,6 +244,24 @@ class Transport:
             ev.emit(self.sim.now, RETRY, op=op_id, node=src.id,
                     dst=dst.id, attempt=attempt, backoff_us=delay,
                     what=what)
+
+    def _fate(self, src: Node, dst: Node, op_id: int) -> Fate:
+        """Fate of one AM exchange attempt: the injector's draw, or the
+        shared healthy fate on a lossless fabric — there the attempt
+        loop of every AM protocol below runs its body exactly once."""
+        if self.faults is None:
+            return NO_FAULT
+        return self.faults.am_fate(src.id, dst.id, op_id=op_id)
+
+    def _lost(self, t0: float, attempt: int, op_id: int, src: Node,
+              dst: Node, what: str):
+        """Attempt number ``attempt`` (1-based) of an AM exchange lost
+        a leg: burn the rest of the retransmit window opened at ``t0``,
+        then back off before the caller's loop goes round again."""
+        yield from self._await_timeout(t0, self.reliability.am_timeout_us,
+                                       op_id, src, dst, "am",
+                                       attempt=attempt)
+        yield from self._backoff(attempt, op_id, src, dst, what)
 
     def _spawn_duplicate(self, src: Node, dst: Node, copy_bytes: int,
                          op_id: int, key: Optional[Tuple[int, int]]):
@@ -434,47 +452,36 @@ class Transport:
         self.counters.bytes_am += nbytes + 2 * p.ctrl_bytes
         src_addr = src_addr if src_addr is not None else src.memory.base
         dst_addr = dst_addr if dst_addr is not None else dst.memory.base
-        if self.faults is None:
-            if nbytes <= p.eager_max_bytes:
-                _, payload = yield from self._eager_get(src, dst, nbytes,
-                                                        handler, op_id)
-            else:
-                _, payload = yield from self._rendezvous_get(
-                    src, dst, nbytes, handler, src_addr, dst_addr, op_id)
-        else:
-            payload = yield from self._reliable_get(
-                src, dst, nbytes, handler, src_addr, dst_addr, op_id)
-        self.counters.am_replies += 1
-        return AMReply(payload=payload, completed_at=self.sim.now)
-
-    def _reliable_get(self, src: Node, dst: Node, nbytes: int,
-                      handler: Optional[Handler], src_addr: int,
-                      dst_addr: int, op_id: int):
-        """Sequence-numbered GET with retransmission: draw a fate per
-        attempt; a lost leg burns the retransmit window, then the
-        request is retried after capped exponential backoff.  The
-        dedup key makes retried target handlers idempotent."""
-        p = self.params
-        r = self.reliability
-        key = self._seq(src)
+        # Sequence-numbered request with retransmission: one fate per
+        # attempt; a lost leg burns the retransmit window, then the
+        # request is retried after capped exponential backoff.  The
+        # dedup key makes retried target handlers idempotent.
+        key = self._seq(src) if self.faults is not None else None
         attempt = 0
         while True:
             t0 = self.sim.now
-            fate = self.faults.am_fate(src.id, dst.id, op_id=op_id)
+            fate = self._fate(src, dst, op_id)
             if nbytes <= p.eager_max_bytes:
                 ok, payload = yield from self._eager_get(
-                    src, dst, nbytes, handler, op_id, fate=fate, key=key)
+                    src, dst, nbytes, handler, op_id, fate, key)
             else:
-                ok, payload = yield from self._rendezvous_get(
-                    src, dst, nbytes, handler, src_addr, dst_addr,
-                    op_id, fate=fate, key=key)
+                # Rendezvous: the initiator's RTS prologue is paid per
+                # attempt; on retries the source-side registration
+                # re-check hits the pin-down cache (cost 0).
+                self.counters.rendezvous_transfers += 1
+                yield self.sim.sleep(p.o_send_us + p.rendezvous_cpu_us)
+                reg_cost = src.reg_cache.register(src_addr, nbytes)
+                if reg_cost:
+                    yield self.sim.sleep(reg_cost)
+                ok, payload = yield from self._rts_round(
+                    src, dst, nbytes, handler, dst_addr, op_id, fate,
+                    key, data=True)
             if ok:
-                return payload
-            yield from self._await_timeout(t0, r.am_timeout_us, op_id,
-                                           src, dst, "am",
-                                           attempt=attempt + 1)
+                break
             attempt += 1
-            yield from self._backoff(attempt, op_id, src, dst, "am get")
+            yield from self._lost(t0, attempt, op_id, src, dst, "am get")
+        self.counters.am_replies += 1
+        return AMReply(payload=payload, completed_at=self.sim.now)
 
     def _eager_get(self, src: Node, dst: Node, nbytes: int,
                    handler: Optional[Handler], op_id: int = -1,
@@ -529,23 +536,18 @@ class Transport:
         self._credit_pool(src).release()
         return True, payload
 
-    def _rendezvous_get(self, src: Node, dst: Node, nbytes: int,
-                        handler: Optional[Handler],
-                        src_addr: int, dst_addr: int, op_id: int = -1,
-                        fate: Fate = NO_FAULT,
-                        key: Optional[Tuple[int, int]] = None):
-        """One rendezvous-GET attempt; ``(ok, payload)`` like
-        :meth:`_eager_get`.  On retries the source-side registration
-        re-check hits the pin-down cache (cost 0) and the target block
-        replays from the dedup ledger."""
+    def _rts_round(self, src: Node, dst: Node, nbytes: int,
+                   handler: Optional[Handler], dst_addr: int, op_id: int,
+                   fate: Fate, key: Optional[Tuple[int, int]],
+                   data: bool):
+        """One rendezvous round trip, RTS out and the target's answer
+        back: the zero-copy data message carrying the handler's payload
+        and piggyback (``data=True``, GET) or a bare CTS (``data=False``,
+        PUT).  Returns ``(ok, payload)``; ``ok`` is False when ``fate``
+        lost a leg (the caller owns the retransmit timer).  A replayed
+        delivery answers from the dedup ledger."""
         p = self.params
         rec = self._recording()
-        self.counters.rendezvous_transfers += 1
-        # RTS.
-        yield self.sim.sleep(p.o_send_us + p.rendezvous_cpu_us)
-        reg_cost = src.reg_cache.register(src_addr, nbytes)
-        if reg_cost:
-            yield self.sim.sleep(reg_cost)
         self._record(wire.RTS, src, dst, p.ctrl_bytes)
         t0 = self.sim.now
         if rec:
@@ -558,7 +560,8 @@ class Transport:
         if rec:
             self._phase(op_id, COMP_WIRE, t0)
         # Target: handler, registration of the served region and the
-        # zero-copy send — all target-CPU work (Figure 5b).
+        # answer's send — all target-CPU work (Figure 5b), serialized
+        # on the handler CPU.
         assert dst.progress is not None
         yield from dst.progress.service(op_id)
         t_acq = self.sim.now
@@ -571,21 +574,28 @@ class Transport:
         try:
             payload: Any = None
             extra = 0
+            cost = p.handler_cpu_us
             led = self.ledger.get(key) if key is not None else None
             if led is not None:
                 # Replay: the translation/registration happened on the
                 # first delivery; only re-dispatch and re-send.
                 payload, extra = led
-                cost = p.handler_cpu_us
                 self.counters.bump("am-replay")
             else:
-                cost = p.handler_cpu_us + p.rendezvous_cpu_us
+                if data:
+                    cost += p.rendezvous_cpu_us
                 if handler is not None:
                     h_cost, payload, extra = handler(dst)
                     cost += h_cost
+                    if not data:
+                        # A CTS carries no reply payload or piggyback.
+                        payload, extra = None, 0
                 cost += dst.reg_cache.register(dst_addr, nbytes)
                 if key is not None and handler is not None:
                     self.ledger.record(key, payload, extra)
+            reply_bytes = p.ctrl_bytes + extra
+            if data:
+                reply_bytes += nbytes
             t_r = self.sim.now
             if rec:
                 # The handler-CPU slice is the known `cost` share of
@@ -598,33 +608,35 @@ class Transport:
                                  node=dst.id, cost=cost)
                 self._phase(op_id, COMP_HANDLER, t_r, dur=cost)
             yield self.sim.sleep(cost + p.o_send_us)
-            self._record(wire.RDV_DATA, dst, src,
-                         nbytes + p.ctrl_bytes + extra)
-            yield from self._inject(dst, nbytes + p.ctrl_bytes + extra,
-                                    fragmented=False)
+            self._record(wire.RDV_DATA if data else wire.CTS, dst, src,
+                         reply_bytes)
+            yield from self._inject(dst, reply_bytes, fragmented=False)
             if rec:
                 dur = self.sim.now - t_r - cost
-                total = nbytes + p.ctrl_bytes + extra
-                piggy = dur * extra / total if extra and total else 0.0
+                piggy = (dur * extra / reply_bytes
+                         if extra and reply_bytes else 0.0)
                 self._phase(op_id, COMP_PIGGYBACK, t_r, dur=piggy)
                 self._phase(op_id, COMP_WIRE, t_r, dur=dur - piggy)
-                self.events.emit(self.sim.now, AM_REPLY_SEND, op=op_id,
-                                 node=dst.id, nbytes=total,
-                                 piggyback=bool(extra))
+                if data:
+                    self.events.emit(self.sim.now, AM_REPLY_SEND,
+                                     op=op_id, node=dst.id,
+                                     nbytes=reply_bytes,
+                                     piggyback=bool(extra))
         finally:
             dst.handler_cpu.release()
         if fate.duplicate:
             self._spawn_duplicate(src, dst, 0, op_id, key)
         if fate.drop_reply:
-            # The data message vanished (the target paid for sending
-            # it); the initiator's retransmit timer will fire.
+            # The answer vanished (the target paid for sending it);
+            # the initiator's retransmit timer will fire.
             return False, None
         t1 = self.sim.now
         yield from self._wire(dst, src, extra=fate.delay_us)
         if rec:
             self._phase(op_id, COMP_WIRE, t1)
-            self.events.emit(self.sim.now, AM_REPLY_RECV, op=op_id,
-                             node=src.id, piggyback=extra > 0)
+            if data:
+                self.events.emit(self.sim.now, AM_REPLY_RECV, op=op_id,
+                                 node=src.id, piggyback=extra > 0)
         # Initiator completion (no copies: the NIC delivered in place).
         yield self.sim.sleep(p.o_recv_us)
         return True, payload
@@ -681,28 +693,18 @@ class Transport:
             reg_cost = src.reg_cache.register(src_addr, nbytes)
             if reg_cost:
                 yield self.sim.sleep(reg_cost)
-            if self.faults is None:
-                yield from self._rdv_put_handshake(src, dst, nbytes,
-                                                   handler, dst_addr,
-                                                   op_id)
-            else:
-                r = self.reliability
-                attempt = 0
-                while True:
-                    t0 = self.sim.now
-                    fate = self.faults.am_fate(src.id, dst.id,
-                                               op_id=op_id)
-                    ok = yield from self._rdv_put_handshake(
-                        src, dst, nbytes, handler, dst_addr, op_id,
-                        fate=fate, key=key)
-                    if ok:
-                        break
-                    yield from self._await_timeout(t0, r.am_timeout_us,
-                                                   op_id, src, dst, "am",
-                                                   attempt=attempt + 1)
-                    attempt += 1
-                    yield from self._backoff(attempt, op_id, src, dst,
-                                             "rendezvous put")
+            attempt = 0
+            while True:
+                t0 = self.sim.now
+                fate = self._fate(src, dst, op_id)
+                ok, _ = yield from self._rts_round(
+                    src, dst, nbytes, handler, dst_addr, op_id, fate,
+                    key, data=False)
+                if ok:
+                    break
+                attempt += 1
+                yield from self._lost(t0, attempt, op_id, src, dst,
+                                      "rendezvous put")
             # Zero-copy data injection; local completion at hand-off.
             self._record(wire.RDV_DATA, src, dst, nbytes)
             t2 = self.sim.now
@@ -718,78 +720,6 @@ class Transport:
             )
         return PutTicket(remote_applied=remote_applied, nbytes=nbytes)
 
-    def _rdv_put_handshake(self, src: Node, dst: Node, nbytes: int,
-                           handler: Optional[Handler], dst_addr: int,
-                           op_id: int = -1, fate: Fate = NO_FAULT,
-                           key: Optional[Tuple[int, int]] = None):
-        """One RTS→CTS attempt of a rendezvous PUT.  Returns True when
-        the CTS landed; False when ``fate`` lost a leg (the caller owns
-        the retransmit timer)."""
-        p = self.params
-        rec = self._recording()
-        self._record(wire.RTS, src, dst, p.ctrl_bytes)
-        t0 = self.sim.now
-        if rec:
-            self.events.emit(t0, AM_SEND, op=op_id, node=src.id,
-                             dst=dst.id, nbytes=p.ctrl_bytes)
-        yield from self._inject(src, p.ctrl_bytes, fragmented=False)
-        if fate.drop_request:
-            return False
-        yield from self._wire(src, dst, extra=fate.delay_us)
-        if rec:
-            self._phase(op_id, COMP_WIRE, t0)
-        # Target-side work (handler + registration + CTS send) is
-        # all CPU work there — serialized on the handler CPU,
-        # symmetric with the rendezvous GET path.
-        assert dst.progress is not None
-        yield from dst.progress.service(op_id)
-        t_acq = self.sim.now
-        if not dst.handler_cpu.acquire_now():
-            yield dst.handler_cpu.acquire()
-        if rec:
-            self._phase(op_id, COMP_QUEUE, t_acq)
-            self.events.emit(self.sim.now, AM_RECV, op=op_id,
-                             node=dst.id)
-        try:
-            led = self.ledger.get(key) if key is not None else None
-            if led is not None:
-                # Replay: translation/registration already happened.
-                cost = p.handler_cpu_us
-                self.counters.bump("am-replay")
-            else:
-                cost = p.handler_cpu_us
-                if handler is not None:
-                    h_cost, _, _ = handler(dst)
-                    cost += h_cost
-                cost += dst.reg_cache.register(dst_addr, nbytes)
-                if key is not None and handler is not None:
-                    self.ledger.record(key, None, 0)
-            t_r = self.sim.now
-            if rec:
-                self.events.emit(t_r, HANDLER_BEGIN, op=op_id,
-                                 node=dst.id)
-                self.events.emit(t_r + cost, HANDLER_END, op=op_id,
-                                 node=dst.id, cost=cost)
-                self._phase(op_id, COMP_HANDLER, t_r, dur=cost)
-            yield self.sim.sleep(cost + p.o_send_us)
-            self._record(wire.CTS, dst, src, p.ctrl_bytes)
-            yield from self._inject(dst, p.ctrl_bytes, fragmented=False)
-            if rec:
-                self._phase(op_id, COMP_WIRE, t_r,
-                            dur=self.sim.now - t_r - cost)
-        finally:
-            dst.handler_cpu.release()
-        if fate.duplicate:
-            self._spawn_duplicate(src, dst, 0, op_id, key)
-        if fate.drop_reply:
-            return False
-        t1 = self.sim.now
-        yield from self._wire(dst, src, extra=fate.delay_us)
-        if rec:
-            self._phase(op_id, COMP_WIRE, t1)
-        yield self.sim.sleep(p.o_recv_us)
-        return True
-
     def _put_tail(self, src: Node, dst: Node, nbytes: int,
                   handler: Optional[Handler], remote_applied: Event,
                   copy_at_target: bool, credit: bool = False,
@@ -799,24 +729,40 @@ class Transport:
 
         Credit return and completion signalling are exception-safe: a
         crashing handler must not leak the receive buffer nor leave
-        the initiator's fence waiting forever.  Under faults the tail
-        also models the initiator's retransmit timer for the data
-        message; if the retry budget runs out, ``remote_applied`` is
-        *failed* so the loss surfaces at the next fence instead of
-        silently dropping the store.
+        the initiator's fence waiting forever.  The tail models both
+        the delivery and the initiator's retransmit timer for the data
+        message, so a dropped one is retried until it lands (the dedup
+        ledger absorbs duplicates on the target) and a fence can never
+        wait on a message nobody will resend; if the retry budget runs
+        out, ``remote_applied`` is *failed* so the loss surfaces at
+        the next fence instead of silently dropping the store.
         """
         failure: Optional[BaseException] = None
+        copy_bytes = nbytes if copy_at_target else 0
         try:
-            if self.faults is None:
-                yield from self._wire(src, dst)
-                if handler is not None or copy_at_target:
-                    yield from self._run_handler(
-                        dst, handler,
-                        handler_copy_bytes=nbytes if copy_at_target else 0,
-                        op_id=op_id)
-            else:
-                yield from self._reliable_put_tail(
-                    src, dst, nbytes, handler, copy_at_target, op_id, key)
+            attempt = 0
+            while True:
+                t0 = self.sim.now
+                fate = self._fate(src, dst, op_id)
+                if not (fate.drop_request or fate.drop_reply):
+                    yield from self._wire(src, dst, extra=fate.delay_us)
+                    if handler is not None or copy_at_target:
+                        yield from self._run_handler(
+                            dst, handler, handler_copy_bytes=copy_bytes,
+                            op_id=op_id, key=key)
+                    if fate.duplicate:
+                        self._spawn_duplicate(src, dst, copy_bytes,
+                                              op_id, key)
+                    break
+                # The data message was lost (a one-way message: either
+                # drop leg kills it); wait out the retransmit window,
+                # back off, and serialize it through the initiator's
+                # NIC again.
+                attempt += 1
+                yield from self._lost(t0, attempt, op_id, src, dst,
+                                      "put data")
+                yield from self._inject(
+                    src, nbytes + self.params.ctrl_bytes, fragmented=True)
         except ReliabilityError as exc:
             self.counters.bump("put-tail-error")
             failure = exc
@@ -835,101 +781,59 @@ class Transport:
             else:
                 remote_applied.succeed(self.sim.now)
 
-    def _reliable_put_tail(self, src: Node, dst: Node, nbytes: int,
-                           handler: Optional[Handler],
-                           copy_at_target: bool, op_id: int,
-                           key: Optional[Tuple[int, int]]):
-        """Retransmission loop for the detached data leg of a PUT: the
-        tail process models both the delivery and the initiator's
-        retransmit timer, so a dropped data message is retried until
-        it lands (the dedup ledger absorbs duplicates on the target)
-        and a fence can never wait on a message nobody will resend."""
-        r = self.reliability
-        p = self.params
-        attempt = 0
-        while True:
-            t0 = self.sim.now
-            fate = self.faults.am_fate(src.id, dst.id, op_id=op_id)
-            if not (fate.drop_request or fate.drop_reply):
-                yield from self._wire(src, dst, extra=fate.delay_us)
-                if handler is not None or copy_at_target:
-                    yield from self._run_handler(
-                        dst, handler,
-                        handler_copy_bytes=nbytes if copy_at_target else 0,
-                        op_id=op_id, key=key)
-                if fate.duplicate:
-                    self._spawn_duplicate(
-                        src, dst, nbytes if copy_at_target else 0,
-                        op_id, key)
-                return
-            # The data message was lost (a one-way message: either
-            # drop leg kills it); wait out the retransmit window, back
-            # off, and serialize it through the initiator's NIC again.
-            yield from self._await_timeout(t0, r.am_timeout_us, op_id,
-                                           src, dst, "am",
-                                           attempt=attempt + 1)
-            attempt += 1
-            yield from self._backoff(attempt, op_id, src, dst,
-                                     "put data")
-            yield from self._inject(src, nbytes + p.ctrl_bytes,
-                                    fragmented=True)
-
     def am_oneway(self, src: Node, dst: Node, nbytes: int,
                   handler: Optional[Handler] = None) -> Event:
         """Fire-and-forget control message (SVD update notifications).
 
         Charged asynchronously: the *caller* pays nothing on its own
         clock; returns an event firing when the target processed it.
+        A lost message is retransmitted like any AM request — an SVD
+        update notification must eventually land or the run must fail
+        loudly: once the retry budget is spent the event is *failed*
+        with the :class:`ReliabilityError`.
         """
         self.counters.am_requests += 1
         self.counters.bytes_am += nbytes
         done = Event(self.sim, name="oneway-done")
 
         def _fly():
+            failure: Optional[BaseException] = None
             yield self.sim.sleep(self.params.o_send_us)
             credits = self._credit_pool(dst)
             if not credits.acquire_now():
                 yield credits.acquire()
             try:
-                if self.faults is None:
+                key = self._seq(src) if self.faults is not None else None
+                attempt = 0
+                while True:
+                    t0 = self.sim.now
+                    fate = self._fate(src, dst, -1)
                     self._record(wire.ONEWAY, src, dst, nbytes)
                     yield from self._inject(src, nbytes, fragmented=True)
-                    yield from self._wire(src, dst)
-                    yield from self._run_handler(dst, handler)
-                else:
-                    yield from self._reliable_oneway(src, dst, nbytes,
-                                                     handler)
+                    if not (fate.drop_request or fate.drop_reply):
+                        yield from self._wire(src, dst,
+                                              extra=fate.delay_us)
+                        yield from self._run_handler(dst, handler,
+                                                     key=key)
+                        if fate.duplicate:
+                            self._spawn_duplicate(src, dst, 0, -1, key)
+                        break
+                    attempt += 1
+                    yield from self._lost(t0, attempt, -1, src, dst,
+                                          "am oneway")
+            except ReliabilityError as exc:
+                self.counters.bump("oneway-error")
+                failure = exc
+                raise
             finally:
                 self._credit_pool(dst).release()
-                done.succeed(self.sim.now)
+                if failure is not None:
+                    done.fail(failure)
+                else:
+                    done.succeed(self.sim.now)
 
         self.sim.process(_fly(), name="am-oneway")
         return done
-
-    def _reliable_oneway(self, src: Node, dst: Node, nbytes: int,
-                         handler: Optional[Handler]):
-        """Retransmission loop for fire-and-forget control messages —
-        an SVD update notification must eventually land or the run
-        must fail loudly."""
-        r = self.reliability
-        key = self._seq(src)
-        attempt = 0
-        while True:
-            t0 = self.sim.now
-            fate = self.faults.am_fate(src.id, dst.id)
-            self._record(wire.ONEWAY, src, dst, nbytes)
-            yield from self._inject(src, nbytes, fragmented=True)
-            if not (fate.drop_request or fate.drop_reply):
-                yield from self._wire(src, dst, extra=fate.delay_us)
-                yield from self._run_handler(dst, handler, key=key)
-                if fate.duplicate:
-                    self._spawn_duplicate(src, dst, 0, -1, key)
-                return
-            yield from self._await_timeout(t0, r.am_timeout_us, -1,
-                                           src, dst, "am",
-                                           attempt=attempt + 1)
-            attempt += 1
-            yield from self._backoff(attempt, -1, src, dst, "am oneway")
 
     # -- RDMA protocols ----------------------------------------------------
 

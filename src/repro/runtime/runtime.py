@@ -249,6 +249,10 @@ class Runtime:
             for t in range(config.nthreads)
         ]
         self._programs: List = []
+        #: Completion events of the one-way SVD notifications issued by
+        #: ``global_alloc``; nobody waits on them, so :meth:`run` checks
+        #: them for a spent retry budget.
+        self._notifications: List = []
         #: Per-thread collective sequence numbers: every thread runs
         #: the same sequence of collectives, so call #k on thread A
         #: pairs with call #k on thread B.
@@ -379,8 +383,9 @@ class Runtime:
         yield self.sim.sleep(p.o_sw_us)
         for node in self.cluster.nodes:
             if node.id != thread.node.id:
-                self.cluster.transport.am_oneway(thread.node, node,
-                                                 p.ctrl_bytes)
+                self._notifications.append(
+                    self.cluster.transport.am_oneway(thread.node, node,
+                                                     p.ctrl_bytes))
                 yield self.sim.sleep(p.o_send_us * 0.25)
         return array
 
@@ -518,6 +523,11 @@ class Runtime:
         for proc in self._programs:
             if proc.triggered and not proc.ok:
                 raise proc.exception
+        # A notification that exhausted its retries left a replica
+        # stale: fail the run rather than return a normal result.
+        for note in self._notifications:
+            if note.triggered and not note.ok:
+                raise note.exception
         for proc in self._programs:
             if not proc.triggered:
                 raise UPCRuntimeError(

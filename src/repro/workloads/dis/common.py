@@ -3,50 +3,22 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
-from repro.core.address_cache import DEFAULT_CAPACITY, EvictionPolicy
-from repro.core.piggyback import PiggybackConfig
-from repro.core.policy import DEFAULT_CHUNK_BYTES, PinningPolicy
-from repro.network.params import MachineParams
 from repro.runtime.metrics import RunResult
 from repro.runtime.runtime import Runtime, RuntimeConfig
 
 
 @dataclass(frozen=True)
-class DISBase:
-    """Configuration fields every stressmark shares."""
-
-    machine: MachineParams
-    nthreads: int
-    threads_per_node: Optional[int] = None
-    cache_enabled: bool = True
-    cache_capacity: int = DEFAULT_CAPACITY
-    cache_policy: EvictionPolicy = EvictionPolicy.LRU
-    pinning_policy: PinningPolicy = PinningPolicy.PIN_EVERYTHING
-    pin_chunk_bytes: int = DEFAULT_CHUNK_BYTES
-    piggyback: PiggybackConfig = field(default_factory=PiggybackConfig)
-    use_rdma_put: Optional[bool] = None
-    #: Bulk-transfer engine knobs (pipelined memget/memput; see
-    #: :mod:`repro.runtime.bulk`).
-    bulk_enabled: bool = True
-    bulk_max_inflight: int = 8
-    bulk_max_coalesce_bytes: int = 64 * 1024
-    seed: int = 0
-    #: Optional flight recorder (an :class:`repro.obs.EventLog`).
-    events: Optional[Any] = None
-    #: Optional deterministic fault plan / reliability knobs (see
-    #: :mod:`repro.faults` and docs/FAULTS.md), and the repair policy
-    #: watching the plan's links (a :data:`repro.faults.POLICIES` name).
-    fault_plan: Optional[Any] = None
-    reliability: Optional[Any] = None
-    repair_policy: Optional[str] = None
+class DISBase(RuntimeConfig):
+    """Configuration fields every stressmark shares: the
+    :class:`RuntimeConfig` fields, to which each stressmark adds its
+    problem size."""
 
     def runtime(self) -> Runtime:
-        """A runtime configured by the fields above: each one is the
-        :class:`RuntimeConfig` field of the same name."""
+        """A runtime configured by the inherited fields."""
         return Runtime(RuntimeConfig(**{
-            f.name: getattr(self, f.name) for f in fields(DISBase)}))
+            f.name: getattr(self, f.name) for f in fields(RuntimeConfig)}))
 
 
 @dataclass
