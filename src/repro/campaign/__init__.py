@@ -6,29 +6,24 @@ one ``python -m repro campaign`` command.
 * :mod:`repro.campaign.spec` — :class:`CampaignSpec` /
   :class:`CellSpec`, the built-in :data:`SPECS`, and
   :func:`resolve_spec`;
-* :mod:`repro.campaign.cells` — the cell kinds (micro, dis, figure,
-  kvtraffic, lossy, noop) dispatched by :func:`run_cell`;
+* :mod:`repro.campaign.cells` — the cell kinds (figure, kvtraffic,
+  lossy, noop) dispatched by :func:`run_cell`;
 * :mod:`repro.campaign.runner` — :func:`run_campaign`: checkpointed,
   resumable multi-process execution;
 * :mod:`repro.campaign.artifacts` — :func:`atomic_write_json`, the
-  named :class:`ArtifactError`/:class:`BaselineError`, and the
-  deterministic cell merge;
-* :mod:`repro.campaign.gate` — the shared ``--baseline`` regression
-  gate every bench now goes through;
+  named :class:`ArtifactError`, and the deterministic cell merge;
 * :mod:`repro.campaign.render` — text tables plus the ASCII FCT CDF
   figures (including the lossy-fabric per-policy comparison).
 """
 
 from repro.campaign.artifacts import (
     ArtifactError,
-    BaselineError,
     atomic_write_json,
     load_json_artifact,
     merge_cells,
     merge_rows,
 )
 from repro.campaign.cells import KINDS, run_cell
-from repro.campaign.gate import GateMetric, GateResult, check_baseline
 from repro.campaign.render import render_campaign, render_cdf_figure
 from repro.campaign.runner import (
     CampaignRun,
@@ -45,16 +40,12 @@ from repro.campaign.spec import (
 
 __all__ = [
     "ArtifactError",
-    "BaselineError",
     "CampaignRun",
     "CampaignSpec",
     "CellSpec",
-    "GateMetric",
-    "GateResult",
     "KINDS",
     "SPECS",
     "atomic_write_json",
-    "check_baseline",
     "checkpoint_path",
     "load_checkpoint",
     "load_json_artifact",

@@ -1,17 +1,16 @@
 """Atomic JSON artifacts and the campaign cell merge.
 
-Every JSON artifact the benchmark/experiment pipeline writes — bench
-reports, campaign checkpoints, merged trajectories — goes through
+Every JSON artifact the campaign pipeline writes — checkpoints,
+manifests, merged trajectories — goes through
 :func:`atomic_write_json`: the document is serialized to a temp file
 in the target directory and published with ``os.replace``, so a
 killed process leaves either the previous complete file or nothing,
-never a truncated one for a later ``--baseline`` gate to choke on.
+never a truncated one for a later resume to choke on.
 
 Reading is the mirror image: :func:`load_json_artifact` turns a
-missing or corrupt file into a *named* error
-(:class:`ArtifactError` / :class:`BaselineError`) carrying the path
-and the likely cause, instead of a raw ``JSONDecodeError`` from deep
-inside the json module.
+missing or corrupt file into a *named* :class:`ArtifactError`
+carrying the path and the likely cause, instead of a raw
+``JSONDecodeError`` from deep inside the json module.
 """
 
 from __future__ import annotations
@@ -24,14 +23,6 @@ from typing import Dict, List, Optional, Sequence
 
 class ArtifactError(RuntimeError):
     """A JSON artifact is missing, truncated, or unreadable."""
-
-
-class BaselineError(ArtifactError):
-    """A ``--baseline`` artifact is missing, truncated, or unreadable.
-
-    Raised instead of a bare ``FileNotFoundError``/``JSONDecodeError``
-    so a bench invocation that cannot gate says *why* in one line.
-    """
 
 
 def atomic_write_json(path: str, obj, *, indent: int = 2,
@@ -63,24 +54,23 @@ def atomic_write_json(path: str, obj, *, indent: int = 2,
 
 
 def load_json_artifact(path: str, *, what: str = "artifact",
-                       error: type = ArtifactError,
                        hint: str = "") -> Dict:
-    """Load a JSON artifact, raising a named ``error`` on trouble."""
+    """Load a JSON artifact; trouble is an :class:`ArtifactError`."""
     path = os.fspath(path)
     if not os.path.exists(path):
-        hint = hint or ("run the bench first, or point at the "
-                        "committed file")
-        raise error(f"{what} {path!r} does not exist ({hint})")
+        hint = hint or "run the campaign first, or check the path"
+        raise ArtifactError(f"{what} {path!r} does not exist ({hint})")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
-        raise error(
+        raise ArtifactError(
             f"{what} {path!r} is corrupt or truncated (line "
             f"{exc.lineno}: {exc.msg}) — likely an interrupted "
             f"non-atomic write; regenerate it") from exc
     except OSError as exc:
-        raise error(f"{what} {path!r} is unreadable: {exc}") from exc
+        raise ArtifactError(
+            f"{what} {path!r} is unreadable: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

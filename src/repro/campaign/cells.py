@@ -7,12 +7,8 @@ checkpoint envelope, outside the merged payload).
 
 Kinds:
 
-* ``micro``     — one paired GET/PUT microbenchmark point (Figure 6/7
-  machinery) at one (op, machine, size);
-* ``dis``       — one DIS stressmark scale point: paired cache-off/on
-  runs across ``params["seeds"]``, reported as a 95% CI;
 * ``figure``    — one row of :data:`repro.experiments.EXPERIMENTS`
-  (the paper's tables) at its quick preset;
+  (the paper's tables, the ablations) at its quick preset;
 * ``kvtraffic`` — one open-loop Zipfian KV traffic run (FCT
   histograms, SLO windows);
 * ``lossy``     — one (trace shape, repair policy) traffic run with
@@ -33,143 +29,9 @@ import json
 import time
 from typing import Callable, Dict
 
-from repro.util.stats import DegenerateBaselineError, mean_ci95
+from repro.util.stats import DegenerateBaselineError
 
 __all__ = ["KINDS", "run_cell", "DegenerateBaselineError"]
-
-
-def _machine(name: str):
-    from repro.network.params import MACHINES
-    try:
-        return MACHINES[name]
-    except KeyError:
-        names = ", ".join(sorted(MACHINES))
-        raise ValueError(f"unknown machine {name!r} (expected one "
-                         f"of: {names})") from None
-
-
-# ---------------------------------------------------------------------------
-# micro: one Figure-6/7 style point
-# ---------------------------------------------------------------------------
-
-def _micro_cell(params: Dict, seed: int) -> Dict:
-    from repro.experiments import micro_pair
-    from repro.util.stats import improvement_pct
-    from repro.workloads.micro import get_roundtrip_us, put_overhead_us
-
-    op = params.get("op", "get")
-    fns = {"get": get_roundtrip_us, "put": put_overhead_us}
-    if op not in fns:
-        raise ValueError(f"micro op must be get|put, got {op!r}")
-    machine = _machine(params.get("machine", "gm"))
-    size = int(params["size_bytes"])
-    z, w = micro_pair(fns[op], machine, size,
-                      int(params.get("reps", 10)), seed)
-    return {
-        "op": op,
-        "machine": params.get("machine", "gm"),
-        "size_bytes": size,
-        "z_us": round(z, 4),
-        "w_us": round(w, 4),
-        "improvement_pct": round(improvement_pct(z, w), 3),
-    }
-
-
-# ---------------------------------------------------------------------------
-# dis: one stressmark scale point, CI across seeds
-# ---------------------------------------------------------------------------
-
-def _dis_params(workload: str, threads: int, nodes: int, machine,
-                preset: str, capacity: int, seed: int):
-    from repro.experiments.figures import (_field_params,
-                                           _neighborhood_params,
-                                           _pointer_params,
-                                           _update_params)
-    from repro.workloads.dis.field import FieldParams, run_field
-    from repro.workloads.dis.neighborhood import (NeighborhoodParams,
-                                                  run_neighborhood)
-    from repro.workloads.dis.pointer import PointerParams, run_pointer
-    from repro.workloads.dis.update import UpdateParams, run_update
-
-    tpn = threads // nodes
-    if preset == "paper":
-        makers = {
-            "pointer": (lambda: _pointer_params(threads, nodes, machine,
-                                                seed, capacity),
-                        run_pointer),
-            "update": (lambda: _update_params(threads, nodes, machine,
-                                              seed), run_update),
-            "neighborhood": (lambda: _neighborhood_params(
-                threads, nodes, machine, seed, capacity),
-                run_neighborhood),
-            "field": (lambda: _field_params(threads, nodes, machine,
-                                            seed), run_field),
-        }
-    elif preset == "small":
-        makers = {
-            "pointer": (lambda: PointerParams(
-                machine=machine, nthreads=threads, threads_per_node=tpn,
-                cache_capacity=capacity, seed=seed, nelems=1024, hops=8),
-                run_pointer),
-            "update": (lambda: UpdateParams(
-                machine=machine, nthreads=threads, threads_per_node=tpn,
-                seed=seed, nelems=1024, hops=64), run_update),
-            "neighborhood": (lambda: NeighborhoodParams(
-                machine=machine, nthreads=threads, threads_per_node=tpn,
-                cache_capacity=capacity, seed=seed, dim=threads * 24,
-                width=32, distance=10, samples=8, iterations=2),
-                run_neighborhood),
-            "field": (lambda: FieldParams(
-                machine=machine, nthreads=threads, threads_per_node=tpn,
-                seed=seed, nelems=128 * threads, ntokens=3), run_field),
-        }
-    else:
-        raise ValueError(f"dis preset must be small|paper, got "
-                         f"{preset!r}")
-    if workload not in makers:
-        names = ", ".join(sorted(makers))
-        raise ValueError(f"unknown dis workload {workload!r} "
-                         f"(expected one of: {names})")
-    make, run = makers[workload]
-    return make(), run
-
-
-def _dis_cell(params: Dict, seed: int) -> Dict:
-    from repro.experiments import paired_samples
-
-    workload = params["workload"]
-    threads = int(params.get("threads", 8))
-    nodes = int(params.get("nodes", 2))
-    machine_name = params.get("machine", "gm")
-    preset = params.get("preset", "small")
-    capacity = int(params.get("capacity", 100))
-    seeds = [int(s) for s in params.get("seeds", [seed])]
-
-    p, run = _dis_params(workload, threads, nodes,
-                         _machine(machine_name), preset, capacity,
-                         seeds[0])
-    samples, hit_rates, skipped = paired_samples(run, p, seeds)
-    payload = {
-        "workload": workload,
-        "threads": threads,
-        "nodes": nodes,
-        "machine": machine_name,
-        "preset": preset,
-        "capacity": capacity,
-        "n": len(samples),
-        "skipped": skipped,
-    }
-    if samples:
-        ci = mean_ci95(samples)
-        payload.update(
-            improvement_pct=round(ci.mean, 3),
-            ci_half_width=round(ci.half_width, 3),
-            hit_rate=round(sum(hit_rates) / len(hit_rates), 4),
-        )
-    else:
-        payload.update(improvement_pct=None, ci_half_width=None,
-                       hit_rate=None)
-    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +100,9 @@ def _kv_cell(params: Dict, seed: int) -> Dict:
         "p50_us": round(q["p50_us"], 3),
         "p99_us": round(q["p99_us"], 3),
         "hit_p50_us": round(q["hit_p50_us"], 3),
+        "hit_p99_us": round(q["hit_p99_us"], 3),
         "miss_p50_us": round(q["miss_p50_us"], 3),
+        "miss_p99_us": round(q["miss_p99_us"], 3),
         "final_clock_us": res.now,
         "events": res.events,
         "fct_cdf": hist_cdf(res.hist),
@@ -303,8 +167,6 @@ def _noop_cell(params: Dict, seed: int) -> Dict:
 
 
 KINDS: Dict[str, Callable[[Dict, int], Dict]] = {
-    "micro": _micro_cell,
-    "dis": _dis_cell,
     "figure": _figure_cell,
     "kvtraffic": _kv_cell,
     "lossy": _lossy_cell,

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.experiments.report import render_table
-from repro.util.stats import ConfidenceInterval
 
 __all__ = ["render_campaign", "render_cdf_figure"]
 
@@ -92,42 +91,6 @@ def render_cdf_figure(series: Sequence[Tuple[str, List[List[float]]]],
 # Per-kind table builders
 # ---------------------------------------------------------------------------
 
-def _micro_table(rows: List[Dict]) -> str:
-    table = [dict(op=p["op"], machine=p["machine"],
-                  size_bytes=p["size_bytes"], z_us=p["z_us"],
-                  w_us=p["w_us"], improvement_pct=p["improvement_pct"])
-             for p in rows]
-    table.sort(key=lambda r: (r["op"], r["machine"], r["size_bytes"]))
-    return render_table(
-        table, ["op", "machine", "size_bytes", "z_us", "w_us",
-                "improvement_pct"],
-        title="Microbenchmark cells: paired GET/PUT improvement")
-
-
-def _dis_table(rows: List[Dict]) -> str:
-    table = []
-    for p in rows:
-        if p.get("improvement_pct") is None:
-            ci: Optional[ConfidenceInterval] = (
-                ConfidenceInterval(mean=float("nan"), half_width=0.0,
-                                   n=0, skipped=p.get("skipped", 0))
-                if p.get("n") == 0 else None)
-        else:
-            ci = ConfidenceInterval(mean=p["improvement_pct"],
-                                    half_width=p["ci_half_width"],
-                                    n=p["n"],
-                                    skipped=p.get("skipped", 0))
-        table.append(dict(workload=p["workload"], threads=p["threads"],
-                          nodes=p["nodes"], machine=p["machine"],
-                          improvement=ci,
-                          hit_rate=p.get("hit_rate")))
-    table.sort(key=lambda r: (r["workload"], r["threads"]))
-    return render_table(
-        table, ["workload", "threads", "nodes", "machine",
-                "improvement", "hit_rate"],
-        title="DIS stressmark cells: improvement % (95% CI)")
-
-
 def _kv_table(rows: List[Dict]) -> str:
     table = [dict(zipf_s=p["zipf_s"], shards=p["shards"],
                   requests=p["requests"], hit_rate=p["hit_rate"],
@@ -184,14 +147,18 @@ def render_campaign(run_dir: str, campaign: str,
                        if r["status"] == "ok"]
                 for kind, rows in by_kind.items()}
 
-    if payloads.get("micro"):
-        _emit("campaign_micro.txt", _micro_table(payloads["micro"]))
-    if payloads.get("dis"):
-        _emit("campaign_dis.txt", _dis_table(payloads["dis"]))
-    for fig in payloads.get("figure", []):
-        _emit(f"{fig['figure']}.txt",
-              render_table(fig["rows"], fig["columns"],
-                           title=fig["title"]))
+    # One file per figure cell: a figure swept over seeds or a runner
+    # keyword has several, told apart by cell id in name and title; a
+    # figure with one cell keeps the plain ``<figure>.txt``.
+    figures = [(r["id"], r["payload"]) for r in by_kind.get("figure", [])
+               if r["status"] == "ok"]
+    names = [fig["figure"] for _, fig in figures]
+    for cell_id, fig in figures:
+        name, title = fig["figure"], fig["title"]
+        if names.count(name) > 1:
+            name, title = f"{name}.{cell_id}", f"{title} [{cell_id}]"
+        _emit(f"{name}.txt",
+              render_table(fig["rows"], fig["columns"], title=title))
     if payloads.get("kvtraffic"):
         kv = payloads["kvtraffic"]
         _emit("campaign_kvtraffic.txt", _kv_table(kv))

@@ -137,17 +137,16 @@ class CampaignSpec:
 def _smoke_spec() -> CampaignSpec:
     return CampaignSpec(
         name="smoke",
-        description="CI smoke matrix: every cell kind, ~1 minute "
-                    "total on 2 workers",
+        description="CI smoke matrix: figure, kvtraffic and lossy "
+                    "cells, seconds on 2 workers",
         workers=2,
         legs=[
-            {"kind": "micro",
-             "matrix": {"op": ["get", "put"], "machine": ["gm", "lapi"]},
-             "fixed": {"size_bytes": 4096, "reps": 5}},
-            {"kind": "dis",
-             "matrix": {"workload": ["pointer", "field"]},
-             "fixed": {"threads": 8, "nodes": 2, "machine": "gm",
-                       "preset": "small", "seeds": [1, 2]}},
+            {"kind": "figure",
+             "matrix": {"figure": ["fig6_get", "fig6_put"]},
+             "fixed": {"sizes": [4096], "reps": 5}},
+            {"kind": "figure",
+             "matrix": {"figure": ["fig9a"]},
+             "fixed": {"scales": [[8, 2]], "seeds": [1, 2]}},
             {"kind": "figure",
              "matrix": {"figure": ["fig7"]},
              "fixed": {"sizes": [1, 64, 1024, 8192], "reps": 3}},

@@ -19,7 +19,6 @@ from repro.experiments.harness import (
     PairedRun,
     micro_pair,
     paired_run,
-    paired_samples,
     repeat_ci,
 )
 from repro.experiments.figures import (
@@ -32,6 +31,16 @@ from repro.experiments.figures import (
     fig8,
     fig9,
     miss_overhead,
+)
+from repro.experiments.ablations import (
+    ablation_eager_threshold,
+    ablation_eviction,
+    ablation_piggyback,
+    ablation_pinning,
+    ablation_progress,
+    ablation_transports,
+    bulk_pipeline,
+    corner_turn,
 )
 from repro.experiments.capacity import capacity_speedup
 from repro.experiments.report import render_table
@@ -106,6 +115,31 @@ EXPERIMENTS: Mapping[str, Experiment] = MappingProxyType({
         capacity_speedup, dict(threads=32, nodes=8),
         dict(threads=64, nodes=16),
         "X4 — Section 4.5: the memory/speedup compromise"),
+    "ablation_piggyback": Experiment(
+        ablation_piggyback, dict(threads=16, nodes=4, hops=48), {},
+        "X5 — Section 3 ablation: piggyback vs dedicated address fetch"),
+    "ablation_pinning": Experiment(
+        ablation_pinning, dict(threads=16, nodes=4, hops=24), {},
+        "X6 — Section 3.1 ablation: pin-everything vs chunked pinning"),
+    "ablation_eviction": Experiment(
+        ablation_eviction, dict(capacities=[8]), {},
+        "X7 — Section 4.5 ablation: eviction policy"),
+    "ablation_progress": Experiment(
+        ablation_progress, dict(scales=[(32, 8)]), {},
+        "X8 — Sections 4.6-4.7 ablation: polling vs interrupt progress"),
+    "ablation_transports": Experiment(
+        ablation_transports, dict(threads=16, hops=48), {},
+        "X9 — Section 2 ablation: the cache across four transports"),
+    "ablation_eager_threshold": Experiment(
+        ablation_eager_threshold,
+        dict(thresholds_kb=[1, 4, 16, 64, 256], reps=6), {},
+        "X10 — Section 5 ablation: the eager/rendezvous crossover"),
+    "corner_turn": Experiment(
+        corner_turn, dict(threads=16, dim=64), {},
+        "X11 — Corner Turn (DIS extension workload)"),
+    "bulk_pipeline": Experiment(
+        bulk_pipeline, dict(blocks=[4, 16, 64]), {},
+        "X12 — bulk-transfer engine: pipeline and coalescing"),
 })
 
 __all__ = [
@@ -113,7 +147,6 @@ __all__ = [
     "Experiment",
     "PairedRun",
     "paired_run",
-    "paired_samples",
     "repeat_ci",
     "micro_pair",
     "FigureResult",

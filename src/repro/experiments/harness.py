@@ -57,40 +57,27 @@ def paired_run(run_fn: Callable[..., DISResult], params) -> PairedRun:
     return PairedRun(baseline=baseline, cached=cached)
 
 
-def paired_samples(run_fn: Callable[..., DISResult], params,
-                   seeds: Sequence[int]):
-    """One :func:`paired_run` per seed.  Returns ``(improvements,
-    hit_rates, skipped)``: the improvement % and cached hit rate of
-    every repetition, and the count of those whose baseline ran in
-    zero time (a degenerate cell — e.g. a truncated sweep point where
-    thread 0 does no measured work), which are *skipped* rather than
-    aborting the whole sweep."""
-    improvements: List[float] = []
-    hit_rates: List[float] = []
-    skipped = 0
-    for seed in seeds:
-        pair = paired_run(run_fn, replace(params, seed=seed))
-        try:
-            improvements.append(pair.improvement_pct)
-        except DegenerateBaselineError:
-            skipped += 1
-            continue
-        hit_rates.append(pair.hit_rate)
-    return improvements, hit_rates, skipped
-
-
 def repeat_ci(run_fn: Callable[..., DISResult], params,
               seeds: Sequence[int]) -> ConfidenceInterval:
     """Improvement % across repetitions with different seeds, as a
     95% confidence interval (normal approximation, as in the paper).
 
-    Degenerate repetitions are counted in the interval's ``skipped``
-    field; if every repetition is degenerate the result has ``n == 0``
-    and a NaN mean.
+    A repetition whose baseline ran in zero time (a degenerate cell —
+    e.g. a truncated sweep point where thread 0 does no measured work)
+    is *skipped* rather than aborting the whole sweep, and counted in
+    the interval's ``skipped`` field; if every repetition is
+    degenerate the result has ``n == 0`` and a NaN mean.
     """
     if not seeds:
         raise ValueError("repeat_ci needs at least one seed")
-    samples, _hit_rates, skipped = paired_samples(run_fn, params, seeds)
+    samples: List[float] = []
+    skipped = 0
+    for seed in seeds:
+        pair = paired_run(run_fn, replace(params, seed=seed))
+        try:
+            samples.append(pair.improvement_pct)
+        except DegenerateBaselineError:
+            skipped += 1
     if not samples:
         return ConfidenceInterval(mean=float("nan"), half_width=0.0,
                                   n=0, skipped=skipped)
@@ -99,11 +86,11 @@ def repeat_ci(run_fn: Callable[..., DISResult], params,
 
 
 def micro_pair(fn: Callable[[MicroParams], float],
-               machine: MachineParams, size: int, reps: int,
-               seed: int = 0) -> Tuple[float, float]:
+               machine: MachineParams, size: int,
+               reps: int) -> Tuple[float, float]:
     """``(Z, W)`` of one microbenchmark point: ``fn`` (µs) with the
     address cache off, then on."""
     z, w = (fn(MicroParams(machine=machine, msg_bytes=size,
-                           cache_enabled=cache, reps=reps, seed=seed))
+                           cache_enabled=cache, reps=reps))
             for cache in (False, True))
     return z, w

@@ -28,7 +28,7 @@ pin-failure degradation in :mod:`repro.runtime.ops`.
 
 With no plan installed (or an empty one) the runtime takes the exact
 pre-fault code paths: zero extra simulator events, bit-identical
-virtual time (``benchmarks/bench_fault_overhead.py`` holds the bar).
+virtual time (``tests/faults/test_recovery.py`` holds the bar).
 """
 
 from repro.faults.health import HealthTracker, WindowStats, fold_ewma

@@ -5,8 +5,7 @@ import os
 
 import pytest
 
-from repro.campaign.artifacts import (ArtifactError, BaselineError,
-                                      atomic_write_json,
+from repro.campaign.artifacts import (ArtifactError, atomic_write_json,
                                       load_json_artifact, merge_rows)
 
 
@@ -38,18 +37,12 @@ def test_corrupt_artifact_is_named_error_not_jsondecode(tmp_path):
     path = tmp_path / "trunc.json"
     path.write_text('{"bench": "kv", "results": [', encoding="utf-8")
     with pytest.raises(ArtifactError) as exc:
-        load_json_artifact(str(path), what="baseline",
-                           error=BaselineError)
+        load_json_artifact(str(path), what="campaign spec")
     msg = str(exc.value)
     assert "corrupt or truncated" in msg
-    assert "baseline" in msg
-    assert isinstance(exc.value, BaselineError)
+    assert "campaign spec" in msg
     # Named, but still carrying the decode cause for debugging.
     assert isinstance(exc.value.__cause__, json.JSONDecodeError)
-
-
-def test_baseline_error_is_artifact_error():
-    assert issubclass(BaselineError, ArtifactError)
 
 
 def _outcome(cid, kind="noop", status="ok", **extra):

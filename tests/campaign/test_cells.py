@@ -1,5 +1,6 @@
 """The ``figure`` cell kind: a row of the experiment table at its
-quick preset, overridden only by the spec params its runner takes."""
+quick preset, overridden only by the spec params its runner takes;
+and the two traffic kinds' payloads."""
 
 from repro.campaign.cells import run_cell
 from repro.campaign.spec import SPECS
@@ -38,3 +39,17 @@ def test_paper_spec_names_the_paper_figures_and_no_scales():
             "fig6_get", "fig6_put", "fig7", "fig8a", "fig8b", "fig9a",
             "fig9b", "miss_overhead")]
     assert {c.kind for c in cells} == {"figure"}
+
+
+def test_traffic_cells_report_both_paths_quantiles():
+    kv = run_cell("kvtraffic", {"requests": 2000, "zipf_s": 1.2}, 7)
+    assert kv["requests"] >= 2000 and kv["fct_cdf"]
+    # The one-sided (hit) and AM (miss) subpopulations, p50 and p99.
+    assert 0 < kv["hit_p50_us"] <= kv["hit_p99_us"]
+    assert 0 < kv["miss_p50_us"] <= kv["miss_p99_us"]
+    assert kv["hit_p99_us"] < kv["miss_p50_us"]
+    lossy = run_cell("lossy", {"requests": 2000, "shape": "gray",
+                               "trace": "compressed", "trace_seed": 7,
+                               "policy": "do_nothing"}, 9)
+    assert (lossy["shape"], lossy["policy"]) == ("gray", "do_nothing")
+    assert lossy["fct_cdf"] and lossy["p50_us"] <= lossy["p99_us"]

@@ -1,4 +1,5 @@
-"""Campaign rendering: tables, the ASCII CDF figure, n=1 marking."""
+"""Campaign rendering: tables, the ASCII CDF figure, one file per
+figure cell."""
 
 import os
 
@@ -43,15 +44,11 @@ def test_render_campaign_writes_figures(tmp_path):
         _cell("kvtraffic", kv_payload, "kv-a"),
         _cell("lossy", lossy[0], "lo-a"),
         _cell("lossy", lossy[1], "lo-b"),
-        _cell("micro", {"op": "get", "machine": "gm",
-                        "size_bytes": 4096, "z_us": 42.0, "w_us": 28.0,
-                        "improvement_pct": 33.0}, "mi-a"),
     ]
     paths = render_campaign(str(tmp_path), "t", outcomes)
     names = {os.path.basename(p) for p in paths}
     assert {"campaign_kvtraffic.txt", "kv_fct_cdf.txt",
             "campaign_lossy.txt", "lossy_flap.txt",
-            "campaign_micro.txt",
             "campaign_report.txt"} <= names
     flap = open(os.path.join(str(tmp_path), "figures",
                              "lossy_flap.txt")).read()
@@ -63,31 +60,57 @@ def test_render_campaign_writes_figures(tmp_path):
     assert "do_nothing" in report
 
 
-def test_render_campaign_marks_single_seed_no_ci(tmp_path):
-    dis = {"workload": "pointer", "threads": 8, "nodes": 2,
-           "machine": "gm", "preset": "small", "capacity": 100,
-           "n": 1, "skipped": 0, "improvement_pct": 16.6,
-           "ci_half_width": 0.0, "hit_rate": 0.78}
-    render_campaign(str(tmp_path), "t", [_cell("dis", dis, "d-a")])
-    text = open(os.path.join(str(tmp_path), "figures",
-                             "campaign_dis.txt")).read()
-    # A single-seed cell must say so, not fake a "± 0.00" interval.
-    assert "(n=1, no CI)" in text
-    assert "± 0.0" not in text
+def _figure(name, value):
+    return {"figure": name, "figure_id": "F", "title": f"{name} table",
+            "columns": ["x", "y"], "rows": [{"x": 1, "y": value}]}
+
+
+def test_render_campaign_writes_one_file_per_figure_cell(tmp_path):
+    # Regression: two cells of one experiment (a leg-level "seeds":
+    # [1, 2], or a swept runner keyword) both rendered to
+    # figures/<figure>.txt — only the last survived, under a path
+    # the CLI reported twice.
+    outcomes = [_cell("figure", _figure("fig7", 1.5), "fig7-s1"),
+                _cell("figure", _figure("fig7", 2.5), "fig7-s2"),
+                _cell("figure", _figure("fig9a", 3.5), "fig9a-s0")]
+    paths = render_campaign(str(tmp_path), "t", outcomes)
+    assert len(set(paths)) == len(paths) == 4
+    assert sorted(os.listdir(os.path.join(str(tmp_path), "figures"))) == [
+        "fig7.fig7-s1.txt", "fig7.fig7-s2.txt", "fig9a.txt"]
+    for cid, value in (("fig7-s1", "1.50"), ("fig7-s2", "2.50")):
+        text = open(os.path.join(str(tmp_path), "figures",
+                                 f"fig7.{cid}.txt")).read()
+        assert value in text and f"[{cid}]" in text
+    # A figure with one cell keeps its plain name and title.
+    single = open(os.path.join(str(tmp_path), "figures",
+                               "fig9a.txt")).read()
+    assert single.splitlines()[0] == "fig9a table"
+
+
+def test_two_seeds_of_one_figure_render_two_files(tmp_path, capsys):
+    # The same through the real CLI, spec to rendered files.
+    from repro.__main__ import main
+
+    spec = ('{"name": "t", "workers": 0, "legs": [{"kind": "figure", '
+            '"matrix": {"figure": ["fig7"]}, "fixed": {"sizes": [8], '
+            '"reps": 1}, "seeds": [1, 2]}]}')
+    assert main(["campaign", "--spec", spec,
+                 "--run-dir", str(tmp_path)]) == 0
+    rendered = [line.split()[-1] for line
+                in capsys.readouterr().out.splitlines()
+                if line.startswith("  rendered") and "fig7" in line]
+    assert len(set(rendered)) == len(rendered) == 2
+    assert all(os.path.exists(p) for p in rendered)
 
 
 def test_render_campaign_lists_degenerate_cells(tmp_path):
-    ok = {"workload": "field", "threads": 8, "nodes": 2,
-          "machine": "gm", "preset": "small", "capacity": 100,
-          "n": 2, "skipped": 0, "improvement_pct": 14.0,
-          "ci_half_width": 0.1, "hit_rate": 0.9}
     outcomes = [
-        _cell("dis", ok, "d-ok"),
-        dict(_cell("dis", None, "d-bad", status="degenerate"),
+        _cell("figure", _figure("fig7", 1.5), "f-ok"),
+        dict(_cell("figure", None, "f-bad", status="degenerate"),
              error="elapsed 0.0 <= 0"),
     ]
     render_campaign(str(tmp_path), "t", outcomes)
     report = open(os.path.join(str(tmp_path),
                                "campaign_report.txt")).read()
     assert "degenerate cells" in report
-    assert "d-bad" in report
+    assert "f-bad" in report

@@ -1,6 +1,8 @@
 """Campaign spec expansion: deterministic, collision-checked."""
 
 import json
+import os
+import re
 
 import pytest
 
@@ -88,5 +90,41 @@ def test_builtin_specs_expand():
         cells = make().expand()
         assert cells, name
         assert len({c.cell_id for c in cells}) == len(cells), name
-    # The CI smoke matrix satisfies the >= 8 cell acceptance floor.
-    assert len(SPECS["smoke"]().expand()) >= 8
+    # The CI smoke matrix satisfies the >= 8 cell acceptance floor
+    # (CI stops it after 4 and greps "resumed: 4 cell(s)").
+    smoke = SPECS["smoke"]().expand()
+    assert len(smoke) >= 8
+    assert sorted((c.kind, c.param_dict().get("figure"))
+                  for c in smoke) == [
+        ("figure", "fig6_get"), ("figure", "fig6_put"),
+        ("figure", "fig7"), ("figure", "fig9a"),
+        ("kvtraffic", None), ("kvtraffic", None),
+        ("lossy", None), ("lossy", None)]
+
+
+def _documented_inline_spec(doc):
+    root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    with open(os.path.join(root, "docs", doc), encoding="utf-8") as fh:
+        (text,) = re.findall(r"--spec '(\{.*\})'", fh.read())
+    return [c.to_dict() for c in resolve_spec(text).expand()]
+
+
+def test_documented_full_scale_specs_are_the_retired_full_modes():
+    # docs/SERVICE.md: skew 0.9 and 1.2 at 600k requests each — the
+    # sweep sustains >= 1M simulated requests on the 2-shard core.
+    kv = _documented_inline_spec("SERVICE.md")
+    assert {c["kind"] for c in kv} == {"kvtraffic"}
+    assert sorted(c["params"]["zipf_s"] for c in kv) == [0.9, 1.2]
+    assert {c["params"]["shards"] for c in kv} == {2}
+    assert sum(c["params"]["requests"] for c in kv) >= 1_000_000
+    # docs/FAULTS.md: the healthy fabric plus 4 shapes x 4 policies,
+    # 320k requests a cell on the uncompressed traces.
+    healthy, *grid = _documented_inline_spec("FAULTS.md")
+    assert healthy["kind"] == "kvtraffic"
+    assert len(grid) == 16 and {c["kind"] for c in grid} == {"lossy"}
+    assert len({(c["params"]["shape"], c["params"]["policy"])
+                for c in grid}) == 16
+    for c in [healthy] + grid:
+        assert c["params"]["requests"] == 320_000 and c["seed"] == 9
+        assert "trace" not in c["params"]

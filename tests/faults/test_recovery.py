@@ -54,6 +54,20 @@ def test_empty_plan_is_bit_identical_to_no_plan():
         assert empty.sim_events == base.sim_events, armed
 
 
+def test_dormant_plan_stays_inside_the_overhead_bar():
+    # Rules that can never fire (the window opens long after the run
+    # ends) may cost simulator events for their fate draws and timers,
+    # but must leave virtual time within 5% of a run with no plan.
+    _, base = run(None)
+    _, dormant = run(FaultPlan(seed=1, links=(
+        LinkRule.static(loss=1.0, t_start=1e12),)))
+    assert (dormant.elapsed_us - base.elapsed_us) / base.elapsed_us < 0.05
+    # Chaos recovers — slower, but it finishes (the kernel asserts
+    # its own answers) with a sane clock.
+    _, chaos = run(PROFILES["chaos"].with_seed(7))
+    assert chaos.elapsed_us >= base.elapsed_us
+
+
 def test_no_plan_installs_no_injector():
     rt, _ = run(FaultPlan())
     assert rt.faults is None

@@ -35,7 +35,9 @@ def test_recording_does_not_perturb_the_simulation():
     recording off, on, and absent — emits are pure observations."""
     base, _ = _run(events=None)
     off, _ = _run(events=EventLog(enabled=False))
-    on, _ = _run(events=EventLog())
+    log = EventLog()
+    on, _ = _run(events=log)
+    assert len(log) > 0
     assert off.elapsed_us == base.elapsed_us
     assert off.sim_events == base.sim_events
     assert on.elapsed_us == base.elapsed_us

@@ -226,7 +226,13 @@ def test_kv_traffic_bit_identical_with_trace_on(nshards):
     assert on.now == off.now
     assert on.events == off.events
     assert (on.hist == off.hist).all()
-    assert on.extra["slo"]["windows"] == off.extra["slo"]["windows"]
+    assert on.extra["slo"]["windows"] == off.extra["slo"]["windows"] != []
+    # ...and against neither: the SLO monitor is an observer too.
+    bare = run_kv_traffic(TrafficParams(requests=2000), nshards)
+    assert "slo" not in bare.extra
+    assert (bare.digests, bare.now, bare.events) == (
+        on.digests, on.now, on.events)
+    assert (bare.hist == on.hist).all()
     log = merge_shard_events(on.extra["run"].shard_events)
     spans = [e for e in log if e.kind == OP_END]
     assert len(spans) == on.requests

@@ -14,7 +14,7 @@ import shlex
 import pytest
 
 from repro.__main__ import build_parser, main
-from repro.campaign.cells import run_cell
+from repro.campaign.cells import KINDS, run_cell
 from repro.experiments import EXPERIMENTS, FigureResult
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -111,7 +111,13 @@ PARENT_FLAGS = {
               "--seed": 1, "--shard-backend": "inproc", "--shards": 1,
               "workload": None},
 }
-FIGURES = ("address_ablation", "alloc_latency", "capacity",
+#: The twenty rows of the experiment table (E1-E8, X1-X12) — eight
+#: of them the ablation/extension sweeps that were pytest-benchmark
+#: scripts, subcommands now because they are rows — and ``all``.
+FIGURES = ("ablation_eager_threshold", "ablation_eviction",
+           "ablation_piggyback", "ablation_pinning", "ablation_progress",
+           "ablation_transports", "address_ablation", "alloc_latency",
+           "bulk_pipeline", "capacity", "corner_turn",
            "directory_memory", "fig6_get", "fig6_put", "fig7", "fig8a",
            "fig8b", "fig9a", "fig9b", "miss_overhead", "all")
 
@@ -162,6 +168,10 @@ def test_shared_options_are_defined_exactly_once():
 
 def test_experiment_table_is_the_figure_set():
     assert set(EXPERIMENTS) == set(FIGURES) - {"all"}
+    assert len(EXPERIMENTS) == 20
+    # One way to sweep: a table row through `figure`, or a traffic
+    # cell — no per-point copies of a figure's parameters.
+    assert set(KINDS) == {"figure", "kvtraffic", "lossy", "noop"}
     # The campaign's figure cell accepts exactly the same names, and
     # an unknown one is the one ValueError that lists them.
     with pytest.raises(ValueError) as exc:
@@ -214,7 +224,8 @@ def test_make_experiments_is_a_loop_over_the_table(tmp_path, monkeypatch):
     # One section per row, in table order, then the closing note.
     assert headings[:-1] == [exp.heading
                              for exp in EXPERIMENTS.values()]
-    assert headings[:-1] == sorted(headings[:-1])
+    assert headings[:-1] == sorted(
+        headings[:-1], key=lambda h: (h[0], int(h[1:].split()[0])))
     assert headings[-1].startswith("Note")
     assert [line for line in text.splitlines()
             if line.endswith(": stub")] == [

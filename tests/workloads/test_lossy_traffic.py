@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from repro.faults import FaultPlan, LinkRule, TraceSegment, make_trace
-from repro.workloads.kv_traffic import (TrafficParams, run_kv_traffic)
+from repro.workloads.kv_traffic import (TrafficParams, hist_cdf,
+                                        run_kv_traffic)
 
 pytestmark = pytest.mark.shard
 
@@ -98,12 +99,39 @@ def test_disable_and_repair_beats_do_nothing_under_flap():
         p = _params(requests=64_000, fault_plan=tr.to_json(),
                     repair_policy=policy)
         runs[policy] = run_kv_traffic(p, 2)
+        assert hist_cdf(runs[policy].hist)      # a CDF to render
     dn = runs["do_nothing"].quantiles()["p99_us"]
     dr = runs["disable_and_repair"].quantiles()["p99_us"]
     assert dr < dn
     assert runs["disable_and_repair"].extra["policy"]["decisions"]
     # the control arm never acts
     assert runs["do_nothing"].extra["policy"]["decisions"] == []
+
+
+def test_every_degradation_shape_hurts_the_do_nothing_tail():
+    # a shape that does not bite compares nothing: each of the four
+    # must push the control arm's p99 above the healthy fabric's
+    healthy = run_kv_traffic(_params(), 2).quantiles()["p99_us"]
+    for shape, kw in (("flap", dict(period_us=500.0, down_us=200.0)),
+                      ("burst", dict(bursts=3, burst_us=150.0)),
+                      ("degrade", {}), ("gray", {})):
+        tr = make_trace(shape, 4, seed=7, horizon_us=1500.0, **kw)
+        res = run_kv_traffic(_params(fault_plan=tr.to_json(),
+                                     repair_policy="do_nothing"), 2)
+        assert res.quantiles()["p99_us"] > healthy, shape
+        assert hist_cdf(res.hist), shape       # a CDF to compare
+
+
+def test_one_sided_path_beats_am_and_hit_rate_rises_with_skew():
+    # the service-level view of the paper's comparison: a cache hit
+    # (one-sided) skips dispatch + SVD lookup + handler CPU, so its
+    # quantiles sit below the miss (AM) path's; a hotter key
+    # distribution concentrates buckets into the per-client LRU
+    runs = {s: run_kv_traffic(_params(zipf_s=s), 2) for s in (0.9, 1.2)}
+    assert runs[1.2].hit_rate > runs[0.9].hit_rate
+    for res in runs.values():
+        q = res.quantiles()
+        assert 0 < q["hit_p50_us"] < q["miss_p50_us"]
 
 
 def test_exhausted_requests_are_counted_not_hung():
