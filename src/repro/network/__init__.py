@@ -6,7 +6,7 @@ cost models.  See DESIGN.md section 2 for the substitution argument
 and :mod:`repro.network.params` for the calibrated constants.
 """
 
-from repro.network.cluster import Cluster, make_cluster
+from repro.network.cluster import Cluster
 from repro.network.node import Node
 from repro.network.params import (
     BGL_TORUS,
@@ -44,8 +44,6 @@ from repro.network.topology import (
 )
 from repro.network.transport import (
     AMReply,
-    GMTransport,
-    LAPITransport,
     PutTicket,
     Transport,
     TransportCounters,
@@ -53,7 +51,6 @@ from repro.network.transport import (
 
 __all__ = [
     "Cluster",
-    "make_cluster",
     "Node",
     "MachineParams",
     "TransportParams",
@@ -75,8 +72,6 @@ __all__ = [
     "Torus3D",
     "make_topology",
     "Transport",
-    "GMTransport",
-    "LAPITransport",
     "AMReply",
     "PutTicket",
     "TransportCounters",

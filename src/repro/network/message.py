@@ -3,8 +3,8 @@
 Every protocol step the transport executes corresponds to a concrete
 message on the real wire (Figures 3 and 5): the request-to-send, the
 data reply, rendezvous control traffic, RDMA descriptors and DMA
-responses, and one-way notifications.  When
-``transport.log_messages`` is enabled, each of them is recorded as a
+responses, and one-way notifications.  After
+``Transport.enable_log()``, each of them is recorded as a
 :class:`WireMessage` — a tcpdump for the simulated fabric, used by
 tests to assert protocol shapes and by humans to debug them.
 

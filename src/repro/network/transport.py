@@ -136,10 +136,6 @@ class Transport:
         #: Repair-policy engine (injected); None == static fabric.
         #: Consulted for per-link retransmit knobs and detours.
         self.policy = None
-        #: Links administratively taken down (``Cluster.
-        #: set_link_state``); their traffic detours like a policy
-        #: disable.  Empty set == zero-cost.
-        self.links_down = set()
         self._next_seq = 0
         #: Per-destination receive-buffer credit pools, lazily built.
         self._credits: Dict[int, Resource] = {}
@@ -299,17 +295,14 @@ class Transport:
     def _wire(self, src: Node, dst: Node, extra: float = 0.0):
         """Pure latency of the fabric between two nodes.
 
-        A link taken out of service (repair policy or administrative
-        ``links_down``) routes via the detour next-hop instead — two
-        healthy hops replace the one sick one."""
+        A link the repair policy took out of service routes via the
+        detour next-hop instead — two healthy hops replace the one
+        sick one."""
         via = None
         if self.policy is not None:
             mode = self.policy.mode_of(src.id, dst.id, self.sim.now)
             if mode.mode == "disabled":
                 via = mode.via
-        if via is None and self.links_down \
-                and (src.id, dst.id) in self.links_down:
-            via = self._detour_hop(src.id, dst.id)
         if via is not None:
             lat = (self.topology.latency(src.id, via)
                    + self.topology.latency(via, dst.id) + extra)
@@ -317,15 +310,6 @@ class Transport:
             lat = self.topology.latency(src.id, dst.id) + extra
         if lat > 0:
             yield self.sim.sleep(lat)
-
-    def _detour_hop(self, src: int, dst: int):
-        """Deterministic alternate next-hop for a downed link: the
-        smallest node that is neither endpoint (None on a 2-node
-        fabric — the traffic then just rides the sick link)."""
-        for via in range(len(self.nodes)):
-            if via != src and via != dst:
-                return via
-        return None
 
     def _run_handler(self, dst: Node, handler: Optional[Handler],
                      handler_copy_bytes: int = 0,
@@ -952,22 +936,3 @@ class Transport:
                              node=src.id, nbytes=nbytes)
         return PutTicket(remote_applied=remote_applied, nbytes=nbytes)
 
-
-class GMTransport(Transport):
-    """Myrinet/GM flavour (section 3.3).
-
-    Behaviour is fully captured by :data:`repro.network.params.GM_TRANSPORT`:
-    polling progress, 16 KB eager cut-over, registration embedded in
-    rendezvous with a pin-down cache, cheap RDMA with local PUT
-    completion, 1 GB DMAable-memory cap.
-    """
-
-
-class LAPITransport(Transport):
-    """LAPI/HPS flavour (section 3.2).
-
-    Captured by :data:`repro.network.params.LAPI_TRANSPORT`: interrupt
-    progress (communication/computation overlap), 8x Myrinet bandwidth,
-    RDMA latency premium with remote-ack PUT completion, 32 MB
-    registered-handle cap.
-    """

@@ -102,7 +102,7 @@ class RuntimeMetrics:
     max_backlog: int = 0
 
     #: Per-shard accounting when the run used the sharded PDES core
-    #: (``Simulator(shards=N)``); empty for pooled/legacy runs.
+    #: (``ShardedSimulator``); empty for single-simulator runs.
     shards: List[ShardMetrics] = field(default_factory=list)
 
     def attach_shards(self, shard_metrics: List[ShardMetrics]) -> None:

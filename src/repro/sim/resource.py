@@ -86,9 +86,9 @@ class Resource:
     def acquire(self) -> Event:
         """Returns an event that fires when a slot is granted.
 
-        The grant event comes from the simulator's free list in pooled
-        mode: its only consumers (the acquiring process and the FIFO
-        in :meth:`release`) drop their references once it fires, so
+        The grant event comes from the simulator's free list: its only
+        consumers (the acquiring process and the FIFO in
+        :meth:`release`) drop their references once it fires, so
         recycling after dispatch is safe.
         """
         ev = self.sim.oneshot(self._acq_name)

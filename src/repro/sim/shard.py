@@ -1,9 +1,9 @@
-"""The sharded PDES core: N pooled event loops + conservative sync.
+"""The sharded PDES core: N event loops + conservative sync.
 
-``Simulator(shards=N)`` returns a :class:`ShardedSimulator`: the
-cluster's nodes are partitioned into ``N`` contiguous groups
+:class:`ShardedSimulator` is the entry point: the cluster's nodes are
+partitioned into ``N`` contiguous groups
 (:mod:`repro.network.partition`), each group simulated by its own
-pooled :class:`~repro.sim.simulator.Simulator` advancing under the
+:class:`~repro.sim.simulator.Simulator` advancing under the
 barrier-window protocol of :mod:`repro.sim.sync`.  Two backends run
 the *identical* worker/coordinator code:
 
@@ -26,7 +26,7 @@ cross-shard message with ``send time + wire latency`` and *validates*
 the latency against the lookahead matrix, so conservative horizons are
 enforced, not assumed.  Full-runtime workloads (whose protocol
 generators span initiator and target node state) still run on the
-single pooled core — that core remains the determinism referee; the
+single :class:`Simulator` — that core remains the determinism referee; the
 sharded core hosts workloads written against message-passing shard
 boundaries.
 
@@ -128,7 +128,7 @@ class ShardContext:
     def __init__(self, spec: ShardSpec) -> None:
         self.shard = spec.shard_id
         self.nshards = spec.nshards
-        self.sim = Simulator(pooled=True)
+        self.sim = Simulator()
         self.metrics = ShardMetrics(shard=spec.shard_id)
         #: Per-shard flight recorder.  Disabled unless the spec asked
         #: for tracing; emits are pure list appends (never simulator
@@ -463,7 +463,7 @@ class ShardedSimulator:
 
     Not a :class:`Simulator` subclass on purpose: it has no single
     clock or heap, and every capability it offers goes through
-    :meth:`run`.  Constructed directly or via ``Simulator(shards=N)``.
+    :meth:`run`.
     """
 
     def __init__(self, nshards: int, lookahead=None, mode: str = "mp",

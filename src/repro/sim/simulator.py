@@ -4,35 +4,29 @@ Times are floats in microseconds.  Events scheduled for the same time
 are processed in schedule order (a monotonically increasing sequence
 number breaks heap ties), which makes runs fully deterministic.
 
-Two interchangeable cores live behind the same API:
+Heap entries are mutable ``[time, seq, event]`` records drawn from a
+free list (no per-event tuple allocation, but still C-speed
+lexicographic comparison), zero-delay events bypass the heap entirely
+through a FIFO *fast lane* (a deque), and kernel-internal wait points
+reuse ``_PooledEvent`` objects from a free list instead of allocating
+a ``Timeout`` per message hop.
 
-``Simulator(pooled=True)`` (the default)
-    The fast core.  Heap entries are mutable ``[time, seq, event]``
-    records drawn from a free list (no per-event tuple allocation, but
-    still C-speed lexicographic comparison), zero-delay events bypass
-    the heap entirely through a FIFO *fast lane* (a deque), and
-    kernel-internal wait points reuse ``_PooledEvent`` objects from a
-    free list instead of allocating a ``Timeout`` per message hop.
-
-``Simulator(pooled=False)``
-    The legacy core: immutable tuple heap entries, no lane, no object
-    reuse, eager event names.  Kept as the reference implementation —
-    the benchmark harness and the determinism tests run both cores on
-    identical workloads and require bit-identical schedules.
-
-Determinism is preserved because dispatch order is *exactly* the total
-order on ``(time, seq)`` in both cores: the fast lane only ever holds
-entries whose time equals ``now`` (a zero delay cannot point into the
-future, and the lane drains before the clock advances), so the next
-event is the lane head unless the heap top carries the same timestamp
-with a smaller sequence number.
+Dispatch order is still *exactly* the total order on ``(time, seq)``:
+the fast lane only ever holds entries whose time equals ``now`` (a
+zero delay cannot point into the future, and the lane drains before
+the clock advances), so the next event is the lane head unless the
+heap top carries the same timestamp with a smaller sequence number.
+The plain core this one must agree with — immutable tuple entries, no
+lane, nothing recycled — is ``tests/sim/reference_core.py``; the
+determinism tests run both on identical workloads and require
+bit-identical schedules.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Generator, List, Optional, Tuple
+from typing import Any, Generator, List, Optional
 
 from repro.sim.errors import SimulationError
 from repro.sim.event import PENDING, SCHEDULED, Event, Timeout, _PooledEvent
@@ -42,40 +36,18 @@ from repro.sim.process import Process
 class Simulator:
     """Owns the clock and the pending-event heap."""
 
-    __slots__ = ("now", "_heap", "_seq", "_nevents", "pooled",
+    __slots__ = ("now", "_heap", "_seq", "_nevents",
                  "_lane", "_entry_pool", "_event_pool", "_fanout")
 
-    def __new__(cls, pooled: bool = True, shards: Optional[int] = None,
-                **kw):
-        # ``Simulator(shards=N)`` is the sharded-PDES entry point: for
-        # N > 1 it hands back a ShardedSimulator (a coordinator over N
-        # per-node-group pooled cores, not a Simulator subclass —
-        # __init__ below is intentionally skipped for it).  N in
-        # (None, 0, 1) degenerates to this class: one shard *is* the
-        # pooled core.
-        if cls is Simulator and shards is not None and shards > 1:
-            from repro.sim.shard import ShardedSimulator
-            return ShardedSimulator(nshards=shards, **kw)
-        return object.__new__(cls)
-
-    def __init__(self, pooled: bool = True,
-                 shards: Optional[int] = None, **kw) -> None:
-        if kw:
-            raise TypeError(
-                f"unexpected Simulator() arguments {sorted(kw)} "
-                "(sharded-only options require shards > 1)")
+    def __init__(self) -> None:
         #: Current virtual time in microseconds.
         self.now: float = 0.0
         self._heap: List[Any] = []
         self._seq = 0
         #: Total number of events processed (exposed for perf metrics).
         self._nevents = 0
-        #: Fast core (pooled entries/events + zero-delay lane) when
-        #: True; the legacy tuple-heap core when False.
-        self.pooled = pooled
-        # Zero-delay fast lane: entries scheduled with delay == 0 at
-        # the current clock value, dispatched FIFO without touching
-        # the heap.  Always empty in legacy mode.
+        # Zero-delay fast lane: entries scheduled with delay == 0 at the
+        # current clock value, dispatched FIFO without touching the heap.
         self._lane: Any = deque()
         # Free lists: recycled [t, seq, event] heap records and
         # recycled kernel-internal events.
@@ -108,11 +80,8 @@ class Simulator:
         callbacks — it is recycled by the dispatch loop immediately
         after processing.  Every ``yield sim.sleep(x)`` in the runtime
         and network layers satisfies this (the yielding process is the
-        only waiter).  In legacy mode this degrades to a plain
-        :class:`Timeout` so both cores see the same schedule.
+        only waiter).
         """
-        if not self.pooled:
-            return Timeout(self, delay, value=value)
         pool = self._event_pool
         if pool:
             ev = pool.pop()
@@ -124,7 +93,7 @@ class Simulator:
             ev._status = SCHEDULED
             ev._value = value
         # Scheduling inlined (this is the hottest factory in the
-        # kernel): identical to _schedule's pooled branch.
+        # kernel): identical to _schedule.
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         seq = self._seq + 1
@@ -148,11 +117,8 @@ class Simulator:
 
         Same recycling contract as :meth:`sleep`, for events whose
         outcome is decided later by a third party (resource grants,
-        progress-engine wakeups).  Legacy mode returns a plain
-        :class:`Event`.
+        progress-engine wakeups).
         """
-        if not self.pooled:
-            return Event(self, name=name)
         pool = self._event_pool
         if pool:
             ev = pool.pop()
@@ -173,21 +139,18 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         self._seq += 1
-        if self.pooled:
-            pool = self._entry_pool
-            if pool:
-                entry = pool.pop()
-                entry[0] = self.now + delay
-                entry[1] = self._seq
-                entry[2] = event
-            else:
-                entry = [self.now + delay, self._seq, event]
-            if delay == 0.0:
-                self._lane.append(entry)
-            else:
-                heapq.heappush(self._heap, entry)
+        pool = self._entry_pool
+        if pool:
+            entry = pool.pop()
+            entry[0] = self.now + delay
+            entry[1] = self._seq
+            entry[2] = event
         else:
-            heapq.heappush(self._heap, (self.now + delay, self._seq, event))
+            entry = [self.now + delay, self._seq, event]
+        if delay == 0.0:
+            self._lane.append(entry)
+        else:
+            heapq.heappush(self._heap, entry)
 
     # -- execution ----------------------------------------------------
 
@@ -250,9 +213,8 @@ class Simulator:
         self.now = entry[0]
         self._nevents += 1
         event = entry[2]
-        if self.pooled:
-            entry[2] = None
-            self._entry_pool.append(entry)
+        entry[2] = None
+        self._entry_pool.append(entry)
         event._process()
         if event.__class__ is _PooledEvent:
             self._event_pool.append(event)
@@ -266,33 +228,12 @@ class Simulator:
         ``until`` even if no event sits there.
         """
         self._fanout = False    # a callback that raised may have left it set
-        if self.pooled:
-            if until is None and max_events is None:
-                self.run_before(float("inf"))
-                return
-            budget = max_events if max_events is not None else -1
-            while self._heap or self._lane:
-                t = self.peek()
-                if until is not None and t > until:
-                    self.now = until
-                    return
-                if budget == 0:
-                    raise SimulationError(
-                        f"max_events exhausted: {self._nevents} events "
-                        f"processed, next event pending at t={t:.3f}"
-                    )
-                budget -= 1
-                self.step()
-            if until is not None and self.now < until:
-                self.now = until
+        if until is None and max_events is None:
+            self.run_before(float("inf"))
             return
-        # Legacy core: tuple heap, no lane.  The loop body mirrors the
-        # original step-per-event dispatch so benchmark comparisons
-        # against the unpooled core measure the historical cost.
         budget = max_events if max_events is not None else -1
-        heap = self._heap
-        while heap:
-            t = heap[0][0]
+        while self._heap or self._lane:
+            t = self.peek()
             if until is not None and t > until:
                 self.now = until
                 return
@@ -302,10 +243,7 @@ class Simulator:
                     f"processed, next event pending at t={t:.3f}"
                 )
             budget -= 1
-            entry = heapq.heappop(heap)
-            self.now = entry[0]
-            self._nevents += 1
-            entry[2]._process()
+            self.step()
         if until is not None and self.now < until:
             self.now = until
 
@@ -330,71 +268,60 @@ class Simulator:
         heap = self._heap
         pop = heapq.heappop
         n = 0
-        if self.pooled:
-            # Lane entries sit at ``now`` (see peek), and every event
-            # processed below keeps ``now < bound``: one check suffices.
-            if lane and lane[0][0] >= bound:
-                return 0
-            entry_push = self._entry_pool.append
-            event_push = self._event_pool.append
-            pooled_cls = _PooledEvent
-            lane_popleft = lane.popleft
-            try:
-                while True:
-                    if lane:
-                        entry = lane_popleft()
-                        if heap:
-                            top = heap[0]
-                            if top[0] <= entry[0] and top[1] < entry[1]:
-                                lane.appendleft(entry)
-                                entry = pop(heap)
-                    elif heap:
-                        if heap[0][0] >= bound:
-                            return n
-                        entry = pop(heap)
-                    else:
-                        return n
-                    self.now = entry[0]
-                    n += 1
-                    ev = entry[2]
-                    entry[2] = None
-                    entry_push(entry)
-                    # _process inlined for both event shapes (one method
-                    # call per event is real money at 10^6 events/s);
-                    # semantics identical to Event._process.
-                    if ev.__class__ is pooled_cls:
-                        ev._status = 2  # PROCESSED
-                        cb = ev._cb
-                        callbacks = ev._callbacks
-                        if callbacks:
-                            # Several subscribers: none of them runs at
-                            # a quiescent point (see quiescent()).
-                            self._fanout = True
-                            if cb is not None:
-                                ev._cb = None
-                                cb(ev)
-                            for fn in callbacks:
-                                fn(ev)
-                            callbacks.clear()
-                            self._fanout = False
-                        elif cb is not None:
-                            ev._cb = None
-                            cb(ev)
-                        event_push(ev)
-                    else:
-                        ev._process()
-            finally:
-                self._nevents += n
-        # Legacy core: immutable tuple entries, heap only.
+        # Lane entries sit at ``now`` (see peek), and every event
+        # processed below keeps ``now < bound``: one check suffices.
+        if lane and lane[0][0] >= bound:
+            return 0
+        entry_push = self._entry_pool.append
+        event_push = self._event_pool.append
+        pooled_cls = _PooledEvent
+        lane_popleft = lane.popleft
         try:
-            while heap and heap[0][0] < bound:
-                entry = pop(heap)
+            while True:
+                if lane:
+                    entry = lane_popleft()
+                    if heap:
+                        top = heap[0]
+                        if top[0] <= entry[0] and top[1] < entry[1]:
+                            lane.appendleft(entry)
+                            entry = pop(heap)
+                elif heap:
+                    if heap[0][0] >= bound:
+                        return n
+                    entry = pop(heap)
+                else:
+                    return n
                 self.now = entry[0]
                 n += 1
-                entry[2]._process()
+                ev = entry[2]
+                entry[2] = None
+                entry_push(entry)
+                # _process inlined for both event shapes (one method
+                # call per event is real money at 10^6 events/s);
+                # semantics identical to Event._process.
+                if ev.__class__ is pooled_cls:
+                    ev._status = 2  # PROCESSED
+                    cb = ev._cb
+                    callbacks = ev._callbacks
+                    if callbacks:
+                        # Several subscribers: none of them runs at
+                        # a quiescent point (see quiescent()).
+                        self._fanout = True
+                        if cb is not None:
+                            ev._cb = None
+                            cb(ev)
+                        for fn in callbacks:
+                            fn(ev)
+                        callbacks.clear()
+                        self._fanout = False
+                    elif cb is not None:
+                        ev._cb = None
+                        cb(ev)
+                    event_push(ev)
+                else:
+                    ev._process()
         finally:
             self._nevents += n
-        return n
 
     def run_process(self, gen: Generator, name: str = "",
                     max_events: Optional[int] = None) -> Any:

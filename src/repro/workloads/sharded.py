@@ -1,4 +1,4 @@
-"""Shard programs: workloads written for ``Simulator(shards=N)``.
+"""Shard programs: workloads written for ``ShardedSimulator``.
 
 Two workloads live here, both built so their *virtual-time* behaviour
 is a pure function of message timestamps — the property that makes
@@ -347,7 +347,7 @@ def run_field_reference(nthreads: int, *, ntokens: int = 4,
     machinery anywhere — as the determinism referee."""
     m = MACHINES[machine]
     nnodes = field_nnodes(nthreads)
-    sim = Simulator(pooled=True)
+    sim = Simulator()
     procs = []
 
     def transmit(src, dst, kind, payload, nbytes, extra=0.0):

@@ -23,8 +23,8 @@ from repro.runtime.bulk import BulkEngine
 from repro.sim import Simulator
 from repro.sim.event import AllOf
 
-BOTH_CORES = pytest.mark.parametrize("pooled", [True, False],
-                                     ids=["pooled", "legacy"])
+from tests.sim.reference_core import BOTH_CORES
+
 BOTH_OPS = pytest.mark.parametrize("op", ["get", "put"])
 
 #: Long after the opening barrier, and nothing else happens then.
@@ -44,12 +44,12 @@ class Harness:
     """A 2-node runtime whose thread 0 issues one one-message span
     (elements 32..39 live on node 1), plus what scenarios share."""
 
-    def __init__(self, pooled, op, done_at=None):
+    def __init__(self, core, op, done_at=None):
         self.log = EventLog()
         self.rt = Runtime(
             RuntimeConfig(machine=GM_MARENOSTRUM, nthreads=4,
                           threads_per_node=2, events=self.log),
-            sim=Simulator(pooled=pooled))
+            sim=core())
         self.sim = self.rt.sim
         self.op = op
         # Made before anything runs: same instant, creation order.
@@ -98,7 +98,7 @@ class Harness:
                     if e.kind == "mark" and e.attrs["name"] == who)
 
 
-def compare(scenario, pooled, op, monkeypatch, skipped, sensitive=True):
+def compare(scenario, core, op, monkeypatch, skipped, sensitive=True):
     """Run ``scenario`` pipelined and inline; they must agree, the
     inline run ``skipped`` events shorter — given as (GET, PUT): a PUT
     never completes at a quiescent instant (its remote application is
@@ -106,11 +106,11 @@ def compare(scenario, pooled, op, monkeypatch, skipped, sensitive=True):
     ``quiescent()`` forced to True inside ``_inline`` the runs must
     not agree (``sensitive``)."""
     skipped = skipped[op == "put"]
-    done_at = Harness(pooled, op).play(scenario).when("span done")
-    inline = Harness(pooled, op, done_at).play(scenario)
+    done_at = Harness(core, op).play(scenario).when("span done")
+    inline = Harness(core, op, done_at).play(scenario)
     with monkeypatch.context() as patch:
         patch.setattr(BulkEngine, "_inline", pipelined)
-        plain = Harness(pooled, op, done_at).play(scenario)
+        plain = Harness(core, op, done_at).play(scenario)
     assert inline.outcome() == plain.outcome()
     assert inline.rt.bulk.live_messages == 0
     assert (plain.sim.events_processed
@@ -121,7 +121,7 @@ def compare(scenario, pooled, op, monkeypatch, skipped, sensitive=True):
             Simulator, "quiescent", lambda self: (
                 sys._getframe(1).f_code.co_name == "_inline"
                 or real(self)))
-        wrong = Harness(pooled, op, done_at).play(scenario)
+        wrong = Harness(core, op, done_at).play(scenario)
         assert wrong.outcome() != plain.outcome()
     return inline
 
@@ -132,18 +132,18 @@ def names(h):
 
 @BOTH_CORES
 @BOTH_OPS
-def test_lone_span_skips_all_three_events(pooled, op, monkeypatch):
+def test_lone_span_skips_all_three_events(core, op, monkeypatch):
     def scenario(h, th, arr):
         if th.id == 0:
             yield h.alone
             yield from h.span(th, arr)
 
-    compare(scenario, pooled, op, monkeypatch, skipped=(3, 1), sensitive=False)
+    compare(scenario, core, op, monkeypatch, skipped=(3, 1), sensitive=False)
 
 
 @BOTH_CORES
 @BOTH_OPS
-def test_zero_delay_event_queued_at_issue(pooled, op, monkeypatch):
+def test_zero_delay_event_queued_at_issue(core, op, monkeypatch):
     # (a) The caller spawned a child just before: its start event is
     # queued for this instant, ahead of the message's.
     def scenario(h, th, arr):
@@ -156,13 +156,13 @@ def test_zero_delay_event_queued_at_issue(pooled, op, monkeypatch):
             h.sim.process(child())
             yield from h.span(th, arr)
 
-    inline = compare(scenario, pooled, op, monkeypatch, skipped=(2, 0))
+    inline = compare(scenario, core, op, monkeypatch, skipped=(2, 0))
     assert names(inline) == ["child started", "span done"]
 
 
 @BOTH_CORES
 @BOTH_OPS
-def test_waker_queued_at_completion(pooled, op, monkeypatch):
+def test_waker_queued_at_completion(core, op, monkeypatch):
     # (b) At the instant the message completes, thread 1 — woken just
     # before it — has spawned a child: the child's start is queued ahead
     # of the completion, hence ahead of the caller's resumption.
@@ -178,14 +178,14 @@ def test_waker_queued_at_completion(pooled, op, monkeypatch):
             yield h.at_done
             h.sim.process(child())
 
-    inline = compare(scenario, pooled, op, monkeypatch, skipped=(1, 1))
+    inline = compare(scenario, core, op, monkeypatch, skipped=(1, 1))
     assert names(inline) == ["child started", "span done"]
     assert inline.when("child started") == inline.when("span done")
 
 
 @BOTH_CORES
 @BOTH_OPS
-def test_span_issued_from_a_fan_out_subscriber(pooled, op, monkeypatch):
+def test_span_issued_from_a_fan_out_subscriber(core, op, monkeypatch):
     # (c) One event releases threads 0 and 1; nothing else is queued,
     # but thread 1 still runs at this instant right after 0 yields.
     def scenario(h, th, arr):
@@ -196,13 +196,13 @@ def test_span_issued_from_a_fan_out_subscriber(pooled, op, monkeypatch):
             yield h.gate
             h.mark("t1 released")
 
-    inline = compare(scenario, pooled, op, monkeypatch, skipped=(2, 0))
+    inline = compare(scenario, core, op, monkeypatch, skipped=(2, 0))
     assert names(inline) == ["t1 released", "span done"]
 
 
 @BOTH_CORES
 @BOTH_OPS
-def test_heap_entry_at_now_goes_first(pooled, op, monkeypatch):
+def test_heap_entry_at_now_goes_first(core, op, monkeypatch):
     # (d) No contention at all: thread 1 merely wakes at the instant
     # thread 0 issues.  Its heap entry carries the smaller sequence
     # number than the message's start would.
@@ -214,7 +214,7 @@ def test_heap_entry_at_now_goes_first(pooled, op, monkeypatch):
             yield h.wake[1]
             h.mark("t1 woke")
 
-    inline = compare(scenario, pooled, op, monkeypatch, skipped=(2, 0))
+    inline = compare(scenario, core, op, monkeypatch, skipped=(2, 0))
     assert names(inline) == ["t1 woke", "span done"]
 
 

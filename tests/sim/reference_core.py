@@ -1,0 +1,82 @@
+"""The reference event core the fast :class:`Simulator` is refereed by.
+
+Immutable ``(t, seq, event)`` heap entries, no zero-delay lane, no
+recycled entries or events, a fresh ``Timeout``/``Event`` per wait
+point.  It overrides every place the fast core pools or takes the
+lane, and nothing else, so any test run on both cores compares two
+schedulers that share only the clock and the sequence counter.
+"""
+
+import heapq
+
+import pytest
+
+from repro.sim import Simulator
+from repro.sim.errors import SimulationError
+from repro.sim.event import Event, Timeout, _PooledEvent
+from repro.sim.process import Process
+
+
+class ReferenceSimulator(Simulator):
+    __slots__ = ()
+
+    def sleep(self, delay, value=None):
+        return Timeout(self, delay, value=value)
+
+    def oneshot(self, name=""):
+        return Event(self, name=name)
+
+    def _schedule(self, event, delay):
+        if delay < 0:
+            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        self._seq += 1
+        heapq.heappush(self._heap, (self.now + delay, self._seq, event))
+
+    def step(self):
+        if not self._heap:
+            raise SimulationError("step() on an empty event queue")
+        self.now, _seq, event = heapq.heappop(self._heap)
+        self._nevents += 1
+        event._process()
+
+    def run_before(self, bound):
+        self._fanout = False
+        heap = self._heap
+        n = 0
+        try:
+            while heap and heap[0][0] < bound:
+                self.now, _seq, event = heapq.heappop(heap)
+                n += 1
+                event._process()
+        finally:
+            self._nevents += n
+        return n
+
+
+#: Parametrises a test over both cores; the parameter is the class.
+BOTH_CORES = pytest.mark.parametrize(
+    "core", [Simulator, ReferenceSimulator], ids=["pooled", "legacy"])
+
+
+def spy_on_wait_points(monkeypatch):
+    """The set of classes of every event that resumes a process from
+    here on (every wait point a generator yielded and was woken by)."""
+    woke = set()
+    resume = Process._resume
+
+    def spy(self, ev):
+        woke.add(ev.__class__)
+        resume(self, ev)
+
+    monkeypatch.setattr(Process, "_resume", spy)
+    return woke
+
+
+def assert_shares_no_fast_path(sim, woke):
+    """``sim`` never touched the lane or a free list and no process
+    waited on a recycled event — so a factory added to
+    :class:`Simulator` and not overridden above fails here instead of
+    silently sharing the fast path.  True of the reference core after
+    any run; false of the fast one."""
+    assert not sim._lane and not sim._entry_pool and not sim._event_pool
+    assert woke and _PooledEvent not in woke

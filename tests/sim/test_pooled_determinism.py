@@ -1,4 +1,4 @@
-"""The pooled fast core must be bit-identical to the legacy core on
+"""The pooled fast core must be bit-identical to the reference core on
 the PR 2 fuzz corpus: same final memory, same event order, and — with
 the flight recorder on — byte-identical JSONL output.
 
@@ -21,6 +21,9 @@ from repro.testing.oracle import run_oracle
 from repro.testing.program import Program, live_objects_at_end
 from repro.testing.runner import _Driver, config_by_name, run_config
 
+from tests.sim.reference_core import (
+    ReferenceSimulator, assert_shares_no_fast_path, spy_on_wait_points)
+
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), os.pardir,
                           "fuzz", "corpus")
 CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
@@ -31,12 +34,12 @@ def _load(path):
         return Program.loads(fh.read())
 
 
-def _replay(program, point, pooled, jsonl_path):
+def _replay(program, point, sim, jsonl_path):
     events = EventLog()
     cfg = replace(point.runtime_config(program.nthreads,
                                        seed=program.seed or 0),
                   events=events)
-    rt = Runtime(cfg, sim=Simulator(pooled=pooled))
+    rt = Runtime(cfg, sim=sim)
     driver = _Driver(rt, program)
     rt.spawn(driver.kernel)
     rt.run()
@@ -51,13 +54,16 @@ def _replay(program, point, pooled, jsonl_path):
 
 @pytest.mark.parametrize(
     "corpus", CORPUS, ids=[os.path.basename(p) for p in CORPUS])
-def test_cores_byte_identical_on_fuzz_corpus(corpus, tmp_path):
+def test_cores_byte_identical_on_fuzz_corpus(corpus, tmp_path, monkeypatch):
     program = _load(corpus)
     point = config_by_name("gm-base")
     blob_p, finals_p, events_p, now_p = _replay(
-        program, point, True, str(tmp_path / "pooled.jsonl"))
+        program, point, Simulator(), str(tmp_path / "pooled.jsonl"))
+    woke = spy_on_wait_points(monkeypatch)
+    reference = ReferenceSimulator()
     blob_l, finals_l, events_l, now_l = _replay(
-        program, point, False, str(tmp_path / "legacy.jsonl"))
+        program, point, reference, str(tmp_path / "legacy.jsonl"))
+    assert_shares_no_fast_path(reference, woke)
     assert events_p == events_l
     assert now_p == now_l
     assert set(finals_p) == set(finals_l)

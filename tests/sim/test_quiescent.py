@@ -14,15 +14,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sim import ProcessKilled, Resource, Simulator
 
-BOTH_CORES = pytest.mark.parametrize("pooled", [True, False],
-                                     ids=["pooled", "legacy"])
+from tests.sim.reference_core import BOTH_CORES, ReferenceSimulator
 
 
 class Harness:
     """One simulator plus the bookkeeping every scenario compares."""
 
-    def __init__(self, pooled, shortcut):
-        self.sim = Simulator(pooled=pooled)
+    def __init__(self, core, shortcut):
+        self.sim = core()
         self.shortcut = shortcut
         self.log = []
         self.skipped = 0
@@ -50,12 +49,12 @@ class Harness:
         return self.log, self.sim.now, stats
 
 
-def compare(scenario, pooled, monkeypatch, sensitive=True):
+def compare(scenario, core, monkeypatch, sensitive=True):
     """Run ``scenario`` plain and with the shortcut; they must agree.
     With ``quiescent()`` forced to True they must not (``sensitive``)."""
     runs = {}
     for shortcut in (False, True):
-        h = Harness(pooled, shortcut)
+        h = Harness(core, shortcut)
         scenario(h)
         h.sim.run()
         runs[shortcut] = h
@@ -65,7 +64,7 @@ def compare(scenario, pooled, monkeypatch, sensitive=True):
             == short.skipped)
     if sensitive:
         monkeypatch.setattr(Simulator, "quiescent", lambda self: True)
-        wrong = Harness(pooled, True)
+        wrong = Harness(core, True)
         scenario(wrong)
         wrong.sim.run()
         assert wrong.skipped > 0
@@ -74,7 +73,7 @@ def compare(scenario, pooled, monkeypatch, sensitive=True):
 
 
 @BOTH_CORES
-def test_same_instant_wakers_on_one_slot(pooled, monkeypatch):
+def test_same_instant_wakers_on_one_slot(core, monkeypatch):
     # a and b wake at t=1, a first.  a's grant must not let it run past
     # b's wake-up, which is already queued for this instant.
     def scenario(h):
@@ -90,7 +89,7 @@ def test_same_instant_wakers_on_one_slot(pooled, monkeypatch):
         h.sim.process(user("a"))
         h.sim.process(user("b"))
 
-    short = compare(scenario, pooled, monkeypatch)
+    short = compare(scenario, core, monkeypatch)
     assert short.log == [(1.0, "a woke"), (1.0, "b woke"),
                          (1.0, "a holds"), (1.0, "b holds")]
     # a could not skip (b's wake-up was pending) and b had to queue.
@@ -99,7 +98,7 @@ def test_same_instant_wakers_on_one_slot(pooled, monkeypatch):
 
 @BOTH_CORES
 @pytest.mark.parametrize("kind", ["event", "oneshot"])
-def test_fan_out_first_subscriber_acquires(pooled, kind, monkeypatch):
+def test_fan_out_first_subscriber_acquires(core, kind, monkeypatch):
     # Barrier-style: one event wakes a and b; nothing else is queued,
     # but b still runs at this instant right after a yields.
     def scenario(h):
@@ -119,14 +118,14 @@ def test_fan_out_first_subscriber_acquires(pooled, kind, monkeypatch):
         sim.process(waiter("b"))
         gate.succeed(delay=1.0)
 
-    short = compare(scenario, pooled, monkeypatch)
+    short = compare(scenario, core, monkeypatch)
     assert short.log[:3] == [(1.0, "a released"), (1.0, "b released"),
                              (1.0, "a holds")]
     assert short.skipped == 0
 
 
 @BOTH_CORES
-def test_heap_entry_at_now_goes_first(pooled, monkeypatch):
+def test_heap_entry_at_now_goes_first(core, monkeypatch):
     # No contention at all: b merely wakes at the instant a acquires.
     # Its heap entry carries the smaller sequence number.
     def scenario(h):
@@ -144,12 +143,12 @@ def test_heap_entry_at_now_goes_first(pooled, monkeypatch):
         h.sim.process(a())
         h.sim.process(b())
 
-    short = compare(scenario, pooled, monkeypatch)
+    short = compare(scenario, core, monkeypatch)
     assert short.log == [(1.0, "b woke"), (1.0, "a holds")]
 
 
 @BOTH_CORES
-def test_zero_delay_event_queued_ahead(pooled, monkeypatch):
+def test_zero_delay_event_queued_ahead(core, monkeypatch):
     # a spawns a child (a zero-delay start event) and then acquires:
     # the child starts before a's grant.
     def scenario(h):
@@ -167,12 +166,12 @@ def test_zero_delay_event_queued_ahead(pooled, monkeypatch):
 
         h.sim.process(a())
 
-    short = compare(scenario, pooled, monkeypatch)
+    short = compare(scenario, core, monkeypatch)
     assert short.log == [(1.0, "child started"), (1.0, "a holds")]
 
 
 @BOTH_CORES
-def test_killed_process_does_not_overtake_its_killer(pooled, monkeypatch):
+def test_killed_process_does_not_overtake_its_killer(core, monkeypatch):
     # kill() drives the victim's cleanup from inside the killer, which
     # carries on afterwards: not a quiescent point either.
     def scenario(h):
@@ -195,14 +194,14 @@ def test_killed_process_does_not_overtake_its_killer(pooled, monkeypatch):
 
     # Forcing quiescent() does not defeat the guard kill() sets, so
     # there is no wrong variant to tell apart here.
-    short = compare(scenario, pooled, monkeypatch, sensitive=False)
+    short = compare(scenario, core, monkeypatch, sensitive=False)
     assert short.log == [(1.0, "killer carried on"),
                          (1.0, "victim cleaned up")]
     assert short.skipped == 0
 
 
 @BOTH_CORES
-def test_lone_acquirer_skips_every_grant(pooled, monkeypatch):
+def test_lone_acquirer_skips_every_grant(core, monkeypatch):
     def scenario(h):
         res = h.resource()
 
@@ -215,7 +214,7 @@ def test_lone_acquirer_skips_every_grant(pooled, monkeypatch):
 
         h.sim.process(solo())
 
-    short = compare(scenario, pooled, monkeypatch, sensitive=False)
+    short = compare(scenario, core, monkeypatch, sensitive=False)
     assert short.skipped == 5
 
 
@@ -273,10 +272,10 @@ def _play(h, program, capacities):
 def test_property_shortcut_is_invisible(program, capacities):
     # Integer delays make same-instant ties the norm, as they are in a
     # symmetric workload.
-    for pooled in (True, False):
+    for core in (Simulator, ReferenceSimulator):
         runs = {}
         for shortcut in (False, True):
-            h = Harness(pooled, shortcut)
+            h = Harness(core, shortcut)
             _play(h, program, capacities)
             h.sim.run()
             runs[shortcut] = h

@@ -20,6 +20,8 @@ from repro.sim.sync import (INF, BarrierPost, ShardMetrics, ShardReport,
                             normalize_lookahead)
 from repro.util.rng import StreamFamily
 
+from tests.sim.reference_core import ReferenceSimulator
+
 pytestmark = pytest.mark.shard
 
 GM = MACHINES["gm"]
@@ -197,7 +199,7 @@ def test_barrier_overcount_rejected():
 
 @pytest.mark.parametrize("pooled", [True, False])
 def test_run_before_strict_bound(pooled):
-    sim = Simulator(pooled=pooled)
+    sim = Simulator() if pooled else ReferenceSimulator()
     seen = []
     for t in (1.0, 2.0, 3.0, 4.0):
         sim.sleep(t).add_callback(
@@ -212,7 +214,7 @@ def test_run_before_strict_bound(pooled):
 
 
 # ---------------------------------------------------------------------------
-# ShardContext send validation + Simulator(shards=N) dispatch
+# ShardContext send validation + ShardedSimulator construction
 # ---------------------------------------------------------------------------
 
 def _ctx(nshards=2, la=2.0):
@@ -279,11 +281,8 @@ def test_at_finish_runs_after_the_last_event_before_outputs_ship(mode):
     assert run.outputs == [{"seen": ["delivered", "finished at 1.0"]}] * 2
 
 
-def test_simulator_shards_dispatch():
-    sharded = Simulator(shards=4, lookahead=2.0, mode="inproc")
-    assert isinstance(sharded, ShardedSimulator)
-    assert sharded.nshards == 4
-    assert isinstance(Simulator(pooled=True), Simulator)
+def test_sharded_simulator_constructor():
+    assert ShardedSimulator(4, lookahead=2.0, mode="inproc").nshards == 4
     with pytest.raises(ValueError):
         ShardedSimulator(2, mode="bogus")
 
@@ -310,7 +309,7 @@ class _FenceHost:
 
 
 def test_shard_fence_drains_acks():
-    sim = Simulator(pooled=True)
+    sim = Simulator()
     fence = ShardFence(_FenceHost(sim))
     done = []
 

@@ -1,4 +1,4 @@
-"""Dual-core simulator tests: the pooled fast core against the legacy
+"""Dual-core simulator tests: the pooled fast core against the
 reference core, plus the max_events exhaustion-report regression."""
 
 import pytest
@@ -7,9 +7,9 @@ from repro.sim import Simulator
 from repro.sim.errors import SimulationError
 from repro.sim.event import Event, Timeout, _PooledEvent
 
-
-BOTH_CORES = pytest.mark.parametrize("pooled", [True, False],
-                                     ids=["pooled", "legacy"])
+from tests.sim.reference_core import (
+    BOTH_CORES, ReferenceSimulator, assert_shares_no_fast_path,
+    spy_on_wait_points)
 
 
 # ---------------------------------------------------------------------------
@@ -17,8 +17,8 @@ BOTH_CORES = pytest.mark.parametrize("pooled", [True, False],
 # ---------------------------------------------------------------------------
 
 @BOTH_CORES
-def test_max_events_reports_pending_event_time(pooled):
-    sim = Simulator(pooled=pooled)
+def test_max_events_reports_pending_event_time(core):
+    sim = core()
     for t in (5.0, 10.0, 15.0):
         sim.timeout(t)
     with pytest.raises(SimulationError) as exc:
@@ -33,8 +33,8 @@ def test_max_events_reports_pending_event_time(pooled):
 
 
 @BOTH_CORES
-def test_max_events_budget_exactly_sufficient(pooled):
-    sim = Simulator(pooled=pooled)
+def test_max_events_budget_exactly_sufficient(core):
+    sim = core()
     for t in (1.0, 2.0):
         sim.timeout(t)
     sim.run(max_events=2)          # no error: the budget covers it
@@ -61,22 +61,29 @@ def _mixed_workload(sim, trace):
     sim.process(worker("d", [2.0, 0.0, 0.0, 0.0, 0.0]))
 
 
-def test_pooled_and_legacy_schedules_identical():
+def test_pooled_and_legacy_schedules_identical(monkeypatch):
+    woke = spy_on_wait_points(monkeypatch)
     traces = []
-    for pooled in (True, False):
-        sim = Simulator(pooled=pooled)
+    for core in (Simulator, ReferenceSimulator):
+        woke.clear()
+        sim = core()
         trace = []
         _mixed_workload(sim, trace)
         sim.run()
         traces.append((trace, sim.events_processed, sim.now))
+        if core is Simulator:
+            # The independence check has teeth: the fast core fails it.
+            with pytest.raises(AssertionError):
+                assert_shares_no_fast_path(sim, woke)
     assert traces[0] == traces[1]
+    assert_shares_no_fast_path(sim, woke)
 
 
 def test_lane_does_not_preempt_same_time_heap_entry():
     """A zero-delay event scheduled *while processing* t=5 must run
     after heap entries already queued for t=5 with smaller seq."""
-    for pooled in (True, False):
-        sim = Simulator(pooled=pooled)
+    for core in (Simulator, ReferenceSimulator):
+        sim = core()
         order = []
         a = sim.timeout(5.0)                       # seq 1, heap
         b = sim.timeout(5.0)                       # seq 2, heap
@@ -89,7 +96,7 @@ def test_lane_does_not_preempt_same_time_heap_entry():
         a.add_callback(on_a)
         b.add_callback(lambda _: order.append("b"))
         sim.run()
-        assert order == ["a", "b", "c"], f"pooled={pooled}: {order}"
+        assert order == ["a", "b", "c"], f"{core.__name__}: {order}"
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +104,7 @@ def test_lane_does_not_preempt_same_time_heap_entry():
 # ---------------------------------------------------------------------------
 
 def test_sleep_events_are_recycled():
-    sim = Simulator(pooled=True)
+    sim = Simulator()
     ev1 = sim.sleep(1.0)
     assert type(ev1) is _PooledEvent
     sim.run()
@@ -108,7 +115,7 @@ def test_sleep_events_are_recycled():
 
 
 def test_public_factories_never_pool():
-    sim = Simulator(pooled=True)
+    sim = Simulator()
     to = sim.timeout(1.0, value=42)
     ev = sim.event("keep-me")
     assert type(to) is Timeout
@@ -120,7 +127,7 @@ def test_public_factories_never_pool():
 
 
 def test_legacy_mode_never_pools():
-    sim = Simulator(pooled=False)
+    sim = ReferenceSimulator()
     assert type(sim.sleep(1.0)) is Timeout
     assert type(sim.oneshot("x")) is Event
     sim.run()
@@ -131,7 +138,7 @@ def test_legacy_mode_never_pools():
 def test_pooled_event_sole_waiter_slot_then_overflow():
     """First subscriber lands in the _cb slot; extras overflow to the
     list; all run in subscription order."""
-    sim = Simulator(pooled=True)
+    sim = Simulator()
     got = []
     ev = sim.sleep(1.0, value="v")
     ev.add_callback(lambda e: got.append(("first", e._value)))
@@ -145,7 +152,7 @@ def test_pooled_event_sole_waiter_slot_then_overflow():
 # ---------------------------------------------------------------------------
 
 def test_peek_and_pending_see_the_lane():
-    sim = Simulator(pooled=True)
+    sim = Simulator()
     assert sim.pending == 0
     assert sim.peek() == float("inf")
     sim.timeout(3.0)
@@ -161,8 +168,8 @@ def test_peek_and_pending_see_the_lane():
 
 
 @BOTH_CORES
-def test_run_until_advances_clock(pooled):
-    sim = Simulator(pooled=pooled)
+def test_run_until_advances_clock(core):
+    sim = core()
     sim.timeout(2.0)
     sim.run(until=10.0)
     assert sim.now == 10.0
