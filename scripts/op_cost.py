@@ -61,7 +61,8 @@ def label(code) -> str:
         path = path.relative_to(ROOT)
     except ValueError:
         path = Path(*path.parts[-2:])
-    return f"{path}:{code.co_firstlineno} {code.co_qualname}"
+    name = getattr(code, "co_qualname", code.co_name)   # 3.11+
+    return f"{path}:{code.co_firstlineno} {name}"
 
 
 def main(argv=None) -> int:

@@ -61,7 +61,7 @@ class ProgressEngine:
         """Injected target-handler slowdown, charged before dispatch."""
         extra = self.faults.handler_stall(self.node.id, op_id=op_id)
         if extra > 0.0:
-            yield self.sim.sleep(extra)
+            yield extra
 
     # -- thread-side hooks (only meaningful for polling) ----------------
 
@@ -174,7 +174,7 @@ class PollingProgress(ProgressEngine):
             yield ev
         if self.faults is not None:
             yield from self._stall(op_id)
-        yield self.sim.sleep(self.params.dispatch_us)
+        yield self.params.dispatch_us
         self.serviced += 1
         self.wait_time += self.sim.now - t0
         self._record_queue(t0, op_id)
@@ -191,7 +191,7 @@ class InterruptProgress(ProgressEngine):
             log.emit(t0, QUEUE_ENTER, op=op_id, node=self.node.id)
         if self.faults is not None:
             yield from self._stall(op_id)
-        yield self.sim.sleep(self.params.interrupt_us)
+        yield self.params.interrupt_us
         self.serviced += 1
         self.wait_time += self.sim.now - t0
         self._record_queue(t0, op_id)

@@ -201,7 +201,7 @@ class Transport:
                                               self.sim.now).timeout_scale
         rest = timeout_us - (self.sim.now - t0)
         if rest > 0:
-            yield self.sim.sleep(rest)
+            yield rest
         self.counters.bump(f"{proto}-timeout")
         if self.metrics is not None:
             self.metrics.timeouts += 1
@@ -228,7 +228,7 @@ class Transport:
             delay *= self.policy.mode_of(src.id, dst.id,
                                          self.sim.now).backoff_scale
         if delay > 0:
-            yield self.sim.sleep(delay)
+            yield delay
         self.counters.bump("am-retry")
         if self.metrics is not None:
             self.metrics.retries += 1
@@ -267,7 +267,9 @@ class Transport:
         self.counters.bump("am-duplicate-delivery")
 
         def _again():
-            yield from self._wire(src, dst)
+            lat = self._wire(src, dst)
+            if lat > 0:
+                yield lat
             yield from self._run_handler(dst, None,
                                          handler_copy_bytes=copy_bytes,
                                          op_id=op_id, key=key)
@@ -287,13 +289,15 @@ class Transport:
             if self.faults is not None:
                 stall = self.faults.nic_stall(node.id)
                 if stall > 0.0:
-                    yield self.sim.sleep(stall)
-            yield self.sim.sleep(frags * p.nic_gap_us + p.wire_time(nbytes))
+                    yield stall
+            yield frags * p.nic_gap_us + p.wire_time(nbytes)
         finally:
             nic.release()
 
-    def _wire(self, src: Node, dst: Node, extra: float = 0.0):
-        """Pure latency of the fabric between two nodes.
+    def _wire(self, src: Node, dst: Node, extra: float = 0.0) -> float:
+        """Pure latency of the fabric between two nodes, plus ``extra``;
+        the caller waits it out when it is positive (a zero-latency hop
+        schedules nothing).
 
         A link the repair policy took out of service routes via the
         detour next-hop instead — two healthy hops replace the one
@@ -304,12 +308,9 @@ class Transport:
             if mode.mode == "disabled":
                 via = mode.via
         if via is not None:
-            lat = (self.topology.latency(src.id, via)
-                   + self.topology.latency(via, dst.id) + extra)
-        else:
-            lat = self.topology.latency(src.id, dst.id) + extra
-        if lat > 0:
-            yield self.sim.sleep(lat)
+            return (self.topology.latency(src.id, via)
+                    + self.topology.latency(via, dst.id) + extra)
+        return self.topology.latency(src.id, dst.id) + extra
 
     def _run_handler(self, dst: Node, handler: Optional[Handler],
                      handler_copy_bytes: int = 0,
@@ -382,14 +383,14 @@ class Transport:
             if rec:
                 self.events.emit(t_h, HANDLER_BEGIN, op=op_id,
                                  node=dst.id)
-            yield self.sim.sleep(cost)
+            yield cost
             if rec:
                 self.events.emit(self.sim.now, HANDLER_END, op=op_id,
                                  node=dst.id, cost=cost)
                 self._phase(op_id, COMP_HANDLER, t_h)
             if reply_bytes:
                 t_r = self.sim.now
-                yield self.sim.sleep(p.o_send_us)
+                yield p.o_send_us
                 yield from self._inject(dst, reply_bytes + extra_bytes,
                                         fragmented=reply_fragmented)
                 if rec:
@@ -453,10 +454,10 @@ class Transport:
                 # attempt; on retries the source-side registration
                 # re-check hits the pin-down cache (cost 0).
                 self.counters.rendezvous_transfers += 1
-                yield self.sim.sleep(p.o_send_us + p.rendezvous_cpu_us)
+                yield p.o_send_us + p.rendezvous_cpu_us
                 reg_cost = src.reg_cache.register(src_addr, nbytes)
                 if reg_cost:
-                    yield self.sim.sleep(reg_cost)
+                    yield reg_cost
                 ok, payload = yield from self._rts_round(
                     src, dst, nbytes, handler, dst_addr, op_id, fate,
                     key, data=True)
@@ -478,7 +479,7 @@ class Transport:
         rec = self._recording()
         self.counters.eager_transfers += 1
         # Request.
-        yield self.sim.sleep(p.o_send_us)
+        yield p.o_send_us
         self._record(wire.AM_REQUEST, src, dst, p.ctrl_bytes)
         t0 = self.sim.now
         if rec:
@@ -489,7 +490,9 @@ class Transport:
             # Lost in the fabric after leaving the NIC; the target
             # never sees it.
             return False, None
-        yield from self._wire(src, dst, extra=fate.delay_us)
+        lat = self._wire(src, dst, fate.delay_us)
+        if lat > 0:
+            yield lat
         if rec:
             self._phase(op_id, COMP_WIRE, t0)
         # Target: handler + bounce copy + reply injection, all on the
@@ -509,14 +512,16 @@ class Transport:
             self._credit_pool(src).release()
             return False, None
         t1 = self.sim.now
-        yield from self._wire(dst, src, extra=fate.delay_us)
+        lat = self._wire(dst, src, fate.delay_us)
+        if lat > 0:
+            yield lat
         if rec:
             self._phase(op_id, COMP_WIRE, t1)
             self.events.emit(self.sim.now, AM_REPLY_RECV, op=op_id,
                              node=src.id, piggyback=extra > 0)
         # Initiator: receive + copy out of the bounce buffer, then
         # return the receive-buffer credit to the pool.
-        yield self.sim.sleep(p.o_recv_us + p.copy_time(nbytes))
+        yield p.o_recv_us + p.copy_time(nbytes)
         self._credit_pool(src).release()
         return True, payload
 
@@ -540,7 +545,9 @@ class Transport:
         yield from self._inject(src, p.ctrl_bytes, fragmented=False)
         if fate.drop_request:
             return False, None
-        yield from self._wire(src, dst, extra=fate.delay_us)
+        lat = self._wire(src, dst, fate.delay_us)
+        if lat > 0:
+            yield lat
         if rec:
             self._phase(op_id, COMP_WIRE, t0)
         # Target: handler, registration of the served region and the
@@ -591,7 +598,7 @@ class Transport:
                 self.events.emit(t_r + cost, HANDLER_END, op=op_id,
                                  node=dst.id, cost=cost)
                 self._phase(op_id, COMP_HANDLER, t_r, dur=cost)
-            yield self.sim.sleep(cost + p.o_send_us)
+            yield cost + p.o_send_us
             self._record(wire.RDV_DATA if data else wire.CTS, dst, src,
                          reply_bytes)
             yield from self._inject(dst, reply_bytes, fragmented=False)
@@ -615,14 +622,16 @@ class Transport:
             # the initiator's retransmit timer will fire.
             return False, None
         t1 = self.sim.now
-        yield from self._wire(dst, src, extra=fate.delay_us)
+        lat = self._wire(dst, src, fate.delay_us)
+        if lat > 0:
+            yield lat
         if rec:
             self._phase(op_id, COMP_WIRE, t1)
             if data:
                 self.events.emit(self.sim.now, AM_REPLY_RECV, op=op_id,
                                  node=src.id, piggyback=extra > 0)
         # Initiator completion (no copies: the NIC delivered in place).
-        yield self.sim.sleep(p.o_recv_us)
+        yield p.o_recv_us
         return True, payload
 
     def default_put(self, src: Node, dst: Node, nbytes: int,
@@ -649,7 +658,7 @@ class Transport:
             self.counters.eager_transfers += 1
             # Local side: software overhead, bounce copy, a receive
             # credit at the destination, injection.
-            yield self.sim.sleep(p.o_send_us + p.copy_time(nbytes))
+            yield p.o_send_us + p.copy_time(nbytes)
             credits = self._credit_pool(dst)
             if not credits.acquire_now():
                 yield credits.acquire()
@@ -673,10 +682,10 @@ class Transport:
         else:
             self.counters.rendezvous_transfers += 1
             # RTS/CTS handshake happens synchronously (rendezvous).
-            yield self.sim.sleep(p.o_send_us + p.rendezvous_cpu_us)
+            yield p.o_send_us + p.rendezvous_cpu_us
             reg_cost = src.reg_cache.register(src_addr, nbytes)
             if reg_cost:
-                yield self.sim.sleep(reg_cost)
+                yield reg_cost
             attempt = 0
             while True:
                 t0 = self.sim.now
@@ -729,7 +738,9 @@ class Transport:
                 t0 = self.sim.now
                 fate = self._fate(src, dst, op_id)
                 if not (fate.drop_request or fate.drop_reply):
-                    yield from self._wire(src, dst, extra=fate.delay_us)
+                    lat = self._wire(src, dst, fate.delay_us)
+                    if lat > 0:
+                        yield lat
                     if handler is not None or copy_at_target:
                         yield from self._run_handler(
                             dst, handler, handler_copy_bytes=copy_bytes,
@@ -782,7 +793,7 @@ class Transport:
 
         def _fly():
             failure: Optional[BaseException] = None
-            yield self.sim.sleep(self.params.o_send_us)
+            yield self.params.o_send_us
             credits = self._credit_pool(dst)
             if not credits.acquire_now():
                 yield credits.acquire()
@@ -795,8 +806,9 @@ class Transport:
                     self._record(wire.ONEWAY, src, dst, nbytes)
                     yield from self._inject(src, nbytes, fragmented=True)
                     if not (fate.drop_request or fate.drop_reply):
-                        yield from self._wire(src, dst,
-                                              extra=fate.delay_us)
+                        lat = self._wire(src, dst, fate.delay_us)
+                        if lat > 0:
+                            yield lat
                         yield from self._run_handler(dst, handler,
                                                      key=key)
                         if fate.duplicate:
@@ -837,7 +849,7 @@ class Transport:
         fate = (self.faults.rdma_fate(src.id, dst.id, op_id=op_id)
                 if self.faults is not None else NO_FAULT)
         t_start = self.sim.now
-        yield self.sim.sleep(p.rdma_init_us)
+        yield p.rdma_init_us
         self._record(wire.RDMA_READ, src, dst, p.ctrl_bytes)
         t0 = self.sim.now
         if rec:
@@ -851,8 +863,9 @@ class Transport:
                 t_start, self.reliability.rdma_timeout_us, op_id,
                 src, dst, "rdma", attempt=1)
             return False
-        yield from self._wire(src, dst,
-                              extra=p.rdma_get_premium_us + fate.delay_us)
+        lat = self._wire(src, dst, p.rdma_get_premium_us + fate.delay_us)
+        if lat > 0:
+            yield lat
         if rec:
             self._phase(op_id, COMP_WIRE, t0)
         # Target NIC serializes the response (DMA, no CPU, no credits
@@ -866,13 +879,15 @@ class Transport:
             self._phase(op_id, COMP_QUEUE, t1)
         t2 = self.sim.now
         try:
-            yield self.sim.sleep(p.nic_gap_us + p.wire_time(nbytes))
+            yield p.nic_gap_us + p.wire_time(nbytes)
         finally:
             dst.nic.release()
-        yield from self._wire(dst, src)
+        lat = self._wire(dst, src)
+        if lat > 0:
+            yield lat
         if rec:
             self._phase(op_id, COMP_WIRE, t2)
-        yield self.sim.sleep(p.rdma_completion_us)
+        yield p.rdma_completion_us
         if rec:
             self.events.emit(self.sim.now, RDMA_COMPLETE, op=op_id,
                              node=src.id, nbytes=nbytes)
@@ -897,7 +912,7 @@ class Transport:
                 if self.faults is not None else NO_FAULT)
         t_start = self.sim.now
         remote_applied = Event(self.sim, name="rdma-put-applied")
-        yield self.sim.sleep(p.rdma_init_us)
+        yield p.rdma_init_us
         self._record(wire.RDMA_WRITE, src, dst, nbytes + p.ctrl_bytes)
         t0 = self.sim.now
         if rec:
@@ -913,21 +928,25 @@ class Transport:
             return None
         if p.rdma_put_waits_remote:
             t1 = self.sim.now
-            yield from self._wire(src, dst,
-                                  extra=p.rdma_put_premium_us
-                                  + fate.delay_us)
+            lat = self._wire(src, dst,
+                             p.rdma_put_premium_us + fate.delay_us)
+            if lat > 0:
+                yield lat
             remote_applied.succeed(self.sim.now)
-            yield from self._wire(dst, src)  # hardware ack
+            lat = self._wire(dst, src)  # hardware ack
+            if lat > 0:
+                yield lat
             if rec:
                 self._phase(op_id, COMP_WIRE, t1)
-            yield self.sim.sleep(p.rdma_completion_us)
+            yield p.rdma_completion_us
         else:
-            yield self.sim.sleep(p.rdma_completion_us)
+            yield p.rdma_completion_us
 
             def _tail():
-                yield from self._wire(src, dst,
-                                      extra=p.rdma_put_premium_us
-                                      + fate.delay_us)
+                lat = self._wire(src, dst,
+                                 p.rdma_put_premium_us + fate.delay_us)
+                if lat > 0:
+                    yield lat
                 remote_applied.succeed(self.sim.now)
 
             self.sim.process(_tail(), name="rdma-put-tail")

@@ -62,7 +62,7 @@ class CounterSampler:
         sim = self.rt.sim
         while True:
             self._sample_once()
-            yield sim.sleep(self.interval_us)
+            yield self.interval_us
             # When this tick was the only remaining event the program
             # is done: stop instead of keeping the clock running.
             if not sim.pending:

@@ -256,14 +256,14 @@ class BulkEngine:
         the caller.  At a :meth:`Simulator.quiescent` instant each
         would be the very next dispatch, so dropping it shifts every
         later sequence number uniformly and reorders nothing; anywhere
-        else a ``sleep(0.0)`` takes its place in the queue.  Completion
+        else a ``yield 0.0`` takes its place in the queue.  Completion
         costs two: the join's wake-up is scheduled only when the
         completion is *dispatched*, behind whatever was queued
         meanwhile, and the gauge drops between them."""
         sim = self.rt.sim
         self._issue(thread, msg, op_id, 1)
         if not sim.quiescent():
-            yield sim.sleep(0.0)
+            yield 0.0
         failure = None
         try:
             try:
@@ -272,11 +272,11 @@ class BulkEngine:
                 failure = err
             quiet = sim.quiescent()
             if not quiet:
-                yield sim.sleep(0.0)
+                yield 0.0
         finally:
             self.live_messages -= 1
         if not quiet:
-            yield sim.sleep(0.0)
+            yield 0.0
         if failure is not None:
             raise failure
 

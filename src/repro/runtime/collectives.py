@@ -92,12 +92,11 @@ class BarrierManager:
     def wait(self, thread: "UPCThread"):
         """Generator: block until every UPC thread arrived
         (``upc_barrier`` = notify + wait back to back)."""
-        sim = self.rt.sim
-        yield sim.sleep(self.rt.cluster.params.o_sw_us)  # entry
+        yield self.rt.cluster.params.o_sw_us  # entry
         release = self._arrive(thread)
         yield release
         # Exit overhead (wakeup, flag reset).
-        yield sim.sleep(0.2)
+        yield 0.2
 
     # -- split-phase barrier (upc_notify / upc_wait) --------------------
 
@@ -105,8 +104,7 @@ class BarrierManager:
         """``upc_notify``: register arrival and return immediately.
         The thread may compute before calling :meth:`phase_wait`,
         overlapping its work with the barrier's network phase."""
-        sim = self.rt.sim
-        yield sim.sleep(self.rt.cluster.params.o_sw_us)
+        yield self.rt.cluster.params.o_sw_us
         if thread.id in self._notified:
             raise RuntimeError(
                 f"thread {thread.id}: upc_notify twice without upc_wait")
@@ -120,7 +118,7 @@ class BarrierManager:
             raise RuntimeError(
                 f"thread {thread.id}: upc_wait without upc_notify")
         yield release
-        yield self.rt.sim.sleep(0.2)
+        yield 0.2
 
 
 class ShardBarrier:
@@ -151,15 +149,14 @@ class ShardBarrier:
 
     def wait(self, generation: int = 0, count: int = 1):
         """Generator: arrive and block until the global release."""
-        sim = self.ctx.sim
         if self.entry_us:
-            yield sim.sleep(self.entry_us)
+            yield self.entry_us
         gate = self.ctx.barrier_arrive(
             f"{self.name}@{generation}", self.expected,
             self.cost_us, count=count)
         yield gate
         if self.exit_us:
-            yield sim.sleep(self.exit_us)
+            yield self.exit_us
 
 
 class ShardFence:
@@ -249,8 +246,8 @@ class Reducer:
         if nnodes > 1:
             stages = max(1, math.ceil(math.log2(nnodes)))
             machine = rt.cluster.machine
-            yield rt.sim.sleep(stages * (machine.wire_base_us
-                                           + 3 * machine.wire_per_hop_us))
+            yield stages * (machine.wire_base_us
+                            + 3 * machine.wire_per_hop_us)
         result = self._results[tag]
         # The last thread out cleans the slot for tag reuse safety.
         return result
@@ -275,7 +272,6 @@ class Broadcaster:
         keep being serviced while everyone synchronizes.
         """
         rt = self.rt
-        sim = rt.sim
         if thread.id == 0:
             self._slots[tag] = value
         # One barrier guarantees the slot is written, then a tree
@@ -289,7 +285,7 @@ class Broadcaster:
         if nnodes > 1:
             stages = max(1, math.ceil(math.log2(nnodes)))
             machine = rt.cluster.machine
-            yield sim.sleep(stages * (machine.wire_base_us
-                                        + 3 * machine.wire_per_hop_us))
+            yield stages * (machine.wire_base_us
+                            + 3 * machine.wire_per_hop_us)
         result = self._slots[tag]
         return result

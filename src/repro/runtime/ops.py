@@ -91,19 +91,19 @@ class OpEngine:
         self._check_live(array)
         self._check_one_owner(array, index, nelems)
         op_id = self._begin(thread, "get", index=index, nelems=nelems)
-        yield sim.sleep(p.o_sw_us)
+        yield p.o_sw_us
 
         owner_thread, owner_node_id, offset = array.locate(index)
         nbytes = array.span_bytes(nelems)
 
         if owner_thread == thread.id:
-            yield sim.sleep(p.local_access_us)
+            yield p.local_access_us
             rt.metrics.record_get("local", sim.now - t0)
             self._end(thread, op_id, "local", nbytes=nbytes)
             return array.read(index, nelems)
 
         if owner_node_id == thread.node.id:
-            yield sim.sleep(p.shm_access_us + p.copy_time(nbytes))
+            yield p.shm_access_us + p.copy_time(nbytes)
             rt.metrics.record_get("shm", sim.now - t0)
             self._end(thread, op_id, "shm", nbytes=nbytes)
             return array.read(index, nelems)
@@ -143,7 +143,7 @@ class OpEngine:
         self._check_live(array)
         op_id = self._begin(thread, "get", bulk=True, parent=parent_op,
                             segments=len(segments))
-        yield sim.sleep(self.params.o_sw_us)
+        yield self.params.o_sw_us
         src = thread.node
         dst = rt.cluster.node(node_id)
         src.progress.enter_runtime()
@@ -169,7 +169,7 @@ class OpEngine:
             log.emit(sim.now, CACHE_LOOKUP, op=op_id, thread=thread.id,
                      node=src.id, target=dst.id, hit=base is not None)
         if cost:
-            yield sim.sleep(cost)
+            yield cost
 
         if base is not None:
             # Fast path (Figure 3b): address known, fire RDMA.
@@ -245,7 +245,7 @@ class OpEngine:
         if log.enabled:
             log.emit(sim.now, CACHE_SEED, op=op_id, node=src.id,
                      target=dst.id, handle=str(array.handle))
-        yield sim.sleep(cost)
+        yield cost
         if log.enabled and op_id >= 0 and cost > 0:
             log.emit(sim.now, PHASE, op=op_id, node=src.id,
                      comp=COMP_PIGGYBACK, dur=cost)
@@ -274,20 +274,20 @@ class OpEngine:
         self._check_live(array)
         self._check_one_owner(array, index, nelems)
         op_id = self._begin(thread, "put", index=index, nelems=nelems)
-        yield sim.sleep(p.o_sw_us)
+        yield p.o_sw_us
 
         owner_thread, owner_node_id, offset = array.locate(index)
         nbytes = array.span_bytes(nelems)
 
         if owner_thread == thread.id:
-            yield sim.sleep(p.local_access_us)
+            yield p.local_access_us
             array.write(index, values)
             rt.metrics.record_put("local", sim.now - t0)
             self._end(thread, op_id, "local", nbytes=nbytes)
             return
 
         if owner_node_id == thread.node.id:
-            yield sim.sleep(p.shm_access_us + p.copy_time(nbytes))
+            yield p.shm_access_us + p.copy_time(nbytes)
             array.write(index, values)
             rt.metrics.record_put("shm", sim.now - t0)
             self._end(thread, op_id, "shm", nbytes=nbytes)
@@ -322,7 +322,7 @@ class OpEngine:
         self._check_live(array)
         op_id = self._begin(thread, "put", bulk=True, parent=parent_op,
                             segments=len(pairs))
-        yield sim.sleep(self.params.o_sw_us)
+        yield self.params.o_sw_us
         src = thread.node
         dst = rt.cluster.node(node_id)
         src.progress.enter_runtime()
@@ -355,7 +355,7 @@ class OpEngine:
                          thread=thread.id, node=src.id, target=dst.id,
                          hit=base is not None)
             if cost:
-                yield sim.sleep(cost)
+                yield cost
             if base is not None:
                 ticket = yield from rt.cluster.transport.rdma_put(
                     src, dst, nbytes, op_id=op_id)
@@ -411,8 +411,7 @@ class OpEngine:
         rt = self.rt
 
         def _tail():
-            yield rt.sim.sleep(
-                rt.cluster.topology.latency(dst.id, src.id))
+            yield rt.cluster.topology.latency(dst.id, src.id)
             if array.freed:
                 # The object was deallocated while the ack was in
                 # flight; inserting now would resurrect a stale entry

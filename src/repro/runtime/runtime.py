@@ -361,7 +361,7 @@ class Runtime:
             value = build()
         else:
             value = None
-        yield self.sim.sleep(self.cluster.params.o_sw_us)
+        yield self.cluster.params.o_sw_us
         array = yield from self.broadcaster.bcast(thread, tag, value)
         return array
 
@@ -380,13 +380,13 @@ class Runtime:
         self.metrics.allocations += 1
         # Allocation bookkeeping + notification injection costs.
         p = self.cluster.params
-        yield self.sim.sleep(p.o_sw_us)
+        yield p.o_sw_us
         for node in self.cluster.nodes:
             if node.id != thread.node.id:
                 self._notifications.append(
                     self.cluster.transport.am_oneway(thread.node, node,
                                                      p.ctrl_bytes))
-                yield self.sim.sleep(p.o_send_us * 0.25)
+                yield p.o_send_us * 0.25
         return array
 
     def all_alloc_matrix(self, thread: UPCThread, rows: int, cols: int,
@@ -406,7 +406,7 @@ class Runtime:
             return matrix
 
         value = build() if thread.id == 0 else None
-        yield self.sim.sleep(self.cluster.params.o_sw_us)
+        yield self.cluster.params.o_sw_us
         matrix = yield from self.broadcaster.bcast(thread, tag, value)
         return matrix
 
@@ -419,7 +419,7 @@ class Runtime:
         array = SharedArray(self, handle, layout, dt, owner=thread.id)
         self._install_everywhere(array)
         self.metrics.allocations += 1
-        yield self.sim.sleep(self.cluster.params.o_sw_us)
+        yield self.cluster.params.o_sw_us
         return array
 
     def all_free(self, thread: UPCThread, array: SharedArray):
@@ -444,7 +444,7 @@ class Runtime:
             self.metrics.frees += 1
             return True
 
-        yield self.sim.sleep(self.cluster.params.o_sw_us)
+        yield self.cluster.params.o_sw_us
         yield from thread.fence()
         # Quiesce barrier: polls while waiting so other threads'
         # in-flight put handlers can still be serviced here.

@@ -125,9 +125,8 @@ class UPCThread:
         if ticket is not None:
             # Completion acknowledgement back to the initiator.
             owner_node = array.owner_node(index)
-            yield rt.sim.sleep(
-                rt.cluster.topology.latency(owner_node, self.node.id)
-                + rt.cluster.params.o_recv_us)
+            yield (rt.cluster.topology.latency(owner_node, self.node.id)
+                   + rt.cluster.params.o_recv_us)
 
     def get_nb(self, array: SharedArray, index: int, nelems: int = 1):
         """Split-phase (non-blocking) GET: returns a handle event
@@ -266,7 +265,7 @@ class UPCThread:
                     lambda n: (rt.cluster.params.svd_lookup_us, None, 0),
                     op_id=op_id)
             else:
-                yield rt.sim.sleep(rt.cluster.params.shm_access_us)
+                yield rt.cluster.params.shm_access_us
             if not lck._res.acquire_now():
                 yield lck._res.acquire()
             lck._grant(self.id)
@@ -281,12 +280,11 @@ class UPCThread:
 
         def _go():
             if lck.owner_node != self.node.id:
-                yield rt.sim.sleep(rt.cluster.params.o_send_us)
-                yield rt.sim.sleep(
-                    rt.cluster.topology.latency(self.node.id,
-                                                lck.owner_node))
+                yield rt.cluster.params.o_send_us
+                yield rt.cluster.topology.latency(self.node.id,
+                                                  lck.owner_node)
             else:
-                yield rt.sim.sleep(rt.cluster.params.shm_access_us)
+                yield rt.cluster.params.shm_access_us
             lck._release(self.id)
             lck._res.release()
 
@@ -306,14 +304,14 @@ class UPCThread:
         self.runtime.metrics.compute_time_us += usec
         if usec > 0:
             op_id = self._span_begin("compute")
-            yield self.runtime.sim.sleep(usec)
+            yield usec
             self._span_end(op_id, usec=usec)
 
     def poll(self):
         """An explicit runtime tick (``upc_poll``-alike): lets queued
         handlers run on polling transports."""
         self.node.progress.poll()
-        yield self.runtime.sim.sleep(0.1)
+        yield 0.1
 
     # -- iteration ------------------------------------------------------------
 

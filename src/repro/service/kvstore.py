@@ -428,7 +428,7 @@ class KVStore:
         rt = self.runtime
         self.runtime.metrics.kv_rpc_ops += 1
         if home == th.node.id:
-            yield rt.sim.sleep(rt.cluster.params.shm_access_us)
+            yield rt.cluster.params.shm_access_us
             return self._apply(verb, args)
         p = rt.cluster.params
         cost = p.svd_lookup_us + _SCAN_US_PER_SLOT * self.slots_per_bucket

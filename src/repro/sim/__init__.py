@@ -4,8 +4,8 @@ A minimal, dependency-free event-driven simulator in the style of
 SimPy: a :class:`~repro.sim.simulator.Simulator` owns a virtual clock
 (microseconds, float) and a binary-heap event queue; concurrent
 activities are :class:`~repro.sim.process.Process` objects wrapping
-Python generators that ``yield`` :class:`~repro.sim.event.Event`
-instances to wait on.
+Python generators that ``yield`` a delay (a number of microseconds) or
+an :class:`~repro.sim.event.Event` instance to wait on.
 
 Everything above this package (memory, network, runtime) is expressed
 in terms of these primitives; the kernel knows nothing about PGAS.
@@ -15,7 +15,7 @@ Example
 >>> from repro.sim import Simulator
 >>> sim = Simulator()
 >>> def hello():
-...     yield sim.timeout(5.0)
+...     yield 5.0
 ...     return sim.now
 >>> p = sim.process(hello())
 >>> sim.run()

@@ -10,7 +10,8 @@ An :class:`Event` has three states:
 ``PROCESSED``
     popped off the heap; callbacks have run.
 
-Processes wait on events by ``yield``-ing them; arbitrary callbacks can
+Processes wait on events by ``yield``-ing them (a plain timed wait
+yields a number instead and involves no event); arbitrary callbacks can
 also be attached with :meth:`Event.add_callback` (the kernel itself uses
 this to resume processes and to wake resource queues).
 """
@@ -130,16 +131,17 @@ class Event:
 
 
 class _PooledEvent(Event):
-    """A kernel-recycled one-shot event (see ``Simulator.sleep``).
+    """A kernel-recycled one-shot event (see ``Simulator.oneshot``).
 
     Instances are created only by the simulator's free list and are
     returned to it by the dispatch loop right after :meth:`_process`
     runs.  The contract: nothing may retain a reference to a pooled
-    event past its callbacks — which holds for the internal inline
-    ``yield sim.sleep(...)`` wait points and for resource grants,
-    where the sole waiter is resumed during processing.  Public
-    factories (``sim.timeout()`` / ``sim.event()``) never pool, so
-    user code that stores events keeps the old lifetime guarantees.
+    event past its callbacks — which holds for resource grants and
+    queue gets, progress-engine wake-ups and shard deliveries, where
+    the sole waiter is resumed (or the handler run) during processing.
+    Timed waits are not events at all (a process yields the delay).
+    Public factories (``sim.timeout()`` / ``sim.event()``) never pool,
+    so user code that stores events keeps the old lifetime guarantees.
 
     Because the sole-waiter contract means these events almost always
     carry exactly one callback, the first subscriber lands in the
@@ -180,7 +182,8 @@ class _PooledEvent(Event):
 class Timeout(Event):
     """An event that fires ``delay`` after creation.
 
-    The workhorse of every cost model: ``yield sim.timeout(o_send)``.
+    For a timer someone else subscribes to or reads later; a process
+    that only waits yields the delay itself (``yield o_send``).
     """
 
     __slots__ = ()

@@ -1,11 +1,12 @@
 """Processes: generator coroutines driven by the event loop.
 
-A process generator ``yield``\\ s events and is resumed with the event's
-value once it fires::
+A process generator ``yield``\\ s what it waits for: a non-negative
+number is a timed wait of that many microseconds, an event resumes it
+with the event's value once it fires::
 
     def worker(sim, nic):
         yield nic.acquire()          # wait for the NIC
-        yield sim.timeout(2.5)       # occupy it for 2.5 us
+        yield 2.5                    # occupy it for 2.5 us
         nic.release()
         return "done"
 
@@ -16,7 +17,7 @@ each other (fork/join) simply by yielding the child process.
 
 from __future__ import annotations
 
-from typing import Any, Generator, TYPE_CHECKING
+from typing import Generator, TYPE_CHECKING
 
 from repro.sim.errors import ProcessKilled, SimulationError
 from repro.sim.event import Event, _PooledEvent
@@ -25,10 +26,30 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.simulator import Simulator
 
 
+class _Wake:
+    """What the heap carries for a timed wait instead of an event.
+
+    One per process, queued by ``Simulator._wake`` at the instant and
+    with the sequence number a timer event would have drawn; the
+    dispatch loop resumes ``proc`` through ``send`` itself.
+    """
+
+    __slots__ = ("proc", "send")
+    _value = _exc = None        # all Process._resume reads off an event
+
+    def __init__(self, proc: "Process") -> None:
+        self.proc = proc
+        self.send = proc._send
+
+    def _process(self) -> None:
+        # Simulator.run_before inlines this; step() comes here.
+        self.proc._resume(self)
+
+
 class Process(Event):
     """A running generator; completes when the generator returns."""
 
-    __slots__ = ("_gen", "_send", "_resume_cb")
+    __slots__ = ("_gen", "_send", "_resume_cb", "_token")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = "") -> None:
         if not hasattr(gen, "send"):
@@ -44,9 +65,10 @@ class Process(Event):
         # One bound method for every wakeup instead of a fresh bound
         # object per yielded event.
         self._resume_cb = self._resume
-        # First step happens via a zero-delay event so that spawning is
-        # itself an observable point in time and spawn order == run order.
-        sim.sleep(0.0).add_callback(self._resume_cb)
+        self._token = _Wake(self)
+        # The first step is a zero-delay wake so that spawning is itself
+        # an observable point in time and spawn order == run order.
+        sim._wake(self._token, 0.0)
 
     @property
     def is_alive(self) -> bool:
@@ -61,77 +83,72 @@ class Process(Event):
         sim = self.sim
         outer, sim._fanout = sim._fanout, True
         try:
-            self._step(None, ProcessKilled(reason))
+            self._throw(ProcessKilled(reason))
         finally:
             sim._fanout = outer
 
     # -- driving ------------------------------------------------------
 
     def _resume(self, ev: Event) -> None:
-        # Runs once per dispatched event — this *is* the hot path, so
-        # the success case of _step is inlined here: property reads
-        # become raw slot checks and add_callback becomes a direct
-        # list append on the target.
+        """Callback of every event the process waits on."""
         if self._status:
             # The process died (e.g. kill()) while this event was in
             # flight; drop the stale wakeup.
             return
         exc = ev._exc
         if exc is not None:
-            self._step(None, exc)
+            self._throw(exc)
             return
         try:
             target = self._send(ev._value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except ProcessKilled as pk:
-            self.fail(pk)
-            return
         except BaseException as err:
-            # Attach context so deadlocks/crashes are debuggable at scale.
-            err.args = (*err.args, f"[in sim process {self.name!r} at "
-                                   f"t={self.sim.now:.3f}]")
-            self.fail(err)
+            self._exit(err)
+            return
+        self._wait(target)
+
+    def _throw(self, exc: BaseException) -> None:
+        """Cold-path drive: failure delivery and kill()."""
+        try:
+            target = self._gen.throw(exc)
+        except BaseException as err:
+            self._exit(err)
+            return
+        self._wait(target)
+
+    def _wait(self, target) -> None:
+        """Suspend on what the generator yielded: a delay or an event."""
+        cls = target.__class__
+        if cls is float or (isinstance(target, (int, float))
+                            and cls is not bool):
+            if target >= 0:
+                self.sim._wake(self._token, target)
+            else:
+                self._throw(SimulationError(
+                    f"process {self.name!r} yielded delay {target!r}: a "
+                    "timed wait needs a delay >= 0"))
             return
         try:
             status = target._status
         except AttributeError:
             raise SimulationError(
                 f"process {self.name!r} yielded {target!r}; processes may "
-                "only yield Events (use 'yield from' for sub-generators)"
+                "only yield an Event or a delay (use 'yield from' for "
+                "sub-generators)"
             ) from None
         if status == 2:  # PROCESSED: late subscriber, resume immediately
             self._resume(target)
-        elif target.__class__ is _PooledEvent and target._cb is None:
+        elif cls is _PooledEvent and target._cb is None:
             target._cb = self._resume_cb
         else:
             target._callbacks.append(self._resume_cb)
 
-    def _step(self, value: Any, exc: BaseException | None) -> None:
-        """Cold-path drive: failure delivery and kill()."""
-        try:
-            if exc is None:
-                target = self._gen.send(value)
-            else:
-                target = self._gen.throw(exc)
-        except StopIteration as stop:
-            self.succeed(stop.value)
+    def _exit(self, err: BaseException) -> None:
+        """The generator stopped: it returned, was killed, or raised."""
+        if isinstance(err, StopIteration):
+            self.succeed(err.value)
             return
-        except ProcessKilled as pk:
-            self.fail(pk)
-            return
-        except BaseException as err:
+        if not isinstance(err, ProcessKilled):
+            # Attach context so deadlocks/crashes are debuggable at scale.
             err.args = (*err.args, f"[in sim process {self.name!r} at "
                                    f"t={self.sim.now:.3f}]")
-            self.fail(err)
-            return
-        if not isinstance(target, Event):
-            raise SimulationError(
-                f"process {self.name!r} yielded {target!r}; processes may "
-                "only yield Events (use 'yield from' for sub-generators)"
-            )
-        if target._status == 2:
-            self._resume(target)
-        else:
-            target._callbacks.append(self._resume_cb)
+        self.fail(err)

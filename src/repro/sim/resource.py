@@ -4,8 +4,8 @@
     A FIFO server with integer capacity.  Used for NICs (capacity 1 per
     node — the root of the paper's "four threads competing for the same
     network device" amplification effect, section 4.6), CPUs and DMA
-    engines.  Tracks busy-time and queueing statistics so experiments
-    can report utilization.
+    engines.  Tracks busy time and grant waits so experiments can report
+    utilization and queueing.
 
 :class:`Queue`
     An unbounded FIFO of items with blocking ``get``.  Used for
@@ -23,8 +23,6 @@ from repro.sim.event import Event
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.simulator import Simulator
 
-from repro.util.stats import RunningStats
-
 
 class Resource:
     """FIFO resource with ``capacity`` concurrent users.
@@ -33,14 +31,14 @@ class Resource:
 
         yield res.acquire()
         try:
-            yield sim.timeout(cost)
+            yield cost
         finally:
             res.release()
     """
 
     __slots__ = ("sim", "capacity", "name", "_users", "_waiters",
-                 "_busy_integral", "_last_change", "wait_stats",
-                 "acquisitions", "_acq_name")
+                 "_busy_integral", "_last_change", "_created",
+                 "acquisitions", "wait_total", "wait_max", "_acq_name")
 
     def __init__(self, sim: "Simulator", capacity: int = 1,
                  name: str = "resource") -> None:
@@ -53,25 +51,23 @@ class Resource:
         self._users = 0
         self._waiters: Deque[tuple[Event, float]] = deque()
         self._busy_integral = 0.0
-        self._last_change = sim.now
-        #: Time spent waiting for a grant, per acquisition.
-        self.wait_stats = RunningStats()
+        self._last_change = self._created = sim.now
+        #: Grants so far, and the total and longest time they waited.
         self.acquisitions = 0
+        self.wait_total = 0.0
+        self.wait_max = 0.0
 
     # -- accounting ---------------------------------------------------
 
-    def _account(self) -> None:
+    def utilization(self) -> float:
+        """Mean fraction of capacity in use since the resource was
+        created."""
         now = self.sim.now
-        self._busy_integral += self._users * (now - self._last_change)
-        self._last_change = now
-
-    def utilization(self, since: float = 0.0) -> float:
-        """Mean fraction of capacity in use over ``[since, now]``."""
-        self._account()
-        span = self.sim.now - since
+        span = now - self._created
         if span <= 0:
             return 0.0
-        return self._busy_integral / (span * self.capacity)
+        busy = self._busy_integral + self._users * (now - self._last_change)
+        return busy / (span * self.capacity)
 
     @property
     def in_use(self) -> int:
@@ -101,10 +97,11 @@ class Resource:
     def try_acquire(self) -> bool:
         """Non-blocking acquire; True if granted immediately."""
         if self._users < self.capacity and not self._waiters:
-            self._account()
+            now = self.sim.now
+            self._busy_integral += self._users * (now - self._last_change)
+            self._last_change = now
             self._users += 1
             self.acquisitions += 1
-            self.wait_stats.add(0.0)
             return True
         return False
 
@@ -126,14 +123,20 @@ class Resource:
         """Free one slot; grants the oldest waiter, FIFO."""
         if self._users <= 0:
             raise SimulationError(f"release() on idle resource {self.name!r}")
-        self._account()
-        self._users -= 1
+        now = self.sim.now
+        self._busy_integral += self._users * (now - self._last_change)
+        self._last_change = now
         if self._waiters:
+            # The slot passes straight to the oldest waiter.
             ev, enq_t = self._waiters.popleft()
-            self._users += 1
             self.acquisitions += 1
-            self.wait_stats.add(self.sim.now - enq_t)
+            wait = now - enq_t
+            self.wait_total += wait
+            if wait > self.wait_max:
+                self.wait_max = wait
             ev.succeed()
+        else:
+            self._users -= 1
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<Resource {self.name} {self._users}/{self.capacity} "

@@ -231,7 +231,7 @@ class ShardContext:
                 f"shard {self.shard}: {kind!r} arrival {arrival:.6f} is "
                 f"in the past (now={self.sim.now:.6f}) — conservative "
                 "horizon violated")
-        ev = self.sim.sleep(delay, value=payload)
+        ev = self.sim.oneshot(kind).succeed(payload, delay)
         ev.add_callback(lambda e, h=handler: h(e._value))
 
     # -- collectives --------------------------------------------------
@@ -284,7 +284,7 @@ class ShardContext:
         for proc in self._procs:
             # A crashed process is "triggered", not alive: without this
             # it would pass as finished and the run would end short.
-            # (Process._resume already put its name into the args.)
+            # (Process._exit already put its name into the args.)
             if proc.exception is not None:
                 raise proc.exception
         stuck = [p.name for p in self._procs if p.is_alive]

@@ -8,8 +8,10 @@ Heap entries are mutable ``[time, seq, event]`` records drawn from a
 free list (no per-event tuple allocation, but still C-speed
 lexicographic comparison), zero-delay events bypass the heap entirely
 through a FIFO *fast lane* (a deque), and kernel-internal wait points
-reuse ``_PooledEvent`` objects from a free list instead of allocating
-a ``Timeout`` per message hop.
+reuse ``_PooledEvent`` objects from a free list.  A timed wait — a
+process yielding a number — is no event at all: its entry carries the
+process's ``_Wake`` token and the dispatch loop resumes the generator
+itself, requeueing the same entry when it sleeps again.
 
 Dispatch order is still *exactly* the total order on ``(time, seq)``:
 the fast lane only ever holds entries whose time equals ``now`` (a
@@ -29,8 +31,8 @@ from collections import deque
 from typing import Any, Generator, List, Optional
 
 from repro.sim.errors import SimulationError
-from repro.sim.event import PENDING, SCHEDULED, Event, Timeout, _PooledEvent
-from repro.sim.process import Process
+from repro.sim.event import PENDING, Event, Timeout, _PooledEvent
+from repro.sim.process import Process, _Wake
 
 
 class Simulator:
@@ -68,56 +70,19 @@ class Simulator:
         """An event firing ``delay`` microseconds from now.
 
         Public factory: the returned event is never recycled, so
-        callers may store it and read ``.value`` after the run.  The
-        kernel-internal equivalent is :meth:`sleep`.
+        callers may store it and read ``.value`` after the run.  A
+        process that only waits yields ``delay`` instead.
         """
         return Timeout(self, delay, value=value, name=name)
 
-    def sleep(self, delay: float, value: Any = None) -> Event:
-        """A pooled one-shot timer for inline ``yield`` wait points.
+    def oneshot(self, name: str = "") -> Event:
+        """A pooled PENDING event for kernel wait points whose outcome
+        is decided later by a third party (resource grants,
+        progress-engine wakeups, shard deliveries).
 
         Contract: the caller must not retain the event past its
-        callbacks — it is recycled by the dispatch loop immediately
-        after processing.  Every ``yield sim.sleep(x)`` in the runtime
-        and network layers satisfies this (the yielding process is the
-        only waiter).
-        """
-        pool = self._event_pool
-        if pool:
-            ev = pool.pop()
-            ev._status = SCHEDULED
-            ev._value = value
-            ev._exc = None
-        else:
-            ev = _PooledEvent(self, name="sleep")
-            ev._status = SCHEDULED
-            ev._value = value
-        # Scheduling inlined (this is the hottest factory in the
-        # kernel): identical to _schedule.
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        seq = self._seq + 1
-        self._seq = seq
-        epool = self._entry_pool
-        if epool:
-            entry = epool.pop()
-            entry[0] = self.now + delay
-            entry[1] = seq
-            entry[2] = ev
-        else:
-            entry = [self.now + delay, seq, ev]
-        if delay == 0.0:
-            self._lane.append(entry)
-        else:
-            heapq.heappush(self._heap, entry)
-        return ev
-
-    def oneshot(self, name: str = "") -> Event:
-        """A pooled PENDING event for kernel wait points.
-
-        Same recycling contract as :meth:`sleep`, for events whose
-        outcome is decided later by a third party (resource grants,
-        progress-engine wakeups).
+        callbacks — the dispatch loop recycles it right after
+        processing.
         """
         pool = self._event_pool
         if pool:
@@ -151,6 +116,11 @@ class Simulator:
             self._lane.append(entry)
         else:
             heapq.heappush(self._heap, entry)
+
+    #: Queue a process's ``_Wake`` token ``delay`` from now (a ``yield
+    #: delay``): the entry is an event's, only the carrier differs.
+    #: A separate name because the reference core overrides it.
+    _wake = _schedule
 
     # -- execution ----------------------------------------------------
 
@@ -259,8 +229,8 @@ class Simulator:
         to ``bound`` — it stays at the last processed event so the
         shard's report reflects real progress.  With ``bound=inf`` it
         is also :meth:`run`'s plain drain — the one hot loop:
-        lane-vs-heap merge, entry recycling and event recycling are
-        inlined, and dispatch order is identical to repeated
+        lane-vs-heap merge, entry recycling, event recycling and timed
+        wakes are inlined, and dispatch order is identical to repeated
         :meth:`step` calls.
         """
         self._fanout = False
@@ -275,7 +245,10 @@ class Simulator:
         entry_push = self._entry_pool.append
         event_push = self._event_pool.append
         pooled_cls = _PooledEvent
+        wake_cls = _Wake
         lane_popleft = lane.popleft
+        lane_push = lane.append
+        push = heapq.heappush
         try:
             while True:
                 if lane:
@@ -291,9 +264,33 @@ class Simulator:
                     entry = pop(heap)
                 else:
                     return n
-                self.now = entry[0]
+                now = self.now = entry[0]
                 n += 1
                 ev = entry[2]
+                if ev.__class__ is wake_cls:
+                    # A timed wait ran out: _Wake._process inlined.  A
+                    # float delay >= 0 yielded again requeues this very
+                    # entry, at the (t, seq) _wake would give it.
+                    proc = ev.proc
+                    if not proc._status:
+                        try:
+                            delay = ev.send(None)
+                        except BaseException as err:
+                            proc._exit(err)
+                        else:
+                            if delay.__class__ is float and delay >= 0.0:
+                                seq = self._seq = self._seq + 1
+                                entry[0] = now + delay
+                                entry[1] = seq
+                                if delay == 0.0:
+                                    lane_push(entry)
+                                else:
+                                    push(heap, entry)
+                                continue
+                            proc._wait(delay)
+                    entry[2] = None
+                    entry_push(entry)
+                    continue
                 entry[2] = None
                 entry_push(entry)
                 # _process inlined for both event shapes (one method

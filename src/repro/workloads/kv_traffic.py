@@ -399,7 +399,7 @@ class _TrafficCore:
         for seq in range(n):
             gap = float(sched[seq]) - now
             now = float(sched[seq])
-            yield sim.sleep(gap)
+            yield gap
             key = int(keys[seq])
             is_put = bool(puts[seq])
             bucket, server = self.server_of(key)

@@ -180,9 +180,9 @@ class _FieldMix:
     def thread(self, node: int, tid: int, ntokens: int, probes: int):
         sim, t, log = self.sim, self.t, self.log
         for tok in range(ntokens):
-            yield sim.sleep(2.0 + 3.0 * _jitter(tid, tok))
+            yield 2.0 + 3.0 * _jitter(tid, tok)
             # Relaxed PUT of the field element to the right neighbour.
-            yield sim.sleep(t.o_sw_us + t.o_send_us + t.nic_gap_us)
+            yield t.o_sw_us + t.o_send_us + t.nic_gap_us
             dst = (node + 1) % self.nnodes
             if log.enabled:
                 # Fire-and-forget: zero-duration span at injection.
@@ -195,7 +195,7 @@ class _FieldMix:
             for p in range(probes):
                 other = ((node + 1) % self.nnodes if (tok + p) % 2 == 0
                          else (node - 1) % self.nnodes)
-                yield sim.sleep(t.o_sw_us + t.o_send_us + t.nic_gap_us)
+                yield t.o_sw_us + t.o_send_us + t.nic_gap_us
                 req = (tid, tok, p)
                 op = -1
                 if log.enabled:
@@ -207,7 +207,7 @@ class _FieldMix:
                 self.transmit(node, other, "probe",
                               (other, node, req), nbytes=64)
                 served = yield gate
-                yield sim.sleep(t.o_recv_us)
+                yield t.o_recv_us
                 if op >= 0:
                     log.emit(sim.now, OP_END, op=op, thread=tid,
                              node=node, dst=other, tok=tok, served=served)
@@ -326,7 +326,7 @@ class _RefBarrier:
     def wait(self, generation: int = 0):
         sim = self.sim
         if self.entry_us:
-            yield sim.sleep(self.entry_us)
+            yield self.entry_us
         gate = self._gates.get(generation)
         if gate is None:
             gate = self._gates[generation] = sim.event(
@@ -338,7 +338,7 @@ class _RefBarrier:
                          delay=self.cost_us)
         yield gate
         if self.exit_us:
-            yield sim.sleep(self.exit_us)
+            yield self.exit_us
 
 
 def run_field_reference(nthreads: int, *, ntokens: int = 4,
@@ -352,8 +352,8 @@ def run_field_reference(nthreads: int, *, ntokens: int = 4,
 
     def transmit(src, dst, kind, payload, nbytes, extra=0.0):
         # Same schedule-at-arrival path ShardContext uses.
-        ev = sim.sleep(core.latency(src, dst, nbytes, extra),
-                       value=payload)
+        ev = sim.oneshot(kind).succeed(
+            payload, core.latency(src, dst, nbytes, extra))
         ev.add_callback(lambda e, k=kind: _handle(k, e._value))
 
     def _handle(kind, payload):
@@ -654,7 +654,7 @@ class _SkeletonCore:
         """Issue a blocking request to a home node; returns
         ``(data, served_time)``."""
         sim, t = self.sim, self.t
-        yield sim.sleep(t.o_sw_us + t.o_send_us)
+        yield t.o_sw_us + t.o_send_us
         self._reqseq += 1
         req = (tid, self._reqseq)
         gate = sim.event(name=f"req{req}")
@@ -662,7 +662,7 @@ class _SkeletonCore:
         home = self.infos[body[0]]["home"]
         self.transmit(tid, home, kind, body + (tid, req), nbytes)
         data, served = yield gate
-        yield sim.sleep(t.o_recv_us)
+        yield t.o_recv_us
         return data, served
 
     # -- per-op execution ----------------------------------------------
@@ -671,16 +671,16 @@ class _SkeletonCore:
         sim, t = self.sim, self.t
         k = op.kind
         if k == "compute":
-            yield sim.sleep(0.8 + 1.7 * _jitter(tid, pi * 8192 + oi))
+            yield 0.8 + 1.7 * _jitter(tid, pi * 8192 + oi)
             return
         if k == "poll":
-            yield sim.sleep(0.5)
+            yield 0.5
             return
         if k == "fence":
             yield from fence.wait()
             return
         if k in ("global_alloc", "local_alloc"):
-            yield sim.sleep(1.0)
+            yield 1.0
             return
         oid = eff[op.obj]
         info = self.infos[oid]
@@ -696,8 +696,8 @@ class _SkeletonCore:
             # puts fence inside the bucket lock), so a later reader's
             # request timestamp is ordered after this reply.
             if info["home"] == tid:
-                yield sim.sleep(t.o_sw_us + _LOCAL_ACCESS_US
-                                + _KV_SCAN_US * info["slots"])
+                yield (t.o_sw_us + _LOCAL_ACCESS_US
+                       + _KV_SCAN_US * info["slots"])
                 reply = self._kv_exec(oid, k, body_args)
                 data = np.asarray(reply, dtype="<i8").tobytes()
                 served = _tq(sim.now)
@@ -713,7 +713,7 @@ class _SkeletonCore:
                 continue
             if mode == "r":
                 if info["home"] == tid:
-                    yield sim.sleep(t.o_sw_us + _LOCAL_ACCESS_US)
+                    yield t.o_sw_us + _LOCAL_ACCESS_US
                     isz = dt.itemsize
                     data = bytes(self.images[oid][start * isz:
                                                   (start + cnt) * isz])
@@ -728,12 +728,12 @@ class _SkeletonCore:
             elif mode in ("w", "s"):
                 data = np.asarray(values, dtype=dt).tobytes()
                 if info["home"] == tid:
-                    yield sim.sleep(t.o_sw_us + _LOCAL_ACCESS_US)
+                    yield t.o_sw_us + _LOCAL_ACCESS_US
                     isz = dt.itemsize
                     self.images[oid][start * isz:
                                      start * isz + len(data)] = data
                 else:
-                    yield sim.sleep(t.o_sw_us + t.o_send_us)
+                    yield t.o_sw_us + t.o_send_us
                     token = fence.issue()
                     self.transmit(tid, info["home"], "sput",
                                   (oid, start, data, tid, token),
@@ -743,8 +743,7 @@ class _SkeletonCore:
                         yield from fence.wait()
             else:  # "l" — lock-protected RMW
                 if info["home"] == tid:
-                    yield sim.sleep(t.o_sw_us + _LOCAL_ACCESS_US
-                                    + _LOCK_LOCAL_US)
+                    yield t.o_sw_us + _LOCAL_ACCESS_US + _LOCK_LOCAL_US
                     off = start * dt.itemsize
                     img = self.images[oid]
                     old = int(np.frombuffer(
@@ -785,7 +784,7 @@ class _SkeletonCore:
                 yield from self.barrier(pi)
                 extra = self._collective_extra(op)
                 if extra:
-                    yield sim.sleep(extra)
+                    yield extra
                 continue
             eff = self.eff[pi]
             for oi, op in enumerate(ph.per_thread[tid]):

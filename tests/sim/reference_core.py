@@ -2,9 +2,11 @@
 
 Immutable ``(t, seq, event)`` heap entries, no zero-delay lane, no
 recycled entries or events, a fresh ``Timeout``/``Event`` per wait
-point.  It overrides every place the fast core pools or takes the
-lane, and nothing else, so any test run on both cores compares two
-schedulers that share only the clock and the sequence counter.
+point — a ``yield delay`` included, which the fast core queues as the
+process's ``_Wake`` token and resumes in its dispatch loop.  It
+overrides every place the fast core pools or takes the lane, and
+nothing else, so any test run on both cores compares two schedulers
+that share only the clock and the sequence counter.
 """
 
 import heapq
@@ -14,14 +16,14 @@ import pytest
 from repro.sim import Simulator
 from repro.sim.errors import SimulationError
 from repro.sim.event import Event, Timeout, _PooledEvent
-from repro.sim.process import Process
+from repro.sim.process import Process, _Wake
 
 
 class ReferenceSimulator(Simulator):
     __slots__ = ()
 
-    def sleep(self, delay, value=None):
-        return Timeout(self, delay, value=value)
+    def _wake(self, token, delay):
+        Timeout(self, delay).add_callback(token.proc._resume_cb)
 
     def oneshot(self, name=""):
         return Event(self, name=name)
@@ -60,23 +62,33 @@ BOTH_CORES = pytest.mark.parametrize(
 
 def spy_on_wait_points(monkeypatch):
     """The set of classes of every event that resumes a process from
-    here on (every wait point a generator yielded and was woken by)."""
+    here on (every wait point a generator yielded and was woken by),
+    plus ``_Wake`` whenever a timed-wait token is dispatched as an
+    event.  On the fast core timed wakes do not pass through
+    ``_resume``: ``run_before`` resumes the sleeper itself, and only
+    ``step()`` goes through ``_Wake._process``."""
     woke = set()
     resume = Process._resume
+    wake = _Wake._process
 
     def spy(self, ev):
         woke.add(ev.__class__)
         resume(self, ev)
 
+    def wake_spy(self):
+        woke.add(_Wake)
+        wake(self)
+
     monkeypatch.setattr(Process, "_resume", spy)
+    monkeypatch.setattr(_Wake, "_process", wake_spy)
     return woke
 
 
 def assert_shares_no_fast_path(sim, woke):
-    """``sim`` never touched the lane or a free list and no process
-    waited on a recycled event — so a factory added to
-    :class:`Simulator` and not overridden above fails here instead of
-    silently sharing the fast path.  True of the reference core after
-    any run; false of the fast one."""
+    """``sim`` never touched the lane or a free list, no process
+    waited on a recycled event and no ``_Wake`` token reached its loop
+    — so a factory added to :class:`Simulator` and not overridden above
+    fails here instead of silently sharing the fast path.  True of the
+    reference core after any run; false of the fast one."""
     assert not sim._lane and not sim._entry_pool and not sim._event_pool
-    assert woke and _PooledEvent not in woke
+    assert woke and _PooledEvent not in woke and _Wake not in woke

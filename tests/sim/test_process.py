@@ -107,10 +107,10 @@ def test_yielding_non_event_is_an_error():
     sim = Simulator()
 
     def worker():
-        yield 42  # not an Event
+        yield object()  # neither an Event nor a delay
 
     proc = sim.process(worker())
-    with pytest.raises(SimulationError):
+    with pytest.raises(SimulationError, match="an Event or a delay"):
         sim.run()
     assert proc.is_alive  # never completed
 

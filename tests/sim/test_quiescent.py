@@ -44,8 +44,8 @@ class Harness:
 
     def outcome(self):
         """Everything but the event count must be equal."""
-        stats = [(r.acquisitions, r.wait_stats.n, r.wait_stats.total,
-                  r.wait_stats.max) for r in self.resources]
+        stats = [(r.acquisitions, r.wait_total, r.wait_max)
+                 for r in self.resources]
         return self.log, self.sim.now, stats
 
 
@@ -245,13 +245,13 @@ def _play(h, program, capacities):
         for i, step in enumerate(steps):
             tag = f"{name}.{i}"
             if step[0] == "sleep":
-                yield sim.timeout(float(step[1]))
+                yield step[1]       # an int delay
             elif step[0] == "use":
                 res = resources[step[1] % len(resources)]
                 yield from h.acquire(res)
                 h.mark(tag + " holds")
                 if step[2]:
-                    yield sim.timeout(float(step[2]))
+                    yield float(step[2])
                 res.release()
             elif step[0] == "wait":
                 yield gates[step[1]]

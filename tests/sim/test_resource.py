@@ -59,6 +59,22 @@ def test_utilization_tracks_busy_time():
     assert res.utilization() == pytest.approx(0.4)
 
 
+def test_utilization_counts_from_creation():
+    sim = Simulator()
+    sim.run(until=10.0)
+    res = Resource(sim, capacity=2)
+
+    def user():
+        yield res.acquire()
+        yield 4.0
+        res.release()
+
+    sim.process(user())
+    sim.run(until=20.0)
+    # One of two slots busy for 4 of the 10 us the resource has existed.
+    assert res.utilization() == pytest.approx(0.2)
+
+
 def test_wait_stats_record_queueing_delay():
     sim = Simulator()
     res = Resource(sim, capacity=1)
@@ -72,9 +88,9 @@ def test_wait_stats_record_queueing_delay():
     sim.process(user(3))
     sim.run()
     # First waits 0, second waits 3.
-    assert res.wait_stats.n == 2
-    assert res.wait_stats.max == pytest.approx(3.0)
     assert res.acquisitions == 2
+    assert res.wait_total == pytest.approx(3.0)
+    assert res.wait_max == pytest.approx(3.0)
 
 
 def test_queue_put_then_get():

@@ -22,7 +22,7 @@ def _ticker(ctx, n, victim=None, die_at=None):
     """Ping the next shard every µs; on shard ``victim`` SIGKILL our
     own process mid-run — no handler, no flush, no goodbye."""
     for i in range(n):
-        yield ctx.sim.sleep(1.0)
+        yield 1.0
         ctx.send((ctx.shard + 1) % ctx.nshards, "ping", i, latency=2.0)
         if ctx.shard == victim and i == die_at:
             os.kill(os.getpid(), signal.SIGKILL)

@@ -202,7 +202,7 @@ def test_run_before_strict_bound(pooled):
     sim = Simulator() if pooled else ReferenceSimulator()
     seen = []
     for t in (1.0, 2.0, 3.0, 4.0):
-        sim.sleep(t).add_callback(
+        sim.timeout(t).add_callback(
             lambda ev, t=t: seen.append((t, sim.now)))
     n = sim.run_before(3.0)
     assert n == 2
@@ -244,11 +244,11 @@ def test_same_shard_send_takes_delivery_path():
 
 def _crashing_builder(ctx):
     def crasher():
-        yield ctx.sim.sleep(1.0)
+        yield 1.0
         raise RuntimeError("kv-client blew up")
 
     def bystander():
-        yield ctx.sim.sleep(5.0)
+        yield 5.0
 
     ctx.spawn(bystander(), name="bystander")
     if ctx.shard == ctx.nshards - 1:
@@ -316,8 +316,8 @@ def test_shard_fence_drains_acks():
     def writer():
         t1 = fence.issue()
         t2 = fence.issue()
-        sim.sleep(1.0).add_callback(lambda ev: fence.ack(t1))
-        sim.sleep(5.0).add_callback(lambda ev: fence.ack(t2))
+        sim.timeout(1.0).add_callback(lambda ev: fence.ack(t1))
+        sim.timeout(5.0).add_callback(lambda ev: fence.ack(t2))
         yield from fence.wait()
         done.append(sim.now)
 

@@ -52,7 +52,7 @@ def _mixed_workload(sim, trace):
 
     def worker(tag, delays):
         for i, d in enumerate(delays):
-            yield sim.sleep(d)
+            yield d
             trace.append((sim.now, tag, i))
 
     sim.process(worker("a", [1.0, 0.0, 0.0, 2.0, 0.0]))
@@ -103,15 +103,30 @@ def test_lane_does_not_preempt_same_time_heap_entry():
 # Pooling mechanics
 # ---------------------------------------------------------------------------
 
-def test_sleep_events_are_recycled():
+def test_oneshot_events_are_recycled():
     sim = Simulator()
-    ev1 = sim.sleep(1.0)
+    ev1 = sim.oneshot("grant").succeed(delay=1.0)
     assert type(ev1) is _PooledEvent
     sim.run()
-    # The processed timer went back to the free list; the next sleep
+    # The processed event went back to the free list; the next oneshot
     # must reuse the same object instead of allocating.
-    ev2 = sim.sleep(1.0)
+    ev2 = sim.oneshot("grant")
     assert ev2 is ev1
+
+
+def test_timed_waits_allocate_no_events():
+    # A process that only sleeps queues its _Wake token, never an
+    # event, and the loop requeues one entry for all its waits.
+    sim = Simulator()
+
+    def sleeper():
+        for d in (1.0, 0.0, 2.5, 0.0):
+            yield d
+
+    sim.process(sleeper())
+    sim.run()
+    assert sim.now == 3.5 and sim.events_processed == 6
+    assert not sim._event_pool and len(sim._entry_pool) == 2
 
 
 def test_public_factories_never_pool():
@@ -128,9 +143,14 @@ def test_public_factories_never_pool():
 
 def test_legacy_mode_never_pools():
     sim = ReferenceSimulator()
-    assert type(sim.sleep(1.0)) is Timeout
     assert type(sim.oneshot("x")) is Event
+
+    def sleeper():
+        yield 1.0
+
+    sim.process(sleeper())
     sim.run()
+    assert sim.now == 1.0
     assert not sim._event_pool
     assert not sim._entry_pool
 
@@ -140,7 +160,7 @@ def test_pooled_event_sole_waiter_slot_then_overflow():
     list; all run in subscription order."""
     sim = Simulator()
     got = []
-    ev = sim.sleep(1.0, value="v")
+    ev = sim.oneshot().succeed("v", delay=1.0)
     ev.add_callback(lambda e: got.append(("first", e._value)))
     ev.add_callback(lambda e: got.append(("second", e._value)))
     sim.run()
