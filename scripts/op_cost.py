@@ -8,7 +8,9 @@ Runs one repetition of a ``bench/workloads.py`` workload (read-only
 import; nothing under ``bench/`` is touched) under ``sys.settrace``
 with per-opcode events on and prints, per logical op: interpreter
 opcodes, Python-level calls and simulator events, then the functions
-ranked by *self* opcodes.
+ranked by *self* opcodes.  ``shard_traffic`` runs its shards
+in-process (``mode="inproc"``, untraced): a tracer in this process
+cannot see into ``mp`` workers.
 
 Why a count: on the shared 2-vCPU box wall time moves ±10 % between
 identical runs, which is as large as most per-op savings.  The opcode
@@ -79,7 +81,14 @@ def main(argv=None) -> int:
                   {**os.environ, "PYTHONHASHSEED": "0"})
 
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+    import bench.workloads
     from bench.workloads import WORKLOADS
+    run_kv_traffic = bench.workloads.run_kv_traffic
+
+    def run_inproc(params, **kw):
+        return run_kv_traffic(params, **{**kw, "mode": "inproc"})
+
+    bench.workloads.run_kv_traffic = run_inproc
     if args.workload not in WORKLOADS:
         ap.error(f"unknown workload {args.workload!r}; "
                  f"choose from {', '.join(WORKLOADS)}")

@@ -23,7 +23,7 @@ from typing import List
 
 from repro.network.node import Node
 from repro.network.params import INTERRUPT, POLLING, TransportParams
-from repro.sim.event import Event
+from repro.sim.process import _Wake
 from repro.sim.simulator import Simulator
 
 
@@ -114,8 +114,8 @@ class PollingProgress(ProgressEngine):
                  params: TransportParams) -> None:
         super().__init__(sim, node, params)
         self._pollers = 0
-        self._waiters: List[Event] = []
-        self._await_name = f"await-poll[{node.id}]"
+        # The _Wake tokens of handlers parked until the next tick.
+        self._waiters: List[_Wake] = []
 
     @property
     def pollers(self) -> int:
@@ -152,13 +152,19 @@ class PollingProgress(ProgressEngine):
     def _wake_all(self) -> None:
         waiters = self._waiters
         if waiters:
-            # succeed() only schedules — callbacks run from the
+            # _wake() only schedules — the handlers resume from the
             # dispatch loop, so nothing can append to the list while we
             # iterate, and clearing in place avoids a list allocation.
-            for ev in waiters:
-                ev.succeed()
+            wake = self.sim._wake
+            for token in waiters:
+                wake(token, 0.0)
             waiters.clear()
             self._backlog_changed(0)
+
+    def _join(self, proc) -> None:
+        """A handler yielded the engine: park it until the next tick."""
+        self._waiters.append(proc._token)
+        self._backlog_changed(len(self._waiters))
 
     def service(self, op_id: int = -1):
         t0 = self.sim.now
@@ -168,10 +174,7 @@ class PollingProgress(ProgressEngine):
             log.emit(t0, QUEUE_ENTER, op=op_id, node=self.node.id,
                      pollers=self._pollers)
         if self._pollers == 0:
-            ev = self.sim.oneshot(self._await_name)
-            self._waiters.append(ev)
-            self._backlog_changed(len(self._waiters))
-            yield ev
+            yield self
         if self.faults is not None:
             yield from self._stall(op_id)
         yield self.params.dispatch_us

@@ -284,7 +284,7 @@ class Transport:
         frags = p.fragments(nbytes) if fragmented else 1
         nic = node.nic
         if not nic.acquire_now():
-            yield nic.acquire()
+            yield nic
         try:
             if self.faults is not None:
                 stall = self.faults.nic_stall(node.id)
@@ -352,9 +352,9 @@ class Transport:
             # exchanging eager traffic.
             credits = self._credit_pool(reply_to)
             if not credits.acquire_now():
-                yield credits.acquire()
+                yield credits
         if not dst.handler_cpu.acquire_now():
-            yield dst.handler_cpu.acquire()
+            yield dst.handler_cpu
         if rec:
             # Credit + handler-CPU contention is queueing, same bucket
             # as waiting for the progress engine.
@@ -557,7 +557,7 @@ class Transport:
         yield from dst.progress.service(op_id)
         t_acq = self.sim.now
         if not dst.handler_cpu.acquire_now():
-            yield dst.handler_cpu.acquire()
+            yield dst.handler_cpu
         if rec:
             self._phase(op_id, COMP_QUEUE, t_acq)
             self.events.emit(self.sim.now, AM_RECV, op=op_id,
@@ -661,7 +661,7 @@ class Transport:
             yield p.o_send_us + p.copy_time(nbytes)
             credits = self._credit_pool(dst)
             if not credits.acquire_now():
-                yield credits.acquire()
+                yield credits
             self._record(wire.PUT_DATA, src, dst, nbytes + p.ctrl_bytes)
             t0 = self.sim.now
             if rec:
@@ -796,7 +796,7 @@ class Transport:
             yield self.params.o_send_us
             credits = self._credit_pool(dst)
             if not credits.acquire_now():
-                yield credits.acquire()
+                yield credits
             try:
                 key = self._seq(src) if self.faults is not None else None
                 attempt = 0
@@ -873,7 +873,7 @@ class Transport:
         self._record(wire.RDMA_READ_RESP, dst, src, nbytes)
         t1 = self.sim.now
         if not dst.nic.acquire_now():
-            yield dst.nic.acquire()
+            yield dst.nic
         if rec:
             # Contention for the target NIC's DMA engine.
             self._phase(op_id, COMP_QUEUE, t1)

@@ -267,7 +267,7 @@ class UPCThread:
             else:
                 yield rt.cluster.params.shm_access_us
             if not lck._res.acquire_now():
-                yield lck._res.acquire()
+                yield lck._res
             lck._grant(self.id)
             rt.metrics.lock_acquires += 1
 

@@ -4,8 +4,9 @@ A minimal, dependency-free event-driven simulator in the style of
 SimPy: a :class:`~repro.sim.simulator.Simulator` owns a virtual clock
 (microseconds, float) and a binary-heap event queue; concurrent
 activities are :class:`~repro.sim.process.Process` objects wrapping
-Python generators that ``yield`` a delay (a number of microseconds) or
-an :class:`~repro.sim.event.Event` instance to wait on.
+Python generators that ``yield`` a delay (a number of microseconds), a
+:class:`~repro.sim.resource.Resource` to take a slot of, or an
+:class:`~repro.sim.event.Event` instance to wait on.
 
 Everything above this package (memory, network, runtime) is expressed
 in terms of these primitives; the kernel knows nothing about PGAS.
@@ -26,7 +27,7 @@ Example
 from repro.sim.errors import SimulationError, ProcessKilled
 from repro.sim.event import Event, Timeout, AllOf, AnyOf
 from repro.sim.process import Process
-from repro.sim.resource import Resource, Queue
+from repro.sim.resource import Resource
 from repro.sim.simulator import Simulator
 
 __all__ = [
@@ -37,7 +38,6 @@ __all__ = [
     "AnyOf",
     "Process",
     "Resource",
-    "Queue",
     "SimulationError",
     "ProcessKilled",
 ]

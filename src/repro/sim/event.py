@@ -11,9 +11,11 @@ An :class:`Event` has three states:
     popped off the heap; callbacks have run.
 
 Processes wait on events by ``yield``-ing them (a plain timed wait
-yields a number instead and involves no event); arbitrary callbacks can
-also be attached with :meth:`Event.add_callback` (the kernel itself uses
-this to resume processes and to wake resource queues).
+yields a number instead, and a resource or polling-engine wait yields
+the :class:`~repro.sim.resource.Resource` or engine; neither involves
+an event); arbitrary callbacks can also be attached with
+:meth:`Event.add_callback` (the kernel itself uses this to resume
+processes waiting on an event).
 """
 
 from __future__ import annotations
@@ -106,6 +108,14 @@ class Event:
         else:
             self._callbacks.append(fn)
 
+    def _join(self, proc) -> None:
+        """``proc`` yielded this event: resume it when it fires (at
+        once if it already has)."""
+        if self._status == PROCESSED:
+            proc._resume(self)
+        else:
+            self._callbacks.append(proc._resume)
+
     def _process(self) -> None:
         """Called by the simulator when popped from the heap."""
         self._status = PROCESSED
@@ -128,55 +138,6 @@ class Event:
         state = {PENDING: "pending", SCHEDULED: "scheduled", PROCESSED: "done"}
         label = self.name or type(self).__name__
         return f"<{label} {state[self._status]} at t={self.sim.now:.3f}>"
-
-
-class _PooledEvent(Event):
-    """A kernel-recycled one-shot event (see ``Simulator.oneshot``).
-
-    Instances are created only by the simulator's free list and are
-    returned to it by the dispatch loop right after :meth:`_process`
-    runs.  The contract: nothing may retain a reference to a pooled
-    event past its callbacks — which holds for resource grants and
-    queue gets, progress-engine wake-ups and shard deliveries, where
-    the sole waiter is resumed (or the handler run) during processing.
-    Timed waits are not events at all (a process yields the delay).
-    Public factories (``sim.timeout()`` / ``sim.event()``) never pool,
-    so user code that stores events keeps the old lifetime guarantees.
-
-    Because the sole-waiter contract means these events almost always
-    carry exactly one callback, the first subscriber lands in the
-    ``_cb`` slot (no list append/iterate/clear per event); any extra
-    subscribers overflow into the inherited list.
-    """
-
-    __slots__ = ("_cb",)
-
-    def __init__(self, sim: "Simulator", name: str = "") -> None:
-        Event.__init__(self, sim, name)
-        self._cb: Optional[Callable[["Event"], None]] = None
-
-    def add_callback(self, fn: Callable[["Event"], None]) -> None:
-        if self._status == PROCESSED:
-            fn(self)
-        elif self._cb is None:
-            self._cb = fn
-        else:
-            self._callbacks.append(fn)
-
-    def _process(self) -> None:
-        self._status = PROCESSED
-        cb = self._cb
-        callbacks = self._callbacks
-        sim = self.sim
-        sim._fanout = bool(callbacks)
-        if cb is not None:
-            self._cb = None
-            cb(self)
-        if callbacks:
-            for fn in callbacks:
-                fn(self)
-            callbacks.clear()
-            sim._fanout = False
 
 
 class Timeout(Event):

@@ -1,14 +1,18 @@
 """Processes: generator coroutines driven by the event loop.
 
 A process generator ``yield``\\ s what it waits for: a non-negative
-number is a timed wait of that many microseconds, an event resumes it
-with the event's value once it fires::
+number is a timed wait of that many microseconds, a
+:class:`~repro.sim.resource.Resource` resumes it once it holds a slot,
+an event resumes it with the event's value once it fires::
 
     def worker(sim, nic):
-        yield nic.acquire()          # wait for the NIC
+        yield nic                    # wait for the NIC
         yield 2.5                    # occupy it for 2.5 us
         nic.release()
         return "done"
+
+Anything but a number must have a ``_join(proc)`` method, which
+arranges for the process to be resumed.
 
 A :class:`Process` is itself an :class:`~repro.sim.event.Event` that
 succeeds with the generator's return value, so processes can wait on
@@ -20,18 +24,19 @@ from __future__ import annotations
 from typing import Generator, TYPE_CHECKING
 
 from repro.sim.errors import ProcessKilled, SimulationError
-from repro.sim.event import Event, _PooledEvent
+from repro.sim.event import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.simulator import Simulator
 
 
 class _Wake:
-    """What the heap carries for a timed wait instead of an event.
+    """What the heap carries instead of an event to resume one process:
+    after a timed wait, a resource grant or a polling engine's tick.
 
     One per process, queued by ``Simulator._wake`` at the instant and
-    with the sequence number a timer event would have drawn; the
-    dispatch loop resumes ``proc`` through ``send`` itself.
+    with the sequence number an event would have drawn; the dispatch
+    loop resumes ``proc`` through ``send`` itself.
     """
 
     __slots__ = ("proc", "send")
@@ -49,7 +54,7 @@ class _Wake:
 class Process(Event):
     """A running generator; completes when the generator returns."""
 
-    __slots__ = ("_gen", "_send", "_resume_cb", "_token")
+    __slots__ = ("_gen", "_send", "_token")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = "") -> None:
         if not hasattr(gen, "send"):
@@ -62,9 +67,6 @@ class Process(Event):
         # The bound send is the single hottest callable in the kernel
         # (once per dispatched event); bind it exactly once.
         self._send = gen.send
-        # One bound method for every wakeup instead of a fresh bound
-        # object per yielded event.
-        self._resume_cb = self._resume
         self._token = _Wake(self)
         # The first step is a zero-delay wake so that spawning is itself
         # an observable point in time and spawn order == run order.
@@ -116,7 +118,8 @@ class Process(Event):
         self._wait(target)
 
     def _wait(self, target) -> None:
-        """Suspend on what the generator yielded: a delay or an event."""
+        """Suspend on what the generator yielded: a delay, or anything
+        with a ``_join`` (an event, a resource, a polling engine)."""
         cls = target.__class__
         if cls is float or (isinstance(target, (int, float))
                             and cls is not bool):
@@ -128,19 +131,14 @@ class Process(Event):
                     "timed wait needs a delay >= 0"))
             return
         try:
-            status = target._status
+            join = target._join
         except AttributeError:
             raise SimulationError(
                 f"process {self.name!r} yielded {target!r}; processes may "
                 "only yield an Event or a delay (use 'yield from' for "
                 "sub-generators)"
             ) from None
-        if status == 2:  # PROCESSED: late subscriber, resume immediately
-            self._resume(target)
-        elif cls is _PooledEvent and target._cb is None:
-            target._cb = self._resume_cb
-        else:
-            target._callbacks.append(self._resume_cb)
+        join(self)
 
     def _exit(self, err: BaseException) -> None:
         """The generator stopped: it returned, was killed, or raised."""

@@ -122,6 +122,21 @@ class ShardedRun:
         return self.events / self.wall_s if self.wall_s > 0 else 0.0
 
 
+class _Delivery:
+    """What the heap carries for a message arriving at its handler: no
+    process waits on a delivery, so it needs no event — the dispatch
+    loop's ``_process()`` call runs the handler on the payload."""
+
+    __slots__ = ("handler", "payload")
+
+    def __init__(self, handler: Callable[[Any], None], payload: Any) -> None:
+        self.handler = handler
+        self.payload = payload
+
+    def _process(self) -> None:
+        self.handler(self.payload)
+
+
 class ShardContext:
     """A shard program's handle on its local core and its neighbours."""
 
@@ -231,8 +246,7 @@ class ShardContext:
                 f"shard {self.shard}: {kind!r} arrival {arrival:.6f} is "
                 f"in the past (now={self.sim.now:.6f}) — conservative "
                 "horizon violated")
-        ev = self.sim.oneshot(kind).succeed(payload, delay)
-        ev.add_callback(lambda e, h=handler: h(e._value))
+        self.sim._schedule(_Delivery(handler, payload), delay)
 
     # -- collectives --------------------------------------------------
 

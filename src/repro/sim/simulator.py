@@ -4,14 +4,13 @@ Times are floats in microseconds.  Events scheduled for the same time
 are processed in schedule order (a monotonically increasing sequence
 number breaks heap ties), which makes runs fully deterministic.
 
-Heap entries are mutable ``[time, seq, event]`` records drawn from a
-free list (no per-event tuple allocation, but still C-speed
-lexicographic comparison), zero-delay events bypass the heap entirely
-through a FIFO *fast lane* (a deque), and kernel-internal wait points
-reuse ``_PooledEvent`` objects from a free list.  A timed wait — a
-process yielding a number — is no event at all: its entry carries the
-process's ``_Wake`` token and the dispatch loop resumes the generator
-itself, requeueing the same entry when it sleeps again.
+Heap entries are ``[time, seq, x]`` lists (C-speed lexicographic
+comparison) and zero-delay entries bypass the heap entirely through a
+FIFO *fast lane* (a deque).  ``x`` is an event, or a process's
+``_Wake`` token: whatever resumes exactly one process — a timed wait
+running out, a resource granting it a slot, a polling engine's tick —
+carries no event at all, and the dispatch loop resumes the generator
+itself, requeueing the same entry when it yields a delay again.
 
 Dispatch order is still *exactly* the total order on ``(time, seq)``:
 the fast lane only ever holds entries whose time equals ``now`` (a
@@ -19,9 +18,9 @@ zero delay cannot point into the future, and the lane drains before
 the clock advances), so the next event is the lane head unless the
 heap top carries the same timestamp with a smaller sequence number.
 The plain core this one must agree with — immutable tuple entries, no
-lane, nothing recycled — is ``tests/sim/reference_core.py``; the
-determinism tests run both on identical workloads and require
-bit-identical schedules.
+lane, a fresh ``Timeout`` per wake — is
+``tests/sim/reference_core.py``; the determinism tests run both on
+identical workloads and require bit-identical schedules.
 """
 
 from __future__ import annotations
@@ -31,15 +30,14 @@ from collections import deque
 from typing import Any, Generator, List, Optional
 
 from repro.sim.errors import SimulationError
-from repro.sim.event import PENDING, Event, Timeout, _PooledEvent
+from repro.sim.event import Event, Timeout
 from repro.sim.process import Process, _Wake
 
 
 class Simulator:
     """Owns the clock and the pending-event heap."""
 
-    __slots__ = ("now", "_heap", "_seq", "_nevents",
-                 "_lane", "_entry_pool", "_event_pool", "_fanout")
+    __slots__ = ("now", "_heap", "_seq", "_nevents", "_lane", "_fanout")
 
     def __init__(self) -> None:
         #: Current virtual time in microseconds.
@@ -51,10 +49,6 @@ class Simulator:
         # Zero-delay fast lane: entries scheduled with delay == 0 at the
         # current clock value, dispatched FIFO without touching the heap.
         self._lane: Any = deque()
-        # Free lists: recycled [t, seq, event] heap records and
-        # recycled kernel-internal events.
-        self._entry_pool: List[list] = []
-        self._event_pool: List[_PooledEvent] = []
         # True while an event with several subscribers is being
         # dispatched (and while kill() drives a victim): whoever
         # yields now is followed by more code at this same instant.
@@ -63,36 +57,15 @@ class Simulator:
     # -- factories ----------------------------------------------------
 
     def event(self, name: str = "") -> Event:
-        """A fresh pending event (never pooled — safe to retain)."""
+        """A fresh pending event."""
         return Event(self, name=name)
 
     def timeout(self, delay: float, value: Any = None, name: str = "") -> Timeout:
-        """An event firing ``delay`` microseconds from now.
-
-        Public factory: the returned event is never recycled, so
-        callers may store it and read ``.value`` after the run.  A
+        """An event firing ``delay`` microseconds from now, which
+        callers may store and read ``.value`` from after the run.  A
         process that only waits yields ``delay`` instead.
         """
         return Timeout(self, delay, value=value, name=name)
-
-    def oneshot(self, name: str = "") -> Event:
-        """A pooled PENDING event for kernel wait points whose outcome
-        is decided later by a third party (resource grants,
-        progress-engine wakeups, shard deliveries).
-
-        Contract: the caller must not retain the event past its
-        callbacks — the dispatch loop recycles it right after
-        processing.
-        """
-        pool = self._event_pool
-        if pool:
-            ev = pool.pop()
-            ev._status = PENDING
-            ev._value = None
-            ev._exc = None
-            ev.name = name
-            return ev
-        return _PooledEvent(self, name=name)
 
     def process(self, gen: Generator, name: str = "") -> Process:
         """Spawn a process around generator ``gen``; starts at ``now``."""
@@ -104,22 +77,16 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         self._seq += 1
-        pool = self._entry_pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = self.now + delay
-            entry[1] = self._seq
-            entry[2] = event
-        else:
-            entry = [self.now + delay, self._seq, event]
+        entry = [self.now + delay, self._seq, event]
         if delay == 0.0:
             self._lane.append(entry)
         else:
             heapq.heappush(self._heap, entry)
 
     #: Queue a process's ``_Wake`` token ``delay`` from now (a ``yield
-    #: delay``): the entry is an event's, only the carrier differs.
-    #: A separate name because the reference core overrides it.
+    #: delay``, a grant, a poll tick): the entry is an event's, only
+    #: the carrier differs.  A separate name because the reference
+    #: core overrides it.
     _wake = _schedule
 
     # -- execution ----------------------------------------------------
@@ -182,12 +149,7 @@ class Simulator:
         entry = self._next_entry()
         self.now = entry[0]
         self._nevents += 1
-        event = entry[2]
-        entry[2] = None
-        self._entry_pool.append(entry)
-        event._process()
-        if event.__class__ is _PooledEvent:
-            self._event_pool.append(event)
+        entry[2]._process()
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
@@ -228,10 +190,9 @@ class Simulator:
         :meth:`run`'s ``until`` handling the clock is **not** advanced
         to ``bound`` — it stays at the last processed event so the
         shard's report reflects real progress.  With ``bound=inf`` it
-        is also :meth:`run`'s plain drain — the one hot loop:
-        lane-vs-heap merge, entry recycling, event recycling and timed
-        wakes are inlined, and dispatch order is identical to repeated
-        :meth:`step` calls.
+        is also :meth:`run`'s plain drain — the one hot loop: the
+        lane-vs-heap merge and the wakes are inlined, and dispatch
+        order is identical to repeated :meth:`step` calls.
         """
         self._fanout = False
         lane = self._lane
@@ -242,9 +203,6 @@ class Simulator:
         # processed below keeps ``now < bound``: one check suffices.
         if lane and lane[0][0] >= bound:
             return 0
-        entry_push = self._entry_pool.append
-        event_push = self._event_pool.append
-        pooled_cls = _PooledEvent
         wake_cls = _Wake
         lane_popleft = lane.popleft
         lane_push = lane.append
@@ -268,9 +226,10 @@ class Simulator:
                 n += 1
                 ev = entry[2]
                 if ev.__class__ is wake_cls:
-                    # A timed wait ran out: _Wake._process inlined.  A
-                    # float delay >= 0 yielded again requeues this very
-                    # entry, at the (t, seq) _wake would give it.
+                    # A wait ran out or a grant came: _Wake._process
+                    # inlined.  A float delay >= 0 yielded again
+                    # requeues this very entry, at the (t, seq) _wake
+                    # would give it.  A dead process's wake is dropped.
                     proc = ev.proc
                     if not proc._status:
                         try:
@@ -288,33 +247,6 @@ class Simulator:
                                     push(heap, entry)
                                 continue
                             proc._wait(delay)
-                    entry[2] = None
-                    entry_push(entry)
-                    continue
-                entry[2] = None
-                entry_push(entry)
-                # _process inlined for both event shapes (one method
-                # call per event is real money at 10^6 events/s);
-                # semantics identical to Event._process.
-                if ev.__class__ is pooled_cls:
-                    ev._status = 2  # PROCESSED
-                    cb = ev._cb
-                    callbacks = ev._callbacks
-                    if callbacks:
-                        # Several subscribers: none of them runs at
-                        # a quiescent point (see quiescent()).
-                        self._fanout = True
-                        if cb is not None:
-                            ev._cb = None
-                            cb(ev)
-                        for fn in callbacks:
-                            fn(ev)
-                        callbacks.clear()
-                        self._fanout = False
-                    elif cb is not None:
-                        ev._cb = None
-                        cb(ev)
-                    event_push(ev)
                 else:
                     ev._process()
         finally:

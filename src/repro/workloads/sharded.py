@@ -47,7 +47,8 @@ from repro.obs.events import EventLog, OP_BEGIN, OP_END
 from repro.runtime.collectives import (ShardBarrier, ShardFence,
                                        dissemination_cost_us)
 from repro.sim.errors import SimulationError
-from repro.sim.shard import ShardContext, ShardedRun, ShardedSimulator
+from repro.sim.shard import (ShardContext, ShardedRun, ShardedSimulator,
+                             _Delivery)
 from repro.sim.simulator import Simulator
 from repro.testing.program import FENCING_KINDS, Program
 
@@ -352,13 +353,8 @@ def run_field_reference(nthreads: int, *, ntokens: int = 4,
 
     def transmit(src, dst, kind, payload, nbytes, extra=0.0):
         # Same schedule-at-arrival path ShardContext uses.
-        ev = sim.oneshot(kind).succeed(
-            payload, core.latency(src, dst, nbytes, extra))
-        ev.add_callback(lambda e, k=kind: _handle(k, e._value))
-
-    def _handle(kind, payload):
-        {"fput": core.handle_fput, "probe": core.handle_probe,
-         "preply": core.handle_preply}[kind](payload)
+        sim._schedule(_Delivery(handlers[kind], payload),
+                      core.latency(src, dst, nbytes, extra))
 
     def spawn(gen, name=""):
         proc = sim.process(gen, name=name)
@@ -366,6 +362,8 @@ def run_field_reference(nthreads: int, *, ntokens: int = 4,
         return proc
 
     core = _FieldMix(sim, m, nnodes, range(nnodes), transmit)
+    handlers = {"fput": core.handle_fput, "probe": core.handle_probe,
+                "preply": core.handle_preply}
     barrier = _RefBarrier(sim, expected=nthreads,
                           cost_us=dissemination_cost_us(
                               m, nnodes, m.transport),

@@ -11,6 +11,8 @@ from repro.network.progress import (
 )
 from repro.sim import Simulator
 
+from tests.sim.reference_core import BOTH_CORES
+
 
 def make_node(params):
     sim = Simulator()
@@ -123,6 +125,50 @@ def test_backlog_transitions_recorded_between_poll_ticks():
     assert edges[0][0] < 20.0 and edges[1][0] < 20.0
     assert node.progress.max_backlog == 2
     assert metrics.max_backlog == 2
+
+
+@BOTH_CORES
+def test_parked_handlers_wake_in_arrival_order_on_both_cores(core):
+    """Handlers park on the engine (``yield engine`` inside service())
+    and one enter_runtime() wakes them all.  The fast core resumes each
+    through its wake token, the reference core through a Timeout; the
+    pinned literals are the same for both."""
+    sim = core()
+    node = Node(sim, 0, GM_TRANSPORT)
+    engine = node.progress = make_progress(sim, node, GM_TRANSPORT)
+    trace = []
+
+    def handler(tag, arrive):
+        yield arrive
+        trace.append((sim.now, tag, "arrives"))
+        yield from engine.service()
+        trace.append((sim.now, tag, "served"))
+
+    def app():
+        yield 5.0
+        engine.enter_runtime()
+        yield 1.0
+        engine.leave_runtime()
+
+    # h0-h3 park while nobody polls; h4 arrives while app polls.
+    arrivals = (0.0, 1.0, 2.0, 2.0, 5.5)
+    for i, arrive in enumerate(arrivals):
+        sim.process(handler(f"h{i}", arrive))
+    sim.process(app())
+    sim.run()
+    d = GM_TRANSPORT.dispatch_us
+    assert d > 0.5      # h4 arrives while h0-h3 are being dispatched
+    served = [5.0 + d] * 4 + [5.5 + d]
+    assert trace == (
+        [(t, f"h{i}", "arrives") for i, t in enumerate(arrivals)]
+        + [(t, f"h{i}", "served") for i, t in enumerate(served)])
+    assert sim.events_processed == 28
+    assert engine.serviced == 5
+    wait = 0.0
+    for t0, t1 in zip(arrivals, served):     # the engine's own sum order
+        wait += t1 - t0
+    assert engine.wait_time == wait
+    assert engine.max_backlog == 4
 
 
 def test_max_backlog_reaches_metrics_summary():

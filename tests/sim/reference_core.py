@@ -1,12 +1,12 @@
 """The reference event core the fast :class:`Simulator` is refereed by.
 
-Immutable ``(t, seq, event)`` heap entries, no zero-delay lane, no
-recycled entries or events, a fresh ``Timeout``/``Event`` per wait
-point — a ``yield delay`` included, which the fast core queues as the
-process's ``_Wake`` token and resumes in its dispatch loop.  It
-overrides every place the fast core pools or takes the lane, and
-nothing else, so any test run on both cores compares two schedulers
-that share only the clock and the sequence counter.
+Immutable ``(t, seq, event)`` heap entries, no zero-delay lane, and a
+fresh ``Timeout`` per wake — a ``yield delay``, a resource grant and a
+polling engine's tick included, all of which the fast core queues as
+the process's ``_Wake`` token and resumes in its dispatch loop.  It
+overrides every place the fast core takes the lane or queues a token,
+and nothing else, so any test run on both cores compares two
+schedulers that share only the clock and the sequence counter.
 """
 
 import heapq
@@ -15,7 +15,7 @@ import pytest
 
 from repro.sim import Simulator
 from repro.sim.errors import SimulationError
-from repro.sim.event import Event, Timeout, _PooledEvent
+from repro.sim.event import Timeout
 from repro.sim.process import Process, _Wake
 
 
@@ -23,10 +23,7 @@ class ReferenceSimulator(Simulator):
     __slots__ = ()
 
     def _wake(self, token, delay):
-        Timeout(self, delay).add_callback(token.proc._resume_cb)
-
-    def oneshot(self, name=""):
-        return Event(self, name=name)
+        Timeout(self, delay).add_callback(token.proc._resume)
 
     def _schedule(self, event, delay):
         if delay < 0:
@@ -63,10 +60,10 @@ BOTH_CORES = pytest.mark.parametrize(
 def spy_on_wait_points(monkeypatch):
     """The set of classes of every event that resumes a process from
     here on (every wait point a generator yielded and was woken by),
-    plus ``_Wake`` whenever a timed-wait token is dispatched as an
-    event.  On the fast core timed wakes do not pass through
-    ``_resume``: ``run_before`` resumes the sleeper itself, and only
-    ``step()`` goes through ``_Wake._process``."""
+    plus ``_Wake`` whenever a wake token is dispatched as an event.  On
+    the fast core wakes do not pass through ``_resume``: ``run_before``
+    resumes the process itself, and only ``step()`` goes through
+    ``_Wake._process``."""
     woke = set()
     resume = Process._resume
     wake = _Wake._process
@@ -85,10 +82,10 @@ def spy_on_wait_points(monkeypatch):
 
 
 def assert_shares_no_fast_path(sim, woke):
-    """``sim`` never touched the lane or a free list, no process
-    waited on a recycled event and no ``_Wake`` token reached its loop
-    — so a factory added to :class:`Simulator` and not overridden above
+    """``sim`` never touched the lane and no ``_Wake`` token reached its
+    loop, yet something woke a process — so a wait point added to the
+    fast core without a ``_wake``/``_schedule`` the reference overrides
     fails here instead of silently sharing the fast path.  True of the
     reference core after any run; false of the fast one."""
-    assert not sim._lane and not sim._entry_pool and not sim._event_pool
-    assert woke and _PooledEvent not in woke and _Wake not in woke
+    assert not sim._lane
+    assert woke and _Wake not in woke

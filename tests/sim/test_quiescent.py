@@ -1,7 +1,7 @@
 """Exactness of the grant shortcut: ``if not res.acquire_now(): yield
-res.acquire()`` must produce the schedule of plain ``yield
-res.acquire()`` — same wake order, clock and wait statistics — with
-only the skipped grant events missing from ``events_processed``.
+res`` must produce the schedule of plain ``yield res`` — same wake
+order, clock and wait statistics — with only the skipped grant wakes
+missing from ``events_processed``.
 
 Each hand-built scenario isolates one clause of
 ``Simulator.quiescent()`` and is run a third time with ``quiescent``
@@ -37,7 +37,7 @@ class Harness:
         if self.shortcut and res.acquire_now():
             self.skipped += 1
             return
-        yield res.acquire()
+        yield res
 
     def mark(self, who):
         self.log.append((self.sim.now, who))
@@ -97,13 +97,18 @@ def test_same_instant_wakers_on_one_slot(core, monkeypatch):
 
 
 @BOTH_CORES
-@pytest.mark.parametrize("kind", ["event", "oneshot"])
+@pytest.mark.parametrize("kind", ["event", "process"])
 def test_fan_out_first_subscriber_acquires(core, kind, monkeypatch):
-    # Barrier-style: one event wakes a and b; nothing else is queued,
-    # but b still runs at this instant right after a yields.
+    # Barrier-style: one event — a gate, or a process both join — wakes
+    # a and b; nothing else is queued, but b still runs at this instant
+    # right after a yields.
     def scenario(h):
         sim = h.sim
-        gate = sim.event() if kind == "event" else sim.oneshot("gate")
+
+        def opener():
+            yield 1.0
+
+        gate = sim.event() if kind == "event" else sim.process(opener())
         res = h.resource()
 
         def waiter(name):
@@ -116,7 +121,8 @@ def test_fan_out_first_subscriber_acquires(core, kind, monkeypatch):
 
         sim.process(waiter("a"))
         sim.process(waiter("b"))
-        gate.succeed(delay=1.0)
+        if kind == "event":
+            gate.succeed(delay=1.0)
 
     short = compare(scenario, core, monkeypatch)
     assert short.log[:3] == [(1.0, "a released"), (1.0, "b released"),

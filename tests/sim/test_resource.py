@@ -1,8 +1,10 @@
-"""Unit tests for Resource and Queue."""
+"""Unit tests for Resource."""
 
 import pytest
 
-from repro.sim import Simulator, Resource, Queue, SimulationError
+from repro.sim import Simulator, Resource, SimulationError
+
+from tests.sim.reference_core import BOTH_CORES
 
 
 def test_resource_grants_up_to_capacity():
@@ -20,7 +22,7 @@ def test_release_grants_fifo_order():
     order = []
 
     def user(name, hold):
-        yield res.acquire()
+        yield res
         order.append((sim.now, name))
         yield sim.timeout(hold)
         res.release()
@@ -50,7 +52,7 @@ def test_utilization_tracks_busy_time():
     res = Resource(sim, capacity=1)
 
     def user():
-        yield res.acquire()
+        yield res
         yield sim.timeout(4)
         res.release()
         yield sim.timeout(6)  # idle tail
@@ -65,7 +67,7 @@ def test_utilization_counts_from_creation():
     res = Resource(sim, capacity=2)
 
     def user():
-        yield res.acquire()
+        yield res
         yield 4.0
         res.release()
 
@@ -80,7 +82,7 @@ def test_wait_stats_record_queueing_delay():
     res = Resource(sim, capacity=1)
 
     def user(hold):
-        yield res.acquire()
+        yield res
         yield sim.timeout(hold)
         res.release()
 
@@ -93,48 +95,38 @@ def test_wait_stats_record_queueing_delay():
     assert res.wait_max == pytest.approx(3.0)
 
 
-def test_queue_put_then_get():
-    sim = Simulator()
-    q = Queue(sim)
-    q.put("x")
-    ev = q.get()
-    assert ev.triggered
+@BOTH_CORES
+def test_killed_waiter_does_not_swallow_the_slot(core):
+    # The waiter dies in the FIFO; release() must skip it and free the
+    # slot, or every later acquirer blocks forever and run() returns.
+    sim = core()
+    res = Resource(sim, capacity=1)
+    served = []
+
+    def holder():
+        yield res
+        yield 5.0
+        res.release()
+
+    def waiter():
+        yield res
+        served.append(("waiter", sim.now))
+        res.release()
+
+    def late():
+        yield 6.0
+        yield res
+        served.append(("late", sim.now))
+        res.release()
+
+    sim.process(holder())
+    victim = sim.process(waiter())
+    sim.process(late())
+    sim.run(until=1.0)
+    assert res.queue_length == 1
+    victim.kill()
     sim.run()
-    assert ev.value == "x"
-
-
-def test_queue_get_blocks_until_put():
-    sim = Simulator()
-    q = Queue(sim)
-    got = []
-
-    def consumer():
-        item = yield q.get()
-        got.append((sim.now, item))
-
-    def producer():
-        yield sim.timeout(8)
-        q.put("late")
-
-    sim.process(consumer())
-    sim.process(producer())
-    sim.run()
-    assert got == [(8.0, "late")]
-
-
-def test_queue_fifo_across_getters():
-    sim = Simulator()
-    q = Queue(sim)
-    got = []
-
-    def consumer(tag):
-        item = yield q.get()
-        got.append((tag, item))
-
-    sim.process(consumer("first"))
-    sim.process(consumer("second"))
-    sim.run()
-    q.put(1)
-    q.put(2)
-    sim.run()
-    assert got == [("first", 1), ("second", 2)]
+    assert served == [("late", 6.0)]
+    assert res.in_use == 0 and res.queue_length == 0
+    # The dead waiter is neither granted nor charged a wait.
+    assert res.acquisitions == 2 and res.wait_total == 0.0

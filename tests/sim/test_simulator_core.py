@@ -3,9 +3,9 @@ reference core, plus the max_events exhaustion-report regression."""
 
 import pytest
 
-from repro.sim import Simulator
+from repro.sim import Resource, Simulator
 from repro.sim.errors import SimulationError
-from repro.sim.event import Event, Timeout, _PooledEvent
+from repro.sim.event import Event, Timeout
 
 from tests.sim.reference_core import (
     BOTH_CORES, ReferenceSimulator, assert_shares_no_fast_path,
@@ -47,13 +47,18 @@ def test_max_events_budget_exactly_sufficient(core):
 # ---------------------------------------------------------------------------
 
 def _mixed_workload(sim, trace):
-    """Ties, zero delays, resource-style wakeups — the order-sensitive
-    shapes the fast lane and the entry pool must not reorder."""
+    """Ties, zero delays, contended grants — the order-sensitive shapes
+    the fast lane and the wake tokens must not reorder."""
+    res = Resource(sim, name="nic")
 
     def worker(tag, delays):
         for i, d in enumerate(delays):
             yield d
             trace.append((sim.now, tag, i))
+            yield res
+            trace.append((sim.now, tag, i, "holds"))
+            yield 0.25 * i
+            res.release()
 
     sim.process(worker("a", [1.0, 0.0, 0.0, 2.0, 0.0]))
     sim.process(worker("b", [1.0, 0.0, 1.0, 1.0]))
@@ -100,23 +105,13 @@ def test_lane_does_not_preempt_same_time_heap_entry():
 
 
 # ---------------------------------------------------------------------------
-# Pooling mechanics
+# One wait carrier: a wake token on the fast core, a Timeout on the referee
 # ---------------------------------------------------------------------------
 
-def test_oneshot_events_are_recycled():
-    sim = Simulator()
-    ev1 = sim.oneshot("grant").succeed(delay=1.0)
-    assert type(ev1) is _PooledEvent
-    sim.run()
-    # The processed event went back to the free list; the next oneshot
-    # must reuse the same object instead of allocating.
-    ev2 = sim.oneshot("grant")
-    assert ev2 is ev1
-
-
-def test_timed_waits_allocate_no_events():
+def test_timed_waits_allocate_no_events(monkeypatch):
     # A process that only sleeps queues its _Wake token, never an
-    # event, and the loop requeues one entry for all its waits.
+    # event: no event resumes it.
+    woke = spy_on_wait_points(monkeypatch)
     sim = Simulator()
 
     def sleeper():
@@ -126,7 +121,28 @@ def test_timed_waits_allocate_no_events():
     sim.process(sleeper())
     sim.run()
     assert sim.now == 3.5 and sim.events_processed == 6
-    assert not sim._event_pool and len(sim._entry_pool) == 2
+    assert not woke
+
+
+def test_grants_allocate_no_events(monkeypatch):
+    # A free grant and a queued one both come as the waiter's _Wake
+    # token: the same dispatch count a grant event had, no event.
+    woke = spy_on_wait_points(monkeypatch)
+    sim = Simulator()
+    res = Resource(sim)
+
+    def user(hold):
+        yield res
+        yield hold
+        res.release()
+
+    sim.process(user(2.0))
+    sim.process(user(1.0))
+    sim.run()
+    # Two starts, two grants, two holds, two completions.
+    assert sim.now == 3.0 and sim.events_processed == 8
+    assert res.wait_total == 2.0
+    assert not woke
 
 
 def test_public_factories_never_pool():
@@ -136,35 +152,27 @@ def test_public_factories_never_pool():
     assert type(to) is Timeout
     assert type(ev) is Event
     sim.run()
-    # Safe to read after the run — public events are never recycled.
+    # Safe to read after the run.
     assert to.value == 42
     assert not ev.triggered
 
 
-def test_legacy_mode_never_pools():
+def test_legacy_mode_never_pools(monkeypatch):
+    # The referee resumes every wake — a delay, a grant — through a
+    # fresh Timeout, and never touches the lane.
+    woke = spy_on_wait_points(monkeypatch)
     sim = ReferenceSimulator()
-    assert type(sim.oneshot("x")) is Event
+    res = Resource(sim)
 
     def sleeper():
         yield 1.0
+        yield res
 
     sim.process(sleeper())
     sim.run()
     assert sim.now == 1.0
-    assert not sim._event_pool
-    assert not sim._entry_pool
-
-
-def test_pooled_event_sole_waiter_slot_then_overflow():
-    """First subscriber lands in the _cb slot; extras overflow to the
-    list; all run in subscription order."""
-    sim = Simulator()
-    got = []
-    ev = sim.oneshot().succeed("v", delay=1.0)
-    ev.add_callback(lambda e: got.append(("first", e._value)))
-    ev.add_callback(lambda e: got.append(("second", e._value)))
-    sim.run()
-    assert got == [("first", "v"), ("second", "v")]
+    assert woke == {Timeout}
+    assert_shares_no_fast_path(sim, woke)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +185,7 @@ def test_peek_and_pending_see_the_lane():
     assert sim.peek() == float("inf")
     sim.timeout(3.0)
     assert sim.peek() == 3.0
-    ev = sim.oneshot("grant")
+    ev = sim.event("grant")
     ev.succeed()                       # zero delay -> fast lane
     assert sim.pending == 2
     assert sim.peek() == 0.0           # the lane entry is at now

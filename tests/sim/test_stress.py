@@ -44,7 +44,7 @@ def test_resource_fairness_under_contention():
 
     def user(tag, arrive, hold):
         yield sim.timeout(arrive)
-        yield res.acquire()
+        yield res
         order.append(tag)
         yield sim.timeout(hold)
         res.release()
@@ -64,7 +64,7 @@ def test_capacity_n_resource_allows_n_concurrent():
     peak = []
 
     def user():
-        yield res.acquire()
+        yield res
         concurrent.append(1)
         peak.append(len(concurrent))
         yield sim.timeout(5.0)
@@ -136,7 +136,7 @@ def test_property_resource_never_oversubscribed(capacity, nusers):
     level = {"now": 0, "peak": 0}
 
     def user(hold):
-        yield res.acquire()
+        yield res
         level["now"] += 1
         level["peak"] = max(level["peak"], level["now"])
         yield sim.timeout(hold)

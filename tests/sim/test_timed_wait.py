@@ -35,7 +35,7 @@ def _mixed(sim):
             yield d
             mark(tag, i, type(d).__name__)
             if not res.acquire_now():
-                yield res.acquire()
+                yield res
             yield 0.5
             res.release()
         yield gate
@@ -80,7 +80,7 @@ def test_kill_during_timed_wait_drops_the_stale_wake(core):
             yield 10.0
         except ProcessKilled:
             if not res.acquire_now():
-                yield res.acquire()
+                yield res
             log.append((sim.now, "victim cleaned up"))
             res.release()
 

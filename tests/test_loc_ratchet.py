@@ -9,6 +9,8 @@ what the new lines buy.
 import inspect
 import os
 
+import repro.sim
+import repro.sim.event
 from repro.sim import Simulator
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -27,7 +29,15 @@ SRC = os.path.join(ROOT, "src", "repro")
 #: its 12 call sites wait only when it is positive), `sim/simulator.py`
 #: -3 (the wake resumed inside `run_before`; `sleep` gone), the other
 #: files -2.
-SRC_LINES_CEILING = 21500
+#: Then one wait carrier, -133: a grant and a poll tick resume the
+#: waiter's ``_Wake`` token, so `_PooledEvent`, `Simulator.oneshot`,
+#: both free lists, the `_cb` slot, the pooled dispatch branch, the
+#: cached `_resume_cb` and the unused `Queue` went (`sim/simulator.py`
+#: -68, `sim/event.py` -39, `sim/resource.py` -39, `sim/process.py`
+#: -2); a shard delivery is a two-slot `_Delivery` instead of an event
+#: and its callback (`sim/shard.py` +14, `workloads/sharded.py` -2);
+#: `network/progress.py` +3: 21 500 -> 21 367.
+SRC_LINES_CEILING = 21367
 
 
 def _sources():
@@ -51,6 +61,17 @@ def test_the_event_core_has_no_options():
     # One core in the product; the reference core the tests compare it
     # against is a test-side subclass, not a constructor argument.
     assert not inspect.signature(Simulator).parameters
+
+
+def test_the_event_core_has_one_wait_carrier():
+    # Whatever resumes exactly one process — a timed wait, a grant, a
+    # poll tick — is the process's _Wake token; there is no recycled
+    # event, no free list and no mailbox beside it.
+    assert not hasattr(repro.sim, "Queue")
+    assert "Queue" not in repro.sim.__all__
+    for name in ("oneshot", "_event_pool", "_entry_pool"):
+        assert not hasattr(Simulator, name), name
+    assert not hasattr(repro.sim.event, "_PooledEvent")
 
 
 def test_src_keeps_the_file_count_the_frozen_bench_asserts():
