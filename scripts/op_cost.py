@@ -7,10 +7,11 @@ Usage:
 Runs one repetition of a ``bench/workloads.py`` workload (read-only
 import; nothing under ``bench/`` is touched) under ``sys.settrace``
 with per-opcode events on and prints, per logical op: interpreter
-opcodes, Python-level calls and simulator events, then the functions
-ranked by *self* opcodes.  ``shard_traffic`` runs its shards
-in-process (``mode="inproc"``, untraced): a tracer in this process
-cannot see into ``mp`` workers.
+opcodes, Python-level calls, the generator-frame entries among those
+calls (every resumption of a generator counts one) and simulator
+events, then the functions ranked by *self* opcodes.
+``shard_traffic`` runs its shards in-process (``mode="inproc"``,
+untraced): a tracer in this process cannot see into ``mp`` workers.
 
 Why a count: on the shared 2-vCPU box wall time moves ±10 % between
 identical runs, which is as large as most per-op savings.  The opcode
@@ -24,6 +25,7 @@ measured with ``bench/run.py``.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 from collections import Counter
@@ -95,6 +97,10 @@ def main(argv=None) -> int:
     w = WORKLOADS[args.workload]
     outcome, by_code, calls = count(w, w.generate(args.seed, args.scale))
     nops, ncalls = sum(by_code.values()), sum(calls.values())
+    # A generator's every resumption is a "call" event: these are the
+    # frame re-entries a deep ``yield from`` chain pays per event.
+    ngen = sum(n for code, n in calls.items()
+               if code.co_flags & inspect.CO_GENERATOR)
     if outcome.failed:
         print(f"oracle failed: {outcome.failed} of {outcome.ops} ops",
               file=sys.stderr)
@@ -106,6 +112,7 @@ def main(argv=None) -> int:
           f"{ops} ops")
     print(f"  opcodes/op  {nops / ops:10.1f}   ({nops} total)")
     print(f"  calls/op    {ncalls / ops:10.1f}   ({ncalls} total)")
+    print(f"  gen entries/op {ngen / ops:7.2f}   ({ngen} total)")
     print(f"  events/op   {events / ops:10.2f}   ({events} total)")
     print(f"\n  {'opcodes/op':>10}  {'share':>6}  {'calls/op':>8}  function")
     for code, n in by_code.most_common(args.top):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from repro.memory.pinning import PinLimitError, PinManager
+from repro.memory.pinning import NotPinnedError, PinLimitError, PinManager
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,18 @@ class PinnedAddressTable:
         ``last_pin_error``; the caller decides between raising it
         (strict mode, the pre-fault behavior) and degrading the handle
         to the AM path via :meth:`mark_unpinnable`.
+
+        Every AM handler re-checks a pin that has not changed; that is
+        one dict probe when the manager *still* holds a tabled region
+        starting at ``vaddr`` and covering ``size`` — the one case in
+        which the full path adds no cost, tables nothing and records
+        no ``PIN``.  (The table's entries alone would not do: a region
+        can be unpinned behind the table's back.)
         """
+        region = self.pins.region_at(vaddr)
+        if (region is not None and 0 < size <= region.size
+                and vaddr in self._by_vaddr):
+            return 0.0, True
         try:
             cost, regions = self.pins.pin(vaddr, size)
         except PinLimitError as exc:
@@ -128,7 +139,7 @@ class PinnedAddressTable:
         """Virtual → physical for RDMA descriptors; None if unpinned."""
         try:
             return self.pins.phys_addr(vaddr)
-        except Exception:
+        except NotPinnedError:
             return None
 
     # -- deregistration ----------------------------------------------------

@@ -99,21 +99,37 @@ class PinManager:
     # -- queries -------------------------------------------------------
 
     def is_pinned(self, vaddr: int, size: int = 1) -> bool:
-        """True if ``[vaddr, vaddr+size)`` is fully covered.
+        """True if ``[vaddr, vaddr+size)`` is fully covered."""
+        return self._regions_covering(vaddr, size) is not None
+
+    def _regions_covering(self, vaddr: int,
+                          size: int) -> Optional[List[PinnedRegion]]:
+        """The regions covering ``[vaddr, vaddr+size)`` in address
+        order, or None if some byte of it is not pinned.
 
         Regions produced by one chunked ``pin`` call are contiguous, so
         coverage may span several of them.
         """
-        pos = vaddr
-        end = vaddr + size
+        out = []
+        pos, end = vaddr, vaddr + size
         while pos < end:
             region = self._find_covering(pos)
             if region is None:
-                return False
+                return None
+            out.append(region)
             pos = region.end
-        return True
+        return out
+
+    def region_at(self, vaddr: int) -> Optional[PinnedRegion]:
+        """The region that starts exactly at ``vaddr``, if any."""
+        return self._regions.get(vaddr)
 
     def _find_covering(self, vaddr: int) -> Optional[PinnedRegion]:
+        # Regions never overlap, so one starting at ``vaddr`` is the
+        # covering one — the common probe (an arena or chunk base).
+        region = self._regions.get(vaddr)
+        if region is not None:
+            return region
         for region in self._regions.values():
             if region.vaddr <= vaddr < region.end:
                 return region
@@ -144,8 +160,9 @@ class PinManager:
         """
         if size <= 0:
             raise PinLimitError(f"pin size must be > 0, got {size}")
-        if self.is_pinned(vaddr, size):
-            return 0.0, self._regions_covering(vaddr, size)
+        covering = self._regions_covering(vaddr, size)
+        if covering is not None:
+            return 0.0, covering
 
         new_bytes = self._uncovered_bytes(vaddr, size)
         if (self.max_total_bytes is not None
@@ -195,16 +212,6 @@ class PinManager:
                 covered += hi - lo
         return size - covered
 
-    def _regions_covering(self, vaddr: int, size: int) -> List[PinnedRegion]:
-        out = []
-        pos, end = vaddr, vaddr + size
-        while pos < end:
-            region = self._find_covering(pos)
-            assert region is not None
-            out.append(region)
-            pos = region.end
-        return out
-
     def unpin(self, vaddr: int, size: int) -> float:
         """Deregister every region overlapping ``[vaddr, vaddr+size)``.
 
@@ -213,10 +220,18 @@ class PinManager:
         it is freed", section 3.1) and by the registration cache's lazy
         eviction.
         """
+        return self.unpin_regions([r for r in self._regions.values()
+                                   if r.vaddr < vaddr + size
+                                   and vaddr < r.end])
+
+    def unpin_regions(self, regions: List[PinnedRegion]) -> float:
+        """Deregister exactly ``regions`` — e.g. the ones a caller's own
+        :meth:`pin` created — skipping any no longer registered; returns
+        the deregistration cost."""
         cost = 0.0
-        doomed = [r for r in self._regions.values()
-                  if r.vaddr < vaddr + size and vaddr < r.end]
-        for region in doomed:
+        for region in regions:
+            if self._regions.get(region.vaddr) is not region:
+                continue
             del self._regions[region.vaddr]
             self.pinned_bytes -= region.size
             self.unpin_calls += 1

@@ -14,10 +14,10 @@ Berkeley UPC's Firehose, cited in section 5.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Tuple
+from typing import List, Tuple
 
 from repro.memory.errors import PinLimitError
-from repro.memory.pinning import PinManager
+from repro.memory.pinning import PinManager, PinnedRegion
 
 
 class RegistrationCache:
@@ -40,8 +40,13 @@ class RegistrationCache:
             )
         self.pins = pin_manager
         self.capacity_bytes = capacity_bytes
-        #: (vaddr, size) -> None, in LRU order (oldest first).
-        self._lru: "OrderedDict[Tuple[int, int], None]" = OrderedDict()
+        #: (vaddr, size) -> the regions this cache's own ``pin`` created
+        #: for it, in LRU order (oldest first).  A range that was
+        #: already pinned (say, an object arena the pinned address
+        #: table registered, "pinned until it is freed", section 3.1)
+        #: owns nothing, so evicting it deregisters nothing.
+        self._lru: "OrderedDict[Tuple[int, int], List[PinnedRegion]]" = \
+            OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -60,9 +65,10 @@ class RegistrationCache:
             return 0.0
         self.misses += 1
         cost = self._make_room(size)
-        pin_cost, _ = self.pins.pin(vaddr, size)
+        covered = self.pins.is_pinned(vaddr, size)
+        pin_cost, regions = self.pins.pin(vaddr, size)
         cost += pin_cost
-        self._lru[key] = None
+        self._lru[key] = [] if covered else regions
         self._lru.move_to_end(key)
         return cost
 
@@ -75,14 +81,15 @@ class RegistrationCache:
             )
         cost = 0.0
         while self.resident_bytes + incoming > self.capacity_bytes and self._lru:
-            (vaddr, size), _ = self._lru.popitem(last=False)
-            cost += self.pins.unpin(vaddr, size)
+            (_, size), owned = self._lru.popitem(last=False)
+            cost += self.pins.unpin_regions(owned)
             self.evictions += 1
             self.evicted_bytes += size
         return cost
 
     def invalidate(self, vaddr: int, size: int) -> float:
-        """Drop (and deregister) any cached region overlapping the range.
+        """Drop any cached region overlapping the range, deregistering
+        what this cache pinned for it.
 
         Called when the memory is freed; returns the unpin cost.
         """
@@ -90,8 +97,7 @@ class RegistrationCache:
         doomed = [k for k in self._lru
                   if k[0] < vaddr + size and vaddr < k[0] + k[1]]
         for key in doomed:
-            del self._lru[key]
-            cost += self.pins.unpin(*key)
+            cost += self.pins.unpin_regions(self._lru.pop(key))
         return cost
 
     @property

@@ -447,8 +447,60 @@ class Transport:
             t0 = self.sim.now
             fate = self._fate(src, dst, op_id)
             if nbytes <= p.eager_max_bytes:
-                ok, payload = yield from self._eager_get(
-                    src, dst, nbytes, handler, op_id, fate, key)
+                # One eager attempt, inline: a lost leg leaves ``ok``
+                # False and the loop below owns the retransmit timer.
+                rec = self._recording()
+                self.counters.eager_transfers += 1
+                # Request.
+                yield p.o_send_us
+                self._record(wire.AM_REQUEST, src, dst, p.ctrl_bytes)
+                t1 = self.sim.now
+                if rec:
+                    self.events.emit(t1, AM_SEND, op=op_id, node=src.id,
+                                     dst=dst.id, nbytes=p.ctrl_bytes)
+                yield from self._inject(src, p.ctrl_bytes, fragmented=False)
+                # A dropped request is lost in the fabric after leaving
+                # the NIC; the target never sees it.
+                ok = not fate.drop_request
+                if ok:
+                    lat = self._wire(src, dst, fate.delay_us)
+                    if lat > 0:
+                        yield lat
+                    if rec:
+                        self._phase(op_id, COMP_WIRE, t1)
+                    # Target: handler + bounce copy + reply injection,
+                    # all on the target CPU (Figure 5).
+                    payload, extra = yield from self._run_handler(
+                        dst, handler, handler_copy_bytes=nbytes,
+                        reply_bytes=nbytes + p.ctrl_bytes,
+                        reply_fragmented=True, reply_to=src, op_id=op_id,
+                        key=key)
+                    if fate.duplicate:
+                        self._spawn_duplicate(src, dst, nbytes, op_id, key)
+                    # Logged post-injection so timestamp and piggyback
+                    # bytes are the ones actually on the wire.
+                    self._record(wire.AM_REPLY, dst, src,
+                                 nbytes + p.ctrl_bytes + extra)
+                    ok = not fate.drop_reply
+                    if not ok:
+                        # The reply vanished; the initiator's receive
+                        # path never runs, so return its receive-buffer
+                        # credit here.
+                        self._credit_pool(src).release()
+                if ok:
+                    t1 = self.sim.now
+                    lat = self._wire(dst, src, fate.delay_us)
+                    if lat > 0:
+                        yield lat
+                    if rec:
+                        self._phase(op_id, COMP_WIRE, t1)
+                        self.events.emit(self.sim.now, AM_REPLY_RECV,
+                                         op=op_id, node=src.id,
+                                         piggyback=extra > 0)
+                    # Initiator: receive + copy out of the bounce
+                    # buffer, then return the receive-buffer credit.
+                    yield p.o_recv_us + p.copy_time(nbytes)
+                    self._credit_pool(src).release()
             else:
                 # Rendezvous: the initiator's RTS prologue is paid per
                 # attempt; on retries the source-side registration
@@ -467,63 +519,6 @@ class Transport:
             yield from self._lost(t0, attempt, op_id, src, dst, "am get")
         self.counters.am_replies += 1
         return AMReply(payload=payload, completed_at=self.sim.now)
-
-    def _eager_get(self, src: Node, dst: Node, nbytes: int,
-                   handler: Optional[Handler], op_id: int = -1,
-                   fate: Fate = NO_FAULT,
-                   key: Optional[Tuple[int, int]] = None):
-        """One eager-GET attempt.  Returns ``(ok, payload)``; ``ok`` is
-        False when ``fate`` lost a leg (the caller owns the retransmit
-        timer)."""
-        p = self.params
-        rec = self._recording()
-        self.counters.eager_transfers += 1
-        # Request.
-        yield p.o_send_us
-        self._record(wire.AM_REQUEST, src, dst, p.ctrl_bytes)
-        t0 = self.sim.now
-        if rec:
-            self.events.emit(t0, AM_SEND, op=op_id, node=src.id,
-                             dst=dst.id, nbytes=p.ctrl_bytes)
-        yield from self._inject(src, p.ctrl_bytes, fragmented=False)
-        if fate.drop_request:
-            # Lost in the fabric after leaving the NIC; the target
-            # never sees it.
-            return False, None
-        lat = self._wire(src, dst, fate.delay_us)
-        if lat > 0:
-            yield lat
-        if rec:
-            self._phase(op_id, COMP_WIRE, t0)
-        # Target: handler + bounce copy + reply injection, all on the
-        # target CPU (Figure 5).
-        payload, extra = yield from self._run_handler(
-            dst, handler, handler_copy_bytes=nbytes,
-            reply_bytes=nbytes + p.ctrl_bytes, reply_fragmented=True,
-            reply_to=src, op_id=op_id, key=key)
-        if fate.duplicate:
-            self._spawn_duplicate(src, dst, nbytes, op_id, key)
-        # Logged post-injection so timestamp and piggyback bytes are
-        # the ones actually on the wire.
-        self._record(wire.AM_REPLY, dst, src, nbytes + p.ctrl_bytes + extra)
-        if fate.drop_reply:
-            # The reply vanished; the initiator's receive path never
-            # runs, so return its receive-buffer credit here.
-            self._credit_pool(src).release()
-            return False, None
-        t1 = self.sim.now
-        lat = self._wire(dst, src, fate.delay_us)
-        if lat > 0:
-            yield lat
-        if rec:
-            self._phase(op_id, COMP_WIRE, t1)
-            self.events.emit(self.sim.now, AM_REPLY_RECV, op=op_id,
-                             node=src.id, piggyback=extra > 0)
-        # Initiator: receive + copy out of the bounce buffer, then
-        # return the receive-buffer credit to the pool.
-        yield p.o_recv_us + p.copy_time(nbytes)
-        self._credit_pool(src).release()
-        return True, payload
 
     def _rts_round(self, src: Node, dst: Node, nbytes: int,
                    handler: Optional[Handler], dst_addr: int, op_id: int,

@@ -79,50 +79,140 @@ class OpEngine:
     # ------------------------------------------------------------------
 
     def get(self, thread: "UPCThread", array: SharedArray, index: int,
-            nelems: int = 1):
+            nelems: int = 1, scalar: bool = False, bulk=None):
         """Blocking read of ``array[index : index+nelems]``.
 
-        Returns a NumPy array of ``nelems`` values (copy).
+        Returns a NumPy array of ``nelems`` values (copy), or the
+        element itself when ``scalar`` (``th.get`` of one element).
+
+        ``bulk`` is set by :meth:`bulk_get` alone: the ``(node_id,
+        offset, segments, nbytes, parent_op)`` of one coalesced wire
+        GET, already placed by the bulk engine, so the affinity tests
+        are skipped and one array per segment comes back.
+
+        A remote read is this one frame: cache lookup, the RDMA fast
+        path, the piggybacked AM miss and the seed insert are inline,
+        so each resumption re-enters only the transport generator it
+        is suspended in.
         """
         rt = self.rt
-        sim = rt.sim
+        sim = self.sim
         t0 = sim.now
         p = self.params
         self._check_live(array)
-        self._check_one_owner(array, index, nelems)
-        op_id = self._begin(thread, "get", index=index, nelems=nelems)
-        yield p.o_sw_us
+        if bulk is None:
+            self._check_one_owner(array, index, nelems)
+            op_id = self._begin(thread, "get", index=index, nelems=nelems)
+            yield p.o_sw_us
 
-        owner_thread, owner_node_id, offset = array.locate(index)
-        nbytes = array.span_bytes(nelems)
+            owner_thread, node_id, offset = array.locate(index)
+            nbytes = array.span_bytes(nelems)
 
-        if owner_thread == thread.id:
-            yield p.local_access_us
-            rt.metrics.record_get("local", sim.now - t0)
-            self._end(thread, op_id, "local", nbytes=nbytes)
-            return array.read(index, nelems)
+            if owner_thread == thread.id:
+                yield p.local_access_us
+                rt.metrics.record_get("local", sim.now - t0)
+                self._end(thread, op_id, "local", nbytes=nbytes)
+                return (array.data[index] if scalar
+                        else array.read(index, nelems))
 
-        if owner_node_id == thread.node.id:
-            yield p.shm_access_us + p.copy_time(nbytes)
-            rt.metrics.record_get("shm", sim.now - t0)
-            self._end(thread, op_id, "shm", nbytes=nbytes)
-            return array.read(index, nelems)
+            if node_id == thread.node.id:
+                yield p.shm_access_us + p.copy_time(nbytes)
+                rt.metrics.record_get("shm", sim.now - t0)
+                self._end(thread, op_id, "shm", nbytes=nbytes)
+                return (array.data[index] if scalar
+                        else array.read(index, nelems))
+        else:
+            node_id, offset, segments, nbytes, parent_op = bulk
+            op_id = self._begin(thread, "get", bulk=True, parent=parent_op,
+                                segments=len(segments))
+            yield p.o_sw_us
 
         src = thread.node
-        dst = rt.cluster.node(owner_node_id)
+        dst = rt.cluster.node(node_id)
+        transport = rt.cluster.transport
+        log = self.events
+        cache = rt.addr_cache(src.id)
         # Only *network* operations enter the messaging library — and
         # with it the polling progress engine.  Local and intra-node
         # shared-memory accesses are plain loads/stores that never
         # drive the network (the root of the Field pathology, 4.6).
         src.progress.enter_runtime()
         try:
-            proto = yield from self._remote_get(thread, src, dst, array,
-                                                offset, nbytes, op_id)
+            base, cost = cache.lookup(array.handle, node_id)
+            if log.enabled:
+                log.emit(sim.now, CACHE_LOOKUP, op=op_id, thread=thread.id,
+                         node=src.id, target=node_id, hit=base is not None)
+            if cost:
+                yield cost
+
+            ok = False
+            if base is not None:
+                # Fast path (Figure 3b): address known, fire RDMA.
+                ok = yield from transport.rdma_get(src, dst, nbytes,
+                                                   op_id=op_id)
+                if ok:
+                    rt.metrics.rdma_gets += 1
+                else:
+                    # Completion timeout: the cached address is suspect
+                    # — drop exactly that entry (O(1)) and degrade to
+                    # the AM path, whose piggybacked reply re-seeds the
+                    # cache.
+                    self._rdma_fallback(cache, array, src, dst, op_id,
+                                        "get")
+
+            if not ok:
+                # Slow path (Figure 3a / Figure 5): default protocol,
+                # asking the target to piggyback its arena base address.
+                rt.metrics.am_gets += 1
+                piggy = rt.config.piggyback
+                dedicated = piggy.needs_dedicated_fetch
+                if dedicated:
+                    # Ablation strawman: a separate address-fetch round
+                    # trip (its handler only translates and pins; the
+                    # mode adds no reply bytes), then RDMA for the data.
+                    handler = self._make_get_handler(
+                        array, dst, want_addr=True, touch_offset=offset,
+                        touch_bytes=array.elem_size)
+                    reply = yield from transport.default_get(
+                        src, dst, p.ctrl_bytes, handler, op_id=op_id)
+                else:
+                    handler = self._make_get_handler(
+                        array, dst,
+                        want_addr=piggy.wants_address and cache.enabled,
+                        touch_offset=offset, touch_bytes=nbytes)
+                    reply = yield from transport.default_get(
+                        src, dst, nbytes, handler, src_addr=src.memory.base,
+                        dst_addr=array.node_base[node_id] + offset,
+                        op_id=op_id)
+                if reply.payload is not None:
+                    # Seed the cache; the insert cost is the piggyback's
+                    # software share of the op's critical path.
+                    cost = cache.insert(array.handle, node_id, reply.payload)
+                    if log.enabled:
+                        log.emit(sim.now, CACHE_SEED, op=op_id, node=src.id,
+                                 target=node_id, handle=str(array.handle))
+                    yield cost
+                    if log.enabled and op_id >= 0 and cost > 0:
+                        log.emit(sim.now, PHASE, op=op_id, node=src.id,
+                                 comp=COMP_PIGGYBACK, dur=cost)
+                if dedicated:
+                    moved = yield from transport.rdma_get(src, dst, nbytes,
+                                                          op_id=op_id)
+                    if not moved:
+                        # The dedicated-fetch ablation has no
+                        # piggybacked data reply to fall back on; move
+                        # the data over plain AM.
+                        self._rdma_fallback(cache, array, src, dst, op_id,
+                                            "get")
+                        yield from transport.default_get(
+                            src, dst, nbytes, None, op_id=op_id)
         finally:
             src.progress.leave_runtime()
         rt.metrics.record_get("remote", sim.now - t0)
-        self._end(thread, op_id, proto, nbytes=nbytes)
-        return array.read(index, nelems)
+        self._end(thread, op_id, "rdma" if ok else "am", nbytes=nbytes)
+        if bulk is not None:
+            return [array.read(start, count) for start, count in segments]
+        return array.data[index] if scalar else array.read(index, nelems)
 
     def bulk_get(self, thread: "UPCThread", array: SharedArray,
                  node_id: int, offset: int, segments, nbytes: int,
@@ -133,92 +223,12 @@ class OpEngine:
         that the engine has already verified to live back-to-back from
         byte ``offset`` of ``node_id``'s arena, so the whole message is
         a single ``base + offset`` RDMA-able range.  Protocol choice
-        (RDMA fast path vs. default AM) is decided here, per
-        destination, exactly as for a scalar GET.  Returns one NumPy
-        array per segment.
+        (RDMA fast path vs. default AM) is decided by :meth:`get`'s
+        remote half, per destination, exactly as for a scalar GET.
+        Returns (a generator returning) one NumPy array per segment.
         """
-        rt = self.rt
-        sim = rt.sim
-        t0 = sim.now
-        self._check_live(array)
-        op_id = self._begin(thread, "get", bulk=True, parent=parent_op,
-                            segments=len(segments))
-        yield self.params.o_sw_us
-        src = thread.node
-        dst = rt.cluster.node(node_id)
-        src.progress.enter_runtime()
-        try:
-            proto = yield from self._remote_get(
-                thread, src, dst, array, offset, nbytes, op_id)
-        finally:
-            src.progress.leave_runtime()
-        rt.metrics.record_get("remote", sim.now - t0)
-        self._end(thread, op_id, proto, nbytes=nbytes)
-        return [array.read(start, count) for start, count in segments]
-
-    def _remote_get(self, thread: "UPCThread", src: Node, dst: Node,
-                    array: SharedArray, offset: int, nbytes: int,
-                    op_id: int = -1):
-        """Fetch ``nbytes`` at byte ``offset`` of ``dst``'s arena."""
-        rt = self.rt
-        sim = rt.sim
-        log = rt.events
-        cache = rt.addr_cache(src.id)
-        base, cost = cache.lookup(array.handle, dst.id)
-        if log.enabled:
-            log.emit(sim.now, CACHE_LOOKUP, op=op_id, thread=thread.id,
-                     node=src.id, target=dst.id, hit=base is not None)
-        if cost:
-            yield cost
-
-        if base is not None:
-            # Fast path (Figure 3b): address known, fire RDMA.
-            ok = yield from rt.cluster.transport.rdma_get(src, dst,
-                                                          nbytes,
-                                                          op_id=op_id)
-            if ok:
-                rt.metrics.rdma_gets += 1
-                return "rdma"
-            # Completion timeout: the cached address is suspect — drop
-            # exactly that entry (O(1)) and degrade to the AM path,
-            # whose piggybacked reply re-seeds the cache.
-            self._rdma_fallback(cache, array, src, dst, op_id, "get")
-
-        # Slow path (Figure 3a / Figure 5): default protocol, asking
-        # the target to piggyback its arena base address.
-        rt.metrics.am_gets += 1
-        piggy = rt.config.piggyback
-        if piggy.needs_dedicated_fetch:
-            # Ablation strawman: a separate address-fetch round trip,
-            # then RDMA for the data itself.
-            reply = yield from rt.cluster.transport.default_get(
-                src, dst, self.params.ctrl_bytes,
-                self._make_addr_handler(array, dst, offset), op_id=op_id)
-            if reply.payload is not None:
-                yield from self._seed_cache(cache, array, src, dst,
-                                            reply.payload, op_id)
-            ok = yield from rt.cluster.transport.rdma_get(src, dst,
-                                                          nbytes,
-                                                          op_id=op_id)
-            if not ok:
-                # The dedicated-fetch ablation has no piggybacked data
-                # reply to fall back on; move the data over plain AM.
-                self._rdma_fallback(cache, array, src, dst, op_id, "get")
-                yield from rt.cluster.transport.default_get(
-                    src, dst, nbytes, None, op_id=op_id)
-            return "am"
-
-        handler = self._make_get_handler(
-            array, dst,
-            want_addr=piggy.wants_address and cache.enabled,
-            touch_offset=offset, touch_bytes=nbytes)
-        reply = yield from rt.cluster.transport.default_get(
-            src, dst, nbytes, handler, src_addr=src.memory.base,
-            dst_addr=array.node_base[dst.id] + offset, op_id=op_id)
-        if reply.payload is not None:
-            yield from self._seed_cache(cache, array, src, dst,
-                                        reply.payload, op_id)
-        return "am"
+        return self.get(thread, array, 0, bulk=(node_id, offset, segments,
+                                                nbytes, parent_op))
 
     def _rdma_fallback(self, cache, array: SharedArray, src: Node,
                        dst: Node, op_id: int, what: str) -> None:
@@ -233,22 +243,6 @@ class OpEngine:
             log.emit(rt.sim.now, DEGRADE, op=op_id, node=src.id,
                      mode="rdma_to_am", what=what, target=dst.id,
                      handle=str(array.handle))
-
-    def _seed_cache(self, cache, array: SharedArray, src: Node,
-                    dst: Node, base_addr: int, op_id: int):
-        """Insert a piggybacked address; the insert cost is the
-        piggyback's software share of the op's critical path."""
-        rt = self.rt
-        sim = rt.sim
-        log = rt.events
-        cost = cache.insert(array.handle, dst.id, base_addr)
-        if log.enabled:
-            log.emit(sim.now, CACHE_SEED, op=op_id, node=src.id,
-                     target=dst.id, handle=str(array.handle))
-        yield cost
-        if log.enabled and op_id >= 0 and cost > 0:
-            log.emit(sim.now, PHASE, op=op_id, node=src.id,
-                     comp=COMP_PIGGYBACK, dur=cost)
 
     # ------------------------------------------------------------------
     # PUT
@@ -489,24 +483,6 @@ class OpEngine:
 
         return handler
 
-    def _make_addr_handler(self, array: SharedArray, dst: Node,
-                           touch_offset: int):
-        """EXPLICIT mode: a handler that *only* translates + pins."""
-        rt = self.rt
-        p = self.params
-
-        def handler(node: Node) -> Tuple[float, Optional[int], int]:
-            replica = rt.svd(node.id)
-            replica.lookup_local(array.handle)
-            pin_cost, pinned = self._ensure_pinned(
-                array, node, touch_offset, array.elem_size)
-            cost = p.svd_lookup_us + pin_cost
-            base = (self._target_base_addr(array, node) if pinned
-                    else None)
-            return cost, base, 0
-
-        return handler
-
     def _ensure_pinned(self, array: SharedArray, node: Node,
                        touch_offset: int,
                        touch_bytes: int) -> Tuple[float, bool]:
@@ -571,10 +547,5 @@ class OpEngine:
         base = array.node_base.get(node.id)
         if base is None:
             return None
-        phys = rt_phys(self.rt, node, base)
+        phys = self.rt.pinned_table(node.id).lookup_phys(base)
         return phys if phys is not None else base
-
-
-def rt_phys(rt: "Runtime", node: Node, vaddr: int) -> Optional[int]:
-    """Physical address of ``vaddr`` on ``node`` if pinned, else None."""
-    return rt.pinned_table(node.id).lookup_phys(vaddr)

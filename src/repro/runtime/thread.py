@@ -92,12 +92,15 @@ class UPCThread:
     def get(self, array: SharedArray, index: int, nelems: int = 1):
         """Blocking read; returns np scalar (nelems=1) or array.
 
+        Not a generator itself: it hands back the op engine's, so a
+        ``yield from th.get(...)`` resumes one frame less deep.
+
         Progress note: the op engine enters the messaging library (and
         hence polls, on GM) only when the access is actually remote;
         local and same-node accesses are plain memory operations.
         """
-        out = yield from self.runtime.ops.get(self, array, index, nelems)
-        return out[0] if nelems == 1 else out
+        return self.runtime.ops.get(self, array, index, nelems,
+                                    nelems == 1)
 
     def put(self, array: SharedArray, index: int, values,
             nelems: Optional[int] = None):
@@ -342,29 +345,23 @@ class UPCThread:
     def all_alloc(self, nelems: int, blocksize: Optional[int] = None,
                   dtype="u8"):
         """``upc_all_alloc``: collective allocation in the ALL partition."""
-        arr = yield from self.runtime.all_alloc(self, nelems, blocksize,
-                                                dtype)
-        return arr
+        return self.runtime.all_alloc(self, nelems, blocksize, dtype)
 
     def global_alloc(self, nelems: int, blocksize: Optional[int] = None,
                      dtype="u8"):
         """``upc_global_alloc``: one thread allocates a distributed
         array; others learn of it via SVD notifications."""
-        arr = yield from self.runtime.global_alloc(self, nelems, blocksize,
-                                                   dtype)
-        return arr
+        return self.runtime.global_alloc(self, nelems, blocksize, dtype)
 
     def all_alloc_matrix(self, rows: int, cols: int, tile_r: int,
                          tile_c: int, dtype="f8"):
         """Collective allocation of a multiblocked (2-D tiled) array."""
-        m = yield from self.runtime.all_alloc_matrix(
-            self, rows, cols, tile_r, tile_c, dtype)
-        return m
+        return self.runtime.all_alloc_matrix(self, rows, cols, tile_r,
+                                             tile_c, dtype)
 
     def get_rc(self, matrix, r: int, c: int):
         """Read matrix element (r, c)."""
-        v = yield from self.get(matrix, matrix.linear(r, c))
-        return v
+        return self.get(matrix, matrix.linear(r, c))
 
     def put_rc(self, matrix, r: int, c: int, value):
         """Write matrix element (r, c) (relaxed)."""
@@ -374,13 +371,11 @@ class UPCThread:
         """Bulk-read a row segment inside one tile (zero-copy shaped
         like the dense row)."""
         start, count = matrix.row_segment(r, c0, nelems)
-        out = yield from self.memget(matrix, start, count)
-        return out
+        return self.memget(matrix, start, count)
 
     def local_alloc(self, nelems: int, dtype="u8"):
         """``upc_alloc``: shared memory with affinity entirely here."""
-        arr = yield from self.runtime.local_alloc(self, nelems, dtype)
-        return arr
+        return self.runtime.local_alloc(self, nelems, dtype)
 
     def all_free(self, array: SharedArray):
         """Collective free with eager remote-cache invalidation."""

@@ -1,7 +1,11 @@
 """Unit tests for the pinned address table."""
 
-from repro.core import PinnedAddressTable
+import pytest
+
+from repro.core import PinnedAddressTable, PinningPolicy
+from repro.core.policy import ranges_to_pin
 from repro.memory import PinManager
+from repro.obs import PIN, EventLog
 
 
 def make_table(**kw):
@@ -76,3 +80,57 @@ def test_time_accounting():
     t.unregister_handle("h")
     assert t.pin_time_us > 0
     assert t.unpin_time_us > t.pin_time_us  # dereg costs more (3.3)
+
+
+def test_lookup_phys_raises_on_a_programming_error():
+    # Only "not pinned" means None; anything else is a bug to surface.
+    t, _ = make_table()
+    t.register("h", 0x1000, 4096)
+    with pytest.raises((TypeError, ValueError)):
+        t.lookup_phys("0x1000")
+
+
+# -- the already-pinned shortcut is exact -----------------------------
+
+
+def test_region_unpinned_behind_the_tables_back_is_repinned_at_full_cost():
+    t, pm = make_table()
+    c1, _ = t.register("h", 0x1000, 8192)
+    pm.unpin(0x1000, 8192)  # e.g. a pin-down cache eviction
+    c2, ok = t.register("h", 0x1000, 8192)
+    assert ok and c2 == c1 > 0
+    assert pm.pin_calls == 2 and t.pin_time_us == 2 * c1
+    assert t.is_pinned(0x1000, 8192)
+
+
+def test_region_pinned_by_another_owner_is_tabled_with_a_zero_cost_pin():
+    t, pm = make_table()
+    t.events, t.node_id = EventLog(), 0
+    pm.pin(0x1000, 8192)  # the pin-down cache got there first
+    cost, ok = t.register("h", 0x1000, 8192)
+    assert ok and cost == 0.0
+    assert len(t) == 1 and t.entry_count_for("h") == 1
+    [pin] = t.events.by_kind(PIN)
+    assert pin.attrs["cost"] == 0.0 and pin.attrs["regions"] == 1
+    # Now tabled: the repeat is the shortcut, and records nothing.
+    assert t.register("h", 0x1000, 8192) == (0.0, True)
+    assert len(t.events.by_kind(PIN)) == 1
+
+
+def test_chunked_touches_pin_each_new_chunk_once():
+    t, pm = make_table()
+    base, size, chunk = 0x10_000, 4 * 4096, 4096
+
+    def touch(offset):
+        for vaddr, span in ranges_to_pin(PinningPolicy.CHUNKED, base, size,
+                                         offset, 8, chunk_bytes=chunk):
+            assert t.register("h", vaddr, span)[1]
+
+    touch(0)
+    assert pm.pin_calls == 1
+    touch(2 * chunk + 16)
+    assert pm.pin_calls == 2 and t.is_pinned(base + 2 * chunk, chunk)
+    spent = t.pin_time_us
+    touch(2 * chunk + 64)
+    assert pm.pin_calls == 2 and t.pin_time_us == spent
+    assert not t.is_pinned(base + chunk, chunk)

@@ -54,6 +54,23 @@ def test_invalidate_on_free_unpins():
     assert rc.resident_bytes == 0
 
 
+def test_eviction_leaves_memory_the_cache_never_pinned():
+    # An object arena pinned by its owner stays pinned until it is
+    # freed (section 3.1), even when a transfer inside it was cached
+    # and then evicted.
+    rc, pm = make_cache(capacity=8192)
+    pm.pin(0x1000, 4096)
+    rc.register(0x1000, 4096)
+    rc.register(0x10_000, 4096)
+    rc.register(0x20_000, 4096)  # evicts 0x1000, which owns nothing
+    assert rc.evictions == 1
+    assert pm.is_pinned(0x1000, 4096)
+    assert rc.invalidate(0x1000, 4096) == 0.0
+    assert rc.invalidate(0x10_000, 4096) > 0
+    assert pm.is_pinned(0x1000, 4096) and not pm.is_pinned(0x10_000, 4096)
+    assert pm.pin_calls == 3 and pm.unpin_calls == 1
+
+
 def test_hit_rate_reporting():
     rc, _ = make_cache()
     assert rc.hit_rate == 0.0

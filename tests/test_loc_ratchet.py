@@ -11,6 +11,8 @@ import os
 
 import repro.sim
 import repro.sim.event
+from repro.network import GM_MARENOSTRUM
+from repro.runtime import Runtime, RuntimeConfig, UPCThread
 from repro.sim import Simulator
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -37,7 +39,16 @@ SRC = os.path.join(ROOT, "src", "repro")
 #: -2); a shard delivery is a two-slot `_Delivery` instead of an event
 #: and its callback (`sim/shard.py` +14, `workloads/sharded.py` -2);
 #: `network/progress.py` +3: 21 500 -> 21 367.
-SRC_LINES_CEILING = 21367
+#: Then a flat GET, -7: `_remote_get`, `_seed_cache`, `rt_phys` and
+#: `_make_addr_handler` folded into `OpEngine.get` (`runtime/ops.py`
+#: -29), `_eager_get` into `default_get`'s attempt loop
+#: (`network/transport.py` -5), `th.get` and five more `th.*`
+#: wrappers return the generator they wrapped (`runtime/thread.py`
+#: -5); the pin-down cache unpins only what it pinned and `register`
+#: probes the region map first (`memory/` +21, with
+#: `_regions_covering` doubling as `is_pinned`;
+#: `core/pinned_table.py` +11): 21 367 -> 21 360.
+SRC_LINES_CEILING = 21360
 
 
 def _sources():
@@ -72,6 +83,53 @@ def test_the_event_core_has_one_wait_carrier():
     for name in ("oneshot", "_event_pool", "_entry_pool"):
         assert not hasattr(Simulator, name), name
     assert not hasattr(repro.sim.event, "_PooledEvent")
+
+
+def _get_depths():
+    """Deepest ``yield from`` chain below the kernel seen while a remote
+    scalar GET is suspended, per phase: the first GET of an array misses
+    the address cache (eager AM), the second hits it (RDMA)."""
+    rt = Runtime(RuntimeConfig(machine=GM_MARENOSTRUM, nthreads=2,
+                               threads_per_node=1, seed=1))
+    kernels, phase, depth = {}, [None], {}
+
+    def kernel(th):
+        arr = yield from th.all_alloc(16, blocksize=8, dtype="u8")
+        yield from th.barrier()
+        if th.id == 0:
+            for phase[0] in ("miss", "hit"):
+                yield from th.get(arr, 8)
+            phase[0] = "done"
+        yield from th.barrier()
+
+    def program(th):
+        kernels[th.id] = gen = kernel(th)
+        return gen
+
+    def probe():
+        while phase[0] != "done":
+            if phase[0] is not None:
+                n, gen = 0, kernels[0].gi_yieldfrom
+                while gen is not None:
+                    n, gen = n + 1, getattr(gen, "gi_yieldfrom", None)
+                depth[phase[0]] = max(depth.get(phase[0], 0), n)
+            yield 0.05
+
+    rt.spawn(program)
+    rt.sim.process(probe(), name="depth-probe")
+    rt.run()
+    return depth
+
+
+def test_a_remote_get_resumes_through_a_flat_chain():
+    # A suspended GET re-enters every frame of its chain on each event:
+    # the op engine's GET is one frame (RDMA hit: get -> rdma_get ->
+    # _inject; eager miss: get -> default_get -> _run_handler ->
+    # _inject or the progress engine's service).
+    assert not inspect.isgeneratorfunction(UPCThread.get)
+    depth = _get_depths()
+    assert 0 < depth["hit"] <= 3, depth
+    assert 0 < depth["miss"] <= 4, depth
 
 
 def test_src_keeps_the_file_count_the_frozen_bench_asserts():
