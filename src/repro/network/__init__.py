@@ -42,12 +42,7 @@ from repro.network.topology import (
     Torus3D,
     make_topology,
 )
-from repro.network.transport import (
-    AMReply,
-    PutTicket,
-    Transport,
-    TransportCounters,
-)
+from repro.network.transport import Transport
 
 __all__ = [
     "Cluster",
@@ -72,9 +67,6 @@ __all__ = [
     "Torus3D",
     "make_topology",
     "Transport",
-    "AMReply",
-    "PutTicket",
-    "TransportCounters",
     "ProgressEngine",
     "PollingProgress",
     "InterruptProgress",

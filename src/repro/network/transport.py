@@ -3,9 +3,14 @@
 The methods here are *generators* meant to be driven inside the
 calling process (``yield from transport.default_get(...)``); they
 charge every cost of the protocol on the virtual clock, in order, and
-return timing-free metadata (handler replies).  Actual data movement
-is performed by the runtime once the protocol generator returns, so a
-transport never sees user bytes.
+return timing-free metadata: a GET the handler's reply payload, a PUT
+the event that fires when the bytes are applied at the target.
+Actual data movement is performed by the runtime once the protocol
+generator returns, so a transport never sees user bytes.
+
+The transport keeps no traffic account of its own: what crossed the
+wire is read off the flight recorder (``events``), the runtime's
+metrics block (``metrics``) and the dedup ledger (``ledger``).
 
 Two protocol families, mirroring Figures 3 and 5:
 
@@ -25,7 +30,6 @@ cost (section 3.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.faults.injector import NO_FAULT, Fate
@@ -34,8 +38,6 @@ from repro.faults.reliability import (
     ReliabilityConfig,
     ReliabilityError,
 )
-from repro.network import message as wire
-from repro.network.message import MessageLog, WireMessage
 from repro.network.node import Node
 from repro.network.params import TransportParams
 from repro.network.progress import make_progress
@@ -67,43 +69,6 @@ from repro.sim.simulator import Simulator
 Handler = Callable[[Node], Tuple[float, Any, int]]
 
 
-@dataclass
-class AMReply:
-    """What the initiator gets back from an AM round trip."""
-
-    payload: Any
-    #: Virtual time at which the reply landed.
-    completed_at: float
-
-
-@dataclass
-class PutTicket:
-    """Result of a PUT: local completion has happened (the issuing
-    process may continue); ``remote_applied`` fires when the bytes are
-    visible at the target (fences/barriers wait on these)."""
-
-    remote_applied: Event
-    nbytes: int
-
-
-@dataclass
-class TransportCounters:
-    """Aggregate traffic statistics, per transport instance."""
-
-    am_requests: int = 0
-    am_replies: int = 0
-    rdma_gets: int = 0
-    rdma_puts: int = 0
-    eager_transfers: int = 0
-    rendezvous_transfers: int = 0
-    bytes_am: int = 0
-    bytes_rdma: int = 0
-    by_kind: Dict[str, int] = field(default_factory=dict)
-
-    def bump(self, kind: str) -> None:
-        self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
-
-
 class Transport:
     """One messaging fabric shared by all nodes of a cluster."""
 
@@ -113,9 +78,6 @@ class Transport:
         self.params = params
         self.topology = topology
         self.nodes = nodes
-        self.counters = TransportCounters()
-        #: Optional wire capture (tests/debugging); None = disabled.
-        self.log: Optional[MessageLog] = None
         #: Flight recorder (injected by the Runtime); None on bare
         #: clusters.  Every emit site guards on ``enabled``.
         self.events = None
@@ -150,18 +112,6 @@ class Transport:
         return (src.id, self._next_seq)
 
     # -- observability / flow control ------------------------------------
-
-    def enable_log(self, max_records: Optional[int] = 100_000) -> MessageLog:
-        """Start capturing wire messages; returns the log."""
-        self.log = MessageLog(max_records=max_records)
-        return self.log
-
-    def _record(self, kind: str, src: Node, dst: Node,
-                nbytes: int) -> None:
-        if self.log is not None:
-            self.log.add(WireMessage(kind=kind, src=src.id, dst=dst.id,
-                                     nbytes=nbytes,
-                                     t_inject=self.sim.now))
 
     def _recording(self) -> bool:
         log = self.events
@@ -202,7 +152,6 @@ class Transport:
         rest = timeout_us - (self.sim.now - t0)
         if rest > 0:
             yield rest
-        self.counters.bump(f"{proto}-timeout")
         if self.metrics is not None:
             self.metrics.timeouts += 1
             self.metrics.link_timeout(src.id, dst.id)
@@ -229,7 +178,6 @@ class Transport:
                                          self.sim.now).backoff_scale
         if delay > 0:
             yield delay
-        self.counters.bump("am-retry")
         if self.metrics is not None:
             self.metrics.retries += 1
             self.metrics.link_retry(src.id, dst.id)
@@ -264,7 +212,6 @@ class Transport:
         """An injected duplicate of an already-delivered request: it
         crosses the wire again and the dedup ledger absorbs it on the
         target (handler-CPU replay cost, no side effects, no reply)."""
-        self.counters.bump("am-duplicate-delivery")
 
         def _again():
             lat = self._wire(src, dst)
@@ -371,7 +318,6 @@ class Transport:
                 # the ledger (copy cost to rematerialize the reply, no
                 # handler re-run, no double pin).
                 payload, extra_bytes = led
-                self.counters.bump("am-replay")
             elif handler is not None:
                 h_cost, payload, extra_bytes = handler(dst)
                 cost += h_cost
@@ -428,13 +374,10 @@ class Transport:
         ``src_addr``/``dst_addr`` identify the user buffers for
         rendezvous registration accounting (default: node heap base).
         ``op_id`` threads the flight-recorder causal id through the
-        protocol.  Returns :class:`AMReply` whose payload is the
-        handler's reply (the runtime piggybacks the remote base
-        address here).
+        protocol.  Returns the handler's reply payload (the runtime
+        piggybacks the remote base address here).
         """
         p = self.params
-        self.counters.am_requests += 1
-        self.counters.bytes_am += nbytes + 2 * p.ctrl_bytes
         src_addr = src_addr if src_addr is not None else src.memory.base
         dst_addr = dst_addr if dst_addr is not None else dst.memory.base
         # Sequence-numbered request with retransmission: one fate per
@@ -450,10 +393,8 @@ class Transport:
                 # One eager attempt, inline: a lost leg leaves ``ok``
                 # False and the loop below owns the retransmit timer.
                 rec = self._recording()
-                self.counters.eager_transfers += 1
                 # Request.
                 yield p.o_send_us
-                self._record(wire.AM_REQUEST, src, dst, p.ctrl_bytes)
                 t1 = self.sim.now
                 if rec:
                     self.events.emit(t1, AM_SEND, op=op_id, node=src.id,
@@ -477,10 +418,6 @@ class Transport:
                         key=key)
                     if fate.duplicate:
                         self._spawn_duplicate(src, dst, nbytes, op_id, key)
-                    # Logged post-injection so timestamp and piggyback
-                    # bytes are the ones actually on the wire.
-                    self._record(wire.AM_REPLY, dst, src,
-                                 nbytes + p.ctrl_bytes + extra)
                     ok = not fate.drop_reply
                     if not ok:
                         # The reply vanished; the initiator's receive
@@ -505,7 +442,6 @@ class Transport:
                 # Rendezvous: the initiator's RTS prologue is paid per
                 # attempt; on retries the source-side registration
                 # re-check hits the pin-down cache (cost 0).
-                self.counters.rendezvous_transfers += 1
                 yield p.o_send_us + p.rendezvous_cpu_us
                 reg_cost = src.reg_cache.register(src_addr, nbytes)
                 if reg_cost:
@@ -517,8 +453,7 @@ class Transport:
                 break
             attempt += 1
             yield from self._lost(t0, attempt, op_id, src, dst, "am get")
-        self.counters.am_replies += 1
-        return AMReply(payload=payload, completed_at=self.sim.now)
+        return payload
 
     def _rts_round(self, src: Node, dst: Node, nbytes: int,
                    handler: Optional[Handler], dst_addr: int, op_id: int,
@@ -532,7 +467,6 @@ class Transport:
         delivery answers from the dedup ledger."""
         p = self.params
         rec = self._recording()
-        self._record(wire.RTS, src, dst, p.ctrl_bytes)
         t0 = self.sim.now
         if rec:
             self.events.emit(t0, AM_SEND, op=op_id, node=src.id,
@@ -566,7 +500,6 @@ class Transport:
                 # Replay: the translation/registration happened on the
                 # first delivery; only re-dispatch and re-send.
                 payload, extra = led
-                self.counters.bump("am-replay")
             else:
                 if data:
                     cost += p.rendezvous_cpu_us
@@ -594,8 +527,6 @@ class Transport:
                                  node=dst.id, cost=cost)
                 self._phase(op_id, COMP_HANDLER, t_r, dur=cost)
             yield cost + p.o_send_us
-            self._record(wire.RDV_DATA if data else wire.CTS, dst, src,
-                         reply_bytes)
             yield from self._inject(dst, reply_bytes, fragmented=False)
             if rec:
                 dur = self.sim.now - t_r - cost
@@ -635,14 +566,10 @@ class Transport:
                     dst_addr: Optional[int] = None, op_id: int = -1):
         """Figure 3a mirrored: the initiator is done at local hand-off;
         target-side processing overlaps with whatever the initiator
-        does next.  Returns a :class:`PutTicket`."""
+        does next.  Returns the event that fires when the bytes are
+        applied at the target (fences and barriers wait on it)."""
         p = self.params
         rec = self._recording()
-        self.counters.am_requests += 1
-        # Eager: data+header message.  Rendezvous: RTS + CTS + data.
-        self.counters.bytes_am += nbytes + (
-            p.ctrl_bytes if nbytes <= p.eager_max_bytes
-            else 2 * p.ctrl_bytes)
         remote_applied = Event(self.sim, name="put-applied")
         if src_addr is None:
             src_addr = src.memory.base
@@ -650,14 +577,12 @@ class Transport:
             dst_addr = dst.memory.base
         key = self._seq(src) if self.faults is not None else None
         if nbytes <= p.eager_max_bytes:
-            self.counters.eager_transfers += 1
             # Local side: software overhead, bounce copy, a receive
             # credit at the destination, injection.
             yield p.o_send_us + p.copy_time(nbytes)
             credits = self._credit_pool(dst)
             if not credits.acquire_now():
                 yield credits
-            self._record(wire.PUT_DATA, src, dst, nbytes + p.ctrl_bytes)
             t0 = self.sim.now
             if rec:
                 self.events.emit(t0, AM_SEND, op=op_id, node=src.id,
@@ -675,7 +600,6 @@ class Transport:
                 name="put-tail",
             )
         else:
-            self.counters.rendezvous_transfers += 1
             # RTS/CTS handshake happens synchronously (rendezvous).
             yield p.o_send_us + p.rendezvous_cpu_us
             reg_cost = src.reg_cache.register(src_addr, nbytes)
@@ -694,7 +618,6 @@ class Transport:
                 yield from self._lost(t0, attempt, op_id, src, dst,
                                       "rendezvous put")
             # Zero-copy data injection; local completion at hand-off.
-            self._record(wire.RDV_DATA, src, dst, nbytes)
             t2 = self.sim.now
             yield from self._inject(src, nbytes, fragmented=False)
             if rec:
@@ -706,7 +629,7 @@ class Transport:
                                key=data_key),
                 name="put-tail",
             )
-        return PutTicket(remote_applied=remote_applied, nbytes=nbytes)
+        return remote_applied
 
     def _put_tail(self, src: Node, dst: Node, nbytes: int,
                   handler: Optional[Handler], remote_applied: Event,
@@ -721,9 +644,10 @@ class Transport:
         the delivery and the initiator's retransmit timer for the data
         message, so a dropped one is retried until it lands (the dedup
         ledger absorbs duplicates on the target) and a fence can never
-        wait on a message nobody will resend; if the retry budget runs
-        out, ``remote_applied`` is *failed* so the loss surfaces at
-        the next fence instead of silently dropping the store.
+        wait on a message nobody will resend.  If the retry budget runs
+        out or the handler raises, ``remote_applied`` is *failed* with
+        that exception: the store is never applied and the next fence
+        raises it.
         """
         failure: Optional[BaseException] = None
         copy_bytes = nbytes if copy_at_target else 0
@@ -753,14 +677,8 @@ class Transport:
                                       "put data")
                 yield from self._inject(
                     src, nbytes + self.params.ctrl_bytes, fragmented=True)
-        except ReliabilityError as exc:
-            self.counters.bump("put-tail-error")
+        except Exception as exc:
             failure = exc
-            raise
-        except BaseException:
-            # Detached process: make the failure visible in counters
-            # before it lands in the (unobserved) process event.
-            self.counters.bump("put-tail-error")
             raise
         finally:
             if credit:
@@ -779,11 +697,9 @@ class Transport:
         clock; returns an event firing when the target processed it.
         A lost message is retransmitted like any AM request — an SVD
         update notification must eventually land or the run must fail
-        loudly: once the retry budget is spent the event is *failed*
-        with the :class:`ReliabilityError`.
+        loudly: once the retry budget is spent (or the handler raises)
+        the event is *failed* with that exception.
         """
-        self.counters.am_requests += 1
-        self.counters.bytes_am += nbytes
         done = Event(self.sim, name="oneway-done")
 
         def _fly():
@@ -798,7 +714,6 @@ class Transport:
                 while True:
                     t0 = self.sim.now
                     fate = self._fate(src, dst, -1)
-                    self._record(wire.ONEWAY, src, dst, nbytes)
                     yield from self._inject(src, nbytes, fragmented=True)
                     if not (fate.drop_request or fate.drop_reply):
                         lat = self._wire(src, dst, fate.delay_us)
@@ -812,8 +727,7 @@ class Transport:
                     attempt += 1
                     yield from self._lost(t0, attempt, -1, src, dst,
                                           "am oneway")
-            except ReliabilityError as exc:
-                self.counters.bump("oneway-error")
+            except Exception as exc:
                 failure = exc
                 raise
             finally:
@@ -839,13 +753,10 @@ class Transport:
         AM path)."""
         p = self.params
         rec = self._recording()
-        self.counters.rdma_gets += 1
-        self.counters.bytes_rdma += nbytes
         fate = (self.faults.rdma_fate(src.id, dst.id, op_id=op_id)
                 if self.faults is not None else NO_FAULT)
         t_start = self.sim.now
         yield p.rdma_init_us
-        self._record(wire.RDMA_READ, src, dst, p.ctrl_bytes)
         t0 = self.sim.now
         if rec:
             self.events.emit(t0, RDMA_ISSUE, op=op_id, node=src.id,
@@ -865,7 +776,6 @@ class Transport:
             self._phase(op_id, COMP_WIRE, t0)
         # Target NIC serializes the response (DMA, no CPU, no credits
         # — the data lands directly in registered user memory).
-        self._record(wire.RDMA_READ_RESP, dst, src, nbytes)
         t1 = self.sim.now
         if not dst.nic.acquire_now():
             yield dst.nic
@@ -895,20 +805,18 @@ class Transport:
         acknowledgement (``rdma_put_waits_remote``) — the mechanism
         behind Figure 6's PUT regression.
 
-        Returns the :class:`PutTicket`, or None when the fault plane
-        lost the write and the completion timer expired (the caller
-        invalidates the cached address and degrades to the AM path,
-        which re-issues the store)."""
+        Returns the event that fires when the bytes are applied at the
+        target, or None when the fault plane lost the write and the
+        completion timer expired (the caller invalidates the cached
+        address and degrades to the AM path, which re-issues the
+        store)."""
         p = self.params
         rec = self._recording()
-        self.counters.rdma_puts += 1
-        self.counters.bytes_rdma += nbytes
         fate = (self.faults.rdma_fate(src.id, dst.id, op_id=op_id)
                 if self.faults is not None else NO_FAULT)
         t_start = self.sim.now
         remote_applied = Event(self.sim, name="rdma-put-applied")
         yield p.rdma_init_us
-        self._record(wire.RDMA_WRITE, src, dst, nbytes + p.ctrl_bytes)
         t0 = self.sim.now
         if rec:
             self.events.emit(t0, RDMA_ISSUE, op=op_id, node=src.id,
@@ -948,5 +856,5 @@ class Transport:
         if rec:
             self.events.emit(self.sim.now, RDMA_COMPLETE, op=op_id,
                              node=src.id, nbytes=nbytes)
-        return PutTicket(remote_applied=remote_applied, nbytes=nbytes)
+        return remote_applied
 

@@ -168,7 +168,7 @@ class ShardFence:
     (:meth:`issue`), the ack handler resolves it (:meth:`ack`), and
     :meth:`wait` blocks until all outstanding tokens resolved —
     matching the pooled runtime's rule that a fence drains the
-    issuing thread's outstanding PUT tickets.
+    issuing thread's outstanding PUT completions.
     """
 
     def __init__(self, ctx: "ShardContext") -> None:

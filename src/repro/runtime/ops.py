@@ -184,10 +184,10 @@ class OpEngine:
                         src, dst, nbytes, handler, src_addr=src.memory.base,
                         dst_addr=array.node_base[node_id] + offset,
                         op_id=op_id)
-                if reply.payload is not None:
+                if reply is not None:
                     # Seed the cache; the insert cost is the piggyback's
                     # software share of the op's critical path.
-                    cost = cache.insert(array.handle, node_id, reply.payload)
+                    cost = cache.insert(array.handle, node_id, reply)
                     if log.enabled:
                         log.emit(sim.now, CACHE_SEED, op=op_id, node=src.id,
                                  target=node_id, handle=str(array.handle))
@@ -254,7 +254,8 @@ class OpEngine:
 
         Returns once the operation is *locally* complete (the UPC
         relaxed model); the write lands in the data plane when the
-        target applies it.  Use fence/barrier to order.
+        target applies it.  Use fence/barrier to order.  A remote PUT
+        returns the event that fires at that point (None otherwise).
         """
         rt = self.rt
         sim = rt.sim
@@ -291,14 +292,14 @@ class OpEngine:
         dst = rt.cluster.node(owner_node_id)
         src.progress.enter_runtime()
         try:
-            ticket, proto = yield from self._remote_put(
+            applied, proto = yield from self._remote_put(
                 thread, src, dst, array, [(index, values)], offset,
                 nbytes, op_id)
         finally:
             src.progress.leave_runtime()
         rt.metrics.record_put("remote", sim.now - t0)
         self._end(thread, op_id, proto, nbytes=nbytes)
-        return ticket
+        return applied
 
     def bulk_put(self, thread: "UPCThread", array: SharedArray,
                  node_id: int, offset: int, pairs, nbytes: int,
@@ -321,13 +322,13 @@ class OpEngine:
         dst = rt.cluster.node(node_id)
         src.progress.enter_runtime()
         try:
-            ticket, proto = yield from self._remote_put(
+            applied, proto = yield from self._remote_put(
                 thread, src, dst, array, pairs, offset, nbytes, op_id)
         finally:
             src.progress.leave_runtime()
         rt.metrics.record_put("remote", sim.now - t0)
         self._end(thread, op_id, proto, nbytes=nbytes)
-        return ticket
+        return applied
 
     def _remote_put(self, thread: "UPCThread", src: Node, dst: Node,
                     array: SharedArray, pairs, offset: int, nbytes: int,
@@ -335,7 +336,7 @@ class OpEngine:
         """Issue one wire PUT covering ``pairs`` — a list of
         ``(index, values)`` segments contiguous in the target arena
         from byte ``offset`` (a single-segment list for the scalar
-        path)."""
+        path).  Returns ``(applied event, protocol name)``."""
         rt = self.rt
         sim = rt.sim
         log = rt.events
@@ -351,14 +352,13 @@ class OpEngine:
             if cost:
                 yield cost
             if base is not None:
-                ticket = yield from rt.cluster.transport.rdma_put(
+                applied = yield from rt.cluster.transport.rdma_put(
                     src, dst, nbytes, op_id=op_id)
-                if ticket is not None:
+                if applied is not None:
                     rt.metrics.rdma_puts += 1
-                    self._apply_on(ticket.remote_applied, array,
-                                   snapshots)
-                    thread.track_put(ticket.remote_applied)
-                    return ticket, "rdma"
+                    self._apply_on(applied, array, snapshots)
+                    thread.track_put(applied)
+                    return applied, "rdma"
                 # Completion timeout: drop the suspect entry and fall
                 # through to the AM path, which re-issues the store.
                 self._rdma_fallback(cache, array, src, dst, op_id,
@@ -372,15 +372,14 @@ class OpEngine:
         handler = self._make_get_handler(
             array, dst, want_addr=want_addr,
             touch_offset=offset, touch_bytes=nbytes)
-        ticket = yield from rt.cluster.transport.default_put(
+        applied = yield from rt.cluster.transport.default_put(
             src, dst, nbytes, handler, src_addr=src.memory.base,
             dst_addr=array.node_base[dst.id] + offset, op_id=op_id)
-        self._apply_on(ticket.remote_applied, array, snapshots)
-        thread.track_put(ticket.remote_applied)
+        self._apply_on(applied, array, snapshots)
+        thread.track_put(applied)
         if want_addr:
-            self._insert_on_ack(ticket.remote_applied, src, dst, array,
-                                op_id)
-        return ticket, "am"
+            self._insert_on_ack(applied, src, dst, array, op_id)
+        return applied, "am"
 
     def _apply_on(self, remote_applied, array: SharedArray,
                   snapshots) -> None:

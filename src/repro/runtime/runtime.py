@@ -528,6 +528,12 @@ class Runtime:
         for note in self._notifications:
             if note.triggered and not note.ok:
                 raise note.exception
+        # So does a put that failed after its thread's last fence: the
+        # end of the program is the fence that reports it.
+        for th in self.threads:
+            for applied in th._outstanding_puts:
+                if applied.triggered and not applied.ok:
+                    raise applied.exception
         for proc in self._programs:
             if not proc.triggered:
                 raise UPCRuntimeError(

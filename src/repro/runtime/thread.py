@@ -118,14 +118,14 @@ class UPCThread:
         CPU at all.
         """
         rt = self.runtime
-        ticket = yield from rt.ops.put(self, array, index, values, nelems)
-        if ticket is not None and not ticket.remote_applied.processed:
+        applied = yield from rt.ops.put(self, array, index, values, nelems)
+        if applied is not None and not applied.processed:
             self.node.progress.enter_runtime()
             try:
-                yield ticket.remote_applied
+                yield applied
             finally:
                 self.node.progress.leave_runtime()
-        if ticket is not None:
+        if applied is not None:
             # Completion acknowledgement back to the initiator.
             owner_node = array.owner_node(index)
             yield (rt.cluster.topology.latency(owner_node, self.node.id)
@@ -222,8 +222,11 @@ class UPCThread:
 
     def fence(self):
         """``upc_fence``: wait until all this thread's outstanding puts
-        are applied at their targets."""
-        pending = [ev for ev in self._outstanding_puts if not ev.processed]
+        are applied at their targets.  Raises the failure of a put the
+        fabric gave up on, whether it failed before the fence or
+        while the fence waits."""
+        pending = [ev for ev in self._outstanding_puts
+                   if not (ev.processed and ev.ok)]
         self._outstanding_puts.clear()
         if pending:
             yield from self._in_runtime(self._await_all(pending))

@@ -436,13 +436,8 @@ class KVStore:
         def handler(node, _verb=verb, _args=args, _cost=cost):
             return (_cost, self._apply(_verb, _args), 0)
 
-        def _go():
-            reply = yield from rt.cluster.transport.default_get(
-                th.node, rt.cluster.node(home), nbytes, handler)
-            return reply.payload
-
-        payload = yield from th._in_runtime(_go())
-        return payload
+        return (yield from th._in_runtime(rt.cluster.transport.default_get(
+            th.node, rt.cluster.node(home), nbytes, handler)))
 
     def _rpc(self, th: "UPCThread", verb: str, args):
         key = args[0]

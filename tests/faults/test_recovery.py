@@ -164,7 +164,6 @@ def test_duplicates_are_idempotent():
         LinkRule.static(duplicate=0.5, scope="am"),))
     rt, res = run(plan)                 # kernel self-checks every value
     tp = rt.cluster.transport
-    assert tp.counters.by_kind.get("am-duplicate-delivery", 0) > 0
     assert tp.ledger.hits > 0           # dup deliveries hit the ledger
 
 

@@ -1,8 +1,17 @@
-"""Transport byte/counter accounting invariants."""
+"""Transport accounting: every wire operation is on the flight
+recorder, the transport's one account of what crossed the fabric."""
 
 import pytest
 
 from repro.network import Cluster, GM_MARENOSTRUM
+from repro.obs import EventLog
+from repro.obs.events import (
+    AM_REPLY_RECV,
+    AM_REPLY_SEND,
+    AM_SEND,
+    RDMA_COMPLETE,
+    RDMA_ISSUE,
+)
 from repro.sim import Simulator
 from repro.util import KB, MB
 
@@ -12,12 +21,14 @@ def make(nnodes=3):
     cluster = Cluster(sim, GM_MARENOSTRUM, nnodes)
     for node in cluster.nodes:
         node.progress.enter_runtime()
+    cluster.transport.events = EventLog()
     return sim, cluster
 
 
 def test_counters_track_every_operation():
     sim, cluster = make()
     tr = cluster.transport
+    log = tr.events
     a, b, c = cluster.nodes
 
     def run():
@@ -26,25 +37,27 @@ def test_counters_track_every_operation():
         yield from tr.rdma_get(a, b, 512)
         t1 = yield from tr.default_put(a, c, 128)
         t2 = yield from tr.rdma_put(a, b, 128)
-        yield t1.remote_applied
+        yield t1
         _ = t2
 
     sim.run_process(run())
     sim.run()
-    assert tr.counters.am_requests == 3
-    assert tr.counters.am_replies == 2               # puts don't reply
-    assert tr.counters.rdma_gets == 1
-    assert tr.counters.rdma_puts == 1
-    assert tr.counters.eager_transfers == 2          # small get + put
-    assert tr.counters.rendezvous_transfers == 1
-    assert tr.counters.bytes_rdma == 512 + 128
-    assert tr.counters.bytes_am >= 256 + 1 * MB + 128
+    assert [(e.attrs["dst"], e.attrs["nbytes"]) for e in log.by_kind(AM_SEND)] \
+        == [(1, tr.params.ctrl_bytes), (2, tr.params.ctrl_bytes),
+            (2, 128 + tr.params.ctrl_bytes)]
+    # Puts don't reply; both gets do.
+    assert len(log.by_kind(AM_REPLY_SEND)) == 2
+    assert len(log.by_kind(AM_REPLY_RECV)) == 2
+    assert sum(e.attrs["nbytes"] for e in log.by_kind(RDMA_ISSUE)) \
+        == 512 + 128
+    assert len(log.by_kind(RDMA_COMPLETE)) == 2
+    # Only the rendezvous GET registered buffers, one at each end.
+    assert [n.reg_cache.misses for n in (a, b, c)] == [1, 0, 1]
 
 
 def test_wire_log_bytes_at_least_payload():
     sim, cluster = make(2)
     tr = cluster.transport
-    log = tr.enable_log()
 
     def run():
         yield from tr.default_get(cluster.node(0), cluster.node(1),
@@ -52,7 +65,9 @@ def test_wire_log_bytes_at_least_payload():
 
     sim.run_process(run())
     # Request + reply; reply carries payload + headers.
-    assert log.total_bytes() >= 8 * KB + 2 * tr.params.ctrl_bytes
+    sent = tr.events.by_kind(AM_SEND) + tr.events.by_kind(AM_REPLY_SEND)
+    assert sum(e.attrs["nbytes"] for e in sent) \
+        >= 8 * KB + 2 * tr.params.ctrl_bytes
 
 
 def test_latency_monotone_in_message_size():

