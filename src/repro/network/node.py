@@ -1,4 +1,5 @@
-"""A cluster node: NIC, memory, registration state, progress engine.
+"""A cluster node: NIC, handler CPU, receive credits, memory,
+registration state, progress engine.
 
 The node owns the *hardware-ish* per-host state.  The PGAS runtime
 attaches its own per-node structures (SVD replica, remote address
@@ -38,6 +39,9 @@ class Node:
         #: handlers concurrently (params.handler_concurrency).
         self.handler_cpu = Resource(sim, capacity=params.handler_concurrency,
                                     name=f"handler_cpu[{node_id}]")
+        #: Receive-buffer credits guarding eager payloads into this node.
+        self.credits = Resource(sim, capacity=params.eager_credits,
+                                name=f"credits[{node_id}]")
         self.memory = AddressSpace(node_id)
         self.pins = PinManager(
             node_id,

@@ -30,7 +30,7 @@ cost (section 3.3).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.faults.injector import NO_FAULT, Fate
 from repro.faults.reliability import (
@@ -60,7 +60,6 @@ from repro.obs.events import (
     TIMEOUT,
 )
 from repro.sim.event import Event
-from repro.sim.resource import Resource
 from repro.sim.simulator import Simulator
 
 #: A target-side AM header handler.  Runs at handler-service time on
@@ -99,8 +98,6 @@ class Transport:
         #: Consulted for per-link retransmit knobs and detours.
         self.policy = None
         self._next_seq = 0
-        #: Per-destination receive-buffer credit pools, lazily built.
-        self._credits: Dict[int, Resource] = {}
         for node in nodes:
             node.progress = make_progress(sim, node, params)
 
@@ -111,7 +108,7 @@ class Transport:
         self._next_seq += 1
         return (src.id, self._next_seq)
 
-    # -- observability / flow control ------------------------------------
+    # -- observability -------------------------------------------------
 
     def _recording(self) -> bool:
         log = self.events
@@ -128,15 +125,6 @@ class Transport:
             dur = self.sim.now - t0
         if dur > 0.0:
             log.emit(self.sim.now, PHASE, op=op_id, comp=comp, dur=dur)
-
-    def _credit_pool(self, dst: Node) -> Resource:
-        """Receive-buffer credits guarding eager payloads into ``dst``."""
-        pool = self._credits.get(dst.id)
-        if pool is None:
-            pool = Resource(self.sim, capacity=self.params.eager_credits,
-                            name=f"credits[{dst.id}]")
-            self._credits[dst.id] = pool
-        return pool
 
     # -- reliability building blocks --------------------------------------
 
@@ -207,22 +195,6 @@ class Transport:
                                        attempt=attempt)
         yield from self._backoff(attempt, op_id, src, dst, what)
 
-    def _spawn_duplicate(self, src: Node, dst: Node, copy_bytes: int,
-                         op_id: int, key: Optional[Tuple[int, int]]):
-        """An injected duplicate of an already-delivered request: it
-        crosses the wire again and the dedup ledger absorbs it on the
-        target (handler-CPU replay cost, no side effects, no reply)."""
-
-        def _again():
-            lat = self._wire(src, dst)
-            if lat > 0:
-                yield lat
-            yield from self._run_handler(dst, None,
-                                         handler_copy_bytes=copy_bytes,
-                                         op_id=op_id, key=key)
-
-        self.sim.process(_again(), name="dup-delivery")
-
     # -- building blocks -------------------------------------------------
 
     def _inject(self, node: Node, nbytes: int, fragmented: bool):
@@ -259,13 +231,16 @@ class Transport:
                     + self.topology.latency(via, dst.id) + extra)
         return self.topology.latency(src.id, dst.id) + extra
 
-    def _run_handler(self, dst: Node, handler: Optional[Handler],
-                     handler_copy_bytes: int = 0,
-                     reply_bytes: int = 0, reply_fragmented: bool = True,
-                     reply_to: Optional[Node] = None, op_id: int = -1,
-                     key: Optional[Tuple[int, int]] = None):
-        """Wait for service, then execute the header handler on the
-        target CPU.
+    def _arrive(self, src: Node, dst: Node, fate: Fate,
+                handler: Optional[Handler], copy_bytes: int = 0,
+                reply_bytes: int = 0, reply_to: Optional[Node] = None,
+                op_id: int = -1, key: Optional[Tuple[int, int]] = None,
+                t_sent: Optional[float] = None, serve: bool = True):
+        """One AM message lands on ``dst``: the inbound hop (charged to
+        the wire phase from ``t_sent`` when given), then, if ``serve``,
+        the wait for service and the header handler on the target CPU.
+        A message the target NIC delivers on its own (a rendezvous data
+        leg) arrives with ``serve`` False.
 
         Figure 5: the header handler performs the SVD translation,
         registration, copies *and sends the reply* — all of it target
@@ -282,85 +257,98 @@ class Transport:
         a replayed delivery — retransmission after a lost reply, or an
         injected duplicate — answers from the ledger without re-running
         the handler, so pins, SVD charges and piggybacks never
-        double-apply.
+        double-apply.  A message ``fate`` duplicates lands once more as
+        its own process under ``NO_FAULT``: same hop, same ``serve``, no
+        handler, no reply.
         """
-        p = self.params
-        assert dst.progress is not None
-        rec = self._recording()
-        yield from dst.progress.service(op_id)
-        t_acq = self.sim.now
-        if reply_bytes and reply_to is not None:
-            # Eager payload toward the initiator: reserve one of its
-            # receive-buffer credits *before* taking the handler CPU.
-            # Credits are released by main threads (the initiator's
-            # receive path), so the handler CPU never blocks on a
-            # resource whose release needs another handler CPU — the
-            # ordering that would otherwise deadlock two busy nodes
-            # exchanging eager traffic.
-            credits = self._credit_pool(reply_to)
-            if not credits.acquire_now():
-                yield credits
-        if not dst.handler_cpu.acquire_now():
-            yield dst.handler_cpu
-        if rec:
-            # Credit + handler-CPU contention is queueing, same bucket
-            # as waiting for the progress engine.
-            self._phase(op_id, COMP_QUEUE, t_acq)
-            self.events.emit(self.sim.now, AM_RECV, op=op_id,
-                             node=dst.id)
-        try:
-            cost = p.handler_cpu_us
-            payload: Any = None
-            extra_bytes = 0
-            led = self.ledger.get(key) if key is not None else None
-            if led is not None:
-                # Replay of a request served once already: answer from
-                # the ledger (copy cost to rematerialize the reply, no
-                # handler re-run, no double pin).
-                payload, extra_bytes = led
-            elif handler is not None:
-                h_cost, payload, extra_bytes = handler(dst)
-                cost += h_cost
-            if handler_copy_bytes:
-                cost += p.copy_time(handler_copy_bytes)
-            if led is None and key is not None and handler is not None:
-                self.ledger.record(key, payload, extra_bytes)
-            t_h = self.sim.now
-            if rec:
-                self.events.emit(t_h, HANDLER_BEGIN, op=op_id,
-                                 node=dst.id)
-            yield cost
-            if rec:
-                self.events.emit(self.sim.now, HANDLER_END, op=op_id,
-                                 node=dst.id, cost=cost)
-                self._phase(op_id, COMP_HANDLER, t_h)
-            if reply_bytes:
-                t_r = self.sim.now
-                yield p.o_send_us
-                yield from self._inject(dst, reply_bytes + extra_bytes,
-                                        fragmented=reply_fragmented)
-                if rec:
-                    # The reply injection carried data plus (maybe) the
-                    # piggybacked base address; attribute the extra
-                    # bytes' share of the send to the piggyback
-                    # component, the rest to the wire.
-                    dur = self.sim.now - t_r
-                    total = reply_bytes + extra_bytes
-                    piggy = (dur * extra_bytes / total
-                             if extra_bytes and total else 0.0)
-                    self._phase(op_id, COMP_PIGGYBACK, t_r, dur=piggy)
-                    self._phase(op_id, COMP_WIRE, t_r, dur=dur - piggy)
-                    self.events.emit(
-                        self.sim.now, AM_REPLY_SEND, op=op_id,
-                        node=dst.id, nbytes=total,
-                        piggyback=bool(extra_bytes))
-        except BaseException:
+        lat = self._wire(src, dst, fate.delay_us)
+        if lat > 0:
+            yield lat
+        if t_sent is not None:
+            self._phase(op_id, COMP_WIRE, t_sent)
+        payload: Any = None
+        extra_bytes = 0
+        if serve:
+            p = self.params
+            assert dst.progress is not None
+            rec = self._recording()
+            yield from dst.progress.service(op_id)
+            t_acq = self.sim.now
             if reply_bytes and reply_to is not None:
-                # The reply will never be sent; return the credit.
-                self._credit_pool(reply_to).release()
-            raise
-        finally:
-            dst.handler_cpu.release()
+                # Eager payload toward the initiator: reserve one of its
+                # receive-buffer credits *before* taking the handler CPU.
+                # Credits are released by main threads (the initiator's
+                # receive path), so the handler CPU never blocks on a
+                # resource whose release needs another handler CPU — the
+                # ordering that would otherwise deadlock two busy nodes
+                # exchanging eager traffic.
+                credits = reply_to.credits
+                if not credits.acquire_now():
+                    yield credits
+            if not dst.handler_cpu.acquire_now():
+                yield dst.handler_cpu
+            if rec:
+                # Credit + handler-CPU contention is queueing, same bucket
+                # as waiting for the progress engine.
+                self._phase(op_id, COMP_QUEUE, t_acq)
+                self.events.emit(self.sim.now, AM_RECV, op=op_id,
+                                 node=dst.id)
+            try:
+                cost = p.handler_cpu_us
+                led = self.ledger.get(key) if key is not None else None
+                if led is not None:
+                    # Replay of a request served once already: answer from
+                    # the ledger (copy cost to rematerialize the reply, no
+                    # handler re-run, no double pin).
+                    payload, extra_bytes = led
+                elif handler is not None:
+                    h_cost, payload, extra_bytes = handler(dst)
+                    cost += h_cost
+                if copy_bytes:
+                    cost += p.copy_time(copy_bytes)
+                if led is None and key is not None and handler is not None:
+                    self.ledger.record(key, payload, extra_bytes)
+                t_h = self.sim.now
+                if rec:
+                    self.events.emit(t_h, HANDLER_BEGIN, op=op_id,
+                                     node=dst.id)
+                yield cost
+                if rec:
+                    self.events.emit(self.sim.now, HANDLER_END, op=op_id,
+                                     node=dst.id, cost=cost)
+                    self._phase(op_id, COMP_HANDLER, t_h)
+                if reply_bytes:
+                    t_r = self.sim.now
+                    yield p.o_send_us
+                    yield from self._inject(dst, reply_bytes + extra_bytes,
+                                            fragmented=True)
+                    if rec:
+                        # The reply injection carried data plus (maybe) the
+                        # piggybacked base address; attribute the extra
+                        # bytes' share of the send to the piggyback
+                        # component, the rest to the wire.
+                        dur = self.sim.now - t_r
+                        total = reply_bytes + extra_bytes
+                        piggy = (dur * extra_bytes / total
+                                 if extra_bytes and total else 0.0)
+                        self._phase(op_id, COMP_PIGGYBACK, t_r, dur=piggy)
+                        self._phase(op_id, COMP_WIRE, t_r, dur=dur - piggy)
+                        self.events.emit(
+                            self.sim.now, AM_REPLY_SEND, op=op_id,
+                            node=dst.id, nbytes=total,
+                            piggyback=bool(extra_bytes))
+            except BaseException:
+                if reply_bytes and reply_to is not None:
+                    # The reply will never be sent; return the credit.
+                    reply_to.credits.release()
+                raise
+            finally:
+                dst.handler_cpu.release()
+        if fate.duplicate:
+            self.sim.process(self._arrive(src, dst, NO_FAULT, None,
+                                          copy_bytes, op_id=op_id,
+                                          key=key, serve=serve),
+                             name="dup-delivery")
         return payload, extra_bytes
 
     # -- default (AM) protocols -------------------------------------------
@@ -404,26 +392,18 @@ class Transport:
                 # the NIC; the target never sees it.
                 ok = not fate.drop_request
                 if ok:
-                    lat = self._wire(src, dst, fate.delay_us)
-                    if lat > 0:
-                        yield lat
-                    if rec:
-                        self._phase(op_id, COMP_WIRE, t1)
                     # Target: handler + bounce copy + reply injection,
                     # all on the target CPU (Figure 5).
-                    payload, extra = yield from self._run_handler(
-                        dst, handler, handler_copy_bytes=nbytes,
-                        reply_bytes=nbytes + p.ctrl_bytes,
-                        reply_fragmented=True, reply_to=src, op_id=op_id,
-                        key=key)
-                    if fate.duplicate:
-                        self._spawn_duplicate(src, dst, nbytes, op_id, key)
+                    payload, extra = yield from self._arrive(
+                        src, dst, fate, handler, copy_bytes=nbytes,
+                        reply_bytes=nbytes + p.ctrl_bytes, reply_to=src,
+                        op_id=op_id, key=key, t_sent=t1)
                     ok = not fate.drop_reply
                     if not ok:
                         # The reply vanished; the initiator's receive
                         # path never runs, so return its receive-buffer
                         # credit here.
-                        self._credit_pool(src).release()
+                        src.credits.release()
                 if ok:
                     t1 = self.sim.now
                     lat = self._wire(dst, src, fate.delay_us)
@@ -437,7 +417,7 @@ class Transport:
                     # Initiator: receive + copy out of the bounce
                     # buffer, then return the receive-buffer credit.
                     yield p.o_recv_us + p.copy_time(nbytes)
-                    self._credit_pool(src).release()
+                    src.credits.release()
             else:
                 # Rendezvous: the initiator's RTS prologue is paid per
                 # attempt; on retries the source-side registration
@@ -542,7 +522,9 @@ class Transport:
         finally:
             dst.handler_cpu.release()
         if fate.duplicate:
-            self._spawn_duplicate(src, dst, 0, op_id, key)
+            self.sim.process(self._arrive(src, dst, NO_FAULT, None,
+                                          op_id=op_id, key=key),
+                             name="dup-delivery")
         if fate.drop_reply:
             # The answer vanished (the target paid for sending it);
             # the initiator's retransmit timer will fire.
@@ -580,9 +562,8 @@ class Transport:
             # Local side: software overhead, bounce copy, a receive
             # credit at the destination, injection.
             yield p.o_send_us + p.copy_time(nbytes)
-            credits = self._credit_pool(dst)
-            if not credits.acquire_now():
-                yield credits
+            if not dst.credits.acquire_now():
+                yield dst.credits
             t0 = self.sim.now
             if rec:
                 self.events.emit(t0, AM_SEND, op=op_id, node=src.id,
@@ -595,8 +576,7 @@ class Transport:
             # Remote side continues without the initiator.
             self.sim.process(
                 self._put_tail(src, dst, nbytes, handler, remote_applied,
-                               copy_at_target=True, credit=True,
-                               op_id=op_id, key=key),
+                               eager=True, op_id=op_id, key=key),
                 name="put-tail",
             )
         else:
@@ -625,18 +605,19 @@ class Transport:
             data_key = self._seq(src) if self.faults is not None else None
             self.sim.process(
                 self._put_tail(src, dst, nbytes, None, remote_applied,
-                               copy_at_target=False, op_id=op_id,
-                               key=data_key),
+                               eager=False, op_id=op_id, key=data_key),
                 name="put-tail",
             )
         return remote_applied
 
     def _put_tail(self, src: Node, dst: Node, nbytes: int,
                   handler: Optional[Handler], remote_applied: Event,
-                  copy_at_target: bool, credit: bool = False,
-                  op_id: int = -1,
+                  eager: bool, op_id: int = -1,
                   key: Optional[Tuple[int, int]] = None):
-        """Target-side continuation of a PUT (runs as its own process).
+        """Target-side continuation of a PUT (runs as its own process):
+        an ``eager`` message holds a receive credit at ``dst`` and is
+        copied out of the bounce buffer by the handler CPU, a rendezvous
+        data leg is placed by the target NIC alone.
 
         Credit return and completion signalling are exception-safe: a
         crashing handler must not leak the receive buffer nor leave
@@ -650,23 +631,16 @@ class Transport:
         raises it.
         """
         failure: Optional[BaseException] = None
-        copy_bytes = nbytes if copy_at_target else 0
+        copy_bytes = nbytes if eager else 0
         try:
             attempt = 0
             while True:
                 t0 = self.sim.now
                 fate = self._fate(src, dst, op_id)
                 if not (fate.drop_request or fate.drop_reply):
-                    lat = self._wire(src, dst, fate.delay_us)
-                    if lat > 0:
-                        yield lat
-                    if handler is not None or copy_at_target:
-                        yield from self._run_handler(
-                            dst, handler, handler_copy_bytes=copy_bytes,
-                            op_id=op_id, key=key)
-                    if fate.duplicate:
-                        self._spawn_duplicate(src, dst, copy_bytes,
-                                              op_id, key)
+                    yield from self._arrive(src, dst, fate, handler,
+                                            copy_bytes, op_id=op_id,
+                                            key=key, serve=eager)
                     break
                 # The data message was lost (a one-way message: either
                 # drop leg kills it); wait out the retransmit window,
@@ -681,9 +655,9 @@ class Transport:
             failure = exc
             raise
         finally:
-            if credit:
+            if eager:
                 # The target consumed the eager buffer either way.
-                self._credit_pool(dst).release()
+                dst.credits.release()
             if failure is not None:
                 remote_applied.fail(failure)
             else:
@@ -705,9 +679,8 @@ class Transport:
         def _fly():
             failure: Optional[BaseException] = None
             yield self.params.o_send_us
-            credits = self._credit_pool(dst)
-            if not credits.acquire_now():
-                yield credits
+            if not dst.credits.acquire_now():
+                yield dst.credits
             try:
                 key = self._seq(src) if self.faults is not None else None
                 attempt = 0
@@ -716,13 +689,8 @@ class Transport:
                     fate = self._fate(src, dst, -1)
                     yield from self._inject(src, nbytes, fragmented=True)
                     if not (fate.drop_request or fate.drop_reply):
-                        lat = self._wire(src, dst, fate.delay_us)
-                        if lat > 0:
-                            yield lat
-                        yield from self._run_handler(dst, handler,
-                                                     key=key)
-                        if fate.duplicate:
-                            self._spawn_duplicate(src, dst, 0, -1, key)
+                        yield from self._arrive(src, dst, fate, handler,
+                                                key=key)
                         break
                     attempt += 1
                     yield from self._lost(t0, attempt, -1, src, dst,
@@ -731,7 +699,7 @@ class Transport:
                 failure = exc
                 raise
             finally:
-                self._credit_pool(dst).release()
+                dst.credits.release()
                 if failure is not None:
                     done.fail(failure)
                 else:

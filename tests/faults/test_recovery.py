@@ -94,7 +94,10 @@ def test_chaos_run_is_replayable_from_seeds():
 #: --nthreads N --fault-profile P --fault-seed 3``, produced at the
 #: last commit whose static profiles were kind/prob rules drawn by
 #: their own injector loop (bb4c6f0).  ``dup`` stays dormant on 8
-#: threads, so it is pinned once more where it fires.
+#: threads, so it is pinned once more where it fires.  The two
+#: ``update`` rows hold the PUT paths (eager and rendezvous AM PUT,
+#: one-way notifications); they were produced at 7f9419a, the last
+#: commit with a separate handler block per AM protocol.
 PARENT_STATIC_RUNS = {
     ("pointer", "drop", 8):
         ("f3c3715fe2c2f78f286566c5748e4c216da84c14dc0f4f9311e1d494a0f51d9e",
@@ -135,6 +138,12 @@ PARENT_STATIC_RUNS = {
     ("pointer", "dup", 16):
         ("8e3c3fead2449f9484466b691b51324b827f76d4544d5fa5770680b8c8e7369c",
          2, 0, 0),
+    ("update", "drop", 8):
+        ("c234713e6a6a29651f205c6ad742916146a5ab183edc77bbee3bca7f01fc4248",
+         6, 6, 1),
+    ("update", "chaos", 8):
+        ("5f0a467223523ff4680f063c275f56aa131a0e3a69fe5eda3612cac430c7cf8c",
+         11, 5, 5),
 }
 
 

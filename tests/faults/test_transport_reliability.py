@@ -100,7 +100,7 @@ def test_dropped_reply_releases_the_initiator_credit():
 
     reply = sim.run_process(bench())
     assert reply == {"base": 0xBEEF}
-    assert cluster.transport._credit_pool(dst)._users == 0
+    assert dst.credits._users == 0
 
 
 def test_duplicate_delivery_is_absorbed_by_the_ledger():
@@ -296,6 +296,42 @@ def test_two_lost_attempts_recover_on_the_parent_schedule(pin):
     assert got[:4] == (done_at, events, work, 1)
 
 
+#: protocol -> (completion time, simulator events, (timeouts, retries,
+#: ledger replays), the target's progress-engine services and
+#: handler-CPU grants) when every AM message is delivered twice.
+#: Generated at 7f9419a, where each protocol spawned its own duplicate;
+#: "rdv-put" is re-pinned for the one change since: the duplicate of
+#: its NIC-delivered data leg no longer occupies the target's progress
+#: engine and handler CPU (26 events, 3 services and 3 grants there).
+DUPLICATE_PINS = {
+    "eager-get": (16.0950927734375, 16, (0, 0, 1), 2, 2),
+    "rdv-get": (297.04931640625, 16, (0, 0, 1), 2, 2),
+    "eager-put": (8.6899169921875, 15, (0, 0, 1), 2, 2),
+    "rdv-put": (297.78828125, 24, (0, 0, 1), 2, 2),
+    "oneway": (8.644140625, 15, (0, 0, 1), 2, 2),
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+def test_a_duplicate_lands_once_on_every_am_protocol(protocol):
+    plan = FaultPlan(seed=3, links=(
+        LinkRule.static(duplicate=1.0, scope="am"),))
+    sim, cluster = make(plan)
+    box = {}
+
+    def main():
+        yield from PROTOCOLS[protocol](cluster, box)
+        return sim.now
+
+    done_at = sim.run_process(main())
+    sim.run()                                     # drain the dup flights
+    assert box["runs"] == 1                       # the ledger absorbed it
+    dst = cluster.node(1)
+    assert (done_at, sim.events_processed, tally(cluster),
+            dst.progress.serviced, dst.handler_cpu.acquisitions) \
+        == DUPLICATE_PINS[protocol]
+
+
 def test_oneway_retry_exhaustion_fails_the_completion_event():
     plan = FaultPlan(seed=1, links=(LinkRule.static(loss=1.0),))
     sim, cluster = make(plan, ReliabilityConfig(max_retries=2))
@@ -304,7 +340,7 @@ def test_oneway_retry_exhaustion_fails_the_completion_event():
     assert done.triggered and not done.ok
     assert isinstance(done.exception, ReliabilityError)
     assert tally(cluster) == (3, 2, 0)
-    assert cluster.transport._credit_pool(cluster.node(1))._users == 0
+    assert cluster.node(1).credits._users == 0
 
 
 def test_lost_alloc_notification_fails_the_run():
@@ -385,7 +421,7 @@ def test_a_crashing_put_handler_fails_the_put():
 
     with pytest.raises(ZeroDivisionError, match="handler bug"):
         sim.run_process(run())
-    assert cluster.transport._credit_pool(cluster.node(1))._users == 0
+    assert cluster.node(1).credits._users == 0
 
 
 def test_a_crashing_oneway_handler_fails_the_completion_event():
@@ -400,4 +436,4 @@ def test_a_crashing_oneway_handler_fails_the_completion_event():
                                        64, handler)
     sim.run()
     assert isinstance(done.exception, ZeroDivisionError)
-    assert cluster.transport._credit_pool(cluster.node(1))._users == 0
+    assert cluster.node(1).credits._users == 0

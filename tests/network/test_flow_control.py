@@ -131,7 +131,7 @@ def test_rdma_ignores_credits():
     # credits the one-sided path proceeds.
     sim, cluster = make(eager_credits=1)
     src, dst = cluster.node(0), cluster.node(1)
-    pool = cluster.transport._credit_pool(dst)
+    pool = dst.credits
     assert pool.try_acquire()          # exhaust the single credit
 
     def run():
@@ -152,5 +152,5 @@ def test_credit_pool_returns_to_full():
 
     sim.run_process(run())
     sim.run()
-    pool = cluster.transport._credit_pool(dst)
+    pool = dst.credits
     assert pool.in_use == 0            # all credits returned

@@ -56,7 +56,13 @@ SRC = os.path.join(ROOT, "src", "repro")
 #: `service/kvstore.py` -5); the fence and the end of `Runtime.run`
 #: raise a put that failed (`runtime/thread.py` +3,
 #: `runtime/runtime.py` +6): 21 360 -> 21 164.
-SRC_LINES_CEILING = 21164
+#: Then one arrival path, -28: the inbound hop, the eager/one-way
+#: target block (`_run_handler`) and the duplicate spawn
+#: (`_spawn_duplicate` and its `_again` closure) are one method,
+#: `Transport._arrive`, and the lazily built per-destination credit
+#: map (`_credits`, `_credit_pool`) is `Node.credits`
+#: (`network/transport.py` -32, `network/node.py` +4): 21 164 -> 21 136.
+SRC_LINES_CEILING = 21136
 
 
 def _sources():
@@ -132,8 +138,8 @@ def _get_depths():
 def test_a_remote_get_resumes_through_a_flat_chain():
     # A suspended GET re-enters every frame of its chain on each event:
     # the op engine's GET is one frame (RDMA hit: get -> rdma_get ->
-    # _inject; eager miss: get -> default_get -> _run_handler ->
-    # _inject or the progress engine's service).
+    # _inject; eager miss: get -> default_get -> _arrive -> _inject or
+    # the progress engine's service).
     assert not inspect.isgeneratorfunction(UPCThread.get)
     depth = _get_depths()
     assert 0 < depth["hit"] <= 3, depth
@@ -151,6 +157,24 @@ def test_the_wire_has_one_account():
     assert not os.path.exists(os.path.join(SRC, "network", "message.py"))
     body = inspect.getsource(transport)
     assert ".counters" not in body and "self._record(" not in body
+
+
+def test_every_am_message_lands_through_one_arrival_path():
+    # The target side of the AM path (progress engine, handler CPU,
+    # dedup ledger) is written in _arrive and in the rendezvous round
+    # trip's own target block, nowhere else; receive credits belong to
+    # the node they guard, beside its NIC and handler CPU.
+    from repro.network import Cluster
+    from repro.network.transport import Transport
+    for name in ("_run_handler", "_spawn_duplicate", "_credit_pool"):
+        assert not hasattr(Transport, name), name
+    assert "_credits" not in inspect.getsource(Transport)
+    for needle in ("handler_cpu", "progress.service", "self.ledger."):
+        users = {name for name, fn in vars(Transport).items()
+                 if inspect.isfunction(fn) and needle in inspect.getsource(fn)}
+        assert users == {"_arrive", "_rts_round"}, (needle, users)
+    node = Cluster(Simulator(), GM_MARENOSTRUM, 2).node(1)
+    assert node.credits.capacity == GM_MARENOSTRUM.transport.eager_credits
 
 
 def test_src_keeps_the_file_count_the_frozen_bench_asserts():
