@@ -43,7 +43,6 @@ from repro.obs.events import BULK_DRAIN, BULK_ISSUE, BULK_PLAN
 from repro.faults.reliability import ReliabilityError
 from repro.runtime.errors import UPCRuntimeError
 from repro.runtime.shared_array import SharedArray
-from repro.sim.event import AllOf, AnyOf
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.runtime import Runtime
@@ -64,6 +63,47 @@ class _Message(NamedTuple):
     segments: List[Segment]
     nbytes: int
     arena_lo: int
+
+
+class _Join:
+    """What a pipelined drive waits on, on the schedule of a first-of
+    event per window refill and an ``AllOf`` at the end: :meth:`park`
+    watches message processes until ``need`` of them complete or one
+    fails, and that completion queues the driver's ``_Wake`` token
+    where the condition would have fired.  One that completed while
+    the driver ran a local segment ends the wait at once (the first in
+    list order, re-raised if it failed), as building it would have."""
+
+    __slots__ = ("engine", "token", "watch", "need", "early", "failure")
+
+    def __init__(self, engine: "BulkEngine") -> None:
+        self.engine, self.token, self.watch = engine, None, []
+        self.need, self.early, self.failure = 0, False, None
+
+    def park(self, watch: List, need: int):
+        """What the driver yields: this, or ``0.0``."""
+        if self.early:          # something completed while unwatched
+            self.early = False
+            for msg in watch:
+                if msg.processed:
+                    self.failure = msg.exception
+                    return 0.0
+        self.watch, self.need = watch, need
+        return self
+
+    def _join(self, proc) -> None:
+        self.token = proc._token
+
+    def landed(self, msg) -> None:
+        """Every message process's completion callback."""
+        self.engine.live_messages -= 1
+        if not self.need:
+            self.early = True
+        elif msg in self.watch:
+            self.failure = msg.exception
+            self.need = self.need - 1 if self.failure is None else 0
+            if not self.need:
+                msg.sim._wake(self.token, 0.0)
 
 
 class BulkEngine:
@@ -289,11 +329,14 @@ class BulkEngine:
         process — the wait that meets the first to fail re-raises it."""
         sim = self.rt.sim
         depth = max(1, self.max_inflight if window is None else window)
+        join = _Join(self)
         inflight: List = []
         sent = 0
         for item in items:
             while len(inflight) >= depth:
-                yield AnyOf(sim, inflight)
+                yield join.park(inflight, 1)
+                if join.failure is not None:
+                    raise join.failure
                 inflight = [p for p in inflight if not p.triggered]
             if item.__class__ is tuple:
                 yield from local_gen(item)
@@ -301,15 +344,14 @@ class BulkEngine:
             sent += 1
             proc = sim.process(msg_gen(item, sent),
                                name=f"bulk[t{thread.id}->n{item.node}]")
-            proc.add_callback(self._message_done)
+            proc.add_callback(join.landed)
             inflight.append(proc)
             self._issue(thread, item, op_id, len(inflight))
         pending = [p for p in inflight if not p.triggered]
         if pending:
-            yield AllOf(sim, pending)
-
-    def _message_done(self, _ev) -> None:
-        self.live_messages -= 1
+            yield join.park(pending, len(pending))
+            if join.failure is not None:
+                raise join.failure
 
     def _transfer(self, thread: "UPCThread", array: SharedArray,
                   spans: Sequence[Tuple[int, int]], values,
@@ -346,13 +388,13 @@ class BulkEngine:
         def msg_gen(msg: _Message, number: int):
             try:
                 if values is None:
-                    pieces = yield from ops.bulk_get(
-                        thread, array, msg.node, msg.arena_lo,
-                        [seg[2:] for seg in msg.segments], msg.nbytes,
-                        parent_op=op_id)
-                    for (span, offset, _, count), piece in zip(msg.segments,
-                                                               pieces):
-                        bufs[span][offset:offset + count] = piece
+                    yield from ops.get(thread, array, 0, bulk=(
+                        msg.node, msg.arena_lo, msg.segments, msg.nbytes,
+                        op_id))
+                    data = array.data   # into the caller's buffers, now
+                    for span, offset, start, count in msg.segments:
+                        bufs[span][offset:offset + count] = \
+                            data[start:start + count]
                 else:
                     yield from ops.bulk_put(
                         thread, array, msg.node, msg.arena_lo,
@@ -394,6 +436,7 @@ class BulkEngine:
         """Write every ``(index, values)`` span.  Returns at *local*
         completion of every message (the UPC relaxed model); remote
         application is tracked for fence/barrier as for a scalar PUT."""
-        values = [np.asarray(v, dtype=array.dtype).ravel() for _, v in puts]
+        # Snapshot the spans now: the caller may reuse its buffers.
+        values = [np.array(v, dtype=array.dtype).ravel() for _, v in puts]
         spans = [(index, len(vals)) for (index, _), vals in zip(puts, values)]
         return self._transfer(thread, array, spans, values, window)

@@ -85,10 +85,10 @@ class OpEngine:
         Returns a NumPy array of ``nelems`` values (copy), or the
         element itself when ``scalar`` (``th.get`` of one element).
 
-        ``bulk`` is set by :meth:`bulk_get` alone: the ``(node_id,
+        ``bulk`` is set by the bulk engine alone: the ``(node_id,
         offset, segments, nbytes, parent_op)`` of one coalesced wire
-        GET, already placed by the bulk engine, so the affinity tests
-        are skipped and one array per segment comes back.
+        GET, placed back-to-back from byte ``offset`` of that arena, so
+        the affinity tests are skipped; the engine copies the data out.
 
         A remote read is this one frame: cache lookup, the RDMA fast
         path, the piggybacked AM miss and the seed insert are inline,
@@ -210,25 +210,8 @@ class OpEngine:
             src.progress.leave_runtime()
         rt.metrics.record_get("remote", sim.now - t0)
         self._end(thread, op_id, "rdma" if ok else "am", nbytes=nbytes)
-        if bulk is not None:
-            return [array.read(start, count) for start, count in segments]
-        return array.data[index] if scalar else array.read(index, nelems)
-
-    def bulk_get(self, thread: "UPCThread", array: SharedArray,
-                 node_id: int, offset: int, segments, nbytes: int,
-                 parent_op: int = -1):
-        """One coalesced wire GET on behalf of the bulk engine.
-
-        ``segments`` is a list of ``(start, count)`` affine segments
-        that the engine has already verified to live back-to-back from
-        byte ``offset`` of ``node_id``'s arena, so the whole message is
-        a single ``base + offset`` RDMA-able range.  Protocol choice
-        (RDMA fast path vs. default AM) is decided by :meth:`get`'s
-        remote half, per destination, exactly as for a scalar GET.
-        Returns (a generator returning) one NumPy array per segment.
-        """
-        return self.get(thread, array, 0, bulk=(node_id, offset, segments,
-                                                nbytes, parent_op))
+        if bulk is None:    # a bulk GET's caller copies the data out
+            return array.data[index] if scalar else array.read(index, nelems)
 
     def _rdma_fallback(self, cache, array: SharedArray, src: Node,
                        dst: Node, op_id: int, what: str) -> None:
@@ -293,7 +276,7 @@ class OpEngine:
         src.progress.enter_runtime()
         try:
             applied, proto = yield from self._remote_put(
-                thread, src, dst, array, [(index, values)], offset,
+                thread, src, dst, array, [(index, values.copy())], offset,
                 nbytes, op_id)
         finally:
             src.progress.leave_runtime()
@@ -306,7 +289,7 @@ class OpEngine:
                  parent_op: int = -1):
         """One coalesced wire PUT on behalf of the bulk engine.
 
-        ``pairs`` is a list of ``(start, values)`` affine segments,
+        ``pairs`` is a list of ``(start, snapshot)`` affine segments,
         back-to-back from byte ``offset`` of ``node_id``'s arena.
         Locally complete on return (relaxed); remote application — of
         every constituent segment at once — is tracked for fence/barrier.
@@ -334,14 +317,13 @@ class OpEngine:
                     array: SharedArray, pairs, offset: int, nbytes: int,
                     op_id: int = -1):
         """Issue one wire PUT covering ``pairs`` — a list of
-        ``(index, values)`` segments contiguous in the target arena
+        ``(index, snapshot)`` segments contiguous in the target arena
         from byte ``offset`` (a single-segment list for the scalar
         path).  Returns ``(applied event, protocol name)``."""
         rt = self.rt
         sim = rt.sim
         log = rt.events
         cache = rt.addr_cache(src.id)
-        snapshots = [(i, np.asarray(v).copy()) for i, v in pairs]
 
         if rt.use_rdma_put:
             base, cost = cache.lookup(array.handle, dst.id)
@@ -356,7 +338,7 @@ class OpEngine:
                     src, dst, nbytes, op_id=op_id)
                 if applied is not None:
                     rt.metrics.rdma_puts += 1
-                    self._apply_on(applied, array, snapshots)
+                    self._apply_on(applied, array, pairs)
                     thread.track_put(applied)
                     return applied, "rdma"
                 # Completion timeout: drop the suspect entry and fall
@@ -375,7 +357,7 @@ class OpEngine:
         applied = yield from rt.cluster.transport.default_put(
             src, dst, nbytes, handler, src_addr=src.memory.base,
             dst_addr=array.node_base[dst.id] + offset, op_id=op_id)
-        self._apply_on(applied, array, snapshots)
+        self._apply_on(applied, array, pairs)
         thread.track_put(applied)
         if want_addr:
             self._insert_on_ack(applied, src, dst, array, op_id)
@@ -392,8 +374,9 @@ class OpEngine:
                 # store was never observed — surface the failure at
                 # the fence, don't apply phantom bytes.
                 return
+            data = array.data
             for index, snapshot in snapshots:
-                array.write(index, snapshot)
+                data[index:index + len(snapshot)] = snapshot
 
         remote_applied.add_callback(_apply)
 

@@ -25,7 +25,7 @@ Example
 """
 
 from repro.sim.errors import SimulationError, ProcessKilled
-from repro.sim.event import Event, Timeout, AllOf, AnyOf
+from repro.sim.event import Event, Timeout, AllOf
 from repro.sim.process import Process
 from repro.sim.resource import Resource
 from repro.sim.simulator import Simulator
@@ -35,7 +35,6 @@ __all__ = [
     "Event",
     "Timeout",
     "AllOf",
-    "AnyOf",
     "Process",
     "Resource",
     "SimulationError",

@@ -159,8 +159,12 @@ class Timeout(Event):
         sim._schedule(self, delay)
 
 
-class _Condition(Event):
-    """Shared machinery for :class:`AllOf` / :class:`AnyOf`."""
+class AllOf(Event):
+    """Succeeds when *all* child events have succeeded.
+
+    Value is the list of child values in construction order.  Fails as
+    soon as any child fails.
+    """
 
     __slots__ = ("_events", "_pending")
 
@@ -175,19 +179,6 @@ class _Condition(Event):
         for ev in self._events:
             ev.add_callback(self._on_child)
 
-    def _on_child(self, ev: Event) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Succeeds when *all* child events have succeeded.
-
-    Value is the list of child values in construction order.  Fails as
-    soon as any child fails.
-    """
-
-    __slots__ = ()
-
     def _on_child(self, ev: Event) -> None:
         if self.triggered:
             return
@@ -197,20 +188,3 @@ class AllOf(_Condition):
         self._pending -= 1
         if self._pending == 0:
             self.succeed([e.value for e in self._events])
-
-
-class AnyOf(_Condition):
-    """Succeeds when the *first* child event succeeds.
-
-    Value is ``(index, value)`` of the winning child.
-    """
-
-    __slots__ = ()
-
-    def _on_child(self, ev: Event) -> None:
-        if self.triggered:
-            return
-        if not ev.ok:
-            self.fail(ev.exception)  # type: ignore[arg-type]
-            return
-        self.succeed((self._events.index(ev), ev._value))

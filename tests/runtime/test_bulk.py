@@ -62,6 +62,50 @@ def test_memput_spanning_blocks_lands_in_place():
     run1(kernel)
 
 
+@pytest.mark.parametrize("puts, messages, coalesced", [
+    ([(32, 8)], 1, 0),                  # one message, run inline
+    ([(24, 40)], 4, 0),                 # four messages, pipelined
+    # Thread 4's blocks 4, 12, 20 sit back to back in its chunk and
+    # travel as one message; thread 5's block 5 travels alone.
+    ([(32, 8), (96, 8), (40, 8), (160, 8)], 2, 2),
+], ids=["inline", "pipelined", "vectored"])
+def test_memput_source_is_free_once_memput_returns(puts, messages,
+                                                   coalesced):
+    # The wire carries what the buffers held when memput began:
+    # overwriting them as soon as memput returns, before node 1 has
+    # applied anything, must not change what lands.
+    sent = [(index, np.arange(n, dtype="u4") + 100 * k + 1000)
+            for k, (index, n) in enumerate(puts)]
+    held = {}
+
+    def kernel(th):
+        arr = yield from th.all_alloc(256, blocksize=8, dtype="u4")
+        yield from th.barrier()
+        if th.id == 0:
+            held["arr"] = arr
+            bufs = [vals.copy() for _, vals in sent]
+            if len(bufs) == 1:
+                yield from th.memput(arr, sent[0][0], bufs[0])
+            else:
+                yield from th.memput_v(arr, [(index, buf) for (index, _),
+                                             buf in zip(sent, bufs)])
+            pending = len(th._outstanding_puts)
+            for buf in bufs:
+                buf[:] = 7
+            held["unapplied"] = sum(not ev.processed for ev in
+                                    th._outstanding_puts[-pending:])
+            yield from th.fence()
+        yield from th.barrier()
+
+    rt, _ = run1(kernel)
+    assert held["unapplied"] == messages    # overwritten before landing
+    for index, vals in sent:
+        assert held["arr"].data[index:index + len(vals)].tolist() == \
+            vals.tolist()
+    assert rt.metrics.bulk_messages == messages
+    assert rt.metrics.bulk_coalesced_segments == coalesced
+
+
 def test_memget_touches_multiple_owner_nodes():
     def kernel(th):
         arr = yield from th.all_alloc(64, blocksize=8, dtype="u4")
@@ -132,11 +176,16 @@ def test_local_alloc_memget_is_single_segment():
     start=st.integers(0, 40),
     count=st.integers(1, 24),
     seed=st.integers(0, 3),
+    more=st.lists(st.tuples(st.integers(0, 63), st.integers(0, 24)),
+                  max_size=3),
 )
-def test_property_memget_equals_data_plane(blocksize, start, count, seed):
-    """memget over any (blocksize, span) returns exactly the global
-    array contents, cached or not."""
+def test_property_memget_equals_data_plane(blocksize, start, count, seed,
+                                           more):
+    """memget over any (blocksize, span), and memget_v over that span
+    and ``more``, return exactly the global array contents, cached or
+    not."""
     count = min(count, 64 - start)
+    spans = [(start, count)] + [(i, min(n, 64 - i)) for i, n in more]
     results = {}
 
     def run_mode(cache_enabled):
@@ -149,6 +198,10 @@ def test_property_memget_equals_data_plane(blocksize, start, count, seed):
             got = yield from th.memget(arr, start, count)
             assert list(got) == [3 * i + seed for i in
                                  range(start, start + count)]
+            got = yield from th.memget_v(arr, spans)
+            for (index, n), vals in zip(spans, got):
+                assert list(vals) == [3 * i + seed for i in
+                                      range(index, index + n)]
             yield from th.barrier()
             return True
 

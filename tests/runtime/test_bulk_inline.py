@@ -35,7 +35,11 @@ def pipelined(self, thread, msg, body, op_id):
     """The driver before the inline path, for a one-message plan."""
     sim = self.rt.sim
     proc = sim.process(body, name=f"bulk[t{thread.id}->n{msg.node}]")
-    proc.add_callback(self._message_done)
+
+    def done(_ev):
+        self.live_messages -= 1
+
+    proc.add_callback(done)
     self._issue(thread, msg, op_id, 1)
     yield AllOf(sim, [proc])
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import Simulator, SimulationError
-from repro.sim.event import AllOf, AnyOf
+from repro.sim.event import AllOf
 
 
 def test_event_starts_pending():
@@ -110,15 +110,6 @@ def test_allof_propagates_failure():
     sim.run()
     assert not combo.ok
     assert isinstance(combo.exception, RuntimeError)
-
-
-def test_anyof_returns_first_winner():
-    sim = Simulator()
-    slow = sim.timeout(9, value="slow")
-    fast = sim.timeout(2, value="fast")
-    combo = AnyOf(sim, [slow, fast])
-    sim.run()
-    assert combo.value == (1, "fast")
 
 
 def test_events_at_same_time_process_in_schedule_order():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import Simulator, Resource, SimulationError
-from repro.sim.event import AllOf, AnyOf
+from repro.sim.event import AllOf
 
 
 def test_many_processes_complete_in_time_order():
@@ -84,17 +84,6 @@ def test_allof_with_many_children():
     sim.run()
     assert combo.processed
     assert len(combo.value) == 300
-
-
-def test_anyof_ignores_later_failures():
-    sim = Simulator()
-    fast = sim.timeout(1, value="winner")
-    slow = sim.event()
-    slow.fail(RuntimeError("late loser"), delay=5)
-    combo = AnyOf(sim, [slow, fast])
-    sim.run()
-    assert combo.ok
-    assert combo.value == (1, "winner")
 
 
 def test_run_until_mid_queue_is_resumable():

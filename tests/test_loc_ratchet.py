@@ -62,7 +62,13 @@ SRC = os.path.join(ROOT, "src", "repro")
 #: `Transport._arrive`, and the lazily built per-destination credit
 #: map (`_credits`, `_credit_pool`) is `Node.credits`
 #: (`network/transport.py` -32, `network/node.py` +4): 21 164 -> 21 136.
-SRC_LINES_CEILING = 21136
+#: Then one wait per bulk drive, -1: `AnyOf` and the `_Condition` base
+#: went (`sim/event.py` -26, `sim/__init__.py` -1), `bulk_get` went
+#: (the engine calls `OpEngine.get` with its `bulk=` tuple and copies
+#: each segment into the caller's buffer itself; `runtime/ops.py` -17),
+#: and `_message_done` became the `_Join` the driver parks on
+#: (`runtime/bulk.py` +43): 21 136 -> 21 135.
+SRC_LINES_CEILING = 21135
 
 
 def _sources():
@@ -97,6 +103,18 @@ def test_the_event_core_has_one_wait_carrier():
     for name in ("oneshot", "_event_pool", "_entry_pool"):
         assert not hasattr(Simulator, name), name
     assert not hasattr(repro.sim.event, "_PooledEvent")
+
+
+def test_the_bulk_driver_parks_on_one_join():
+    # A pipelined drive waits on its one _Join, refill after refill; the
+    # condition event built per refill and the gauge callback beside it
+    # are gone from the product.
+    assert "AnyOf" not in repro.sim.__all__
+    for path in _sources():
+        with open(path, encoding="utf-8") as fh:
+            body = fh.read()
+        for name in ("AnyOf", "_message_done", "_Condition"):
+            assert name not in body, (name, path)
 
 
 def _get_depths():
