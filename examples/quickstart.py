@@ -67,7 +67,7 @@ def main():
     m = on.metrics
     print(f"  remote GETs via RDMA  : {m.rdma_gets} of "
           f"{m.rdma_gets + m.am_gets}")
-    print(f"  shared-memory accesses: {m.get_shm.n} "
+    print(f"  shared-memory accesses: {m.get_shm.count} "
           "(same-blade threads bypass the network)")
 
 

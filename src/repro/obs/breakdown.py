@@ -33,6 +33,7 @@ from repro.obs.events import (
     EventLog,
     PHASE,
 )
+from repro.util.quantiles import quantile
 
 #: Protocols that went over the wire; local/shm ops have no breakdown.
 REMOTE_PROTOS = ("rdma", "am")
@@ -137,19 +138,6 @@ class BreakdownSummary:
         return sum(s.mean for s in self.by_component.values())
 
 
-def _percentile(sorted_vals: List[float], q: float) -> float:
-    """Linear-interpolation percentile of an already-sorted list."""
-    if not sorted_vals:
-        return 0.0
-    if len(sorted_vals) == 1:
-        return sorted_vals[0]
-    pos = (len(sorted_vals) - 1) * q
-    lo = int(pos)
-    hi = min(lo + 1, len(sorted_vals) - 1)
-    frac = pos - lo
-    return sorted_vals[lo] * (1.0 - frac) + sorted_vals[hi] * frac
-
-
 def summarize(breakdowns: Iterable[OpBreakdown]) -> BreakdownSummary:
     """Fold op breakdowns into per-component means/shares/percentiles."""
     bds = list(breakdowns)
@@ -159,15 +147,15 @@ def summarize(breakdowns: Iterable[OpBreakdown]) -> BreakdownSummary:
     e2e_total = sum(b.end_to_end for b in bds)
     summary.e2e_mean = e2e_total / len(bds)
     for comp in COMPONENTS:
-        vals = sorted(b.component(comp) for b in bds)
+        vals = [b.component(comp) for b in bds]
         total = sum(vals)
         summary.by_component[comp] = ComponentStats(
             mean=total / len(vals),
             total=total,
             share=(total / e2e_total) if e2e_total else 0.0,
-            p50=_percentile(vals, 0.50),
-            p95=_percentile(vals, 0.95),
-            p99=_percentile(vals, 0.99),
+            p50=quantile(vals, 0.50),
+            p95=quantile(vals, 0.95),
+            p99=quantile(vals, 0.99),
         )
     return summary
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import glob
 import json
 import os
+from collections import defaultdict
 from typing import Dict, List, Optional
 
 from repro.obs.events import (
@@ -40,33 +41,17 @@ from repro.obs.events import (
 from repro.obs.export import load_jsonl
 from repro.obs.shardlog import xshard_pairs
 from repro.obs.slo import render_slo
-
-
-def _percentile(sorted_vals: List[float], q: float) -> float:
-    if not sorted_vals:
-        return 0.0
-    idx = min(int(q * len(sorted_vals)), len(sorted_vals) - 1)
-    return sorted_vals[idx]
+from repro.util.quantiles import LatencyDigest, quantile
 
 
 def op_latency_table(log: EventLog) -> List[dict]:
     """Per-span-name latency rollup over the log's completed ops."""
-    durs: Dict[str, List[float]] = {}
+    durs: Dict[str, LatencyDigest] = defaultdict(LatencyDigest)
     for b, e in log.op_spans().values():
-        name = str(b.attrs.get("name", "op"))
-        durs.setdefault(name, []).append(max(e.t - b.t, 0.0))
-    rows = []
-    for name in sorted(durs):
-        vals = sorted(durs[name])
-        rows.append({
-            "name": name,
-            "count": len(vals),
-            "mean_us": sum(vals) / len(vals),
-            "p50_us": _percentile(vals, 0.50),
-            "p99_us": _percentile(vals, 0.99),
-            "max_us": vals[-1],
-        })
-    return rows
+        durs[str(b.attrs.get("name", "op"))].add(max(e.t - b.t, 0.0))
+    return [{"name": name, "count": d.count, "mean_us": d.mean,
+             "p50_us": d.p50, "p99_us": d.p99, "max_us": d.max}
+            for name, d in sorted(durs.items())]
 
 
 def shard_rollups(log: EventLog) -> List[dict]:
@@ -99,14 +84,14 @@ def shard_rollups(log: EventLog) -> List[dict]:
 def xshard_stats(log: EventLog) -> dict:
     """Cross-shard message pairing + latency stats."""
     pairs = xshard_pairs(log)
-    lats = sorted(r.t - s.t for s, r in pairs.values()
-                  if s is not None and r is not None)
+    lats = [r.t - s.t for s, r in pairs.values()
+            if s is not None and r is not None]
     return {
         "msgs": len(pairs),
         "linked": len(lats),
         "unpaired": len(pairs) - len(lats),
-        "latency_p50_us": _percentile(lats, 0.50),
-        "latency_p99_us": _percentile(lats, 0.99),
+        "latency_p50_us": quantile(lats, 0.50),
+        "latency_p99_us": quantile(lats, 0.99),
     }
 
 

@@ -12,9 +12,8 @@ way a service owner would:
   sum — the same layout-invariance discipline as the traffic
   histograms, so ``shards=1/2/4`` report bit-identical windows;
 * **quantiles** — per-window p50/p99 come from the window histogram
-  (mergeable); the run-level digest keeps the samples and answers
-  with exact order statistics
-  (:class:`~repro.util.quantiles.LatencyDigest`);
+  and the run's from the summed histograms (mergeable, and read off
+  the one bin-edge table :data:`HIST_EDGES`);
 * **burn rate** — each window's violation fraction over the error
   budget ``1 - slo_quantile``: burn 1.0 means "spending budget exactly
   at the sustainable rate", 10 means "budget gone in a tenth of the
@@ -32,9 +31,9 @@ simulator, so enabling it leaves runs bit-identical.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.util.quantiles import LatencyDigest
+import numpy as np
 
 #: The one latency-histogram geometry: 256 log-spaced bins over
 #: [0.1 µs, 1 s], shared by the SLO windows here and the traffic
@@ -46,6 +45,12 @@ _HIST_LO_US = 0.1
 _HIST_HI_US = 1e6
 LOG_LO = math.log(_HIST_LO_US)
 LOG_SPAN = math.log(_HIST_HI_US) - LOG_LO
+#: The bin edges (µs): bin ``i`` spans ``HIST_EDGES[i]`` to
+#: ``HIST_EDGES[i + 1]``.  Computed once, read-only; every histogram
+#: quantile — window, run and traffic — reads this one table.
+HIST_EDGES = np.exp(LOG_LO + LOG_SPAN * np.arange(SLO_HIST_BINS + 1)
+                    / SLO_HIST_BINS)
+HIST_EDGES.flags.writeable = False
 
 
 def bin_of(latency_us: float) -> int:
@@ -56,12 +61,7 @@ def bin_of(latency_us: float) -> int:
     return min(b, SLO_HIST_BINS - 1)
 
 
-def _bin_edge(idx: int) -> float:
-    """Upper edge (µs) of histogram bin ``idx``."""
-    return math.exp(LOG_LO + LOG_SPAN * (idx + 1) / SLO_HIST_BINS)
-
-
-def quantile_bin(hist: List[int], q: float) -> int:
+def quantile_bin(hist: Sequence[int], q: float) -> int:
     """The quantile rule: index of the bin where the cumulative count
     crosses ``q`` (its upper edge is the reported quantile), or -1 for
     an empty histogram.  A pure function of the (possibly merged)
@@ -78,10 +78,11 @@ def quantile_bin(hist: List[int], q: float) -> int:
     return SLO_HIST_BINS - 1  # pragma: no cover - guard
 
 
-def hist_quantile(hist: List[int], q: float) -> float:
-    """Quantile from a (possibly merged) window histogram."""
+def hist_quantile(hist: Sequence[int], q: float) -> float:
+    """Quantile from a (possibly merged) histogram: the upper edge of
+    the bin where the cumulative count crosses ``q``."""
     idx = quantile_bin(hist, q)
-    return _bin_edge(idx) if idx >= 0 else 0.0
+    return float(HIST_EDGES[idx + 1]) if idx >= 0 else 0.0
 
 
 class SLOWindow:
@@ -111,8 +112,8 @@ class SLOMonitor:
     """Streaming service-level monitor over a completion stream.
 
     ``observe(t, latency_us, ...)`` is the only hot-path call; it costs
-    a dict lookup, a histogram increment and one buffer append — no
-    simulator interaction whatsoever.
+    a dict lookup and a histogram increment — no simulator interaction
+    whatsoever.
     """
 
     def __init__(self, target_us: float, window_us: float = 5000.0,
@@ -127,8 +128,6 @@ class SLOMonitor:
         self.window_us = float(window_us)
         self.slo_quantile = float(slo_quantile)
         self.windows: Dict[int, SLOWindow] = {}
-        #: Run-level percentiles (exact, from the recorded samples).
-        self.digest = LatencyDigest()
 
     @property
     def error_budget(self) -> float:
@@ -151,7 +150,6 @@ class SLOMonitor:
             w.retries += 1
         if inflight > w.max_inflight:
             w.max_inflight = inflight
-        self.digest.add(latency_us)
 
     def observe_policy_action(self, t: float) -> None:
         """Record one repair-policy action at virtual time ``t`` — the

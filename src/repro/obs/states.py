@@ -18,11 +18,12 @@ outliers (:func:`find_outliers`) — and moves the rows in and out of a
 from __future__ import annotations
 
 import csv
-from typing import Iterable, List, NamedTuple, Optional, TextIO, Union
+from collections import defaultdict
+from typing import Dict, Iterable, List, NamedTuple, Optional, TextIO, Union
 
 from repro.obs.events import EventLog, OP_BEGIN
 from repro.obs.export import span_name
-from repro.util.stats import RunningStats
+from repro.util.quantiles import LatencyDigest, quantile
 
 _HEADER = ["thread", "state", "t0", "t1"]
 
@@ -53,23 +54,19 @@ def find_outliers(records: Iterable[StateRecord], state: str,
     the "abnormally large ... access times" detector of section 4.6.
 
     With ``p`` set (e.g. ``p=99``) the threshold is the ``p``-th
-    percentile of the state's durations instead.  A mean-relative
-    factor drowns in bimodal traces (cache hits pull the mean far
-    below the miss mode, flagging every miss); the percentile form
-    flags only the true tail.
+    percentile of the state's durations instead (the ceil-rank
+    :func:`~repro.util.quantiles.quantile`).  A mean-relative factor
+    drowns in bimodal traces (cache hits pull the mean far below the
+    miss mode, flagging every miss); the percentile form flags only
+    the true tail.
     """
+    if p is not None and not 0.0 <= p <= 100.0:
+        raise ValueError(f"percentile out of range: {p}")
     records = [r for r in records if r.state == state]
     if not records:
         return []
     if p is not None:
-        if not 0.0 <= p <= 100.0:
-            raise ValueError(f"percentile out of range: {p}")
-        durations = sorted(r.duration for r in records)
-        rank = (p / 100.0) * (len(durations) - 1)
-        lo = int(rank)
-        hi = min(lo + 1, len(durations) - 1)
-        threshold = (durations[lo]
-                     + (durations[hi] - durations[lo]) * (rank - lo))
+        threshold = quantile([r.duration for r in records], p / 100.0)
     else:
         mean = sum(r.duration for r in records) / len(records)
         threshold = factor * mean
@@ -83,17 +80,17 @@ def render_profile(log: EventLog) -> str:
     — dropped events and ops whose ``op_begin`` never met an
     ``op_end`` are counted, never silently read as a complete profile.
     """
-    by_state: dict = {}
+    by_state: Dict[str, LatencyDigest] = defaultdict(LatencyDigest)
     records = state_records(log)
     for rec in records:
-        by_state.setdefault(rec.state, RunningStats()).add(rec.duration)
+        by_state[rec.state].add(rec.duration)
     total = sum(s.total for s in by_state.values())
     lines = [f"{'state':>12} {'count':>7} {'total_us':>12} "
              f"{'mean_us':>9} {'max_us':>9} {'share':>6}"]
     for state in sorted(by_state):
         s = by_state[state]
         lines.append(
-            f"{state:>12} {s.n:>7} {s.total:>12.1f} {s.mean:>9.2f} "
+            f"{state:>12} {s.count:>7} {s.total:>12.1f} {s.mean:>9.2f} "
             f"{s.max:>9.2f} {s.total / total if total else 0.0:>6.1%}")
     unclosed = len(log.by_kind(OP_BEGIN)) - len(records)
     if log.dropped_events or unclosed:

@@ -13,25 +13,22 @@ from typing import Dict, List
 from repro.core.stats import CacheStats
 from repro.sim.sync import ShardMetrics
 from repro.util.quantiles import LatencyDigest
-from repro.util.stats import RunningStats
 
 
 @dataclass
 class RuntimeMetrics:
     """Operation-level accounting for one runtime instance."""
 
-    #: Latency (µs) of blocking GETs, by resolution class.
-    get_local: RunningStats = field(default_factory=RunningStats)
-    get_shm: RunningStats = field(default_factory=RunningStats)
-    get_remote: RunningStats = field(default_factory=RunningStats)
+    #: Latency (µs) of blocking GETs, by resolution class.  Each keeps
+    #: its samples, so the remote-GET tail that exposed Field's
+    #: overhang waits (§4.6) reads as exact order statistics.
+    get_local: LatencyDigest = field(default_factory=LatencyDigest)
+    get_shm: LatencyDigest = field(default_factory=LatencyDigest)
+    get_remote: LatencyDigest = field(default_factory=LatencyDigest)
     #: Initiator-visible latency of PUTs.
-    put_local: RunningStats = field(default_factory=RunningStats)
-    put_shm: RunningStats = field(default_factory=RunningStats)
-    put_remote: RunningStats = field(default_factory=RunningStats)
-    #: Exact percentiles of remote GET latency (order statistics of
-    #: the recorded samples) — the tail view that exposed Field's
-    #: overhang waits (§4.6).
-    get_remote_digest: LatencyDigest = field(default_factory=LatencyDigest)
+    put_local: LatencyDigest = field(default_factory=LatencyDigest)
+    put_shm: LatencyDigest = field(default_factory=LatencyDigest)
+    put_remote: LatencyDigest = field(default_factory=LatencyDigest)
 
     #: Remote ops by protocol actually used.
     rdma_gets: int = 0
@@ -74,7 +71,7 @@ class RuntimeMetrics:
     bulk_bytes_saved: int = 0
     #: In-flight remote messages sampled at each issue — the achieved
     #: pipeline depth (mean/max).
-    bulk_depth: RunningStats = field(default_factory=RunningStats)
+    bulk_depth: LatencyDigest = field(default_factory=LatencyDigest)
 
     #: Reliability-layer accounting (see :mod:`repro.faults`): AM
     #: attempts re-issued after a timeout, timeouts observed (AM and
@@ -130,23 +127,6 @@ class RuntimeMetrics:
                                  r["src"], r["dst"]))
         return rows[:k]
 
-    def record_get(self, kind: str, latency_us: float) -> None:
-        if kind == "remote":
-            self.get_remote.add(latency_us)
-            self.get_remote_digest.add(latency_us)
-        elif kind == "local":
-            self.get_local.add(latency_us)
-        else:
-            self.get_shm.add(latency_us)
-
-    def record_put(self, kind: str, latency_us: float) -> None:
-        if kind == "remote":
-            self.put_remote.add(latency_us)
-        elif kind == "local":
-            self.put_local.add(latency_us)
-        else:
-            self.put_shm.add(latency_us)
-
     @property
     def remote_ops(self) -> int:
         return self.rdma_gets + self.rdma_puts + self.am_gets + self.am_puts
@@ -159,26 +139,23 @@ class RuntimeMetrics:
         return (self.rdma_gets + self.rdma_puts) / n if n else 0.0
 
     def shard_summary(self) -> Dict[str, float]:
-        """Rollups across shards, folded with the same
-        :class:`RunningStats` merge the latency paths use."""
-        ev = RunningStats()
-        ev.extend(s.events for s in self.shards)
-        stalls = RunningStats()
-        stalls.extend(s.stall_grains for s in self.shards)
-        backlog = RunningStats()
-        backlog.extend(s.max_backlog for s in self.shards)
+        """Rollups across shards."""
+        n = len(self.shards)
+        events = [s.events for s in self.shards]
+        stalls = [s.stall_grains for s in self.shards]
         return {
-            "shards": len(self.shards),
-            "shard_events_total": int(ev.total),
-            "shard_events_mean": ev.mean,
-            "shard_events_max": int(ev.max) if ev.n else 0,
+            "shards": n,
+            "shard_events_total": sum(events),
+            "shard_events_mean": sum(events) / n if n else 0.0,
+            "shard_events_max": max(events, default=0),
             "sync_rounds": max((s.grains for s in self.shards),
                                default=0),
-            "sync_stall_grains": int(stalls.total),
-            "sync_stall_mean": stalls.mean,
+            "sync_stall_grains": sum(stalls),
+            "sync_stall_mean": sum(stalls) / n if n else 0.0,
             "channel_bytes": sum(s.channel_bytes for s in self.shards),
             "channel_msgs": sum(s.msgs_sent for s in self.shards),
-            "shard_max_backlog": int(backlog.max) if backlog.n else 0,
+            "shard_max_backlog": max(
+                (s.max_backlog for s in self.shards), default=0),
             "shard_final_clock_us": max(
                 (s.final_clock_us for s in self.shards), default=0.0),
         }
@@ -195,14 +172,14 @@ class RuntimeMetrics:
 
     def _base_summary(self) -> Dict[str, float]:
         return {
-            "remote_gets": self.get_remote.n,
+            "remote_gets": self.get_remote.count,
             "remote_get_mean_us": self.get_remote.mean,
-            "remote_get_p50_us": self.get_remote_digest.p50,
-            "remote_get_p99_us": self.get_remote_digest.p99,
-            "remote_puts": self.put_remote.n,
+            "remote_get_p50_us": self.get_remote.p50,
+            "remote_get_p99_us": self.get_remote.p99,
+            "remote_puts": self.put_remote.count,
             "remote_put_mean_us": self.put_remote.mean,
-            "shm_accesses": self.get_shm.n + self.put_shm.n,
-            "local_accesses": self.get_local.n + self.put_local.n,
+            "shm_accesses": self.get_shm.count + self.put_shm.count,
+            "local_accesses": self.get_local.count + self.put_local.count,
             "rdma_gets": self.rdma_gets,
             "rdma_puts": self.rdma_puts,
             "am_gets": self.am_gets,

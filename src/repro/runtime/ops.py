@@ -110,14 +110,14 @@ class OpEngine:
 
             if owner_thread == thread.id:
                 yield p.local_access_us
-                rt.metrics.record_get("local", sim.now - t0)
+                rt.metrics.get_local.add(sim.now - t0)
                 self._end(thread, op_id, "local", nbytes=nbytes)
                 return (array.data[index] if scalar
                         else array.read(index, nelems))
 
             if node_id == thread.node.id:
                 yield p.shm_access_us + p.copy_time(nbytes)
-                rt.metrics.record_get("shm", sim.now - t0)
+                rt.metrics.get_shm.add(sim.now - t0)
                 self._end(thread, op_id, "shm", nbytes=nbytes)
                 return (array.data[index] if scalar
                         else array.read(index, nelems))
@@ -208,7 +208,7 @@ class OpEngine:
                             src, dst, nbytes, None, op_id=op_id)
         finally:
             src.progress.leave_runtime()
-        rt.metrics.record_get("remote", sim.now - t0)
+        rt.metrics.get_remote.add(sim.now - t0)
         self._end(thread, op_id, "rdma" if ok else "am", nbytes=nbytes)
         if bulk is None:    # a bulk GET's caller copies the data out
             return array.data[index] if scalar else array.read(index, nelems)
@@ -260,14 +260,14 @@ class OpEngine:
         if owner_thread == thread.id:
             yield p.local_access_us
             array.write(index, values)
-            rt.metrics.record_put("local", sim.now - t0)
+            rt.metrics.put_local.add(sim.now - t0)
             self._end(thread, op_id, "local", nbytes=nbytes)
             return
 
         if owner_node_id == thread.node.id:
             yield p.shm_access_us + p.copy_time(nbytes)
             array.write(index, values)
-            rt.metrics.record_put("shm", sim.now - t0)
+            rt.metrics.put_shm.add(sim.now - t0)
             self._end(thread, op_id, "shm", nbytes=nbytes)
             return
 
@@ -280,7 +280,7 @@ class OpEngine:
                 nbytes, op_id)
         finally:
             src.progress.leave_runtime()
-        rt.metrics.record_put("remote", sim.now - t0)
+        rt.metrics.put_remote.add(sim.now - t0)
         self._end(thread, op_id, proto, nbytes=nbytes)
         return applied
 
@@ -309,7 +309,7 @@ class OpEngine:
                 thread, src, dst, array, pairs, offset, nbytes, op_id)
         finally:
             src.progress.leave_runtime()
-        rt.metrics.record_put("remote", sim.now - t0)
+        rt.metrics.put_remote.add(sim.now - t0)
         self._end(thread, op_id, proto, nbytes=nbytes)
         return applied
 

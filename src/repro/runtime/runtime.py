@@ -567,13 +567,13 @@ class Runtime:
             f"{self.nthreads} threads on {self.cluster.nnodes} nodes "
             f"(cache {'on' if self.config.cache_enabled else 'off'}, "
             f"capacity {self.config.cache_capacity})",
-            f"  ops: local={m.get_local.n + m.put_local.n} "
-            f"shm={m.get_shm.n + m.put_shm.n} "
-            f"remote_get={m.get_remote.n} remote_put={m.put_remote.n} "
+            f"  ops: local={m.get_local.count + m.put_local.count} "
+            f"shm={m.get_shm.count + m.put_shm.count} "
+            f"remote_get={m.get_remote.count} "
+            f"remote_put={m.put_remote.count} "
             f"(rdma share {m.rdma_fraction:.0%})",
             f"  remote GET latency: mean={m.get_remote.mean:.2f}us "
-            f"max={m.get_remote.max if m.get_remote.n else 0:.2f}us "
-            f"[{m.get_remote_digest.summary()}]",
+            f"max={m.get_remote.max:.2f}us [{m.get_remote.summary()}]",
             f"  cache: {cs.hits} hits / {cs.misses} misses "
             f"(hit rate {cs.hit_rate:.3f}), {cs.insertions} inserts, "
             f"{cs.evictions} evictions, {cs.invalidations} invalidations",
@@ -584,8 +584,7 @@ class Runtime:
             f"{m.bulk_segments} segments -> {m.bulk_messages} messages "
             f"({m.bulk_coalesced_segments} coalesced, "
             f"{m.bulk_bytes_saved} B overhead saved), pipeline depth "
-            f"mean={m.bulk_depth.mean:.1f} "
-            f"max={m.bulk_depth.max if m.bulk_depth.n else 0:.0f}",
+            f"mean={m.bulk_depth.mean:.1f} max={m.bulk_depth.max:.0f}",
         ]
         if self.faults is not None:
             lines.append(

@@ -15,7 +15,6 @@ from repro.util.units import (
 )
 from repro.util.stats import (
     ConfidenceInterval,
-    RunningStats,
     improvement_pct,
     mean_ci95,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "SEC",
     "bytes_per_usec",
     "ConfidenceInterval",
-    "RunningStats",
     "improvement_pct",
     "mean_ci95",
     "seeded_rng",

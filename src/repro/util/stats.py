@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 #: z-value for a 95% two-sided normal confidence interval.
 Z_95 = 1.959963984540054
@@ -89,71 +89,3 @@ def improvement_pct(baseline: float, optimized: float) -> float:
             f"baseline must be positive, got {baseline!r} — the "
             f"improvement metric 100*(Z-W)/Z is undefined for this cell")
     return 100.0 * (baseline - optimized) / baseline
-
-
-class RunningStats:
-    """Online mean/variance/min/max accumulator (Welford's algorithm).
-
-    Used for per-operation latency statistics inside the runtime where
-    storing every sample would be wasteful at scale.
-    """
-
-    __slots__ = ("n", "_mean", "_m2", "min", "max", "total")
-
-    def __init__(self) -> None:
-        self.n = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-        self.total = 0.0
-
-    def add(self, x: float) -> None:
-        self.n += 1
-        self.total += x
-        delta = x - self._mean
-        self._mean += delta / self.n
-        self._m2 += delta * (x - self._mean)
-        if x < self.min:
-            self.min = x
-        if x > self.max:
-            self.max = x
-
-    def extend(self, xs: Iterable[float]) -> None:
-        for x in xs:
-            self.add(x)
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self.n else 0.0
-
-    @property
-    def variance(self) -> float:
-        return self._m2 / (self.n - 1) if self.n > 1 else 0.0
-
-    def merge(self, other: "RunningStats") -> None:
-        """Fold another accumulator into this one (parallel merge)."""
-        if other.n == 0:
-            return
-        if self.n == 0:
-            self.n = other.n
-            self._mean = other._mean
-            self._m2 = other._m2
-            self.min = other.min
-            self.max = other.max
-            self.total = other.total
-            return
-        n = self.n + other.n
-        delta = other._mean - self._mean
-        self._m2 = self._m2 + other._m2 + delta * delta * self.n * other.n / n
-        self._mean = (self._mean * self.n + other._mean * other.n) / n
-        self.n = n
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"RunningStats(n={self.n}, mean={self.mean:.3f}, "
-            f"min={self.min:.3f}, max={self.max:.3f})"
-        )

@@ -45,9 +45,8 @@ from repro.network.params import MACHINES, MachineParams
 from repro.network.partition import lookahead_matrix, partition_nodes
 from repro.network.topology import make_topology
 from repro.obs.events import OP_BEGIN, OP_END, POLICY_ACTION
-from repro.obs.slo import (LOG_LO, LOG_SPAN, SLO_HIST_BINS, SLOMonitor,
-                           bin_of, detect_anomalies, quantile_bin,
-                           slo_summary)
+from repro.obs.slo import (HIST_EDGES, SLO_HIST_BINS, SLOMonitor, bin_of,
+                           detect_anomalies, hist_quantile, slo_summary)
 from repro.sim.shard import ShardContext, ShardedSimulator
 from repro.util.rng import StreamFamily
 from repro.workloads.sharded import _commute_hash_rows, _tq
@@ -85,16 +84,9 @@ _FATE_SALT = 0x7ACE
 
 
 def hist_edges() -> np.ndarray:
-    """The (BINS + 1) bin edges in µs, shared by every shard."""
-    return np.exp(LOG_LO + LOG_SPAN * np.arange(HIST_BINS + 1)
-                  / HIST_BINS)
-
-
-def hist_quantile(hist: np.ndarray, q: float) -> float:
-    """Quantile from a merged histogram: the upper edge of the bin
-    where the cumulative count crosses ``q``."""
-    idx = quantile_bin(hist.tolist(), q)
-    return float(hist_edges()[idx + 1]) if idx >= 0 else 0.0
+    """The (BINS + 1) bin edges in µs, shared by every shard: the SLO
+    monitor's one read-only table."""
+    return HIST_EDGES
 
 
 def hist_cdf(hist: np.ndarray) -> list:

@@ -10,7 +10,6 @@ from repro.network import GM_MARENOSTRUM
 from repro.util.stats import (
     ConfidenceInterval,
     DegenerateBaselineError,
-    RunningStats,
     improvement_pct,
     mean_ci95,
 )
@@ -56,19 +55,6 @@ def test_mean_ci95_known_values():
     assert single.half_width == 0.0
     with pytest.raises(ValueError):
         mean_ci95([])
-
-
-def test_running_stats_mean_variance_merge():
-    a, b = RunningStats(), RunningStats()
-    a.extend([1.0, 2.0, 3.0])
-    b.extend([10.0, 20.0])
-    merged = RunningStats()
-    merged.extend([1.0, 2.0, 3.0, 10.0, 20.0])
-    a.merge(b)
-    assert a.n == merged.n
-    assert a.mean == pytest.approx(merged.mean)
-    assert a.variance == pytest.approx(merged.variance)
-    assert a.min == 1.0 and a.max == 20.0
 
 
 def test_confidence_interval_bounds():

@@ -2,10 +2,12 @@
 (the property that makes sharded monitoring layout-invariant) and the
 threshold anomaly detectors."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.obs.slo import (
+    HIST_EDGES,
     SLO_HIST_BINS,
     SLOMonitor,
     detect_anomalies,
@@ -14,6 +16,7 @@ from repro.obs.slo import (
     slo_summary,
     window_stats,
 )
+from repro.workloads.kv_traffic import TrafficResult, hist_edges
 
 
 def test_monitor_validation():
@@ -35,7 +38,6 @@ def test_window_bucketing_and_counters():
     assert (w0.count, w0.violations, w0.hits, w0.max_inflight) \
         == (2, 1, 1, 7)
     assert (w1.count, w1.violations, w1.retries) == (1, 0, 1)
-    assert mon.digest.count == 3
 
 
 def test_burn_rate_semantics():
@@ -64,6 +66,27 @@ def test_window_quantiles_bound_the_samples():
     assert w.p99() >= 32.0
     assert w.p99() <= 32.0 * 1.07   # bin width ~6.5% at 256 bins
     assert hist_quantile([0] * SLO_HIST_BINS, 0.99) == 0.0
+
+
+def test_window_run_and_traffic_quantiles_read_one_edge_table():
+    # One bin-edge table: a one-hot histogram gives the same quantile as
+    # a window, as a run and as a traffic result, for every bin.
+    assert hist_edges() is HIST_EDGES and not HIST_EDGES.flags.writeable
+    for i in range(SLO_HIST_BINS):
+        hist = [0] * SLO_HIST_BINS
+        hist[i] = 1
+        w = {"index": 0, "count": 1, "violations": 0, "hits": 0,
+             "retries": 0, "max_inflight": 0, "hist": hist}
+        window = window_stats(w, target_us=1.0, window_us=1.0)
+        run = slo_summary([w], target_us=1.0, window_us=1.0)
+        counts = np.array(hist, dtype=np.int64)
+        traffic = TrafficResult(
+            requests=1, hits=0, misses=1, conns=0, puts=0, gets=1,
+            hist=counts, hist_hit=counts, hist_miss=counts, digests={},
+            now=0.0, events=0).quantiles()
+        for key in ("p50_us", "p99_us"):
+            assert (window[key] == run[key] == traffic[key]
+                    == float(HIST_EDGES[i + 1])), (i, key)
 
 
 @settings(max_examples=50, deadline=None)

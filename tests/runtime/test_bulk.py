@@ -118,14 +118,14 @@ def test_memget_touches_multiple_owner_nodes():
     # The bulk engine coalesces the two node-1 blocks (arena-adjacent
     # on their owner) into a single wire message.
     rt, res = run1(kernel)
-    assert rt.metrics.get_remote.n == 1   # blocks on node 1, coalesced
-    assert rt.metrics.get_shm.n == 1      # block of thread 3
+    assert rt.metrics.get_remote.count == 1   # blocks on node 1, coalesced
+    assert rt.metrics.get_shm.count == 1      # block of thread 3
     assert rt.metrics.bulk_coalesced_segments == 1
 
     # With the engine off the serial path pays one round trip per block.
     rt, res = run1(kernel, bulk_enabled=False)
-    assert rt.metrics.get_remote.n == 2
-    assert rt.metrics.get_shm.n == 1
+    assert rt.metrics.get_remote.count == 2
+    assert rt.metrics.get_shm.count == 1
 
 
 def test_memget_zero_span_is_noop_and_negative_rejected():
@@ -143,7 +143,7 @@ def test_memget_zero_span_is_noop_and_negative_rejected():
     rt.run()
     assert got["empty"].shape == (0,)
     assert got["empty"].dtype == np.dtype("u4")
-    assert rt.metrics.get_remote.n == 0 and rt.metrics.get_shm.n == 0
+    assert rt.metrics.get_remote.count == 0 and rt.metrics.get_shm.count == 0
 
     def bad(th):
         arr = yield from th.all_alloc(64, blocksize=8, dtype="u4")
@@ -167,7 +167,7 @@ def test_local_alloc_memget_is_single_segment():
 
     rt, _ = run1(kernel)
     # All 40 elements moved as one local access.
-    assert rt.metrics.get_local.n == 1
+    assert rt.metrics.get_local.count == 1
 
 
 @settings(max_examples=12, deadline=None)

@@ -92,7 +92,7 @@ def test_many_block_span_values_and_coalescing():
     assert m.bulk_segments == 32
     assert m.bulk_messages == 4
     assert m.bulk_coalesced_segments == 12
-    assert rt.metrics.get_remote.n == 4
+    assert rt.metrics.get_remote.count == 4
 
 
 def test_coalesce_cap_splits_messages():

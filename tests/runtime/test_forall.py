@@ -42,7 +42,7 @@ def test_forall_with_array_affinity_yields_only_local():
     rt.run()
     assert sum(counts.values()) == 64
     assert rt.metrics.remote_ops == 0
-    assert rt.metrics.get_shm.n == 0
+    assert rt.metrics.get_shm.count == 0
 
 
 def test_forall_start_step():

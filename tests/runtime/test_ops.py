@@ -75,8 +75,8 @@ def test_same_node_access_uses_shared_memory():
         yield from th.barrier()
 
     rt, res = run_kernel(kernel)
-    assert rt.metrics.get_shm.n == 1
-    assert rt.metrics.get_remote.n == 0
+    assert rt.metrics.get_shm.count == 1
+    assert rt.metrics.get_remote.count == 0
     assert res.cache_stats.accesses == 0
 
 

@@ -86,11 +86,11 @@ def test_metrics_summary_exposes_protocol_and_tail_keys():
         assert key in summary, key
     m = res.metrics
     # Per-protocol counts must reconcile with the remote totals.
-    assert summary["rdma_gets"] + summary["am_gets"] == m.get_remote.n
-    assert summary["rdma_puts"] + summary["am_puts"] == m.put_remote.n
-    assert m.get_remote.n > 0
-    # The digest tracks the same population the mean does.
-    assert m.get_remote_digest.count == m.get_remote.n
+    assert summary["rdma_gets"] + summary["am_gets"] == m.get_remote.count
+    assert summary["rdma_puts"] + summary["am_puts"] == m.put_remote.count
+    assert m.get_remote.count > 0
+    # The percentiles come from the same population the count does.
+    assert summary["remote_gets"] == m.get_remote.count
     assert (summary["remote_get_p50_us"]
             <= summary["remote_get_p99_us"])
 

@@ -65,7 +65,7 @@ def test_scalar_local_access_is_cheap():
 
     rt.spawn(kernel)
     rt.run()
-    assert rt.metrics.get_local.n == 1
+    assert rt.metrics.get_local.count == 1
     assert rt.metrics.remote_ops == 0
 
 

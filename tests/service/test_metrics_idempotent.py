@@ -1,7 +1,6 @@
 """``RuntimeMetrics.summary()`` must be a pure read (satellite 3).
 
-The rollups fold shard metrics with fresh ``RunningStats`` every call;
-a regression that mutates state while summarizing (or double-counts on
+The rollups fold shard metrics afresh every call; a regression that mutates state while summarizing (or double-counts on
 re-attach) would silently skew every table the harness renders.
 """
 
@@ -32,13 +31,13 @@ def test_summary_idempotent_after_real_run():
                                threads_per_node=2))
     rt.spawn(kernel)
     rt.run()
+    gets = rt.metrics.get_remote.count
     first = rt.metrics.summary()
     second = rt.metrics.summary()
     assert first == second
-    # The percentile estimators behind the summary must not have been
-    # fed by the summary call itself.
-    assert rt.metrics.get_remote_digest.count == \
-        rt.metrics.get_remote.n
+    # The digest behind the summary must not have been fed by the
+    # summary call itself.
+    assert rt.metrics.get_remote.count == gets == first["remote_gets"]
 
 
 @pytest.mark.shard

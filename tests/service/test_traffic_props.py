@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.slo import hist_quantile
 from repro.util.rng import StreamFamily
 from repro.workloads.kv_traffic import (
     HIST_BINS,
@@ -19,7 +20,6 @@ from repro.workloads.kv_traffic import (
     TrafficParams,
     ZipfianKeys,
     hist_edges,
-    hist_quantile,
     run_kv_traffic,
 )
 

@@ -68,7 +68,17 @@ SRC = os.path.join(ROOT, "src", "repro")
 #: each segment into the caller's buffer itself; `runtime/ops.py` -17),
 #: and `_message_done` became the `_Join` the driver parks on
 #: (`runtime/bulk.py` +43): 21 136 -> 21 135.
-SRC_LINES_CEILING = 21135
+#: Then one account of latency, -110: the Welford `RunningStats`
+#: (`util/stats.py` -68, `util/__init__.py` -2), the duplicate
+#: remote-GET digest and the `record_get`/`record_put` dispatch
+#: (`runtime/metrics.py` -23, `runtime/runtime.py` -1), the private
+#: percentile rules (`obs/report.py` -15, `obs/breakdown.py` -12,
+#: `obs/states.py` -3), the SLO monitor's run digest and second
+#: bin-edge rule (`obs/slo.py` -2) and the traffic harness's copy of
+#: `hist_quantile` (`workloads/kv_traffic.py` -8); `util/quantiles.py`
+#: +24 for the one `quantile` rule and the digest's mean, total and
+#: max: 21 135 -> 21 025.
+SRC_LINES_CEILING = 21025
 
 
 def _sources():
@@ -193,6 +203,18 @@ def test_every_am_message_lands_through_one_arrival_path():
         assert users == {"_arrive", "_rts_round"}, (needle, users)
     node = Cluster(Simulator(), GM_MARENOSTRUM, 2).node(1)
     assert node.credits.capacity == GM_MARENOSTRUM.transport.eager_credits
+
+
+def test_latency_has_one_account():
+    # A latency sample lives in one LatencyDigest and every percentile
+    # is util/quantiles.py's ceil-rank rule: no second accumulator, no
+    # duplicate remote-GET digest, no private percentile helper.
+    for path in _sources():
+        with open(path, encoding="utf-8") as fh:
+            body = fh.read()
+        for needle in ("RunningStats", "get_remote_digest",
+                       "def _percentile", "def record_get"):
+            assert needle not in body, (needle, path)
 
 
 def test_src_keeps_the_file_count_the_frozen_bench_asserts():

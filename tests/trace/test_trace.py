@@ -135,6 +135,15 @@ def test_find_outliers_percentile_validation():
         find_outliers(state_records(_bimodal_log()), "get:rdma", p=101)
 
 
+def test_find_outliers_checks_p_before_filtering():
+    # An out-of-range percentile is the caller's error whether or not
+    # the state has any records to rank.
+    with pytest.raises(ValueError):
+        find_outliers([], "get:rdma", p=101)
+    with pytest.raises(ValueError):
+        find_outliers(state_records(_bimodal_log()), "barrier", p=-5)
+
+
 def test_render_profile_is_tabular():
     log = EventLog()
     span(log, 0, "compute", 0, 4)

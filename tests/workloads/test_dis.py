@@ -64,7 +64,7 @@ def test_update_only_thread0_communicates():
                                 nelems=2048, hops=12))
     m = r.run.metrics
     # All remote traffic originates from thread 0.
-    assert m.get_remote.n + m.get_shm.n + m.get_local.n \
+    assert m.get_remote.count + m.get_shm.count + m.get_local.count \
         == 12 * 3  # reads_per_hop
     assert r.check[0] is not None
 
