@@ -84,6 +84,14 @@ def kvtraffic_main(args) -> int:
                                             check_fault_plan,
                                             run_kv_traffic)
 
+    try:
+        p = TrafficParams(nnodes=args.nnodes, nclients=args.nclients,
+                          requests=args.requests, zipf_s=args.skew,
+                          seed=args.seed, machine=args.machine,
+                          slo_target_us=args.slo_target_us,
+                          slo_window_us=args.slo_window_us)
+    except ValueError as exc:
+        args.error(str(exc))
     check_shards(args, args.nnodes)
     fault_plan, repair_policy = resolve_fault_plane(args, args.nnodes)
     if fault_plan is not None:
@@ -91,14 +99,8 @@ def kvtraffic_main(args) -> int:
             check_fault_plan(fault_plan)
         except ValueError as exc:
             args.error(str(exc))
-    p = TrafficParams(nnodes=args.nnodes, nclients=args.nclients,
-                      requests=args.requests, zipf_s=args.skew,
-                      seed=args.seed, machine=args.machine,
-                      slo_target_us=args.slo_target_us,
-                      slo_window_us=args.slo_window_us,
-                      fault_plan=(fault_plan.to_json()
-                                  if fault_plan is not None else ""),
-                      repair_policy=repair_policy or "")
+        p.fault_plan = fault_plan.to_json()
+    p.repair_policy = repair_policy or ""
     t0 = time.time()
     res = run_kv_traffic(p, args.shards, mode=args.shard_backend,
                          trace=args.trace_dir is not None)

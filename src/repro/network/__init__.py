@@ -26,7 +26,6 @@ from repro.network.params import (
 from repro.network.partition import (
     NodePartition,
     lookahead_matrix,
-    min_lookahead,
     partition_nodes,
 )
 from repro.network.progress import (
@@ -73,5 +72,4 @@ __all__ = [
     "NodePartition",
     "partition_nodes",
     "lookahead_matrix",
-    "min_lookahead",
 ]

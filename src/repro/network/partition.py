@@ -158,14 +158,3 @@ def lookahead_matrix(machine: MachineParams, nnodes: int,
                 topo, partition.nodes_of(a), partition.nodes_of(b))
     return la
 
-
-def min_lookahead(machine: MachineParams, nnodes: int,
-                  nshards: int) -> float:
-    """Smallest off-diagonal lookahead for a balanced split — the
-    number docs/PERFORMANCE.md quotes when sizing the sync window."""
-    part = partition_nodes(nnodes, nshards)
-    if nshards == 1:
-        return float("inf")
-    la = lookahead_matrix(machine, nnodes, part)
-    return min(la[a][b] for a in range(nshards)
-               for b in range(nshards) if a != b)

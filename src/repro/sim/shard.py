@@ -52,6 +52,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.network.shard_channel import ChannelClosed, PipeChannel
 from repro.obs.events import (BARRIER_ARRIVE, BARRIER_RELEASE, EventLog,
                               SYNC_ROUND, XSHARD_RECV, XSHARD_SEND)
+from repro.obs.shardlog import pack_events
 from repro.sim.errors import SimulationError
 from repro.sim.event import Event
 from repro.sim.process import Process
@@ -368,12 +369,10 @@ class ShardWorkerState:
         for fn in ctx._finishers:
             fn()
         ctx.metrics.final_clock_us = ctx.sim.now
-        trace = [(e.t, e.kind, e.op, e.thread, e.node, e.attrs)
-                 for e in ctx.log.events]
         return ShardOutput(shard=ctx.shard, outputs=ctx.outputs,
                            metrics=ctx.metrics,
                            events=ctx.sim.events_processed,
-                           now=ctx.sim.now, trace=trace,
+                           now=ctx.sim.now, trace=pack_events(ctx.log),
                            trace_dropped=ctx.log.dropped_events)
 
 

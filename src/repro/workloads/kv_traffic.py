@@ -40,16 +40,16 @@ from repro.faults.health import HealthTracker
 from repro.faults.policy import (PolicyConfig, PolicyEngine,
                                  decisions_digest)
 from repro.faults.plan import FaultPlan
+from repro.faults.reliability import ReliabilityConfig
 from repro.faults.trace import fate_u01
-from repro.network.params import MACHINES, MachineParams
-from repro.network.partition import lookahead_matrix, partition_nodes
-from repro.network.topology import make_topology
+from repro.network.params import MACHINES
 from repro.obs.events import OP_BEGIN, OP_END, POLICY_ACTION
 from repro.obs.slo import (HIST_EDGES, SLO_HIST_BINS, SLOMonitor, bin_of,
                            detect_anomalies, hist_quantile, slo_summary)
-from repro.sim.shard import ShardContext, ShardedSimulator
+from repro.sim.shard import ShardContext
 from repro.util.rng import StreamFamily
-from repro.workloads.sharded import _commute_hash_rows, _tq
+from repro.workloads.sharded import (_KV_SCAN_US, ShardWire,
+                                     _commute_hash_rows, _tq, run_sharded)
 
 #: FCT histograms use the SLO monitor's fixed log-bin geometry.
 HIST_BINS = SLO_HIST_BINS
@@ -62,18 +62,14 @@ _CONN_BYTES = 64
 #: Server-side cost of accepting a persistent connection (beyond the
 #: handshake round trip itself).
 _CONN_SETUP_US = 5.0
-#: Bucket scan charged by the AM handler, per slot.
-_KV_SCAN_US = 0.02
 #: Extra handler cost of a mutating request (lock + write-back).
 _PUT_EXTRA_US = 0.3
 
 #: Retransmit model under a fault plan (client-side, planned whole at
-#: issue time so the fate chain is a pure function of identity).
-_TRACE_TIMEOUT_US = 30.0
-_TRACE_BACKOFF_US = 8.0
-_TRACE_BACKOFF_FACTOR = 2.0
-_TRACE_BACKOFF_MAX_US = 64.0
-_TRACE_MAX_RETRIES = 24
+#: issue time so the fate chain is a pure function of identity): the
+#: transport's timeout and backoff rule with this harness's timings.
+_RETRANSMIT = ReliabilityConfig(am_timeout_us=30.0, backoff_base_us=8.0,
+                                backoff_max_us=64.0)
 #: A retry on the one-sided path pays RDMA invalidation + AM address
 #: re-validation on top of the retransmit (the Storm asymmetry that
 #: makes ``path_failover`` worthwhile under sustained loss).
@@ -169,6 +165,16 @@ class TrafficParams:
     #: Repair policy name (:data:`repro.faults.POLICIES`); "" = none.
     #: Requires a fault plan to observe.
     repair_policy: str = ""
+
+    def __post_init__(self) -> None:
+        for name in ("nnodes", "nclients", "requests", "nbuckets",
+                     "slots_per_bucket", "cache_capacity"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"TrafficParams.{name} must be >= 1, "
+                                 f"got {getattr(self, name)}")
+        if not 0.0 <= self.put_frac <= 1.0:
+            raise ValueError("TrafficParams.put_frac must be in [0, 1], "
+                             f"got {self.put_frac}")
 
     def per_client(self) -> int:
         return max(1, -(-self.requests // self.nclients))
@@ -292,20 +298,12 @@ class _TrafficCore:
     """Per-shard traffic state: the clients homed here, their caches
     and connection sets, and this shard's share of the histograms."""
 
-    def __init__(self, ctx: ShardContext, p: TrafficParams,
-                 part, lo: int, hi: int) -> None:
+    def __init__(self, ctx: ShardContext, p: TrafficParams) -> None:
         self.ctx = ctx
         self.p = p
         self.sim = ctx.sim
-        m = MACHINES[p.machine]
-        self.t = m.transport
-        self.topo = make_topology(m, p.nnodes)
-        nodes = range(p.nnodes)
-        #: Per-request lookups, tabulated once: wire latency from each
-        #: node homed here (every send starts at one), and node->shard.
-        self._lat = {a: [self.topo.latency(a, b) for b in nodes]
-                     for a in range(lo, hi)}
-        self._shard_of = [part.shard_of(n) for n in nodes]
+        self.wire = ShardWire(MACHINES[p.machine], p.nnodes, ctx)
+        self.t = self.wire.t
         fam = StreamFamily(p.seed, "kv-traffic")
         self.fam = fam
         self.zipf = ZipfianKeys(p.nkeys, p.zipf_s)
@@ -356,21 +354,13 @@ class _TrafficCore:
         #: never rides in message payloads.
         self.log = ctx.log
         self._ops = {}
-        self._am_extra = (self.t.dispatch_us + self.t.svd_lookup_us
-                          + self.t.handler_cpu_us
+        self._am_extra = (self.wire.service_us
                           + _KV_SCAN_US * p.slots_per_bucket)
         for client in range(p.nclients):
             node = client % p.nnodes
-            if lo <= node < hi:
+            if node in self.wire.nodes:
                 ctx.spawn(self.client(client, node),
                           name=f"kv-client{client}")
-
-    # -- wire model ----------------------------------------------------
-
-    def _latency(self, src: int, dst: int, nbytes: int,
-                 extra: float = 0.0) -> float:
-        return (self._lat[src][dst]
-                + self.t.wire_time(nbytes) + extra)
 
     def server_of(self, key: int) -> tuple:
         bucket = key % self.p.nbuckets
@@ -401,7 +391,7 @@ class _TrafficCore:
                 self.counts["conns"] += 1
                 # Persistent-connection setup: one extra round trip
                 # folded into this first request's latency.
-                extra += (2 * self._latency(node, server, _CONN_BYTES)
+                extra += (2 * self.wire.latency(node, server, _CONN_BYTES)
                           + _CONN_SETUP_US)
             hit = cache.touch(bucket)
             req_bytes = _PUT_REQ_BYTES if is_put else _GET_REQ_BYTES
@@ -414,13 +404,9 @@ class _TrafficCore:
                               hit=hit, put=is_put, nbytes=req_bytes)
                 self._ops[(client, seq)] = op
             if self.plan is None:
-                self.ctx.send(
-                    self._shard_of[server], "kv_req",
-                    (server, node, client, seq, hit, is_put,
-                     _tq(sim.now)),
-                    latency=self._latency(node, server, req_bytes,
-                                          extra),
-                    nbytes=req_bytes)
+                self.wire.send(node, server, "kv_req",
+                               (server, node, client, seq, hit, is_put,
+                                _tq(sim.now)), req_bytes, extra)
             else:
                 self._issue_traced(client, node, seq, server, hit,
                                    is_put, req_bytes, extra)
@@ -474,17 +460,15 @@ class _TrafficCore:
                 break
             tscale = mode.timeout_scale if mode is not None else 1.0
             bscale = mode.backoff_scale if mode is not None else 1.0
-            timeout = _TRACE_TIMEOUT_US * tscale
+            timeout = _RETRANSMIT.am_timeout_us * tscale
             if self.health is not None:
                 self.health.record(t_try + timeout, node, server,
                                    retries=1)
-            if attempt >= _TRACE_MAX_RETRIES:
+            if attempt >= _RETRANSMIT.max_retries:
                 failed = True
                 break
-            backoff = min(_TRACE_BACKOFF_MAX_US,
-                          _TRACE_BACKOFF_US
-                          * _TRACE_BACKOFF_FACTOR ** attempt)
-            t_try = t_try + timeout + backoff * bscale
+            t_try = (t_try + timeout
+                     + _RETRANSMIT.backoff_us(attempt) * bscale)
             attempt += 1
         # Fold the fate chain into the digest so replay bit-identity
         # covers retries and exhausted requests, not just completions.
@@ -511,18 +495,18 @@ class _TrafficCore:
         if (mode is not None and mode.mode == "disabled"
                 and mode.via is not None):
             via = mode.via
-            lat = self.topo.latency
+            lat = self.wire.topo.latency
             det_req = max(0.0, lat(node, via) + lat(via, server)
                           - lat(node, server))
             det_rep = max(0.0, lat(server, via) + lat(via, node)
                           - lat(server, node))
         self.ctx.send(
-            self._shard_of[server], "kv_treq",
+            self.wire.shard_of[server], "kv_treq",
             (server, node, client, seq, hit, is_put, _tq(t0),
              service + d_rep + det_rep),
             latency=((t_try - t0)
-                     + self._latency(node, server, req_bytes,
-                                     extra + d_req + det_req)),
+                     + self.wire.latency(node, server, req_bytes,
+                                         extra + d_req + det_req)),
             nbytes=req_bytes)
 
     def _on_decision(self, decision: dict) -> None:
@@ -548,11 +532,8 @@ class _TrafficCore:
         if is_put:
             service += _PUT_EXTRA_US
         rep_bytes = _PUT_REP_BYTES if is_put else _GET_REP_BYTES
-        self.ctx.send(
-            self._shard_of[node], "kv_rep",
-            (client, seq, hit, is_put, t0),
-            latency=self._latency(server, node, rep_bytes, service),
-            nbytes=rep_bytes)
+        self.wire.send(server, node, "kv_rep",
+                       (client, seq, hit, is_put, t0), rep_bytes, service)
 
     def handle_treq(self, payload) -> None:
         """Traced-path request: the client planned the retransmit chain
@@ -560,11 +541,8 @@ class _TrafficCore:
         reply rides the ordinary ``kv_rep`` path."""
         server, node, client, seq, hit, is_put, t0, svc = payload
         rep_bytes = _PUT_REP_BYTES if is_put else _GET_REP_BYTES
-        self.ctx.send(
-            self._shard_of[node], "kv_rep",
-            (client, seq, hit, is_put, t0),
-            latency=self._latency(server, node, rep_bytes, svc),
-            nbytes=rep_bytes)
+        self.wire.send(server, node, "kv_rep",
+                       (client, seq, hit, is_put, t0), rep_bytes, svc)
 
     def handle_rep(self, payload) -> None:
         client, seq, hit, is_put, t0 = payload
@@ -592,11 +570,7 @@ class _TrafficCore:
 
 def build_traffic_shard(ctx: ShardContext, params: dict) -> None:
     """Shard-program builder (picklable via the params dict)."""
-    p = TrafficParams(**params)
-    part = partition_nodes(p.nnodes, ctx.nshards)
-    lo, hi = part.range_of(ctx.shard)
-    ctx.set_nodes(lo, hi)
-    core = _TrafficCore(ctx, p, part, lo, hi)
+    core = _TrafficCore(ctx, TrafficParams(**params))
     ctx.on_message("kv_req", core.handle_req)
     ctx.on_message("kv_treq", core.handle_treq)
     ctx.on_message("kv_rep", core.handle_rep)
@@ -630,17 +604,11 @@ def run_kv_traffic(params: TrafficParams, nshards: int = 1, *,
     ``trace=True`` arms the per-shard flight recorders (packed events
     land on ``extra["run"].shard_events``).  Both are layout-invariant
     and leave the simulation bit-identical."""
-    if nshards > params.nnodes:
-        raise ValueError(
-            f"nshards={nshards} exceeds {params.nnodes} nodes")
-    m = MACHINES[params.machine]
-    part = partition_nodes(params.nnodes, nshards)
-    la = lookahead_matrix(m, params.nnodes, part)
-    sharded = ShardedSimulator(nshards, lookahead=la, mode=mode,
-                               mp_context=mp_context, trace=trace,
-                               trace_max_events=trace_max_events)
-    run = sharded.run(build_traffic_shard,
-                      dict(params=params.__dict__.copy()))
+    run = run_sharded(build_traffic_shard,
+                      dict(params=params.__dict__.copy()),
+                      MACHINES[params.machine], params.nnodes, nshards,
+                      mode=mode, mp_context=mp_context, trace=trace,
+                      trace_max_events=trace_max_events)
     hist = np.zeros(HIST_BINS, dtype=np.int64)
     hist_hit = np.zeros(HIST_BINS, dtype=np.int64)
     hist_miss = np.zeros(HIST_BINS, dtype=np.int64)

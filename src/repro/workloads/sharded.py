@@ -2,7 +2,10 @@
 
 Two workloads live here, both built so their *virtual-time* behaviour
 is a pure function of message timestamps — the property that makes
-results independent of how nodes are partitioned into shards:
+results independent of how nodes are partitioned into shards.  Both,
+and the KV traffic model beside them (:mod:`repro.workloads.kv_traffic`),
+send through one wire model, :class:`ShardWire`, and start through one
+front door, :func:`run_sharded`:
 
 **Field mix** (:func:`run_field_sharded`) — the DIS Field traffic
 pattern (short compute, a relaxed PUT of a field element to the right
@@ -60,15 +63,74 @@ _MASK64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
-#: Fixed service cost a skeleton home node charges per remote request
-#: (dispatch + SVD lookup + handler), folded into the reply latency so
-#: handlers stay instantaneous (and therefore commutative) at arrival.
+#: Cost of a skeleton access a thread serves from its own node.
 _LOCAL_ACCESS_US = 0.3
 _LOCK_LOCAL_US = 0.5
 _CTRL_BYTES = 32
 #: Per-slot bucket-scan cost a kv handler folds into its reply
 #: latency (mirrors the full runtime's KVStore rpc handler cost).
 _KV_SCAN_US = 0.02
+
+
+class ShardWire:
+    """The one wire model of the shard programs.
+
+    A message of ``nbytes`` from node ``src`` to node ``dst`` arrives
+    after the topology latency, the serialization time and ``extra``
+    — the service cost a handler folds into its reply, so handlers
+    stay instantaneous (and therefore commutative) at arrival.  The AM
+    path's is :attr:`service_us`: dispatch, the SVD lookup at the home
+    node and handler CPU, the three costs a one-sided access skips.
+
+    With a shard context the wire claims this shard's share of the
+    balanced partition (``ctx.set_nodes``) and routes :meth:`send` to
+    the destination node's shard; without one it covers every node
+    and only :meth:`latency` is meaningful (the pooled Field referee).
+    Latencies are tabulated once from every node homed here, where
+    every send starts."""
+
+    def __init__(self, machine: MachineParams, nnodes: int,
+                 ctx: ShardContext = None) -> None:
+        t = self.t = machine.transport
+        self.ctx = ctx
+        self.nnodes = nnodes
+        self.topo = make_topology(machine, nnodes)
+        self.service_us = t.dispatch_us + t.svd_lookup_us + t.handler_cpu_us
+        part = partition_nodes(nnodes, ctx.nshards if ctx else 1)
+        self.nodes = range(*part.range_of(ctx.shard if ctx else 0))
+        if ctx is not None:
+            ctx.set_nodes(self.nodes.start, self.nodes.stop)
+        self.shard_of = [part.shard_of(n) for n in range(nnodes)]
+        self._lat = {a: [self.topo.latency(a, b) for b in range(nnodes)]
+                     for a in self.nodes}
+
+    def latency(self, src: int, dst: int, nbytes: int,
+                extra: float = 0.0) -> float:
+        return self._lat[src][dst] + self.t.wire_time(nbytes) + extra
+
+    def send(self, src: int, dst: int, kind: str, payload, nbytes: int,
+             extra: float = 0.0) -> None:
+        # latency() written out: one call fewer per message.
+        self.ctx.send(self.shard_of[dst], kind, payload,
+                      latency=(self._lat[src][dst]
+                               + self.t.wire_time(nbytes) + extra),
+                      nbytes=nbytes)
+
+
+def run_sharded(builder, params: dict, machine: MachineParams,
+                nnodes: int, nshards: int, *, mode: str, mp_context,
+                trace: bool, trace_max_events) -> ShardedRun:
+    """The one front door of the shard programs: ``builder(ctx,
+    **params)`` on each of ``nshards`` shards of ``nnodes`` nodes, with
+    the lookahead of the balanced partition :class:`ShardWire` uses.
+    ``trace=True`` arms every shard's flight recorder (packed batches
+    on ``run.shard_events``); recording never touches the simulation."""
+    lookahead = lookahead_matrix(machine, nnodes,
+                                 partition_nodes(nnodes, nshards))
+    return ShardedSimulator(
+        nshards, lookahead=lookahead, mode=mode, mp_context=mp_context,
+        trace=trace, trace_max_events=trace_max_events,
+    ).run(builder, params)
 
 
 def _jitter(a: int, b: int) -> float:
@@ -126,33 +188,27 @@ class _FieldMix:
     """Per-shard (or whole-machine) Field-mix state and handlers.
 
     ``transmit(src_node, dst_node, kind, payload, nbytes, extra)`` is
-    injected by the backend: the sharded builder routes it through
-    ``ctx.send``; the reference schedules the delivery on its own
-    simulator.  Everything else — thread generators, handlers, costs —
-    is byte-for-byte the same code in both."""
+    injected by the backend: the sharded builder passes
+    :meth:`ShardWire.send`; the reference schedules the delivery on its
+    own simulator after :meth:`ShardWire.latency`.  Everything else —
+    thread generators, handlers, costs — is byte-for-byte the same code
+    in both."""
 
-    def __init__(self, sim, machine: MachineParams, nnodes: int,
-                 local_nodes, transmit,
+    def __init__(self, sim, wire: ShardWire, transmit,
                  log: "EventLog" = None) -> None:
         self.sim = sim
-        self.machine = machine
-        self.t = machine.transport
-        self.nnodes = nnodes
-        self.topo = make_topology(machine, nnodes)
+        self.wire = wire
+        self.t = wire.t
+        self.nnodes = wire.nnodes
         self.transmit = transmit
-        self.field = {node: {} for node in local_nodes}
-        self.node_digest = {node: 0 for node in local_nodes}
+        self.field = {node: {} for node in wire.nodes}
+        self.node_digest = {node: 0 for node in wire.nodes}
         self.trace = []
         self._pending = {}
         #: Flight recorder for op spans (``fput``/``probe``); defaults
         #: to a disabled log so the reference path and untraced runs
         #: pay nothing but the ``log.enabled`` check.
         self.log = log if log is not None else EventLog(enabled=False)
-
-    def latency(self, src: int, dst: int, nbytes: int,
-                extra: float = 0.0) -> float:
-        return (self.topo.latency(src, dst)
-                + self.t.wire_time(nbytes) + extra)
 
     # -- handlers (run at arrival; effects commute at equal times) ----
 
@@ -167,10 +223,8 @@ class _FieldMix:
         dst, src_node, req = payload
         # Service cost rides in the reply latency; the handler itself
         # is instantaneous, so same-time probes commute.
-        service = (self.t.dispatch_us + self.t.svd_lookup_us
-                   + self.t.handler_cpu_us)
-        self.transmit(dst, src_node, "preply",
-                      (req, _tq(self.sim.now)), nbytes=16, extra=service)
+        self.transmit(dst, src_node, "preply", (req, _tq(self.sim.now)),
+                      nbytes=16, extra=self.wire.service_us)
 
     def handle_preply(self, payload) -> None:
         req, served = payload
@@ -242,17 +296,8 @@ def build_field_shard(ctx: ShardContext, nthreads: int = 32,
     per shard in either backend)."""
     m = MACHINES[machine]
     nnodes = field_nnodes(nthreads)
-    part = partition_nodes(nnodes, ctx.nshards)
-    lo, hi = part.range_of(ctx.shard)
-    ctx.set_nodes(lo, hi)
-
-    def transmit(src, dst, kind, payload, nbytes, extra=0.0):
-        ctx.send(part.shard_of(dst), kind, payload,
-                 latency=core.latency(src, dst, nbytes, extra),
-                 nbytes=nbytes)
-
-    core = _FieldMix(ctx.sim, m, nnodes, range(lo, hi), transmit,
-                     log=ctx.log)
+    wire = ShardWire(m, nnodes, ctx)
+    core = _FieldMix(ctx.sim, wire, wire.send, log=ctx.log)
     ctx.on_message("fput", core.handle_fput)
     ctx.on_message("probe", core.handle_probe)
     ctx.on_message("preply", core.handle_preply)
@@ -263,7 +308,7 @@ def build_field_shard(ctx: ShardContext, nthreads: int = 32,
     core.barrier_wait = lambda: barrier.wait(generation=0)
     for tid in range(nthreads):
         node = _field_node_of(tid, nnodes)
-        if lo <= node < hi:
+        if node in wire.nodes:
             ctx.spawn(core.thread(node, tid, ntokens, probes),
                       name=f"field-t{tid}")
     ctx.publish("trace", core.trace)
@@ -276,25 +321,14 @@ def run_field_sharded(nthreads: int, nshards: int, *, ntokens: int = 4,
                       mode: str = "inproc", mp_context=None,
                       trace: bool = False,
                       trace_max_events=None) -> dict:
-    """Run the Field mix under ``nshards`` shards and merge outputs.
-
-    ``trace=True`` arms every shard's flight recorder; the merged
-    result's ``run.shard_events`` then carries the per-shard packed
-    event batches (see :mod:`repro.obs.shardlog`).  Recording never
-    touches the simulation — traced runs stay bit-identical."""
-    m = MACHINES[machine]
-    nnodes = field_nnodes(nthreads)
-    if nshards > nnodes:
-        raise ValueError(
-            f"nshards={nshards} exceeds {nnodes} Field nodes")
-    part = partition_nodes(nnodes, nshards)
-    la = lookahead_matrix(m, nnodes, part)
-    sharded = ShardedSimulator(nshards, lookahead=la, mode=mode,
-                               mp_context=mp_context, trace=trace,
-                               trace_max_events=trace_max_events)
-    run = sharded.run(build_field_shard,
+    """Run the Field mix under ``nshards`` shards and merge outputs
+    (``trace``: see :func:`run_sharded`)."""
+    run = run_sharded(build_field_shard,
                       dict(nthreads=nthreads, ntokens=ntokens,
-                           probes=probes, machine=machine))
+                           probes=probes, machine=machine),
+                      MACHINES[machine], field_nnodes(nthreads), nshards,
+                      mode=mode, mp_context=mp_context, trace=trace,
+                      trace_max_events=trace_max_events)
     return _merge_field_outputs(run)
 
 
@@ -354,14 +388,15 @@ def run_field_reference(nthreads: int, *, ntokens: int = 4,
     def transmit(src, dst, kind, payload, nbytes, extra=0.0):
         # Same schedule-at-arrival path ShardContext uses.
         sim._schedule(_Delivery(handlers[kind], payload),
-                      core.latency(src, dst, nbytes, extra))
+                      wire.latency(src, dst, nbytes, extra))
 
     def spawn(gen, name=""):
         proc = sim.process(gen, name=name)
         procs.append(proc)
         return proc
 
-    core = _FieldMix(sim, m, nnodes, range(nnodes), transmit)
+    wire = ShardWire(m, nnodes)
+    core = _FieldMix(sim, wire, transmit)
     handlers = {"fput": core.handle_fput, "probe": core.handle_probe,
                 "preply": core.handle_preply}
     barrier = _RefBarrier(sim, expected=nthreads,
@@ -508,19 +543,19 @@ class _SkeletonCore:
     discipline."""
 
     def __init__(self, sim, machine: MachineParams, program: Program,
-                 local_nodes, transmit, barrier, fences) -> None:
+                 wire: ShardWire, barrier, fences) -> None:
         self.sim = sim
         self.machine = machine
         self.t = machine.transport
         self.program = program
         self.nnodes = program.nthreads
-        self.topo = make_topology(machine, self.nnodes)
-        self.transmit = transmit
+        self.transmit = wire.send
+        self.service_us = wire.service_us
         self.barrier = barrier      # (generation) -> generator
         self.fences = fences        # tid -> ShardFence-like
         self.infos, self.eff, self.final_live = _object_plan(
             program, self.nnodes)
-        local = set(local_nodes)
+        local = set(wire.nodes)
         #: Zero-initialised byte image of every incarnation homed
         #: here.  Unique oids mean upfront creation is safe even when
         #: raw object ids are reused after a free.
@@ -534,13 +569,6 @@ class _SkeletonCore:
         self.finish = {}
         self._pending = {}
         self._reqseq = 0
-        self.service_us = (self.t.dispatch_us + self.t.svd_lookup_us
-                           + self.t.handler_cpu_us)
-
-    def latency(self, src: int, dst: int, nbytes: int,
-                extra: float = 0.0) -> float:
-        return (self.topo.latency(src, dst)
-                + self.t.wire_time(nbytes) + extra)
 
     # -- handlers ------------------------------------------------------
 
@@ -797,26 +825,18 @@ def build_corpus_shard(ctx: ShardContext, program_json: str,
     program = Program.loads(program_json)
     m = MACHINES[machine]
     nnodes = program.nthreads
-    part = partition_nodes(nnodes, ctx.nshards)
-    lo, hi = part.range_of(ctx.shard)
-    ctx.set_nodes(lo, hi)
-
-    def transmit(src, dst, kind, payload, nbytes, extra=0.0):
-        ctx.send(part.shard_of(dst), kind, payload,
-                 latency=core.latency(src, dst, nbytes, extra),
-                 nbytes=nbytes)
-
+    wire = ShardWire(m, nnodes, ctx)
     cost = dissemination_cost_us(m, nnodes, m.transport)
     shard_barrier = ShardBarrier(ctx, expected=nnodes, cost_us=cost,
                                  entry_us=m.transport.o_sw_us)
-    fences = {tid: ShardFence(ctx) for tid in range(lo, hi)}
+    fences = {tid: ShardFence(ctx) for tid in wire.nodes}
     core = _SkeletonCore(
-        ctx.sim, m, program, range(lo, hi), transmit,
+        ctx.sim, m, program, wire,
         barrier=lambda gen: shard_barrier.wait(generation=gen),
         fences=fences)
     for kind in ("sput", "sack", "sget", "sadd", "srep", "skv"):
         ctx.on_message(kind, getattr(core, f"handle_{kind}"))
-    for tid in range(lo, hi):
+    for tid in wire.nodes:
         ctx.spawn(core.thread(tid), name=f"skel-t{tid}")
     # Publish the *live* bytearrays — the builder runs before the sim,
     # so taking ``bytes(img)`` here would freeze the zero-initialised
@@ -838,19 +858,11 @@ def run_corpus_sharded(program: Program, nshards: int, *,
     """Replay ``program`` under ``nshards`` shards; merged result is
     layout-invariant (``nshards=1`` is the pooled referee — the whole
     run lives on one pooled :class:`Simulator`)."""
-    m = MACHINES[machine]
-    nnodes = program.nthreads
-    if nshards > nnodes:
-        raise ValueError(
-            f"nshards={nshards} exceeds {nnodes} skeleton nodes")
-    part = partition_nodes(nnodes, nshards)
-    la = lookahead_matrix(m, nnodes, part)
-    sharded = ShardedSimulator(nshards, lookahead=la, mode=mode,
-                               mp_context=mp_context, trace=trace,
-                               trace_max_events=trace_max_events)
-    run = sharded.run(build_corpus_shard,
-                      dict(program_json=program.dumps(),
-                           machine=machine))
+    run = run_sharded(build_corpus_shard,
+                      dict(program_json=program.dumps(), machine=machine),
+                      MACHINES[machine], program.nthreads, nshards,
+                      mode=mode, mp_context=mp_context, trace=trace,
+                      trace_max_events=trace_max_events)
     mem, kvinfo, digests, finish = {}, {}, {}, {}
     for out in run.outputs:
         mem.update({k: bytes(v) for k, v in out["mem"].items()})

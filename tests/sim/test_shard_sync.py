@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from repro.network.params import MACHINES
-from repro.network.partition import (lookahead_matrix, min_lookahead,
-                                     partition_nodes)
+from repro.network.partition import lookahead_matrix, partition_nodes
 from repro.runtime.collectives import ShardFence, dissemination_cost_us
 from repro.runtime.metrics import RuntimeMetrics
 from repro.sim.shard import (ShardContext, ShardedError,
@@ -70,11 +69,6 @@ def test_lookahead_matrix_marenostrum_adjacent_groups():
     for row in la:
         for x in row[1:]:
             assert x == 0.0 or x >= hop3
-
-
-def test_min_lookahead_single_shard_is_infinite():
-    assert min_lookahead(GM, 64, 1) == INF
-    assert min_lookahead(GM, 64, 2) > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,17 @@ def test_more_shards_than_nodes_is_one_argparse_error_everywhere(capsys):
     assert messages == {"--shards 9 exceeds the 2 node(s) of this run"}
 
 
+def test_kvtraffic_rejects_params_it_cannot_run(capsys):
+    # The field check runs before the shard check: --nnodes 0 names
+    # the node count, not "--shards 1 exceeds the 0 node(s)".
+    assert _usage_error(["kvtraffic", "--nnodes", "0"], capsys) \
+        == "TrafficParams.nnodes must be >= 1, got 0"
+    assert _usage_error(["kvtraffic", "--nclients", "0"], capsys) \
+        == "TrafficParams.nclients must be >= 1, got 0"
+    assert _usage_error(["kvtraffic", "--requests", "0"], capsys) \
+        == "TrafficParams.requests must be >= 1, got 0"
+
+
 def test_unknown_machine_is_one_argparse_error_everywhere(capsys):
     messages = {_usage_error(cmd + ["--machine", "bogus"], capsys)
                 for cmd in (["run", "pointer"], ["trace", "pointer"],

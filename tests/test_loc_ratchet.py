@@ -6,6 +6,7 @@ raising it is a deliberate, reviewed edit of this file — say in the PR
 what the new lines buy.
 """
 
+import ast
 import inspect
 import os
 
@@ -78,11 +79,23 @@ SRC = os.path.join(ROOT, "src", "repro")
 #: `hist_quantile` (`workloads/kv_traffic.py` -8); `util/quantiles.py`
 #: +24 for the one `quantile` rule and the digest's mean, total and
 #: max: 21 135 -> 21 025.
-SRC_LINES_CEILING = 21025
+#: Then one wire for the shard programs, -32: the Field mix, the corpus
+#: skeleton and the KV traffic model send through `ShardWire` and
+#: start through `run_sharded` (`workloads/sharded.py` +12: the three
+#: latency methods, two transmit closures, three partition blocks and
+#: three `ShardedSimulator` setups went; `workloads/kv_traffic.py` -32:
+#: its latency table, second `_KV_SCAN_US` and five retransmit
+#: constants went, the last for one `ReliabilityConfig`, and
+#: `TrafficParams` checks its fields); `min_lookahead`, which nothing
+#: called, went (`network/partition.py` -11, `network/__init__.py`
+#: -2); a shard packs its events with `obs.shardlog.pack_events`
+#: (`sim/shard.py` -1); `kvtraffic` reports a bad field as a usage
+#: error (`__main__.py` +2): 21 025 -> 20 993.
+SRC_LINES_CEILING = 20993
 
 
-def _sources():
-    for dirpath, _dirs, files in os.walk(SRC):
+def _sources(root=SRC):
+    for dirpath, _dirs, files in os.walk(root):
         for name in files:
             if name.endswith(".py"):
                 yield os.path.join(dirpath, name)
@@ -215,6 +228,31 @@ def test_latency_has_one_account():
         for needle in ("RunningStats", "get_remote_digest",
                        "def _percentile", "def record_get"):
             assert needle not in body, (needle, path)
+
+
+def test_shard_programs_share_one_wire():
+    # The Field mix, the corpus skeleton and the KV traffic model send
+    # through ShardWire and start through run_sharded: one latency
+    # model (topology + serialization + folded service cost), one
+    # partition and one ShardedSimulator setup under workloads/.
+    latency_defs, calls = [], {}
+    for path in _sources(os.path.join(SRC, "workloads")):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for top in tree.body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if (isinstance(node, ast.FunctionDef)
+                        and node.name in ("latency", "_latency")):
+                    latency_defs.append(owner)
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", getattr(func, "attr", ""))
+                    calls.setdefault(name, []).append(owner)
+    assert latency_defs == ["ShardWire"]
+    assert calls["ShardedSimulator"] == ["run_sharded"]
+    for name in ("make_topology", "partition_nodes", "lookahead_matrix"):
+        assert set(calls[name]) <= {"ShardWire", "run_sharded"}, name
 
 
 def test_src_keeps_the_file_count_the_frozen_bench_asserts():

@@ -161,6 +161,25 @@ def test_unknown_policy_is_rejected():
         run_kv_traffic(p, 2)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("nnodes", 0), ("nclients", 0), ("requests", 0), ("nbuckets", 0),
+    ("slots_per_bucket", 0), ("cache_capacity", 0), ("put_frac", -0.1),
+    ("put_frac", 1.5)])
+def test_params_it_cannot_run_are_rejected_by_name(field, value):
+    # Each of these used to die mid-run (an empty LRU's StopIteration,
+    # a modulo by zero buckets) or run something else (0 clients: an
+    # empty histogram; 0 requests: one per client).
+    with pytest.raises(ValueError, match=f"TrafficParams.{field} "):
+        _params(**{field: value})
+
+
+def test_the_edges_of_the_valid_range_run():
+    p = _params(nnodes=1, nclients=1, requests=1, nbuckets=1,
+                slots_per_bucket=1, cache_capacity=1, put_frac=1.0)
+    res = run_kv_traffic(p, 1)
+    assert (res.requests, res.puts) == (1, 1)
+
+
 # ---------------------------------------------------------------------------
 # Health + decision plumbing
 # ---------------------------------------------------------------------------
