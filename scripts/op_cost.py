@@ -9,7 +9,10 @@ import; nothing under ``bench/`` is touched) under ``sys.settrace``
 with per-opcode events on and prints, per logical op: interpreter
 opcodes, Python-level calls, the generator-frame entries among those
 calls (every resumption of a generator counts one) and simulator
-events, then the functions ranked by *self* opcodes.
+events, then the same opcodes and calls summed by layer (the map of
+``bench/layers.py``, also imported read-only; code outside
+``src/repro`` is ``other``), then the functions ranked by *self*
+opcodes.
 ``shard_traffic`` runs its shards in-process (``mode="inproc"``,
 untraced): a tracer in this process cannot see into ``mp`` workers.
 
@@ -32,6 +35,7 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+REPRO = ROOT / "src" / "repro"
 
 
 def count(workload, inputs):
@@ -69,6 +73,19 @@ def label(code) -> str:
     return f"{path}:{code.co_firstlineno} {name}"
 
 
+def by_layer(counts, layer_of_repro) -> Counter:
+    """Sum per-code-object counts into bench/layers.py's layers."""
+    total = Counter()
+    for code, n in counts.items():
+        try:
+            rel = Path(code.co_filename).relative_to(REPRO)
+        except ValueError:
+            total["other"] += n
+            continue
+        total[layer_of_repro(rel.as_posix())] += n
+    return total
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("workload")
@@ -84,6 +101,7 @@ def main(argv=None) -> int:
 
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     import bench.workloads
+    from bench.layers import layer_of_repro
     from bench.workloads import WORKLOADS
     run_kv_traffic = bench.workloads.run_kv_traffic
 
@@ -114,6 +132,12 @@ def main(argv=None) -> int:
     print(f"  calls/op    {ncalls / ops:10.1f}   ({ncalls} total)")
     print(f"  gen entries/op {ngen / ops:7.2f}   ({ngen} total)")
     print(f"  events/op   {events / ops:10.2f}   ({events} total)")
+    layer_ops = by_layer(by_code, layer_of_repro)
+    layer_calls = by_layer(calls, layer_of_repro)
+    print(f"\n  {'opcodes/op':>10}  {'share':>6}  {'calls/op':>8}  layer")
+    for name, n in layer_ops.most_common():
+        print(f"  {n / ops:10.1f}  {n / nops:6.1%}  "
+              f"{layer_calls[name] / ops:8.2f}  {name}")
     print(f"\n  {'opcodes/op':>10}  {'share':>6}  {'calls/op':>8}  function")
     for code, n in by_code.most_common(args.top):
         print(f"  {n / ops:10.1f}  {n / nops:6.1%}  "

@@ -188,7 +188,7 @@ def _write_kvtraffic_artifacts(out_dir, res, slo) -> None:
 
 # -- shared option groups: each flag is defined exactly once -----------
 
-def _shard_count(text: str) -> int:
+def _at_least_one(text: str) -> int:
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
@@ -207,7 +207,7 @@ def _workload_options(ap, *, machine=False, nthreads=None, seed=None,
                         choices=sorted(MACHINES),
                         help="machine model (default gm)")
     if nthreads is not None:
-        ap.add_argument("--nthreads", type=int, default=nthreads,
+        ap.add_argument("--nthreads", type=_at_least_one, default=nthreads,
                         help="UPC threads (default %(default)s)")
     if seed is not None:
         ap.add_argument("--seed", type=seed_type, default=seed,
@@ -243,7 +243,7 @@ def _fault_options(ap, *, profile_default=None, policy=True) -> None:
 def _shard_options(ap, *, shards, backend) -> None:
     """``--shards/--shard-backend`` with the command's own defaults;
     ranges are checked by :func:`repro.obs.cli.check_shards`."""
-    ap.add_argument("--shards", type=_shard_count, default=shards,
+    ap.add_argument("--shards", type=_at_least_one, default=shards,
                     metavar="N",
                     help="run on the sharded PDES core with N shards "
                          "(run/trace: field only; see "
@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "replayed across the config matrix against a "
                 "flat-memory oracle, failures shrunk to a pytest "
                 "reproducer (see repro.testing)")
-    p.add_argument("--ops", type=int, default=200,
+    p.add_argument("--ops", type=_at_least_one, default=200,
                    help="approximate ops per generated program")
     p.add_argument("--matrix", default=None,
                    help="'quick', 'full', or comma-separated config "

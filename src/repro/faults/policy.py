@@ -187,11 +187,6 @@ class PolicyEngine:
         if self.on_decision is not None:
             self.on_decision(d)
 
-    def decisions_digest(self) -> int:
-        """Order-independent digest of this engine's decision set —
-        see :func:`decisions_digest`."""
-        return decisions_digest(self.decisions)
-
     @staticmethod
     def merge_digests(digests) -> int:
         acc = 0

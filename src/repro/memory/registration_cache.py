@@ -31,7 +31,7 @@ class RegistrationCache:
     """
 
     __slots__ = ("pins", "capacity_bytes", "_lru", "hits", "misses",
-                 "evictions", "evicted_bytes")
+                 "evictions")
 
     def __init__(self, pin_manager: PinManager, capacity_bytes: int) -> None:
         if capacity_bytes <= 0:
@@ -50,7 +50,6 @@ class RegistrationCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.evicted_bytes = 0
 
     @property
     def resident_bytes(self) -> int:
@@ -81,10 +80,9 @@ class RegistrationCache:
             )
         cost = 0.0
         while self.resident_bytes + incoming > self.capacity_bytes and self._lru:
-            (_, size), owned = self._lru.popitem(last=False)
+            _, owned = self._lru.popitem(last=False)
             cost += self.pins.unpin_regions(owned)
             self.evictions += 1
-            self.evicted_bytes += size
         return cost
 
     def invalidate(self, vaddr: int, size: int) -> float:

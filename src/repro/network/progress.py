@@ -35,10 +35,8 @@ class ProgressEngine:
         self.sim = sim
         self.node = node
         self.params = params
-        #: Handlers serviced so far (for experiment reporting).
+        #: Handlers serviced so far.
         self.serviced = 0
-        #: Accumulated time handlers spent waiting for service.
-        self.wait_time = 0.0
         #: Peak number of handlers queued waiting for a poller (always
         #: 0 for interrupt-driven engines, which never queue).
         self.max_backlog = 0
@@ -179,7 +177,6 @@ class PollingProgress(ProgressEngine):
             yield from self._stall(op_id)
         yield self.params.dispatch_us
         self.serviced += 1
-        self.wait_time += self.sim.now - t0
         self._record_queue(t0, op_id)
 
 
@@ -196,7 +193,6 @@ class InterruptProgress(ProgressEngine):
             yield from self._stall(op_id)
         yield self.params.interrupt_us
         self.serviced += 1
-        self.wait_time += self.sim.now - t0
         self._record_queue(t0, op_id)
 
 

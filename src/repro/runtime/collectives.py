@@ -55,7 +55,6 @@ class BarrierManager:
         self._generation = 0
         self._arrived = 0
         self._release: Event = Event(runtime.sim, name="barrier-gen0")
-        self.completions = 0
         #: thread id -> release event of the generation it notified
         #: into (split-phase barrier state).
         self._notified: Dict[int, Event] = {}
@@ -81,7 +80,6 @@ class BarrierManager:
             # Last arrival triggers the network phase and the release.
             self._arrived = 0
             self._generation += 1
-            self.completions += 1
             rt.metrics.barriers += 1
             self._release = Event(rt.sim,
                                   name=f"barrier-gen{self._generation}")

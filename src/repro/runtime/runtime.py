@@ -553,68 +553,6 @@ class Runtime:
             total.merge(cache.stats)
         return total
 
-    def report(self) -> str:
-        """A human-readable post-run summary: operation mix, cache
-        behaviour, NIC utilization and progress-engine statistics.
-
-        The shape of the report mirrors what the paper's authors read
-        off Paraver + runtime counters when they diagnosed Field.
-        """
-        m = self.metrics
-        cs = self.aggregate_cache_stats()
-        lines = [
-            f"run summary — {self.config.machine.name}, "
-            f"{self.nthreads} threads on {self.cluster.nnodes} nodes "
-            f"(cache {'on' if self.config.cache_enabled else 'off'}, "
-            f"capacity {self.config.cache_capacity})",
-            f"  ops: local={m.get_local.count + m.put_local.count} "
-            f"shm={m.get_shm.count + m.put_shm.count} "
-            f"remote_get={m.get_remote.count} "
-            f"remote_put={m.put_remote.count} "
-            f"(rdma share {m.rdma_fraction:.0%})",
-            f"  remote GET latency: mean={m.get_remote.mean:.2f}us "
-            f"max={m.get_remote.max:.2f}us [{m.get_remote.summary()}]",
-            f"  cache: {cs.hits} hits / {cs.misses} misses "
-            f"(hit rate {cs.hit_rate:.3f}), {cs.insertions} inserts, "
-            f"{cs.evictions} evictions, {cs.invalidations} invalidations",
-            f"  collectives: {m.barriers} barriers, "
-            f"{m.allocations} allocations, {m.frees} frees, "
-            f"{m.lock_acquires} lock acquisitions",
-            f"  bulk engine: {m.bulk_transfers} transfers, "
-            f"{m.bulk_segments} segments -> {m.bulk_messages} messages "
-            f"({m.bulk_coalesced_segments} coalesced, "
-            f"{m.bulk_bytes_saved} B overhead saved), pipeline depth "
-            f"mean={m.bulk_depth.mean:.1f} max={m.bulk_depth.max:.0f}",
-        ]
-        if self.faults is not None:
-            lines.append(
-                f"  reliability: {m.faults_injected} faults injected, "
-                f"{m.timeouts} timeouts, {m.retries} retries, "
-                f"{m.rdma_timeouts} rdma->am fallbacks, "
-                f"{m.pin_degrades} handles degraded to AM")
-            noisy = m.noisy_links(3)
-            if noisy:
-                links = ", ".join(
-                    f"{r['src']}->{r['dst']} ({r['timeouts']} tmo/"
-                    f"{r['retries']} rty)" for r in noisy)
-                lines.append(f"  noisy links: {links}")
-        if self.policy is not None:
-            lines.append(
-                f"  repair policy: {self.policy.policy} — "
-                f"{len(self.policy.decisions)} decision(s), "
-                f"digest {self.policy.decisions_digest():#x}")
-        for node in self.cluster.nodes[:8]:
-            assert node.progress is not None
-            lines.append(
-                f"  node {node.id}: nic util "
-                f"{node.nic.utilization():.2f}, handlers serviced "
-                f"{node.progress.serviced} "
-                f"(waited {node.progress.wait_time:.1f}us), pinned "
-                f"{node.pins.pinned_bytes} B")
-        if self.cluster.nnodes > 8:
-            lines.append(f"  ... and {self.cluster.nnodes - 8} more nodes")
-        return "\n".join(lines)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<Runtime {self.config.machine.name} "
                 f"threads={self.nthreads} nodes={self.cluster.nnodes} "

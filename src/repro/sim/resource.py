@@ -3,8 +3,8 @@
 Used for NICs (capacity 1 per node — the root of the paper's "four
 threads competing for the same network device" amplification effect,
 section 4.6), handler CPUs, flow-control credits and shared locks.
-Tracks busy time and grant waits so experiments can report utilization
-and queueing.
+A resource keeps only its scheduling state; how long a grant queued is
+read off the flight recorder's ``queue`` phase.
 
 A process waits for a slot by yielding the resource itself; the grant
 resumes it through its ``_Wake`` token, the carrier a timed wait uses,
@@ -35,9 +35,7 @@ class Resource:
             res.release()
     """
 
-    __slots__ = ("sim", "capacity", "name", "_users", "_waiters",
-                 "_busy_integral", "_last_change", "_created",
-                 "acquisitions", "wait_total", "wait_max")
+    __slots__ = ("sim", "capacity", "name", "_users", "_waiters")
 
     def __init__(self, sim: "Simulator", capacity: int = 1,
                  name: str = "resource") -> None:
@@ -47,25 +45,7 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._users = 0
-        self._waiters: Deque[tuple["_Wake", float]] = deque()
-        self._busy_integral = 0.0
-        self._last_change = self._created = sim.now
-        #: Grants so far, and the total and longest time they waited.
-        self.acquisitions = 0
-        self.wait_total = 0.0
-        self.wait_max = 0.0
-
-    # -- accounting ---------------------------------------------------
-
-    def utilization(self) -> float:
-        """Mean fraction of capacity in use since the resource was
-        created."""
-        now = self.sim.now
-        span = now - self._created
-        if span <= 0:
-            return 0.0
-        busy = self._busy_integral + self._users * (now - self._last_change)
-        return busy / (span * self.capacity)
+        self._waiters: Deque["_Wake"] = deque()
 
     @property
     def in_use(self) -> int:
@@ -83,16 +63,12 @@ class Resource:
         if self.try_acquire():
             self.sim._wake(proc._token, 0.0)
         else:
-            self._waiters.append((proc._token, self.sim.now))
+            self._waiters.append(proc._token)
 
     def try_acquire(self) -> bool:
         """Non-blocking acquire; True if granted immediately."""
         if self._users < self.capacity and not self._waiters:
-            now = self.sim.now
-            self._busy_integral += self._users * (now - self._last_change)
-            self._last_change = now
             self._users += 1
-            self.acquisitions += 1
             return True
         return False
 
@@ -114,21 +90,13 @@ class Resource:
         """Free one slot; grants the oldest live waiter, FIFO."""
         if self._users <= 0:
             raise SimulationError(f"release() on idle resource {self.name!r}")
-        now = self.sim.now
-        self._busy_integral += self._users * (now - self._last_change)
-        self._last_change = now
         waiters = self._waiters
         while waiters:
-            token, enq_t = waiters.popleft()
+            token = waiters.popleft()
             if token.proc._status:
                 # Killed while queued: it will never use the slot.
                 continue
             # The slot passes straight to the oldest waiter.
-            self.acquisitions += 1
-            wait = now - enq_t
-            self.wait_total += wait
-            if wait > self.wait_max:
-                self.wait_max = wait
             self.sim._wake(token, 0.0)
             return
         self._users -= 1

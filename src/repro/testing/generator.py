@@ -138,6 +138,8 @@ class ProgramGenerator:
     def __init__(self, seed: int, nthreads: int = 4,
                  max_live_objects: int = 5,
                  max_elems: int = 192, kv: bool = False) -> None:
+        if nthreads < 1:
+            raise ValueError(f"nthreads must be >= 1, got {nthreads}")
         self.rng = seeded_rng(seed, 0xF022)
         self.seed = seed
         self.nthreads = nthreads

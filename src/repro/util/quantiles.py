@@ -84,7 +84,3 @@ class LatencyDigest:
     @property
     def p99(self) -> float:
         return quantile(self._samples, 0.99)
-
-    def summary(self) -> str:
-        return (f"p50={self.p50:.2f} p95={self.p95:.2f} "
-                f"p99={self.p99:.2f} (n={self.count})")

@@ -15,6 +15,8 @@ from repro.runtime import Runtime, RuntimeConfig
 from repro.runtime.metrics import RuntimeMetrics
 from repro.sim import Simulator
 
+from tests.sim.grant_log import GrantLog
+
 
 def make(plan=None, reliability=None, nnodes=4, events=None):
     sim = Simulator()
@@ -317,6 +319,8 @@ def test_a_duplicate_lands_once_on_every_am_protocol(protocol):
     plan = FaultPlan(seed=3, links=(
         LinkRule.static(duplicate=1.0, scope="am"),))
     sim, cluster = make(plan)
+    dst = cluster.node(1)
+    dst.handler_cpu = GrantLog.like(dst.handler_cpu)
     box = {}
 
     def main():
@@ -326,7 +330,6 @@ def test_a_duplicate_lands_once_on_every_am_protocol(protocol):
     done_at = sim.run_process(main())
     sim.run()                                     # drain the dup flights
     assert box["runs"] == 1                       # the ledger absorbed it
-    dst = cluster.node(1)
     assert (done_at, sim.events_processed, tally(cluster),
             dst.progress.serviced, dst.handler_cpu.acquisitions) \
         == DUPLICATE_PINS[protocol]

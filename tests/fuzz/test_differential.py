@@ -57,6 +57,12 @@ def test_generator_is_deterministic_per_seed():
     assert set(ra.returns) == set(rb.returns)
 
 
+@pytest.mark.parametrize("nthreads", [0, -2])
+def test_generator_rejects_fewer_than_one_thread(nthreads):
+    with pytest.raises(ValueError, match="nthreads must be >= 1"):
+        generate_program(0, n_ops=10, nthreads=nthreads)
+
+
 # ---------------------------------------------------------------------------
 # Property: any generated program agrees with the oracle
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the BG/L collective network and the runtime report."""
+"""Tests for the BG/L collective network and the run metrics summary."""
 
 import pytest
 
@@ -39,29 +39,6 @@ def test_bgl_barrier_cheaper_than_gm_at_scale():
     assert bgl.elapsed_us < gm.elapsed_us
 
 
-def test_report_contains_key_sections():
-    cfg = RuntimeConfig(machine=GM_MARENOSTRUM, nthreads=8,
-                        threads_per_node=4, seed=1)
-    rt = Runtime(cfg)
-
-    def kernel(th):
-        arr = yield from th.all_alloc(64, blocksize=8, dtype="u4")
-        yield from th.barrier()
-        if th.id == 0:
-            yield from th.get(arr, 40)
-            yield from th.get(arr, 41)
-        yield from th.barrier()
-
-    rt.spawn(kernel)
-    rt.run()
-    report = rt.report()
-    assert "run summary" in report
-    assert "hit rate" in report
-    assert "node 0" in report
-    assert "barriers" in report
-    assert "rdma share" in report
-
-
 def test_metrics_summary_exposes_protocol_and_tail_keys():
     cfg = RuntimeConfig(machine=GM_MARENOSTRUM, nthreads=8,
                         threads_per_node=2, seed=1)
@@ -94,15 +71,3 @@ def test_metrics_summary_exposes_protocol_and_tail_keys():
     assert (summary["remote_get_p50_us"]
             <= summary["remote_get_p99_us"])
 
-
-def test_report_truncates_many_nodes():
-    cfg = RuntimeConfig(machine=GM_MARENOSTRUM, nthreads=48,
-                        threads_per_node=4, seed=1)
-    rt = Runtime(cfg)
-
-    def kernel(th):
-        yield from th.barrier()
-
-    rt.spawn(kernel)
-    rt.run()
-    assert "more nodes" in rt.report()

@@ -12,8 +12,9 @@ scenario really does tell the two apart.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import ProcessKilled, Resource, Simulator
+from repro.sim import ProcessKilled, Simulator
 
+from tests.sim.grant_log import GrantLog
 from tests.sim.reference_core import BOTH_CORES, ReferenceSimulator
 
 
@@ -28,7 +29,7 @@ class Harness:
         self.resources = []
 
     def resource(self, capacity=1):
-        res = Resource(self.sim, capacity=capacity,
+        res = GrantLog(self.sim, capacity=capacity,
                        name=f"r{len(self.resources)}")
         self.resources.append(res)
         return res

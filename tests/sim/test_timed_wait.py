@@ -12,6 +12,7 @@ import pytest
 
 from repro.sim import ProcessKilled, Resource, SimulationError, Simulator
 
+from tests.sim.grant_log import GrantLog
 from tests.sim.reference_core import BOTH_CORES, ReferenceSimulator
 
 
@@ -19,7 +20,7 @@ def _mixed(sim):
     """Timed waits of every accepted type, grants on a contended
     resource, a barrier-style fan-out and fork/join — with ties."""
     trace = []
-    res = Resource(sim, capacity=1, name="nic")
+    res = GrantLog(sim, capacity=1, name="nic")
     gate = sim.event("gate")
 
     def mark(*what):

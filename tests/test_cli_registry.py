@@ -270,6 +270,18 @@ def test_kvtraffic_rejects_params_it_cannot_run(capsys):
         == "TrafficParams.requests must be >= 1, got 0"
 
 
+def test_thread_and_op_counts_below_one_are_argparse_errors(capsys):
+    # A count the run cannot use is a usage error up front, not a
+    # traceback from deep in the run or a silently resized program.
+    for cmd in (["run", "pointer"], ["trace", "pointer"], ["fuzz"]):
+        for bad in ("0", "-1"):
+            assert _usage_error(cmd + ["--nthreads", bad], capsys) \
+                == "argument --nthreads: must be >= 1"
+    for bad in ("0", "-5"):
+        assert _usage_error(["fuzz", "--ops", bad], capsys) \
+            == "argument --ops: must be >= 1"
+
+
 def test_unknown_machine_is_one_argparse_error_everywhere(capsys):
     messages = {_usage_error(cmd + ["--machine", "bogus"], capsys)
                 for cmd in (["run", "pointer"], ["trace", "pointer"],

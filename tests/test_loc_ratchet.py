@@ -91,7 +91,18 @@ SRC = os.path.join(ROOT, "src", "repro")
 #: -2); a shard packs its events with `obs.shardlog.pack_events`
 #: (`sim/shard.py` -1); `kvtraffic` reports a bad field as a usage
 #: error (`__main__.py` +2): 21 025 -> 20 993.
-SRC_LINES_CEILING = 20993
+#: Then one account of contention, -109: `Resource` keeps only its
+#: scheduling state (`sim/resource.py` -32: `utilization()`, the
+#: busy-time integral, `acquisitions`, `wait_total`, `wait_max`), the
+#: progress engine no `wait_time` (`network/progress.py` -4), and
+#: `Runtime.report()`, their only reader, went (`runtime/runtime.py`
+#: -62) with the two helpers only it called (`faults/policy.py` -5,
+#: `util/quantiles.py` -4); `BarrierManager.completions` and
+#: `RegistrationCache.evicted_bytes`, read by nothing, went
+#: (`runtime/collectives.py` -2, `memory/registration_cache.py` -2);
+#: `ProgramGenerator` rejects fewer than one thread
+#: (`testing/generator.py` +2): 20 993 -> 20 884.
+SRC_LINES_CEILING = 20884
 
 
 def _sources(root=SRC):
@@ -228,6 +239,22 @@ def test_latency_has_one_account():
         for needle in ("RunningStats", "get_remote_digest",
                        "def _percentile", "def record_get"):
             assert needle not in body, (needle, path)
+
+
+def test_resource_keeps_no_statistics():
+    # Contention has one account, the flight recorder's queue phase: a
+    # resource holds only what scheduling needs, a progress engine
+    # counts services but keeps no wait sum, and the runtime renders
+    # no second report beside metrics.summary().
+    from repro.network import Cluster, LAPI_POWER5
+    from repro.sim import Resource
+    assert set(Resource.__slots__) == {
+        "sim", "capacity", "name", "_users", "_waiters"}
+    assert not hasattr(Resource, "utilization")
+    assert not hasattr(Runtime, "report")
+    for machine in (GM_MARENOSTRUM, LAPI_POWER5):
+        engine = Cluster(Simulator(), machine, 1).node(0).progress
+        assert not hasattr(engine, "wait_time"), type(engine)
 
 
 def test_shard_programs_share_one_wire():
