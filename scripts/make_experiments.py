@@ -259,9 +259,8 @@ CLOSING_NOTE = """\
 bulk-transfer engine (`repro.runtime.bulk`; see DESIGN.md S21).  The
 paper figures above are unaffected: every transfer they time is a
 single affine segment (the microbenchmarks stay inside one remote
-block, Field's overhang never exceeds a block, Transitive fetches one
-row per block), and single segments pass through the engine unsplit
-and unmerged — one wire message, the same protocol choice, the same
+block and Field's overhang never exceeds a block), and single
+segments pass through the engine unsplit and unmerged — one wire message, the same protocol choice, the same
 virtual time (`tests/test_calibration.py` still enforces the shape
 bands, and `tests/runtime/test_bulk_engine.py` pins the
 window-1/no-coalesce path to the serial timings exactly).  The

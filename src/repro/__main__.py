@@ -188,11 +188,22 @@ def _write_kvtraffic_artifacts(out_dir, res, slo) -> None:
 
 # -- shared option groups: each flag is defined exactly once -----------
 
-def _at_least_one(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return n
+def _at_least(low, kind=int):
+    """argparse ``type=``: a ``kind`` number no smaller than ``low``."""
+    def parse(text: str):
+        value = kind(text)
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return value
+    parse.__name__ = kind.__name__     # "invalid int value: 'x'"
+    return parse
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError("must be > 0")
+    return value
 
 
 def _workload_options(ap, *, machine=False, nthreads=None, seed=None,
@@ -207,7 +218,7 @@ def _workload_options(ap, *, machine=False, nthreads=None, seed=None,
                         choices=sorted(MACHINES),
                         help="machine model (default gm)")
     if nthreads is not None:
-        ap.add_argument("--nthreads", type=_at_least_one, default=nthreads,
+        ap.add_argument("--nthreads", type=_at_least(1), default=nthreads,
                         help="UPC threads (default %(default)s)")
     if seed is not None:
         ap.add_argument("--seed", type=seed_type, default=seed,
@@ -243,7 +254,7 @@ def _fault_options(ap, *, profile_default=None, policy=True) -> None:
 def _shard_options(ap, *, shards, backend) -> None:
     """``--shards/--shard-backend`` with the command's own defaults;
     ranges are checked by :func:`repro.obs.cli.check_shards`."""
-    ap.add_argument("--shards", type=_at_least_one, default=shards,
+    ap.add_argument("--shards", type=_at_least(1), default=shards,
                     metavar="N",
                     help="run on the sharded PDES core with N shards "
                          "(run/trace: field only; see "
@@ -307,27 +318,29 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: chrome and jsonl)")
     p.add_argument("--breakdown", action="store_true",
                    help="render the remote-GET latency decomposition")
-    p.add_argument("--sample-us", type=float, default=100.0,
+    p.add_argument("--sample-us", type=_at_least(0, float), default=100.0,
                    help="counter sampling interval in virtual µs "
                         "(0 disables; default 100)")
-    p.add_argument("--max-events", type=int, default=None,
+    p.add_argument("--max-events", type=_at_least(1), default=None,
                    help="flight-recorder memory bound (drop-newest)")
 
     p = command("kvtraffic", kvtraffic_main,
                 "open-loop Zipfian/Poisson KV service traffic on the "
                 "sharded event core (see docs/SERVICE.md)")
     p.add_argument("--requests", type=int, default=100_000,
-                   help="total requests across all clients")
+                   help="total requests across all clients, rounded "
+                        "up to a multiple of --nclients (200 over 32 "
+                        "clients runs 224)")
     p.add_argument("--skew", type=float, default=0.9,
                    help="Zipf exponent s (default 0.9)")
     p.add_argument("--nclients", type=int, default=32)
     p.add_argument("--nnodes", type=int, default=8)
-    p.add_argument("--slo-target-us", type=float, default=0.0,
+    p.add_argument("--slo-target-us", type=_at_least(0, float), default=0.0,
                    metavar="US",
                    help="arm the streaming SLO monitor with this "
                         "latency target (µs); prints windowed "
                         "burn-rate / anomaly summary")
-    p.add_argument("--slo-window-us", type=float, default=5000.0,
+    p.add_argument("--slo-window-us", type=_positive, default=5000.0,
                    metavar="US",
                    help="SLO rolling-window width in virtual µs "
                         "(default 5000)")
@@ -345,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "replayed across the config matrix against a "
                 "flat-memory oracle, failures shrunk to a pytest "
                 "reproducer (see repro.testing)")
-    p.add_argument("--ops", type=_at_least_one, default=200,
+    p.add_argument("--ops", type=_at_least(1), default=200,
                    help="approximate ops per generated program")
     p.add_argument("--matrix", default=None,
                    help="'quick', 'full', or comma-separated config "
@@ -390,10 +403,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run-dir", default=None,
                    help="checkpoint/output directory (default: "
                         "campaign-runs/<spec name>)")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=_at_least(0), default=None,
                    help="worker processes (default: the spec's; "
                         "0 = in-process)")
-    p.add_argument("--max-cells", type=int, default=None,
+    p.add_argument("--max-cells", type=_at_least(0), default=None,
                    help="execute at most N cells this invocation "
                         "(the rest stay pending for a resume)")
     p.add_argument("--no-resume", action="store_true",

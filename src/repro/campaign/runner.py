@@ -147,6 +147,9 @@ def run_campaign(spec: CampaignSpec, run_dir: str, *,
     cells = spec.expand()
     if workers is None:
         workers = spec.workers
+    for name, value in (("workers", workers), ("max_cells", max_cells)):
+        if value is not None and value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     os.makedirs(os.path.join(run_dir, "cells"), exist_ok=True)
 
     run = CampaignRun(campaign=spec.name, run_dir=run_dir)

@@ -53,6 +53,16 @@ MODE_FAILOVER = "failover"
 POLICIES = ("do_nothing", "retransmit_tuning", "disable_and_repair",
             "path_failover")
 
+#: Delivery-EWMA smoothing factor.
+EWMA_ALPHA = 0.4
+#: A window is unhealthy when its timeout rate exceeds this ...
+TIMEOUT_RATE_THRESHOLD = 0.08
+#: ... or the link's delivery EWMA has sunk below this.
+EWMA_THRESHOLD = 0.85
+#: Per-link retransmit knobs while ``retransmit_tuning`` is active.
+TUNED_TIMEOUT_SCALE = 0.5
+TUNED_BACKOFF_SCALE = 0.25
+
 _MASK64 = (1 << 64) - 1
 _ACTION_CODE = {"tune": 1, "untune": 2, "disable": 3, "restore": 4,
                 "failover": 5, "failback": 6}
@@ -64,12 +74,6 @@ class PolicyConfig:
 
     #: Health-window width (µs of virtual time).
     window_us: float = 500.0
-    #: Delivery-EWMA smoothing factor.
-    ewma_alpha: float = 0.4
-    #: A window is unhealthy when its timeout rate exceeds this ...
-    timeout_rate_threshold: float = 0.08
-    #: ... or the link's delivery EWMA has sunk below this.
-    ewma_threshold: float = 0.85
     #: Windows a link must look healthy for before tuning/failover
     #: reverts.
     recover_windows: int = 2
@@ -78,19 +82,12 @@ class PolicyConfig:
     min_attempts: int = 6
     #: How long ``disable_and_repair`` keeps a link out of service.
     repair_delay_us: float = 2500.0
-    #: Per-link retransmit knobs while ``retransmit_tuning`` is active.
-    tuned_timeout_scale: float = 0.5
-    tuned_backoff_scale: float = 0.25
 
     def __post_init__(self) -> None:
         if self.window_us <= 0:
             raise ValueError("window_us must be positive")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
         if self.repair_delay_us <= 0:
             raise ValueError("repair_delay_us must be positive")
-        if self.tuned_timeout_scale <= 0 or self.tuned_backoff_scale < 0:
-            raise ValueError("bad tuned scales")
 
 
 class LinkMode:
@@ -228,13 +225,13 @@ class PolicyEngine:
                 st.ewma = 1.0
                 st.healthy_run = 0
                 st.via = None
-            st.ewma = fold_ewma(st.ewma, w.delivery_rate, cfg.ewma_alpha)
+            st.ewma = fold_ewma(st.ewma, w.delivery_rate, EWMA_ALPHA)
             significant = w.attempts >= cfg.min_attempts
             unhealthy = significant and (
-                w.timeout_rate > cfg.timeout_rate_threshold
-                or st.ewma < cfg.ewma_threshold)
+                w.timeout_rate > TIMEOUT_RATE_THRESHOLD
+                or st.ewma < EWMA_THRESHOLD)
             healthy = (w.attempts > 0 and w.timeouts == 0
-                       and st.ewma >= cfg.ewma_threshold)
+                       and st.ewma >= EWMA_THRESHOLD)
             if unhealthy:
                 st.healthy_run = 0
                 if self.policy == "retransmit_tuning":
@@ -280,11 +277,10 @@ class PolicyEngine:
         link = (src, dst)
         upto = self.health.horizon(horizon if horizon is not None else t)
         st = self._advance(link, upto)
-        cfg = self.config
         if st.mode == MODE_TUNED:
             return LinkMode(MODE_TUNED,
-                            timeout_scale=cfg.tuned_timeout_scale,
-                            backoff_scale=cfg.tuned_backoff_scale)
+                            timeout_scale=TUNED_TIMEOUT_SCALE,
+                            backoff_scale=TUNED_BACKOFF_SCALE)
         if st.mode == MODE_DISABLED:
             if t >= st.until_us:
                 # Repair timer expires before the queried instant; the

@@ -42,7 +42,7 @@ from repro.runtime.runtime import Runtime, RuntimeConfig
 FORMATS = ("chrome", "jsonl", "csv")
 
 WORKLOADS = ("pointer", "update", "field", "neighborhood",
-             "transitive", "corner_turn")     # _run_workload's table
+             "corner_turn")     # _run_workload's table
 
 
 def _run_workload(name: str, quick: bool, machine: str, nthreads: int,
@@ -65,8 +65,6 @@ def _run_workload(name: str, quick: bool, machine: str, nthreads: int,
         "neighborhood": (w.NeighborhoodParams, w.run_neighborhood, dict(
             dim=size(64, 256), samples=size(8, 24),
             iterations=size(1, 2))),
-        "transitive": (w.TransitiveParams, w.run_transitive, dict(
-            nverts=size(16, 48))),
         "corner_turn": (w.CornerTurnParams, w.run_corner_turn, dict(
             dim=size(32, 64), tile=8)),
     }[name]

@@ -35,6 +35,8 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
+from repro.util.quantiles import quantile
+
 #: The one latency-histogram geometry: 256 log-spaced bins over
 #: [0.1 µs, 1 s], shared by the SLO windows here and the traffic
 #: harness's run histograms (:mod:`repro.workloads.kv_traffic`), so
@@ -235,15 +237,6 @@ def window_stats(window: dict, *, target_us: float, window_us: float,
     }
 
 
-def _median(values: List[float]) -> float:
-    if not values:
-        return 0.0
-    s = sorted(values)
-    n = len(s)
-    mid = n // 2
-    return s[mid] if n % 2 else (s[mid - 1] + s[mid]) / 2.0
-
-
 def detect_anomalies(windows: List[dict], *, target_us: float,
                      window_us: float, slo_quantile: float = 0.99,
                      retry_frac: float = 0.05, min_retries: int = 8,
@@ -294,7 +287,7 @@ def detect_anomalies(windows: List[dict], *, target_us: float,
             flag("policy_flap", w, float(actions), float(flap_actions))
 
     peaks = [w["max_inflight"] for w in windows if w["count"]]
-    med_peak = _median([float(p) for p in peaks])
+    med_peak = quantile(peaks, 0.5)
     if med_peak > 0:
         thr = max(backlog_factor * med_peak, float(min_inflight))
         for w in windows:
@@ -307,7 +300,7 @@ def detect_anomalies(windows: List[dict], *, target_us: float,
             continue
         p99 = hist_quantile(w["hist"], 0.99)
         if len(history) >= warmup_windows:
-            baseline = _median(history)
+            baseline = quantile(history, 0.5)
             if baseline > 0 and p99 > p99_factor * baseline:
                 flag("p99_regression", w, p99, p99_factor * baseline)
         history.append(p99)

@@ -157,55 +157,6 @@ class ShardBarrier:
             yield self.exit_us
 
 
-class ShardFence:
-    """``upc_fence`` semantics for sharded programs.
-
-    Remote stores cross shard boundaries as messages, so "my writes
-    are globally visible" becomes "every write I issued has been
-    acknowledged".  A writer takes a token per acked operation
-    (:meth:`issue`), the ack handler resolves it (:meth:`ack`), and
-    :meth:`wait` blocks until all outstanding tokens resolved —
-    matching the pooled runtime's rule that a fence drains the
-    issuing thread's outstanding PUT completions.
-    """
-
-    def __init__(self, ctx: "ShardContext") -> None:
-        self.ctx = ctx
-        self._next = 0
-        self._open: Dict[int, Event] = {}
-        self.completed = 0
-
-    @property
-    def outstanding(self) -> int:
-        return len(self._open)
-
-    def issue(self) -> int:
-        """Register one un-acked remote operation; returns its token
-        (carry it in the request so the ack can name it)."""
-        self._next += 1
-        self._open[self._next] = Event(self.ctx.sim,
-                                       name=f"fence-ack#{self._next}")
-        return self._next
-
-    def ack(self, token: int) -> None:
-        """Resolve a token (call from the ack message handler)."""
-        ev = self._open.pop(token, None)
-        if ev is None:
-            raise RuntimeError(f"unknown or duplicate fence token {token}")
-        self.completed += 1
-        ev.succeed()
-
-    def wait(self):
-        """Generator: block until every issued token was acked."""
-        while self._open:
-            # Oldest outstanding token first (dict preserves issue
-            # order); its gate resolves when the ack arrives, then the
-            # loop re-checks — acks landing meanwhile already removed
-            # themselves.
-            token = next(iter(self._open))
-            yield self._open[token]
-
-
 class Reducer:
     """Value collectives: ``upc_all_reduce``-style combine + broadcast.
 

@@ -75,7 +75,8 @@ def bucket_of(key: int, nbuckets: int) -> int:
     """The bucket serving ``key``.
 
     Identity-mod hashing keeps the mapping transparent to the test
-    oracle and the sharded skeleton (both recompute it independently);
+    oracle and the test-side sharded skeleton
+    (``tests/sim/shard_referees.py``; both recompute it independently);
     key universes in tests are chosen to collide anyway.
     """
     return key % nbuckets

@@ -37,8 +37,8 @@ inproc mode and are order-independent in mp mode because shards only
 interact at round boundaries).  Across *different* shard counts, a
 workload sees identical virtual-time behaviour provided its same-time
 cross-shard effects commute (the discipline all bundled workloads and
-the fuzz-corpus skeleton follow); the determinism suite asserts this
-for shards ∈ {1, 2, 4}.
+the test-side fuzz-corpus skeleton, ``tests/sim/shard_referees.py``,
+follow); the determinism suite asserts this for shards ∈ {1, 2, 4}.
 """
 
 from __future__ import annotations

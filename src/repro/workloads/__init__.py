@@ -24,10 +24,6 @@ from repro.workloads.dis.corner_turn import (
     CornerTurnParams,
     run_corner_turn,
 )
-from repro.workloads.dis.transitive import (
-    TransitiveParams,
-    run_transitive,
-)
 from repro.workloads.kv_traffic import (
     PoissonArrivals,
     TrafficParams,
@@ -50,8 +46,6 @@ __all__ = [
     "run_field",
     "CornerTurnParams",
     "run_corner_turn",
-    "TransitiveParams",
-    "run_transitive",
     "PoissonArrivals",
     "TrafficParams",
     "TrafficResult",

@@ -19,7 +19,6 @@ data-intensive real applications":
 from repro.workloads.dis.common import DISBase, DISResult
 from repro.workloads.dis.corner_turn import CornerTurnParams, run_corner_turn
 from repro.workloads.dis.pointer import PointerParams, run_pointer
-from repro.workloads.dis.transitive import TransitiveParams, run_transitive
 from repro.workloads.dis.update import UpdateParams, run_update
 from repro.workloads.dis.neighborhood import (
     NeighborhoodParams,
@@ -40,6 +39,4 @@ __all__ = [
     "run_field",
     "CornerTurnParams",
     "run_corner_turn",
-    "TransitiveParams",
-    "run_transitive",
 ]

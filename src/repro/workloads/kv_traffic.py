@@ -1,7 +1,9 @@
 """Open-loop KV service traffic on the sharded event core.
 
-The service-level companion to the corpus skeleton: where the fuzz
-suite proves the KV *semantics* (differential vs. a flat-dict oracle),
+The service-level companion to the fuzz suite's corpus skeleton (a
+test-side shard program, ``tests/sim/shard_referees.py``): where the
+fuzz suite proves the KV *semantics* (differential vs. a flat-dict
+oracle),
 this module measures the KV *service* — flow-completion time (FCT) of
 millions of Zipf-keyed requests against bucket servers, under the two
 access paths the runtime offers:

@@ -73,6 +73,19 @@ def test_resumed_cells_are_not_reexecuted(tmp_path):
     assert first.executed == 2
 
 
+def test_negative_counts_are_rejected_before_any_cell_runs(tmp_path):
+    # Unchecked, max_cells=-1 slices todo[:-1] (every cell but one)
+    # and counts one pending cell more than the spec has.
+    spec = _noop_spec(4)
+    for kw, name in ((dict(max_cells=-1), "max_cells"),
+                     (dict(workers=-1), "workers")):
+        with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+            run_campaign(spec, str(tmp_path), **kw)
+    assert not os.path.exists(os.path.join(str(tmp_path), "cells"))
+    run = run_campaign(spec, str(tmp_path), workers=0, max_cells=0)
+    assert run.executed == 0 and run.pending == 4
+
+
 def test_truncated_checkpoint_is_rerun_not_error(tmp_path):
     spec = _noop_spec(2)
     run_campaign(spec, str(tmp_path), workers=0)

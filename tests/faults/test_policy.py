@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from repro.faults import (HealthTracker, PolicyConfig, PolicyEngine,
                           decisions_digest, fold_ewma)
 from repro.faults.policy import (MODE_DISABLED, MODE_FAILOVER,
-                                 MODE_NORMAL, MODE_TUNED)
+                                 MODE_NORMAL, MODE_TUNED,
+                                 TUNED_BACKOFF_SCALE,
+                                 TUNED_TIMEOUT_SCALE)
 
 CFG = PolicyConfig(window_us=100.0, recover_windows=2,
                    min_attempts=4, repair_delay_us=500.0)
@@ -88,8 +90,8 @@ def test_retransmit_tuning_tunes_and_recovers():
     _sick_window(h, 0)
     m = eng.mode_of(0, 1, 150.0)
     assert m.mode == MODE_TUNED
-    assert m.timeout_scale == CFG.tuned_timeout_scale
-    assert m.backoff_scale == CFG.tuned_backoff_scale
+    assert m.timeout_scale == TUNED_TIMEOUT_SCALE == 0.5
+    assert m.backoff_scale == TUNED_BACKOFF_SCALE == 0.25
     # recovery: the EWMA must climb back over the threshold first
     # (window 1 still reads unhealthy), then two consecutive healthy
     # windows revert the tuning

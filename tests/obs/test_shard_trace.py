@@ -27,7 +27,9 @@ from repro.obs.shardlog import (
 )
 from repro.testing.generator import generate_program
 from repro.workloads.kv_traffic import TrafficParams, run_kv_traffic
-from repro.workloads.sharded import run_corpus_sharded, run_field_sharded
+from repro.workloads.sharded import run_field_sharded
+
+from tests.sim.shard_referees import run_corpus_sharded
 
 FIELD_NT = 32  # 8 nodes -> shard counts 1/2/4 all divide evenly
 

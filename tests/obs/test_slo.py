@@ -172,6 +172,26 @@ def test_detect_p99_regression_is_causal():
     assert not [f for f in early if f["kind"] == "p99_regression"]
 
 
+def test_detector_baselines_are_ceil_rank_medians():
+    # An even-length history has two middle values; the baseline is the
+    # upper one (util.quantiles.quantile at 0.5), not their mean.
+    lo = hist_quantile(_win(0, 100, lat_bin=40)["hist"], 0.99)
+    hi = hist_quantile(_win(0, 100, lat_bin=60)["hist"], 0.99)
+    wins = [_win(i, 100, lat_bin=b)
+            for i, b in enumerate((40, 40, 60, 60))]
+    wins.append(_win(4, 100, lat_bin=200))
+    flags = detect_anomalies(wins, target_us=1e6, window_us=100.0,
+                             warmup_windows=4)
+    (reg,) = [f for f in flags if f["kind"] == "p99_regression"]
+    assert reg["threshold"] == 2.0 * hi != 2.0 * (lo + hi) / 2
+    # The run-median peak of (10, 10, 30, 70) is 30, so the 70 window
+    # stays under 3 x 30 (an interpolated median, 20, would flag it).
+    wins = [_win(i, 50, max_inflight=m, lat_bin=10)
+            for i, m in enumerate((10, 10, 30, 70))]
+    flags = detect_anomalies(wins, target_us=10.0, window_us=100.0)
+    assert not [f for f in flags if f["kind"] == "backlog_spike"]
+
+
 def test_detectors_quiet_on_steady_traffic():
     wins = [_win(i, 100, hits=40, max_inflight=12, lat_bin=40)
             for i in range(8)]

@@ -20,7 +20,8 @@ from repro.testing import (
     run_oracle,
     validate,
 )
-from repro.workloads.sharded import run_corpus_sharded, skeleton_kv_dict
+
+from tests.sim.shard_referees import run_corpus_sharded, skeleton_kv_dict
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))

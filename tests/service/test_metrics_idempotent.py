@@ -11,7 +11,8 @@ from repro.runtime import Runtime, RuntimeConfig
 from repro.runtime.metrics import RuntimeMetrics
 from repro.service import kv_create
 from repro.testing import generate_service_program
-from repro.workloads.sharded import run_corpus_sharded
+
+from tests.sim.shard_referees import run_corpus_sharded
 
 
 def test_summary_idempotent_on_fresh_metrics():

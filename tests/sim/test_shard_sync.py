@@ -9,7 +9,7 @@ import pytest
 
 from repro.network.params import MACHINES
 from repro.network.partition import lookahead_matrix, partition_nodes
-from repro.runtime.collectives import ShardFence, dissemination_cost_us
+from repro.runtime.collectives import dissemination_cost_us
 from repro.runtime.metrics import RuntimeMetrics
 from repro.sim.shard import (ShardContext, ShardedError,
                              ShardedSimulator, ShardSpec)
@@ -20,6 +20,7 @@ from repro.sim.sync import (INF, BarrierPost, ShardMetrics, ShardReport,
 from repro.util.rng import StreamFamily
 
 from tests.sim.reference_core import ReferenceSimulator
+from tests.sim.shard_referees import ShardFence
 
 pytestmark = pytest.mark.shard
 

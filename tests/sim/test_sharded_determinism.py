@@ -28,9 +28,9 @@ import pytest
 
 from repro.testing.generator import generate_program
 from repro.testing.program import Program
-from repro.workloads.sharded import (field_nnodes, run_corpus_sharded,
-                                     run_field_reference,
-                                     run_field_sharded)
+from repro.workloads.sharded import field_nnodes, run_field_sharded
+
+from tests.sim.shard_referees import run_corpus_sharded, run_field_reference
 
 pytestmark = pytest.mark.shard
 
@@ -176,6 +176,16 @@ def test_corpus_skeleton_mp_backend_matches():
     mp = run_corpus_sharded(prog, 2, mode="mp")
     _assert_corpus_match(mp, inproc, "mp vs inproc")
     assert mp["events"] == inproc["events"]
+
+
+def test_corpus_skeleton_runs_under_spawn():
+    # A spawned worker starts from a fresh interpreter and unpickles
+    # the builder by name: the test-side skeleton must import there.
+    prog = _load(CORPUS[0])
+    inproc = run_corpus_sharded(prog, 2, mode="inproc")
+    spawned = run_corpus_sharded(prog, 2, mode="mp", mp_context="spawn")
+    _assert_corpus_match(spawned, inproc, "spawn vs inproc")
+    assert spawned["events"] == inproc["events"]
 
 
 def test_fresh_fuzz_programs_layout_invariant():

@@ -282,6 +282,39 @@ def test_thread_and_op_counts_below_one_are_argparse_errors(capsys):
             == "argument --ops: must be >= 1"
 
 
+def test_negative_counts_and_intervals_are_argparse_errors(capsys):
+    # Unchecked, each would run as something else: a campaign of all
+    # cells but one, a trace that records nothing, a sampler or SLO
+    # monitor silently off, or a ValueError traceback from the monitor.
+    for argv, message in (
+            (["kvtraffic", "--slo-target-us", "10",
+              "--slo-window-us", "0"],
+             "argument --slo-window-us: must be > 0"),
+            (["kvtraffic", "--slo-target-us", "-5"],
+             "argument --slo-target-us: must be >= 0"),
+            (["trace", "pointer", "--sample-us", "-5"],
+             "argument --sample-us: must be >= 0"),
+            (["trace", "pointer", "--max-events", "-1"],
+             "argument --max-events: must be >= 1"),
+            (["trace", "pointer", "--max-events", "0"],
+             "argument --max-events: must be >= 1"),
+            (["campaign", "--max-cells", "-1"],
+             "argument --max-cells: must be >= 0"),
+            (["campaign", "--workers", "-1"],
+             "argument --workers: must be >= 0")):
+        assert _usage_error(argv, capsys) == message, argv
+    # The bounds themselves still parse: 0 workers is in-process, 0
+    # sampling and 0 SLO target are "off".
+    args = build_parser().parse_args(
+        ["campaign", "--workers", "0", "--max-cells", "0"])
+    assert (args.workers, args.max_cells) == (0, 0)
+    args = build_parser().parse_args(
+        ["trace", "pointer", "--sample-us", "0", "--max-events", "1"])
+    assert (args.sample_us, args.max_events) == (0.0, 1)
+    assert build_parser().parse_args(
+        ["kvtraffic", "--slo-target-us", "0"]).slo_target_us == 0.0
+
+
 def test_unknown_machine_is_one_argparse_error_everywhere(capsys):
     messages = {_usage_error(cmd + ["--machine", "bogus"], capsys)
                 for cmd in (["run", "pointer"], ["trace", "pointer"],

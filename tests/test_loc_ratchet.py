@@ -9,6 +9,8 @@ what the new lines buy.
 import ast
 import inspect
 import os
+import subprocess
+import sys
 
 import repro.sim
 import repro.sim.event
@@ -102,7 +104,19 @@ SRC = os.path.join(ROOT, "src", "repro")
 #: (`runtime/collectives.py` -2, `memory/registration_cache.py` -2);
 #: `ProgramGenerator` rejects fewer than one thread
 #: (`testing/generator.py` +2): 20 993 -> 20 884.
-SRC_LINES_CEILING = 20884
+#: Then the product imports no test machinery, -715: the corpus
+#: skeleton, `ShardFence` and the pooled Field reference moved to
+#: `tests/sim/shard_referees.py` (`workloads/sharded.py` -562,
+#: `runtime/collectives.py` -49; moved, counted under tests now, not
+#: deleted), the DIS `transitive` kernel went with its `run/trace`
+#: choice and re-exports (`workloads/dis/transitive.py` -101, the whole
+#: file; `workloads/` `__init__`s -9, `obs/cli.py` -2), five
+#: `PolicyConfig` knobs nothing set became constants
+#: (`faults/policy.py` -4) and SLO's private `_median` went
+#: (`obs/slo.py` -7); negative CLI counts are argparse errors
+#: (`__main__.py` +13, `campaign/runner.py` +3), docstrings name the
+#: referees' new home (+3): 20 884 -> 20 169.
+SRC_LINES_CEILING = 20169
 
 
 def _sources(root=SRC):
@@ -237,7 +251,8 @@ def test_latency_has_one_account():
         with open(path, encoding="utf-8") as fh:
             body = fh.read()
         for needle in ("RunningStats", "get_remote_digest",
-                       "def _percentile", "def record_get"):
+                       "def _percentile", "def _median",
+                       "def record_get"):
             assert needle not in body, (needle, path)
 
 
@@ -280,6 +295,46 @@ def test_shard_programs_share_one_wire():
     assert calls["ShardedSimulator"] == ["run_sharded"]
     for name in ("make_topology", "partition_nodes", "lookahead_matrix"):
         assert set(calls[name]) <= {"ShardWire", "run_sharded"}, name
+
+
+def test_the_product_imports_no_test_machinery():
+    # The shard-program referees (corpus skeleton, its fence, the
+    # pooled Field reference) live in tests/sim/shard_referees.py; only
+    # the fuzz package itself and the `fuzz` command reach repro.testing.
+    allowed = {os.path.join(SRC, "__main__.py")}
+    for path in _sources():
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name in ("ShardFence", "run_field_reference",
+                                      "run_corpus_sharded", "_SkeletonCore")):
+                raise AssertionError((node.name, path))
+            if path.startswith(os.path.join(SRC, "testing", "")) \
+                    or path in allowed:
+                continue
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not [n for n in names
+                        if n == "repro.testing"
+                        or n.startswith("repro.testing.")], (names, path)
+
+
+def test_product_packages_load_no_test_machinery():
+    # Importing what the CLI, the figures and the campaign runner use
+    # must not drag in the fuzz generator, oracle, runner and shrinker.
+    code = ("import sys, repro.workloads, repro.experiments, "
+            "repro.campaign; print(sorted(m for m in sys.modules "
+            "if m == 'repro.testing' or m.startswith('repro.testing.')))")
+    path = [os.path.dirname(SRC), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]", out.stdout
 
 
 def test_src_keeps_the_file_count_the_frozen_bench_asserts():
