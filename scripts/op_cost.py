@@ -8,8 +8,10 @@ Runs one repetition of a ``bench/workloads.py`` workload (read-only
 import; nothing under ``bench/`` is touched) under ``sys.settrace``
 with per-opcode events on and prints, per logical op: interpreter
 opcodes, Python-level calls, the generator-frame entries among those
-calls (every resumption of a generator counts one) and simulator
-events, then the same opcodes and calls summed by layer (the map of
+calls (every resumption of a generator counts one), simulator events
+and cyclic garbage (the objects ``gc.collect()`` finds after the
+repetition, run with the collector disabled: what refcounting could
+not free), then the same opcodes and calls summed by layer (the map of
 ``bench/layers.py``, also imported read-only; code outside
 ``src/repro`` is ``other``), then the functions ranked by *self*
 opcodes.
@@ -28,6 +30,7 @@ measured with ``bench/run.py``.
 from __future__ import annotations
 
 import argparse
+import gc
 import inspect
 import os
 import sys
@@ -39,8 +42,9 @@ REPRO = ROOT / "src" / "repro"
 
 
 def count(workload, inputs):
-    """Run ``workload`` once under the tracer; returns the outcome and
-    self opcodes and calls per code object."""
+    """Run ``workload`` once under the tracer, the cyclic collector off;
+    returns the outcome, self opcodes and calls per code object, and
+    the number of objects only the collector could free."""
     opcodes = Counter()
     calls = Counter()
 
@@ -55,12 +59,16 @@ def count(workload, inputs):
         frame.f_trace_lines = False
         return local
 
+    gc.collect()
+    gc.disable()
     sys.settrace(on_call)
     try:
         outcome = workload.run(inputs)
     finally:
         sys.settrace(None)
-    return outcome, opcodes, calls
+        garbage = gc.collect()
+        gc.enable()
+    return outcome, opcodes, calls, garbage
 
 
 def label(code) -> str:
@@ -113,7 +121,8 @@ def main(argv=None) -> int:
         ap.error(f"unknown workload {args.workload!r}; "
                  f"choose from {', '.join(WORKLOADS)}")
     w = WORKLOADS[args.workload]
-    outcome, by_code, calls = count(w, w.generate(args.seed, args.scale))
+    outcome, by_code, calls, garbage = count(
+        w, w.generate(args.seed, args.scale))
     nops, ncalls = sum(by_code.values()), sum(calls.values())
     # A generator's every resumption is a "call" event: these are the
     # frame re-entries a deep ``yield from`` chain pays per event.
@@ -132,6 +141,7 @@ def main(argv=None) -> int:
     print(f"  calls/op    {ncalls / ops:10.1f}   ({ncalls} total)")
     print(f"  gen entries/op {ngen / ops:7.2f}   ({ngen} total)")
     print(f"  events/op   {events / ops:10.2f}   ({events} total)")
+    print(f"  garbage/op  {garbage / ops:10.2f}   ({garbage} total)")
     layer_ops = by_layer(by_code, layer_of_repro)
     layer_calls = by_layer(calls, layer_of_repro)
     print(f"\n  {'opcodes/op':>10}  {'share':>6}  {'calls/op':>8}  layer")

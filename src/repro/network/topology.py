@@ -15,7 +15,6 @@ NIC effects live elsewhere (:mod:`repro.network.transport`).
 
 from __future__ import annotations
 
-import math
 from array import array
 
 from repro.network.params import MachineParams
@@ -30,16 +29,19 @@ class Topology:
         self.nnodes = nnodes
         self.base_us = base_us
         self.per_hop_us = per_hop_us
-        #: Per-source latency rows, made and filled on first use (NaN =
-        #: not walked yet): a route is fixed, and walking it costs ~18
-        #: Python calls on the Clos.
-        self._rows: list = [None] * nnodes
+        #: Per-source float64 latency rows (2 MiB at 512 nodes), each
+        #: filled whole on first use: a Clos route walk is ~18 calls.
+        self.rows: list = [None] * nnodes
 
     def hops(self, src: int, dst: int) -> int:
         """Number of switch hops between two nodes."""
         self._check(src)
         self._check(dst)
-        return 0 if src == dst else 1
+        return 0 if src == dst else self._hops(src, dst)
+
+    def _hops(self, src: int, dst: int) -> int:
+        """Hops between two distinct nodes, both known valid."""
+        return 1
 
     def latency(self, src: int, dst: int) -> float:
         """One-way wire latency in µs."""
@@ -47,15 +49,17 @@ class Topology:
         if not (0 <= src < n and 0 <= dst < n):
             self._check(src)
             self._check(dst)
-        row = self._rows[src]
+        return (self.rows[src] or self.row(src))[dst]
+
+    def row(self, src: int) -> array:
+        """One-way latencies from ``src`` to every node, in µs."""
+        row = self.rows[src]
         if row is None:
-            row = self._rows[src] = array("d", [math.nan]) * n
-        lat = row[dst]
-        if lat != lat:
-            lat = row[dst] = (
+            row = self.rows[src] = array("d", [
                 0.0 if src == dst
-                else self.base_us + self.hops(src, dst) * self.per_hop_us)
-        return lat
+                else self.base_us + self._hops(src, dst) * self.per_hop_us
+                for dst in range(self.nnodes)])
+        return row
 
     def _check(self, node: int) -> None:
         if not 0 <= node < self.nnodes:
@@ -91,11 +95,7 @@ class MyrinetClos(Topology):
     def group(self, node: int) -> int:
         return self.linecard(node) // self.linecards_per_group
 
-    def hops(self, src: int, dst: int) -> int:
-        self._check(src)
-        self._check(dst)
-        if src == dst:
-            return 0
+    def _hops(self, src: int, dst: int) -> int:
         if self.linecard(src) == self.linecard(dst):
             return 1
         if self.group(src) == self.group(dst):
@@ -106,10 +106,8 @@ class MyrinetClos(Topology):
 class HPSSwitch(Topology):
     """IBM High-Performance Switch: uniform 2-hop fabric."""
 
-    def hops(self, src: int, dst: int) -> int:
-        self._check(src)
-        self._check(dst)
-        return 0 if src == dst else 2
+    def _hops(self, src: int, dst: int) -> int:
+        return 2
 
 
 class FlatEthernet(Topology):
@@ -156,11 +154,7 @@ class Torus3D(Topology):
         y, x = divmod(rem, x_dim)
         return x, y, z
 
-    def hops(self, src: int, dst: int) -> int:
-        self._check(src)
-        self._check(dst)
-        if src == dst:
-            return 0
+    def _hops(self, src: int, dst: int) -> int:
         total = 0
         for (a, b, dim) in zip(self.coords(src), self.coords(dst),
                                self.dims):

@@ -76,6 +76,7 @@ class Transport:
         self.sim = sim
         self.params = params
         self.topology = topology
+        self.rows = topology.rows      # latency by [src][dst]
         self.nodes = nodes
         #: Flight recorder (injected by the Runtime); None on bare
         #: clusters.  Every emit site guards on ``enabled``.
@@ -229,7 +230,7 @@ class Transport:
         if via is not None:
             return (self.topology.latency(src.id, via)
                     + self.topology.latency(via, dst.id) + extra)
-        return self.topology.latency(src.id, dst.id) + extra
+        return (self.rows[src.id] or self.topology.row(src.id))[dst.id] + extra
 
     def _arrive(self, src: Node, dst: Node, fate: Fate,
                 handler: Optional[Handler], copy_bytes: int = 0,

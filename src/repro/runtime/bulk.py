@@ -20,7 +20,7 @@ it with two independent optimizations:
    ``bulk_max_inflight`` with completion-driven refill: a true
    pipeline, not lock-step batching.  A plan that is one message has no
    pipeline to run and is issued in the calling process, on the same
-   schedule (:meth:`BulkEngine._inline`).
+   schedule (:meth:`BulkEngine._transfer`).
 
 With ``bulk_enabled`` off nothing goes on the wire from here: every
 segment is issued in order through the scalar op engine, one blocking
@@ -288,38 +288,6 @@ class BulkEngine:
                      nbytes=msg.nbytes, segments=len(msg.segments),
                      inflight=inflight)
 
-    def _inline(self, thread: "UPCThread", msg: _Message, body, op_id: int):
-        """Run a one-message plan in the calling process.
-
-        The pipeline would spend three zero-delay events on it: the
-        message process's start, its completion, and the join waking
-        the caller.  At a :meth:`Simulator.quiescent` instant each
-        would be the very next dispatch, so dropping it shifts every
-        later sequence number uniformly and reorders nothing; anywhere
-        else a ``yield 0.0`` takes its place in the queue.  Completion
-        costs two: the join's wake-up is scheduled only when the
-        completion is *dispatched*, behind whatever was queued
-        meanwhile, and the gauge drops between them."""
-        sim = self.rt.sim
-        self._issue(thread, msg, op_id, 1)
-        if not sim.quiescent():
-            yield 0.0
-        failure = None
-        try:
-            try:
-                yield from body
-            except Exception as err:    # re-raised where the join did
-                failure = err
-            quiet = sim.quiescent()
-            if not quiet:
-                yield 0.0
-        finally:
-            self.live_messages -= 1
-        if not quiet:
-            yield 0.0
-        if failure is not None:
-            raise failure
-
     def _drive(self, thread: "UPCThread", items: List[object],
                local_gen, msg_gen, window: Optional[int], op_id: int):
         """Issue plan ``items`` under a sliding in-flight window with
@@ -355,9 +323,18 @@ class BulkEngine:
 
     def _transfer(self, thread: "UPCThread", array: SharedArray,
                   spans: Sequence[Tuple[int, int]], values,
-                  window: Optional[int]):
+                  window: Optional[int], single: bool = False):
         """One bulk GET (``values`` is None; returns a fresh array per
-        span) or PUT (``values``: one flat array per span)."""
+        span, the one span's alone if ``single``) or PUT (``values``:
+        one flat array per span).
+
+        A one-message plan runs in this frame.  The pipeline would
+        spend three zero-delay events on it (message start, completion,
+        the join's wake); at a :meth:`Simulator.quiescent` instant each
+        is the very next dispatch, so dropping it reorders nothing, and
+        elsewhere a ``yield 0.0`` takes its place.  Completion costs
+        two: the wake is queued only when the completion is
+        *dispatched*, and the gauge drops between them."""
         rt = self.rt
         ops = rt.ops
         kind = "get" if values is None else "put"
@@ -385,34 +362,58 @@ class BulkEngine:
             else:
                 yield from ops.put(thread, array, start, view, count)
 
-        def msg_gen(msg: _Message, number: int):
-            try:
-                if values is None:
-                    yield from ops.get(thread, array, 0, bulk=(
-                        msg.node, msg.arena_lo, msg.segments, msg.nbytes,
-                        op_id))
-                    data = array.data   # into the caller's buffers, now
-                    for span, offset, start, count in msg.segments:
-                        bufs[span][offset:offset + count] = \
-                            data[start:start + count]
-                else:
-                    yield from ops.bulk_put(
-                        thread, array, msg.node, msg.arena_lo,
-                        [(start, bufs[span][offset:offset + count])
-                         for span, offset, start, count in msg.segments],
-                        msg.nbytes, parent_op=op_id)
-            except ReliabilityError as err:
-                # Retry exhaustion names the message, or it reads like a
-                # bare transport error; pipelined or inline, from here.
+        def send(msg: _Message):    # the op engine's generator itself
+            if values is None:
+                return ops.get(thread, array, 0, bulk=(
+                    msg.node, msg.arena_lo, msg.segments, msg.nbytes,
+                    op_id))
+            return ops.bulk_put(
+                thread, array, msg.node, msg.arena_lo,
+                [(start, bufs[span][offset:offset + count])
+                 for span, offset, start, count in msg.segments],
+                msg.nbytes, parent_op=op_id)
+
+        def named(err: Exception, msg: _Message, number: int):
+            # Retry exhaustion names the message, pipelined or inline.
+            if isinstance(err, ReliabilityError):
                 total = sum(it.__class__ is _Message for it in items)
                 err.args = (f"bulk {kind} t{thread.id}->n{msg.node}, "
                             f"message {number} of {total}, failed after "
                             f"retries: {err.args[0]}", *err.args[1:])
-                raise
+            return err
+
+        def land(msg: _Message):    # a GET's data, into the caller's bufs
+            if values is None:
+                for span, at, start, count in msg.segments:
+                    bufs[span][at:at + count] = array.data[start:start + count]
+
+        def msg_gen(msg: _Message, number: int):
+            try:
+                yield from send(msg)
+            except Exception as err:
+                raise named(err, msg, number)
+            land(msg)
 
         if len(items) == 1 and items[0].__class__ is _Message:
-            yield from self._inline(thread, items[0],
-                                    msg_gen(items[0], 1), op_id)
+            self._issue(thread, items[0], op_id, 1)
+            if not rt.sim.quiescent():
+                yield 0.0
+            failure = None
+            try:
+                try:
+                    yield from send(items[0])
+                    land(items[0])
+                except Exception as err:    # re-raised where the join did
+                    failure = named(err, items[0], 1)
+                quiet = rt.sim.quiescent()
+                if not quiet:
+                    yield 0.0
+            finally:
+                self.live_messages -= 1
+            if not quiet:
+                yield 0.0
+            if failure is not None:
+                raise failure
         else:
             yield from self._drive(thread, items, local_gen, msg_gen,
                                    window, op_id)
@@ -421,7 +422,7 @@ class BulkEngine:
                            thread=thread.id, node=thread.node.id)
             thread._span_end(op_id, proto="bulk", nbytes=sum(
                 n for _, n in spans) * array.elem_size)
-        return bufs if values is None else None
+        return (bufs[0] if single else bufs) if values is None else None
 
     def get_spans(self, thread: "UPCThread", array: SharedArray,
                   spans: Sequence[Tuple[int, int]],

@@ -63,7 +63,7 @@ from repro.runtime.svd import (
     SVDReplica,
 )
 from repro.runtime.thread import UPCThread
-from repro.sim.simulator import Simulator
+from repro.sim import Process, SimulationError, Simulator
 
 
 @dataclass(frozen=True)
@@ -145,6 +145,18 @@ class RuntimeConfig:
     def nnodes(self) -> int:
         tpn = self.effective_threads_per_node
         return -(-self.nthreads // tpn)
+
+
+class _UPCMain(Process):
+    """A UPC thread's kernel, parked in ``upc_exit`` as it returns."""
+
+    __slots__ = ("progress", "ended")
+
+    def _exit(self, err: BaseException) -> None:
+        self.ended = self.sim.now
+        if isinstance(err, StopIteration):
+            self.progress.enter_runtime()
+        super()._exit(err)
 
 
 class Runtime:
@@ -497,14 +509,14 @@ class Runtime:
         runtimes).  Without this, a kernel whose last op is not a
         barrier deadlocks any remote thread still reading its data.
         """
-        def main(th):
-            result = yield from program(th, *args)
-            th.node.progress.enter_runtime()
-            return result
-
         procs = []
         for th in self.threads:
-            proc = self.sim.process(main(th), name=f"upc{th.id}")
+            gen = program(th, *args)
+            if not hasattr(gen, "send"):
+                raise SimulationError(f"spawn: program must be a generator "
+                                      f"function, {program!r} gave {gen!r}")
+            proc = _UPCMain(self.sim, gen, f"upc{th.id}")
+            proc.progress = th.node.progress
             procs.append(proc)
         self._programs.extend(procs)
         return procs
@@ -513,10 +525,6 @@ class Runtime:
         """Run to completion and collect results."""
         if not self._programs:
             raise UPCRuntimeError("run() before spawn() — nothing to do")
-        end_times: Dict[int, float] = {}
-        for i, proc in enumerate(self._programs):
-            proc.add_callback(
-                lambda ev, i=i: end_times.setdefault(i, self.sim.now))
         self.sim.run(max_events=max_events)
         # Surface crashes first: a crashed thread usually deadlocks the
         # others, and the crash is the interesting diagnosis.
@@ -539,7 +547,7 @@ class Runtime:
                 raise UPCRuntimeError(
                     f"deadlock: {proc.name} never finished "
                     f"(t={self.sim.now:.1f})")
-        elapsed = max(end_times.values()) if end_times else self.sim.now
+        elapsed = max(proc.ended for proc in self._programs)
         return RunResult(
             elapsed_us=elapsed,
             metrics=self.metrics,

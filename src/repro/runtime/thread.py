@@ -194,9 +194,8 @@ class UPCThread:
         those are coalesced per destination node and pipelined under a
         bounded in-flight window (engine off: one blocking round trip
         per block, in order)."""
-        out = yield from self.runtime.bulk.get_spans(
-            self, array, [(index, nelems)])
-        return out[0]
+        return self.runtime.bulk._transfer(self, array, [(index, nelems)],
+                                           None, None, single=True)
 
     def memput(self, array: SharedArray, index: int, values):
         """``upc_memput``-style bulk write (split per affine block,
@@ -233,7 +232,6 @@ class UPCThread:
 
     def _await_all(self, events):
         yield AllOf(self.runtime.sim, events)
-        return None
 
     # -- synchronization -----------------------------------------------------
 
@@ -260,10 +258,10 @@ class UPCThread:
     def lock(self, lck: SharedLock):
         """``upc_lock``: AM round trip to the home node + queueing."""
         rt = self.runtime
-
         op_id = self._span_begin("lock")
-
-        def _go():
+        progress = self.node.progress
+        progress.enter_runtime()    # as _in_runtime, a frame less deep
+        try:
             if lck.owner_node != self.node.id:
                 yield from rt.cluster.transport.default_get(
                     self.node, rt.cluster.node(lck.owner_node),
@@ -276,15 +274,16 @@ class UPCThread:
                 yield lck._res
             lck._grant(self.id)
             rt.metrics.lock_acquires += 1
-
-        yield from self._in_runtime(_go())
+        finally:
+            progress.leave_runtime()
         self._span_end(op_id)
 
     def unlock(self, lck: SharedLock):
         """``upc_unlock``: release travels back to the home node."""
         rt = self.runtime
-
-        def _go():
+        progress = self.node.progress
+        progress.enter_runtime()
+        try:
             if lck.owner_node != self.node.id:
                 yield rt.cluster.params.o_send_us
                 yield rt.cluster.topology.latency(self.node.id,
@@ -293,8 +292,8 @@ class UPCThread:
                 yield rt.cluster.params.shm_access_us
             lck._release(self.id)
             lck._res.release()
-
-        yield from self._in_runtime(_go())
+        finally:
+            progress.leave_runtime()
 
     # -- computation ------------------------------------------------------------
 

@@ -36,7 +36,7 @@ class _Wake:
 
     One per process, queued by ``Simulator._wake`` at the instant and
     with the sequence number an event would have drawn; the dispatch
-    loop resumes ``proc`` through ``send`` itself.
+    loop resumes ``proc`` through ``send`` itself, unless it exited.
     """
 
     __slots__ = ("proc", "send")
@@ -142,10 +142,13 @@ class Process(Event):
 
     def _exit(self, err: BaseException) -> None:
         """The generator stopped: it returned, was killed, or raised."""
+        self._token = None      # it names us back: refcounting frees us
         if isinstance(err, StopIteration):
             self.succeed(err.value)
             return
-        if not isinstance(err, ProcessKilled):
+        if isinstance(err, ProcessKilled):
+            err.__traceback__ = None    # the killer's frames: a cycle
+        else:
             # Attach context so deadlocks/crashes are debuggable at scale.
             err.args = (*err.args, f"[in sim process {self.name!r} at "
                                    f"t={self.sim.now:.3f}]")

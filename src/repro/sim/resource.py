@@ -60,17 +60,11 @@ class Resource:
     def _join(self, proc: "Process") -> None:
         """``proc`` yielded this resource: grant a free slot with a
         zero-delay wake, or queue the process's token FIFO."""
-        if self.try_acquire():
+        if self._users < self.capacity and not self._waiters:
+            self._users += 1
             self.sim._wake(proc._token, 0.0)
         else:
             self._waiters.append(proc._token)
-
-    def try_acquire(self) -> bool:
-        """Non-blocking acquire; True if granted immediately."""
-        if self._users < self.capacity and not self._waiters:
-            self._users += 1
-            return True
-        return False
 
     def acquire_now(self) -> bool:
         """Take a slot without suspending, when that is exact; False
@@ -84,21 +78,23 @@ class Resource:
         where anything else is queued (the norm in symmetric workloads)
         the caller would run on ahead of code that was due first.
         """
-        return self.sim.quiescent() and self.try_acquire()
+        granted = (self._users < self.capacity and not self._waiters
+                   and self.sim.quiescent())
+        self._users += granted
+        return granted
 
     def release(self) -> None:
         """Free one slot; grants the oldest live waiter, FIFO."""
+        waiters = self._waiters
+        while waiters:      # queued only while every slot is held
+            token = waiters.popleft()
+            if not token.proc._status:
+                # The slot passes straight to the oldest live waiter
+                # (one killed while queued will never use it).
+                self.sim._wake(token, 0.0)
+                return
         if self._users <= 0:
             raise SimulationError(f"release() on idle resource {self.name!r}")
-        waiters = self._waiters
-        while waiters:
-            token = waiters.popleft()
-            if token.proc._status:
-                # Killed while queued: it will never use the slot.
-                continue
-            # The slot passes straight to the oldest waiter.
-            self.sim._wake(token, 0.0)
-            return
         self._users -= 1
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

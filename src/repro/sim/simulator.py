@@ -127,26 +127,18 @@ class Simulator:
             return self._lane[0][0]
         return self._heap[0][0] if self._heap else float("inf")
 
-    def _next_entry(self) -> Any:
-        """Pop the globally minimum ``(t, seq)`` entry (lane + heap)."""
-        lane = self._lane
-        if lane:
-            entry = lane[0]
-            heap = self._heap
-            if heap:
-                top = heap[0]
-                # Lane entries are at t == now; a heap entry wins only
-                # when it shares the timestamp with a smaller seq.
-                if top[0] <= entry[0] and top[1] < entry[1]:
-                    return heapq.heappop(heap)
-            return lane.popleft()
-        return heapq.heappop(self._heap)
-
     def step(self) -> None:
-        """Process exactly one event."""
-        if not (self._heap or self._lane):
+        """Process exactly one event: the minimum ``(t, seq)`` entry of
+        lane and heap.  Lane entries are at ``now``, so a heap entry
+        wins only when it shares the timestamp with a smaller seq."""
+        lane, heap = self._lane, self._heap
+        if lane and not (heap and heap[0][0] <= lane[0][0]
+                         and heap[0][1] < lane[0][1]):
+            entry = lane.popleft()
+        elif heap:
+            entry = heapq.heappop(heap)
+        else:
             raise SimulationError("step() on an empty event queue")
-        entry = self._next_entry()
         self.now = entry[0]
         self._nevents += 1
         entry[2]._process()

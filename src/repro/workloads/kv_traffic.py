@@ -128,9 +128,10 @@ class PoissonArrivals:
     gaps with the given mean (µs)."""
 
     def __init__(self, mean_gap_us: float) -> None:
-        if mean_gap_us <= 0:
-            raise ValueError("mean_gap_us must be positive")
         self.mean_gap_us = float(mean_gap_us)
+        if not 0.0 < self.mean_gap_us < np.inf:     # NaN fails too
+            raise ValueError("mean_gap_us must be finite and > 0, got "
+                             f"{mean_gap_us}")
 
     def gaps(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.exponential(self.mean_gap_us, n)
@@ -174,9 +175,14 @@ class TrafficParams:
             if getattr(self, name) < 1:
                 raise ValueError(f"TrafficParams.{name} must be >= 1, "
                                  f"got {getattr(self, name)}")
-        if not 0.0 <= self.put_frac <= 1.0:
-            raise ValueError("TrafficParams.put_frac must be in [0, 1], "
-                             f"got {self.put_frac}")
+        for name, ok, rule in (
+                ("put_frac", 0.0 <= self.put_frac <= 1.0, "in [0, 1]"),
+                ("zipf_s", 0.0 <= self.zipf_s < np.inf, "finite and >= 0"),
+                ("mean_gap_us", 0.0 < self.mean_gap_us < np.inf,
+                 "finite and > 0")):
+            if not ok:      # NaN fails every comparison
+                raise ValueError(f"TrafficParams.{name} must be {rule}, "
+                                 f"got {getattr(self, name)}")
 
     def per_client(self) -> int:
         return max(1, -(-self.requests // self.nclients))

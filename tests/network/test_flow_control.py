@@ -132,7 +132,7 @@ def test_rdma_ignores_credits():
     sim, cluster = make(eager_credits=1)
     src, dst = cluster.node(0), cluster.node(1)
     pool = dst.credits
-    assert pool.try_acquire()          # exhaust the single credit
+    assert pool.acquire_now()          # exhaust the single credit
 
     def run():
         yield from cluster.transport.rdma_get(src, dst, 4 * KB)

@@ -1,4 +1,5 @@
-"""Exactness of the inline one-message span: ``BulkEngine._inline``
+"""Exactness of the inline one-message span: ``BulkEngine._transfer``
+issues a plan that is one wire message in the caller's own frame, and
 must leave the schedule of the pipeline it replaces — a detached
 message ``Process`` joined by an ``AllOf``, kept here as the reference
 driver — with only the skipped zero-delay events missing from
@@ -9,7 +10,8 @@ op id and attributes.  Op ids are handed out in dispatch order, so a
 mark that draws one pins who ran before whom at an instant.  Each
 hand-built scenario isolates one clause of ``Simulator.quiescent()``
 and is run a third time with ``quiescent()`` forced to True inside
-``_inline`` to show that the scenario really does tell the forms apart.
+``_transfer`` to show that the scenario really does tell the forms
+apart.
 """
 
 import sys
@@ -18,8 +20,10 @@ import numpy as np
 import pytest
 
 from repro import GM_MARENOSTRUM, Runtime, RuntimeConfig
+from repro.faults.reliability import ReliabilityError
 from repro.obs import EventLog
-from repro.runtime.bulk import BulkEngine
+from repro.obs.events import BULK_DRAIN, BULK_PLAN
+from repro.runtime.bulk import BulkEngine, _Message
 from repro.sim import Simulator
 from repro.sim.event import AllOf
 
@@ -31,17 +35,81 @@ BOTH_OPS = pytest.mark.parametrize("op", ["get", "put"])
 ALONE, TOGETHER, RELEASE = 250.0, 500.0, 750.0
 
 
-def pipelined(self, thread, msg, body, op_id):
-    """The driver before the inline path, for a one-message plan."""
-    sim = self.rt.sim
-    proc = sim.process(body, name=f"bulk[t{thread.id}->n{msg.node}]")
+def pipelined(self, thread, array, spans, values, window, single=False):
+    """``BulkEngine._transfer`` before the inline path: a one-message
+    plan runs as a detached message process joined by an ``AllOf``;
+    any other goes through ``_drive`` as in the product."""
+    rt, ops, sim = self.rt, self.rt.ops, self.rt.sim
+    kind = "get" if values is None else "put"
+    op_id = -1
+    if self.enabled:
+        rt.metrics.bulk_transfers += 1
+        op_id = thread._span_begin("bulk_" + kind, spans=len(spans))
+    items = self._plan(thread, array, spans)
+    if op_id >= 0:
+        wire = [len(it.segments) for it in items
+                if it.__class__ is _Message]
+        rt.events.emit(sim.now, BULK_PLAN, op=op_id, thread=thread.id,
+                       node=thread.node.id, messages=len(wire),
+                       wire_segments=sum(wire),
+                       coalesced=sum(wire) - len(wire),
+                       local=len(items) - len(wire))
+    bufs = values if values is not None else [
+        np.empty(nelems, dtype=array.dtype) for _, nelems in spans]
 
-    def done(_ev):
-        self.live_messages -= 1
+    def local_gen(seg):
+        span, offset, start, count = seg
+        view = bufs[span][offset:offset + count]
+        if values is None:
+            view[:] = yield from ops.get(thread, array, start, count)
+        else:
+            yield from ops.put(thread, array, start, view, count)
 
-    proc.add_callback(done)
-    self._issue(thread, msg, op_id, 1)
-    yield AllOf(sim, [proc])
+    def msg_gen(msg, number):
+        try:
+            if values is None:
+                yield from ops.get(thread, array, 0, bulk=(
+                    msg.node, msg.arena_lo, msg.segments, msg.nbytes,
+                    op_id))
+                data = array.data   # into the caller's buffers, now
+                for span, offset, start, count in msg.segments:
+                    bufs[span][offset:offset + count] = \
+                        data[start:start + count]
+            else:
+                yield from ops.bulk_put(
+                    thread, array, msg.node, msg.arena_lo,
+                    [(start, bufs[span][offset:offset + count])
+                     for span, offset, start, count in msg.segments],
+                    msg.nbytes, parent_op=op_id)
+        except ReliabilityError as err:
+            total = sum(it.__class__ is _Message for it in items)
+            err.args = (f"bulk {kind} t{thread.id}->n{msg.node}, "
+                        f"message {number} of {total}, failed after "
+                        f"retries: {err.args[0]}", *err.args[1:])
+            raise
+
+    if len(items) == 1 and items[0].__class__ is _Message:
+        msg = items[0]
+        proc = sim.process(msg_gen(msg, 1),
+                           name=f"bulk[t{thread.id}->n{msg.node}]")
+
+        def done(_ev):
+            self.live_messages -= 1
+
+        proc.add_callback(done)
+        self._issue(thread, msg, op_id, 1)
+        yield AllOf(sim, [proc])
+    else:
+        yield from self._drive(thread, items, local_gen, msg_gen, window,
+                               op_id)
+    if op_id >= 0:
+        rt.events.emit(sim.now, BULK_DRAIN, op=op_id, thread=thread.id,
+                       node=thread.node.id)
+        thread._span_end(op_id, proto="bulk", nbytes=sum(
+            n for _, n in spans) * array.elem_size)
+    if values is not None:
+        return None
+    return bufs[0] if single else bufs
 
 
 class Harness:
@@ -107,13 +175,13 @@ def compare(scenario, core, op, monkeypatch, skipped, sensitive=True):
     inline run ``skipped`` events shorter — given as (GET, PUT): a PUT
     never completes at a quiescent instant (its remote application is
     queued by then), so only its start can be skipped.  With
-    ``quiescent()`` forced to True inside ``_inline`` the runs must
+    ``quiescent()`` forced to True inside ``_transfer`` the runs must
     not agree (``sensitive``)."""
     skipped = skipped[op == "put"]
     done_at = Harness(core, op).play(scenario).when("span done")
     inline = Harness(core, op, done_at).play(scenario)
     with monkeypatch.context() as patch:
-        patch.setattr(BulkEngine, "_inline", pipelined)
+        patch.setattr(BulkEngine, "_transfer", pipelined)
         plain = Harness(core, op, done_at).play(scenario)
     assert inline.outcome() == plain.outcome()
     assert inline.rt.bulk.live_messages == 0
@@ -123,7 +191,7 @@ def compare(scenario, core, op, monkeypatch, skipped, sensitive=True):
         real = Simulator.quiescent
         monkeypatch.setattr(
             Simulator, "quiescent", lambda self: (
-                sys._getframe(1).f_code.co_name == "_inline"
+                sys._getframe(1).f_code.co_name == "_transfer"
                 or real(self)))
         wrong = Harness(core, op, done_at).play(scenario)
         assert wrong.outcome() != plain.outcome()
@@ -238,7 +306,7 @@ def test_kv_mix_records_are_those_of_the_pipelined_driver(monkeypatch):
         return records, out.exact()
 
     inline_records, inline = traced()
-    monkeypatch.setattr(BulkEngine, "_inline", pipelined)
+    monkeypatch.setattr(BulkEngine, "_transfer", pipelined)
     plain_records, plain = traced()
     assert inline_records == plain_records
     assert inline.pop("sim.core.events") < plain.pop("sim.core.events")

@@ -5,6 +5,7 @@ import pytest
 from repro.network import GM_MARENOSTRUM
 from repro.runtime import Runtime, RuntimeConfig
 from repro.runtime.errors import SVDError, UPCRuntimeError
+from repro.sim import SimulationError
 
 
 def make_rt(nthreads=8, tpn=4, **kw):
@@ -170,6 +171,20 @@ def test_run_without_spawn_rejected():
     rt = make_rt()
     with pytest.raises(UPCRuntimeError, match="nothing to do"):
         rt.run()
+
+
+def test_spawn_rejects_a_program_that_is_no_generator_function():
+    # The kernel's generator is the thread's process, so a plain
+    # function is caught at spawn, and the message blames the program,
+    # not the caller for passing it.
+    rt = make_rt()
+
+    def kernel(th):
+        return th.id
+
+    with pytest.raises(SimulationError, match=r"^spawn: program must be "
+                                              r"a generator function, "):
+        rt.spawn(kernel)
 
 
 def test_config_validation():

@@ -13,10 +13,10 @@ from repro.sim import Resource
 
 class GrantLog(Resource):
     """A ``Resource`` that records the wait of every grant, in grant
-    order: 0.0 for a slot taken at once (a free ``yield res``,
-    ``try_acquire`` or ``acquire_now``), the time spent in the FIFO for
-    one that ``release`` passed on.  A waiter killed in the FIFO is
-    never granted, so it is never recorded."""
+    order: 0.0 for a slot taken at once (a free ``yield res`` in
+    ``_join``, or ``acquire_now``), the time spent in the FIFO for one
+    that ``release`` passed on.  A waiter killed in the FIFO is never
+    granted, so it is never recorded."""
 
     __slots__ = ("waits", "_queued_at")
 
@@ -43,17 +43,20 @@ class GrantLog(Resource):
     def wait_max(self):
         return max(self.waits, default=0.0)
 
-    def try_acquire(self):
-        granted = super().try_acquire()
+    def _granted(self, granted):
         if granted:
             self.waits.append(0.0)
         return granted
 
+    def acquire_now(self):
+        return self._granted(super().acquire_now())
+
     def _join(self, proc):
         queued = len(self._waiters)
         super()._join(proc)
-        if len(self._waiters) > queued:
-            self._queued_at[proc._token] = self.sim.now
+        if self._granted(len(self._waiters) == queued):
+            return
+        self._queued_at[proc._token] = self.sim.now
 
     def release(self):
         # The grant release() is about to make: its oldest live waiter.

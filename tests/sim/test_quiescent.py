@@ -5,7 +5,7 @@ missing from ``events_processed``.
 
 Each hand-built scenario isolates one clause of
 ``Simulator.quiescent()`` and is run a third time with ``quiescent``
-forced to True (the plain ``try_acquire`` shortcut) to show that the
+forced to True (a free slot alone deciding) to show that the
 scenario really does tell the two apart.
 """
 

@@ -270,6 +270,34 @@ def test_kvtraffic_rejects_params_it_cannot_run(capsys):
         == "TrafficParams.requests must be >= 1, got 0"
 
 
+def test_kvtraffic_rejects_a_skew_that_is_no_zipf_exponent(capsys):
+    # Each of these used to run a whole traffic experiment and exit 0.
+    for bad in ("nan", "-1", "inf"):
+        assert _usage_error(["kvtraffic", "--skew", bad], capsys) == (
+            f"TrafficParams.zipf_s must be finite and >= 0, got {float(bad)}")
+
+
+@pytest.mark.parametrize("gap", [0.0, -2.0, float("nan"), float("inf")])
+def test_traffic_params_reject_a_mean_gap_no_arrival_process_has(gap):
+    # Only each shard's PoissonArrivals checked the gap, late, and a
+    # NaN passed even that check.
+    from repro.workloads.kv_traffic import TrafficParams
+    with pytest.raises(ValueError, match=r"^TrafficParams\.mean_gap_us "
+                                         r"must be finite and > 0, got "):
+        TrafficParams(mean_gap_us=gap)
+    TrafficParams(zipf_s=0.0)           # a uniform key draw is fine
+
+
+@pytest.mark.parametrize("gap", [0.0, -2.0, float("nan"), float("inf")])
+def test_poisson_arrivals_reject_a_gap_they_cannot_draw(gap):
+    # The arrival process is public on its own, and a NaN or an
+    # infinite gap passed its check.
+    from repro.workloads import PoissonArrivals
+    with pytest.raises(ValueError, match=r"^mean_gap_us must be finite "
+                                         r"and > 0, got "):
+        PoissonArrivals(gap)
+
+
 def test_thread_and_op_counts_below_one_are_argparse_errors(capsys):
     # A count the run cannot use is a usage error up front, not a
     # traceback from deep in the run or a silently resized program.

@@ -116,6 +116,22 @@ SRC = os.path.join(ROOT, "src", "repro")
 #: (`obs/slo.py` -7); negative CLI counts are argparse errors
 #: (`__main__.py` +13, `campaign/runner.py` +3), docstrings name the
 #: referees' new home (+3): 20 884 -> 20 169.
+#: Then no cycle per process, net 0: a process drops its `_Wake` token
+#: on exit and a killed one its traceback (`sim/process.py` +3); the
+#: kernel is the UPC thread's process generator, whose `_exit` parks it
+#: in `upc_exit` and notes its end time, so `main` and `Runtime.run`'s
+#: end-time callbacks went, and `spawn` rejects a program that returns
+#: no generator (`runtime/runtime.py` +8, the `_UPCMain` class); a
+#: one-message transfer runs in `_transfer`'s frame (`_inline` went:
+#: `runtime/bulk.py` +1), `memget`, `lock` and `unlock` lost their
+#: wrapper frames (`runtime/thread.py` -1); `_join` and `acquire_now`
+#: take a free slot themselves and `try_acquire` went
+#: (`sim/resource.py` -4); the wire reads whole float64 latency rows
+#: and hop counts come from unchecked `_hops` (`network/topology.py`
+#: -6, `network/transport.py` +1); `step` took `_next_entry`'s body
+#: (`sim/simulator.py` -8); `TrafficParams` checks `zipf_s` and
+#: `mean_gap_us`, and `PoissonArrivals` rejects a NaN or infinite gap
+#: (`workloads/kv_traffic.py` +6): 20 169 -> 20 169.
 SRC_LINES_CEILING = 20169
 
 
@@ -165,20 +181,22 @@ def test_the_bulk_driver_parks_on_one_join():
             assert name not in body, (name, path)
 
 
-def _get_depths():
+def _get_depths(read=lambda th, arr: th.get(arr, 8)):
     """Deepest ``yield from`` chain below the kernel seen while a remote
-    scalar GET is suspended, per phase: the first GET of an array misses
-    the address cache (eager AM), the second hits it (RDMA)."""
+    read is suspended (a scalar GET unless ``read`` says otherwise),
+    per phase: the first read of an array misses the address cache
+    (eager AM), the second hits it (RDMA).  Also returns, per phase,
+    the code names along the first chain seen."""
     rt = Runtime(RuntimeConfig(machine=GM_MARENOSTRUM, nthreads=2,
                                threads_per_node=1, seed=1))
-    kernels, phase, depth = {}, [None], {}
+    kernels, phase, depth, names = {}, [None], {}, {}
 
     def kernel(th):
         arr = yield from th.all_alloc(16, blocksize=8, dtype="u8")
         yield from th.barrier()
         if th.id == 0:
             for phase[0] in ("miss", "hit"):
-                yield from th.get(arr, 8)
+                yield from read(th, arr)
             phase[0] = "done"
         yield from th.barrier()
 
@@ -189,16 +207,18 @@ def _get_depths():
     def probe():
         while phase[0] != "done":
             if phase[0] is not None:
-                n, gen = 0, kernels[0].gi_yieldfrom
+                chain, gen = [], kernels[0].gi_yieldfrom
                 while gen is not None:
-                    n, gen = n + 1, getattr(gen, "gi_yieldfrom", None)
-                depth[phase[0]] = max(depth.get(phase[0], 0), n)
+                    chain.append(getattr(gen, "__name__", "?"))
+                    gen = getattr(gen, "gi_yieldfrom", None)
+                depth[phase[0]] = max(depth.get(phase[0], 0), len(chain))
+                names.setdefault(phase[0], chain)
             yield 0.05
 
     rt.spawn(program)
     rt.sim.process(probe(), name="depth-probe")
     rt.run()
-    return depth
+    return depth, names
 
 
 def test_a_remote_get_resumes_through_a_flat_chain():
@@ -207,9 +227,23 @@ def test_a_remote_get_resumes_through_a_flat_chain():
     # _inject; eager miss: get -> default_get -> _arrive -> _inject or
     # the progress engine's service).
     assert not inspect.isgeneratorfunction(UPCThread.get)
-    depth = _get_depths()
+    depth, _ = _get_depths()
     assert 0 < depth["hit"] <= 3, depth
     assert 0 < depth["miss"] <= 4, depth
+
+
+def test_a_one_message_memget_resumes_in_the_transfer_frame():
+    # Every KV bucket read is a one-message memget: the bulk engine's
+    # _transfer is the frame right below the kernel and the op engine's
+    # GET the one below that, with no memget wrapper, no inline driver
+    # and no message generator in between.
+    from repro.runtime.bulk import BulkEngine
+    assert not inspect.isgeneratorfunction(UPCThread.memget)
+    assert not hasattr(BulkEngine, "_inline")
+    depth, names = _get_depths(lambda th, arr: th.memget(arr, 8, 4))
+    for phase in ("miss", "hit"):
+        assert names[phase][:2] == ["_transfer", "get"], names
+    assert 0 < depth["hit"] <= 4, depth
 
 
 def test_the_wire_has_one_account():
