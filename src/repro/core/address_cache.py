@@ -73,8 +73,10 @@ class RemoteAddressCache:
         #: free costs O(entries for that handle), not a full-table scan.
         self._by_handle: Dict[Hashable, set] = {}
         #: Dense key list + position map for O(1) swap-remove — RANDOM
-        #: eviction draws a victim without materialising the table.
-        self._keys: list = []
+        #: eviction draws a victim without materialising the table.  No
+        #: other policy reads them, so only a RANDOM cache keeps them.
+        self._keys: Optional[list] = (
+            [] if policy is EvictionPolicy.RANDOM else None)
         self._pos: Dict[Key, int] = {}
         self._rng = seeded_rng(seed, 0xCACE)
         self.lookup_cost_us = lookup_cost_us
@@ -97,17 +99,14 @@ class RemoteAddressCache:
 
     # -- secondary indices ----------------------------------------------
 
-    def _index_add(self, key: Key) -> None:
-        self._by_handle.setdefault(key[0], set()).add(key)
-        self._pos[key] = len(self._keys)
-        self._keys.append(key)
-
     def _index_discard(self, key: Key) -> None:
         keys = self._by_handle.get(key[0])
         if keys is not None:
             keys.discard(key)
             if not keys:
                 del self._by_handle[key[0]]
+        if self._keys is None:
+            return
         # Swap-remove from the dense list: move the tail key into the
         # vacated slot so deletion stays O(1).
         pos = self._pos.pop(key)
@@ -154,7 +153,10 @@ class RemoteAddressCache:
         if len(self._table) >= self.capacity:
             self._evict_one()
         self._table[key] = base_addr
-        self._index_add(key)
+        self._by_handle.setdefault(handle, set()).add(key)
+        if self._keys is not None:
+            self._pos[key] = len(self._keys)
+            self._keys.append(key)
         self.stats.insertions += 1
         return cost
 
@@ -231,7 +233,8 @@ class RemoteAddressCache:
         n = len(self._table)
         self._table.clear()
         self._by_handle.clear()
-        self._keys.clear()
+        if self._keys is not None:
+            self._keys.clear()
         self._pos.clear()
         self.stats.invalidations += n
         return n

@@ -34,6 +34,8 @@ class Cluster:
             Node(sim, i, machine.transport) for i in range(nnodes)
         ]
         self.topology: Topology = make_topology(machine, nnodes)
+        #: ``node(node_id)``: a C-level list lookup, no Python frame.
+        self.node = self.nodes.__getitem__
         self.transport = Transport(
             sim, machine.transport, self.topology, self.nodes
         )
@@ -41,9 +43,6 @@ class Cluster:
     @property
     def nnodes(self) -> int:
         return len(self.nodes)
-
-    def node(self, node_id: int) -> Node:
-        return self.nodes[node_id]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<Cluster {self.machine.name} nodes={self.nnodes} "

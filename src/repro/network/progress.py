@@ -23,6 +23,13 @@ from typing import List
 
 from repro.network.node import Node
 from repro.network.params import INTERRUPT, POLLING, TransportParams
+from repro.obs.events import (
+    COMP_QUEUE,
+    PHASE,
+    QUEUE_ENTER,
+    QUEUE_LEAVE,
+    EventLog,
+)
 from repro.sim.process import _Wake
 from repro.sim.simulator import Simulator
 
@@ -40,9 +47,9 @@ class ProgressEngine:
         #: Peak number of handlers queued waiting for a poller (always
         #: 0 for interrupt-driven engines, which never queue).
         self.max_backlog = 0
-        #: Flight recorder (injected by the Runtime; may stay None for
+        #: Flight recorder (injected by the Runtime; stays off for
         #: bare-cluster uses).
-        self.events = None
+        self.events = EventLog(enabled=False)
         #: Fault injector (installed by the Runtime alongside the
         #: transport's); models slow/wedged targets as extra dispatch
         #: latency.  None == healthy node, zero extra yields.
@@ -85,11 +92,9 @@ class ProgressEngine:
         yield  # pragma: no cover
 
     def _record_queue(self, t0: float, op_id: int) -> None:
-        """Emit queue events for one service() wait, if recording."""
+        """Emit queue events for one service() wait; the caller tests
+        ``events.enabled`` first."""
         ev = self.events
-        if ev is None or not ev.enabled:
-            return
-        from repro.obs.events import COMP_QUEUE, PHASE, QUEUE_LEAVE
         wait = self.sim.now - t0
         ev.emit(self.sim.now, QUEUE_LEAVE, op=op_id, node=self.node.id,
                 wait=wait)
@@ -121,7 +126,8 @@ class PollingProgress(ProgressEngine):
 
     def enter_runtime(self) -> None:
         self._pollers += 1
-        self._wake_all()
+        if self._waiters:
+            self._wake_all()
 
     def leave_runtime(self) -> None:
         if self._pollers <= 0:
@@ -132,7 +138,8 @@ class PollingProgress(ProgressEngine):
 
     def poll(self) -> None:
         """A momentary progress tick (e.g. between compute slices)."""
-        self._wake_all()
+        if self._waiters:
+            self._wake_all()
 
     def _backlog_changed(self, depth: int) -> None:
         """One enqueue/dequeue transition: track the peak and give the
@@ -148,16 +155,16 @@ class PollingProgress(ProgressEngine):
             sampler.backlog_transition(self.node.id, depth)
 
     def _wake_all(self) -> None:
+        """Resume every parked handler; callers skip it when none is."""
         waiters = self._waiters
-        if waiters:
-            # _wake() only schedules — the handlers resume from the
-            # dispatch loop, so nothing can append to the list while we
-            # iterate, and clearing in place avoids a list allocation.
-            wake = self.sim._wake
-            for token in waiters:
-                wake(token, 0.0)
-            waiters.clear()
-            self._backlog_changed(0)
+        # _wake() only schedules — the handlers resume from the dispatch
+        # loop, so nothing can append to the list while we iterate, and
+        # clearing in place avoids a list allocation.
+        wake = self.sim._wake
+        for token in waiters:
+            wake(token, 0.0)
+        waiters.clear()
+        self._backlog_changed(0)
 
     def _join(self, proc) -> None:
         """A handler yielded the engine: park it until the next tick."""
@@ -167,8 +174,7 @@ class PollingProgress(ProgressEngine):
     def service(self, op_id: int = -1):
         t0 = self.sim.now
         log = self.events
-        if log is not None and log.enabled:
-            from repro.obs.events import QUEUE_ENTER
+        if log.enabled:
             log.emit(t0, QUEUE_ENTER, op=op_id, node=self.node.id,
                      pollers=self._pollers)
         if self._pollers == 0:
@@ -177,7 +183,8 @@ class PollingProgress(ProgressEngine):
             yield from self._stall(op_id)
         yield self.params.dispatch_us
         self.serviced += 1
-        self._record_queue(t0, op_id)
+        if log.enabled:
+            self._record_queue(t0, op_id)
 
 
 class InterruptProgress(ProgressEngine):
@@ -186,14 +193,14 @@ class InterruptProgress(ProgressEngine):
     def service(self, op_id: int = -1):
         t0 = self.sim.now
         log = self.events
-        if log is not None and log.enabled:
-            from repro.obs.events import QUEUE_ENTER
+        if log.enabled:
             log.emit(t0, QUEUE_ENTER, op=op_id, node=self.node.id)
         if self.faults is not None:
             yield from self._stall(op_id)
         yield self.params.interrupt_us
         self.serviced += 1
-        self._record_queue(t0, op_id)
+        if log.enabled:
+            self._record_queue(t0, op_id)
 
 
 def make_progress(sim: Simulator, node: Node,

@@ -58,6 +58,7 @@ from repro.obs.events import (
     RDMA_ISSUE,
     RETRY,
     TIMEOUT,
+    EventLog,
 )
 from repro.sim.event import Event
 from repro.sim.simulator import Simulator
@@ -78,9 +79,9 @@ class Transport:
         self.topology = topology
         self.rows = topology.rows      # latency by [src][dst]
         self.nodes = nodes
-        #: Flight recorder (injected by the Runtime); None on bare
+        #: Flight recorder (injected by the Runtime); off on bare
         #: clusters.  Every emit site guards on ``enabled``.
-        self.events = None
+        self.events = EventLog(enabled=False)
         #: Fault injector (installed by the Runtime when a non-empty
         #: FaultPlan is configured).  None == lossless fabric: every
         #: protocol's attempt loop runs once under ``NO_FAULT``.
@@ -111,21 +112,19 @@ class Transport:
 
     # -- observability -------------------------------------------------
 
-    def _recording(self) -> bool:
-        log = self.events
-        return log is not None and log.enabled
-
     def _phase(self, op_id: int, comp: str, t0: float,
                dur: Optional[float] = None) -> None:
         """Attribute ``now - t0`` (or an explicit ``dur``) of op
-        ``op_id``'s critical path to latency component ``comp``."""
-        log = self.events
-        if log is None or not log.enabled or op_id < 0:
+        ``op_id``'s critical path to latency component ``comp``.  The
+        caller tests ``events.enabled`` first: a recorder that is off
+        costs a test, not a call."""
+        if op_id < 0:
             return
         if dur is None:
             dur = self.sim.now - t0
         if dur > 0.0:
-            log.emit(self.sim.now, PHASE, op=op_id, comp=comp, dur=dur)
+            self.events.emit(self.sim.now, PHASE, op=op_id, comp=comp,
+                             dur=dur)
 
     # -- reliability building blocks --------------------------------------
 
@@ -145,7 +144,7 @@ class Transport:
             self.metrics.timeouts += 1
             self.metrics.link_timeout(src.id, dst.id)
         ev = self.events
-        if ev is not None and ev.enabled:
+        if ev.enabled:
             ev.emit(self.sim.now, TIMEOUT, op=op_id, node=src.id,
                     dst=dst.id, proto=proto, timeout_us=timeout_us,
                     attempt=attempt)
@@ -173,18 +172,10 @@ class Transport:
         if self.health is not None:
             self.health.record(self.sim.now, src.id, dst.id, retries=1)
         ev = self.events
-        if ev is not None and ev.enabled:
+        if ev.enabled:
             ev.emit(self.sim.now, RETRY, op=op_id, node=src.id,
                     dst=dst.id, attempt=attempt, backoff_us=delay,
                     what=what)
-
-    def _fate(self, src: Node, dst: Node, op_id: int) -> Fate:
-        """Fate of one AM exchange attempt: the injector's draw, or the
-        shared healthy fate on a lossless fabric — there the attempt
-        loop of every AM protocol below runs its body exactly once."""
-        if self.faults is None:
-            return NO_FAULT
-        return self.faults.am_fate(src.id, dst.id, op_id=op_id)
 
     def _lost(self, t0: float, attempt: int, op_id: int, src: Node,
               dst: Node, what: str):
@@ -201,7 +192,8 @@ class Transport:
     def _inject(self, node: Node, nbytes: int, fragmented: bool):
         """Occupy ``node``'s NIC while serializing ``nbytes``."""
         p = self.params
-        frags = p.fragments(nbytes) if fragmented else 1
+        # TransportParams.fragments and .wire_time, read inline.
+        frags = max(1, -(-nbytes // p.frag_bytes)) if fragmented else 1
         nic = node.nic
         if not nic.acquire_now():
             yield nic
@@ -210,7 +202,7 @@ class Transport:
                 stall = self.faults.nic_stall(node.id)
                 if stall > 0.0:
                     yield stall
-            yield frags * p.nic_gap_us + p.wire_time(nbytes)
+            yield frags * p.nic_gap_us + nbytes * p.byte_time_us
         finally:
             nic.release()
 
@@ -262,17 +254,17 @@ class Transport:
         its own process under ``NO_FAULT``: same hop, same ``serve``, no
         handler, no reply.
         """
+        rec = self.events.enabled
         lat = self._wire(src, dst, fate.delay_us)
         if lat > 0:
             yield lat
-        if t_sent is not None:
+        if rec and t_sent is not None:
             self._phase(op_id, COMP_WIRE, t_sent)
         payload: Any = None
         extra_bytes = 0
         if serve:
             p = self.params
             assert dst.progress is not None
-            rec = self._recording()
             yield from dst.progress.service(op_id)
             t_acq = self.sim.now
             if reply_bytes and reply_to is not None:
@@ -306,7 +298,7 @@ class Transport:
                     h_cost, payload, extra_bytes = handler(dst)
                     cost += h_cost
                 if copy_bytes:
-                    cost += p.copy_time(copy_bytes)
+                    cost += copy_bytes * p.memcpy_byte_us
                 if led is None and key is not None and handler is not None:
                     self.ledger.record(key, payload, extra_bytes)
                 t_h = self.sim.now
@@ -373,15 +365,17 @@ class Transport:
         # attempt; a lost leg burns the retransmit window, then the
         # request is retried after capped exponential backoff.  The
         # dedup key makes retried target handlers idempotent.
-        key = self._seq(src) if self.faults is not None else None
+        faults = self.faults
+        key = self._seq(src) if faults is not None else None
+        rec = self.events.enabled
         attempt = 0
         while True:
             t0 = self.sim.now
-            fate = self._fate(src, dst, op_id)
+            fate = (NO_FAULT if faults is None
+                    else faults.am_fate(src.id, dst.id, op_id=op_id))
             if nbytes <= p.eager_max_bytes:
                 # One eager attempt, inline: a lost leg leaves ``ok``
                 # False and the loop below owns the retransmit timer.
-                rec = self._recording()
                 # Request.
                 yield p.o_send_us
                 t1 = self.sim.now
@@ -417,7 +411,7 @@ class Transport:
                                          piggyback=extra > 0)
                     # Initiator: receive + copy out of the bounce
                     # buffer, then return the receive-buffer credit.
-                    yield p.o_recv_us + p.copy_time(nbytes)
+                    yield p.o_recv_us + nbytes * p.memcpy_byte_us
                     src.credits.release()
             else:
                 # Rendezvous: the initiator's RTS prologue is paid per
@@ -447,7 +441,7 @@ class Transport:
         lost a leg (the caller owns the retransmit timer).  A replayed
         delivery answers from the dedup ledger."""
         p = self.params
-        rec = self._recording()
+        rec = self.events.enabled
         t0 = self.sim.now
         if rec:
             self.events.emit(t0, AM_SEND, op=op_id, node=src.id,
@@ -552,7 +546,7 @@ class Transport:
         does next.  Returns the event that fires when the bytes are
         applied at the target (fences and barriers wait on it)."""
         p = self.params
-        rec = self._recording()
+        rec = self.events.enabled
         remote_applied = Event(self.sim, name="put-applied")
         if src_addr is None:
             src_addr = src.memory.base
@@ -562,7 +556,7 @@ class Transport:
         if nbytes <= p.eager_max_bytes:
             # Local side: software overhead, bounce copy, a receive
             # credit at the destination, injection.
-            yield p.o_send_us + p.copy_time(nbytes)
+            yield p.o_send_us + nbytes * p.memcpy_byte_us
             if not dst.credits.acquire_now():
                 yield dst.credits
             t0 = self.sim.now
@@ -589,7 +583,8 @@ class Transport:
             attempt = 0
             while True:
                 t0 = self.sim.now
-                fate = self._fate(src, dst, op_id)
+                fate = (NO_FAULT if self.faults is None else
+                        self.faults.am_fate(src.id, dst.id, op_id=op_id))
                 ok, _ = yield from self._rts_round(
                     src, dst, nbytes, handler, dst_addr, op_id, fate,
                     key, data=False)
@@ -637,7 +632,8 @@ class Transport:
             attempt = 0
             while True:
                 t0 = self.sim.now
-                fate = self._fate(src, dst, op_id)
+                fate = (NO_FAULT if self.faults is None else
+                        self.faults.am_fate(src.id, dst.id, op_id=op_id))
                 if not (fate.drop_request or fate.drop_reply):
                     yield from self._arrive(src, dst, fate, handler,
                                             copy_bytes, op_id=op_id,
@@ -687,7 +683,8 @@ class Transport:
                 attempt = 0
                 while True:
                     t0 = self.sim.now
-                    fate = self._fate(src, dst, -1)
+                    fate = (NO_FAULT if self.faults is None else
+                            self.faults.am_fate(src.id, dst.id, op_id=-1))
                     yield from self._inject(src, nbytes, fragmented=True)
                     if not (fate.drop_request or fate.drop_reply):
                         yield from self._arrive(src, dst, fate, handler,
@@ -721,7 +718,7 @@ class Transport:
         engine — invalidates the cached address and degrades to the
         AM path)."""
         p = self.params
-        rec = self._recording()
+        rec = self.events.enabled
         fate = (self.faults.rdma_fate(src.id, dst.id, op_id=op_id)
                 if self.faults is not None else NO_FAULT)
         t_start = self.sim.now
@@ -753,7 +750,7 @@ class Transport:
             self._phase(op_id, COMP_QUEUE, t1)
         t2 = self.sim.now
         try:
-            yield p.nic_gap_us + p.wire_time(nbytes)
+            yield p.nic_gap_us + nbytes * p.byte_time_us
         finally:
             dst.nic.release()
         lat = self._wire(dst, src)
@@ -780,7 +777,7 @@ class Transport:
         address and degrades to the AM path, which re-issues the
         store)."""
         p = self.params
-        rec = self._recording()
+        rec = self.events.enabled
         fate = (self.faults.rdma_fate(src.id, dst.id, op_id=op_id)
                 if self.faults is not None else NO_FAULT)
         t_start = self.sim.now

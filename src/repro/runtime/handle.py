@@ -11,7 +11,7 @@ on every node, which is what makes them usable as address-cache keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 #: Partition number of the ALL partition ("reserved for shared
 #: variables allocated statically or through collective operations").
@@ -20,27 +20,24 @@ from dataclasses import dataclass
 ALL_PARTITION = -1
 
 
-@dataclass(frozen=True, order=True)
-class SVDHandle:
-    """(partition, index) — the universal name of a shared object."""
+class SVDHandle(NamedTuple("SVDHandle", [("partition", int),
+                                         ("index", int)])):
+    """(partition, index) — the universal name of a shared object.
 
-    partition: int
-    index: int
+    A tuple, so the several hashes per remote op (cache, directory and
+    pinned-table keys) run in C.  Its hash is ``hash((partition,
+    index))``, and must stay so: set iteration order feeds RANDOM
+    eviction.
+    """
 
-    def __post_init__(self) -> None:
-        if self.partition < ALL_PARTITION:
-            raise ValueError(f"bad partition {self.partition}")
-        if self.index < 0:
-            raise ValueError(f"bad index {self.index}")
-        # Hashed several times per remote op (cache, directory and
-        # pinned-table keys), so computed once.  It must stay the value
-        # the generated __hash__ returned: set iteration order feeds
-        # RANDOM eviction.
-        object.__setattr__(self, "_hash",
-                           hash((self.partition, self.index)))
+    __slots__ = ()
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, partition: int, index: int) -> "SVDHandle":
+        if partition < ALL_PARTITION:
+            raise ValueError(f"bad partition {partition}")
+        if index < 0:
+            raise ValueError(f"bad index {index}")
+        return super().__new__(cls, partition, index)
 
     @property
     def is_all(self) -> bool:

@@ -26,7 +26,6 @@ from typing import Optional, TYPE_CHECKING, Tuple
 
 import numpy as np
 
-from repro.core.piggyback import PiggybackMode
 from repro.core.policy import ranges_to_pin
 from repro.network.node import Node
 from repro.obs.events import (
@@ -38,6 +37,7 @@ from repro.obs.events import (
     OP_END,
     PHASE,
 )
+from repro.runtime.errors import AffinityError, SVDError
 from repro.runtime.shared_array import SharedArray
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -51,16 +51,23 @@ class OpEngine:
     def __init__(self, runtime: "Runtime") -> None:
         self.rt = runtime
         self.params = runtime.cluster.params
-        # Cached for the per-op hot path (attribute chains add up at
-        # 10^5 ops per sweep); both are fixed for the runtime's life.
+        # Cached for the per-op hot path (attribute chains and property
+        # calls add up at 10^5 ops per sweep); all are fixed for the
+        # runtime's life.
         self.sim = runtime.sim
         self.events = runtime.events
+        piggy = runtime.config.piggyback
+        self.dedicated_fetch = piggy.needs_dedicated_fetch
+        self.wants_address = piggy.wants_address
+        self.reply_extra = piggy.reply_extra_bytes()
+
+    # A recorder that is off costs the caller one test: an op opens its
+    # span only ``if events.enabled`` (op id -1 otherwise) and closes
+    # it only when the op id is not -1.
 
     def _begin(self, thread: "UPCThread", name: str, **attrs) -> int:
-        """Open a flight-recorder op span; returns op id (-1 if off)."""
+        """Open a flight-recorder op span; returns its op id."""
         log = self.events
-        if not log.enabled:
-            return -1
         op_id = log.next_op_id()
         log.emit(self.sim.now, OP_BEGIN, op=op_id, thread=thread.id,
                  node=thread.node.id, name=name, **attrs)
@@ -68,11 +75,8 @@ class OpEngine:
 
     def _end(self, thread: "UPCThread", op_id: int, proto: str,
              **attrs) -> None:
-        log = self.events
-        if log.enabled and op_id >= 0:
-            log.emit(self.sim.now, OP_END, op=op_id,
-                     thread=thread.id, node=thread.node.id,
-                     proto=proto, **attrs)
+        self.events.emit(self.sim.now, OP_END, op=op_id, thread=thread.id,
+                         node=thread.node.id, proto=proto, **attrs)
 
     # ------------------------------------------------------------------
     # GET
@@ -99,38 +103,44 @@ class OpEngine:
         sim = self.sim
         t0 = sim.now
         p = self.params
-        self._check_live(array)
+        log = self.events
+        if array.freed:
+            raise SVDError(f"use-after-free: {array.handle} was deallocated")
         if bulk is None:
-            self._check_one_owner(array, index, nelems)
-            op_id = self._begin(thread, "get", index=index, nelems=nelems)
+            if nelems > 1:
+                self._check_one_owner(array, index, nelems)
+            op_id = (self._begin(thread, "get", index=index, nelems=nelems)
+                     if log.enabled else -1)
             yield p.o_sw_us
 
             owner_thread, node_id, offset = array.locate(index)
-            nbytes = array.span_bytes(nelems)
+            nbytes = nelems * array.elem_size
 
             if owner_thread == thread.id:
                 yield p.local_access_us
                 rt.metrics.get_local.add(sim.now - t0)
-                self._end(thread, op_id, "local", nbytes=nbytes)
+                if op_id >= 0:
+                    self._end(thread, op_id, "local", nbytes=nbytes)
                 return (array.data[index] if scalar
                         else array.read(index, nelems))
 
             if node_id == thread.node.id:
-                yield p.shm_access_us + p.copy_time(nbytes)
+                yield p.shm_access_us + nbytes * p.memcpy_byte_us
                 rt.metrics.get_shm.add(sim.now - t0)
-                self._end(thread, op_id, "shm", nbytes=nbytes)
+                if op_id >= 0:
+                    self._end(thread, op_id, "shm", nbytes=nbytes)
                 return (array.data[index] if scalar
                         else array.read(index, nelems))
         else:
             node_id, offset, segments, nbytes, parent_op = bulk
-            op_id = self._begin(thread, "get", bulk=True, parent=parent_op,
-                                segments=len(segments))
+            op_id = (self._begin(thread, "get", bulk=True, parent=parent_op,
+                                 segments=len(segments))
+                     if log.enabled else -1)
             yield p.o_sw_us
 
         src = thread.node
         dst = rt.cluster.node(node_id)
         transport = rt.cluster.transport
-        log = self.events
         cache = rt.addr_cache(src.id)
         # Only *network* operations enter the messaging library — and
         # with it the polling progress engine.  Local and intra-node
@@ -164,8 +174,7 @@ class OpEngine:
                 # Slow path (Figure 3a / Figure 5): default protocol,
                 # asking the target to piggyback its arena base address.
                 rt.metrics.am_gets += 1
-                piggy = rt.config.piggyback
-                dedicated = piggy.needs_dedicated_fetch
+                dedicated = self.dedicated_fetch
                 if dedicated:
                     # Ablation strawman: a separate address-fetch round
                     # trip (its handler only translates and pins; the
@@ -178,7 +187,7 @@ class OpEngine:
                 else:
                     handler = self._make_get_handler(
                         array, dst,
-                        want_addr=piggy.wants_address and cache.enabled,
+                        want_addr=self.wants_address and cache.enabled,
                         touch_offset=offset, touch_bytes=nbytes)
                     reply = yield from transport.default_get(
                         src, dst, nbytes, handler, src_addr=src.memory.base,
@@ -209,7 +218,8 @@ class OpEngine:
         finally:
             src.progress.leave_runtime()
         rt.metrics.get_remote.add(sim.now - t0)
-        self._end(thread, op_id, "rdma" if ok else "am", nbytes=nbytes)
+        if op_id >= 0:
+            self._end(thread, op_id, "rdma" if ok else "am", nbytes=nbytes)
         if bulk is None:    # a bulk GET's caller copies the data out
             return array.data[index] if scalar else array.read(index, nelems)
 
@@ -249,26 +259,31 @@ class OpEngine:
             nelems = len(values)
         if len(values) != nelems:
             values = np.resize(values, nelems)
-        self._check_live(array)
-        self._check_one_owner(array, index, nelems)
-        op_id = self._begin(thread, "put", index=index, nelems=nelems)
+        if array.freed:
+            raise SVDError(f"use-after-free: {array.handle} was deallocated")
+        if nelems > 1:
+            self._check_one_owner(array, index, nelems)
+        op_id = (self._begin(thread, "put", index=index, nelems=nelems)
+                 if self.events.enabled else -1)
         yield p.o_sw_us
 
         owner_thread, owner_node_id, offset = array.locate(index)
-        nbytes = array.span_bytes(nelems)
+        nbytes = nelems * array.elem_size
 
         if owner_thread == thread.id:
             yield p.local_access_us
             array.write(index, values)
             rt.metrics.put_local.add(sim.now - t0)
-            self._end(thread, op_id, "local", nbytes=nbytes)
+            if op_id >= 0:
+                self._end(thread, op_id, "local", nbytes=nbytes)
             return
 
         if owner_node_id == thread.node.id:
-            yield p.shm_access_us + p.copy_time(nbytes)
+            yield p.shm_access_us + nbytes * p.memcpy_byte_us
             array.write(index, values)
             rt.metrics.put_shm.add(sim.now - t0)
-            self._end(thread, op_id, "shm", nbytes=nbytes)
+            if op_id >= 0:
+                self._end(thread, op_id, "shm", nbytes=nbytes)
             return
 
         src = thread.node
@@ -281,7 +296,8 @@ class OpEngine:
         finally:
             src.progress.leave_runtime()
         rt.metrics.put_remote.add(sim.now - t0)
-        self._end(thread, op_id, proto, nbytes=nbytes)
+        if op_id >= 0:
+            self._end(thread, op_id, proto, nbytes=nbytes)
         return applied
 
     def bulk_put(self, thread: "UPCThread", array: SharedArray,
@@ -297,9 +313,11 @@ class OpEngine:
         rt = self.rt
         sim = rt.sim
         t0 = sim.now
-        self._check_live(array)
-        op_id = self._begin(thread, "put", bulk=True, parent=parent_op,
-                            segments=len(pairs))
+        if array.freed:
+            raise SVDError(f"use-after-free: {array.handle} was deallocated")
+        op_id = (self._begin(thread, "put", bulk=True, parent=parent_op,
+                             segments=len(pairs))
+                 if self.events.enabled else -1)
         yield self.params.o_sw_us
         src = thread.node
         dst = rt.cluster.node(node_id)
@@ -310,7 +328,8 @@ class OpEngine:
         finally:
             src.progress.leave_runtime()
         rt.metrics.put_remote.add(sim.now - t0)
-        self._end(thread, op_id, proto, nbytes=nbytes)
+        if op_id >= 0:
+            self._end(thread, op_id, proto, nbytes=nbytes)
         return applied
 
     def _remote_put(self, thread: "UPCThread", src: Node, dst: Node,
@@ -349,8 +368,7 @@ class OpEngine:
         # Default protocol; the ACK piggybacks the address home
         # (asynchronously — off the initiator's critical path).
         rt.metrics.am_puts += 1
-        piggy = rt.config.piggyback
-        want_addr = piggy.wants_address and rt.use_rdma_put
+        want_addr = self.wants_address and rt.use_rdma_put
         handler = self._make_get_handler(
             array, dst, want_addr=want_addr,
             touch_offset=offset, touch_bytes=nbytes)
@@ -419,19 +437,11 @@ class OpEngine:
                          nelems: int) -> None:
         """A single GET/PUT must target one affine region; larger
         spans go through memget/memput, which split per block."""
-        if nelems <= 1 or array.owner is not None:
-            return
-        if not array.layout.contiguous_span(index, nelems):
-            from repro.runtime.errors import AffinityError
+        if array.owner is None and not array.layout.contiguous_span(
+                index, nelems):
             raise AffinityError(
                 f"span [{index}, {index + nelems}) crosses a block "
                 "boundary; use memget/memput for multi-block transfers")
-
-    def _check_live(self, array: SharedArray) -> None:
-        if array.freed:
-            from repro.runtime.errors import SVDError
-            raise SVDError(
-                f"use-after-free: {array.handle} was deallocated")
 
     # ------------------------------------------------------------------
     # Target-side handlers
@@ -444,7 +454,6 @@ class OpEngine:
         SVD translation + (optionally) pin-and-report-base-address."""
         rt = self.rt
         p = self.params
-        piggy = rt.config.piggyback
 
         def handler(node: Node) -> Tuple[float, Optional[int], int]:
             replica = rt.svd(node.id)
@@ -458,7 +467,7 @@ class OpEngine:
                 cost += pin_cost
                 if pinned:
                     payload = self._target_base_addr(array, node)
-                    extra = piggy.reply_extra_bytes()
+                    extra = self.reply_extra
                 # else: degraded — no address goes home, the cache is
                 # never seeded, and this object stays on the AM path.
             return cost, payload, extra

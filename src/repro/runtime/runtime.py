@@ -182,6 +182,11 @@ class Runtime:
         self._svd: Dict[int, SVDReplica] = {}
         self._caches: Dict[int, RemoteAddressCache] = {}
         self._pinned: Dict[int, PinnedAddressTable] = {}
+        #: ``svd(node_id)``, ``addr_cache(node_id)``, ``pinned_table(
+        #: node_id)``: the node's structures, read by a C-level lookup.
+        self.svd = self._svd.__getitem__
+        self.addr_cache = self._caches.__getitem__
+        self.pinned_table = self._pinned.__getitem__
         for node in self.cluster.nodes:
             self._svd[node.id] = SVDReplica(node.id, config.nthreads)
             self._caches[node.id] = RemoteAddressCache(
@@ -296,17 +301,6 @@ class Runtime:
     def threads_on_node(self, node_id: int) -> int:
         lo = self.first_thread_of_node(node_id)
         return max(0, min(self.nthreads - lo, self._tpn))
-
-    # -- per-node structure accessors -----------------------------------------
-
-    def svd(self, node_id: int) -> SVDReplica:
-        return self._svd[node_id]
-
-    def addr_cache(self, node_id: int) -> RemoteAddressCache:
-        return self._caches[node_id]
-
-    def pinned_table(self, node_id: int) -> PinnedAddressTable:
-        return self._pinned[node_id]
 
     @property
     def use_rdma_put(self) -> bool:

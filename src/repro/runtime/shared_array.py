@@ -43,7 +43,11 @@ class SharedArray:
             raise LayoutError(
                 f"dtype {self.dtype} itemsize {self.dtype.itemsize} != "
                 f"layout elem_size {layout.elem_size}")
+        #: Fixed at build time: read on every access, not through a call
+        #: (nor is the thread-to-node divisor ``_tpn`` below).
+        self.elem_size = layout.elem_size
         self._chunk_bytes = layout.thread_chunk_bytes
+        self._tpn = runtime.config.effective_threads_per_node
         #: The logical global array (data plane).
         self.data = np.zeros(layout.nelems, dtype=self.dtype)
         #: node id -> arena base vaddr (only nodes hosting threads).
@@ -58,7 +62,7 @@ class SharedArray:
     def _allocate_arenas(self) -> None:
         rt = self.runtime
         if self.owner is not None:
-            node_id = rt.node_of_thread(self.owner)
+            node_id = self._owner_node = rt.node_of_thread(self.owner)
             size = self.layout.nelems * self.layout.elem_size
             base = rt.cluster.node(node_id).memory.allocate(size, align=64)
             self.node_base[node_id] = base
@@ -88,10 +92,6 @@ class SharedArray:
         return self.layout.nelems
 
     @property
-    def elem_size(self) -> int:
-        return self.layout.elem_size
-
-    @property
     def total_bytes(self) -> int:
         return sum(self.node_bytes.values()) if self.node_bytes else 0
 
@@ -108,16 +108,13 @@ class SharedArray:
         if not 0 <= index < lay.nelems:
             raise LayoutError(
                 f"index {index} out of range [0, {lay.nelems})")
-        rt = self.runtime
         if self.owner is not None:
-            return (self.owner, rt.node_of_thread(self.owner),
-                    index * lay.elem_size)
+            return self.owner, self._owner_node, index * self.elem_size
         block, phase = divmod(index, lay.blocksize)
         course, t = divmod(block, lay.nthreads)
-        node = rt.node_of_thread(t)
-        slot = t - rt.first_thread_of_node(node)
+        node, slot = divmod(t, self._tpn)
         return t, node, (slot * self._chunk_bytes
-                         + (course * lay.blocksize + phase) * lay.elem_size)
+                         + (course * lay.blocksize + phase) * self.elem_size)
 
     def owner_thread(self, index: int) -> int:
         if self.owner is not None:
@@ -136,9 +133,6 @@ class SharedArray:
         """(node id, virtual address) of element ``index``."""
         _, node, offset = self.locate(index)
         return node, self.node_base[node] + offset
-
-    def span_bytes(self, nelems: int) -> int:
-        return nelems * self.elem_size
 
     # -- data plane -------------------------------------------------------
 

@@ -36,6 +36,7 @@ class SharedScalar:
         self.owner = owner_thread
         self.dtype = np.dtype(dtype)
         self.data = np.zeros(1, dtype=self.dtype)
+        self.elem_size = self.dtype.itemsize
         node = runtime.node_of_thread(owner_thread)
         self._owner_node = node
         self.vaddr = runtime.cluster.node(node).memory.allocate(
@@ -51,10 +52,6 @@ class SharedScalar:
     def home_node(self) -> int:
         return self._owner_node
 
-    @property
-    def elem_size(self) -> int:
-        return self.dtype.itemsize
-
     # -- op-engine protocol (one-element object) --------------------------
 
     def locate(self, index: int = 0) -> Tuple[int, int, int]:
@@ -68,9 +65,6 @@ class SharedScalar:
     def addr_of(self, index: int = 0) -> Tuple[int, int]:
         self._check(index)
         return self._owner_node, self.vaddr
-
-    def span_bytes(self, nelems: int) -> int:
-        return nelems * self.dtype.itemsize
 
     def _check(self, index: int) -> None:
         if index != 0:

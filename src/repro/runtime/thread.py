@@ -18,6 +18,7 @@ sections 4.6/4.7.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, TYPE_CHECKING
 
 from repro.obs.events import OP_BEGIN, OP_END
@@ -304,13 +305,16 @@ class UPCThread:
         AM requests arriving at this node during the slice wait (the
         Field stressmark effect, section 4.6).
         """
-        if usec < 0:
-            raise UPCRuntimeError(f"negative compute time {usec}")
+        if not 0 <= usec < math.inf:    # NaN fails both tests
+            raise UPCRuntimeError(
+                f"compute time must be finite and >= 0, got {usec}")
         self.runtime.metrics.compute_time_us += usec
         if usec > 0:
-            op_id = self._span_begin("compute")
+            op_id = (self._span_begin("compute")
+                     if self.runtime.events.enabled else -1)
             yield usec
-            self._span_end(op_id, usec=usec)
+            if op_id >= 0:
+                self._span_end(op_id, usec=usec)
 
     def poll(self):
         """An explicit runtime tick (``upc_poll``-alike): lets queued

@@ -78,9 +78,9 @@ class Event:
         """Decide success; callbacks run after ``delay`` virtual time."""
         if self._status != PENDING:
             raise SimulationError(f"event {self!r} already triggered")
+        self.sim._schedule(self, delay)     # a refused delay leaves it pending
         self._value = value
         self._status = SCHEDULED
-        self.sim._schedule(self, delay)
         return self
 
     def fail(self, exc: BaseException, delay: float = 0.0) -> "Event":
@@ -89,9 +89,9 @@ class Event:
             raise SimulationError(f"event {self!r} already triggered")
         if not isinstance(exc, BaseException):
             raise SimulationError(f"fail() needs an exception, got {exc!r}")
+        self.sim._schedule(self, delay)
         self._exc = exc
         self._status = SCHEDULED
-        self.sim._schedule(self, delay)
         return self
 
     # -- callbacks ----------------------------------------------------
@@ -151,8 +151,9 @@ class Timeout(Event):
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None,
                  name: str = "") -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout: {delay}")
+        if not delay >= 0:     # NaN too
+            raise SimulationError(f"bad timeout delay {delay!r}: "
+                                  "a delay must be >= 0")
         super().__init__(sim, name=name or f"timeout({delay:.3f})")
         self._value = value
         self._status = SCHEDULED

@@ -74,8 +74,9 @@ class Simulator:
     # -- scheduling ---------------------------------------------------
 
     def _schedule(self, event: Event, delay: float) -> None:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        if not delay >= 0:     # a NaN delay fails this test too
+            raise SimulationError(f"cannot schedule at delay {delay!r}: "
+                                  "a delay must be >= 0")
         self._seq += 1
         entry = [self.now + delay, self._seq, event]
         if delay == 0.0:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import EvictionPolicy, RemoteAddressCache
+from repro.runtime.handle import ALL_PARTITION, SVDHandle
 
 
 def test_miss_then_insert_then_hit():
@@ -65,6 +66,38 @@ def test_random_eviction_is_deterministic_per_seed():
         return tuple(sorted(str(k) for k in c.entries()))
 
     assert run(7) == run(7)
+
+
+def test_random_victims_are_those_of_the_dense_key_list():
+    # Entries dropped at each step — evictions, a handle's eager
+    # invalidation (step 6) and one entry's (step 8) — as the cache drew
+    # them before only RANDOM kept the dense key list.
+    c = RemoteAddressCache(capacity=4, policy=EvictionPolicy.RANDOM, seed=7)
+    dropped = []
+    for i in range(12):
+        before = set(c.entries())
+        c.insert(SVDHandle(ALL_PARTITION, i % 5), i % 3, 100 + i)
+        if i == 6:
+            c.invalidate_handle(SVDHandle(ALL_PARTITION, 2))
+        if i == 8:
+            c.invalidate_entry(SVDHandle(ALL_PARTITION, 3), 2)
+        dropped.append(sorted((h.index, node) for h, node
+                              in before - set(c.entries())))
+    assert dropped == [[], [], [], [], [(2, 2)], [(4, 1)], [(3, 0)],
+                       [(1, 0)], [(1, 1)], [], [(0, 2)], [(0, 0)]]
+
+
+@pytest.mark.parametrize("policy", [EvictionPolicy.LRU,
+                                    EvictionPolicy.FIFO])
+def test_only_a_random_cache_keeps_a_dense_key_list(policy):
+    c = RemoteAddressCache(capacity=2, policy=policy)
+    for i in range(5):
+        c.insert(f"h{i}", 0, i)
+    c.invalidate_entry("h4", 0)
+    c.invalidate_handle("h3")
+    assert c._keys is None and not c._pos and len(c) == 0
+    c.insert("h0", 0, 1)
+    assert c.invalidate_all() == 1
 
 
 def test_capacity_zero_stores_nothing():
@@ -171,15 +204,18 @@ def test_invalidate_unknown_handle_leaves_no_index_residue():
 def test_alloc_free_churn_keeps_index_minimal():
     """Interleave inserts and full-handle invalidations; the secondary
     index must track exactly the handles that still own live entries,
-    and the dense eviction list must stay in lockstep with the table."""
-    c = RemoteAddressCache(capacity=64)
-    for gen in range(50):
-        h = f"h{gen}"
-        for node in range(gen % 4):          # gens 0,4,8,... cache nothing
-            c.insert(h, node, 0x1000 + gen * 16 + node)
-        dropped = c.invalidate_handle(h)
-        assert dropped == gen % 4
-        assert c.invalidate_handle(h) == 0   # idempotent, still no residue
-    assert c._by_handle == {}
-    assert len(c) == 0
-    assert c._keys == [] and c._pos == {}
+    and a RANDOM cache's dense eviction list must stay in lockstep with
+    the table (an LRU cache, the default, keeps none)."""
+    for policy in (EvictionPolicy.LRU, EvictionPolicy.RANDOM):
+        c = RemoteAddressCache(capacity=64, policy=policy)
+        for gen in range(50):
+            h = f"h{gen}"
+            for node in range(gen % 4):      # gens 0,4,8,... cache nothing
+                c.insert(h, node, 0x1000 + gen * 16 + node)
+            dropped = c.invalidate_handle(h)
+            assert dropped == gen % 4
+            assert c.invalidate_handle(h) == 0   # idempotent, no residue
+        assert c._by_handle == {}
+        assert len(c) == 0
+        assert c._pos == {}
+        assert c._keys == ([] if policy is EvictionPolicy.RANDOM else None)

@@ -19,6 +19,8 @@ from tests.sim.grant_log import GrantLog
 
 
 def make(plan=None, reliability=None, nnodes=4, events=None):
+    if events is None:      # a bare cluster's recorder: there, but off
+        events = EventLog(enabled=False)
     sim = Simulator()
     cluster = Cluster(sim, GM_MARENOSTRUM, nnodes)
     for node in cluster.nodes:

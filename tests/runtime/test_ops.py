@@ -265,3 +265,17 @@ def test_out_of_range_index_still_raises_layout_error(index):
     for kernel in (getter, putter):
         with pytest.raises(LayoutError, match="out of range"):
             run_kernel(kernel)
+
+
+@pytest.mark.parametrize("usec", [float("nan"), float("inf"), -1.0],
+                         ids=repr)
+def test_compute_rejects_a_duration_that_is_not_a_finite_nonnegative(usec):
+    # A NaN slice used to run as zero time and leave compute_time_us
+    # NaN in metrics.summary().
+    from repro.runtime.errors import UPCRuntimeError
+
+    def kernel(th):
+        yield from th.compute(usec)
+
+    with pytest.raises(UPCRuntimeError, match=f"got {usec}"):
+        run_kernel(kernel, nthreads=2, tpn=2)

@@ -31,6 +31,11 @@ def test_handles_are_universal_keys():
     b = SVDHandle(partition=3, index=7)
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+    # A tuple hashed in C, by the value set iteration order (and so
+    # RANDOM eviction) was built on.
+    assert type(a).__hash__ is tuple.__hash__
+    assert hash(a) == hash((3, 7))
+    assert str(a) == "svd[3:7]" and str(SVDHandle(-1, 0)) == "svd[ALL:0]"
 
 
 def test_handle_allocator_sequences_per_partition():

@@ -26,8 +26,9 @@ class ReferenceSimulator(Simulator):
         Timeout(self, delay).add_callback(token.proc._resume)
 
     def _schedule(self, event, delay):
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        if not delay >= 0:
+            raise SimulationError(f"cannot schedule at delay {delay!r}: "
+                                  "a delay must be >= 0")
         self._seq += 1
         heapq.heappush(self._heap, (self.now + delay, self._seq, event))
 

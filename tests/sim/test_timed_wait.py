@@ -128,6 +128,35 @@ def test_negative_delay_is_thrown_into_the_generator(core):
 
 
 @BOTH_CORES
+def test_a_nan_delay_is_refused_at_every_scheduling_door(core):
+    # ``delay < 0`` is False for NaN, so a NaN timer used to dispatch
+    # with ``now = nan`` and the clock then resumed behind it.
+    sim = core()
+    nan = float("nan")
+    for schedule in (lambda: sim.timeout(nan),
+                     lambda: sim.event().succeed(delay=nan),
+                     lambda: sim.event().fail(ValueError(), delay=nan),
+                     lambda: sim._schedule(sim.event(), nan)):
+        with pytest.raises(SimulationError, match="delay nan"):
+            schedule()
+    assert sim.pending == 0
+    ev = sim.event()
+    with pytest.raises(SimulationError, match="delay -1"):
+        ev.succeed(delay=-1)
+    assert not ev.triggered     # refused, not half-scheduled
+    ev.succeed("late", delay=1.0)
+
+    def waiter():
+        yield nan
+
+    proc = sim.process(waiter(), name="nan-waiter")
+    sim.timeout(2.0)
+    sim.run()
+    assert "delay nan" in str(proc.exception)
+    assert sim.now == 2.0 and ev.value == "late"
+
+
+@BOTH_CORES
 @pytest.mark.parametrize("bad", [True, None, "x"], ids=repr)
 def test_only_events_and_numbers_may_be_yielded(core, bad):
     sim = core()

@@ -246,6 +246,51 @@ def test_a_one_message_memget_resumes_in_the_transfer_frame():
     assert 0 < depth["hit"] <= 4, depth
 
 
+def _get_calls():
+    """Python calls into ``src/repro`` made while one cached and one
+    missed remote GET run (other threads' work in that window counted
+    too), by ``sys.setprofile``.  Comprehensions are left out: CPython
+    3.12 inlines them, so they are no frame there."""
+    rt = Runtime(RuntimeConfig(machine=GM_MARENOSTRUM, nthreads=2,
+                               threads_per_node=1, seed=1))
+    src, inlined = SRC + os.sep, {"<listcomp>", "<dictcomp>", "<setcomp>"}
+    phase, calls = [None], {}
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if (event == "call" and phase[0] is not None
+                and code.co_filename.startswith(src)
+                and code.co_name not in inlined):
+            calls[phase[0]] = calls.get(phase[0], 0) + 1
+
+    def kernel(th):
+        arr = yield from th.all_alloc(16, blocksize=8, dtype="u8")
+        yield from th.barrier()
+        if th.id == 0:
+            for phase[0] in ("miss", "hit"):
+                yield from th.get(arr, 8)
+            phase[0] = None
+        yield from th.barrier()
+
+    rt.spawn(kernel)
+    sys.setprofile(profile)
+    try:
+        rt.run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_a_remote_get_makes_few_python_calls():
+    # Fixed values are attributes, handles hash in C, and a recorder or
+    # fault plane that is off costs a test, not a call: a missed GET
+    # made 140 calls and a cached one 48 before.  Lower the pins when a
+    # change cuts calls; raising one is a reviewed edit.
+    calls = _get_calls()
+    assert 0 < calls["hit"] <= 32, calls
+    assert 0 < calls["miss"] <= 102, calls
+
+
 def test_the_wire_has_one_account():
     # What crossed the fabric is read off the flight recorder and the
     # runtime metrics; the transport keeps no second account and hands
