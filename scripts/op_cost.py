@@ -8,10 +8,12 @@ Runs one repetition of a ``bench/workloads.py`` workload (read-only
 import; nothing under ``bench/`` is touched) under ``sys.settrace``
 with per-opcode events on and prints, per logical op: interpreter
 opcodes, Python-level calls, the generator-frame entries among those
-calls (every resumption of a generator counts one), simulator events
-and cyclic garbage (the objects ``gc.collect()`` finds after the
+calls (every resumption of a generator counts one), simulator events,
+cyclic garbage (the objects ``gc.collect()`` finds after the
 repetition, run with the collector disabled: what refcounting could
-not free), then the same opcodes and calls summed by layer (the map of
+not free) and peak bytes (``tracemalloc``'s high-water mark over one
+more, untraced repetition: a proxy for the benchmark's peak RSS that,
+unlike RSS, barely moves run to run), then the same opcodes and calls summed by layer (the map of
 ``bench/layers.py``, also imported read-only; code outside
 ``src/repro`` is ``other``), then the functions ranked by *self*
 opcodes.
@@ -34,6 +36,7 @@ import gc
 import inspect
 import os
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -69,6 +72,18 @@ def count(workload, inputs):
         garbage = gc.collect()
         gc.enable()
     return outcome, opcodes, calls, garbage
+
+
+def peak_bytes(workload, inputs) -> int:
+    """The most bytes ``tracemalloc`` saw allocated at once during one
+    untraced repetition of ``workload``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        workload.run(inputs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def label(code) -> str:
@@ -135,6 +150,7 @@ def main(argv=None) -> int:
 
     ops = outcome.ops
     events = outcome.counters["sim.core.events"]
+    peak = peak_bytes(w, w.generate(args.seed, args.scale))
     print(f"{args.workload} seed {args.seed} scale {args.scale}: "
           f"{ops} ops")
     print(f"  opcodes/op  {nops / ops:10.1f}   ({nops} total)")
@@ -142,6 +158,7 @@ def main(argv=None) -> int:
     print(f"  gen entries/op {ngen / ops:7.2f}   ({ngen} total)")
     print(f"  events/op   {events / ops:10.2f}   ({events} total)")
     print(f"  garbage/op  {garbage / ops:10.2f}   ({garbage} total)")
+    print(f"  peak bytes/op {peak / ops:8.1f}   ({peak} total)")
     layer_ops = by_layer(by_code, layer_of_repro)
     layer_calls = by_layer(calls, layer_of_repro)
     print(f"\n  {'opcodes/op':>10}  {'share':>6}  {'calls/op':>8}  layer")

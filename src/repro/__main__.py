@@ -13,6 +13,7 @@ next to the code they drive (:mod:`repro.obs.cli`,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -189,11 +190,14 @@ def _write_kvtraffic_artifacts(out_dir, res, slo) -> None:
 # -- shared option groups: each flag is defined exactly once -----------
 
 def _at_least(low, kind=int):
-    """argparse ``type=``: a ``kind`` number no smaller than ``low``."""
+    """argparse ``type=``: a finite ``kind`` number no smaller than
+    ``low``."""
     def parse(text: str):
         value = kind(text)
         if not value >= low:
             raise argparse.ArgumentTypeError(f"must be >= {low}")
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError("must be finite")
         return value
     parse.__name__ = kind.__name__     # "invalid int value: 'x'"
     return parse
@@ -203,6 +207,8 @@ def _positive(text: str) -> float:
     value = float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError("must be > 0")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("must be finite")
     return value
 
 

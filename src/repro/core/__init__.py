@@ -5,9 +5,9 @@ Components:
 * :class:`~repro.core.address_cache.RemoteAddressCache` — per-node
   bounded hash table ``(SVD handle, node id) -> remote base address``;
 * :class:`~repro.core.pinned_table.PinnedAddressTable` — per-node
-  registry of pinned shared objects ("tagged by local virtual
-  addresses and contains physical addresses in the format needed by
-  RDMA operations");
+  registry of pinned memory, object pins and pin-down cache ("tagged
+  by local virtual addresses and contains physical addresses in the
+  format needed by RDMA operations");
 * :mod:`~repro.core.policy` — pinning policies (greedy pin-everything
   of section 3.1 and the chunked variant of section 3.1's "more
   elaborated technique");

@@ -12,28 +12,24 @@ Models the three memory facts the paper's optimization interacts with:
   of registered regions with lazy deregistration (section 3.3,
   citing Tezuka et al.).
 
-This package is pure bookkeeping + cost arithmetic; it never touches
-the simulator clock.  Transports charge the returned costs.
+This package is the address space and the registration cost
+arithmetic; the one registry of pinned regions, pin-down cache
+included, is :class:`repro.core.pinned_table.PinnedAddressTable`.
+Nothing here touches the simulator clock.
 """
 
 from repro.memory.errors import (
     AllocationError,
     MemoryModelError,
-    NotPinnedError,
     PinLimitError,
 )
 from repro.memory.address_space import AddressSpace
-from repro.memory.pinning import PinCostModel, PinManager, PinnedRegion
-from repro.memory.registration_cache import RegistrationCache
+from repro.memory.pinning import PinCostModel
 
 __all__ = [
     "AddressSpace",
     "PinCostModel",
-    "PinManager",
-    "PinnedRegion",
-    "RegistrationCache",
     "AllocationError",
     "MemoryModelError",
-    "NotPinnedError",
     "PinLimitError",
 ]

@@ -15,7 +15,3 @@ class PinLimitError(MemoryModelError):
     """A pin request exceeded the platform's registered-memory limits
     (total DMAable bytes, GM ~1 GB on MareNostrum)."""
 
-
-class NotPinnedError(MemoryModelError):
-    """Asked for a physical address of memory that is not registered —
-    an RDMA op on unpinned memory would fault on real hardware."""

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from typing import Optional, TYPE_CHECKING
 
+from repro.core.pinned_table import PinnedAddressTable
 from repro.memory.address_space import AddressSpace
-from repro.memory.pinning import PinManager
-from repro.memory.registration_cache import RegistrationCache
 from repro.network.params import TransportParams
 from repro.sim.resource import Resource
 from repro.sim.simulator import Simulator
@@ -43,13 +42,14 @@ class Node:
         self.credits = Resource(sim, capacity=params.eager_credits,
                                 name=f"credits[{node_id}]")
         self.memory = AddressSpace(node_id)
-        self.pins = PinManager(
+        #: The pinned address table: object pins and the pin-down cache.
+        self.pins = PinnedAddressTable(
             node_id,
             cost_model=params.pin_cost,
             max_region_bytes=params.max_pin_region_bytes,
             max_total_bytes=params.max_pin_total_bytes,
+            capacity_bytes=params.reg_cache_bytes,
         )
-        self.reg_cache = RegistrationCache(self.pins, params.reg_cache_bytes)
         #: Installed by the transport at construction time.
         self.progress: Optional["ProgressEngine"] = None
 

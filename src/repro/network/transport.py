@@ -418,7 +418,7 @@ class Transport:
                 # attempt; on retries the source-side registration
                 # re-check hits the pin-down cache (cost 0).
                 yield p.o_send_us + p.rendezvous_cpu_us
-                reg_cost = src.reg_cache.register(src_addr, nbytes)
+                reg_cost = src.pins.register_lazy(src_addr, nbytes)
                 if reg_cost:
                     yield reg_cost
                 ok, payload = yield from self._rts_round(
@@ -484,7 +484,7 @@ class Transport:
                     if not data:
                         # A CTS carries no reply payload or piggyback.
                         payload, extra = None, 0
-                cost += dst.reg_cache.register(dst_addr, nbytes)
+                cost += dst.pins.register_lazy(dst_addr, nbytes)
                 if key is not None and handler is not None:
                     self.ledger.record(key, payload, extra)
             reply_bytes = p.ctrl_bytes + extra
@@ -577,7 +577,7 @@ class Transport:
         else:
             # RTS/CTS handshake happens synchronously (rendezvous).
             yield p.o_send_us + p.rendezvous_cpu_us
-            reg_cost = src.reg_cache.register(src_addr, nbytes)
+            reg_cost = src.pins.register_lazy(src_addr, nbytes)
             if reg_cost:
                 yield reg_cost
             attempt = 0

@@ -26,6 +26,7 @@ from typing import Optional, TYPE_CHECKING, Tuple
 
 import numpy as np
 
+from repro.core.pinned_table import UNPINNABLE
 from repro.core.policy import ranges_to_pin
 from repro.network.node import Node
 from repro.obs.events import (
@@ -411,7 +412,7 @@ class OpEngine:
                 # flight; inserting now would resurrect a stale entry
                 # the eager invalidation already removed.
                 return
-            if rt.pinned_table(dst.id).is_unpinnable(array.handle):
+            if dst.pins.handles.get(array.handle) == UNPINNABLE:
                 # Registration failed on the target: the arena base is
                 # known but RDMA to it would touch unpinned memory, so
                 # no address goes home and the object stays on AM.
@@ -462,11 +463,14 @@ class OpEngine:
             payload: Optional[int] = None
             extra = 0
             if want_addr:
-                pin_cost, pinned = self._ensure_pinned(
-                    array, node, touch_offset, touch_bytes)
-                cost += pin_cost
-                if pinned:
-                    payload = self._target_base_addr(array, node)
+                # A pinned (or degraded) object is one dict probe.
+                known = node.pins.handles.get(array.handle)
+                if known is None:
+                    pin_cost, known = self._ensure_pinned(
+                        array, node, touch_offset, touch_bytes)
+                    cost += pin_cost
+                if known[0]:
+                    payload = known[1]
                     extra = self.reply_extra
                 # else: degraded — no address goes home, the cache is
                 # never seeded, and this object stays on the AM path.
@@ -475,36 +479,38 @@ class OpEngine:
         return handler
 
     def _ensure_pinned(self, array: SharedArray, node: Node,
-                       touch_offset: int,
-                       touch_bytes: int) -> Tuple[float, bool]:
+                       touch_offset: int, touch_bytes: int
+                       ) -> Tuple[float, Tuple[bool, Optional[int]]]:
         """First-touch pinning per the configured policy (section 3.1):
         PIN_EVERYTHING registers the whole arena; CHUNKED registers
         only the chunk(s) containing the touched range.
 
-        Returns ``(cost_us, ok)``.  Registration can fail — the real
-        registered-memory limit, or the fault plane's injected budget.
-        When degradation is active (a fault plane is installed, or
-        ``degrade_pin_failures`` is set) the handle is marked
-        unpinnable and served over AM forever; otherwise the failure
-        propagates as :class:`PinLimitError`, the strict pre-fault
-        behavior.
+        Returns ``(cost_us, (pinned, base))``, ``base`` being the
+        address that goes into remote caches.  Once the whole arena is
+        pinned that pair is fixed until free, so the table keeps it in
+        ``handles`` and the next miss skips this method.
+
+        Registration can fail — the real registered-memory limit, or
+        the fault plane's injected budget.  When degradation is active
+        (a fault plane is installed, or ``degrade_pin_failures`` is
+        set) the handle is marked :data:`UNPINNABLE` and served over AM
+        forever; otherwise the failure propagates as
+        :class:`PinLimitError`, the strict pre-fault behavior.
         """
         rt = self.rt
         base = array.node_base.get(node.id)
         if base is None:
-            return 0.0, True
+            return 0.0, (True, None)
         size = array.node_bytes[node.id]
-        table = rt.pinned_table(node.id)
-        if table.is_unpinnable(array.handle):
-            # Already degraded: one failed pin, not one per access.
-            return 0.0, False
+        table = node.pins
         faults = rt.faults
         touch_bytes = min(touch_bytes, size - touch_offset)
         cost = 0.0
-        for vaddr, span in ranges_to_pin(
-                rt.config.pinning_policy, base, size,
-                touch_offset=touch_offset, touch_size=max(1, touch_bytes),
-                chunk_bytes=rt.config.pin_chunk_bytes):
+        ranges = ranges_to_pin(
+            rt.config.pinning_policy, base, size,
+            touch_offset=touch_offset, touch_size=max(1, touch_bytes),
+            chunk_bytes=rt.config.pin_chunk_bytes)
+        for vaddr, span in ranges:
             if (faults is not None
                     and not table.is_pinned(vaddr, span)
                     and not faults.pin_allowed(node.id, span)):
@@ -515,15 +521,20 @@ class OpEngine:
             if not ok:
                 if faults is None and not rt.config.degrade_pin_failures:
                     raise table.last_pin_error
-                table.mark_unpinnable(array.handle)
+                table.handles[array.handle] = UNPINNABLE
                 rt.metrics.pin_degrades += 1
                 log = rt.events
                 if log.enabled:
                     log.emit(rt.sim.now, DEGRADE, node=node.id,
                              mode="unpinnable",
                              handle=str(array.handle))
-                return cost, False
-        return cost, True
+                return cost, UNPINNABLE
+        if ranges == [(base, size)]:
+            known = (True, table.phys_base + base)
+            table.handles[array.handle] = known
+            return cost, known
+        phys = table.lookup_phys(base)   # CHUNKED: chunk 0 may be unpinned
+        return cost, (True, base if phys is None else phys)
 
     def _target_base_addr(self, array: SharedArray,
                           node: Node) -> Optional[int]:
@@ -538,5 +549,5 @@ class OpEngine:
         base = array.node_base.get(node.id)
         if base is None:
             return None
-        phys = self.rt.pinned_table(node.id).lookup_phys(base)
+        phys = node.pins.lookup_phys(base)
         return phys if phys is not None else base

@@ -181,12 +181,10 @@ class Runtime:
         # Per-node runtime structures.
         self._svd: Dict[int, SVDReplica] = {}
         self._caches: Dict[int, RemoteAddressCache] = {}
-        self._pinned: Dict[int, PinnedAddressTable] = {}
-        #: ``svd(node_id)``, ``addr_cache(node_id)``, ``pinned_table(
-        #: node_id)``: the node's structures, read by a C-level lookup.
+        #: ``svd(node_id)``, ``addr_cache(node_id)``: the node's
+        #: structures, read by a C-level lookup.
         self.svd = self._svd.__getitem__
         self.addr_cache = self._caches.__getitem__
-        self.pinned_table = self._pinned.__getitem__
         for node in self.cluster.nodes:
             self._svd[node.id] = SVDReplica(node.id, config.nthreads)
             self._caches[node.id] = RemoteAddressCache(
@@ -201,10 +199,9 @@ class Runtime:
                 enabled=(config.cache_enabled
                          and config.machine.transport.supports_rdma),
             )
-            self._pinned[node.id] = PinnedAddressTable(node.pins)
             # Observability hookup (attribute injection keeps the core
             # data structures constructible without a runtime).
-            for obj in (self._caches[node.id], self._pinned[node.id]):
+            for obj in (self._caches[node.id], node.pins):
                 obj.events = self.events
                 obj.clock = self.sim
                 obj.node_id = node.id
@@ -286,6 +283,11 @@ class Runtime:
                     node=decision["src"], dst=decision["dst"],
                     action=decision["action"], mode=decision["mode"],
                     t_us=decision["t_us"], policy=decision["policy"])
+
+    def pinned_table(self, node_id: int) -> PinnedAddressTable:
+        """Node ``node_id``'s pinned address table, ``node.pins``: the
+        one registry of its pinned memory, pin-down cache included."""
+        return self.cluster.node(node_id).pins
 
     # -- thread <-> node mapping -------------------------------------------
 
@@ -441,9 +443,10 @@ class Runtime:
 
         def teardown():
             for node in self.cluster.nodes:
-                cost, _ = self._pinned[node.id].unregister_handle(
-                    array.handle)
-                _ = cost  # charged to the owning node asynchronously
+                nid = node.id
+                # The returned deregistration cost is not charged.
+                node.pins.free(array.handle, array.node_base.get(nid, 0),
+                               array.node_bytes.get(nid, 0))
                 self._caches[node.id].invalidate_handle(array.handle)
                 self._svd[node.id].remove(array.handle)
             array.free_arenas()

@@ -150,8 +150,11 @@ class Simulator:
         ``max_events`` have been processed (a runaway guard for tests).
 
         When stopping at ``until`` the clock is advanced to exactly
-        ``until`` even if no event sits there.
+        ``until`` even if no event sits there.  A NaN ``until`` is an
+        error: it compares false with every time, so it would drain.
         """
+        if until != until:
+            raise SimulationError(f"run: until must not be NaN, got {until}")
         self._fanout = False    # a callback that raised may have left it set
         if until is None and max_events is None:
             self.run_before(float("inf"))
@@ -185,8 +188,12 @@ class Simulator:
         shard's report reflects real progress.  With ``bound=inf`` it
         is also :meth:`run`'s plain drain — the one hot loop: the
         lane-vs-heap merge and the wakes are inlined, and dispatch
-        order is identical to repeated :meth:`step` calls.
+        order is identical to repeated :meth:`step` calls.  A NaN
+        ``bound`` is an error, checked here once, not per event.
         """
+        if bound != bound:
+            raise SimulationError(
+                f"run_before: bound must not be NaN, got {bound}")
         self._fanout = False
         lane = self._lane
         heap = self._heap

@@ -203,23 +203,26 @@ def check_invariants(rt: Runtime, handle_map: Dict, where: str) -> List[str]:
                     f"for ({handle}, node {target}) but the directory "
                     f"says {truth:#x}")
         table = rt.pinned_table(node.id)
-        for entry in list(table._by_vaddr.values()):
-            obj = handle_map.get(entry.handle)
+        for vaddr, end, owner in table.regions.values():
+            if owner is None:
+                continue    # the pin-down cache's, deregistered lazily
+            obj = handle_map.get(owner)
             if obj is None or getattr(obj, "freed", False):
                 problems.append(
-                    f"{where}: node {node.id} pinned table still holds "
-                    f"{entry.handle} after free (pin leak)")
-                continue
-            if not table.pins.is_pinned(entry.vaddr, entry.size):
+                    f"{where}: node {node.id} region {vaddr:#x}+"
+                    f"{end - vaddr} is still owned by {owner} after "
+                    "free (pin leak)")
+        for handle, (pinned, base) in table.handles.items():
+            obj = handle_map.get(handle)
+            if obj is None or getattr(obj, "freed", False):
                 problems.append(
-                    f"{where}: node {node.id} pinned table entry "
-                    f"{entry.vaddr:#x}+{entry.size} is not actually "
-                    "pinned")
-                continue
-            if table.pins.phys_addr(entry.vaddr) != entry.phys:
+                    f"{where}: node {node.id} pinned table keeps an "
+                    f"entry for {handle} after free")
+            elif pinned and base != table.lookup_phys(
+                    obj.node_base[node.id]):
                 problems.append(
-                    f"{where}: node {node.id} pinned entry "
-                    f"{entry.vaddr:#x} physical address drifted")
+                    f"{where}: node {node.id} records base {base} for "
+                    f"{handle}, which is no pinned region's address")
     return problems
 
 

@@ -9,6 +9,7 @@ from dataclasses import replace
 import pytest
 
 from repro.__main__ import main
+from repro.core.pinned_table import UNPINNABLE
 from repro.faults import FaultPlan, LinkRule, PinBudget, PROFILES
 from repro.memory import PinLimitError
 from repro.network import GM_MARENOSTRUM
@@ -213,8 +214,8 @@ def test_pin_exhaustion_degrades_to_am_forever():
     m = rt.metrics
     assert m.pin_degrades > 0
     assert m.rdma_gets + m.rdma_puts == 0    # nothing ever pinned
-    assert any(rt.pinned_table(n.id).unpinnable_count > 0
-               for n in rt.cluster.nodes)
+    assert any(list(rt.pinned_table(n.id).handles.values()).count(
+        UNPINNABLE) > 0 for n in rt.cluster.nodes)
 
 
 def test_real_pin_limit_degrades_when_configured():

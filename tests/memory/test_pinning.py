@@ -1,93 +1,91 @@
-"""Unit + property tests for the pinning model."""
+"""Unit + property tests for registration: the cost arithmetic and the
+physical-address synthesis of ``memory/pinning.py``, and how the
+pinned address table pins with them (per-handle cap chunking, the
+total cap, idempotence)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.memory import (
-    NotPinnedError,
-    PinCostModel,
-    PinLimitError,
-    PinManager,
-)
+from repro.core import PinnedAddressTable
+from repro.memory import PinCostModel, PinLimitError
 from repro.util import MB
 
 
 def test_pin_returns_positive_cost_and_region():
-    pm = PinManager(0)
-    cost, regions = pm.pin(0x1000, 8192)
-    assert cost > 0
-    assert len(regions) == 1
-    assert regions[0].covers(0x1000, 8192)
-    assert pm.pinned_bytes == 8192
+    t = PinnedAddressTable(0)
+    cost, ok = t.register("h", 0x1000, 8192)
+    assert ok and cost > 0
+    assert t.regions == {0x1000: (0x1000, 0x1000 + 8192, "h")}
+    assert t.pinned_bytes == 8192
 
 
 def test_pin_is_idempotent_and_free_second_time():
     # Section 3.1: "once a shared object is pinned it remains pinned".
-    pm = PinManager(0)
-    c1, _ = pm.pin(0x1000, 4096)
-    c2, _ = pm.pin(0x1000, 4096)
+    t = PinnedAddressTable(0)
+    c1, _ = t.register("h", 0x1000, 4096)
+    c2, _ = t.register("h", 0x1000, 4096)
     assert c1 > 0 and c2 == 0.0
-    assert pm.pinned_bytes == 4096
+    assert t.pinned_bytes == 4096
 
 
 def test_partial_overlap_only_pins_the_gap():
-    pm = PinManager(0)
-    pm.pin(0x1000, 4096)
-    cost, _ = pm.pin(0x1000, 8192)  # second half is new
-    assert cost > 0
-    assert pm.pinned_bytes == 8192
-    assert pm.is_pinned(0x1000, 8192)
+    t = PinnedAddressTable(0)
+    t.register("h", 0x1000, 4096)
+    cost, _ = t.register("h", 0x1000, 8192)  # second half is new
+    assert cost == PinCostModel().pin_cost(4096, t.page_size)
+    assert t.pinned_bytes == 8192
+    assert t.is_pinned(0x1000, 8192)
 
 
 def test_chunking_respects_max_region_bytes():
     # Section 3.2: LAPI limits a single registered handle (32 MB).
-    pm = PinManager(0, max_region_bytes=32 * MB)
-    _, regions = pm.pin(0x10_0000, 100 * MB)
-    assert len(regions) == 4  # 32+32+32+4
-    assert all(r.size <= 32 * MB for r in regions)
-    assert pm.is_pinned(0x10_0000, 100 * MB)
+    t = PinnedAddressTable(0, max_region_bytes=32 * MB)
+    t.register("h", 0x10_0000, 100 * MB)
+    sizes = [end - start for start, end, _ in t.regions.values()]
+    assert sorted(sizes) == [4 * MB, 32 * MB, 32 * MB, 32 * MB]
+    assert t.is_pinned(0x10_0000, 100 * MB)
 
 
 def test_total_limit_enforced():
     # Section 3.3: GM's DMAable-memory cap (1 GB on the paper's nodes).
-    pm = PinManager(0, max_total_bytes=10 * MB)
-    pm.pin(0x1000, 6 * MB)
+    t = PinnedAddressTable(0, max_total_bytes=10 * MB)
+    assert t.register("h", 0x1000, 6 * MB)[1]
+    assert t.register("i", 0x4000_0000, 6 * MB) == (0.0, False)
+    assert isinstance(t.last_pin_error, PinLimitError)
     with pytest.raises(PinLimitError):
-        pm.pin(0x4000_0000, 6 * MB)
+        t.register_lazy(0x8000_0000, 6 * MB)
 
 
 def test_phys_addr_requires_pin_and_offsets_correctly():
-    pm = PinManager(0)
-    pm.pin(0x2000, 4096)
-    base = pm.phys_addr(0x2000)
-    assert pm.phys_addr(0x2100) == base + 0x100
-    with pytest.raises(NotPinnedError):
-        pm.phys_addr(0x9000)
+    t = PinnedAddressTable(0)
+    t.register("h", 0x2000, 4096)
+    base = t.lookup_phys(0x2000)
+    assert t.lookup_phys(0x2100) == base + 0x100
+    assert t.lookup_phys(0x9000) is None
 
 
 def test_phys_addr_distinct_across_nodes():
-    a, b = PinManager(0), PinManager(1)
-    a.pin(0x1000, 64)
-    b.pin(0x1000, 64)
-    assert a.phys_addr(0x1000) != b.phys_addr(0x1000)
+    a, b = PinnedAddressTable(0), PinnedAddressTable(1)
+    a.register("h", 0x1000, 64)
+    b.register("h", 0x1000, 64)
+    assert a.lookup_phys(0x1000) != b.lookup_phys(0x1000)
 
 
 def test_unpin_releases_bytes_and_costs_more_than_pin():
-    cm = PinCostModel()
-    pm = PinManager(0, cost_model=cm)
-    pin_cost, _ = pm.pin(0x1000, 64 * 1024)
-    unpin_cost = pm.unpin(0x1000, 64 * 1024)
+    t = PinnedAddressTable(0, cost_model=PinCostModel())
+    pin_cost, _ = t.register("h", 0x1000, 64 * 1024)
+    unpin_cost = t.free("h", 0x1000, 64 * 1024)
     assert unpin_cost > pin_cost  # dereg "even more" expensive (3.3)
-    assert pm.pinned_bytes == 0
-    assert not pm.is_pinned(0x1000, 64 * 1024)
+    assert t.pinned_bytes == 0
+    assert not t.is_pinned(0x1000, 64 * 1024)
 
 
 def test_unpin_overlapping_range_removes_whole_regions():
-    pm = PinManager(0, max_region_bytes=4096)
-    pm.pin(0x1000, 8192)
-    pm.unpin(0x1000 + 4096, 1)  # touches only the second chunk
-    assert pm.is_pinned(0x1000, 4096)
-    assert not pm.is_pinned(0x1000, 8192)
+    t = PinnedAddressTable(0, max_region_bytes=4096)
+    t.register("h", 0x1000, 8192)
+    t.free("x", 0x1000 + 4096, 1)  # touches only the second chunk
+    assert t.is_pinned(0x1000, 4096)
+    assert not t.is_pinned(0x1000, 8192)
 
 
 def test_cost_model_scales_with_pages():
@@ -97,9 +95,11 @@ def test_cost_model_scales_with_pages():
 
 
 def test_pin_size_must_be_positive():
-    pm = PinManager(0)
+    t = PinnedAddressTable(0)
+    assert t.register("h", 0x1000, 0) == (0.0, False)
+    assert isinstance(t.last_pin_error, PinLimitError)
     with pytest.raises(PinLimitError):
-        pm.pin(0x1000, 0)
+        t.register_lazy(0x1000, 0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -109,15 +109,15 @@ def test_property_is_pinned_matches_interval_union(ops):
     """is_pinned agrees with a brute-force page-set model under arbitrary
     overlapping pins (addresses in a small page-aligned arena)."""
     page = 16
-    pm = PinManager(0, page_size=page)
+    t = PinnedAddressTable(0, page_size=page)
     pinned_units = set()
     for start_u, len_u in ops:
         vaddr = 0x1000 + start_u * page
         size = len_u * page
-        pm.pin(vaddr, size)
+        t.register("h", vaddr, size)
         pinned_units.update(range(start_u, start_u + len_u))
     for probe in range(0, 100):
         va = 0x1000 + probe * page
         expect = probe in pinned_units
-        assert pm.is_pinned(va, page) == expect
-    assert pm.pinned_bytes == len(pinned_units) * page
+        assert t.is_pinned(va, page) == expect
+    assert t.pinned_bytes == len(pinned_units) * page

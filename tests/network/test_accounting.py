@@ -52,7 +52,7 @@ def test_counters_track_every_operation():
         == 512 + 128
     assert len(log.by_kind(RDMA_COMPLETE)) == 2
     # Only the rendezvous GET registered buffers, one at each end.
-    assert [n.reg_cache.misses for n in (a, b, c)] == [1, 0, 1]
+    assert [len(n.pins) for n in (a, b, c)] == [1, 0, 1]
 
 
 def test_wire_log_bytes_at_least_payload():

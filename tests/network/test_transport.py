@@ -9,6 +9,7 @@ from repro.network import (
 )
 from repro.sim import Simulator
 from repro.util import KB, MB
+from tests.core.pin_log import PinLog
 
 
 def make(machine=GM_MARENOSTRUM, nnodes=4):
@@ -17,6 +18,7 @@ def make(machine=GM_MARENOSTRUM, nnodes=4):
     # A benchmark-style idle target: someone is polling everywhere.
     for node in cluster.nodes:
         node.progress.enter_runtime()
+        node.pins = PinLog.like(node.pins)
     return sim, cluster
 
 
@@ -34,7 +36,7 @@ def test_default_get_roundtrip_returns_handler_payload():
     reply = sim.run_process(bench())
     assert reply == {"base": 0xBEEF}
     assert dst.progress.serviced == 1
-    assert dst.reg_cache.misses == 0      # eager: nothing registered
+    assert dst.pins.misses == 0      # eager: nothing registered
 
 
 def test_default_get_latency_grows_with_distance():
@@ -101,9 +103,9 @@ def test_eager_vs_rendezvous_protocol_selection():
 
     # Only rendezvous registers the served region at the target.
     sim.run_process(run(16 * KB))           # at the threshold: eager
-    assert dst.reg_cache.misses == 0
+    assert dst.pins.misses == 0
     sim.run_process(run(16 * KB + 1))       # above: rendezvous
-    assert dst.reg_cache.misses == 1
+    assert dst.pins.misses == 1
 
 
 def test_rendezvous_registration_amortized_by_pin_down_cache():
@@ -122,7 +124,7 @@ def test_rendezvous_registration_amortized_by_pin_down_cache():
 
     first, second = sim.run_process(run())
     assert second < first                  # registration cached
-    assert dst.reg_cache.hits >= 1
+    assert dst.pins.hits >= 1
 
 
 def test_default_put_local_completion_before_remote_apply():

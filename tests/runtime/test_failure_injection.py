@@ -79,7 +79,7 @@ def test_chunked_policy_survives_small_pin_budget():
 
     rt.spawn(kernel)
     rt.run()  # chunked: only the touched 2 KB chunk pins
-    pinned = rt.pinned_table(1).pins.pinned_bytes
+    pinned = rt.pinned_table(1).pinned_bytes
     assert 0 < pinned <= 8 * KB
 
 

@@ -106,7 +106,7 @@ def test_target_pins_object_on_first_remote_touch():
     rt, _ = run_kernel(kernel)
     table = rt.pinned_table(1)
     assert len(table) >= 1
-    assert table.pins.pinned_bytes > 0
+    assert table.pinned_bytes > 0
 
 
 def test_cached_get_is_faster_than_uncached_gm():

@@ -37,7 +37,7 @@ def test_alloc_free_churn_keeps_directory_consistent():
     assert rt.metrics.frees == 4
     # After all frees every node's pin table and cache are empty.
     for node in rt.cluster.nodes:
-        assert rt.pinned_table(node.id).pins.pinned_bytes == 0
+        assert rt.pinned_table(node.id).pinned_bytes == 0
         assert len(rt.addr_cache(node.id)) == 0
 
 

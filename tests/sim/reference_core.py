@@ -40,6 +40,9 @@ class ReferenceSimulator(Simulator):
         event._process()
 
     def run_before(self, bound):
+        if bound != bound:
+            raise SimulationError(
+                f"run_before: bound must not be NaN, got {bound}")
         self._fanout = False
         heap = self._heap
         n = 0

@@ -186,3 +186,27 @@ def test_run_before_stops_at_a_pending_wake(core):
     assert woke == [1.0, 2.0] and sim.now == 2.0
     sim.run()
     assert woke == [1.0, 2.0, 3.0, 4.0]
+
+
+@BOTH_CORES
+def test_a_nan_bound_is_refused_not_drained(core):
+    # Every comparison with NaN is False, so a NaN ``until`` or bound
+    # used to run the whole queue: a process waiting 5.0 twice ended at
+    # now == 10.0.
+    sim = core()
+
+    def waiter():
+        yield 5.0
+        yield 5.0
+
+    sim.process(waiter())
+    nan = float("nan")
+    with pytest.raises(SimulationError, match="until must not be NaN"):
+        sim.run(until=nan)
+    with pytest.raises(SimulationError, match="bound must not be NaN"):
+        sim.run_before(nan)
+    assert sim.now == 0.0 and sim.pending == 1
+    sim.run(until=7.0)
+    assert sim.now == 7.0 and sim.pending == 1
+    sim.run()
+    assert sim.now == 10.0

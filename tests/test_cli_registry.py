@@ -298,6 +298,25 @@ def test_poisson_arrivals_reject_a_gap_they_cannot_draw(gap):
         PoissonArrivals(gap)
 
 
+_FLOAT_OPTIONS = {
+    "--sample-us": (["trace", "pointer"], "must be >= 0"),
+    "--slo-target-us": (["kvtraffic"], "must be >= 0"),
+    "--slo-window-us": (["kvtraffic", "--slo-target-us", "10"],
+                        "must be > 0"),
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", sorted(_FLOAT_OPTIONS))
+def test_non_finite_float_options_are_argparse_errors(flag, value, capsys):
+    # NaN fails the bound; an infinite interval or target used to run
+    # and print "infus windows" or "target infus".
+    cmd, bound = _FLOAT_OPTIONS[flag]
+    expected = bound if value == "nan" else "must be finite"
+    assert _usage_error(cmd + [flag, value], capsys) \
+        == f"argument {flag}: {expected}"
+
+
 def test_thread_and_op_counts_below_one_are_argparse_errors(capsys):
     # A count the run cannot use is a usage error up front, not a
     # traceback from deep in the run or a silently resized program.
