@@ -8,7 +8,10 @@ Runs one repetition of a ``bench/workloads.py`` workload (read-only
 import; nothing under ``bench/`` is touched) under ``sys.settrace``
 with per-opcode events on and prints, per logical op: interpreter
 opcodes, Python-level calls, the generator-frame entries among those
-calls (every resumption of a generator counts one), simulator events,
+calls (every resumption of a generator counts one), numpy calls (the
+``sys.setprofile`` ``c_call`` events whose callee is numpy's: a
+function of the numpy package or a method of one of its types),
+simulator events,
 cyclic garbage (the objects ``gc.collect()`` finds after the
 repetition, run with the collector disabled: what refcounting could
 not free) and peak bytes (``tracemalloc``'s high-water mark over one
@@ -26,7 +29,8 @@ count repeats exactly run to run (``PYTHONHASHSEED=0`` is forced, as
 ``bench/child.py`` does), so it ranks candidates that a timer cannot.
 It is a count, not a speed: C-level work (numpy, heapq, dict probes)
 is one opcode here whatever it costs, so a claimed gain is still
-measured with ``bench/run.py``.
+measured with ``bench/run.py``; the numpy line counts the C calls an
+opcode count cannot see.
 """
 
 from __future__ import annotations
@@ -44,12 +48,26 @@ ROOT = Path(__file__).resolve().parent.parent
 REPRO = ROOT / "src" / "repro"
 
 
+def is_numpy(fn) -> bool:
+    """Whether a C callable belongs to numpy: its module's, or (a bound
+    method such as ``ndarray.copy``) that of its receiver's type."""
+    module = (getattr(fn, "__module__", None)
+              or type(getattr(fn, "__self__", None)).__module__)
+    return module == "numpy" or module.startswith("numpy.")
+
+
 def count(workload, inputs):
     """Run ``workload`` once under the tracer, the cyclic collector off;
-    returns the outcome, self opcodes and calls per code object, and
-    the number of objects only the collector could free."""
+    returns the outcome, self opcodes and calls per code object, the
+    numpy C calls, and the number of objects only the collector could
+    free."""
     opcodes = Counter()
     calls = Counter()
+    numpy_calls = [0]
+
+    def on_c_call(frame, event, arg):
+        if event == "c_call" and is_numpy(arg):
+            numpy_calls[0] += 1
 
     def local(frame, event, arg):
         if event == "opcode":
@@ -65,13 +83,15 @@ def count(workload, inputs):
     gc.collect()
     gc.disable()
     sys.settrace(on_call)
+    sys.setprofile(on_c_call)
     try:
         outcome = workload.run(inputs)
     finally:
+        sys.setprofile(None)
         sys.settrace(None)
         garbage = gc.collect()
         gc.enable()
-    return outcome, opcodes, calls, garbage
+    return outcome, opcodes, calls, numpy_calls[0], garbage
 
 
 def peak_bytes(workload, inputs) -> int:
@@ -136,7 +156,7 @@ def main(argv=None) -> int:
         ap.error(f"unknown workload {args.workload!r}; "
                  f"choose from {', '.join(WORKLOADS)}")
     w = WORKLOADS[args.workload]
-    outcome, by_code, calls, garbage = count(
+    outcome, by_code, calls, numpy_calls, garbage = count(
         w, w.generate(args.seed, args.scale))
     nops, ncalls = sum(by_code.values()), sum(calls.values())
     # A generator's every resumption is a "call" event: these are the
@@ -159,6 +179,8 @@ def main(argv=None) -> int:
     print(f"  events/op   {events / ops:10.2f}   ({events} total)")
     print(f"  garbage/op  {garbage / ops:10.2f}   ({garbage} total)")
     print(f"  peak bytes/op {peak / ops:8.1f}   ({peak} total)")
+    print(f"  numpy calls/op {numpy_calls / ops:7.2f}   "
+          f"({numpy_calls} total)")
     layer_ops = by_layer(by_code, layer_of_repro)
     layer_calls = by_layer(calls, layer_of_repro)
     print(f"\n  {'opcodes/op':>10}  {'share':>6}  {'calls/op':>8}  layer")

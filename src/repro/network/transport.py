@@ -338,10 +338,10 @@ class Transport:
             finally:
                 dst.handler_cpu.release()
         if fate.duplicate:
-            self.sim.process(self._arrive(src, dst, NO_FAULT, None,
-                                          copy_bytes, op_id=op_id,
-                                          key=key, serve=serve),
-                             name="dup-delivery")
+            self.sim.spawn(self._arrive(src, dst, NO_FAULT, None,
+                                        copy_bytes, op_id=op_id,
+                                        key=key, serve=serve),
+                           name="dup-delivery")
         return payload, extra_bytes
 
     # -- default (AM) protocols -------------------------------------------
@@ -517,9 +517,9 @@ class Transport:
         finally:
             dst.handler_cpu.release()
         if fate.duplicate:
-            self.sim.process(self._arrive(src, dst, NO_FAULT, None,
-                                          op_id=op_id, key=key),
-                             name="dup-delivery")
+            self.sim.spawn(self._arrive(src, dst, NO_FAULT, None,
+                                        op_id=op_id, key=key),
+                           name="dup-delivery")
         if fate.drop_reply:
             # The answer vanished (the target paid for sending it);
             # the initiator's retransmit timer will fire.
@@ -569,7 +569,7 @@ class Transport:
             if rec:
                 self._phase(op_id, COMP_WIRE, t0)
             # Remote side continues without the initiator.
-            self.sim.process(
+            self.sim.spawn(
                 self._put_tail(src, dst, nbytes, handler, remote_applied,
                                eager=True, op_id=op_id, key=key),
                 name="put-tail",
@@ -599,7 +599,7 @@ class Transport:
             if rec:
                 self._phase(op_id, COMP_WIRE, t2)
             data_key = self._seq(src) if self.faults is not None else None
-            self.sim.process(
+            self.sim.spawn(
                 self._put_tail(src, dst, nbytes, None, remote_applied,
                                eager=False, op_id=op_id, key=data_key),
                 name="put-tail",
@@ -703,7 +703,7 @@ class Transport:
                 else:
                     done.succeed(self.sim.now)
 
-        self.sim.process(_fly(), name="am-oneway")
+        self.sim.spawn(_fly(), name="am-oneway")
         return done
 
     # -- RDMA protocols ----------------------------------------------------
@@ -818,7 +818,7 @@ class Transport:
                     yield lat
                 remote_applied.succeed(self.sim.now)
 
-            self.sim.process(_tail(), name="rdma-put-tail")
+            self.sim.spawn(_tail(), name="rdma-put-tail")
         if rec:
             self.events.emit(self.sim.now, RDMA_COMPLETE, op=op_id,
                              node=src.id, nbytes=nbytes)

@@ -14,6 +14,8 @@ it with two independent optimizations:
    interleave *globally* but sit densely in each node's arena, so even
    an alternating layout coalesces per destination.  A single segment
    is never split, so a one-segment span costs exactly one message.
+   A span of whole blocks is planned per owner, in closed form: a
+   remote owner's blocks are a *run* moved in one strided copy.
 
 2. **Bounded in-flight windows** — the planned messages are issued as
    nonblocking simulator processes under a sliding window of
@@ -32,17 +34,17 @@ callbacks apply the data plane: results are bit-identical on or off.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import repeat
-from operator import add, gt, itemgetter
 from typing import List, NamedTuple, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
 from repro.obs.events import BULK_DRAIN, BULK_ISSUE, BULK_PLAN
 from repro.faults.reliability import ReliabilityError
-from repro.runtime.errors import UPCRuntimeError
+from repro.runtime.errors import LayoutError, UPCRuntimeError
 from repro.runtime.shared_array import SharedArray
+from repro.sim.event import PROCESSED
+from repro.sim.process import Process
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.runtime import Runtime
@@ -52,10 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: one in a plan is issued inline through the scalar op engine, in order.
 Segment = Tuple[int, int, int, int]
 
-#: A place in the arenas as one int: node above this bit, offset below.
-_NODE = 48
-_ARENA = (1 << _NODE) - 1
-
 
 class _Message(NamedTuple):
     """One planned wire message: arena-contiguous segments, one node."""
@@ -63,6 +61,20 @@ class _Message(NamedTuple):
     segments: List[Segment]
     nbytes: int
     arena_lo: int
+
+
+class _Run(NamedTuple):
+    """A wire message of one span's blocks of one owner: back to back in
+    its arena slot, ``nthreads * blocksize`` elements apart in the data
+    plane and the span buffer alike.  ``segments`` counts them (no tuple
+    per block); the first sits at ``at`` in the span, ``start`` in the
+    array."""
+    node: int
+    segments: range
+    nbytes: int
+    arena_lo: int
+    at: int
+    start: int
 
 
 class _Join:
@@ -85,8 +97,8 @@ class _Join:
         if self.early:          # something completed while unwatched
             self.early = False
             for msg in watch:
-                if msg.processed:
-                    self.failure = msg.exception
+                if msg._status == PROCESSED:
+                    self.failure = msg._exc
                     return 0.0
         self.watch, self.need = watch, need
         return self
@@ -100,10 +112,23 @@ class _Join:
         if not self.need:
             self.early = True
         elif msg in self.watch:
-            self.failure = msg.exception
+            self.failure = msg._exc
             self.need = self.need - 1 if self.failure is None else 0
             if not self.need:
                 msg.sim._wake(self.token, 0.0)
+
+
+class _Flight(Process):
+    """A pipelined wire message: the op engine's generator is the
+    process, and its exit runs the transfer's ``end``, landing a GET's
+    data or naming a message that ran out of retries."""
+
+    __slots__ = ("msg", "number", "end")
+
+    def _exit(self, err: BaseException) -> None:
+        self.end(self.msg, self.number,
+                 None if isinstance(err, StopIteration) else err)
+        super()._exit(err)
 
 
 class BulkEngine:
@@ -121,163 +146,108 @@ class BulkEngine:
 
     def _plan(self, thread: "UPCThread", array: SharedArray,
               spans: Sequence[Tuple[int, int]]):
-        """Split spans at affinity boundaries, then coalesce: the issue
-        order — bare :data:`Segment` tuples and :class:`_Message`
-        entries, a message where its *first* segment sat.  A span in
-        one block is located directly; one that crosses blocks has its
-        segments' owners and arena offsets computed as arrays."""
-        home = thread.node.id
-        elem = array.elem_size
+        """The issue order of ``spans``, every one range-checked first:
+        bare :data:`Segment` tuples and wire messages, a message where
+        its *first* segment sat.  A single span in one block is located
+        directly, one of whole blocks planned per owner (:meth:`_runs`);
+        any other walks its segments, a remote one joining the open
+        message whose arena range ends where it begins, up to the cap."""
+        total = len(array.data)
+        for index, nelems in spans:
+            if nelems < 0:      # upc_memget(p, q, 0) is a no-op, not this
+                raise UPCRuntimeError(f"nelems must be >= 0, got {nelems}")
+            if nelems and not 0 <= index <= total - nelems:
+                raise LayoutError(f"span [{index}, {index + nelems}) out "
+                                  f"of range [0, {total})")
+        home, elem = thread.node.id, array.elem_size
         bs = 0 if array.owner is not None else array.layout.blocksize
-        m = self.rt.metrics
-        if len(spans) == 1 and spans[0][1] > 0 and self.enabled:
-            index, nelems = spans[0]
+        if len(spans) == 1 and nelems > 0 and self.enabled:  # the one span
             if not bs or index // bs == (index + nelems - 1) // bs:
                 _, node, lo = array.locate(index)   # the usual span: O(1)
+                m = self.rt.metrics
                 m.bulk_segments += 1
                 m.bulk_messages += node != home
                 seg = (0, 0, index, nelems)
                 return [seg if node == home
                         else _Message(node, [seg], nelems * elem, lo)]
-        # (segments, scan positions) by destination; and for each wire
-        # segment the place its bytes begin at, and how many they are.
-        local, wire = ([], []), ([], [])
-        begin, size, nsegs = [], [], 0
-        for s, (index, nelems) in enumerate(spans):
-            if nelems <= 0:     # upc_memget(p, q, 0) is a no-op, not an error
-                if nelems < 0:
-                    raise UPCRuntimeError(
-                        f"nelems must be >= 0, got {nelems}")
-            elif not bs or index // bs == (index + nelems - 1) // bs:
-                _, node, lo = array.locate(index)
-                away = self.enabled and node != home
-                segs, at = wire if away else local
-                segs.append((s, 0, index, nelems))
-                at.append(nsegs)
-                if away:
-                    begin.append(node << _NODE | lo)
-                    size.append(nelems * elem)
-                nsegs += 1
-            else:
-                edges = np.arange(index // bs,
-                                  (index + nelems - 1) // bs + 2) * bs
-                edges[0], edges[-1] = index, index + nelems
-                start, count = edges[:-1], edges[1:] - edges[:-1]
-                lay = array.layout
-                if not 0 <= index <= start[-1] < lay.nelems:
-                    array.locate(index)             # one of them raises
-                    array.locate(int(start[-1]))
-                # SharedArray.locate, for every segment at once.
-                block = start // bs
-                owner = block % lay.nthreads
-                node = owner // self._tpn
-                lo = (owner % self._tpn * lay.thread_chunk_bytes
-                      + block // lay.nthreads * (bs * elem))
-                lo[0] += index % bs * elem
-                away = (node != home) & self.enabled
-                for keep, (segs, at) in ((~away, local), (away, wire)):
-                    pick = keep.nonzero()[0]
-                    at += (pick + nsegs).tolist()
-                    segs += zip(repeat(s), (start[pick] - index).tolist(),
-                                start[pick].tolist(), count[pick].tolist())
-                begin += (node[away] << _NODE | lo[away]).tolist()
-                size += (count[away] * elem).tolist()
-                nsegs += len(start)
-        segs, at = wire
-        if len(segs) > 1 and not set(begin).isdisjoint(map(add, begin, size)):
-            messages, at = self._coalesce(segs, at, begin, size)
-        else:                       # nothing ends where something begins
-            messages = [_Message(lo >> _NODE, [seg], nbytes, lo & _ARENA)
-                        for seg, lo, nbytes in zip(segs, begin, size)]
-        m.bulk_segments += nsegs * self.enabled
-        m.bulk_messages += len(messages)
-        merged = len(segs) - len(messages)
-        m.bulk_coalesced_segments += merged
-        # Each merged segment avoids one request/reply control-message
-        # pair on the wire.
-        m.bulk_bytes_saved += 2 * self.rt.cluster.params.ctrl_bytes * merged
-        items, order = local[0] + messages, local[1] + at
-        if any(map(gt, order, order[1:])):
-            items = list(itemgetter(*np.argsort(order).tolist())(items))
-        return items
-
-    def _coalesce(self, segs, at, begin, size):
-        """Merge wire segments into messages (and say where in the
-        scan each sits): a later segment joins the message whose arena
-        range *ends* where it begins, whatever interleaved in between,
-        up to the cap.  A node's arena packs each thread's blocks
-        contiguously per thread slot, so a block-cyclic scan revisits
-        several growing ranges in round-robin, all coalescing at once."""
-        n = len(segs)
-        begin = np.array(begin, dtype=np.int64)
-        size = np.array(size, dtype=np.int64)
-        # Event 2r: segment r begins at its place; 2r+1: it ends.  A
-        # stable sort lists each byte's events in scan order; r continues
-        # what q closed when r's begin directly follows q's end there.
-        place = np.empty(2 * n, dtype=np.int64)
-        place[0::2] = begin
-        place[1::2] = begin + size
-        by_place = place.argsort(kind="stable")
-        place = place[by_place]
-        same = place[1:] == place[:-1]
-        before, after = by_place[:-1][same], by_place[1:][same]
-        joins = (before & ~after & 1) == 1
-        head = np.arange(n)
-        head[after[joins] >> 1] = before[joins] >> 1
-        njoins = int(np.count_nonzero(joins))
-        for _ in range(njoins.bit_length()):
-            head = head[head]       # pointer doubling, to chain heads
-        # Chains laid end to end in scan order: ``stop_of`` maps each
-        # one's first position to its end; ``upto[k]`` bytes precede k.
-        chain = head.argsort(kind="stable")
-        heads = head[chain]
-        stops = ((heads[1:] != heads[:-1]).nonzero()[0] + 1).tolist() + [n]
-        stop_of = dict(zip([0] + stops, stops))
-        upto = [0] + size[chain].cumsum().tolist()
-        pick = itemgetter(*chain.tolist())
-        segs, at = pick(segs), pick(at)
-        begin = begin[chain].tolist()
-        rival = {}
-        if njoins < len(before):
-            # A begin that follows another begin lost the race for that
-            # end; it gets its turn if the cap turns the winner away.
-            lost = (~before & ~after & 1) == 1
-            rank = chain.argsort()      # scan order -> chain position
-            rival = dict(zip(rank[before[lost] >> 1].tolist(),
-                             rank[after[lost] >> 1].tolist()))
+            # Whole blocks, and no thread's last course ends where the
+            # next thread's slot begins (two courses or more).
+            if (index % bs == 0 == nelems % bs
+                    and total > bs * array.layout.nthreads):
+                return self._runs(home, array, index, nelems)
         cap = self.max_coalesce_bytes
-        todo = list(stop_of)[::-1]
-        messages, where = [], []
-        while todo:
-            k = first = todo.pop()
-            stop = stop_of.pop(k, None)
-            if stop is None:
-                continue            # a rival that got its turn
-            parts, nbytes = [], 0
-            while True:
-                # As far down this chain as the cap allows; a message's
-                # first segment is never split off, whatever its size.
-                end = bisect_right(upto, cap - nbytes + upto[k], k,
-                                   stop + 1) - 1
-                end += end == k
-                parts += segs[k:end]
-                nbytes += upto[end] - upto[k]
-                if end == stop:
-                    break
-                todo.append(end)    # turned away: it opens a message
-                stop_of[end] = stop
-                k = rival.get(end)
-                while k is not None and nbytes + upto[k + 1] - upto[k] > cap:
-                    k = rival.get(k)
-                if k is None:
-                    break
-                stop = stop_of.pop(k)
-            messages.append(_Message(begin[first] >> _NODE, parts, nbytes,
-                                     begin[first] & _ARENA))
-            where.append(at[first])
-        return messages, where
+        items: List = []
+        ends = {}       # (node, arena byte) -> the open message ending there
+        nsegs = nmsgs = merged = 0
+        for s, (index, nelems) in enumerate(spans):
+            pos, end = index, index + nelems
+            while pos < end:
+                count = min(end, (pos // bs + 1) * bs) - pos if bs else nelems
+                seg = (s, pos - index, pos, count)
+                _, node, lo = array.locate(pos)
+                pos += count
+                nsegs += 1
+                if node == home or not self.enabled:
+                    items.append(seg)
+                    continue
+                nbytes = count * elem
+                msg = ends.pop((node, lo), None)
+                if msg is not None and msg[2] + nbytes <= cap:
+                    msg[1].append(seg)
+                    msg[2] += nbytes
+                    merged += 1
+                else:
+                    if msg is not None:     # full: it stays closed there
+                        ends[node, lo] = msg
+                    msg = [node, [seg], nbytes, lo]
+                    items.append(msg)
+                    nmsgs += 1
+                ends[node, msg[3] + msg[2]] = msg
+        self._count(nsegs * self.enabled, nmsgs, merged)
+        return [it if it.__class__ is tuple else _Message(*it)
+                for it in items]
 
-    def _issue(self, thread: "UPCThread", msg: _Message, op_id: int,
+    def _runs(self, home: int, array: SharedArray, index: int, nelems: int):
+        """A span of whole blocks, per owner: ``t`` holds every
+        ``nthreads``-th block, back to back in its slot, so a remote
+        owner's are one run (cut every ``per`` blocks by the cap, as the
+        segment walk cuts them) and a local owner's stay bare."""
+        bs, nthreads = array.layout.blocksize, array.layout.nthreads
+        tpn, width = self._tpn, bs * array.elem_size
+        step = nthreads * bs            # from one of t's blocks to the next
+        per = max(1, self.max_coalesce_bytes // width)
+        nblocks, first = nelems // bs, index // bs
+        slots = [None] * nblocks
+        nlocal = nmsgs = 0
+        for j in range(min(nthreads, nblocks)):
+            t = (first + j) % nthreads
+            rows = (nblocks - 1 - j) // nthreads + 1
+            at = j * bs
+            if t // tpn == home:
+                slots[j::nthreads] = zip(
+                    repeat(0), range(at, nelems, step),
+                    range(index + at, index + nelems, step), repeat(bs))
+                nlocal += rows
+                continue
+            lo = t % tpn * array._chunk_bytes + (first + j) // nthreads * width
+            for r in range(0, rows, per):
+                k = min(per, rows - r)
+                slots[j + r * nthreads] = _Run(
+                    t // tpn, range(k), k * width, lo + r * width,
+                    at + r * step, index + at + r * step)
+                nmsgs += 1
+        self._count(nblocks, nmsgs, nblocks - nlocal - nmsgs)
+        return list(filter(None, slots))
+
+    def _count(self, segments: int, messages: int, merged: int) -> None:
+        """Each merged segment saves a request/reply control pair."""
+        m = self.rt.metrics
+        m.bulk_segments += segments
+        m.bulk_messages += messages
+        m.bulk_coalesced_segments += merged
+        m.bulk_bytes_saved += 2 * self.rt.cluster.params.ctrl_bytes * merged
+
+    def _issue(self, thread: "UPCThread", msg, op_id: int,
                inflight: int) -> None:
         self.live_messages += 1
         self.rt.metrics.bulk_depth.add(inflight)
@@ -289,13 +259,13 @@ class BulkEngine:
                      inflight=inflight)
 
     def _drive(self, thread: "UPCThread", items: List[object],
-               local_gen, msg_gen, window: Optional[int], op_id: int):
+               local_gen, start, window: Optional[int], op_id: int):
         """Issue plan ``items`` under a sliding in-flight window with
         completion-driven refill.  *Every* item waits for a free slot
         first, so a window of 1 is the strictly serial order; a bare
-        segment then runs inline (a scalar op), a message as a detached
-        process — the wait that meets the first to fail re-raises it."""
-        sim = self.rt.sim
+        segment then runs inline (a scalar op), a message as its own
+        process, ``start(msg, number)`` — the wait that meets the first
+        to fail re-raises it."""
         depth = max(1, self.max_inflight if window is None else window)
         join = _Join(self)
         inflight: List = []
@@ -305,17 +275,16 @@ class BulkEngine:
                 yield join.park(inflight, 1)
                 if join.failure is not None:
                     raise join.failure
-                inflight = [p for p in inflight if not p.triggered]
+                inflight = [p for p in inflight if not p._status]
             if item.__class__ is tuple:
                 yield from local_gen(item)
                 continue
             sent += 1
-            proc = sim.process(msg_gen(item, sent),
-                               name=f"bulk[t{thread.id}->n{item.node}]")
-            proc.add_callback(join.landed)
+            proc = start(item, sent)
+            proc._callbacks.append(join.landed)
             inflight.append(proc)
             self._issue(thread, item, op_id, len(inflight))
-        pending = [p for p in inflight if not p.triggered]
+        pending = [p for p in inflight if not p._status]
         if pending:
             yield join.park(pending, len(pending))
             if join.failure is not None:
@@ -332,21 +301,20 @@ class BulkEngine:
         spend three zero-delay events on it (message start, completion,
         the join's wake); at a :meth:`Simulator.quiescent` instant each
         is the very next dispatch, so dropping it reorders nothing, and
-        elsewhere a ``yield 0.0`` takes its place.  Completion costs
-        two: the wake is queued only when the completion is
-        *dispatched*, and the gauge drops between them."""
+        elsewhere a ``yield 0.0`` takes its place (completion costs two:
+        the gauge drops between the completion and the wake)."""
         rt = self.rt
-        ops = rt.ops
+        ops, sim = rt.ops, rt.sim
         kind = "get" if values is None else "put"
+        items = self._plan(thread, array, spans)
         op_id = -1
         if self.enabled:
             rt.metrics.bulk_transfers += 1
             op_id = thread._span_begin("bulk_" + kind, spans=len(spans))
-        items = self._plan(thread, array, spans)
         if op_id >= 0:
             wire = [len(it.segments) for it in items
-                    if it.__class__ is _Message]
-            rt.events.emit(rt.sim.now, BULK_PLAN, op=op_id,
+                    if it.__class__ is not tuple]
+            rt.events.emit(sim.now, BULK_PLAN, op=op_id,
                            thread=thread.id, node=thread.node.id,
                            messages=len(wire), wire_segments=sum(wire),
                            coalesced=sum(wire) - len(wire),
@@ -354,58 +322,68 @@ class BulkEngine:
         bufs = values if values is not None else [
             np.empty(nelems, dtype=array.dtype) for _, nelems in spans]
 
-        def local_gen(seg: Segment):
+        def rows(buf, index: int, run: _Run):   # one view of all its blocks
+            bs, elem = array.layout.blocksize, array.elem_size
+            return np.ndarray((len(run.segments), bs), buf.dtype, buf,
+                              index * elem,
+                              (array.layout.nthreads * bs * elem, elem))
+
+        def local_gen(seg: Segment):    # the op engine's generator itself
             span, offset, start, count = seg
             view = bufs[span][offset:offset + count]
             if values is None:
-                view[:] = yield from ops.get(thread, array, start, count)
-            else:
-                yield from ops.put(thread, array, start, view, count)
+                return ops.get(thread, array, start, count, out=view)
+            return ops.put(thread, array, start, view, count, proved=True)
 
-        def send(msg: _Message):    # the op engine's generator itself
+        def send(msg):                  # the op engine's generator itself
             if values is None:
                 return ops.get(thread, array, 0, bulk=(
                     msg.node, msg.arena_lo, msg.segments, msg.nbytes,
                     op_id))
-            return ops.bulk_put(
-                thread, array, msg.node, msg.arena_lo,
-                [(start, bufs[span][offset:offset + count])
-                 for span, offset, start, count in msg.segments],
-                msg.nbytes, parent_op=op_id)
+            pairs = ([(msg.start, rows(bufs[0], msg.at, msg))]
+                     if msg.__class__ is _Run else
+                     [(start, bufs[span][offset:offset + count])
+                      for span, offset, start, count in msg.segments])
+            return ops.bulk_put(thread, array, msg.node, msg.arena_lo,
+                                pairs, msg.nbytes, parent_op=op_id)
 
-        def named(err: Exception, msg: _Message, number: int):
-            # Retry exhaustion names the message, pipelined or inline.
-            if isinstance(err, ReliabilityError):
-                total = sum(it.__class__ is _Message for it in items)
-                err.args = (f"bulk {kind} t{thread.id}->n{msg.node}, "
-                            f"message {number} of {total}, failed after "
-                            f"retries: {err.args[0]}", *err.args[1:])
-            return err
+        def end(msg, number: int, err=None):
+            # A GET's data, into the caller's bufs; or a failure named.
+            if err is not None:
+                if isinstance(err, ReliabilityError):
+                    total = sum(it.__class__ is not tuple for it in items)
+                    err.args = (f"bulk {kind} t{thread.id}->n{msg.node}, "
+                                f"message {number} of {total}, failed "
+                                f"after retries: {err.args[0]}",
+                                *err.args[1:])
+                return err
+            if values is not None:
+                return None
+            data = array.data
+            if msg.__class__ is _Run:
+                rows(bufs[0], msg.at, msg)[...] = rows(data, msg.start, msg)
+                return None
+            for span, at, start, count in msg.segments:
+                bufs[span][at:at + count] = data[start:start + count]
 
-        def land(msg: _Message):    # a GET's data, into the caller's bufs
-            if values is None:
-                for span, at, start, count in msg.segments:
-                    bufs[span][at:at + count] = array.data[start:start + count]
+        def start(msg, number: int):    # a pipelined message's process
+            proc = _Flight(sim, send(msg),
+                           f"bulk[t{thread.id}->n{msg.node}]")
+            proc.msg, proc.number, proc.end = msg, number, end
+            return proc
 
-        def msg_gen(msg: _Message, number: int):
-            try:
-                yield from send(msg)
-            except Exception as err:
-                raise named(err, msg, number)
-            land(msg)
-
-        if len(items) == 1 and items[0].__class__ is _Message:
+        if len(items) == 1 and items[0].__class__ is not tuple:
             self._issue(thread, items[0], op_id, 1)
-            if not rt.sim.quiescent():
+            if not sim.quiescent():
                 yield 0.0
             failure = None
             try:
                 try:
                     yield from send(items[0])
-                    land(items[0])
+                    end(items[0], 1)
                 except Exception as err:    # re-raised where the join did
-                    failure = named(err, items[0], 1)
-                quiet = rt.sim.quiescent()
+                    failure = end(items[0], 1, err)
+                quiet = sim.quiescent()
                 if not quiet:
                     yield 0.0
             finally:
@@ -415,10 +393,10 @@ class BulkEngine:
             if failure is not None:
                 raise failure
         else:
-            yield from self._drive(thread, items, local_gen, msg_gen,
+            yield from self._drive(thread, items, local_gen, start,
                                    window, op_id)
         if op_id >= 0:
-            rt.events.emit(rt.sim.now, BULK_DRAIN, op=op_id,
+            rt.events.emit(sim.now, BULK_DRAIN, op=op_id,
                            thread=thread.id, node=thread.node.id)
             thread._span_end(op_id, proto="bulk", nbytes=sum(
                 n for _, n in spans) * array.elem_size)

@@ -61,6 +61,13 @@ class OpEngine:
         self.dedicated_fetch = piggy.needs_dedicated_fetch
         self.wants_address = piggy.wants_address
         self.reply_extra = piggy.reply_extra_bytes()
+        # The PUT fast path (section 4.3): the config's override, else
+        # the platform default; never without a cache or RDMA.
+        cfg = runtime.config
+        self.use_rdma_put = bool(
+            cfg.cache_enabled and cfg.machine.transport.supports_rdma
+            and (cfg.machine.use_rdma_put_default if cfg.use_rdma_put is None
+                 else cfg.use_rdma_put))
 
     # A recorder that is off costs the caller one test: an op opens its
     # span only ``if events.enabled`` (op id -1 otherwise) and closes
@@ -84,11 +91,13 @@ class OpEngine:
     # ------------------------------------------------------------------
 
     def get(self, thread: "UPCThread", array: SharedArray, index: int,
-            nelems: int = 1, scalar: bool = False, bulk=None):
+            nelems: int = 1, scalar: bool = False, bulk=None, out=None):
         """Blocking read of ``array[index : index+nelems]``.
 
         Returns a NumPy array of ``nelems`` values (copy), or the
         element itself when ``scalar`` (``th.get`` of one element).
+        With ``out`` (a bare segment the bulk planner proved in range
+        and in one block) the values land there and nothing is returned.
 
         ``bulk`` is set by the bulk engine alone: the ``(node_id,
         offset, segments, nbytes, parent_op)`` of one coalesced wire
@@ -108,7 +117,7 @@ class OpEngine:
         if array.freed:
             raise SVDError(f"use-after-free: {array.handle} was deallocated")
         if bulk is None:
-            if nelems > 1:
+            if nelems > 1 and out is None:
                 self._check_one_owner(array, index, nelems)
             op_id = (self._begin(thread, "get", index=index, nelems=nelems)
                      if log.enabled else -1)
@@ -117,19 +126,19 @@ class OpEngine:
             owner_thread, node_id, offset = array.locate(index)
             nbytes = nelems * array.elem_size
 
-            if owner_thread == thread.id:
-                yield p.local_access_us
-                rt.metrics.get_local.add(sim.now - t0)
-                if op_id >= 0:
-                    self._end(thread, op_id, "local", nbytes=nbytes)
-                return (array.data[index] if scalar
-                        else array.read(index, nelems))
-
             if node_id == thread.node.id:
-                yield p.shm_access_us + nbytes * p.memcpy_byte_us
-                rt.metrics.get_shm.add(sim.now - t0)
+                # A load of our own element, or shared memory on this node.
+                local = owner_thread == thread.id
+                yield (p.local_access_us if local
+                       else p.shm_access_us + nbytes * p.memcpy_byte_us)
+                (rt.metrics.get_local if local
+                 else rt.metrics.get_shm).add(sim.now - t0)
                 if op_id >= 0:
-                    self._end(thread, op_id, "shm", nbytes=nbytes)
+                    self._end(thread, op_id, "local" if local else "shm",
+                              nbytes=nbytes)
+                if out is not None:
+                    out[:] = array.data[index:index + nelems]
+                    return None
                 return (array.data[index] if scalar
                         else array.read(index, nelems))
         else:
@@ -221,7 +230,9 @@ class OpEngine:
         rt.metrics.get_remote.add(sim.now - t0)
         if op_id >= 0:
             self._end(thread, op_id, "rdma" if ok else "am", nbytes=nbytes)
-        if bulk is None:    # a bulk GET's caller copies the data out
+        if out is not None:     # a bare segment with the engine off
+            out[:] = array.data[index:index + nelems]
+        elif bulk is None:      # a bulk GET's caller copies the data out
             return array.data[index] if scalar else array.read(index, nelems)
 
     def _rdma_fallback(self, cache, array: SharedArray, src: Node,
@@ -243,13 +254,14 @@ class OpEngine:
     # ------------------------------------------------------------------
 
     def put(self, thread: "UPCThread", array: SharedArray, index: int,
-            values, nelems: Optional[int] = None):
+            values, nelems: Optional[int] = None, proved: bool = False):
         """Write ``values`` to ``array[index:...]``.
 
         Returns once the operation is *locally* complete (the UPC
         relaxed model); the write lands in the data plane when the
         target applies it.  Use fence/barrier to order.  A remote PUT
         returns the event that fires at that point (None otherwise).
+        ``proved``: a bare segment of a bulk plan, in one block.
         """
         rt = self.rt
         sim = rt.sim
@@ -262,7 +274,7 @@ class OpEngine:
             values = np.resize(values, nelems)
         if array.freed:
             raise SVDError(f"use-after-free: {array.handle} was deallocated")
-        if nelems > 1:
+        if nelems > 1 and not proved:
             self._check_one_owner(array, index, nelems)
         op_id = (self._begin(thread, "put", index=index, nelems=nelems)
                  if self.events.enabled else -1)
@@ -306,10 +318,11 @@ class OpEngine:
                  parent_op: int = -1):
         """One coalesced wire PUT on behalf of the bulk engine.
 
-        ``pairs`` is a list of ``(start, snapshot)`` affine segments,
-        back-to-back from byte ``offset`` of ``node_id``'s arena.
-        Locally complete on return (relaxed); remote application — of
-        every constituent segment at once — is tracked for fence/barrier.
+        ``pairs`` is a list of ``(start, snapshot)`` affine segments (a
+        two-dimensional snapshot is a run, a row per block), back-to-back
+        from byte ``offset`` of ``node_id``'s arena.  Locally complete on
+        return (relaxed); remote application — of every constituent
+        segment at once — is tracked for fence/barrier.
         """
         rt = self.rt
         sim = rt.sim
@@ -317,7 +330,8 @@ class OpEngine:
         if array.freed:
             raise SVDError(f"use-after-free: {array.handle} was deallocated")
         op_id = (self._begin(thread, "put", bulk=True, parent=parent_op,
-                             segments=len(pairs))
+                             segments=sum(len(s) if s.ndim == 2 else 1
+                                          for _, s in pairs))
                  if self.events.enabled else -1)
         yield self.params.o_sw_us
         src = thread.node
@@ -345,7 +359,7 @@ class OpEngine:
         log = rt.events
         cache = rt.addr_cache(src.id)
 
-        if rt.use_rdma_put:
+        if self.use_rdma_put:
             base, cost = cache.lookup(array.handle, dst.id)
             if log.enabled:
                 log.emit(sim.now, CACHE_LOOKUP, op=op_id,
@@ -369,7 +383,7 @@ class OpEngine:
         # Default protocol; the ACK piggybacks the address home
         # (asynchronously — off the initiator's critical path).
         rt.metrics.am_puts += 1
-        want_addr = self.wants_address and rt.use_rdma_put
+        want_addr = self.wants_address and self.use_rdma_put
         handler = self._make_get_handler(
             array, dst, want_addr=want_addr,
             touch_offset=offset, touch_bytes=nbytes)
@@ -385,17 +399,21 @@ class OpEngine:
     def _apply_on(self, remote_applied, array: SharedArray,
                   snapshots) -> None:
         """Write the snapshots into the data plane when the target
-        observes the put."""
+        observes the put, each through a view of the data plane shaped
+        like it: a bulk run's rows lie as far apart there as in its
+        span buffer, so one strided copy writes them all."""
 
         def _apply(ev):
-            if not ev.ok:
+            if ev._exc is not None:
                 # The reliability layer gave up on the message; the
                 # store was never observed — surface the failure at
                 # the fence, don't apply phantom bytes.
                 return
             data = array.data
             for index, snapshot in snapshots:
-                data[index:index + len(snapshot)] = snapshot
+                np.ndarray(snapshot.shape, data.dtype, data,
+                           index * data.itemsize,
+                           snapshot.strides)[...] = snapshot
 
         remote_applied.add_callback(_apply)
 
@@ -428,9 +446,8 @@ class OpEngine:
                              handle=str(array.handle), on_ack=True)
 
         def _spawn(ev):
-            if not ev.ok:
-                return
-            rt.sim.process(_tail(), name="put-ack-piggyback")
+            if ev._exc is None:
+                rt.sim.spawn(_tail(), name="put-ack-piggyback")
 
         remote_applied.add_callback(_spawn)
 

@@ -304,18 +304,6 @@ class Runtime:
         lo = self.first_thread_of_node(node_id)
         return max(0, min(self.nthreads - lo, self._tpn))
 
-    @property
-    def use_rdma_put(self) -> bool:
-        """Effective PUT fast-path switch (config override or the
-        platform default, section 4.3)."""
-        if not self.config.cache_enabled:
-            return False
-        if not self.config.machine.transport.supports_rdma:
-            return False
-        if self.config.use_rdma_put is not None:
-            return self.config.use_rdma_put
-        return self.config.machine.use_rdma_put_default
-
     # -- allocation ----------------------------------------------------------
 
     def _make_layout(self, nelems: int, blocksize: Optional[int],

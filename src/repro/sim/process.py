@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Generator, TYPE_CHECKING
 
 from repro.sim.errors import ProcessKilled, SimulationError
-from repro.sim.event import Event
+from repro.sim.event import PROCESSED, Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.simulator import Simulator
@@ -153,3 +153,16 @@ class Process(Event):
             err.args = (*err.args, f"[in sim process {self.name!r} at "
                                    f"t={self.sim.now:.3f}]")
         self.fail(err)
+
+
+class _Detached(Process):
+    """What :meth:`Simulator.spawn` runs: a process nobody waits for,
+    whose end is recorded, not scheduled (it would run no callback)."""
+
+    __slots__ = ()
+
+    def succeed(self, value=None, delay: float = 0.0) -> None:
+        self._status, self._value = PROCESSED, value
+
+    def fail(self, exc: BaseException, delay: float = 0.0) -> None:
+        self._status, self._exc = PROCESSED, exc

@@ -31,7 +31,7 @@ from typing import Any, Generator, List, Optional
 
 from repro.sim.errors import SimulationError
 from repro.sim.event import Event, Timeout
-from repro.sim.process import Process, _Wake
+from repro.sim.process import Process, _Detached, _Wake
 
 
 class Simulator:
@@ -70,6 +70,10 @@ class Simulator:
     def process(self, gen: Generator, name: str = "") -> Process:
         """Spawn a process around generator ``gen``; starts at ``now``."""
         return Process(self, gen, name=name)
+
+    def spawn(self, gen: Generator, name: str = "") -> Process:
+        """Spawn a process nobody joins: its end schedules nothing."""
+        return _Detached(self, gen, name=name)
 
     # -- scheduling ---------------------------------------------------
 

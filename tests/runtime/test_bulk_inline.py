@@ -100,8 +100,12 @@ def pipelined(self, thread, array, spans, values, window, single=False):
         self._issue(thread, msg, op_id, 1)
         yield AllOf(sim, [proc])
     else:
-        yield from self._drive(thread, items, local_gen, msg_gen, window,
-                               op_id)
+        yield from self._drive(
+            thread, items, local_gen,
+            lambda msg, number: sim.process(
+                msg_gen(msg, number),
+                name=f"bulk[t{thread.id}->n{msg.node}]"),
+            window, op_id)
     if op_id >= 0:
         rt.events.emit(sim.now, BULK_DRAIN, op=op_id, thread=thread.id,
                        node=thread.node.id)

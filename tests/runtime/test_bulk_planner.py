@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import GM_MARENOSTRUM, Runtime, RuntimeConfig
-from repro.runtime.bulk import _Message
+from repro.runtime.bulk import _Message, _Run
 from repro.runtime.errors import LayoutError, UPCRuntimeError
 from repro.runtime.handle import ALL_PARTITION
 from repro.runtime.layout import (BlockCyclicLayout, blocked_layout,
@@ -30,6 +30,8 @@ def _oracle_segments(array, index, nelems):
         raise UPCRuntimeError(f"nelems must be >= 0, got {nelems}")
     if nelems == 0:
         return
+    if index + nelems > array.nelems:   # the span's end, not only its start
+        raise LayoutError(f"span [{index}, {index + nelems}) out of range")
     if array.owner is not None:
         yield index, nelems
         return
@@ -93,13 +95,22 @@ def _oracle_plan(thread, array, spans):
     return items
 
 
-def _flat(items):
+def _segments(it, array):
+    """A message's segments as a list of tuples, a run's spelled out."""
+    if not isinstance(it, _Run):
+        return it.segments
+    step = array.layout.nthreads * array.layout.blocksize
+    return [(0, it.at + r * step, it.start + r * step,
+             array.layout.blocksize) for r in it.segments]
+
+
+def _flat(items, array):
     """Items as plain data — a message as ``(node, segments, nbytes,
     arena_end)``; a bare segment is an intra-node access."""
     return [it if it.__class__ is tuple
-            else (it.node, it.segments, it.nbytes,
-                  it.arena_lo + it.nbytes if isinstance(it, _Message)
-                  else it.arena_end)
+            else (it.node, _segments(it, array), it.nbytes,
+                  it.arena_lo + it.nbytes
+                  if isinstance(it, (_Message, _Run)) else it.arena_end)
             for it in items]
 
 
@@ -115,7 +126,7 @@ def _both(rt, home_thread, array, spans, cap):
     for plan in (rt.bulk._plan, _oracle_plan):
         before = _counters(rt)
         items = plan(thread, array, spans)
-        out.append((_flat(items),
+        out.append((_flat(items, array),
                     [b - a for a, b in zip(before, _counters(rt))]))
     return out
 
@@ -265,3 +276,122 @@ def test_bad_spans_are_still_refused(spans, error):
         rt.bulk._plan(rt.threads[0], array, spans)
     with pytest.raises(error):
         _oracle_plan(rt.threads[0], array, spans)
+
+
+# -- single spans, exhaustively -----------------------------------------
+
+#: Eight threads, blocks of four 8-byte elements: full courses, a
+#: partial last block, a partial last course, one block per thread (the
+#: slots of neighbouring threads touch) and fewer blocks than threads.
+SINGLE_LAYOUTS = {
+    "three-courses": 96,
+    "partial-last-block": 94,
+    "partial-last-course": 76,
+    "one-block-per-thread": 32,
+    "fewer-blocks-than-threads": 20,
+}
+
+
+def _single_spans(nelems, bs=4):
+    """Every span of whole blocks — those that reach a thread's last
+    course included — plus each with its first and last element cut."""
+    nblocks = -(-nelems // bs)
+    for b0 in range(nblocks):
+        for b1 in range(b0 + 1, nblocks + 1):
+            index, end = b0 * bs, min(b1 * bs, nelems)
+            yield index, end - index
+            if end - index > 2:
+                yield index + 1, end - index - 2
+
+
+@pytest.mark.parametrize("tpn", [1, 2, 4])
+@pytest.mark.parametrize("layout", sorted(SINGLE_LAYOUTS))
+def test_single_spans_equal_the_oracle_from_every_home(layout, tpn):
+    # Caps below one block, between one block and one run (two blocks
+    # and a bit) and above any span.
+    rt = _runtime(8, tpn)
+    array = _array(rt, BlockCyclicLayout(SINGLE_LAYOUTS[layout], 8, 4, 8))
+    for cap in (3 * 8, 9 * 8, 1 << 20):
+        for span in _single_spans(SINGLE_LAYOUTS[layout]):
+            for home in range(8):
+                new, old = _both(rt, home, array, [span], cap)
+                assert new == old, (cap, span, home)
+
+
+def _kinds(rt, home, array, spans, cap=1 << 20):
+    rt.bulk.max_coalesce_bytes = cap
+    return {it.__class__ for it in rt.bulk._plan(rt.threads[home], array,
+                                                 spans)}
+
+
+def test_a_span_with_a_partial_block_walks_its_segments():
+    rt = _runtime(8, 2)
+    array = _array(rt, BlockCyclicLayout(96, 8, 4, 8))
+    assert _kinds(rt, 0, array, [(0, 40)]) == {tuple, _Run}
+    for span in ((1, 39), (0, 39), (94, 2), (3, 90)):
+        assert _Run not in _kinds(rt, 0, array, [span]), span
+        new, old = _both(rt, 0, array, [span], 1 << 20)
+        assert new == old
+
+
+def test_neighbouring_slots_coalesce_across_threads():
+    # One block per thread: thread 2's block ends where thread 3's
+    # begins in node 1's arena, so the segment walk makes one message
+    # of both — which a plan per owner would not.
+    rt = _runtime(8, 2)
+    array = _array(rt, BlockCyclicLayout(32, 8, 4, 8))
+    new, old = _both(rt, 0, array, [(8, 16)], 1 << 20)
+    assert new == old
+    assert new[0] == [(1, [(0, 0, 8, 4), (0, 4, 12, 4)], 64, 64),
+                         (2, [(0, 8, 16, 4), (0, 12, 20, 4)], 64, 64)]
+    assert _Run not in _kinds(rt, 0, array, [(8, 16)])
+
+
+def test_a_span_to_the_last_course_is_one_run_per_owner():
+    # Thread 2's run ends at its slot's end, where thread 3's first
+    # block begins; but that block was scanned first, so the walk never
+    # joins them, and the runs stay apart.
+    rt = _runtime(8, 2)
+    array = _array(rt, BlockCyclicLayout(96, 8, 4, 8))
+    items = rt.bulk._plan(rt.threads[0], array, [(4, 92)])
+    runs = {it.arena_lo: it for it in items if it.__class__ is _Run
+            and it.node == 1}
+    chunk = array.layout.thread_chunk_bytes
+    assert sorted(runs) == [0, chunk]
+    assert runs[0].arena_lo + runs[0].nbytes == chunk
+    new, old = _both(rt, 0, array, [(4, 92)], 1 << 20)
+    assert new == old
+
+
+@pytest.mark.parametrize("op", ["get", "put"])
+@pytest.mark.parametrize("index, nelems", [(950, 60), (400, 610)])
+def test_a_span_past_a_partial_last_block_is_refused_at_issue(op, index,
+                                                             nelems):
+    # 1 000 elements in blocks of 512: the second block is partial, so
+    # these spans end past the array although their last block begins
+    # inside it.  Nothing may go on the wire.
+    rt = Runtime(RuntimeConfig(machine=GM_MARENOSTRUM, nthreads=4,
+                               threads_per_node=1))
+    seen = {}
+
+    def kernel(th):
+        arr = yield from th.all_alloc(1000, blocksize=512, dtype="u8")
+        yield from th.barrier()
+        if th.id == 0:
+            try:
+                if op == "get":
+                    yield from th.memget(arr, index, nelems)
+                else:
+                    yield from th.memput(arr, index, np.ones(nelems))
+            except LayoutError as err:
+                seen["error"] = str(err)
+            seen["data"] = arr.data.copy()
+        yield from th.barrier()
+
+    rt.spawn(kernel)
+    rt.run()
+    assert seen["error"] == (f"span [{index}, {index + nelems}) out of "
+                             "range [0, 1000)")
+    assert not seen["data"].any()
+    assert rt.metrics.bulk_messages == rt.metrics.bulk_transfers == 0
+    assert rt.metrics.am_gets == rt.metrics.am_puts == 0

@@ -50,7 +50,7 @@ class AnyOf(AllOf):
         self.succeed((self._events.index(ev), ev._value))
 
 
-def referee_drive(self, thread, items, local_gen, msg_gen, window, op_id):
+def referee_drive(self, thread, items, local_gen, start, window, op_id):
     """``BulkEngine._drive`` as it was, condition events and all."""
     sim = self.rt.sim
     depth = max(1, self.max_inflight if window is None else window)
@@ -68,8 +68,7 @@ def referee_drive(self, thread, items, local_gen, msg_gen, window, op_id):
             yield from local_gen(item)
             continue
         sent += 1
-        proc = sim.process(msg_gen(item, sent),
-                           name=f"bulk[t{thread.id}->n{item.node}]")
+        proc = start(item, sent)
         proc.add_callback(done)
         inflight.append(proc)
         self._issue(thread, item, op_id, len(inflight))
@@ -236,8 +235,11 @@ def scripted(core, window, plan):
 
     def driver():
         try:
-            yield from engine._drive(thread, items, local_gen, msg_gen,
-                                     window, -1)
+            yield from engine._drive(
+                thread, items, local_gen,
+                lambda msg, number: sim.process(
+                    msg_gen(msg, number), name=f"bulk[t0->n{msg.node}]"),
+                window, -1)
         except Boom as err:
             mark(f"raised {err.args[0]}")
         else:

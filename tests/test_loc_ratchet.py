@@ -147,6 +147,17 @@ SRC = os.path.join(ROOT, "src", "repro")
 #: +3); a NaN run bound is an error (`sim/simulator.py` +7) and the
 #: CLI's float options reject an infinite value (`__main__.py` +6):
 #: 20 169 -> 19 999.
+#: Then a bulk message is a run, net 0: a single span of whole blocks
+#: is planned per owner in closed form and each remote owner's blocks
+#: move in one strided copy, while the vectorised segment coalescer
+#: (`_coalesce`, the numpy edge arithmetic) became the dict walk the
+#: planner oracle keeps, the message generator became the message
+#: process's exit hook, and every span is range-checked at issue
+#: (`runtime/bulk.py` -21); the local path copies once into the caller's
+#: buffer and the PUT fast-path switch is read once
+#: (`runtime/ops.py` +16, `runtime/runtime.py` -12, its property
+#: gone); a process nobody joins ends without an event
+#: (`sim/process.py` +13, `sim/simulator.py` +4): 19 999 -> 19 999.
 SRC_LINES_CEILING = 19999
 
 
@@ -259,6 +270,81 @@ def test_a_one_message_memget_resumes_in_the_transfer_frame():
     for phase in ("miss", "hit"):
         assert names[phase][:2] == ["_transfer", "get"], names
     assert 0 < depth["hit"] <= 4, depth
+
+
+def test_a_whole_block_memget_plans_one_run_per_remote_owner():
+    # A 256-block span over 32 threads, 4 per node, issued by thread 5:
+    # each of the 28 remote owners holds 8 of its blocks back to back,
+    # one wire message with no tuple per block; the 32 local blocks
+    # stay bare segments (60 items, where the segment coalescer built
+    # 224 segment tuples into 28 messages).
+    import numpy as np
+    from repro.runtime.bulk import _Run
+    from repro.runtime.handle import ALL_PARTITION
+    from repro.runtime.layout import BlockCyclicLayout
+    from repro.runtime.shared_array import SharedArray
+    rt = Runtime(RuntimeConfig(machine=GM_MARENOSTRUM, nthreads=32,
+                               threads_per_node=4))
+    array = SharedArray(rt, rt.handles.fresh(ALL_PARTITION),
+                        BlockCyclicLayout(512 * 512, 8, 512, 32),
+                        np.dtype("u8"))
+    items = rt.bulk._plan(rt.threads[5], array, [(64 * 512, 256 * 512)])
+    runs = [it for it in items if it.__class__ is not tuple]
+    assert len(items) == 60 and len(runs) == 28
+    assert {it.__class__ for it in runs} == {_Run}
+    assert {type(it.segments) for it in runs} == {range}
+    assert sorted({it.node for it in runs}) == [0, 2, 3, 4, 5, 6, 7]
+    assert {len(it.segments) for it in runs} == {8}
+
+
+def test_a_pipelined_message_runs_the_op_engines_get():
+    # A message of a multi-message plan is its own process, and that
+    # process's generator is OpEngine.get's: no message generator in
+    # between, resumed on every event of the message.
+    from repro.runtime import bulk
+    from repro.runtime.ops import OpEngine
+    rt = Runtime(RuntimeConfig(machine=GM_MARENOSTRUM, nthreads=4,
+                               threads_per_node=1, seed=1))
+    flights, chains = [], []
+
+    class Spied(bulk._Flight):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            flights.append(self)
+
+    def kernel(th):
+        arr = yield from th.all_alloc(256, blocksize=8, dtype="u8")
+        yield from th.barrier()
+        if th.id == 0:
+            yield from th.memget(arr, 0, 256)
+        yield from th.barrier()
+
+    def probe():
+        while not flights or any(not f._status for f in flights):
+            for f in flights:
+                if not f._status and f._gen.gi_frame is not None:
+                    chain, gen = [], f._gen
+                    while gen is not None:
+                        chain.append(gen.gi_code)
+                        gen = getattr(gen, "gi_yieldfrom", None)
+                    chains.append(chain)
+            yield 0.05
+
+    bulk_flight, bulk._Flight = bulk._Flight, Spied
+    try:
+        rt.spawn(kernel)
+        rt.sim.process(probe(), name="chain-probe")
+        rt.run()
+    finally:
+        bulk._Flight = bulk_flight
+    assert len(flights) == 3        # one run per remote node
+    assert all(f._gen.gi_code is OpEngine.get.__code__ for f in flights)
+    assert chains and all(c[0] is OpEngine.get.__code__ for c in chains)
+    # A first touch misses the address cache: get -> default_get ->
+    # _arrive -> _inject, as for a scalar GET (the wrapper made it 5).
+    assert max(len(c) for c in chains) <= 4, chains
 
 
 def _get_calls():
