@@ -90,4 +90,4 @@ def campaign_main(args) -> int:
     errors = [d for d in run.cells if d["status"] == "error"]
     for doc in errors:
         print(f"ERROR {doc['id']}: {doc.get('error', '')}")
-    return 1 if (errors or run.pending) else 0
+    return 0 if run.ok else 1

@@ -126,9 +126,6 @@ class CampaignSpec:
                             workers=int(doc.get("workers", 2)),
                             description=doc.get("description", ""))
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=1, sort_keys=True)
-
 
 # ---------------------------------------------------------------------------
 # Built-in specs

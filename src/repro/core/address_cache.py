@@ -94,9 +94,6 @@ class RemoteAddressCache:
     def __len__(self) -> int:
         return len(self._table)
 
-    def __contains__(self, key: Key) -> bool:
-        return key in self._table
-
     # -- secondary indices ----------------------------------------------
 
     def _index_discard(self, key: Key) -> None:
@@ -227,17 +224,6 @@ class RemoteAddressCache:
                     CACHE_INVALIDATE, node=self.node_id,
                     handle=str(handle), count=1, target=node)
         return True
-
-    def invalidate_all(self) -> int:
-        """Drop everything (runtime teardown)."""
-        n = len(self._table)
-        self._table.clear()
-        self._by_handle.clear()
-        if self._keys is not None:
-            self._keys.clear()
-        self._pos.clear()
-        self.stats.invalidations += n
-        return n
 
     def entries(self) -> Dict[Key, int]:
         """Snapshot of the table (for tests and debugging)."""

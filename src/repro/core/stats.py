@@ -7,7 +7,7 @@ relatively small, typically 1.5% and never worse than 2%".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -50,12 +50,3 @@ class CacheStats:
         self.invalidations += other.invalidations
         self.lookup_time_us += other.lookup_time_us
         self.insert_time_us += other.insert_time_us
-
-    def snapshot(self) -> "CacheStats":
-        return CacheStats(
-            hits=self.hits, misses=self.misses,
-            insertions=self.insertions, updates=self.updates,
-            evictions=self.evictions, invalidations=self.invalidations,
-            lookup_time_us=self.lookup_time_us,
-            insert_time_us=self.insert_time_us,
-        )

@@ -47,11 +47,6 @@ class Fate:
         self.duplicate = duplicate
         self.delay_us = delay_us
 
-    @property
-    def healthy(self) -> bool:
-        return not (self.drop_request or self.drop_reply or self.duplicate
-                    or self.delay_us)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         bits = [n for n in ("drop_request", "drop_reply", "duplicate")
                 if getattr(self, n)]

@@ -184,13 +184,6 @@ class PolicyEngine:
         if self.on_decision is not None:
             self.on_decision(d)
 
-    @staticmethod
-    def merge_digests(digests) -> int:
-        acc = 0
-        for d in digests:
-            acc = (acc + d) & _MASK64
-        return acc
-
     # -- the fold -------------------------------------------------------
 
     def _alternate_hop(self, link: Link) -> Optional[int]:

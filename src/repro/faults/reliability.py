@@ -142,12 +142,6 @@ class DedupLedger:
         self._entries[key] = (payload, extra_bytes)
         self.records += 1
 
-    def __contains__(self, key: Tuple[int, int]) -> bool:
-        return key in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<DedupLedger {len(self._entries)}/{self.capacity} "
                 f"hits={self.hits} evictions={self.evictions}>")

@@ -64,25 +64,9 @@ class AddressSpace:
     def base(self) -> int:
         return self._base
 
-    def size_of(self, vaddr: int) -> int:
-        """Size of the live allocation starting at ``vaddr``."""
-        try:
-            return self._live[vaddr]
-        except KeyError:
-            raise AllocationError(
-                f"node {self.node_id}: {vaddr:#x} is not a live allocation"
-            ) from None
-
     def owns(self, vaddr: int) -> bool:
         """True if ``vaddr`` falls inside this node's heap range."""
         return self._base <= vaddr < self._limit
-
-    def contains(self, vaddr: int, size: int = 1) -> bool:
-        """True if ``[vaddr, vaddr+size)`` lies inside one live block."""
-        for start, blk in self._live.items():
-            if start <= vaddr and vaddr + size <= start + blk:
-                return True
-        return False
 
     # -- allocate / free ---------------------------------------------
 

@@ -47,11 +47,6 @@ class NodePartition:
     nshards: int
     bounds: Tuple[int, ...]
 
-    @property
-    def sizes(self) -> Tuple[int, ...]:
-        return tuple(self.bounds[i + 1] - self.bounds[i]
-                     for i in range(self.nshards))
-
     def shard_of(self, node: int) -> int:
         """Owning shard of ``node`` (O(1) — no bisect needed for the
         balanced split)."""

@@ -35,7 +35,14 @@ from repro.sim.simulator import Simulator
 
 
 class ProgressEngine:
-    """Base: grants service opportunities to incoming AM handlers."""
+    """Base: grants service opportunities to incoming AM handlers.
+
+    Each engine's ``service(op_id)`` generator waits until a handler
+    may start executing; ``op_id`` ties the wait to the remote
+    operation being serviced in the flight recorder (queue_enter /
+    queue_leave plus a ``queue`` latency-breakdown phase when the wait
+    was non-zero).
+    """
 
     def __init__(self, sim: Simulator, node: Node,
                  params: TransportParams) -> None:
@@ -81,16 +88,6 @@ class ProgressEngine:
 
     # -- handler-side ----------------------------------------------------
 
-    def service(self, op_id: int = -1):
-        """Generator: wait until a handler may start executing.
-
-        ``op_id`` ties the wait to the remote operation being serviced
-        in the flight recorder (queue_enter/queue_leave plus a
-        ``queue`` latency-breakdown phase when the wait was non-zero).
-        """
-        raise NotImplementedError
-        yield  # pragma: no cover
-
     def _record_queue(self, t0: float, op_id: int) -> None:
         """Emit queue events for one service() wait; the caller tests
         ``events.enabled`` first."""
@@ -119,10 +116,6 @@ class PollingProgress(ProgressEngine):
         self._pollers = 0
         # The _Wake tokens of handlers parked until the next tick.
         self._waiters: List[_Wake] = []
-
-    @property
-    def pollers(self) -> int:
-        return self._pollers
 
     def enter_runtime(self) -> None:
         self._pollers += 1

@@ -21,7 +21,7 @@ that put phases can land after local completion).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from repro.obs.events import (
     COMP_HANDLER,
@@ -70,9 +70,6 @@ class OpBreakdown:
         if comp == COMP_SOFTWARE:
             return self.software
         return getattr(self, comp)
-
-    def components(self) -> Dict[str, float]:
-        return {c: self.component(c) for c in COMPONENTS}
 
 
 def collect_breakdowns(log: EventLog,

@@ -227,10 +227,6 @@ class EventLog:
     def by_kind(self, kind: str) -> List[TraceEvent]:
         return [e for e in self.events if e.kind == kind]
 
-    def by_op(self, op: int) -> List[TraceEvent]:
-        """Every event of one causal operation, in record order."""
-        return [e for e in self.events if e.op == op]
-
     def op_spans(self) -> Dict[int, Tuple[TraceEvent, TraceEvent]]:
         """Map op_id -> (op_begin, op_end) for completed operations,
         in completion order.  The one begin/end pairing every analyzer
@@ -248,10 +244,6 @@ class EventLog:
                 if b is not None:
                     spans[e.op] = (b, e)
         return spans
-
-    def clear(self) -> None:
-        self.events.clear()
-        self.dropped_events = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "on" if self.enabled else "off"

@@ -16,7 +16,7 @@ interval, and only when sampling was explicitly started.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, TYPE_CHECKING
+from typing import List, Tuple, TYPE_CHECKING
 
 from repro.obs.events import COUNTER
 
@@ -86,14 +86,6 @@ class CounterSampler:
         if log.enabled:
             log.emit(t, COUNTER, node=-1,
                      bulk_inflight=rt.bulk.live_messages)
-
-    # -- queries -------------------------------------------------------
-
-    def series(self, name: str,
-               node: Optional[int] = None) -> List[Tuple[float, float]]:
-        """(t, value) points of one counter, optionally one node."""
-        return [(t, v) for t, n, c, v in self.samples
-                if c == name and (node is None or n == node)]
 
     def __len__(self) -> int:
         return len(self.samples)

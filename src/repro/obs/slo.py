@@ -103,12 +103,6 @@ class SLOWindow:
         self.policy_actions = 0
         self.hist = [0] * SLO_HIST_BINS
 
-    def p50(self) -> float:
-        return hist_quantile(self.hist, 0.50)
-
-    def p99(self) -> float:
-        return hist_quantile(self.hist, 0.99)
-
 
 class SLOMonitor:
     """Streaming service-level monitor over a completion stream.
@@ -130,10 +124,6 @@ class SLOMonitor:
         self.window_us = float(window_us)
         self.slo_quantile = float(slo_quantile)
         self.windows: Dict[int, SLOWindow] = {}
-
-    @property
-    def error_budget(self) -> float:
-        return 1.0 - self.slo_quantile
 
     def observe(self, t: float, latency_us: float, *, hit: bool = False,
                 retried: bool = False, inflight: int = 0) -> None:
@@ -164,13 +154,6 @@ class SLOMonitor:
         w.policy_actions += 1
 
     # -- window math ---------------------------------------------------
-
-    def burn_rate(self, window: SLOWindow) -> float:
-        """Error-budget burn rate of one window (violation fraction
-        over the budget; 1.0 = sustainable, >1 = overspending)."""
-        if window.count == 0:
-            return 0.0
-        return (window.violations / window.count) / self.error_budget
 
     def sorted_windows(self) -> List[SLOWindow]:
         return [self.windows[i] for i in sorted(self.windows)]

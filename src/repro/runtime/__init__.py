@@ -19,11 +19,7 @@ from repro.runtime.errors import (
     UPCRuntimeError,
 )
 from repro.runtime.handle import ALL_PARTITION, SVDHandle
-from repro.runtime.layout import (
-    BlockCyclicLayout,
-    blocked_layout,
-    cyclic_layout,
-)
+from repro.runtime.layout import BlockCyclicLayout
 from repro.runtime.metrics import RunResult, RuntimeMetrics
 from repro.runtime.pointer import PointerToShared
 from repro.runtime.runtime import Runtime, RuntimeConfig
@@ -52,8 +48,6 @@ __all__ = [
     "ControlBlock",
     "HandleAllocator",
     "BlockCyclicLayout",
-    "blocked_layout",
-    "cyclic_layout",
     "PointerToShared",
     "RunResult",
     "RuntimeMetrics",

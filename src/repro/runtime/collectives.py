@@ -59,10 +59,6 @@ class BarrierManager:
         #: into (split-phase barrier state).
         self._notified: Dict[int, Event] = {}
 
-    @property
-    def generation(self) -> int:
-        return self._generation
-
     def network_cost_us(self) -> float:
         """Dissemination-phase cost across nodes (shared formula —
         see :func:`dissemination_cost_us`)."""

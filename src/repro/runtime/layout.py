@@ -71,40 +71,14 @@ class BlockCyclicLayout:
         self._check(index)
         return (index // self.blocksize) % self.nthreads
 
-    def phase_of(self, index: int) -> int:
-        """Position within the block (UPC ``upc_phaseof``)."""
-        self._check(index)
-        return index % self.blocksize
-
-    def block_of(self, index: int) -> int:
-        """Global block number of element ``index``."""
-        self._check(index)
-        return index // self.blocksize
-
     def local_index(self, index: int) -> int:
         """Element offset within the owner thread's local chunk."""
         self._check(index)
-        course = self.block_of(index) // self.nthreads  # block row
-        return course * self.blocksize + self.phase_of(index)
+        block, phase = divmod(index, self.blocksize)
+        return (block // self.nthreads) * self.blocksize + phase
 
     def local_offset_bytes(self, index: int) -> int:
         return self.local_index(index) * self.elem_size
-
-    def elems_of_thread(self, thread: int) -> int:
-        """How many real elements thread ``thread`` owns."""
-        if not 0 <= thread < self.nthreads:
-            raise LayoutError(f"thread {thread} out of range")
-        count = 0
-        full_rounds, rem_blocks = divmod(self.nblocks, self.nthreads)
-        count = full_rounds * self.blocksize
-        if thread < rem_blocks:
-            count += self.blocksize
-        # The very last block may be partial.
-        last_block = self.nblocks - 1
-        if self.thread_of(last_block * self.blocksize) == thread:
-            tail = self.nelems - last_block * self.blocksize
-            count -= self.blocksize - tail
-        return count
 
     def contiguous_span(self, index: int, nelems: int) -> bool:
         """True if ``[index, index+nelems)`` lives inside one block
@@ -113,22 +87,5 @@ class BlockCyclicLayout:
         if nelems <= 0:
             raise LayoutError(f"nelems must be > 0, got {nelems}")
         self._check(index + nelems - 1)
-        return self.block_of(index) == self.block_of(index + nelems - 1)
-
-
-def blocked_layout(nelems: int, elem_size: int,
-                   nthreads: int) -> BlockCyclicLayout:
-    """The pure-blocked distribution the Field stressmark uses: "the
-    string array is blocked in memory (i.e. with a block size of
-    ceil(N/THREADS))" (section 4.4)."""
-    blocksize = -(-nelems // nthreads)
-    return BlockCyclicLayout(nelems=nelems, elem_size=elem_size,
-                             blocksize=blocksize, nthreads=nthreads)
-
-
-def cyclic_layout(nelems: int, elem_size: int,
-                  nthreads: int) -> BlockCyclicLayout:
-    """Element-cyclic distribution (blocksize 1) — UPC's default for
-    ``shared int a[N]``."""
-    return BlockCyclicLayout(nelems=nelems, elem_size=elem_size,
-                             blocksize=1, nthreads=nthreads)
+        return (index // self.blocksize
+                == (index + nelems - 1) // self.blocksize)

@@ -200,7 +200,7 @@ class OpEngine:
                         want_addr=self.wants_address and cache.enabled,
                         touch_offset=offset, touch_bytes=nbytes)
                     reply = yield from transport.default_get(
-                        src, dst, nbytes, handler, src_addr=src.memory.base,
+                        src, dst, nbytes, handler,
                         dst_addr=array.node_base[node_id] + offset,
                         op_id=op_id)
                 if reply is not None:
@@ -261,17 +261,20 @@ class OpEngine:
         relaxed model); the write lands in the data plane when the
         target applies it.  Use fence/barrier to order.  A remote PUT
         returns the event that fires at that point (None otherwise).
-        ``proved``: a bare segment of a bulk plan, in one block.
+        ``proved``: a bare segment of a bulk plan, in one block, whose
+        ``values`` are already a flat slice of the plan's snapshot in the
+        array's dtype; it lands with one copy.
         """
         rt = self.rt
         sim = rt.sim
         p = self.params
         t0 = sim.now
-        values = np.asarray(values, dtype=array.dtype).ravel()
-        if nelems is None:
-            nelems = len(values)
-        if len(values) != nelems:
-            values = np.resize(values, nelems)
+        if not proved:
+            values = np.asarray(values, dtype=array.dtype).ravel()
+            if nelems is None:
+                nelems = len(values)
+            if len(values) != nelems:
+                values = np.resize(values, nelems)
         if array.freed:
             raise SVDError(f"use-after-free: {array.handle} was deallocated")
         if nelems > 1 and not proved:
@@ -283,20 +286,19 @@ class OpEngine:
         owner_thread, owner_node_id, offset = array.locate(index)
         nbytes = nelems * array.elem_size
 
-        if owner_thread == thread.id:
-            yield p.local_access_us
-            array.write(index, values)
-            rt.metrics.put_local.add(sim.now - t0)
-            if op_id >= 0:
-                self._end(thread, op_id, "local", nbytes=nbytes)
-            return
-
         if owner_node_id == thread.node.id:
-            yield p.shm_access_us + nbytes * p.memcpy_byte_us
-            array.write(index, values)
-            rt.metrics.put_shm.add(sim.now - t0)
+            local = owner_thread == thread.id
+            yield (p.local_access_us if local
+                   else p.shm_access_us + nbytes * p.memcpy_byte_us)
+            if proved:
+                array.data[index:index + nelems] = values
+            else:
+                array.write(index, values)
+            (rt.metrics.put_local if local
+             else rt.metrics.put_shm).add(sim.now - t0)
             if op_id >= 0:
-                self._end(thread, op_id, "shm", nbytes=nbytes)
+                self._end(thread, op_id, "local" if local else "shm",
+                          nbytes=nbytes)
             return
 
         src = thread.node
@@ -388,7 +390,7 @@ class OpEngine:
             array, dst, want_addr=want_addr,
             touch_offset=offset, touch_bytes=nbytes)
         applied = yield from rt.cluster.transport.default_put(
-            src, dst, nbytes, handler, src_addr=src.memory.base,
+            src, dst, nbytes, handler,
             dst_addr=array.node_base[dst.id] + offset, op_id=op_id)
         self._apply_on(applied, array, pairs)
         thread.track_put(applied)

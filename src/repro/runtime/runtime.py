@@ -297,13 +297,6 @@ class Runtime:
             raise UPCRuntimeError(f"thread {thread_id} out of range")
         return thread_id // self._tpn
 
-    def first_thread_of_node(self, node_id: int) -> int:
-        return node_id * self._tpn
-
-    def threads_on_node(self, node_id: int) -> int:
-        lo = self.first_thread_of_node(node_id)
-        return max(0, min(self.nthreads - lo, self._tpn))
-
     # -- allocation ----------------------------------------------------------
 
     def _make_layout(self, nelems: int, blocksize: Optional[int],

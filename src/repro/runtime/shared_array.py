@@ -125,15 +125,6 @@ class SharedArray:
     def owner_node(self, index: int) -> int:
         return self.locate(index)[1]
 
-    def arena_offset(self, index: int) -> int:
-        """Byte offset of element ``index`` within its node's arena."""
-        return self.locate(index)[2]
-
-    def addr_of(self, index: int) -> Tuple[int, int]:
-        """(node id, virtual address) of element ``index``."""
-        _, node, offset = self.locate(index)
-        return node, self.node_base[node] + offset
-
     # -- data plane -------------------------------------------------------
 
     def read(self, index: int, nelems: int = 1) -> np.ndarray:
@@ -153,9 +144,6 @@ class SharedArray:
             raise LayoutError(
                 f"span [{index}, {index + nelems}) out of range "
                 f"[0, {self.nelems})")
-
-    def __len__(self) -> int:
-        return self.nelems
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<SharedArray {self.handle} n={self.nelems} "

@@ -62,17 +62,9 @@ class SharedScalar:
         self._check(index)
         return self._owner_node
 
-    def addr_of(self, index: int = 0) -> Tuple[int, int]:
-        self._check(index)
-        return self._owner_node, self.vaddr
-
     def _check(self, index: int) -> None:
         if index != 0:
             raise ValueError(f"scalar has one element, index {index}")
-
-    def addr(self) -> Tuple[int, int]:
-        """(node id, virtual address) of the scalar."""
-        return self._owner_node, self.vaddr
 
     def read(self, index: int = 0, nelems: int = 1) -> np.ndarray:
         self._check(index)

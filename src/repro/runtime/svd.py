@@ -24,7 +24,7 @@ Consistency rules implemented as in section 2.1:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.runtime.errors import SVDError
@@ -85,9 +85,6 @@ class SVDReplica:
         #: address cache exists to avoid, section 2.2).
         self.lookups = 0
         self.notifications_received = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def __contains__(self, handle: SVDHandle) -> bool:
         e = self._entries.get(handle)

@@ -52,10 +52,6 @@ class UPCThread:
         """UPC's ``THREADS``."""
         return self.runtime.nthreads
 
-    @property
-    def node_id(self) -> int:
-        return self.node.id
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<UPCThread {self.id}@node{self.node.id}>"
 
@@ -141,15 +137,6 @@ class UPCThread:
         proc = self.runtime.sim.process(
             self.runtime.ops.get(self, array, index, nelems),
             name=f"get_nb[t{self.id}]")
-        return proc
-
-    def put_nb(self, array: SharedArray, index: int, values,
-               nelems: Optional[int] = None):
-        """Split-phase PUT: local completion is signalled by the
-        returned event; remote completion is tracked for fence."""
-        proc = self.runtime.sim.process(
-            self.runtime.ops.put(self, array, index, values, nelems),
-            name=f"put_nb[t{self.id}]")
         return proc
 
     def wait_all(self, handles):
@@ -336,7 +323,7 @@ class UPCThread:
         This is a plain generator of ints (no virtual time passes);
         the loop body does the timed work::
 
-            for i in th.forall(len(arr), arr):
+            for i in th.forall(arr.nelems, arr):
                 v = yield from th.get(arr, i)   # always local here
         """
         for i in range(start, stop, step):

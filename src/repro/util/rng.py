@@ -66,14 +66,6 @@ class StreamFamily:
         return seeded_rng(self.seed, *self.scope,
                           *(_key_to_int(k) for k in entity))
 
-    def seed_for(self, *entity) -> int:
-        """A stable 63-bit integer seed for ``entity`` — for handing
-        to components that take seeds rather than generators."""
-        ss = np.random.SeedSequence(
-            [_SALT, self.seed, *self.scope,
-             *(_key_to_int(k) for k in entity)])
-        return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<StreamFamily seed={self.seed} scope={self.scope}>"
 

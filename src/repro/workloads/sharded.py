@@ -256,9 +256,6 @@ class _FieldMix:
             log.emit(sim.now, OP_END, op=op, thread=tid, node=node)
         self.trace.append((_tq(sim.now), tid, -1, -1, 0))
 
-    def barrier_wait(self):  # pragma: no cover - replaced per backend
-        raise NotImplementedError
-
 
 def _field_node_of(tid: int, nnodes: int) -> int:
     return min(tid // FIELD_THREADS_PER_NODE, nnodes - 1)

@@ -205,7 +205,7 @@ def test_killed_campaign_resumes_byte_identical(tmp_path):
     spec = _noop_spec(6, sleep_s=0.4, workers=2, name="killtest")
     spec_path = str(tmp_path / "spec.json")
     with open(spec_path, "w", encoding="utf-8") as fh:
-        fh.write(spec.to_json())
+        json.dump(spec.to_dict(), fh)
     victim_dir = str(tmp_path / "victim")
 
     env = dict(os.environ)

@@ -69,7 +69,7 @@ def test_non_list_axis_rejected():
 def test_round_trip_through_json(tmp_path):
     spec = _spec()
     path = tmp_path / "spec.json"
-    path.write_text(spec.to_json(), encoding="utf-8")
+    path.write_text(json.dumps(spec.to_dict()), encoding="utf-8")
     loaded = resolve_spec(str(path))
     assert [c.cell_id for c in loaded.expand()] == [
         c.cell_id for c in spec.expand()]

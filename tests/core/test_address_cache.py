@@ -42,8 +42,8 @@ def test_lru_eviction_keeps_recently_used():
     c.insert("b", 0, 2)
     c.lookup("a", 0)          # refresh a
     c.insert("c", 0, 3)       # evicts b
-    assert ("a", 0) in c and ("c", 0) in c
-    assert ("b", 0) not in c
+    assert ("a", 0) in c.entries() and ("c", 0) in c.entries()
+    assert ("b", 0) not in c.entries()
     assert c.stats.evictions == 1
 
 
@@ -53,8 +53,8 @@ def test_fifo_eviction_ignores_recency():
     c.insert("b", 0, 2)
     c.lookup("a", 0)          # does not refresh under FIFO
     c.insert("c", 0, 3)       # evicts a (oldest inserted)
-    assert ("a", 0) not in c
-    assert ("b", 0) in c and ("c", 0) in c
+    assert ("a", 0) not in c.entries()
+    assert ("b", 0) in c.entries() and ("c", 0) in c.entries()
 
 
 def test_random_eviction_is_deterministic_per_seed():
@@ -97,7 +97,7 @@ def test_only_a_random_cache_keeps_a_dense_key_list(policy):
     c.invalidate_handle("h3")
     assert c._keys is None and not c._pos and len(c) == 0
     c.insert("h0", 0, 1)
-    assert c.invalidate_all() == 1
+    assert c.invalidate_handle("h0") == 1
 
 
 def test_capacity_zero_stores_nothing():
@@ -126,14 +126,6 @@ def test_invalidate_handle_drops_all_nodes():
     assert len(c) == 1
     assert c.lookup("doomed", 2)[0] is None
     assert c.lookup("other", 0)[0] == 99
-
-
-def test_invalidate_all():
-    c = RemoteAddressCache(capacity=10)
-    c.insert("a", 0, 1)
-    c.insert("b", 1, 2)
-    assert c.invalidate_all() == 2
-    assert len(c) == 0
 
 
 def test_negative_capacity_rejected():

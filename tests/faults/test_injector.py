@@ -44,7 +44,6 @@ def test_no_fault_singleton_is_never_mutated():
     for _ in range(300):
         inj.am_fate(0, 1)
         inj.rdma_fate(0, 1)
-    assert NO_FAULT.healthy
     assert fate_bits(NO_FAULT) == (False, False, False, 0.0)
 
 

@@ -193,8 +193,8 @@ def test_decisions_digest_is_order_independent_and_mergeable():
     d2 = {"t_us": 200.0, "src": 2, "dst": 3, "action": "disable",
           "mode": MODE_DISABLED, "until_us": 700.0, "policy": "x"}
     assert decisions_digest([d1, d2]) == decisions_digest([d2, d1])
-    assert decisions_digest([d1, d2]) == PolicyEngine.merge_digests(
-        [decisions_digest([d1]), decisions_digest([d2])])
+    assert decisions_digest([d1, d2]) == (
+        decisions_digest([d1]) + decisions_digest([d2])) % 2 ** 64
     assert decisions_digest([]) == 0
     assert decisions_digest([d1]) != decisions_digest([d2])
 

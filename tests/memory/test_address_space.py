@@ -57,15 +57,6 @@ def test_free_unknown_address_rejected():
         asp.free(0xDEAD)
 
 
-def test_contains_and_size_of():
-    asp = AddressSpace(0)
-    a = asp.allocate(256)
-    assert asp.contains(a, 256)
-    assert asp.contains(a + 100, 156)
-    assert not asp.contains(a + 100, 157)
-    assert asp.size_of(a) == 256
-
-
 def test_owns_respects_node_range():
     a0, a1 = AddressSpace(0), AddressSpace(1)
     va = a0.allocate(8)

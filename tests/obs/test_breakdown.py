@@ -45,7 +45,7 @@ def test_synthetic_breakdown_components():
     assert bd.queue == 0.0
     # software = 10 - (4 + 3) = 3: the residual.
     assert bd.software == pytest.approx(3.0)
-    assert sum(bd.components().values()) == pytest.approx(bd.end_to_end)
+    assert sum(map(bd.component, COMPONENTS)) == pytest.approx(bd.end_to_end)
 
 
 def test_phases_after_op_end_are_excluded():
@@ -100,7 +100,7 @@ def test_real_run_components_sum_to_end_to_end(machine):
             f"op {bd.op} ({bd.proto}): measured components "
             f"{bd.end_to_end - bd.software:.3f}us exceed end-to-end "
             f"{bd.end_to_end:.3f}us")
-        assert sum(bd.components().values()) == pytest.approx(
+        assert sum(map(bd.component, COMPONENTS)) == pytest.approx(
             bd.end_to_end, rel=1e-9)
     summary = summarize(bds)
     # The acceptance bar: component means sum to the e2e mean within 1%.

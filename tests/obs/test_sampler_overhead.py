@@ -30,6 +30,12 @@ def _run(events=None, sampler_interval=None):
     return res, sampler
 
 
+def series(sampler, name, node=None):
+    """(t, value) points of one counter, optionally of one node."""
+    return [(t, v) for t, n, c, v in sampler.samples
+            if c == name and (node is None or n == node)]
+
+
 def test_recording_does_not_perturb_the_simulation():
     """Virtual time and simulator event counts are bit-identical with
     recording off, on, and absent — emits are pure observations."""
@@ -56,20 +62,20 @@ def test_sampler_collects_series_and_lets_the_sim_terminate():
     log = EventLog()
     res, sampler = _run(events=log, sampler_interval=10.0)
     assert len(sampler) > 0
-    cache0 = sampler.series("cache_entries", node=0)
+    cache0 = series(sampler, "cache_entries", node=0)
     assert cache0, "per-node cache occupancy must be sampled"
     ts = [t for t, _ in cache0]
     assert ts == sorted(ts)
     # The final sample fires on the tick after the last thread
     # finishes, so it may land up to one interval past elapsed_us.
     assert ts[-1] <= res.elapsed_us + 10.0
-    bulk = sampler.series("bulk_inflight")
+    bulk = series(sampler, "bulk_inflight")
     assert bulk and all(v >= 0 for _, v in bulk)
     # Counter events landed in the log too (for the Chrome export).
     assert log.by_kind("counter")
     # Every node contributes pinned_bytes and am_queue gauges.
-    assert sampler.series("pinned_bytes", node=0)
-    assert sampler.series("am_queue", node=0)
+    assert series(sampler, "pinned_bytes", node=0)
+    assert series(sampler, "am_queue", node=0)
 
 
 @pytest.mark.parametrize("nelems", [16, 256],
@@ -102,7 +108,7 @@ def test_bulk_inflight_gauge_returns_to_zero(nelems):
         else:
             with pytest.raises(ReliabilityError):
                 rt.run()
-        assert max(v for _, v in sampler.series("bulk_inflight")) >= 1
+        assert max(v for _, v in series(sampler, "bulk_inflight")) >= 1
         assert rt.bulk.live_messages == 0
 
 

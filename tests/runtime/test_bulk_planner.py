@@ -17,8 +17,7 @@ from repro import GM_MARENOSTRUM, Runtime, RuntimeConfig
 from repro.runtime.bulk import _Message, _Run
 from repro.runtime.errors import LayoutError, UPCRuntimeError
 from repro.runtime.handle import ALL_PARTITION
-from repro.runtime.layout import (BlockCyclicLayout, blocked_layout,
-                                  cyclic_layout)
+from repro.runtime.layout import BlockCyclicLayout
 from repro.runtime.shared_array import SharedArray
 
 COUNTERS = ("bulk_segments", "bulk_messages", "bulk_coalesced_segments",
@@ -151,9 +150,10 @@ def _cases(draw):
                                  "owner"]))
     owner = None
     if kind == "cyclic":
-        layout = cyclic_layout(nelems, elem, nthreads)
+        layout = BlockCyclicLayout(nelems, elem, 1, nthreads)
     elif kind == "blocked":
-        layout = blocked_layout(nelems, elem, nthreads)
+        layout = BlockCyclicLayout(nelems, elem, -(-nelems // nthreads),
+                                   nthreads)
     elif kind == "owner":
         layout = BlockCyclicLayout(nelems, elem, nelems, 1)
         owner = draw(st.integers(0, nthreads - 1))

@@ -3,8 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.runtime import BlockCyclicLayout, LayoutError
-from repro.runtime.layout import blocked_layout, cyclic_layout
+from repro.runtime import BlockCyclicLayout, LayoutError, PointerToShared
 
 
 def test_blockcyclic_round_robin_over_blocks():
@@ -14,10 +13,13 @@ def test_blockcyclic_round_robin_over_blocks():
 
 
 def test_phase_and_block():
+    # The phase and block row of an element are its pointer's
+    # (``upc_phaseof``); block = course * nthreads + thread.
     lay = BlockCyclicLayout(nelems=10, elem_size=8, blocksize=3, nthreads=2)
-    assert lay.phase_of(0) == 0
-    assert lay.phase_of(4) == 1
-    assert lay.block_of(4) == 1
+    p0, p4 = (PointerToShared.from_index(lay, i) for i in (0, 4))
+    assert p0.phase == 0
+    assert p4.phase == 1
+    assert p4.course * lay.nthreads + p4.thread == 1
     assert lay.nblocks == 4
 
 
@@ -29,22 +31,9 @@ def test_local_index_packs_blocks_contiguously():
     assert [lay.local_index(i) for i in (2, 3, 8, 9)] == [0, 1, 2, 3]
 
 
-def test_elems_of_thread_sums_to_total():
-    lay = BlockCyclicLayout(nelems=103, elem_size=4, blocksize=7, nthreads=5)
-    counts = [lay.elems_of_thread(t) for t in range(5)]
-    assert sum(counts) == 103
-
-
-def test_blocked_layout_matches_paper_field_blocking():
-    # Field: "a block size of ceil(N/THREADS)" (section 4.4).
-    lay = blocked_layout(100, 1, 8)
-    assert lay.blocksize == 13
-    assert lay.thread_of(0) == 0
-    assert lay.thread_of(99) == 99 // 13
-
-
 def test_cyclic_layout():
-    lay = cyclic_layout(10, 4, 3)
+    # Blocksize 1: UPC's default for ``shared int a[N]``.
+    lay = BlockCyclicLayout(nelems=10, elem_size=4, blocksize=1, nthreads=3)
     assert [lay.thread_of(i) for i in range(6)] == [0, 1, 2, 0, 1, 2]
 
 
@@ -83,7 +72,7 @@ def test_index_out_of_range_rejected():
 def test_property_layout_partition_is_exact(nelems, blocksize, nthreads,
                                             elem_size):
     """Every element has exactly one owner; per-thread local indices
-    are dense (0..count-1) and elems_of_thread matches."""
+    are dense (0..count-1)."""
     lay = BlockCyclicLayout(nelems=nelems, elem_size=elem_size,
                             blocksize=blocksize, nthreads=nthreads)
     per_thread = {}
@@ -93,9 +82,5 @@ def test_property_layout_partition_is_exact(nelems, blocksize, nthreads,
     total = 0
     for t, idxs in per_thread.items():
         assert sorted(idxs) == list(range(len(idxs))), "local indices dense"
-        assert lay.elems_of_thread(t) == len(idxs)
         total += len(idxs)
     assert total == nelems
-    for t in range(nthreads):
-        if t not in per_thread:
-            assert lay.elems_of_thread(t) == 0

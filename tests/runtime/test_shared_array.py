@@ -49,18 +49,17 @@ def test_arena_offset_is_layout_arithmetic():
     # Element 5*16 (block 5 → thread 5, node 1, slot 1, first block row).
     idx = 5 * 16
     expect = 1 * arr.layout.thread_chunk_bytes + 0
-    assert arr.arena_offset(idx) == expect
-    node, vaddr = arr.addr_of(idx)
-    assert node == 1
-    assert vaddr == arr.node_base[1] + expect
+    thread, node, offset = arr.locate(idx)
+    assert (thread, node, offset) == (5, 1, expect)
 
 
 def test_addresses_stay_inside_arena():
     rt = make_rt(nthreads=6, tpn=4)
     arr = alloc(rt, nelems=300, blocksize=7, dtype="u8")
     for idx in range(0, 300, 13):
-        node, vaddr = arr.addr_of(idx)
+        _, node, offset = arr.locate(idx)
         base = arr.node_base[node]
+        vaddr = base + offset
         assert base <= vaddr < base + arr.node_bytes[node]
 
 
@@ -110,4 +109,4 @@ def test_local_alloc_owned_entirely_by_caller():
     arr = out["arr"]
     assert all(arr.owner_thread(i) == 3 for i in range(0, 64, 7))
     assert set(arr.node_base) == {0}  # thread 3 lives on node 0
-    assert arr.arena_offset(10) == 10 * 2
+    assert arr.locate(10) == (3, 0, 10 * 2)

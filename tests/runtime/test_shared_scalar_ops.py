@@ -47,7 +47,7 @@ def test_scalar_addresses_are_cached_too():
     rt.spawn(kernel)
     rt.run()
     cache = rt.addr_cache(0)
-    assert (sc.handle, 1) in cache
+    assert (sc.handle, 1) in cache.entries()
     assert cache.stats.hits == 5
     assert rt.metrics.rdma_gets == 5
 
@@ -73,7 +73,7 @@ def test_scalar_index_validation():
     rt = make_rt()
     sc = rt.alloc_scalar(owner_thread=0)
     with pytest.raises(ValueError):
-        sc.addr_of(1)
+        sc.locate(1)
     with pytest.raises(ValueError):
         sc.read(2)
 
@@ -83,5 +83,5 @@ def test_scalar_storage_map():
     sc = rt.alloc_scalar(owner_thread=6)
     assert set(sc.node_base) == {sc.home_node}
     assert sc.node_bytes[sc.home_node] == sc.elem_size
-    node, vaddr = sc.addr()
+    node, vaddr = sc.home_node, sc.vaddr
     assert rt.cluster.node(node).memory.owns(vaddr)

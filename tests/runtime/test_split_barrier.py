@@ -90,4 +90,4 @@ def test_mixed_split_and_plain_barriers_interleave():
     rt.run()
     phases = [p for p, _ in log]
     assert phases.index("phase2") >= 4  # all phase1 precede phase2
-    assert rt.barrier_mgr.generation == 2
+    assert rt.barrier_mgr._generation == 2

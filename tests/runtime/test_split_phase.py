@@ -1,7 +1,6 @@
 """Split-phase (non-blocking) communication tests."""
 
 import numpy as np
-import pytest
 
 from repro.network import GM_MARENOSTRUM
 from repro.runtime import Runtime, RuntimeConfig
@@ -93,24 +92,6 @@ def test_gather_returns_input_order_and_pipelines():
             idxs = [(7 * k + 3) % 128 for k in range(24)]
             vals = yield from th.gather(arr, idxs, width=6)
             assert vals == [i * i for i in idxs]
-        yield from th.barrier()
-
-    rt.spawn(kernel)
-    rt.run()
-
-
-def test_put_nb_tracked_by_fence():
-    rt = make_rt()
-
-    def kernel(th):
-        arr = yield from th.all_alloc(64, blocksize=8, dtype="u4")
-        yield from th.barrier()
-        if th.id == 0:
-            h = th.put_nb(arr, 40, 9)
-            yield h            # local completion
-            yield from th.fence()
-            v = yield from th.get(arr, 40)
-            assert v == 9
         yield from th.barrier()
 
     rt.spawn(kernel)
