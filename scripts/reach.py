@@ -54,8 +54,6 @@ REPRO = ROOT / "src" / "repro"
 _REPR = "__repr__: what a failure message and a debugger print"
 _FUZZ = ("the fuzz failure recorder and shrinker: they run only when a "
          "program diverges from the oracle, to save and minimise it")
-_SIM = ("event-core API for a process that stores an event, steps or "
-        "cancels: the simulator's public surface, which tests/sim drives")
 _UPC = ("a UPC intrinsic of the library's kernel API (README's "
         "kernels, tests/runtime); the product's kernels use the "
         "vectorised locate() instead")
@@ -117,15 +115,10 @@ DECLARED = {
     "testing/generator.py::generate_service_program":
         "the KV service program generator README and docs/SERVICE.md "
         "document for differential runs of the store",
-    # -- the event core's public surface --------------------------------
-    "sim/simulator.py::Simulator.timeout": _SIM,
-    "sim/event.py::Timeout.__init__": _SIM,
-    "sim/simulator.py::Simulator.step":
-        "one dispatch: run(until=..., max_events=...) loops over it",
-    "sim/process.py::_Wake._process": "what step() (above) dispatches",
-    "sim/simulator.py::Simulator.run_process": _SIM,
-    "sim/process.py::Process.kill": _SIM,
-    "sim/process.py::Process._throw": "what kill() (above) runs",
+    # -- the event core ------------------------------------------------
+    "sim/process.py::Process._throw":
+        "failure delivery: throws a failed event's exception, or a "
+        "refused delay, into the waiting generator",
     "sim/resource.py::Resource.in_use":
         "a resource's holders; SharedLock.locked reads it",
     "sim/resource.py::Resource.queue_length":

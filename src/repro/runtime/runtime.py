@@ -499,11 +499,11 @@ class Runtime:
         self._programs.extend(procs)
         return procs
 
-    def run(self, max_events: Optional[int] = None) -> RunResult:
+    def run(self) -> RunResult:
         """Run to completion and collect results."""
         if not self._programs:
             raise UPCRuntimeError("run() before spawn() — nothing to do")
-        self.sim.run(max_events=max_events)
+        self.sim.run()
         # Surface crashes first: a crashed thread usually deadlocks the
         # others, and the crash is the interesting diagnosis.
         for proc in self._programs:

@@ -24,8 +24,8 @@ Example
 5.0
 """
 
-from repro.sim.errors import SimulationError, ProcessKilled
-from repro.sim.event import Event, Timeout, AllOf
+from repro.sim.errors import SimulationError
+from repro.sim.event import Event, AllOf
 from repro.sim.process import Process
 from repro.sim.resource import Resource
 from repro.sim.simulator import Simulator
@@ -33,10 +33,8 @@ from repro.sim.simulator import Simulator
 __all__ = [
     "Simulator",
     "Event",
-    "Timeout",
     "AllOf",
     "Process",
     "Resource",
     "SimulationError",
-    "ProcessKilled",
 ]

@@ -6,11 +6,3 @@ from __future__ import annotations
 class SimulationError(RuntimeError):
     """Misuse of the kernel API (double trigger, yield of a non-event,
     releasing an idle resource, ...)."""
-
-
-class ProcessKilled(Exception):
-    """Thrown into a process generator by :meth:`Process.kill`.
-
-    Workload code generally lets this propagate; the kernel marks the
-    process as failed-by-kill rather than crashed.
-    """

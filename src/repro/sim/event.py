@@ -140,26 +140,6 @@ class Event:
         return f"<{label} {state[self._status]} at t={self.sim.now:.3f}>"
 
 
-class Timeout(Event):
-    """An event that fires ``delay`` after creation.
-
-    For a timer someone else subscribes to or reads later; a process
-    that only waits yields the delay itself (``yield o_send``).
-    """
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None,
-                 name: str = "") -> None:
-        if not delay >= 0:     # NaN too
-            raise SimulationError(f"bad timeout delay {delay!r}: "
-                                  "a delay must be >= 0")
-        super().__init__(sim, name=name or f"timeout({delay:.3f})")
-        self._value = value
-        self._status = SCHEDULED
-        sim._schedule(self, delay)
-
-
 class AllOf(Event):
     """Succeeds when *all* child events have succeeded.
 

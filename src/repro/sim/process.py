@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Generator, TYPE_CHECKING
 
-from repro.sim.errors import ProcessKilled, SimulationError
+from repro.sim.errors import SimulationError
 from repro.sim.event import PROCESSED, Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -36,19 +36,15 @@ class _Wake:
 
     One per process, queued by ``Simulator._wake`` at the instant and
     with the sequence number an event would have drawn; the dispatch
-    loop resumes ``proc`` through ``send`` itself, unless it exited.
+    loop resumes ``proc`` through ``send`` itself.  A process waits on
+    one thing at a time, so its token is queued only while it lives.
     """
 
     __slots__ = ("proc", "send")
-    _value = _exc = None        # all Process._resume reads off an event
 
     def __init__(self, proc: "Process") -> None:
         self.proc = proc
         self.send = proc._send
-
-    def _process(self) -> None:
-        # Simulator.run_before inlines this; step() comes here.
-        self.proc._resume(self)
 
 
 class Process(Event):
@@ -76,27 +72,10 @@ class Process(Event):
     def is_alive(self) -> bool:
         return not self.triggered
 
-    def kill(self, reason: str = "") -> None:
-        """Throw :class:`ProcessKilled` into the generator."""
-        if self.triggered:
-            return
-        # The killer keeps running once the victim's cleanup yields, so
-        # the victim must not see a quiescent simulator.
-        sim = self.sim
-        outer, sim._fanout = sim._fanout, True
-        try:
-            self._throw(ProcessKilled(reason))
-        finally:
-            sim._fanout = outer
-
     # -- driving ------------------------------------------------------
 
     def _resume(self, ev: Event) -> None:
         """Callback of every event the process waits on."""
-        if self._status:
-            # The process died (e.g. kill()) while this event was in
-            # flight; drop the stale wakeup.
-            return
         exc = ev._exc
         if exc is not None:
             self._throw(exc)
@@ -109,7 +88,7 @@ class Process(Event):
         self._wait(target)
 
     def _throw(self, exc: BaseException) -> None:
-        """Cold-path drive: failure delivery and kill()."""
+        """Cold-path drive: failure delivery."""
         try:
             target = self._gen.throw(exc)
         except BaseException as err:
@@ -141,17 +120,14 @@ class Process(Event):
         join(self)
 
     def _exit(self, err: BaseException) -> None:
-        """The generator stopped: it returned, was killed, or raised."""
+        """The generator stopped: it returned or raised."""
         self._token = None      # it names us back: refcounting frees us
         if isinstance(err, StopIteration):
             self.succeed(err.value)
             return
-        if isinstance(err, ProcessKilled):
-            err.__traceback__ = None    # the killer's frames: a cycle
-        else:
-            # Attach context so deadlocks/crashes are debuggable at scale.
-            err.args = (*err.args, f"[in sim process {self.name!r} at "
-                                   f"t={self.sim.now:.3f}]")
+        # Attach context so deadlocks/crashes are debuggable at scale.
+        err.args = (*err.args, f"[in sim process {self.name!r} at "
+                               f"t={self.sim.now:.3f}]")
         self.fail(err)
 
 

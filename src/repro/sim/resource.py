@@ -84,15 +84,11 @@ class Resource:
         return granted
 
     def release(self) -> None:
-        """Free one slot; grants the oldest live waiter, FIFO."""
-        waiters = self._waiters
-        while waiters:      # queued only while every slot is held
-            token = waiters.popleft()
-            if not token.proc._status:
-                # The slot passes straight to the oldest live waiter
-                # (one killed while queued will never use it).
-                self.sim._wake(token, 0.0)
-                return
+        """Free one slot; grants the oldest waiter, FIFO."""
+        if self._waiters:   # queued only while every slot is held
+            # The slot passes straight to the oldest waiter.
+            self.sim._wake(self._waiters.popleft(), 0.0)
+            return
         if self._users <= 0:
             raise SimulationError(f"release() on idle resource {self.name!r}")
         self._users -= 1

@@ -18,7 +18,7 @@ zero delay cannot point into the future, and the lane drains before
 the clock advances), so the next event is the lane head unless the
 heap top carries the same timestamp with a smaller sequence number.
 The plain core this one must agree with — immutable tuple entries, no
-lane, a fresh ``Timeout`` per wake — is
+lane, a fresh event per wake — is
 ``tests/sim/reference_core.py``; the determinism tests run both on
 identical workloads and require bit-identical schedules.
 """
@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Generator, List, Optional
+from typing import Any, Generator, List
 
 from repro.sim.errors import SimulationError
-from repro.sim.event import Event, Timeout
+from repro.sim.event import Event
 from repro.sim.process import Process, _Detached, _Wake
 
 
@@ -50,8 +50,8 @@ class Simulator:
         # current clock value, dispatched FIFO without touching the heap.
         self._lane: Any = deque()
         # True while an event with several subscribers is being
-        # dispatched (and while kill() drives a victim): whoever
-        # yields now is followed by more code at this same instant.
+        # dispatched: whoever yields now is followed by more code at
+        # this same instant.
         self._fanout = False
 
     # -- factories ----------------------------------------------------
@@ -59,13 +59,6 @@ class Simulator:
     def event(self, name: str = "") -> Event:
         """A fresh pending event."""
         return Event(self, name=name)
-
-    def timeout(self, delay: float, value: Any = None, name: str = "") -> Timeout:
-        """An event firing ``delay`` microseconds from now, which
-        callers may store and read ``.value`` from after the run.  A
-        process that only waits yields ``delay`` instead.
-        """
-        return Timeout(self, delay, value=value, name=name)
 
     def process(self, gen: Generator, name: str = "") -> Process:
         """Spawn a process around generator ``gen``; starts at ``now``."""
@@ -132,52 +125,9 @@ class Simulator:
             return self._lane[0][0]
         return self._heap[0][0] if self._heap else float("inf")
 
-    def step(self) -> None:
-        """Process exactly one event: the minimum ``(t, seq)`` entry of
-        lane and heap.  Lane entries are at ``now``, so a heap entry
-        wins only when it shares the timestamp with a smaller seq."""
-        lane, heap = self._lane, self._heap
-        if lane and not (heap and heap[0][0] <= lane[0][0]
-                         and heap[0][1] < lane[0][1]):
-            entry = lane.popleft()
-        elif heap:
-            entry = heapq.heappop(heap)
-        else:
-            raise SimulationError("step() on an empty event queue")
-        self.now = entry[0]
-        self._nevents += 1
-        entry[2]._process()
-
-    def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None) -> None:
-        """Run until the queue drains, ``until`` is reached, or
-        ``max_events`` have been processed (a runaway guard for tests).
-
-        When stopping at ``until`` the clock is advanced to exactly
-        ``until`` even if no event sits there.  A NaN ``until`` is an
-        error: it compares false with every time, so it would drain.
-        """
-        if until != until:
-            raise SimulationError(f"run: until must not be NaN, got {until}")
-        self._fanout = False    # a callback that raised may have left it set
-        if until is None and max_events is None:
-            self.run_before(float("inf"))
-            return
-        budget = max_events if max_events is not None else -1
-        while self._heap or self._lane:
-            t = self.peek()
-            if until is not None and t > until:
-                self.now = until
-                return
-            if budget == 0:
-                raise SimulationError(
-                    f"max_events exhausted: {self._nevents} events "
-                    f"processed, next event pending at t={t:.3f}"
-                )
-            budget -= 1
-            self.step()
-        if until is not None and self.now < until:
-            self.now = until
+    def run(self) -> None:
+        """Run until the queue drains."""
+        self.run_before(float("inf"))
 
     def run_before(self, bound: float) -> int:
         """Process every event with ``t < bound`` (strict); return the
@@ -186,13 +136,12 @@ class Simulator:
         This is the grain primitive of the sharded PDES core: a shard
         may only execute events strictly below its conservative
         horizon, because an event *at* the horizon could still be
-        preempted by a message arriving exactly there.  Unlike
-        :meth:`run`'s ``until`` handling the clock is **not** advanced
-        to ``bound`` — it stays at the last processed event so the
-        shard's report reflects real progress.  With ``bound=inf`` it
-        is also :meth:`run`'s plain drain — the one hot loop: the
+        preempted by a message arriving exactly there.  The clock is
+        **not** advanced to ``bound`` — it stays at the last processed
+        event so the shard's report reflects real progress.  With
+        ``bound=inf`` it is :meth:`run`, the one hot loop: the
         lane-vs-heap merge and the wakes are inlined, and dispatch
-        order is identical to repeated :meth:`step` calls.  A NaN
+        order is exactly the total order on ``(t, seq)``.  A NaN
         ``bound`` is an error, checked here once, not per event.
         """
         if bound != bound:
@@ -230,48 +179,29 @@ class Simulator:
                 n += 1
                 ev = entry[2]
                 if ev.__class__ is wake_cls:
-                    # A wait ran out or a grant came: _Wake._process
-                    # inlined.  A float delay >= 0 yielded again
+                    # A wait ran out or a grant came: the process is
+                    # resumed here.  A float delay >= 0 yielded again
                     # requeues this very entry, at the (t, seq) _wake
-                    # would give it.  A dead process's wake is dropped.
-                    proc = ev.proc
-                    if not proc._status:
-                        try:
-                            delay = ev.send(None)
-                        except BaseException as err:
-                            proc._exit(err)
-                        else:
-                            if delay.__class__ is float and delay >= 0.0:
-                                seq = self._seq = self._seq + 1
-                                entry[0] = now + delay
-                                entry[1] = seq
-                                if delay == 0.0:
-                                    lane_push(entry)
-                                else:
-                                    push(heap, entry)
-                                continue
-                            proc._wait(delay)
+                    # would give it.
+                    try:
+                        delay = ev.send(None)
+                    except BaseException as err:
+                        ev.proc._exit(err)
+                    else:
+                        if delay.__class__ is float and delay >= 0.0:
+                            seq = self._seq = self._seq + 1
+                            entry[0] = now + delay
+                            entry[1] = seq
+                            if delay == 0.0:
+                                lane_push(entry)
+                            else:
+                                push(heap, entry)
+                            continue
+                        ev.proc._wait(delay)
                 else:
                     ev._process()
         finally:
             self._nevents += n
-
-    def run_process(self, gen: Generator, name: str = "",
-                    max_events: Optional[int] = None) -> Any:
-        """Convenience: spawn ``gen``, run to completion, return value.
-
-        Raises the process's exception if it failed, and
-        :class:`SimulationError` if the queue drained while the process
-        was still blocked (a deadlock in the model).
-        """
-        proc = self.process(gen, name=name)
-        self.run(max_events=max_events)
-        if not proc.triggered:
-            raise SimulationError(
-                f"deadlock: process {proc!r} never completed "
-                f"(queue drained at t={self.now:.3f})"
-            )
-        return proc.value
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<Simulator t={self.now:.3f} "

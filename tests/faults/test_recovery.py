@@ -304,7 +304,7 @@ def _memget_into_the_dark(nblocks):
         yield from th.barrier()
         if th.id == 0:
             assert rt.sim.now < DARK
-            yield rt.sim.timeout(DARK)
+            yield DARK
             yield from th.memget(arr, 32, 16 * nblocks)
 
     rt.spawn(reader)

@@ -15,6 +15,7 @@ from repro.runtime import Runtime, RuntimeConfig
 from repro.runtime.metrics import RuntimeMetrics
 from repro.sim import Simulator
 
+from tests.sim.drive import finish
 from tests.sim.grant_log import GrantLog
 
 
@@ -64,7 +65,7 @@ def test_retry_recovers_from_a_transient_drop_window():
             src, dst, 8, counting_handler(box))
         return reply
 
-    reply = sim.run_process(bench())
+    reply = finish(sim, bench())
     assert reply == {"base": 0xBEEF}
     assert box["runs"] == 1                       # handler ran once
     timeouts, retries, _ = tally(cluster)
@@ -84,7 +85,7 @@ def test_retry_budget_exhaustion_raises_reliability_error():
             src, dst, 8, lambda n: (1.0, None, 0))
 
     with pytest.raises(ReliabilityError, match="gave up after 2"):
-        sim.run_process(bench())
+        finish(sim, bench())
 
 
 def test_dropped_reply_releases_the_initiator_credit():
@@ -102,7 +103,7 @@ def test_dropped_reply_releases_the_initiator_credit():
             src, dst, 8, counting_handler(box))
         return reply
 
-    reply = sim.run_process(bench())
+    reply = finish(sim, bench())
     assert reply == {"base": 0xBEEF}
     assert dst.credits._users == 0
 
@@ -119,7 +120,7 @@ def test_duplicate_delivery_is_absorbed_by_the_ledger():
             src, dst, 8, counting_handler(box))
         return reply
 
-    reply = sim.run_process(bench())
+    reply = finish(sim, bench())
     sim.run()                                     # drain the dup flight
     assert reply == {"base": 0xBEEF}
     assert box["runs"] == 1                       # idempotent: one run
@@ -147,7 +148,7 @@ def test_ledger_replay_returns_original_payload_without_handler():
             src, dst, 8, mutating_handler)
         return reply
 
-    reply = sim.run_process(bench())
+    reply = finish(sim, bench())
     assert reply == "first"
     assert tally(cluster)[2] >= 1
 
@@ -164,7 +165,7 @@ def test_rdma_get_drop_reports_failure_and_charges_timeout():
         ok = yield from cluster.transport.rdma_get(src, dst, 64)
         return ok, sim.now - t0
 
-    ok, elapsed = sim.run_process(bench())
+    ok, elapsed = finish(sim, bench())
     assert ok is False
     assert elapsed >= rel.rdma_timeout_us
     assert tally(cluster) == (1, 0, 0)
@@ -180,7 +181,7 @@ def test_rdma_put_drop_returns_none():
         applied = yield from cluster.transport.rdma_put(src, dst, 64)
         return applied
 
-    assert sim.run_process(bench()) is None
+    assert finish(sim, bench()) is None
 
 
 def test_healthy_fabric_with_injector_matches_no_injector():
@@ -197,7 +198,7 @@ def test_healthy_fabric_with_injector_matches_no_injector():
                 cluster.node(0), cluster.node(1), 8,
                 lambda n: (1.5, None, 0))
             return sim.now
-        return sim.run_process(run())
+        return finish(sim, run())
 
     assert bench(sim_a, cluster_a) == bench(sim_b, cluster_b)
 
@@ -247,7 +248,7 @@ def drive(protocol, plan=None, reliability=None, recorded=False):
         yield from PROTOCOLS[protocol](cluster, box)
         return sim.now
 
-    done_at = sim.run_process(main())
+    done_at = finish(sim, main())
     sim.run()
     stream = [(e.t, e.kind, e.op, e.node) for e in log] if recorded else None
     return (done_at, sim.events_processed, tally(cluster),
@@ -335,7 +336,7 @@ def test_a_duplicate_lands_once_on_every_am_protocol(protocol):
         yield from PROTOCOLS[protocol](cluster, box)
         return sim.now
 
-    done_at = sim.run_process(main())
+    done_at = finish(sim, main())
     sim.run()                                     # drain the dup flights
     assert box["runs"] == 1                       # the ledger absorbed it
     assert (done_at, sim.events_processed, tally(cluster),
@@ -431,7 +432,7 @@ def test_a_crashing_put_handler_fails_the_put():
         yield applied
 
     with pytest.raises(ZeroDivisionError, match="handler bug"):
-        sim.run_process(run())
+        finish(sim, run())
     assert cluster.node(1).credits._users == 0
 
 

@@ -1,8 +1,6 @@
 """Transport accounting: every wire operation is on the flight
 recorder, the transport's one account of what crossed the fabric."""
 
-import pytest
-
 from repro.network import Cluster, GM_MARENOSTRUM
 from repro.obs import EventLog
 from repro.obs.events import (
@@ -14,6 +12,8 @@ from repro.obs.events import (
 )
 from repro.sim import Simulator
 from repro.util import KB, MB
+
+from tests.sim.drive import finish
 
 
 def make(nnodes=3):
@@ -40,34 +40,22 @@ def test_counters_track_every_operation():
         yield t1
         _ = t2
 
-    sim.run_process(run())
+    finish(sim, run())
     sim.run()
-    assert [(e.attrs["dst"], e.attrs["nbytes"]) for e in log.by_kind(AM_SEND)] \
-        == [(1, tr.params.ctrl_bytes), (2, tr.params.ctrl_bytes),
-            (2, 128 + tr.params.ctrl_bytes)]
-    # Puts don't reply; both gets do.
-    assert len(log.by_kind(AM_REPLY_SEND)) == 2
-    assert len(log.by_kind(AM_REPLY_RECV)) == 2
-    assert sum(e.attrs["nbytes"] for e in log.by_kind(RDMA_ISSUE)) \
-        == 512 + 128
+    ctrl = tr.params.ctrl_bytes
+    assert [(e.node, e.attrs["dst"], e.attrs["nbytes"])
+            for e in log.by_kind(AM_SEND)] \
+        == [(0, 1, ctrl), (0, 2, ctrl), (0, 2, 128 + ctrl)]
+    # Puts don't reply; both gets do, from their targets, each reply
+    # carrying the payload and a header.
+    assert [(e.node, e.attrs["nbytes"]) for e in log.by_kind(AM_REPLY_SEND)] \
+        == [(1, 256 + ctrl), (2, 1 * MB + ctrl)]
+    assert [e.node for e in log.by_kind(AM_REPLY_RECV)] == [0, 0]
+    assert [(e.node, e.attrs["dst"], e.attrs["nbytes"])
+            for e in log.by_kind(RDMA_ISSUE)] == [(0, 1, 512), (0, 1, 128)]
     assert len(log.by_kind(RDMA_COMPLETE)) == 2
     # Only the rendezvous GET registered buffers, one at each end.
     assert [len(n.pins) for n in (a, b, c)] == [1, 0, 1]
-
-
-def test_wire_log_bytes_at_least_payload():
-    sim, cluster = make(2)
-    tr = cluster.transport
-
-    def run():
-        yield from tr.default_get(cluster.node(0), cluster.node(1),
-                                  8 * KB)
-
-    sim.run_process(run())
-    # Request + reply; reply carries payload + headers.
-    sent = tr.events.by_kind(AM_SEND) + tr.events.by_kind(AM_REPLY_SEND)
-    assert sum(e.attrs["nbytes"] for e in sent) \
-        >= 8 * KB + 2 * tr.params.ctrl_bytes
 
 
 def test_latency_monotone_in_message_size():
@@ -79,7 +67,7 @@ def test_latency_monotone_in_message_size():
             t0 = sim.now
             yield from tr.default_get(cluster.node(0), cluster.node(1), n)
             return sim.now - t0
-        return sim.run_process(run())
+        return finish(sim, run())
 
     sizes = [1, 64, 4 * KB, 64 * KB, 1 * MB]
     lats = [timed(n) for n in sizes]

@@ -1,20 +1,20 @@
 """Protocol shapes on the flight recorder, and credit-based eager
-flow control."""
+flow control.  What each GET and PUT puts on the recorder is pinned in
+tests/network/test_accounting.py."""
 
 from repro.network import Cluster, GM_MARENOSTRUM
 from repro.obs import EventLog
 from repro.obs.events import (
-    AM_REPLY_RECV,
     AM_REPLY_SEND,
     AM_SEND,
     COMP_WIRE,
     HANDLER_BEGIN,
     PHASE,
-    RDMA_COMPLETE,
-    RDMA_ISSUE,
 )
 from repro.sim import Simulator
 from repro.util import KB, MB
+
+from tests.sim.drive import finish
 
 
 def make(machine=GM_MARENOSTRUM, nnodes=2, **overrides):
@@ -39,23 +39,6 @@ def recorded(cluster) -> EventLog:
 
 # ---------------------------------------------------- protocol shapes
 
-def test_eager_get_produces_request_and_reply():
-    sim, cluster = make()
-    log = recorded(cluster)
-    ctrl = cluster.params.ctrl_bytes
-
-    def run():
-        yield from cluster.transport.default_get(
-            cluster.node(0), cluster.node(1), 256)
-
-    sim.run_process(run())
-    [req] = log.by_kind(AM_SEND)
-    assert (req.node, req.attrs["dst"], req.attrs["nbytes"]) == (0, 1, ctrl)
-    [reply] = log.by_kind(AM_REPLY_SEND)
-    assert reply.node == 1 and reply.attrs["nbytes"] >= 256
-    assert [e.node for e in log.by_kind(AM_REPLY_RECV)] == [0]
-
-
 def test_rendezvous_put_protocol_shape():
     # RTS out, a bare CTS back (no data reply), then the zero-copy
     # data leg serialized through the initiator's NIC.
@@ -67,7 +50,7 @@ def test_rendezvous_put_protocol_shape():
         yield from cluster.transport.default_put(
             cluster.node(0), cluster.node(1), 1 * MB, op_id=7)
 
-    sim.run_process(run())
+    finish(sim, run())
     sim.run()
     [rts] = log.by_kind(AM_SEND)
     assert rts.attrs["nbytes"] == p.ctrl_bytes
@@ -76,23 +59,6 @@ def test_rendezvous_put_protocol_shape():
     wire = [e.attrs["dur"] for e in log.by_kind(PHASE)
             if e.attrs["comp"] == COMP_WIRE]
     assert max(wire) >= p.wire_time(1 * MB)
-
-
-def test_rdma_messages_logged():
-    sim, cluster = make()
-    log = recorded(cluster)
-
-    def run():
-        yield from cluster.transport.rdma_get(
-            cluster.node(0), cluster.node(1), 512)
-        yield from cluster.transport.rdma_put(
-            cluster.node(0), cluster.node(1), 512)
-
-    sim.run_process(run())
-    sim.run()
-    assert [(e.node, e.attrs["dst"], e.attrs["nbytes"])
-            for e in log.by_kind(RDMA_ISSUE)] == [(0, 1, 512)] * 2
-    assert len(log.by_kind(RDMA_COMPLETE)) == 2
 
 
 # ----------------------------------------------------------- credits
@@ -138,7 +104,7 @@ def test_rdma_ignores_credits():
         yield from cluster.transport.rdma_get(src, dst, 4 * KB)
         return sim.now
 
-    t = sim.run_process(run())
+    t = finish(sim, run())
     assert t > 0
 
 
@@ -150,7 +116,7 @@ def test_credit_pool_returns_to_full():
         for _ in range(6):
             yield from cluster.transport.default_put(src, dst, 64)
 
-    sim.run_process(run())
+    finish(sim, run())
     sim.run()
     pool = dst.credits
     assert pool.in_use == 0            # all credits returned

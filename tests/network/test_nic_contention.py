@@ -8,13 +8,12 @@ magnified fourfold."
 
 from dataclasses import replace
 
-import pytest
-
 from repro.network import Cluster, GM_MARENOSTRUM
 from repro.sim import Simulator
 from repro.util import KB
 from repro.workloads import PointerParams, run_pointer
 
+from tests.sim.drive import finish
 from tests.sim.grant_log import GrantLog
 
 
@@ -51,7 +50,7 @@ def test_nic_utilization_reported():
             yield from cluster.transport.default_put(
                 cluster.node(0), cluster.node(1), 8 * KB)
 
-    sim.run_process(sender())
+    finish(sim, sender())
     assert nic.acquisitions >= 10
     assert nic.in_use == 0
 
@@ -95,7 +94,7 @@ def test_fragmentation_charges_per_fragment_gap():
             cluster.node(0), cluster.node(1), nbytes)
         return sim.now - t0
 
-    measured = sim.run_process(run_once())
+    measured = finish(sim, run_once())
     frags = p.fragments(nbytes + p.ctrl_bytes)
     assert frags >= 2
     # Lower bound: wire + copies + one gap; measured must include the

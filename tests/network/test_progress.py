@@ -11,6 +11,7 @@ from repro.network.progress import (
 )
 from repro.sim import Simulator
 
+from tests.sim.drive import finish
 from tests.sim.reference_core import BOTH_CORES
 
 
@@ -35,7 +36,7 @@ def test_interrupt_services_promptly_even_without_pollers():
         yield from node.progress.service()
         return sim.now
 
-    t = sim.run_process(handler())
+    t = finish(sim, handler())
     assert t == pytest.approx(LAPI_TRANSPORT.interrupt_us)
 
 
@@ -48,9 +49,9 @@ def test_polling_blocks_until_a_thread_enters_runtime():
         served_at.append(sim.now)
 
     def app_thread():
-        yield sim.timeout(50.0)           # long compute, no polling
+        yield 50.0                        # long compute, no polling
         node.progress.enter_runtime()     # now inside the runtime
-        yield sim.timeout(1.0)
+        yield 1.0
         node.progress.leave_runtime()
 
     sim.process(handler())
@@ -67,7 +68,7 @@ def test_polling_services_fast_when_someone_is_polling():
         yield from node.progress.service()
         return sim.now
 
-    t = sim.run_process(handler())
+    t = finish(sim, handler())
     assert t == pytest.approx(GM_TRANSPORT.dispatch_us)
 
 
@@ -80,9 +81,9 @@ def test_poll_tick_wakes_waiting_handlers_once():
         served.append(sim.now)
 
     def computer():
-        yield sim.timeout(10.0)
+        yield 10.0
         node.progress.poll()              # momentary tick
-        yield sim.timeout(10.0)
+        yield 10.0
 
     sim.process(handler())
     sim.process(computer())
@@ -112,7 +113,7 @@ def test_backlog_transitions_recorded_between_poll_ticks():
         yield from node.progress.service()
 
     def app():
-        yield sim.timeout(20.0)      # long compute slice, no polling
+        yield 20.0                   # long compute slice, no polling
         node.progress.enter_runtime()
 
     sim.process(handler())
@@ -131,7 +132,7 @@ def test_backlog_transitions_recorded_between_poll_ticks():
 def test_parked_handlers_wake_in_arrival_order_on_both_cores(core):
     """Handlers park on the engine (``yield engine`` inside service())
     and one enter_runtime() wakes them all.  The fast core resumes each
-    through its wake token, the reference core through a Timeout; the
+    through its wake token, the reference core through an event; the
     pinned literals are the same for both."""
     sim = core()
     node = Node(sim, 0, GM_TRANSPORT)
@@ -190,7 +191,7 @@ def test_wait_time_accounting():
         return sim.now
 
     def app():
-        yield sim.timeout(30.0)
+        yield 30.0
         node.progress.enter_runtime()
 
     started = sim.process(handler())

@@ -10,6 +10,7 @@ from repro.network import (
 from repro.sim import Simulator
 from repro.util import KB, MB
 from tests.core.pin_log import PinLog
+from tests.sim.drive import finish
 
 
 def make(machine=GM_MARENOSTRUM, nnodes=4):
@@ -33,7 +34,7 @@ def test_default_get_roundtrip_returns_handler_payload():
         reply = yield from cluster.transport.default_get(src, dst, 8, handler)
         return reply
 
-    reply = sim.run_process(bench())
+    reply = finish(sim, bench())
     assert reply == {"base": 0xBEEF}
     assert dst.progress.serviced == 1
     assert dst.pins.misses == 0      # eager: nothing registered
@@ -48,7 +49,7 @@ def test_default_get_latency_grows_with_distance():
             yield from cluster.transport.default_get(
                 cluster.node(0), cluster.node(dst_id), 8)
             return sim.now
-        return sim.run_process(run())
+        return finish(sim, run())
 
     near = bench(sim1, c1, 1)             # same linecard: 1 hop
     sim3, c3 = make(nnodes=256)
@@ -72,8 +73,8 @@ def test_rdma_get_faster_than_default_get_small_gm():
         yield from cluster.transport.rdma_get(src, dst, 8)
         return sim.now - t0
 
-    t_default = sim.run_process(default())
-    t_rdma = sim.run_process(rdma())
+    t_default = finish(sim, default())
+    t_rdma = finish(sim, rdma())
     assert t_rdma < t_default
 
 
@@ -88,7 +89,7 @@ def test_rdma_get_uses_no_target_cpu():
             cluster.node(0), cluster.node(1), 4096)
         return sim.now
 
-    t = sim.run_process(run())
+    t = finish(sim, run())
     assert t > 0
     assert cluster.node(1).progress.serviced == 0
 
@@ -102,9 +103,9 @@ def test_eager_vs_rendezvous_protocol_selection():
         yield from tr.default_get(src, dst, n)
 
     # Only rendezvous registers the served region at the target.
-    sim.run_process(run(16 * KB))           # at the threshold: eager
+    finish(sim, run(16 * KB))           # at the threshold: eager
     assert dst.pins.misses == 0
-    sim.run_process(run(16 * KB + 1))       # above: rendezvous
+    finish(sim, run(16 * KB + 1))       # above: rendezvous
     assert dst.pins.misses == 1
 
 
@@ -122,7 +123,7 @@ def test_rendezvous_registration_amortized_by_pin_down_cache():
         second = sim.now - t0
         return first, second
 
-    first, second = sim.run_process(run())
+    first, second = finish(sim, run())
     assert second < first                  # registration cached
     assert dst.pins.hits >= 1
 
@@ -137,7 +138,7 @@ def test_default_put_local_completion_before_remote_apply():
         yield applied
         return local_done, sim.now
 
-    local_done, remote_done = sim.run_process(run())
+    local_done, remote_done = finish(sim, run())
     assert remote_done > local_done        # overlap window exists
 
 
@@ -151,7 +152,7 @@ def test_rdma_put_gm_completes_locally():
         yield applied
         return local_done, sim.now
 
-    local_done, remote_done = sim.run_process(run())
+    local_done, remote_done = finish(sim, run())
     assert remote_done > local_done
 
 
@@ -165,7 +166,7 @@ def test_rdma_put_lapi_waits_for_remote_ack():
         assert applied.triggered
         return local_done
 
-    sim.run_process(run())
+    finish(sim, run())
 
 
 def test_lapi_rdma_put_slower_than_default_put_small():
@@ -184,8 +185,8 @@ def test_lapi_rdma_put_slower_than_default_put_small():
         yield from cluster.transport.rdma_put(src, dst, 64)
         return sim.now - t0
 
-    td = sim.run_process(t_default())
-    tr = sim.run_process(t_rdma())
+    td = finish(sim, t_default())
+    tr = finish(sim, t_rdma())
     assert tr > 1.5 * td
 
 

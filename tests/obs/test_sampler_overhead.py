@@ -91,7 +91,7 @@ def test_bulk_inflight_gauge_returns_to_zero(nelems):
         arr = yield from th.all_alloc(512, blocksize=16, dtype="u8")
         yield from th.barrier()
         if th.id == 0:
-            yield th.runtime.sim.timeout(400.0)
+            yield 400.0
             yield from th.memget(arr, 32, nelems)
 
     for plan in (None, FaultPlan(seed=1, links=(

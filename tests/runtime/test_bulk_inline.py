@@ -27,6 +27,7 @@ from repro.runtime.bulk import BulkEngine, _Message
 from repro.sim import Simulator
 from repro.sim.event import AllOf
 
+from tests.sim.drive import timer
 from tests.sim.reference_core import BOTH_CORES
 
 BOTH_OPS = pytest.mark.parametrize("op", ["get", "put"])
@@ -130,9 +131,9 @@ class Harness:
         self.op = op
         # Made before anything runs: same instant, creation order.
         #: Fires when the span completed in a probe run (scenario b).
-        self.at_done = done_at and self.sim.timeout(done_at)
-        self.alone = self.sim.timeout(ALONE)
-        self.wake = [self.sim.timeout(TOGETHER) for _ in range(2)]
+        self.at_done = done_at and timer(self.sim, done_at)
+        self.alone = timer(self.sim, ALONE)
+        self.wake = [timer(self.sim, TOGETHER) for _ in range(2)]
         self.gate = self.sim.event()
         self.gate.succeed(delay=RELEASE)
 
@@ -225,7 +226,7 @@ def test_zero_delay_event_queued_at_issue(core, op, monkeypatch):
     def scenario(h, th, arr):
         def child():
             h.mark("child started")
-            yield h.sim.timeout(1.0)
+            yield 1.0
 
         if th.id == 0:
             yield h.alone
@@ -245,7 +246,7 @@ def test_waker_queued_at_completion(core, op, monkeypatch):
     def scenario(h, th, arr):
         def child():
             h.mark("child started")
-            yield h.sim.timeout(1.0)
+            yield 1.0
 
         if th.id == 0:
             yield h.alone

@@ -1,9 +1,10 @@
 """Regression tests for defects found in code review."""
 
-import pytest
-
 from repro.network import GM_MARENOSTRUM
 from repro.runtime import Runtime, RuntimeConfig
+from repro.sim import SimulationError
+
+from tests.sim.reference_core import ReferenceSimulator
 
 
 def make_rt(**kw):
@@ -83,6 +84,22 @@ def test_stale_piggyback_ack_does_not_resurrect_freed_handle():
             assert h != handle, "stale entry resurrected after free"
 
 
+class RunawayGuard(ReferenceSimulator):
+    """The reference core, refusing to schedule more than ``budget``
+    events: a run that livelocks fails instead of hanging."""
+
+    __slots__ = ("budget",)
+
+    def __init__(self, budget):
+        super().__init__()
+        self.budget = budget
+
+    def _schedule(self, event, delay):
+        if self._seq >= self.budget:
+            raise SimulationError(f"runaway: {self.budget} events scheduled")
+        super()._schedule(event, delay)
+
+
 def test_credit_exhaustion_with_busy_target_does_not_deadlock():
     """Review finding: reply credits acquired under handler_cpu could
     deadlock two nodes exchanging eager traffic.  With one credit and
@@ -93,7 +110,8 @@ def test_credit_exhaustion_with_busy_target_does_not_deadlock():
         transport=GM_MARENOSTRUM.transport.with_overrides(
             eager_credits=1))
     rt = Runtime(RuntimeConfig(machine=machine, nthreads=8,
-                               threads_per_node=4, seed=2))
+                               threads_per_node=4, seed=2),
+                 sim=RunawayGuard(budget=2_000_000))
 
     def kernel(th):
         arr = yield from th.all_alloc(128, blocksize=8, dtype="u4")
@@ -107,4 +125,4 @@ def test_credit_exhaustion_with_busy_target_does_not_deadlock():
         yield from th.barrier()
 
     rt.spawn(kernel)
-    rt.run(max_events=2_000_000)  # completes; deadlock would hang/drain
+    rt.run()    # completes; a deadlock drains, a livelock hits the budget

@@ -15,8 +15,7 @@ class GrantLog(Resource):
     """A ``Resource`` that records the wait of every grant, in grant
     order: 0.0 for a slot taken at once (a free ``yield res`` in
     ``_join``, or ``acquire_now``), the time spent in the FIFO for one
-    that ``release`` passed on.  A waiter killed in the FIFO is never
-    granted, so it is never recorded."""
+    that ``release`` passed on."""
 
     __slots__ = ("waits", "_queued_at")
 
@@ -59,9 +58,8 @@ class GrantLog(Resource):
         self._queued_at[proc._token] = self.sim.now
 
     def release(self):
-        # The grant release() is about to make: its oldest live waiter.
-        for token in self._waiters:
-            if not token.proc._status:
-                self.waits.append(self.sim.now - self._queued_at.pop(token))
-                break
+        # The grant release() is about to make: its oldest waiter.
+        if self._waiters:
+            token = self._waiters[0]
+            self.waits.append(self.sim.now - self._queued_at.pop(token))
         super().release()

@@ -5,6 +5,8 @@ import pytest
 from repro.sim import Simulator, SimulationError
 from repro.sim.event import AllOf
 
+from tests.sim.drive import timer
+
 
 def test_event_starts_pending():
     sim = Simulator()
@@ -70,23 +72,9 @@ def test_callback_after_processed_runs_immediately():
     assert seen == [5]
 
 
-def test_timeout_fires_after_delay():
-    sim = Simulator()
-    t = sim.timeout(3.0, value="v")
-    sim.run()
-    assert sim.now == 3.0
-    assert t.value == "v"
-
-
-def test_negative_timeout_rejected():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.timeout(-1.0)
-
-
 def test_allof_waits_for_every_child():
     sim = Simulator()
-    a, b, c = sim.timeout(1), sim.timeout(5), sim.timeout(3)
+    a, b, c = timer(sim, 1), timer(sim, 5), timer(sim, 3)
     combo = AllOf(sim, [a, b, c])
     fired_at = []
     combo.add_callback(lambda e: fired_at.append(sim.now))
@@ -103,7 +91,7 @@ def test_allof_empty_succeeds_immediately():
 
 def test_allof_propagates_failure():
     sim = Simulator()
-    good = sim.timeout(1)
+    good = timer(sim, 1)
     bad = sim.event()
     bad.fail(RuntimeError("child"), delay=0.5)
     combo = AllOf(sim, [good, bad])
@@ -116,7 +104,7 @@ def test_events_at_same_time_process_in_schedule_order():
     sim = Simulator()
     order = []
     for i in range(10):
-        ev = sim.timeout(1.0, value=i)
+        ev = timer(sim, 1.0, value=i)
         ev.add_callback(lambda e: order.append(e.value))
     sim.run()
     assert order == list(range(10))

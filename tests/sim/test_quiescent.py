@@ -12,7 +12,7 @@ scenario really does tell the two apart.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import ProcessKilled, Simulator
+from repro.sim import Simulator
 
 from tests.sim.grant_log import GrantLog
 from tests.sim.reference_core import BOTH_CORES, ReferenceSimulator
@@ -81,7 +81,7 @@ def test_same_instant_wakers_on_one_slot(core, monkeypatch):
         res = h.resource()
 
         def user(name):
-            yield h.sim.timeout(1.0)
+            yield 1.0
             h.mark(name + " woke")
             yield from h.acquire(res)
             h.mark(name + " holds")
@@ -117,7 +117,7 @@ def test_fan_out_first_subscriber_acquires(core, kind, monkeypatch):
             h.mark(name + " released")
             yield from h.acquire(res)
             h.mark(name + " holds")
-            yield sim.timeout(2.0)
+            yield 2.0
             res.release()
 
         sim.process(waiter("a"))
@@ -139,12 +139,12 @@ def test_heap_entry_at_now_goes_first(core, monkeypatch):
         res = h.resource()
 
         def a():
-            yield h.sim.timeout(1.0)
+            yield 1.0
             yield from h.acquire(res)
             h.mark("a holds")
 
         def b():
-            yield h.sim.timeout(1.0)
+            yield 1.0
             h.mark("b woke")
 
         h.sim.process(a())
@@ -163,10 +163,10 @@ def test_zero_delay_event_queued_ahead(core, monkeypatch):
 
         def child():
             h.mark("child started")
-            yield h.sim.timeout(1.0)
+            yield 1.0
 
         def a():
-            yield h.sim.timeout(1.0)
+            yield 1.0
             h.sim.process(child())
             yield from h.acquire(res)
             h.mark("a holds")
@@ -178,43 +178,13 @@ def test_zero_delay_event_queued_ahead(core, monkeypatch):
 
 
 @BOTH_CORES
-def test_killed_process_does_not_overtake_its_killer(core, monkeypatch):
-    # kill() drives the victim's cleanup from inside the killer, which
-    # carries on afterwards: not a quiescent point either.
-    def scenario(h):
-        res = h.resource()
-
-        def victim():
-            try:
-                yield h.sim.timeout(10.0)
-            except ProcessKilled:
-                yield from h.acquire(res)
-                h.mark("victim cleaned up")
-                res.release()
-
-        def killer(target):
-            yield h.sim.timeout(1.0)
-            target.kill()
-            h.mark("killer carried on")
-
-        h.sim.process(killer(h.sim.process(victim())))
-
-    # Forcing quiescent() does not defeat the guard kill() sets, so
-    # there is no wrong variant to tell apart here.
-    short = compare(scenario, core, monkeypatch, sensitive=False)
-    assert short.log == [(1.0, "killer carried on"),
-                         (1.0, "victim cleaned up")]
-    assert short.skipped == 0
-
-
-@BOTH_CORES
 def test_lone_acquirer_skips_every_grant(core, monkeypatch):
     def scenario(h):
         res = h.resource()
 
         def solo():
             for _ in range(5):
-                yield h.sim.timeout(1.0)
+                yield 1.0
                 yield from h.acquire(res)
                 h.mark("holds")
                 res.release()

@@ -5,8 +5,6 @@ import pytest
 from repro.sim import Simulator, Resource, SimulationError
 
 from tests.sim.grant_log import GrantLog
-from tests.sim.reference_core import BOTH_CORES
-
 
 def test_resource_grants_up_to_capacity():
     sim = Simulator()
@@ -26,7 +24,7 @@ def test_release_grants_fifo_order():
     def user(name, hold):
         yield res
         order.append((sim.now, name))
-        yield sim.timeout(hold)
+        yield hold
         res.release()
 
     sim.process(user("a", 5))
@@ -55,7 +53,7 @@ def test_wait_stats_record_queueing_delay():
 
     def user(hold):
         yield res
-        yield sim.timeout(hold)
+        yield hold
         res.release()
 
     sim.process(user(3))
@@ -65,40 +63,3 @@ def test_wait_stats_record_queueing_delay():
     assert res.acquisitions == 2
     assert res.wait_total == pytest.approx(3.0)
     assert res.wait_max == pytest.approx(3.0)
-
-
-@BOTH_CORES
-def test_killed_waiter_does_not_swallow_the_slot(core):
-    # The waiter dies in the FIFO; release() must skip it and free the
-    # slot, or every later acquirer blocks forever and run() returns.
-    sim = core()
-    res = GrantLog(sim, capacity=1)
-    served = []
-
-    def holder():
-        yield res
-        yield 5.0
-        res.release()
-
-    def waiter():
-        yield res
-        served.append(("waiter", sim.now))
-        res.release()
-
-    def late():
-        yield 6.0
-        yield res
-        served.append(("late", sim.now))
-        res.release()
-
-    sim.process(holder())
-    victim = sim.process(waiter())
-    sim.process(late())
-    sim.run(until=1.0)
-    assert res.queue_length == 1
-    victim.kill()
-    sim.run()
-    assert served == [("late", 6.0)]
-    assert res.in_use == 0 and res.queue_length == 0
-    # The dead waiter is neither granted nor charged a wait.
-    assert res.acquisitions == 2 and res.wait_total == 0.0

@@ -19,6 +19,7 @@ from repro.sim.sync import (INF, BarrierPost, ShardMetrics, ShardReport,
                             normalize_lookahead)
 from repro.util.rng import StreamFamily
 
+from tests.sim.drive import timer
 from tests.sim.reference_core import ReferenceSimulator
 from tests.sim.shard_referees import ShardFence
 
@@ -198,7 +199,7 @@ def test_run_before_strict_bound(pooled):
     sim = Simulator() if pooled else ReferenceSimulator()
     seen = []
     for t in (1.0, 2.0, 3.0, 4.0):
-        sim.timeout(t).add_callback(
+        timer(sim, t).add_callback(
             lambda ev, t=t: seen.append((t, sim.now)))
     n = sim.run_before(3.0)
     assert n == 2
@@ -312,8 +313,8 @@ def test_shard_fence_drains_acks():
     def writer():
         t1 = fence.issue()
         t2 = fence.issue()
-        sim.timeout(1.0).add_callback(lambda ev: fence.ack(t1))
-        sim.timeout(5.0).add_callback(lambda ev: fence.ack(t2))
+        timer(sim, 1.0).add_callback(lambda ev: fence.ack(t1))
+        timer(sim, 5.0).add_callback(lambda ev: fence.ack(t2))
         yield from fence.wait()
         done.append(sim.now)
 

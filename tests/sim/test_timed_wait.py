@@ -3,15 +3,16 @@ non-negative number (``float`` or ``int``, never ``bool``).
 
 The fast core queues the process's ``_Wake`` token and resumes the
 generator in its dispatch loop; the reference core builds a fresh
-``Timeout`` per wait.  Every test runs on both, and the mixed schedule
+event per wait.  Every test runs on both, and the mixed schedule
 must come out byte-identical between them.
 """
 
 import numpy as np
 import pytest
 
-from repro.sim import ProcessKilled, Resource, SimulationError, Simulator
+from repro.sim import SimulationError, Simulator
 
+from tests.sim.drive import finish, timer
 from tests.sim.grant_log import GrantLog
 from tests.sim.reference_core import BOTH_CORES, ReferenceSimulator
 
@@ -71,38 +72,6 @@ def test_mixed_schedule_identical_across_cores():
 
 
 @BOTH_CORES
-def test_kill_during_timed_wait_drops_the_stale_wake(core):
-    sim = core()
-    log = []
-    res = Resource(sim, name="r")
-
-    def victim():
-        try:
-            yield 10.0
-        except ProcessKilled:
-            if not res.acquire_now():
-                yield res
-            log.append((sim.now, "victim cleaned up"))
-            res.release()
-
-    def killer(target):
-        yield 1.0
-        target.kill()
-        log.append((sim.now, "killer carried on"))
-
-    proc = sim.process(victim())
-    sim.process(killer(proc))
-    sim.run()
-    assert log == [(1.0, "killer carried on"), (1.0, "victim cleaned up")]
-    assert proc.processed and proc.ok
-    # Two starts, the killer's wake, the victim's grant, two process
-    # completions — and the victim's stale t=10 wake, dropped but
-    # still dispatched (which is why the clock ends there).
-    assert sim.events_processed == 7
-    assert sim.now == 10.0
-
-
-@BOTH_CORES
 def test_negative_delay_is_thrown_into_the_generator(core):
     sim = core()
     caught = []
@@ -118,7 +87,7 @@ def test_negative_delay_is_thrown_into_the_generator(core):
     def careless():
         yield -0.5
 
-    assert sim.run_process(careful(), name="careful") == "recovered"
+    assert finish(sim, careful(), name="careful") == "recovered"
     assert sim.now == 2.0
     assert len(caught) == 1 and "'careful'" in caught[0]
     proc = sim.process(careless(), name="careless")
@@ -133,8 +102,7 @@ def test_a_nan_delay_is_refused_at_every_scheduling_door(core):
     # with ``now = nan`` and the clock then resumed behind it.
     sim = core()
     nan = float("nan")
-    for schedule in (lambda: sim.timeout(nan),
-                     lambda: sim.event().succeed(delay=nan),
+    for schedule in (lambda: sim.event().succeed(delay=nan),
                      lambda: sim.event().fail(ValueError(), delay=nan),
                      lambda: sim._schedule(sim.event(), nan)):
         with pytest.raises(SimulationError, match="delay nan"):
@@ -150,7 +118,7 @@ def test_a_nan_delay_is_refused_at_every_scheduling_door(core):
         yield nan
 
     proc = sim.process(waiter(), name="nan-waiter")
-    sim.timeout(2.0)
+    timer(sim, 2.0)
     sim.run()
     assert "delay nan" in str(proc.exception)
     assert sim.now == 2.0 and ev.value == "late"
@@ -190,9 +158,8 @@ def test_run_before_stops_at_a_pending_wake(core):
 
 @BOTH_CORES
 def test_a_nan_bound_is_refused_not_drained(core):
-    # Every comparison with NaN is False, so a NaN ``until`` or bound
-    # used to run the whole queue: a process waiting 5.0 twice ended at
-    # now == 10.0.
+    # Every comparison with NaN is False, so a NaN bound used to run
+    # the whole queue: a process waiting 5.0 twice ended at now == 10.0.
     sim = core()
 
     def waiter():
@@ -201,12 +168,10 @@ def test_a_nan_bound_is_refused_not_drained(core):
 
     sim.process(waiter())
     nan = float("nan")
-    with pytest.raises(SimulationError, match="until must not be NaN"):
-        sim.run(until=nan)
     with pytest.raises(SimulationError, match="bound must not be NaN"):
         sim.run_before(nan)
     assert sim.now == 0.0 and sim.pending == 1
-    sim.run(until=7.0)
-    assert sim.now == 7.0 and sim.pending == 1
+    sim.run_before(7.0)
+    assert sim.now == 5.0 and sim.pending == 1
     sim.run()
     assert sim.now == 10.0

@@ -71,10 +71,11 @@ def test_fig6_get_lapi_gain_persists_longer_than_gm():
 
 def test_fig6_put_gm_small_no_benefit():
     # "in GM we do not see any benefit of using the address cache for
-    # small message transfers, up to 2 KBytes".
+    # small message transfers, up to 2 KBytes" (within 12 % up to
+    # 1 KByte; 2 KBytes sits at 13 %).
     for size in (16, 256, 1024, 2048):
         imp = micro_improvement(put_overhead_us, GM_MARENOSTRUM, size)
-        assert abs(imp) < 15.0
+        assert abs(imp) < (15.0 if size == 2048 else 12.0)
     # ...and gains in the mid-size range, from copy avoidance.
     assert micro_improvement(put_overhead_us, GM_MARENOSTRUM, 16384) > 10.0
 
@@ -106,7 +107,7 @@ def test_fig7_absolute_latencies_in_paper_range():
                                      cache_enabled=False, reps=REPS))
     w = get_roundtrip_us(MicroParams(machine=LAPI_POWER5, msg_bytes=1,
                                      cache_enabled=True, reps=REPS))
-    assert 8.0 <= z <= 16.0
+    assert 8.0 < z <= 16.0
     assert 6.0 <= w <= 13.0
     # The 8 KB end of the axis: grown, and still on the paper's plot.
     for machine, ceiling in ((GM_MARENOSTRUM, 70.0), (LAPI_POWER5, 35.0)):

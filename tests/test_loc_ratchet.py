@@ -21,161 +21,9 @@ from repro.sim import Simulator
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "repro")
 
-#: PR 24 (one event core: the `pooled` flag and the `shards=` door of
-#: `Simulator`, the tuple-heap loops of `run`/`run_before`, -73 — the
-#: reference core is `tests/sim/reference_core.py`, counted under
-#: tests, not here; the administrative link-state door, the two empty
-#: per-fabric `Transport` subclasses and the cluster factory, -65):
-#: 21 607 -> 21 469.
-#: Then raised, +31, for a timed wait that is a bare ``yield
-#: delay`` (5 338 -> 3 982 interpreter opcodes per GET): `sim/process.py`
-#: +17 (the `_Wake` carrier; `_step`'s copy of the target dispatch
-#: went), `network/transport.py` +19 (`_wire` returns the latency, so
-#: its 12 call sites wait only when it is positive), `sim/simulator.py`
-#: -3 (the wake resumed inside `run_before`; `sleep` gone), the other
-#: files -2.
-#: Then one wait carrier, -133: a grant and a poll tick resume the
-#: waiter's ``_Wake`` token, so `_PooledEvent`, `Simulator.oneshot`,
-#: both free lists, the `_cb` slot, the pooled dispatch branch, the
-#: cached `_resume_cb` and the unused `Queue` went (`sim/simulator.py`
-#: -68, `sim/event.py` -39, `sim/resource.py` -39, `sim/process.py`
-#: -2); a shard delivery is a two-slot `_Delivery` instead of an event
-#: and its callback (`sim/shard.py` +14, `workloads/sharded.py` -2);
-#: `network/progress.py` +3: 21 500 -> 21 367.
-#: Then a flat GET, -7: `_remote_get`, `_seed_cache`, `rt_phys` and
-#: `_make_addr_handler` folded into `OpEngine.get` (`runtime/ops.py`
-#: -29), `_eager_get` into `default_get`'s attempt loop
-#: (`network/transport.py` -5), `th.get` and five more `th.*`
-#: wrappers return the generator they wrapped (`runtime/thread.py`
-#: -5); the pin-down cache unpins only what it pinned and `register`
-#: probes the region map first (`memory/` +21, with
-#: `_regions_covering` doubling as `is_pinned`;
-#: `core/pinned_table.py` +11): 21 367 -> 21 360.
-#: Then one account of the wire, -196: the transport's
-#: `TransportCounters`, its `MessageLog` capture (`network/message.py`,
-#: -99, the whole file) and the `AMReply`/`PutTicket` wrappers went
-#: (`network/transport.py` -92, `network/__init__.py` -8); callers
-#: take the bare payload or applied event (`runtime/ops.py` -1,
-#: `service/kvstore.py` -5); the fence and the end of `Runtime.run`
-#: raise a put that failed (`runtime/thread.py` +3,
-#: `runtime/runtime.py` +6): 21 360 -> 21 164.
-#: Then one arrival path, -28: the inbound hop, the eager/one-way
-#: target block (`_run_handler`) and the duplicate spawn
-#: (`_spawn_duplicate` and its `_again` closure) are one method,
-#: `Transport._arrive`, and the lazily built per-destination credit
-#: map (`_credits`, `_credit_pool`) is `Node.credits`
-#: (`network/transport.py` -32, `network/node.py` +4): 21 164 -> 21 136.
-#: Then one wait per bulk drive, -1: `AnyOf` and the `_Condition` base
-#: went (`sim/event.py` -26, `sim/__init__.py` -1), `bulk_get` went
-#: (the engine calls `OpEngine.get` with its `bulk=` tuple and copies
-#: each segment into the caller's buffer itself; `runtime/ops.py` -17),
-#: and `_message_done` became the `_Join` the driver parks on
-#: (`runtime/bulk.py` +43): 21 136 -> 21 135.
-#: Then one account of latency, -110: the Welford `RunningStats`
-#: (`util/stats.py` -68, `util/__init__.py` -2), the duplicate
-#: remote-GET digest and the `record_get`/`record_put` dispatch
-#: (`runtime/metrics.py` -23, `runtime/runtime.py` -1), the private
-#: percentile rules (`obs/report.py` -15, `obs/breakdown.py` -12,
-#: `obs/states.py` -3), the SLO monitor's run digest and second
-#: bin-edge rule (`obs/slo.py` -2) and the traffic harness's copy of
-#: `hist_quantile` (`workloads/kv_traffic.py` -8); `util/quantiles.py`
-#: +24 for the one `quantile` rule and the digest's mean, total and
-#: max: 21 135 -> 21 025.
-#: Then one wire for the shard programs, -32: the Field mix, the corpus
-#: skeleton and the KV traffic model send through `ShardWire` and
-#: start through `run_sharded` (`workloads/sharded.py` +12: the three
-#: latency methods, two transmit closures, three partition blocks and
-#: three `ShardedSimulator` setups went; `workloads/kv_traffic.py` -32:
-#: its latency table, second `_KV_SCAN_US` and five retransmit
-#: constants went, the last for one `ReliabilityConfig`, and
-#: `TrafficParams` checks its fields); `min_lookahead`, which nothing
-#: called, went (`network/partition.py` -11, `network/__init__.py`
-#: -2); a shard packs its events with `obs.shardlog.pack_events`
-#: (`sim/shard.py` -1); `kvtraffic` reports a bad field as a usage
-#: error (`__main__.py` +2): 21 025 -> 20 993.
-#: Then one account of contention, -109: `Resource` keeps only its
-#: scheduling state (`sim/resource.py` -32: `utilization()`, the
-#: busy-time integral, `acquisitions`, `wait_total`, `wait_max`), the
-#: progress engine no `wait_time` (`network/progress.py` -4), and
-#: `Runtime.report()`, their only reader, went (`runtime/runtime.py`
-#: -62) with the two helpers only it called (`faults/policy.py` -5,
-#: `util/quantiles.py` -4); `BarrierManager.completions` and
-#: `RegistrationCache.evicted_bytes`, read by nothing, went
-#: (`runtime/collectives.py` -2, `memory/registration_cache.py` -2);
-#: `ProgramGenerator` rejects fewer than one thread
-#: (`testing/generator.py` +2): 20 993 -> 20 884.
-#: Then the product imports no test machinery, -715: the corpus
-#: skeleton, `ShardFence` and the pooled Field reference moved to
-#: `tests/sim/shard_referees.py` (`workloads/sharded.py` -562,
-#: `runtime/collectives.py` -49; moved, counted under tests now, not
-#: deleted), the DIS `transitive` kernel went with its `run/trace`
-#: choice and re-exports (`workloads/dis/transitive.py` -101, the whole
-#: file; `workloads/` `__init__`s -9, `obs/cli.py` -2), five
-#: `PolicyConfig` knobs nothing set became constants
-#: (`faults/policy.py` -4) and SLO's private `_median` went
-#: (`obs/slo.py` -7); negative CLI counts are argparse errors
-#: (`__main__.py` +13, `campaign/runner.py` +3), docstrings name the
-#: referees' new home (+3): 20 884 -> 20 169.
-#: Then no cycle per process, net 0: a process drops its `_Wake` token
-#: on exit and a killed one its traceback (`sim/process.py` +3); the
-#: kernel is the UPC thread's process generator, whose `_exit` parks it
-#: in `upc_exit` and notes its end time, so `main` and `Runtime.run`'s
-#: end-time callbacks went, and `spawn` rejects a program that returns
-#: no generator (`runtime/runtime.py` +8, the `_UPCMain` class); a
-#: one-message transfer runs in `_transfer`'s frame (`_inline` went:
-#: `runtime/bulk.py` +1), `memget`, `lock` and `unlock` lost their
-#: wrapper frames (`runtime/thread.py` -1); `_join` and `acquire_now`
-#: take a free slot themselves and `try_acquire` went
-#: (`sim/resource.py` -4); the wire reads whole float64 latency rows
-#: and hop counts come from unchecked `_hops` (`network/topology.py`
-#: -6, `network/transport.py` +1); `step` took `_next_entry`'s body
-#: (`sim/simulator.py` -8); `TrafficParams` checks `zipf_s` and
-#: `mean_gap_us`, and `PoissonArrivals` rejects a NaN or infinite gap
-#: (`workloads/kv_traffic.py` +6): 20 169 -> 20 169.
-#: Then one account of pin state, -170: the pinned address table is the
-#: one registry of a node's pinned regions, each owned by an object
-#: handle or by the pin-down cache, with a `(pinned, base)` entry per
-#: handle (`core/pinned_table.py` +107; `memory/pinning.py` -190 keeps
-#: the cost model and the physical-address synthesis;
-#: `memory/registration_cache.py` -109, the whole file, the frozen
-#: bench's last file deletion: 102 -> 101 files; `memory/__init__.py`
-#: and `memory/errors.py` -8, `NotPinnedError` had no raiser left); the
-#: AM handler probes the entry and `_ensure_pinned` records it
-#: (`runtime/ops.py` +11), `all_free` frees each node's arena range and
-#: `pinned_table` reads the node's table (`runtime/runtime.py` +3), the
-#: fuzz pin invariant reads owners and entries (`testing/runner.py`
-#: +3); a NaN run bound is an error (`sim/simulator.py` +7) and the
-#: CLI's float options reject an infinite value (`__main__.py` +6):
-#: 20 169 -> 19 999.
-#: Then a bulk message is a run, net 0: a single span of whole blocks
-#: is planned per owner in closed form and each remote owner's blocks
-#: move in one strided copy, while the vectorised segment coalescer
-#: (`_coalesce`, the numpy edge arithmetic) became the dict walk the
-#: planner oracle keeps, the message generator became the message
-#: process's exit hook, and every span is range-checked at issue
-#: (`runtime/bulk.py` -21); the local path copies once into the caller's
-#: buffer and the PUT fast-path switch is read once
-#: (`runtime/ops.py` +16, `runtime/runtime.py` -12, its property
-#: gone); a process nobody joins ends without an event
-#: (`sim/process.py` +13, `sim/simulator.py` +4): 19 999 -> 19 999.
-#: Then a product reach map, -213: the 39 functions no product run
-#: calls (`scripts/reach.py`) went — the layout's `phase_of`,
-#: `block_of`, `elems_of_thread` and blocked/cyclic factories
-#: (`runtime/layout.py` -43, `runtime/__init__.py` -6), the SLO
-#: monitor's second burn-rate rule and window quantiles
-#: (`obs/slo.py` -17), the allocator's `size_of`/`contains`
-#: (`memory/address_space.py` -16), `invalidate_all` and `__contains__`
-#: (`core/address_cache.py` -14), `put_nb` and `node_id`
-#: (`runtime/thread.py` -13), `addr_of`/`arena_offset`/`__len__`
-#: (`runtime/shared_array.py` -12, `runtime/shared_scalar.py` -8),
-#: `CacheStats.snapshot` (`core/stats.py` -9), `by_op`/`clear`
-#: (`obs/events.py` -8), `CounterSampler.series` (`obs/sampler.py` -8),
-#: `seed_for` (`util/rng.py` -8), `threads_on_node`/
-#: `first_thread_of_node` (`runtime/runtime.py` -7), and 12 more in
-#: ten files (-46); the local and shared-memory PUT
-#: branches became one, and a bare bulk segment lands with one copy
-#: (`runtime/ops.py` +2): 19 999 -> 19 786.
-SRC_LINES_CEILING = 19786
+#: Each step of the ceiling, and what went or came per file, is in
+#: docs/TRAJECTORY.md ("The `src/repro` line ceiling").
+SRC_LINES_CEILING = 19658
 
 
 def _sources(root=SRC):
@@ -197,8 +45,16 @@ def test_src_physical_lines_do_not_grow():
 
 def test_the_event_core_has_no_options():
     # One core in the product; the reference core the tests compare it
-    # against is a test-side subclass, not a constructor argument.
+    # against is a test-side subclass, not a constructor argument.  A
+    # run drains the queue: no time bound, no event budget, no single
+    # step, and no process is killed.
     assert not inspect.signature(Simulator).parameters
+    assert not inspect.signature(Simulator.run).parameters.keys() - {"self"}
+    assert not inspect.signature(Runtime.run).parameters.keys() - {"self"}
+    for name in ("timeout", "run_process", "step"):
+        assert not hasattr(Simulator, name), name
+    assert not hasattr(repro.sim.Process, "kill")
+    assert not {"Timeout", "ProcessKilled"} & set(repro.sim.__all__)
 
 
 def test_the_event_core_has_one_wait_carrier():

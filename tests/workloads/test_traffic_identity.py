@@ -3,7 +3,10 @@
 The per-client digests are folded a numpy chunk at a time; these tests
 hold that fold to the scalar definition, and pin one healthy and one
 lossy run to the values the scalar, dataclass-message implementation
-produced (commit e3192c9), across shard layouts and backends.
+produced (commit e3192c9), across shard layouts and backends.  These
+pins are the one door for the traffic model's layout and backend
+invariance: the lossy run's per-link health totals, policy decisions
+and per-shard channel bytes are pinned with it.
 """
 
 import numpy as np
@@ -107,6 +110,12 @@ PINNED = {
         "now": 562.3884052178972,
         "events": 12032,
         "rounds": {1: 2, 2: 266, 4: 271},
+        #: Per shard, by layout: equal between backends at 2 shards.
+        "channel_bytes": {
+            (1, "inproc"): [0], (2, "inproc"): [85757, 84922],
+            (2, "mp"): [85757, 84922],
+            (4, "inproc"): [69784, 65630, 63331, 63807],
+            (4, "mp"): [73144, 68885, 66495, 66999]},
     },
     "sick": {
         "digests": {
@@ -126,8 +135,33 @@ PINNED = {
         "now": 1275.3919084923843,
         "events": 12032,
         "rounds": {1: 2, 2: 313, 4: 327},
+        "channel_bytes": {
+            (1, "inproc"): [0], (2, "inproc"): [95358, 93514],
+            (2, "mp"): [95358, 93514],
+            (4, "inproc"): [78592, 73147, 69709, 70215],
+            (4, "mp"): [82170, 76574, 73085, 73667]},
+        #: (src, dst) -> (attempts, timeouts, retries, deliveries).
+        "links": {
+            (0, 0): (291, 0, 0, 291), (0, 1): (550, 303, 303, 247),
+            (0, 2): (220, 0, 0, 220), (0, 3): (242, 0, 0, 242),
+            (1, 0): (744, 450, 450, 294), (1, 1): (241, 0, 0, 241),
+            (1, 2): (230, 0, 0, 230), (1, 3): (235, 0, 0, 235),
+            (2, 0): (309, 0, 0, 309), (2, 1): (242, 0, 0, 242),
+            (2, 2): (238, 0, 0, 238), (2, 3): (211, 0, 0, 211),
+            (3, 0): (284, 0, 0, 284), (3, 1): (251, 0, 0, 251),
+            (3, 2): (233, 0, 0, 233), (3, 3): (232, 0, 0, 232)},
+        #: (t_us, src, dst, action, mode, until_us) of each decision.
+        "decisions": [
+            (500.0, 0, 1, "disable", "disabled", 3000.0),
+            (500.0, 1, 0, "disable", "disabled", 3000.0),
+            (3000.0, 0, 1, "restore", "normal", 0.0),
+            (3000.0, 1, 0, "restore", "normal", 0.0)],
+        "policy_digest": 17587731137333694505,
     },
 }
+
+_LINK = ("attempts", "timeouts", "retries", "deliveries")
+_DECISION = ("t_us", "src", "dst", "action", "mode", "until_us")
 
 
 def _check_pinned(case, nshards, **kw):
@@ -139,12 +173,31 @@ def _check_pinned(case, nshards, **kw):
     assert res.now == pin["now"]
     assert res.events == pin["events"]
     assert res.extra["run"].rounds == pin["rounds"][nshards]
+    assert [m.channel_bytes for m in res.extra["run"].metrics] \
+        == pin["channel_bytes"][nshards, kw.get("mode", "inproc")]
     assert res.requests == 4000
+    if case == "sick":
+        assert {link: tuple(health[k] for k in _LINK)
+                for link, health in res.extra["links"].items()} \
+            == pin["links"]
+        policy = res.extra["policy"]
+        assert policy["name"] == "disable_and_repair"
+        assert [tuple(d[k] for k in _DECISION)
+                for d in policy["decisions"]] == pin["decisions"]
+        assert policy["digest"] == pin["policy_digest"]
+    else:
+        assert "links" not in res.extra and "policy" not in res.extra
     return res
 
 
-@pytest.mark.parametrize("mode", ["inproc", "mp"])
-@pytest.mark.parametrize("nshards", [1, 2, 4])
+#: One shard runs in-process whatever the backend, so (1, "mp") would
+#: repeat (1, "inproc").
+_LAYOUTS = [(1, "inproc"), (2, "inproc"), (2, "mp"), (4, "inproc"),
+            (4, "mp")]
+
+
+@pytest.mark.parametrize("nshards, mode", _LAYOUTS,
+                         ids=[f"{n}-{m}" for n, m in _LAYOUTS])
 @pytest.mark.parametrize("case", ["healthy", "sick"])
 def test_results_pinned_to_parent_commit(case, nshards, mode):
     _check_pinned(case, nshards, mode=mode)
@@ -152,10 +205,3 @@ def test_results_pinned_to_parent_commit(case, nshards, mode):
 
 def test_results_pinned_under_spawn():
     _check_pinned("sick", 2, mode="mp", mp_context="spawn")
-
-
-def test_channel_bytes_equal_between_backends():
-    runs = [_check_pinned("healthy", 2, mode=mode).extra["run"]
-            for mode in ("inproc", "mp")]
-    a, b = ([m.channel_bytes for m in run.metrics] for run in runs)
-    assert a == b and all(n > 0 for n in a)
