@@ -20,8 +20,6 @@ unlike RSS, barely moves run to run), then the same opcodes and calls summed by 
 ``bench/layers.py``, also imported read-only; code outside
 ``src/repro`` is ``other``), then the functions ranked by *self*
 opcodes.
-``shard_traffic`` runs its shards in-process (``mode="inproc"``,
-untraced): a tracer in this process cannot see into ``mp`` workers.
 
 Why a count: on the shared 2-vCPU box wall time moves ±10 % between
 identical runs, which is as large as most per-op savings.  The opcode
@@ -143,15 +141,8 @@ def main(argv=None) -> int:
                   {**os.environ, "PYTHONHASHSEED": "0"})
 
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
-    import bench.workloads
     from bench.layers import layer_of_repro
     from bench.workloads import WORKLOADS
-    run_kv_traffic = bench.workloads.run_kv_traffic
-
-    def run_inproc(params, **kw):
-        return run_kv_traffic(params, **{**kw, "mode": "inproc"})
-
-    bench.workloads.run_kv_traffic = run_inproc
     if args.workload not in WORKLOADS:
         ap.error(f"unknown workload {args.workload!r}; "
                  f"choose from {', '.join(WORKLOADS)}")

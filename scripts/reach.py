@@ -22,9 +22,8 @@ smoke campaign in-process, the documented CLI surfaces CI does not
 smoke (fault profiles, shards, ``--breakdown``, fault shapes,
 ``report``, the built-in campaign specs and a spec file), every
 ``EXPERIMENTS`` row at ``--quick``, and the fast examples.  Forked
-processes (the
-``mp`` shard workers, the campaign workers) trace themselves and hand
-their sets back through a file each.
+processes (the campaign workers) trace themselves and hand their sets
+back through a file each.
 
 A trace is a lower bound on what the product needs: error and
 retry-exhaustion paths, exception types, the fuzz shrinker, ``__repr__``

@@ -103,8 +103,7 @@ def kvtraffic_main(args) -> int:
         p.fault_plan = fault_plan.to_json()
     p.repair_policy = repair_policy or ""
     t0 = time.time()
-    res = run_kv_traffic(p, args.shards, mode=args.shard_backend,
-                         trace=args.trace_dir is not None)
+    res = run_kv_traffic(p, args.shards, trace=args.trace_dir is not None)
     q = res.quantiles()
     print(f"kvtraffic s={args.skew} shards={args.shards}: "
           f"{res.requests} requests ({res.gets} get / {res.puts} put), "
@@ -257,19 +256,14 @@ def _fault_options(ap, *, profile_default=None, policy=True) -> None:
                              "(needs a --fault-profile to observe)")
 
 
-def _shard_options(ap, *, shards, backend) -> None:
-    """``--shards/--shard-backend`` with the command's own defaults;
-    ranges are checked by :func:`repro.obs.cli.check_shards`."""
+def _shard_options(ap, *, shards) -> None:
+    """``--shards`` with the command's own default; the range is
+    checked by :func:`repro.obs.cli.check_shards`."""
     ap.add_argument("--shards", type=_at_least(1), default=shards,
                     metavar="N",
                     help="run on the sharded PDES core with N shards "
                          "(run/trace: field only; see "
                          "docs/PERFORMANCE.md; default %(default)s)")
-    ap.add_argument("--shard-backend", default=backend,
-                    choices=("inproc", "mp"),
-                    help="sharded-core backend: in-process, or one "
-                         "worker process per shard (default "
-                         "%(default)s; None picks mp for N>1)")
 
 
 # -- the registry ------------------------------------------------------
@@ -300,22 +294,22 @@ def build_parser() -> argparse.ArgumentParser:
                     else f"regenerate {name}")
         _workload_options(p, quick="truncate sweeps for a fast look")
 
-    def stressmark(name, help, shards, backend):
+    def stressmark(name, help, shards):
         p = command(name, stressmark_main, help)
         p.add_argument("workload", choices=WORKLOADS,
                        help="which stressmark")
         _workload_options(p, machine=True, nthreads=8, seed=1,
                           quick="small problem sizes (smoke mode)")
         _fault_options(p)
-        _shard_options(p, shards=shards, backend=backend)
+        _shard_options(p, shards=shards)
         return p
 
     stressmark("run", "run a DIS stressmark and print its summary; "
                "--fault-profile injects deterministic faults (see "
-               "docs/FAULTS.md)", shards=None, backend=None)
+               "docs/FAULTS.md)", shards=None)
     p = stressmark("trace", "run a DIS stressmark with the protocol "
                    "flight recorder on and export the event trace (see "
-                   "docs/OBSERVABILITY.md)", shards=1, backend="inproc")
+                   "docs/OBSERVABILITY.md)", shards=1)
     p.add_argument("--out", default="trace-out", metavar="DIR",
                    help="artifact directory (default trace-out)")
     p.add_argument("--format", dest="formats", action="append",
@@ -357,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "to 'python -m repro report'")
     _workload_options(p, machine=True, seed=0)
     _fault_options(p)
-    _shard_options(p, shards=1, backend="inproc")
+    _shard_options(p, shards=1)
 
     p = command("fuzz", fuzz_main,
                 "differential fuzz: random race-free UPC programs "

@@ -86,8 +86,7 @@ def _kv_cell(params: Dict, seed: int) -> Dict:
     from repro.workloads.kv_traffic import hist_cdf, run_kv_traffic
 
     nshards = int(params.get("shards", 1))
-    res = run_kv_traffic(_traffic_params(params, seed), nshards,
-                         mode=params.get("mode", "inproc"))
+    res = run_kv_traffic(_traffic_params(params, seed), nshards)
     q = res.quantiles()
     payload = {
         "zipf_s": float(params.get("zipf_s", 0.9)),
@@ -132,7 +131,7 @@ def _lossy_cell(params: Dict, seed: int) -> Dict:
     res = run_kv_traffic(
         _traffic_params(params, seed, fault_plan=plan.to_json(),
                         policy=policy),
-        nshards, mode=params.get("mode", "inproc"))
+        nshards)
     q = res.quantiles()
     pol = res.extra.get("policy") or {}
     return {

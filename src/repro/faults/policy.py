@@ -25,7 +25,7 @@ small per-link mode machine:
 Determinism: every decision is a pure fold over *closed* health
 windows in index order (see :mod:`repro.faults.health` for why closed
 windows are layout-invariant), so the same trace + seed produces the
-identical decision sequence across shard layouts and backends.
+identical decision sequence across shard layouts.
 Queries for a *future* instant (the traffic harness plans whole retry
 chains at issue time) pass the issue time as ``horizon`` — state only
 ever advances on knowledge that was closed at the horizon, while the

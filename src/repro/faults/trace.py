@@ -19,7 +19,7 @@ Two draw disciplines consume a plan's link rules:
   ``(seed, client, seq, attempt, leg)`` — so the fate of every attempt
   is a function of *identity*, not of cross-shard event interleaving.
   That is what makes "same plan + seed ⇒ bit-identical fate sequence
-  across shards {1,2,4} and both backends" hold by construction.
+  across shards {1,2,4}" hold by construction.
 """
 
 from __future__ import annotations

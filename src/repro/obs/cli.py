@@ -188,7 +188,6 @@ def _sharded_field(args, recording: bool) -> int:
                    "recorder; they are not available with --shards")
     check_shards(args, field_nnodes(args.nthreads))
 
-    mode = args.shard_backend or ("inproc" if args.shards == 1 else "mp")
     if recording:       # a fixed small mix keeps the timeline readable
         ntokens, probes = 4, 2
     else:
@@ -196,11 +195,11 @@ def _sharded_field(args, recording: bool) -> int:
     t0 = time.time()
     res = run_field_sharded(
         args.nthreads, args.shards, ntokens=ntokens, probes=probes,
-        machine=args.machine, mode=mode, trace=recording,
+        machine=args.machine, trace=recording,
         trace_max_events=args.max_events if recording else None)
     wall = time.time() - t0
     run = res["run"]
-    head = f"{args.command} field --shards {args.shards} ({mode}): "
+    head = f"{args.command} field --shards {args.shards}: "
     if not recording:
         print(f"{head}{res['now']:.1f} virtual us, {run.events} sim "
               f"events, {run.events_per_sec:,.0f} ev/s aggregate "

@@ -2,15 +2,13 @@
 
 Every :class:`~repro.sim.shard.ShardContext` runs its own
 :class:`~repro.obs.events.EventLog`; at the end of a sharded run each
-worker packs its events into plain tuples (picklable across the
-``PipeChannel`` protocol) and the coordinator hands the per-shard
-batches back in :class:`~repro.sim.shard.ShardedRun.shard_events`.
+shard's events are packed into plain tuples and handed back, one
+batch per shard, in :class:`~repro.sim.shard.ShardedRun.shard_events`.
 This module turns those batches into **one global timeline**:
 
 * events are merged under the total key ``(time, shard, seq)`` where
-  ``seq`` is the event's position in its shard's log — deterministic
-  whatever the backend (the per-shard logs themselves are bit-identical
-  between ``mp`` and ``inproc``, so the merge is too);
+  ``seq`` is the event's position in its shard's log — deterministic,
+  because each per-shard log is;
 * every merged event gains a ``shard`` attr (its track group in the
   Chrome export);
 * per-shard causal ``op_id``s are disjoint *within* a shard but collide
@@ -30,9 +28,9 @@ from repro.obs.events import (EventLog, TraceEvent, XSHARD_RECV,
 
 
 def pack_events(log: EventLog) -> List[tuple]:
-    """Flatten a log to plain picklable tuples (workers ship these
-    back instead of ``TraceEvent`` objects — no ``__slots__`` pickle
-    surprises, no class version coupling across processes)."""
+    """Flatten a log to plain ``(t, kind, op, thread, node, attrs)``
+    tuples, the form :func:`merge_shard_events` and run artifacts
+    take."""
     return [(e.t, e.kind, e.op, e.thread, e.node, e.attrs)
             for e in log.events]
 

@@ -161,7 +161,7 @@ class SLOMonitor:
     # -- serialization / merge -----------------------------------------
 
     def export(self) -> List[dict]:
-        """Windows as plain picklable/JSON-able dicts (shards publish
+        """Windows as plain JSON-able dicts (shards publish
         these; :func:`merge_window_dicts` recombines them)."""
         return [{"index": w.index, "count": w.count,
                  "violations": w.violations, "hits": w.hits,

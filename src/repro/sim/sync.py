@@ -2,12 +2,12 @@
 
 The sharded simulator (:mod:`repro.sim.shard`) partitions a cluster
 into per-node-group shards, each advancing its own pooled event loop.
-This module is the *synchronization protocol* those shards follow, kept
-separate from process plumbing so that the in-process backend and the
-``multiprocessing`` backend execute the **identical** algorithm — the
-mechanism behind the sharded core's determinism guarantee (same
-workload, same shard count: bit-identical virtual-time results whether
-shards run as worker processes or sequentially in one interpreter).
+This module is the *synchronization protocol* those shards follow:
+:class:`SyncCoordinator` is a pure ``reports in -> plans out`` round
+engine, so every horizon and release time is a function of the
+reports alone — the mechanism behind the sharded core's determinism
+guarantee (same workload, same shard count: bit-identical virtual-time
+results).
 
 The protocol is a **barrier-window (bounded-lag / YAWNS-style) advance**
 rather than null messages:
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 INF = float("inf")
 
@@ -71,10 +71,10 @@ class SyncDeadlock(SyncError):
 #: absolute virtual time — the sender stamped it as ``send_time + wire
 #: latency``, the latency validated against the lookahead at send time.
 #: ``(src, seq)`` is unique, so the tuple's natural sort order *is* the
-#: delivery order ``(arrival, src, seq)`` — independent of transport
-#: and of arrival interleaving — and comparison never reaches the
-#: payload.  ``nbytes`` is the modeled wire size (metrics only; the
-#: real cost is the pickled size the coordinator accounts).
+#: delivery order ``(arrival, src, seq)`` — independent of the order
+#: shards report in — and comparison never reaches the payload.
+#: ``nbytes`` is the modeled wire size (metrics only; the coordinator
+#: accounts each batch's pickled size as ``channel_bytes``).
 WireMessage = Tuple[float, int, int, int, str, int, Any]
 
 
@@ -110,10 +110,6 @@ class GrainPlan:
 
     horizon: float
     deliver: List[WireMessage] = field(default_factory=list)
-    #: ``deliver`` pickled — the bytes ``channel_bytes`` counted, and
-    #: what the mp backend ships to a peer process instead of the list
-    #: (``None`` for an empty batch).
-    blob: Optional[bytes] = None
     #: ``(barrier name, absolute release time)`` pairs.
     releases: List[Tuple[str, float]] = field(default_factory=list)
     done: bool = False
@@ -122,25 +118,13 @@ class GrainPlan:
     #: grains from different shards line up in the merged timeline.
     round: int = 0
 
-    def to_wire(self) -> tuple:
-        """What crosses a pipe: the already-pickled batch, not the
-        list — a delivery batch is serialized exactly once."""
-        return (self.horizon, self.blob, self.releases, self.round)
-
-    @classmethod
-    def from_wire(cls, wire: tuple) -> "GrainPlan":
-        horizon, blob, releases, rnd = wire
-        return cls(horizon=horizon,
-                   deliver=pickle.loads(blob) if blob else [],
-                   releases=releases, round=rnd)
-
 
 @dataclass
 class ShardMetrics:
     """Per-shard accounting surfaced through ``metrics.summary()``.
 
     Lives in the sim layer (not :mod:`repro.runtime.metrics`) so the
-    shard workers need no runtime import; the runtime merges a list of
+    sharded core needs no runtime import; the runtime merges a list of
     these into its summary rollups.
     """
 
@@ -157,13 +141,13 @@ class ShardMetrics:
     msgs_sent: int = 0
     msgs_recv: int = 0
     #: Pickled size of every delivery batch addressed to this shard
-    #: (coordinator-side accounting, whichever backend carried it).
+    #: (coordinator-side accounting: what a batch would cost to ship).
     channel_bytes: int = 0
     #: Peak pending-event backlog observed at grain boundaries.
     max_backlog: int = 0
     final_clock_us: float = 0.0
-    #: Wall-clock the worker spent executing grains (mp mode: excludes
-    #: time blocked on the coordinator).
+    #: Wall-clock the shard spent executing grains (excludes the
+    #: coordinator's routing and the other shards' grains).
     busy_s: float = 0.0
 
     def as_dict(self) -> Dict[str, Any]:
@@ -214,28 +198,16 @@ def normalize_lookahead(lookahead, nshards: int) -> List[List[float]]:
 
 
 class SyncCoordinator:
-    """Pure-state round engine: ``reports in -> plans out``.
-
-    Runs in the lead worker (the process that also simulates shard 0)
-    for the multiprocessing backend and inline for the in-process
-    backend; either way the arithmetic (and therefore every horizon
-    and release time) is identical.
-    """
+    """Pure-state round engine: ``reports in -> plans out``."""
 
     def __init__(self, lookahead, nshards: int) -> None:
         self.nshards = nshards
         self.lookahead = normalize_lookahead(lookahead, nshards)
         self.rounds = 0
         self._barriers: Dict[str, _BarrierState] = {}
-        #: Per-destination serialized channel bytes (both backends
-        #: count here, so inproc and mp runs account alike).
+        #: Per-destination pickled size of the delivery batches.
         self.channel_bytes: List[int] = [0] * nshards
         self.msgs_routed = 0
-
-    def counters(self) -> tuple:
-        """``(rounds, msgs_routed, channel_bytes per shard)`` — what a
-        finished run reports."""
-        return self.rounds, self.msgs_routed, self.channel_bytes
 
     # -- collectives ----------------------------------------------------
 
@@ -281,8 +253,8 @@ class SyncCoordinator:
             raise SyncError(f"expected {S} reports, got {len(reports)}")
         self.rounds += 1
 
-        # Route messages; delivery lists are sorted by the
-        # transport-independent total order.
+        # Route messages; delivery lists are sorted by the total
+        # order, whatever order the reports came in.
         deliver: List[List[WireMessage]] = [[] for _ in range(S)]
         for r in reports:
             for msg in r.sent:
@@ -357,13 +329,9 @@ class SyncCoordinator:
                      for j in range(S) if j != i),
                     default=INF)
             batch = deliver[i]
-            blob = None
             if batch:
-                # The one serialization of this batch: its length is
-                # the accounting, and the mp backend sends these bytes.
-                blob = pickle.dumps(batch, pickle.HIGHEST_PROTOCOL)
-                self.channel_bytes[i] += len(blob)
+                self.channel_bytes[i] += len(
+                    pickle.dumps(batch, pickle.HIGHEST_PROTOCOL))
             plans.append(GrainPlan(horizon=horizon, deliver=batch,
-                                   blob=blob, releases=releases,
-                                   round=self.rounds))
+                                   releases=releases, round=self.rounds))
         return plans

@@ -29,14 +29,14 @@ def seeded_rng(seed: int, *streams: int) -> np.random.Generator:
 class StreamFamily:
     """Explicit per-entity stream splitting for sharded execution.
 
-    The sharded PDES core slices a run's nodes across worker processes,
-    and the slice boundaries move with the shard count.  Randomness
-    must therefore *never* be drawn from a per-shard or per-worker
-    generator: the same fault plan or fuzz program has to come out
-    bit-identical for ``shards=1/2/4``.  A ``StreamFamily`` makes the
+    The sharded PDES core slices a run's nodes across shards, and the
+    slice boundaries move with the shard count.  Randomness must
+    therefore *never* be drawn from a per-shard generator: the same
+    fault plan or fuzz program has to come out bit-identical for
+    ``shards=1/2/4``.  A ``StreamFamily`` makes the
     correct pattern the easy one — derive every generator from stable
     *entity* keys (node id, thread id, repetition) under a fixed scope
-    path, so any worker that simulates an entity reconstructs exactly
+    path, so any shard that simulates an entity reconstructs exactly
     the stream that entity would see anywhere else::
 
         fam = StreamFamily(seed, "fault-plan")
@@ -74,7 +74,7 @@ def _key_to_int(key) -> int:
     """Map a scope/entity key to a stable non-negative int.
 
     Strings hash via FNV-1a (Python's ``hash`` is salted per process —
-    useless across the worker processes the sharded core spawns).
+    useless for a stream that must repeat from run to run).
     """
     if isinstance(key, bool):
         raise TypeError("booleans are ambiguous stream keys")

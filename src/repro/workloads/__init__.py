@@ -25,12 +25,11 @@ from repro.workloads.dis.corner_turn import (
     run_corner_turn,
 )
 from repro.workloads.kv_traffic import (
-    PoissonArrivals,
     TrafficParams,
     TrafficResult,
-    ZipfianKeys,
     run_kv_traffic,
 )
+from repro.workloads.streams import PoissonArrivals, ZipfianKeys
 
 __all__ = [
     "MicroParams",

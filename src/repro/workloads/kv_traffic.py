@@ -16,11 +16,12 @@ access paths the runtime offers:
   bucket address in its LRU cache.
 
 Clients are **open loop**: each one draws Poisson arrivals and Zipfian
-keys up front and fires requests at their scheduled instants without
-ever waiting for replies, so service-time inflation shows up as FCT
-growth instead of silently throttling offered load.  Connections are
-persistent — the first request a client sends toward a server node
-pays a one-time setup round trip, folded into that request's latency.
+keys (:mod:`repro.workloads.streams`) and fires requests at their
+scheduled instants without ever waiting for replies, so service-time
+inflation shows up as FCT growth instead of silently throttling
+offered load.  Connections are persistent — the first request a client
+sends toward a server node pays a one-time setup round trip, folded
+into that request's latency.
 
 Layout invariance is engineered the same way as everywhere else in
 the sharded core: every random stream is keyed by *entity* (client id)
@@ -52,6 +53,8 @@ from repro.sim.shard import ShardContext
 from repro.util.rng import StreamFamily
 from repro.workloads.sharded import (_KV_SCAN_US, ShardWire,
                                      _commute_hash_rows, _tq, run_sharded)
+from repro.workloads.streams import (ClientStream, PoissonArrivals,
+                                     ZipfianKeys)
 
 #: FCT histograms use the SLO monitor's fixed log-bin geometry.
 HIST_BINS = SLO_HIST_BINS
@@ -100,45 +103,6 @@ def hist_cdf(hist: np.ndarray) -> list:
     return [[round(float(edges[i + 1]), 3),
              round(float(cum[i]) / total, 6)]
             for i in range(HIST_BINS) if hist[i]]
-
-
-class ZipfianKeys:
-    """Zipf(s) key draws over ``[0, nkeys)`` by inverse-CDF lookup —
-    key 0 is the hottest; rank order *is* key order, so rank-frequency
-    checks need no sorting."""
-
-    def __init__(self, nkeys: int, s: float) -> None:
-        if nkeys < 1:
-            raise ValueError("nkeys must be positive")
-        self.nkeys = nkeys
-        self.s = float(s)
-        weights = np.arange(1, nkeys + 1, dtype=np.float64) ** -self.s
-        self._cdf = np.cumsum(weights) / weights.sum()
-
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """``n`` keys as int64 — a pure function of the generator
-        state, so entity-keyed generators give layout-invariant
-        streams."""
-        return np.searchsorted(self._cdf, rng.random(n),
-                               side="right").astype(np.int64)
-
-
-class PoissonArrivals:
-    """Open-loop Poisson arrival process: exponential inter-arrival
-    gaps with the given mean (µs)."""
-
-    def __init__(self, mean_gap_us: float) -> None:
-        self.mean_gap_us = float(mean_gap_us)
-        if not 0.0 < self.mean_gap_us < np.inf:     # NaN fails too
-            raise ValueError("mean_gap_us must be finite and > 0, got "
-                             f"{mean_gap_us}")
-
-    def gaps(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.exponential(self.mean_gap_us, n)
-
-    def schedule(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Absolute arrival instants (µs from client start)."""
-        return np.cumsum(self.gaps(rng, n))
 
 
 @dataclass
@@ -379,45 +343,46 @@ class _TrafficCore:
     def client(self, client: int, node: int):
         p, sim, t = self.p, self.sim, self.t
         n = p.per_client()
-        sched = self.arrivals.schedule(
-            self.fam.child("arrivals").rng(client), n)
-        keys = self.zipf.draw(self.fam.child("keys").rng(client), n)
-        puts = self.fam.child("ops").rng(client).random(n) < p.put_frac
+        stream = ClientStream(self.fam, client, n, self.arrivals,
+                              self.zipf, p.put_frac)
         cache = _ClientLRU(p.cache_capacity)
         connected = set()
         now = 0.0
-        for seq in range(n):
-            gap = float(sched[seq]) - now
-            now = float(sched[seq])
-            yield gap
-            key = int(keys[seq])
-            is_put = bool(puts[seq])
-            bucket, server = self.server_of(key)
-            extra = t.o_sw_us + t.o_send_us
-            if server not in connected:
-                connected.add(server)
-                self.counts["conns"] += 1
-                # Persistent-connection setup: one extra round trip
-                # folded into this first request's latency.
-                extra += (2 * self.wire.latency(node, server, _CONN_BYTES)
-                          + _CONN_SETUP_US)
-            hit = cache.touch(bucket)
-            req_bytes = _PUT_REQ_BYTES if is_put else _GET_REQ_BYTES
-            if self.slo is not None:
-                self.inflight[node] = self.inflight.get(node, 0) + 1
-            if self.log.enabled:
-                op = self.log.next_op_id()
-                self.log.emit(sim.now, OP_BEGIN, op=op, thread=client,
-                              node=node, name="kv_req", key=key,
-                              hit=hit, put=is_put, nbytes=req_bytes)
-                self._ops[(client, seq)] = op
-            if self.plan is None:
-                self.wire.send(node, server, "kv_req",
-                               (server, node, client, seq, hit, is_put,
-                                _tq(sim.now)), req_bytes, extra)
-            else:
-                self._issue_traced(client, node, seq, server, hit,
-                                   is_put, req_bytes, extra)
+        for first in range(0, n, stream.CHUNK):
+            sched, keys, puts = stream.take()
+            for i in range(len(sched)):
+                seq = first + i
+                gap = float(sched[i]) - now
+                now = float(sched[i])
+                yield gap
+                key = int(keys[i])
+                is_put = bool(puts[i])
+                bucket, server = self.server_of(key)
+                extra = t.o_sw_us + t.o_send_us
+                if server not in connected:
+                    connected.add(server)
+                    self.counts["conns"] += 1
+                    # Persistent-connection setup: one extra round trip
+                    # folded into this first request's latency.
+                    extra += (2 * self.wire.latency(node, server, _CONN_BYTES)
+                              + _CONN_SETUP_US)
+                hit = cache.touch(bucket)
+                req_bytes = _PUT_REQ_BYTES if is_put else _GET_REQ_BYTES
+                if self.slo is not None:
+                    self.inflight[node] = self.inflight.get(node, 0) + 1
+                if self.log.enabled:
+                    op = self.log.next_op_id()
+                    self.log.emit(sim.now, OP_BEGIN, op=op, thread=client,
+                                  node=node, name="kv_req", key=key,
+                                  hit=hit, put=is_put, nbytes=req_bytes)
+                    self._ops[(client, seq)] = op
+                if self.plan is None:
+                    self.wire.send(node, server, "kv_req",
+                                   (server, node, client, seq, hit, is_put,
+                                    _tq(sim.now)), req_bytes, extra)
+                else:
+                    self._issue_traced(client, node, seq, server, hit,
+                                       is_put, req_bytes, extra)
 
     # -- lossy-fabric issue path ---------------------------------------
 
@@ -577,7 +542,7 @@ class _TrafficCore:
 
 
 def build_traffic_shard(ctx: ShardContext, params: dict) -> None:
-    """Shard-program builder (picklable via the params dict)."""
+    """Shard-program builder: one :class:`_TrafficCore` per shard."""
     core = _TrafficCore(ctx, TrafficParams(**params))
     ctx.on_message("kv_req", core.handle_req)
     ctx.on_message("kv_treq", core.handle_treq)
@@ -587,22 +552,20 @@ def build_traffic_shard(ctx: ShardContext, params: dict) -> None:
     ctx.publish("hist_miss", core.hist_miss)
     ctx.publish("counts", core.counts)
     ctx.publish("digests", core.digests)
-    # The monitor object itself rides back (its final window state is
-    # what matters; it is plain picklable Python).
+    # The monitor itself is the output: its final window state.
     ctx.publish("slo", core.slo)
     # Lossy-fabric outputs.  Each link's health and decisions live
     # wholly on its source node's shard, so the merges (commutative
     # counter sums, a summed-hash digest) are layout-invariant.  The
-    # engine itself holds an unpicklable callback; its decisions list
-    # (mutated in place, plain dicts) is what rides back.
+    # decisions list is mutated in place, so publishing it now is
+    # publishing the final one.
     ctx.publish("links", core.health)
     ctx.publish("decisions",
                 core.policy.decisions if core.policy else None)
 
 
 def run_kv_traffic(params: TrafficParams, nshards: int = 1, *,
-                   mode: str = "inproc", mp_context=None,
-                   trace: bool = False,
+                   mode: str = "inproc", trace: bool = False,
                    trace_max_events=None) -> TrafficResult:
     """Run one traffic experiment under ``nshards`` shards and merge
     the per-shard outputs into a layout-invariant result.
@@ -611,12 +574,18 @@ def run_kv_traffic(params: TrafficParams, nshards: int = 1, *,
     carries merged SLO windows, the run summary and anomaly flags;
     ``trace=True`` arms the per-shard flight recorders (packed events
     land on ``extra["run"].shard_events``).  Both are layout-invariant
-    and leave the simulation bit-identical."""
+    and leave the simulation bit-identical.
+
+    ``mode`` is ``"inproc"`` or ``"mp"``, and both run every shard in
+    this process: the sharded core has one backend since its worker
+    processes went, and ``"mp"`` is still accepted because the frozen
+    ``shard_traffic`` benchmark passes it."""
+    if mode not in ("inproc", "mp"):
+        raise ValueError(f"unknown shard backend {mode!r}")
     run = run_sharded(build_traffic_shard,
                       dict(params=params.__dict__.copy()),
                       MACHINES[params.machine], params.nnodes, nshards,
-                      mode=mode, mp_context=mp_context, trace=trace,
-                      trace_max_events=trace_max_events)
+                      trace=trace, trace_max_events=trace_max_events)
     hist = np.zeros(HIST_BINS, dtype=np.int64)
     hist_hit = np.zeros(HIST_BINS, dtype=np.int64)
     hist_miss = np.zeros(HIST_BINS, dtype=np.int64)

@@ -97,8 +97,8 @@ class ShardWire:
 
 
 def run_sharded(builder, params: dict, machine: MachineParams,
-                nnodes: int, nshards: int, *, mode: str, mp_context,
-                trace: bool, trace_max_events) -> ShardedRun:
+                nnodes: int, nshards: int, *, trace: bool,
+                trace_max_events) -> ShardedRun:
     """The one front door of the shard programs: ``builder(ctx,
     **params)`` on each of ``nshards`` shards of ``nnodes`` nodes, with
     the lookahead of the balanced partition :class:`ShardWire` uses.
@@ -107,8 +107,8 @@ def run_sharded(builder, params: dict, machine: MachineParams,
     lookahead = lookahead_matrix(machine, nnodes,
                                  partition_nodes(nnodes, nshards))
     return ShardedSimulator(
-        nshards, lookahead=lookahead, mode=mode, mp_context=mp_context,
-        trace=trace, trace_max_events=trace_max_events,
+        nshards, lookahead=lookahead, trace=trace,
+        trace_max_events=trace_max_events,
     ).run(builder, params)
 
 
@@ -268,8 +268,8 @@ def field_nnodes(nthreads: int) -> int:
 def build_field_shard(ctx: ShardContext, nthreads: int = 32,
                       ntokens: int = 4, probes: int = 2,
                       machine: str = "gm") -> None:
-    """Shard-program builder for the Field mix (picklable; runs once
-    per shard in either backend)."""
+    """Shard-program builder for the Field mix (runs once per
+    shard)."""
     m = MACHINES[machine]
     nnodes = field_nnodes(nthreads)
     wire = ShardWire(m, nnodes, ctx)
@@ -294,7 +294,6 @@ def build_field_shard(ctx: ShardContext, nthreads: int = 32,
 
 def run_field_sharded(nthreads: int, nshards: int, *, ntokens: int = 4,
                       probes: int = 2, machine: str = "gm",
-                      mode: str = "inproc", mp_context=None,
                       trace: bool = False,
                       trace_max_events=None) -> dict:
     """Run the Field mix under ``nshards`` shards and merge outputs
@@ -303,8 +302,7 @@ def run_field_sharded(nthreads: int, nshards: int, *, ntokens: int = 4,
                       dict(nthreads=nthreads, ntokens=ntokens,
                            probes=probes, machine=machine),
                       MACHINES[machine], field_nnodes(nthreads), nshards,
-                      mode=mode, mp_context=mp_context, trace=trace,
-                      trace_max_events=trace_max_events)
+                      trace=trace, trace_max_events=trace_max_events)
     return _merge_field_outputs(run)
 
 

@@ -16,12 +16,12 @@ from repro.obs.slo import hist_quantile
 from repro.util.rng import StreamFamily
 from repro.workloads.kv_traffic import (
     HIST_BINS,
-    PoissonArrivals,
     TrafficParams,
-    ZipfianKeys,
     hist_edges,
     run_kv_traffic,
 )
+from repro.workloads.streams import (ClientStream, PoissonArrivals,
+                                     ZipfianKeys)
 
 
 @settings(max_examples=8, deadline=None)
@@ -58,7 +58,7 @@ def test_poisson_interarrival_mean(seed, mean):
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_entity_keyed_streams_are_layout_invariant(seed):
     """Different shard layouts instantiate clients in different orders
-    and on different processes; per-client draws must not care."""
+    and on different shards; per-client draws must not care."""
     fam_a = StreamFamily(seed, "kv-traffic")
     fam_b = StreamFamily(seed, "kv-traffic")
     clients = [0, 1, 2, 3, 4, 5]
@@ -67,6 +67,24 @@ def test_entity_keyed_streams_are_layout_invariant(seed):
     draws_b = {c: fam_b.child("keys").rng(c).random(64).tobytes()
                for c in reversed(clients)}
     assert draws_a == draws_b
+
+
+@pytest.mark.parametrize("n", [1, ClientStream.CHUNK,
+                               2 * ClientStream.CHUNK + 7])
+def test_client_stream_chunks_equal_whole_run_draws(n):
+    """A client draws its requests a chunk at a time; the concatenated
+    chunks must be bit-identical to drawing the whole run at once."""
+    fam = StreamFamily(7, "kv-traffic")
+    arrivals, keys = PoissonArrivals(2.0), ZipfianKeys(4096, 1.2)
+    stream = ClientStream(fam, 3, n, arrivals, keys, 0.1)
+    chunks = [stream.take() for _ in range(0, n, ClientStream.CHUNK)]
+    whole = (arrivals.schedule(fam.child("arrivals").rng(3), n),
+             keys.draw(fam.child("keys").rng(3), n),
+             fam.child("ops").rng(3).random(n) < 0.1)
+    for i, want in enumerate(whole):
+        got = np.concatenate([chunk[i] for chunk in chunks])
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def test_zipf_identical_streams_for_identical_seeds():

@@ -26,8 +26,7 @@ referee); the skeleton is how the *sharded* core proves layout
 invariance on the same inputs.
 
 Both send through the product's :class:`ShardWire` and start through
-its :func:`run_sharded`.  The builders are module-level functions, so
-an ``mp`` worker started under ``spawn`` imports them by name.
+its :func:`run_sharded`.
 """
 
 from __future__ import annotations
@@ -586,7 +585,7 @@ class _SkeletonCore:
 def build_corpus_shard(ctx: ShardContext, program_json: str,
                        machine: str = "gm") -> None:
     """Shard-program builder replaying one fuzz program (one node per
-    UPC thread; picklable via the JSON text)."""
+    UPC thread)."""
     program = Program.loads(program_json)
     m = MACHINES[machine]
     nnodes = program.nthreads
@@ -617,8 +616,7 @@ def build_corpus_shard(ctx: ShardContext, program_json: str,
 
 
 def run_corpus_sharded(program: Program, nshards: int, *,
-                       machine: str = "gm", mode: str = "inproc",
-                       mp_context=None, trace: bool = False,
+                       machine: str = "gm", trace: bool = False,
                        trace_max_events=None) -> dict:
     """Replay ``program`` under ``nshards`` shards; merged result is
     layout-invariant (``nshards=1`` is the pooled referee — the whole
@@ -626,8 +624,7 @@ def run_corpus_sharded(program: Program, nshards: int, *,
     run = run_sharded(build_corpus_shard,
                       dict(program_json=program.dumps(), machine=machine),
                       MACHINES[machine], program.nthreads, nshards,
-                      mode=mode, mp_context=mp_context, trace=trace,
-                      trace_max_events=trace_max_events)
+                      trace=trace, trace_max_events=trace_max_events)
     mem, kvinfo, digests, finish = {}, {}, {}, {}
     for out in run.outputs:
         mem.update({k: bytes(v) for k, v in out["mem"].items()})

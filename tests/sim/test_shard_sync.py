@@ -11,8 +11,7 @@ from repro.network.params import MACHINES
 from repro.network.partition import lookahead_matrix, partition_nodes
 from repro.runtime.collectives import dissemination_cost_us
 from repro.runtime.metrics import RuntimeMetrics
-from repro.sim.shard import (ShardContext, ShardedError,
-                             ShardedSimulator, ShardSpec)
+from repro.sim.shard import ShardContext, ShardedSimulator
 from repro.sim.simulator import Simulator
 from repro.sim.sync import (INF, BarrierPost, ShardMetrics, ShardReport,
                             SyncCoordinator, SyncDeadlock, SyncError,
@@ -138,16 +137,9 @@ def test_batch_is_pickled_once_and_its_length_is_channel_bytes():
     coord = SyncCoordinator(2.0, 2)
     sent = [_msg(7.0, 0, 1, 1, (3, True)), _msg(8.0, 0, 2, 1, (4, False))]
     plans = coord.round([_report(0, 20.0, sent=sent), _report(1, 20.0)])
-    assert plans[0].blob is None and plans[0].deliver == []
-    assert pickle.loads(plans[1].blob) == sent
-    assert coord.channel_bytes == [0, len(plans[1].blob)]
-    # What crosses the pipe carries those bytes, not the list, and
-    # decodes to the same plan.
-    wire = plans[1].to_wire()
-    assert wire[1] is plans[1].blob
-    again = type(plans[1]).from_wire(pickle.loads(pickle.dumps(wire)))
-    assert (again.horizon, again.deliver, again.releases, again.round) == \
-        (plans[1].horizon, sent, [], 1)
+    assert plans[0].deliver == [] and plans[1].deliver == sent
+    assert coord.channel_bytes == [
+        0, len(pickle.dumps(sent, pickle.HIGHEST_PROTOCOL))]
     with pytest.raises(SyncError, match="unknown shard"):
         coord.round([_report(0, 20.0, sent=[_msg(9.0, 0, 3, 2)]),
                      _report(1, 20.0)])
@@ -217,8 +209,7 @@ def test_run_before_strict_bound(pooled):
 def _ctx(nshards=2, la=2.0):
     matrix = tuple(tuple(0.0 if i == j else la for j in range(nshards))
                    for i in range(nshards))
-    return ShardContext(ShardSpec(shard_id=0, nshards=nshards,
-                                  lookahead=matrix))
+    return ShardContext(0, nshards, matrix)
 
 
 def test_send_below_lookahead_rejected():
@@ -226,7 +217,7 @@ def test_send_below_lookahead_rejected():
     with pytest.raises(SyncError, match="below lookahead"):
         ctx.send(1, "msg", latency=1.0)
     ctx.send(1, "msg", "p", latency=2.0, nbytes=8)   # the bound is fine
-    assert ctx._take_outbox() == [(2.0, 0, 1, 1, "msg", 8, "p")]
+    assert ctx._report().sent == [(2.0, 0, 1, 1, "msg", 8, "p")]
 
 
 def test_same_shard_send_takes_delivery_path():
@@ -236,7 +227,7 @@ def test_same_shard_send_takes_delivery_path():
     ctx.send(0, "echo", "hi", latency=0.5)   # below lookahead is fine
     ctx.sim.run()
     assert got == ["hi"]
-    assert ctx._take_outbox() == []
+    assert ctx._report().sent == []
 
 
 def _crashing_builder(ctx):
@@ -253,13 +244,9 @@ def _crashing_builder(ctx):
 
 
 def test_crashed_process_is_an_error_not_a_short_run():
-    sharded = ShardedSimulator(2, lookahead=2.0, mode="inproc")
+    sharded = ShardedSimulator(2, lookahead=2.0)
     with pytest.raises(RuntimeError, match="kv-client blew up") as info:
         sharded.run(_crashing_builder)
-    assert "crasher" in str(info.value)
-    with pytest.raises(ShardedError, match="shard 1 failed") as info:
-        ShardedSimulator(2, lookahead=2.0, mode="mp").run(_crashing_builder)
-    assert "kv-client blew up" in str(info.value)
     assert "crasher" in str(info.value)
 
 
@@ -271,17 +258,15 @@ def _finishing_builder(ctx):
     ctx.at_finish(lambda: seen.append(f"finished at {ctx.sim.now}"))
 
 
-@pytest.mark.parametrize("mode", ["inproc", "mp"])
-def test_at_finish_runs_after_the_last_event_before_outputs_ship(mode):
-    run = ShardedSimulator(2, lookahead=2.0, mode=mode).run(
-        _finishing_builder)
+def test_at_finish_runs_after_the_last_event_before_outputs_ship():
+    run = ShardedSimulator(2, lookahead=2.0).run(_finishing_builder)
     assert run.outputs == [{"seen": ["delivered", "finished at 1.0"]}] * 2
 
 
 def test_sharded_simulator_constructor():
-    assert ShardedSimulator(4, lookahead=2.0, mode="inproc").nshards == 4
+    assert ShardedSimulator(4, lookahead=2.0).nshards == 4
     with pytest.raises(ValueError):
-        ShardedSimulator(2, mode="bogus")
+        ShardedSimulator(0)
 
 
 # ---------------------------------------------------------------------------

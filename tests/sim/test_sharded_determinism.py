@@ -1,7 +1,6 @@
 """Sharded-core determinism: the pooled single core is the referee.
 
-Two workload families run under shards ∈ {1, 2, 4} and under both
-backends (inproc / multiprocessing):
+Two workload families run under shards ∈ {1, 2, 4}:
 
 * the **Field mix** — the communication pattern of the paper's Field
   stressmark rewritten against shard boundaries (token puts + gather
@@ -14,11 +13,9 @@ Every layout must produce byte-identical results: final memory images,
 per-node digests, completion times, and the final virtual clock.  Raw
 event *totals* legitimately differ across layouts (each extra shard
 adds its own barrier-gate event per generation), so they are not
-compared.  For a fixed layout, inproc and mp must agree exactly —
-that's the transport-independence half of the contract.  Both
-workloads' outcomes, events included, are also pinned to the values a
-parent commit produced, which a change moving every layout alike
-cannot pass."""
+compared.  Both workloads' outcomes, events included, are also pinned
+to the values a parent commit produced, which a change moving every
+layout alike cannot pass."""
 
 import glob
 import hashlib
@@ -73,8 +70,7 @@ FIELD_NT = 32  # 8 nodes -> shard counts 1/2/4 all divide evenly
 def test_field_layouts_match_pooled_reference(nshards):
     assert nshards <= field_nnodes(FIELD_NT)
     ref = run_field_reference(FIELD_NT, ntokens=3, probes=2)
-    got = run_field_sharded(FIELD_NT, nshards, ntokens=3, probes=2,
-                            mode="inproc")
+    got = run_field_sharded(FIELD_NT, nshards, ntokens=3, probes=2)
     _assert_field_match(got, ref, f"shards={nshards}")
     # The referee actually exercised the workload.
     assert len(ref["trace"]) == FIELD_NT * (3 * 2 + 1)
@@ -113,16 +109,6 @@ def test_field_outcome_pinned_to_parent_commit(layout):
     assert got["events"] == FIELD_PIN["events"][layout]
 
 
-def test_field_mp_backend_matches_inproc():
-    inproc = run_field_sharded(FIELD_NT, 2, ntokens=3, probes=2,
-                               mode="inproc")
-    mp = run_field_sharded(FIELD_NT, 2, ntokens=3, probes=2, mode="mp")
-    _assert_field_match(mp, inproc, "mp vs inproc")
-    # Same layout: even raw event totals must agree across backends.
-    assert mp["events"] == inproc["events"]
-    assert mp["run"].rounds == inproc["run"].rounds
-
-
 # ---------------------------------------------------------------------------
 # Fuzz-corpus skeleton across layouts
 # ---------------------------------------------------------------------------
@@ -136,7 +122,7 @@ def test_corpus_skeleton_layout_invariant(corpus):
     for nshards in (2, 4):
         if nshards > prog.nthreads:
             continue
-        got = run_corpus_sharded(prog, nshards, mode="inproc")
+        got = run_corpus_sharded(prog, nshards)
         _assert_corpus_match(got, base,
                              f"{os.path.basename(corpus)} shards={nshards}")
 
@@ -170,24 +156,6 @@ def test_corpus_skeleton_pinned_to_parent_commit(name, nshards):
     assert _sha(sorted(got["finish"].items())) == finish
 
 
-def test_corpus_skeleton_mp_backend_matches():
-    prog = _load(CORPUS[0])
-    inproc = run_corpus_sharded(prog, 2, mode="inproc")
-    mp = run_corpus_sharded(prog, 2, mode="mp")
-    _assert_corpus_match(mp, inproc, "mp vs inproc")
-    assert mp["events"] == inproc["events"]
-
-
-def test_corpus_skeleton_runs_under_spawn():
-    # A spawned worker starts from a fresh interpreter and unpickles
-    # the builder by name: the test-side skeleton must import there.
-    prog = _load(CORPUS[0])
-    inproc = run_corpus_sharded(prog, 2, mode="inproc")
-    spawned = run_corpus_sharded(prog, 2, mode="mp", mp_context="spawn")
-    _assert_corpus_match(spawned, inproc, "spawn vs inproc")
-    assert spawned["events"] == inproc["events"]
-
-
 def test_fresh_fuzz_programs_layout_invariant():
     """Not just the frozen corpus: freshly generated programs must
     also be layout-invariant, so regressions in *new* op mixes are
@@ -196,6 +164,6 @@ def test_fresh_fuzz_programs_layout_invariant():
         prog = generate_program(seed, n_ops=40, nthreads=4)
         base = run_corpus_sharded(prog, 1)
         for nshards in (2, 4):
-            got = run_corpus_sharded(prog, nshards, mode="inproc")
+            got = run_corpus_sharded(prog, nshards)
             _assert_corpus_match(got, base,
                                  f"seed={seed} shards={nshards}")

@@ -93,23 +93,21 @@ PARENT_FLAGS = {
     "kvtraffic": {"--fault-profile": None, "--fault-seed": None,
                   "--machine": "gm", "--nclients": 32, "--nnodes": 8,
                   "--repair-policy": None, "--requests": 100000,
-                  "--seed": 0, "--shard-backend": "inproc",
-                  "--shards": 1, "--skew": 0.9, "--slo-target-us": 0.0,
+                  "--seed": 0, "--shards": 1, "--skew": 0.9,
+                  "--slo-target-us": 0.0,
                   "--slo-window-us": 5000.0, "--trace-dir": None},
     "report": {"--out": None, "run_dir": None},
     "run": {"--fault-profile": None, "--fault-seed": None,
             "--machine": "gm", "--nthreads": 8,
             "--quick": False, "--repair-policy": None, "--seed": 1,
-            "--shard-backend": None, "--shards": None,
-            "workload": None},
+            "--shards": None, "workload": None},
     "trace": {"--breakdown": False, "--fault-profile": None,
               "--fault-seed": None, "--format": None,
               "--machine": "gm",
               "--max-events": None, "--nthreads": 8,
               "--out": "trace-out", "--quick": False,
               "--repair-policy": None, "--sample-us": 100.0,
-              "--seed": 1, "--shard-backend": "inproc", "--shards": 1,
-              "workload": None},
+              "--seed": 1, "--shards": 1, "workload": None},
 }
 #: The twenty rows of the experiment table (E1-E8, X1-X12) — eight
 #: of them the ablation/extension sweeps that were pytest-benchmark
@@ -158,7 +156,7 @@ def test_shared_options_are_defined_exactly_once():
             sources.append(fh.read())
     text = "\n".join(sources)
     for flag in ("--fault-profile", "--fault-seed", "--repair-policy",
-                 "--shards", "--shard-backend", "--machine",
+                 "--shards", "--machine",
                  "--nthreads", "--seed", "--quick"):
         n = len(re.findall(r'add_argument\(\s*"%s"' % flag, text))
         assert n == 1, f"{flag} is defined {n} times"
@@ -487,6 +485,6 @@ def test_cli_run_under_a_fault_profile_is_deterministic(capsys):
 def test_cli_run_field_sharded(capsys):
     assert main(["run", "field", "--shards", "2", "--quick"]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("run field --shards 2 (mp): ")
+    assert out.startswith("run field --shards 2: ")
     assert "  sync: " in out and "channel msgs" in out
     assert "  shard 0: nodes 0..0" in out and "  shard 1: " in out

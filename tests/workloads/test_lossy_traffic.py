@@ -3,9 +3,9 @@
 The traced issue path precomputes every request's whole retry chain
 from pure fate hashes at issue time, so the same trace + seed must
 produce bit-identical histograms, per-client digests, per-link health
-totals and policy decisions whatever shard layout or backend executes
-the run; ``tests/workloads/test_traffic_identity.py`` pins a lossy run
-to parent-commit values over every layout and backend.
+totals and policy decisions whatever shard layout executes the run;
+``tests/workloads/test_traffic_identity.py`` pins a lossy run to
+parent-commit values over every layout.
 """
 
 import numpy as np

@@ -3,10 +3,10 @@
 The per-client digests are folded a numpy chunk at a time; these tests
 hold that fold to the scalar definition, and pin one healthy and one
 lossy run to the values the scalar, dataclass-message implementation
-produced (commit e3192c9), across shard layouts and backends.  These
-pins are the one door for the traffic model's layout and backend
-invariance: the lossy run's per-link health totals, policy decisions
-and per-shard channel bytes are pinned with it.
+produced (commit e3192c9), across shard layouts.  These pins are the
+one door for the traffic model's layout invariance: the lossy run's
+per-link health totals, policy decisions and per-shard channel bytes
+are pinned with it.
 """
 
 import numpy as np
@@ -92,8 +92,8 @@ def _params(case):
     return TrafficParams(**kw)
 
 
-#: Produced by the parent commit, identically for shards in {1, 2, 4}
-#: x {inproc, mp}; only ``rounds`` depends on the layout.
+#: Produced by the parent commit, identically for shards in {1, 2, 4};
+#: only ``rounds`` and ``channel_bytes`` depend on the layout.
 PINNED = {
     "healthy": {
         "digests": {
@@ -110,12 +110,9 @@ PINNED = {
         "now": 562.3884052178972,
         "events": 12032,
         "rounds": {1: 2, 2: 266, 4: 271},
-        #: Per shard, by layout: equal between backends at 2 shards.
-        "channel_bytes": {
-            (1, "inproc"): [0], (2, "inproc"): [85757, 84922],
-            (2, "mp"): [85757, 84922],
-            (4, "inproc"): [69784, 65630, 63331, 63807],
-            (4, "mp"): [73144, 68885, 66495, 66999]},
+        #: Per shard, by layout.
+        "channel_bytes": {1: [0], 2: [85757, 84922],
+                          4: [69784, 65630, 63331, 63807]},
     },
     "sick": {
         "digests": {
@@ -135,11 +132,8 @@ PINNED = {
         "now": 1275.3919084923843,
         "events": 12032,
         "rounds": {1: 2, 2: 313, 4: 327},
-        "channel_bytes": {
-            (1, "inproc"): [0], (2, "inproc"): [95358, 93514],
-            (2, "mp"): [95358, 93514],
-            (4, "inproc"): [78592, 73147, 69709, 70215],
-            (4, "mp"): [82170, 76574, 73085, 73667]},
+        "channel_bytes": {1: [0], 2: [95358, 93514],
+                          4: [78592, 73147, 69709, 70215]},
         #: (src, dst) -> (attempts, timeouts, retries, deliveries).
         "links": {
             (0, 0): (291, 0, 0, 291), (0, 1): (550, 303, 303, 247),
@@ -164,8 +158,10 @@ _LINK = ("attempts", "timeouts", "retries", "deliveries")
 _DECISION = ("t_us", "src", "dst", "action", "mode", "until_us")
 
 
-def _check_pinned(case, nshards, **kw):
-    res = run_kv_traffic(_params(case), nshards, **kw)
+@pytest.mark.parametrize("nshards", [1, 2, 4])
+@pytest.mark.parametrize("case", ["healthy", "sick"])
+def test_results_pinned_to_parent_commit(case, nshards):
+    res = run_kv_traffic(_params(case), nshards)
     pin = PINNED[case]
     assert res.digests == pin["digests"]
     assert {int(b): int(res.hist[b])
@@ -174,7 +170,7 @@ def _check_pinned(case, nshards, **kw):
     assert res.events == pin["events"]
     assert res.extra["run"].rounds == pin["rounds"][nshards]
     assert [m.channel_bytes for m in res.extra["run"].metrics] \
-        == pin["channel_bytes"][nshards, kw.get("mode", "inproc")]
+        == pin["channel_bytes"][nshards]
     assert res.requests == 4000
     if case == "sick":
         assert {link: tuple(health[k] for k in _LINK)
@@ -187,21 +183,3 @@ def _check_pinned(case, nshards, **kw):
         assert policy["digest"] == pin["policy_digest"]
     else:
         assert "links" not in res.extra and "policy" not in res.extra
-    return res
-
-
-#: One shard runs in-process whatever the backend, so (1, "mp") would
-#: repeat (1, "inproc").
-_LAYOUTS = [(1, "inproc"), (2, "inproc"), (2, "mp"), (4, "inproc"),
-            (4, "mp")]
-
-
-@pytest.mark.parametrize("nshards, mode", _LAYOUTS,
-                         ids=[f"{n}-{m}" for n, m in _LAYOUTS])
-@pytest.mark.parametrize("case", ["healthy", "sick"])
-def test_results_pinned_to_parent_commit(case, nshards, mode):
-    _check_pinned(case, nshards, mode=mode)
-
-
-def test_results_pinned_under_spawn():
-    _check_pinned("sick", 2, mode="mp", mp_context="spawn")
