@@ -60,7 +60,7 @@ def bin_of(latency_us: float) -> int:
     if latency_us <= _HIST_LO_US:
         return 0
     b = int((math.log(latency_us) - LOG_LO) / LOG_SPAN * SLO_HIST_BINS)
-    return min(b, SLO_HIST_BINS - 1)
+    return b if b < SLO_HIST_BINS else SLO_HIST_BINS - 1
 
 
 def quantile_bin(hist: Sequence[int], q: float) -> int:

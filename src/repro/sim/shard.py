@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.events import (BARRIER_ARRIVE, BARRIER_RELEASE, EventLog,
@@ -80,19 +81,14 @@ class ShardedRun:
         return self.events / self.wall_s if self.wall_s > 0 else 0.0
 
 
-class _Delivery:
+class _Delivery(partial):
     """What the heap carries for a message arriving at its handler: no
-    process waits on a delivery, so it needs no event — the dispatch
-    loop's ``_process()`` call runs the handler on the payload."""
+    process waits on a delivery, so it needs no event.  It is
+    ``partial(handler, payload)``, and the dispatch loop's
+    ``_process()`` call enters the handler from C."""
 
-    __slots__ = ("handler", "payload")
-
-    def __init__(self, handler: Callable[[Any], None], payload: Any) -> None:
-        self.handler = handler
-        self.payload = payload
-
-    def _process(self) -> None:
-        self.handler(self.payload)
+    __slots__ = ()
+    _process = partial.__call__
 
 
 class ShardContext:
@@ -113,7 +109,10 @@ class ShardContext:
         self.log = EventLog(enabled=trace, max_events=trace_max_events)
         self.outputs: Dict[str, Any] = {}
         self._lookahead_row = lookahead[shard]
-        self._outbox: List[WireMessage] = []
+        #: Cross-shard messages sent since the last report, one list
+        #: per destination shard.
+        self._outboxes: List[List[WireMessage]] = [
+            [] for _ in range(nshards)]
         self._posts: List[BarrierPost] = []
         self._handlers: Dict[str, Callable[[Any], None]] = {}
         self._seq = 0
@@ -170,11 +169,17 @@ class ShardContext:
         schedule-at-arrival path (no shortcut), keeping a workload's
         event pattern invariant under re-partitioning.
         """
-        if latency < 0:
+        if not latency >= 0:        # NaN fails this test too
             raise SimulationError(f"negative send latency {latency}")
-        arrival = self.sim.now + latency
+        sim = self.sim
+        now = sim.now
+        arrival = now + latency
         if dst == self.shard:
-            self._schedule_delivery(kind, payload, arrival)
+            handler = self._handlers.get(kind)
+            if handler is None:
+                raise SimulationError(
+                    f"shard {self.shard}: no handler for message {kind!r}")
+            sim._schedule(_Delivery(handler, payload), arrival - now)
             return
         if not 0 <= dst < self.nshards:
             raise SimulationError(
@@ -186,28 +191,13 @@ class ShardContext:
                 f"below lookahead {la:.6f} µs — the partition promised "
                 "no faster path exists; fix the lookahead matrix or the "
                 "workload's latency model")
-        self._seq += 1
-        self._outbox.append((arrival, self.shard, self._seq, dst, kind,
-                             nbytes, payload))
-        self.metrics.msgs_sent += 1
+        seq = self._seq = self._seq + 1
+        self._outboxes[dst].append((arrival, self.shard, seq, dst, kind,
+                                    nbytes, payload))
         if self.log.enabled:
-            self.log.emit(self.sim.now, XSHARD_SEND, src=self.shard,
-                          seq=self._seq, dst=dst, msg=kind,
-                          arrival=arrival, nbytes=nbytes)
-
-    def _schedule_delivery(self, kind: str, payload: Any,
-                           arrival: float) -> None:
-        handler = self._handlers.get(kind)
-        if handler is None:
-            raise SimulationError(
-                f"shard {self.shard}: no handler for message {kind!r}")
-        delay = arrival - self.sim.now
-        if delay < 0:
-            raise SyncError(
-                f"shard {self.shard}: {kind!r} arrival {arrival:.6f} is "
-                f"in the past (now={self.sim.now:.6f}) — conservative "
-                "horizon violated")
-        self.sim._schedule(_Delivery(handler, payload), delay)
+            self.log.emit(now, XSHARD_SEND, src=self.shard, seq=seq,
+                          dst=dst, msg=kind, arrival=arrival,
+                          nbytes=nbytes)
 
     # -- collectives --------------------------------------------------
 
@@ -250,7 +240,9 @@ class ShardContext:
     def _report(self) -> ShardReport:
         """What this shard tells the coordinator at a round boundary;
         takes the messages and barrier posts made since the last."""
-        sent, self._outbox = self._outbox, []
+        sent = self._outboxes
+        self._outboxes = [[] for _ in sent]
+        self.metrics.msgs_sent += sum(map(len, sent))
         posts, self._posts = self._posts, []
         return ShardReport(shard=self.shard, next_time=self.sim.peek(),
                            sent=sent, barriers=posts)
@@ -264,15 +256,28 @@ class ShardContext:
         t0 = time.perf_counter()
         for name, t_rel in plan.releases:
             self._apply_release(name, t_rel)
+        deliver = plan.deliver
         if log.enabled:
-            for arrival, src, seq, _, kind, nbytes, _ in plan.deliver:
+            for arrival, src, seq, _, kind, nbytes, _ in deliver:
                 # The (src, seq) pair is the join key linking this
                 # half to the sender's xshard_send.
                 log.emit(arrival, XSHARD_RECV, src=src, seq=seq,
                          msg=kind, nbytes=nbytes)
-        m.msgs_recv += len(plan.deliver)
-        for arrival, _, _, _, kind, _, payload in plan.deliver:
-            self._schedule_delivery(kind, payload, arrival)
+        m.msgs_recv += len(deliver)
+        now = sim.now
+        if deliver and deliver[0][0] < now:     # in arrival order
+            raise SyncError(
+                f"shard {self.shard}: {deliver[0][4]!r} arrival "
+                f"{deliver[0][0]:.6f} is in the past (now={now:.6f}) — "
+                "conservative horizon violated")
+        handlers = self._handlers
+        schedule = sim._schedule
+        for arrival, _, _, _, kind, _, payload in deliver:
+            handler = handlers.get(kind)
+            if handler is None:
+                raise SimulationError(
+                    f"shard {self.shard}: no handler for message {kind!r}")
+            schedule(_Delivery(handler, payload), arrival - now)
         backlog = sim.pending
         if backlog > m.max_backlog:
             m.max_backlog = backlog
@@ -284,7 +289,7 @@ class ShardContext:
             m.stall_grains += 1
         if log.enabled:
             attrs = {"round": plan.round, "events": n,
-                     "delivered": len(plan.deliver),
+                     "delivered": len(deliver),
                      "dur": sim.now - t_clock, "stall": n == 0}
             if plan.horizon != INF:
                 attrs["horizon"] = plan.horizon
@@ -311,6 +316,10 @@ class ShardContext:
         for fn in self._finishers:
             fn()
         self.metrics.final_clock_us = self.sim.now
+        # Hooks and handlers are bound methods of a program holding this
+        # context: drop them, and refcounting frees the run's state.
+        self._finishers.clear()
+        self._handlers.clear()
 
 
 class ShardedSimulator:

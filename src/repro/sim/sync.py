@@ -100,7 +100,9 @@ class ShardReport:
     shard: int
     #: Earliest pending local event time (``inf`` when drained).
     next_time: float
-    sent: List[WireMessage] = field(default_factory=list)
+    #: Messages sent since the last report, one list per destination
+    #: shard (the sender validated every destination).
+    sent: List[List[WireMessage]] = field(default_factory=list)
     barriers: List[BarrierPost] = field(default_factory=list)
 
 
@@ -257,11 +259,10 @@ class SyncCoordinator:
         # order, whatever order the reports came in.
         deliver: List[List[WireMessage]] = [[] for _ in range(S)]
         for r in reports:
-            for msg in r.sent:
-                dst = msg[3]
-                if not 0 <= dst < S:
-                    raise SyncError(f"message to unknown shard {dst}")
-                deliver[dst].append(msg)
+            if len(r.sent) > S:
+                raise SyncError(f"message to unknown shard {S}")
+            for batch, out in zip(deliver, r.sent):
+                batch += out
             for post in r.barriers:
                 self._post(post)
         for batch in deliver:
@@ -273,10 +274,11 @@ class SyncCoordinator:
         # and collective releases all bound where it can next act.
         eff = [INF] * S
         for r in reports:
-            eff[r.shard] = min(eff[r.shard], r.next_time)
+            if r.next_time < eff[r.shard]:
+                eff[r.shard] = r.next_time
         for i, batch in enumerate(deliver):
-            if batch:
-                eff[i] = min(eff[i], batch[0][0])
+            if batch and batch[0][0] < eff[i]:
+                eff[i] = batch[0][0]
         if releases:
             t_rel = min(t for _, t in releases)
             # Releases are broadcast: every shard may act at t_rel.
@@ -306,7 +308,7 @@ class SyncCoordinator:
                     eff[j] = floor
                     changed = True
 
-        if all(t == INF for t in eff):
+        if min(eff) == INF:
             stuck = self.pending_collectives()
             if stuck:
                 raise SyncDeadlock(
@@ -321,13 +323,10 @@ class SyncCoordinator:
 
         plans = []
         for i in range(S):
-            if S == 1:
-                horizon = INF
-            else:
-                horizon = min(
-                    (eff[j] + self.lookahead[j][i]
-                     for j in range(S) if j != i),
-                    default=INF)
+            horizon = INF
+            for j in range(S):
+                if j != i and eff[j] + self.lookahead[j][i] < horizon:
+                    horizon = eff[j] + self.lookahead[j][i]
             batch = deliver[i]
             if batch:
                 self.channel_bytes[i] += len(

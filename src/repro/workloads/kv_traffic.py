@@ -207,56 +207,35 @@ def check_fault_plan(plan: FaultPlan) -> None:
             f"also has: {', '.join(cannot)}")
 
 
-class _ClientLRU:
-    """Bucket-address LRU; dict insertion order is the recency list."""
-
-    __slots__ = ("cap", "_d")
-
-    def __init__(self, cap: int) -> None:
-        self.cap = cap
-        self._d = {}
-
-    def touch(self, bucket: int) -> bool:
-        d = self._d
-        if bucket in d:
-            del d[bucket]
-            d[bucket] = True
-            return True
-        if len(d) >= self.cap:
-            del d[next(iter(d))]
-        d[bucket] = True
-        return False
-
-
 class _DigestFold:
     """Per-client digests ``sum(_commute_hash(a, b, c, d)) mod 2^64``,
-    folded a chunk at a time: effects are appended to a fixed numpy
-    chunk and hashed together when it fills (and once at the end).
-    Addition commutes, so the digests equal the one-at-a-time fold;
-    the chunk is small and fixed, so memory does not grow with the
+    folded a chunk at a time: effects are appended to a flat list and
+    hashed together when :attr:`CHUNK` of them are in (and once at the
+    end).  Addition commutes, so the digests equal the one-at-a-time
+    fold; the chunk is bounded, so memory does not grow with the
     run."""
 
-    CHUNK = 4096
+    CHUNK = 1024
 
     def __init__(self, nclients: int) -> None:
-        self._rows = np.empty((self.CHUNK, 5), dtype=np.int64)
-        self._n = 0
+        #: ``client, a, b, c, d`` of each effect, flat.
+        self._rows = []
         self._acc = np.zeros(nclients, dtype=np.uint64)
         self._seen = np.zeros(nclients, dtype=bool)
 
     def add(self, client: int, a: int, b: int, c: int, d: int) -> None:
-        n = self._n
-        self._rows[n] = (client, a, b, c, d)
-        self._n = n + 1
-        if n + 1 == self.CHUNK:
+        rows = self._rows
+        rows += (client, a, b, c, d)
+        if len(rows) == 5 * self.CHUNK:
             self._flush()
 
     def _flush(self) -> None:
-        rows = self._rows[:self._n]
+        rows = np.fromiter(self._rows, dtype=np.int64, count=len(self._rows))
+        rows.shape = (-1, 5)
+        self._rows = []
         clients = rows[:, 0]
         np.add.at(self._acc, clients, _commute_hash_rows(rows[:, 1:]))
         self._seen[clients] = True
-        self._n = 0
 
     def finish_into(self, digests: dict) -> None:
         """Fold the partial chunk and write ``{client: digest}`` for
@@ -280,16 +259,19 @@ class _TrafficCore:
         self.fam = fam
         self.zipf = ZipfianKeys(p.nkeys, p.zipf_s)
         self.arrivals = PoissonArrivals(p.mean_gap_us)
+        #: Published empty, as are the counts they give, and filled at
+        #: finish from the two lists replies count in (hits, misses).
         self.hist = np.zeros(HIST_BINS, dtype=np.int64)
         self.hist_hit = np.zeros(HIST_BINS, dtype=np.int64)
         self.hist_miss = np.zeros(HIST_BINS, dtype=np.int64)
+        self._hits = [0] * HIST_BINS
+        self._misses = [0] * HIST_BINS
         self.counts = {"requests": 0, "hits": 0, "misses": 0,
                        "conns": 0, "puts": 0, "gets": 0,
                        "failures": 0}
-        #: Published empty; filled when the shard finishes.
         self.digests = {}
         self._fold = _DigestFold(p.nclients)
-        ctx.at_finish(lambda: self._fold.finish_into(self.digests))
+        ctx.at_finish(self._finish)
         #: Lossy-fabric plane: a fault plan's link rules plus an
         #: optional repair policy observing per-link health.  All three
         #: stay ``None`` on a healthy fabric so the pre-fault code path
@@ -334,52 +316,65 @@ class _TrafficCore:
                 ctx.spawn(self.client(client, node),
                           name=f"kv-client{client}")
 
-    def server_of(self, key: int) -> tuple:
-        bucket = key % self.p.nbuckets
-        return bucket, bucket % self.p.nnodes
+    def _finish(self) -> None:
+        """Publish the histograms, their counts and the digests."""
+        self.hist_hit[:], self.hist_miss[:] = self._hits, self._misses
+        self.hist[:] = self.hist_hit + self.hist_miss
+        c = self.counts
+        c["hits"], c["misses"] = sum(self._hits), sum(self._misses)
+        c["requests"] = c["hits"] + c["misses"]
+        c["gets"] = c["requests"] - c["puts"]
+        self._fold.finish_into(self.digests)
 
     # -- client (open loop; never blocks on a reply) -------------------
 
     def client(self, client: int, node: int):
-        p, sim, t = self.p, self.sim, self.t
+        p, sim, wire = self.p, self.sim, self.wire
         n = p.per_client()
         stream = ClientStream(self.fam, client, n, self.arrivals,
                               self.zipf, p.put_frac)
-        cache = _ClientLRU(p.cache_capacity)
+        nbuckets, nnodes, capacity = p.nbuckets, p.nnodes, p.cache_capacity
+        #: Bucket-address LRU: dict insertion order is the recency list.
+        cache = {}
         connected = set()
+        send_us = self.t.o_sw_us + self.t.o_send_us
+        slo, log, healthy = self.slo, self.log, self.plan is None
         now = 0.0
-        for first in range(0, n, stream.CHUNK):
-            sched, keys, puts = stream.take()
-            for i in range(len(sched)):
-                seq = first + i
-                gap = float(sched[i]) - now
-                now = float(sched[i])
-                yield gap
-                key = int(keys[i])
-                is_put = bool(puts[i])
-                bucket, server = self.server_of(key)
-                extra = t.o_sw_us + t.o_send_us
+        seq = -1
+        for _ in range(0, n, stream.CHUNK):
+            for at, key, is_put in zip(*map(memoryview, stream.take())):
+                yield at - now
+                now = at
+                seq += 1
+                bucket = key % nbuckets
+                server = bucket % nnodes
+                extra = send_us
                 if server not in connected:
                     connected.add(server)
                     self.counts["conns"] += 1
                     # Persistent-connection setup: one extra round trip
                     # folded into this first request's latency.
-                    extra += (2 * self.wire.latency(node, server, _CONN_BYTES)
+                    extra += (2 * wire.latency(node, server, _CONN_BYTES)
                               + _CONN_SETUP_US)
-                hit = cache.touch(bucket)
+                hit = cache.pop(bucket, False)
+                cache[bucket] = True
+                if not hit and len(cache) > capacity:
+                    del cache[next(iter(cache))]
                 req_bytes = _PUT_REQ_BYTES if is_put else _GET_REQ_BYTES
-                if self.slo is not None:
+                if slo is not None:
                     self.inflight[node] = self.inflight.get(node, 0) + 1
-                if self.log.enabled:
-                    op = self.log.next_op_id()
-                    self.log.emit(sim.now, OP_BEGIN, op=op, thread=client,
-                                  node=node, name="kv_req", key=key,
-                                  hit=hit, put=is_put, nbytes=req_bytes)
+                if log.enabled:
+                    op = log.next_op_id()
+                    log.emit(sim.now, OP_BEGIN, op=op, thread=client,
+                             node=node, name="kv_req", key=key, hit=hit,
+                             put=is_put, nbytes=req_bytes)
                     self._ops[(client, seq)] = op
-                if self.plan is None:
-                    self.wire.send(node, server, "kv_req",
-                                   (server, node, client, seq, hit, is_put,
-                                    _tq(sim.now)), req_bytes, extra)
+                if healthy:
+                    # The stamp is _tq(sim.now), written out; ``at``
+                    # can differ from the clock in the last bit.
+                    wire.send(node, server, "kv_req",
+                              (server, node, client, seq, hit, is_put,
+                               round(sim.now * 1e6)), req_bytes, extra)
                 else:
                     self._issue_traced(client, node, seq, server, hit,
                                        is_put, req_bytes, extra)
@@ -520,14 +515,11 @@ class _TrafficCore:
     def handle_rep(self, payload) -> None:
         client, seq, hit, is_put, t0 = payload
         fct = self.sim.now + self.t.o_recv_us - t0 / 1e6
-        b = bin_of(fct)
-        self.hist[b] += 1
-        (self.hist_hit if hit else self.hist_miss)[b] += 1
-        c = self.counts
-        c["requests"] += 1
-        c["hits" if hit else "misses"] += 1
-        c["puts" if is_put else "gets"] += 1
-        self._fold.add(client, seq, hit, is_put, _tq(fct))
+        (self._hits if hit else self._misses)[bin_of(fct)] += 1
+        if is_put:
+            self.counts["puts"] += 1
+        # The last word is _tq(fct), written out.
+        self._fold.add(client, seq, hit, is_put, round(fct * 1e6))
         if self.slo is not None:
             node = client % self.p.nnodes
             infl = self.inflight.get(node, 0)
@@ -586,9 +578,8 @@ def run_kv_traffic(params: TrafficParams, nshards: int = 1, *,
                       dict(params=params.__dict__.copy()),
                       MACHINES[params.machine], params.nnodes, nshards,
                       trace=trace, trace_max_events=trace_max_events)
-    hist = np.zeros(HIST_BINS, dtype=np.int64)
-    hist_hit = np.zeros(HIST_BINS, dtype=np.int64)
-    hist_miss = np.zeros(HIST_BINS, dtype=np.int64)
+    hist, hist_hit, hist_miss = (sum(out[k] for out in run.outputs)
+                                 for k in ("hist", "hist_hit", "hist_miss"))
     counts = {"requests": 0, "hits": 0, "misses": 0, "conns": 0,
               "puts": 0, "gets": 0, "failures": 0}
     digests = {}
@@ -597,9 +588,6 @@ def run_kv_traffic(params: TrafficParams, nshards: int = 1, *,
     decisions = []
     have_policy = False
     for out in run.outputs:
-        hist += np.asarray(out["hist"])
-        hist_hit += np.asarray(out["hist_hit"])
-        hist_miss += np.asarray(out["hist_miss"])
         for k in counts:
             counts[k] += out["counts"][k]
         digests.update(out["digests"])

@@ -44,6 +44,8 @@ FIELD_THREADS_PER_NODE = 4
 _MASK64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+_FNV_OFFSET_U64 = np.uint64(_FNV_OFFSET)
+_FNV_PRIME_U64 = np.uint64(_FNV_PRIME)
 
 #: Per-slot bucket-scan cost a kv handler folds into its reply
 #: latency (mirrors the full runtime's KVStore rpc handler cost).
@@ -89,10 +91,10 @@ class ShardWire:
 
     def send(self, src: int, dst: int, kind: str, payload, nbytes: int,
              extra: float = 0.0) -> None:
-        # latency() written out: one call fewer per message.
+        # latency() written out, the wire time too: one call per message.
         self.ctx.send(self.shard_of[dst], kind, payload,
                       latency=(self._lat[src][dst]
-                               + self.t.wire_time(nbytes) + extra),
+                               + nbytes * self.t.byte_time_us + extra),
                       nbytes=nbytes)
 
 
@@ -122,7 +124,7 @@ def _jitter(a: int, b: int) -> float:
 def _tq(t: float) -> int:
     """Quantize a virtual time (µs) to an integer picosecond-ish key
     for digests/traces (exact for the model's float sums)."""
-    return int(round(t * 1e6))
+    return round(t * 1e6)
 
 
 def _fnv(data: bytes, acc: int = _FNV_OFFSET) -> int:
@@ -149,13 +151,13 @@ def _commute_hash_rows(rows: np.ndarray) -> np.ndarray:
     """:func:`_commute_hash` of every row of an int64 matrix at once
     (uint64 array arithmetic wraps mod 2^64, like the masked scalar
     fold): one byte column per step instead of one byte."""
-    octets = (np.ascontiguousarray(rows, dtype="<i8")
-              .view(np.uint8).reshape(len(rows), 8 * rows.shape[1]))
-    acc = np.full(len(rows), _FNV_OFFSET, dtype=np.uint64)
-    prime = np.uint64(_FNV_PRIME)
-    for column in octets.T:
+    octets = np.ascontiguousarray(rows, dtype="<i8").view(np.uint8)
+    octets.shape = (len(rows), 8 * rows.shape[1])
+    acc = octets[:, 0] ^ _FNV_OFFSET_U64
+    acc *= _FNV_PRIME_U64
+    for column in octets.T[1:]:
         acc ^= column
-        acc *= prime
+        acc *= _FNV_PRIME_U64
     return acc
 
 

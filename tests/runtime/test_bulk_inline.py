@@ -296,12 +296,26 @@ def test_heap_entry_at_now_goes_first(core, op, monkeypatch):
 
 
 def test_kv_mix_records_are_those_of_the_pipelined_driver(monkeypatch):
-    # One traced run of the workload the saving is claimed on (quick
-    # scale): byte-identical flight-recorder records, fewer events.
+    # One traced run of the workload the saving is claimed on:
+    # byte-identical flight-recorder records, fewer events.  1/500 of
+    # the benchmark's size (128 ops) is the smallest at which the run
+    # plans all three kinds: one message (inline), several items with
+    # a message (pipelined), and local segments only.
     from bench.workloads import WORKLOADS
 
     kv = WORKLOADS["kv_mix"]
-    inputs = kv.generate(7, 0.1)
+    inputs = kv.generate(7, 0.002)
+    kinds = set()
+    plan = BulkEngine._plan
+
+    def recording_plan(self, thread, array, spans):
+        items = plan(self, thread, array, spans)
+        messages = sum(it.__class__ is not tuple for it in items)
+        kinds.add("inline" if len(items) == messages == 1 else
+                  "pipelined" if messages else "local")
+        return items
+
+    monkeypatch.setattr(BulkEngine, "_plan", recording_plan)
 
     def traced():
         log = EventLog()
@@ -311,6 +325,7 @@ def test_kv_mix_records_are_those_of_the_pipelined_driver(monkeypatch):
         return records, out.exact()
 
     inline_records, inline = traced()
+    assert kinds == {"inline", "pipelined", "local"}
     monkeypatch.setattr(BulkEngine, "_transfer", pipelined)
     plain_records, plain = traced()
     assert inline_records == plain_records

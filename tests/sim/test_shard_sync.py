@@ -11,11 +11,12 @@ from repro.network.params import MACHINES
 from repro.network.partition import lookahead_matrix, partition_nodes
 from repro.runtime.collectives import dissemination_cost_us
 from repro.runtime.metrics import RuntimeMetrics
+from repro.sim.errors import SimulationError
 from repro.sim.shard import ShardContext, ShardedSimulator
 from repro.sim.simulator import Simulator
-from repro.sim.sync import (INF, BarrierPost, ShardMetrics, ShardReport,
-                            SyncCoordinator, SyncDeadlock, SyncError,
-                            normalize_lookahead)
+from repro.sim.sync import (INF, BarrierPost, GrainPlan, ShardMetrics,
+                            ShardReport, SyncCoordinator, SyncDeadlock,
+                            SyncError, normalize_lookahead)
 from repro.util.rng import StreamFamily
 
 from tests.sim.drive import timer
@@ -78,8 +79,12 @@ def test_lookahead_matrix_marenostrum_adjacent_groups():
 # ---------------------------------------------------------------------------
 
 def _report(shard, next_time, sent=(), barriers=()):
+    # A shard reports one outbox per destination, up to the last one
+    # it sent to.
+    ndst = 1 + max((m[3] for m in sent), default=-1)
+    outboxes = [[m for m in sent if m[3] == dst] for dst in range(ndst)]
     return ShardReport(shard=shard, next_time=next_time,
-                       sent=list(sent), barriers=list(barriers))
+                       sent=outboxes, barriers=list(barriers))
 
 
 def test_horizon_uses_peer_floor_plus_lookahead():
@@ -140,7 +145,7 @@ def test_batch_is_pickled_once_and_its_length_is_channel_bytes():
     assert plans[0].deliver == [] and plans[1].deliver == sent
     assert coord.channel_bytes == [
         0, len(pickle.dumps(sent, pickle.HIGHEST_PROTOCOL))]
-    with pytest.raises(SyncError, match="unknown shard"):
+    with pytest.raises(SyncError, match="unknown shard 2"):
         coord.round([_report(0, 20.0, sent=[_msg(9.0, 0, 3, 2)]),
                      _report(1, 20.0)])
 
@@ -217,7 +222,7 @@ def test_send_below_lookahead_rejected():
     with pytest.raises(SyncError, match="below lookahead"):
         ctx.send(1, "msg", latency=1.0)
     ctx.send(1, "msg", "p", latency=2.0, nbytes=8)   # the bound is fine
-    assert ctx._report().sent == [(2.0, 0, 1, 1, "msg", 8, "p")]
+    assert ctx._report().sent == [[], [(2.0, 0, 1, 1, "msg", 8, "p")]]
 
 
 def test_same_shard_send_takes_delivery_path():
@@ -227,7 +232,46 @@ def test_same_shard_send_takes_delivery_path():
     ctx.send(0, "echo", "hi", latency=0.5)   # below lookahead is fine
     ctx.sim.run()
     assert got == ["hi"]
-    assert ctx._report().sent == []
+    assert ctx._report().sent == [[], []]
+
+
+@pytest.mark.parametrize("latency", [-0.5, float("nan")])
+@pytest.mark.parametrize("dst", [0, 1])
+def test_negative_send_latency_rejected(dst, latency):
+    # A NaN passes every comparison with the lookahead: a cross-shard
+    # message would arrive nowhere, and the run would end without it.
+    with pytest.raises(SimulationError, match="negative send latency"):
+        _ctx().send(dst, "msg", latency=latency)
+
+
+def test_same_shard_send_without_handler_rejected():
+    with pytest.raises(SimulationError,
+                       match="shard 0: no handler for message 'nope'"):
+        _ctx().send(0, "nope", latency=1.0)
+
+
+def _unhandled_builder(ctx):
+    if ctx.shard == 1:
+        ctx.send(0, "nope", "x", latency=2.0)
+
+
+def test_delivered_message_without_handler_rejected():
+    with pytest.raises(SimulationError,
+                       match="shard 0: no handler for message 'nope'"):
+        ShardedSimulator(2, lookahead=2.0).run(_unhandled_builder)
+
+
+def test_delivery_in_the_past_rejected():
+    ctx = _ctx()
+    ctx.on_message("late", lambda payload: None)
+    timer(ctx.sim, 5.0)
+    ctx.sim.run()
+    plan = GrainPlan(horizon=10.0,
+                     deliver=[(4.0, 1, 1, 0, "late", 8, None)])
+    with pytest.raises(SyncError,
+                       match=r"'late' arrival 4\.000000 is in the past "
+                             r"\(now=5\.000000\)"):
+        ctx._run_grain(plan)
 
 
 def _crashing_builder(ctx):

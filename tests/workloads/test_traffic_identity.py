@@ -17,6 +17,7 @@ from repro.faults import FaultPlan, LinkRule, TraceSegment
 from repro.workloads.kv_traffic import (TrafficParams, _DigestFold,
                                         run_kv_traffic)
 from repro.workloads.sharded import _commute_hash, _commute_hash_rows
+from repro.workloads.streams import ClientStream
 
 pytestmark = pytest.mark.shard
 
@@ -35,9 +36,15 @@ def test_vectorised_hash_equals_scalar_hash_per_row(rows):
     assert [int(h) for h in got] == [_commute_hash(*r) for r in rows]
 
 
-@pytest.mark.parametrize("nrows", [0, 1, _DigestFold.CHUNK - 1,
-                                   _DigestFold.CHUNK, _DigestFold.CHUNK + 1,
-                                   2 * _DigestFold.CHUNK + 7])
+_CHUNK = _DigestFold.CHUNK
+
+
+# Empty, one row, one short of, at and one past the end of the first
+# and the fourth chunk, and seven rows into the third and the ninth.
+@pytest.mark.parametrize("nrows", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+                                   2 * _CHUNK + 7, 4 * _CHUNK - 1,
+                                   4 * _CHUNK, 4 * _CHUNK + 1,
+                                   8 * _CHUNK + 7])
 def test_chunked_fold_equals_scalar_sum(nrows):
     rng = np.random.default_rng(nrows)
     nclients = 5
@@ -93,7 +100,8 @@ def _params(case):
 
 
 #: Produced by the parent commit, identically for shards in {1, 2, 4};
-#: only ``rounds`` and ``channel_bytes`` depend on the layout.
+#: only ``rounds``, ``channel_bytes``, the per-shard counters and
+#: ``msgs_routed`` depend on the layout.
 PINNED = {
     "healthy": {
         "digests": {
@@ -113,6 +121,22 @@ PINNED = {
         #: Per shard, by layout.
         "channel_bytes": {1: [0], 2: [85757, 84922],
                           4: [69784, 65630, 63331, 63807]},
+        "counts": {"requests": 4000, "hits": 544, "misses": 3456,
+                   "puts": 418, "gets": 3582, "conns": 64,
+                   "failures": 0},
+        "hist_hit": {68: 112, 69: 10, 75: 422},
+        "hist_miss": {75: 770, 76: 94, 80: 2528, 81: 16, 87: 48},
+        #: Per shard, by layout: (msgs_sent, msgs_recv, grains,
+        #: stall_grains, events, max_backlog).
+        "shards": {
+            1: [(0, 0, 1, 0, 12032, 16)],
+            2: [(2013, 2013, 265, 6, 6175, 84),
+                (2013, 2013, 265, 7, 5857, 81)],
+            4: [(1596, 1596, 270, 1, 3186, 45),
+                (1499, 1499, 270, 2, 2989, 42),
+                (1445, 1445, 270, 9, 2929, 40),
+                (1456, 1456, 270, 3, 2928, 41)]},
+        "msgs_routed": {1: 0, 2: 4026, 4: 5996},
     },
     "sick": {
         "digests": {
@@ -134,6 +158,24 @@ PINNED = {
         "rounds": {1: 2, 2: 313, 4: 327},
         "channel_bytes": {1: [0], 2: [95358, 93514],
                           4: [78592, 73147, 69709, 70215]},
+        "counts": {"requests": 4000, "hits": 544, "misses": 3456,
+                   "puts": 418, "gets": 3582, "conns": 64,
+                   "failures": 0},
+        "hist_hit": {68: 112, 69: 10, 75: 365, 102: 30, 112: 10, 120: 7,
+                     127: 4, 138: 3, 141: 1, 143: 1, 148: 1},
+        "hist_miss": {75: 770, 76: 94, 80: 2271, 81: 16, 83: 11, 84: 2,
+                      87: 43, 99: 92, 102: 1, 109: 68, 111: 1, 117: 32,
+                      118: 1, 124: 21, 129: 14, 133: 6, 136: 9, 138: 3,
+                      141: 1},
+        "shards": {
+            1: [(0, 0, 1, 0, 12032, 16)],
+            2: [(2013, 2013, 312, 5, 6175, 164),
+                (2013, 2013, 312, 52, 5857, 77)],
+            4: [(1596, 1596, 326, 22, 3186, 95),
+                (1499, 1499, 326, 25, 2989, 69),
+                (1445, 1445, 326, 64, 2929, 40),
+                (1456, 1456, 326, 58, 2928, 41)]},
+        "msgs_routed": {1: 0, 2: 4026, 4: 5996},
         #: (src, dst) -> (attempts, timeouts, retries, deliveries).
         "links": {
             (0, 0): (291, 0, 0, 291), (0, 1): (550, 303, 303, 247),
@@ -172,6 +214,18 @@ def test_results_pinned_to_parent_commit(case, nshards):
     assert [m.channel_bytes for m in res.extra["run"].metrics] \
         == pin["channel_bytes"][nshards]
     assert res.requests == 4000
+    counts = {k: getattr(res, k) for k in pin["counts"] if k != "failures"}
+    counts["failures"] = sum(out["counts"]["failures"]
+                             for out in res.extra["run"].outputs)
+    assert counts == pin["counts"]
+    for name in ("hist_hit", "hist_miss"):
+        hist = getattr(res, name)
+        assert {int(b): int(hist[b])
+                for b in np.flatnonzero(hist)} == pin[name]
+    assert [(m.msgs_sent, m.msgs_recv, m.grains, m.stall_grains, m.events,
+             m.max_backlog) for m in res.extra["run"].metrics] \
+        == pin["shards"][nshards]
+    assert res.extra["run"].msgs_routed == pin["msgs_routed"][nshards]
     if case == "sick":
         assert {link: tuple(health[k] for k in _LINK)
                 for link, health in res.extra["links"].items()} \
@@ -183,3 +237,22 @@ def test_results_pinned_to_parent_commit(case, nshards):
         assert policy["digest"] == pin["policy_digest"]
     else:
         assert "links" not in res.extra and "policy" not in res.extra
+
+
+@pytest.mark.parametrize("nshards", [1, 2])
+def test_a_run_whose_clients_cross_a_chunk_equals_the_unchunked_run(
+        nshards, monkeypatch):
+    # The pins stay inside one ClientStream chunk per client; here
+    # every client crosses a chunk boundary inside its request loop.
+    per_client = ClientStream.CHUNK + 7
+    params = TrafficParams(nnodes=4, nclients=32,
+                           requests=32 * per_client, seed=3)
+    assert params.per_client() == per_client
+    chunked = run_kv_traffic(params, nshards)
+    monkeypatch.setattr(ClientStream, "CHUNK", per_client + 1)
+    whole = run_kv_traffic(params, nshards)
+    assert chunked.requests == whole.requests == 32 * per_client
+    assert chunked.digests == whole.digests
+    assert np.array_equal(chunked.hist, whole.hist)
+    assert chunked.now == whole.now
+    assert chunked.events == whole.events
