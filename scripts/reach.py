@@ -87,9 +87,6 @@ DECLARED = {
     "runtime/runtime.py::Runtime._on_policy_decision":
         "puts a repair-policy action on a runtime's recorder; runs when "
         "a policy acts on a runtime link (tests/faults/test_recovery.py)",
-    "faults/injector.py::FaultInjector._observe":
-        "feeds link health to a repair policy watching a runtime; runs "
-        "with --repair-policy when faults fire (tests/faults)",
     "obs/slo.py::SLOMonitor.observe_policy_action":
         "marks a repair-policy action in its SLO window; runs when a "
         "policy acts during a kvtraffic run with an SLO target",

@@ -80,6 +80,7 @@ def fuzz_main(args) -> int:
 def kvtraffic_main(args) -> int:
     """Open-loop Zipfian KV traffic on the sharded core; prints SLO
     quantiles and the cache hit rate."""
+    from repro.faults.health import noisy_links
     from repro.obs.cli import check_shards, resolve_fault_plane
     from repro.workloads.kv_traffic import (TrafficParams,
                                             check_fault_plan,
@@ -125,15 +126,10 @@ def kvtraffic_main(args) -> int:
             print(render_slo(slo["windows"], s, slo["anomalies"]))
     links = res.extra.get("links")
     if links:
-        noisy = sorted(links.items(),
-                       key=lambda kv: (-kv[1]["timeouts"],
-                                       -kv[1]["retries"], kv[0]))[:3]
         row = ", ".join(f"{src}->{dst} ({tot['timeouts']}t/"
                         f"{tot['retries']}r)"
-                        for (src, dst), tot in noisy)
-        failures = sum(o["counts"]["failures"]
-                       for o in res.extra["run"].outputs)
-        print(f"  lossy fabric: {failures} exhausted request(s); "
+                        for (src, dst), tot in noisy_links(links, 3))
+        print(f"  lossy fabric: {res.failures} exhausted request(s); "
               f"noisy links: {row}")
     policy = res.extra.get("policy")
     if policy is not None:
@@ -154,7 +150,7 @@ def _write_kvtraffic_artifacts(out_dir, res, slo) -> None:
     from repro.campaign.artifacts import atomic_write_json
     from repro.obs.cli import write_artifacts
     from repro.obs.shardlog import merge_shard_events
-    from repro.runtime.metrics import RuntimeMetrics
+    from repro.sim.sync import shard_summary
 
     def write_json(name, doc):
         path = atomic_write_json(os.path.join(out_dir, name), doc,
@@ -167,16 +163,13 @@ def _write_kvtraffic_artifacts(out_dir, res, slo) -> None:
         merge_shard_events(run.shard_events, run.trace_dropped))
     if slo is not None:
         write_json("slo.json", slo)
-    metrics = RuntimeMetrics()
-    metrics.attach_shards(run.metrics)
-    write_json("shard_summary.json", metrics.shard_summary())
+    write_json("shard_summary.json", shard_summary(run.metrics))
     links = res.extra.get("links")
     if links:
         doc = {
             "links": {f"{src}->{dst}": tot
                       for (src, dst), tot in sorted(links.items())},
-            "failures": sum(o["counts"]["failures"]
-                            for o in run.outputs),
+            "failures": res.failures,
         }
         policy = res.extra.get("policy")
         if policy is not None:

@@ -139,8 +139,7 @@ def _lossy_cell(params: Dict, seed: int) -> Dict:
         "policy": policy or "do_nothing",
         "shards": nshards,
         "requests": res.requests,
-        "failures": sum(o["counts"]["failures"]
-                        for o in res.extra["run"].outputs),
+        "failures": res.failures,
         "hit_rate": round(res.hit_rate, 4),
         "p50_us": round(q["p50_us"], 3),
         "p99_us": round(q["p99_us"], 3),

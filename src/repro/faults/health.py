@@ -149,6 +149,14 @@ class HealthTracker:
         return merged
 
 
+def noisy_links(totals: Dict[Link, dict], k: int) -> List[tuple]:
+    """The ``k`` worst ``(link, totals)`` pairs of a
+    :meth:`HealthTracker.link_totals`-shaped dict, by (most timeouts,
+    most retries, link): the one noisy-links ranking of every report."""
+    return sorted(totals.items(), key=lambda kv: (
+        -kv[1]["timeouts"], -kv[1]["retries"], kv[0]))[:k]
+
+
 def fold_ewma(prev: float, delivery_rate: float, alpha: float) -> float:
     """One EWMA step — kept as a free pure function so the hypothesis
     suite can state determinism/commutation properties directly."""

@@ -63,22 +63,21 @@ NO_FAULT = Fate()
 class FaultInjector:
     """Draws fault decisions for one runtime.
 
-    ``sim`` supplies the clock (rule time windows), ``events`` the
-    flight recorder (may be None or disabled), ``metrics`` the
-    runtime's counter block (may be None for unit tests).
+    ``sim`` supplies the clock (rule time windows), ``metrics`` the
+    runtime's counter block (its ``faults_injected`` counts every
+    fault that fired), ``events`` the flight recorder (may be None or
+    disabled).
     """
 
-    __slots__ = ("plan", "sim", "events", "metrics", "injected",
+    __slots__ = ("plan", "sim", "events", "metrics",
                  "_rng", "_pin_granted", "policy", "health")
 
-    def __init__(self, plan: FaultPlan, sim, events=None,
-                 metrics=None, policy=None, health=None) -> None:
+    def __init__(self, plan: FaultPlan, sim, metrics, events=None,
+                 policy=None, health=None) -> None:
         self.plan = plan
         self.sim = sim
         self.events = events
         self.metrics = metrics
-        #: Faults that actually fired (all kinds).
-        self.injected = 0
         self._rng = seeded_rng(plan.seed, _FAULT_STREAM)
         #: node id -> pin bytes already granted against the budget.
         self._pin_granted = {}
@@ -93,9 +92,7 @@ class FaultInjector:
     # -- bookkeeping ---------------------------------------------------
 
     def _fired(self, fault: str, op_id: int, node: int, **attrs) -> None:
-        self.injected += 1
-        if self.metrics is not None:
-            self.metrics.faults_injected += 1
+        self.metrics.faults_injected += 1
         ev = self.events
         if ev is not None and ev.enabled:
             ev.emit(self.sim.now, FAULT_INJECT, op=op_id, node=node,
@@ -229,4 +226,5 @@ class FaultInjector:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<FaultInjector plan={self.plan.name or 'custom'} "
-                f"seed={self.plan.seed} injected={self.injected}>")
+                f"seed={self.plan.seed} "
+                f"injected={self.metrics.faults_injected}>")

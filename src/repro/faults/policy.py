@@ -40,6 +40,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.faults.health import HealthTracker, fold_ewma
 from repro.faults.trace import fate_hash
+from repro.obs.events import POLICY_ACTION
 
 Link = Tuple[int, int]
 
@@ -127,6 +128,15 @@ def decisions_digest(decisions) -> int:
                                d["src"], d["dst"],
                                _ACTION_CODE[d["action"]])) & _MASK64
     return acc
+
+
+def emit_policy_action(log, now: float, d: dict) -> None:
+    """Put decision ``d`` on flight recorder ``log``'s timeline at
+    ``now`` (nothing when the recorder is off)."""
+    if log.enabled:
+        log.emit(now, POLICY_ACTION, node=d["src"], dst=d["dst"],
+                 action=d["action"], mode=d["mode"], t_us=d["t_us"],
+                 policy=d["policy"])
 
 
 class _LinkState:

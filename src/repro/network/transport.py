@@ -93,7 +93,7 @@ class Transport:
         self.ledger = DedupLedger(self.reliability.ledger_capacity)
         #: Runtime metrics block (injected); None on bare clusters.
         self.metrics = None
-        #: Per-link health tracker (injected with a repair policy);
+        #: Per-link health tracker (injected with a fault plan);
         #: None == no health accounting on the hot path.
         self.health = None
         #: Repair-policy engine (injected); None == static fabric.
@@ -142,7 +142,6 @@ class Transport:
             yield rest
         if self.metrics is not None:
             self.metrics.timeouts += 1
-            self.metrics.link_timeout(src.id, dst.id)
         ev = self.events
         if ev.enabled:
             ev.emit(self.sim.now, TIMEOUT, op=op_id, node=src.id,
@@ -168,7 +167,6 @@ class Transport:
             yield delay
         if self.metrics is not None:
             self.metrics.retries += 1
-            self.metrics.link_retry(src.id, dst.id)
         if self.health is not None:
             self.health.record(self.sim.now, src.id, dst.id, retries=1)
         ev = self.events

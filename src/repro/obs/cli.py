@@ -36,8 +36,8 @@ from repro.obs.export import (
 )
 from repro.obs.sampler import CounterSampler
 from repro.obs.states import dump_csv, state_records
-from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.runtime import Runtime, RuntimeConfig
+from repro.sim.sync import shard_summary
 
 FORMATS = ("chrome", "jsonl", "csv")
 
@@ -102,7 +102,7 @@ def print_fault_summary(m, armed: bool, repair_policy) -> None:
               f"{m.timeouts} timeouts, {m.retries} retries, "
               f"{m.rdma_timeouts} rdma->am fallbacks, "
               f"{m.pin_degrades} degraded handles")
-        noisy = m.noisy_links(3)
+        noisy = m.summary()["noisy_links"][:3]
         if noisy:
             links = ", ".join(
                 f"{r['src']}->{r['dst']} ({r['timeouts']}t/"
@@ -124,9 +124,7 @@ def check_shards(args, nnodes: int) -> None:
 def print_shard_summary(shard_metrics, per_shard: bool = False) -> None:
     """Conservative-sync rollup of a sharded run, optionally with one
     line per shard."""
-    metrics = RuntimeMetrics()
-    metrics.attach_shards(shard_metrics)
-    s = metrics.shard_summary()
+    s = shard_summary(shard_metrics)
     print(f"  sync: {s['sync_rounds']} rounds, "
           f"{s['sync_stall_grains']} stall grains "
           f"(mean {s['sync_stall_mean']:.2f}/shard), "

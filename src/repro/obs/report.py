@@ -31,6 +31,7 @@ import os
 from collections import defaultdict
 from typing import Dict, List, Optional
 
+from repro.faults.health import noisy_links
 from repro.obs.events import (
     EventLog,
     OP_END,
@@ -155,18 +156,16 @@ def _render_shard_summary(s: dict) -> List[str]:
 
 def _render_links(doc: dict) -> List[str]:
     """Per-link health + repair-policy rollup from links.json."""
-    links = doc.get("links", {})
-    noisy = sorted(
-        links.items(),
-        key=lambda kv: (-kv[1]["timeouts"], -kv[1]["retries"], kv[0]))
+    links = {tuple(map(int, key.split("->"))): tot
+             for key, tot in doc.get("links", {}).items()}
     lines = [f"links: {len(links)} observed, "
              f"{doc.get('failures', 0)} exhausted request(s)"]
-    if noisy:
+    if links:
         lines.append(f"  {'link':<8} {'attempts':>9} {'timeouts':>9} "
                      f"{'retries':>8} {'deliveries':>11}")
-        for link, tot in noisy[:5]:
+        for (src, dst), tot in noisy_links(links, 5):
             lines.append(
-                f"  {link:<8} {tot['attempts']:>9} "
+                f"  {f'{src}->{dst}':<8} {tot['attempts']:>9} "
                 f"{tot['timeouts']:>9} {tot['retries']:>8} "
                 f"{tot['deliveries']:>11}")
     policy = doc.get("policy")

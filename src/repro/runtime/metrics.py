@@ -8,10 +8,10 @@ execution-time improvements (Figures 6, 9), cache hit rates
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, Optional
 
 from repro.core.stats import CacheStats
-from repro.sim.sync import ShardMetrics
+from repro.faults.health import HealthTracker, noisy_links
 from repro.util.quantiles import LatencyDigest
 
 
@@ -87,45 +87,15 @@ class RuntimeMetrics:
     #: over and their reversals).
     policy_actions: int = 0
 
-    #: Per-link reliability accounting: (src, dst) -> count.  Feeds
-    #: the top-k noisy-links rollup in :meth:`summary` and the
-    #: ``repro report`` shard rollups.
-    link_timeouts: Dict = field(default_factory=dict)
-    link_retries: Dict = field(default_factory=dict)
+    #: The run's per-link ledger (attempts, timeouts, retries,
+    #: deliveries per (src, dst)), the runtime's ``HealthTracker``;
+    #: None without a fault plan.  Feeds the noisy-links rollup.
+    health: Optional[HealthTracker] = None
 
     #: Peak AM-handler backlog observed by any polling progress engine
     #: (handlers queued while no thread was polling, §4.6) — updated on
     #: every enqueue transition, not just at sampler ticks.
     max_backlog: int = 0
-
-    #: Per-shard accounting when the run used the sharded PDES core
-    #: (``ShardedSimulator``); empty for single-simulator runs.
-    shards: List[ShardMetrics] = field(default_factory=list)
-
-    def attach_shards(self, shard_metrics: List[ShardMetrics]) -> None:
-        """Adopt the per-shard metrics of a sharded run."""
-        self.shards = list(shard_metrics)
-
-    def link_timeout(self, src: int, dst: int) -> None:
-        key = (src, dst)
-        self.link_timeouts[key] = self.link_timeouts.get(key, 0) + 1
-
-    def link_retry(self, src: int, dst: int) -> None:
-        key = (src, dst)
-        self.link_retries[key] = self.link_retries.get(key, 0) + 1
-
-    def noisy_links(self, k: int = 5) -> List[Dict]:
-        """Top-``k`` links by (timeouts, retries) — the triage list a
-        repair policy would act on, and what ``repro report`` renders
-        in its shard rollups."""
-        keys = set(self.link_timeouts) | set(self.link_retries)
-        rows = [{"src": src, "dst": dst,
-                 "timeouts": self.link_timeouts.get((src, dst), 0),
-                 "retries": self.link_retries.get((src, dst), 0)}
-                for src, dst in keys]
-        rows.sort(key=lambda r: (-r["timeouts"], -r["retries"],
-                                 r["src"], r["dst"]))
-        return rows[:k]
 
     @property
     def remote_ops(self) -> int:
@@ -138,39 +108,8 @@ class RuntimeMetrics:
         n = self.remote_ops
         return (self.rdma_gets + self.rdma_puts) / n if n else 0.0
 
-    def shard_summary(self) -> Dict[str, float]:
-        """Rollups across shards."""
-        n = len(self.shards)
-        events = [s.events for s in self.shards]
-        stalls = [s.stall_grains for s in self.shards]
-        return {
-            "shards": n,
-            "shard_events_total": sum(events),
-            "shard_events_mean": sum(events) / n if n else 0.0,
-            "shard_events_max": max(events, default=0),
-            "sync_rounds": max((s.grains for s in self.shards),
-                               default=0),
-            "sync_stall_grains": sum(stalls),
-            "sync_stall_mean": sum(stalls) / n if n else 0.0,
-            "channel_bytes": sum(s.channel_bytes for s in self.shards),
-            "channel_msgs": sum(s.msgs_sent for s in self.shards),
-            "shard_max_backlog": max(
-                (s.max_backlog for s in self.shards), default=0),
-            "shard_final_clock_us": max(
-                (s.final_clock_us for s in self.shards), default=0.0),
-        }
-
     def summary(self) -> Dict[str, float]:
         """Flat dict for table rendering."""
-        out = self._base_summary()
-        if self.shards:
-            out.update(self.shard_summary())
-            out["max_backlog"] = max(
-                int(out["max_backlog"]),
-                max(s.max_backlog for s in self.shards))
-        return out
-
-    def _base_summary(self) -> Dict[str, float]:
         return {
             "remote_gets": self.get_remote.count,
             "remote_get_mean_us": self.get_remote.mean,
@@ -199,7 +138,13 @@ class RuntimeMetrics:
             "faults_injected": self.faults_injected,
             "policy_actions": self.policy_actions,
             "kv_failover_ops": self.kv_failover_ops,
-            "noisy_links": self.noisy_links(),
+            # The top five links with a timeout or retry.
+            "noisy_links": [] if self.health is None else [
+                {"src": src, "dst": dst, "timeouts": t["timeouts"],
+                 "retries": t["retries"]}
+                for (src, dst), t in noisy_links(
+                    self.health.link_totals(), 5)
+                if t["timeouts"] or t["retries"]],
         }
 
 

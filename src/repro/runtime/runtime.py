@@ -117,8 +117,8 @@ class RuntimeConfig:
     degrade_pin_failures: bool = False
     #: Optional repair policy name (one of
     #: :data:`repro.faults.POLICIES`); None = static fabric.  Builds a
-    #: :class:`repro.faults.PolicyEngine` over a per-link
-    #: :class:`repro.faults.HealthTracker` and wires both into the
+    #: :class:`repro.faults.PolicyEngine` over the run's per-link
+    #: :class:`repro.faults.HealthTracker` and wires it into the
     #: transport and injector.  Needs a non-empty ``fault_plan``.
     repair_policy: Optional[str] = None
 
@@ -220,27 +220,28 @@ class Runtime:
         # hot-path site short-circuits on that, keeping fault-free
         # runs bit-identical to the pre-fault build.
         self.faults = None
-        self.health = None
         self.policy = None
         plan = config.fault_plan
         if plan is not None and not plan.empty:
+            from repro.faults.health import HealthTracker
             from repro.faults.injector import FaultInjector
+            from repro.faults.policy import PolicyConfig, PolicyEngine
+            # The run's one per-link ledger: the fault summary reads
+            # its totals, a repair policy its closed windows.
+            pcfg = PolicyConfig()
+            health = self.metrics.health = HealthTracker(pcfg.window_us)
             if config.repair_policy is not None:
-                from repro.faults.health import HealthTracker
-                from repro.faults.policy import PolicyConfig, PolicyEngine
-                pcfg = PolicyConfig()
-                self.health = HealthTracker(pcfg.window_us)
                 self.policy = PolicyEngine(
-                    config.repair_policy, pcfg, self.health,
+                    config.repair_policy, pcfg, health,
                     nnodes=self.cluster.nnodes,
                     on_decision=self._on_policy_decision)
             self.faults = FaultInjector(plan, self.sim,
                                         events=self.events,
                                         metrics=self.metrics,
                                         policy=self.policy,
-                                        health=self.health)
+                                        health=health)
             self.cluster.transport.faults = self.faults
-            self.cluster.transport.health = self.health
+            self.cluster.transport.health = health
             self.cluster.transport.policy = self.policy
             for node in self.cluster.nodes:
                 node.progress.faults = self.faults
@@ -275,14 +276,9 @@ class Runtime:
     def _on_policy_decision(self, decision: Dict) -> None:
         """Repair-policy actuation hook: count it and put it on the
         flight-recorder timeline (feeds the SLO/anomaly windows)."""
+        from repro.faults.policy import emit_policy_action
         self.metrics.policy_actions += 1
-        ev = self.events
-        if ev is not None and ev.enabled:
-            from repro.obs.events import POLICY_ACTION
-            ev.emit(self.sim.now, POLICY_ACTION,
-                    node=decision["src"], dst=decision["dst"],
-                    action=decision["action"], mode=decision["mode"],
-                    t_us=decision["t_us"], policy=decision["policy"])
+        emit_policy_action(self.events, self.sim.now, decision)
 
     def pinned_table(self, node_id: int) -> PinnedAddressTable:
         """Node ``node_id``'s pinned address table, ``node.pins``: the

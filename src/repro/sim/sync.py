@@ -123,12 +123,8 @@ class GrainPlan:
 
 @dataclass
 class ShardMetrics:
-    """Per-shard accounting surfaced through ``metrics.summary()``.
-
-    Lives in the sim layer (not :mod:`repro.runtime.metrics`) so the
-    sharded core needs no runtime import; the runtime merges a list of
-    these into its summary rollups.
-    """
+    """Per-shard accounting of a sharded run (``ShardedRun.metrics``);
+    :func:`shard_summary` rolls a list of them up across shards."""
 
     shard: int = 0
     #: Nodes this shard owns (``[lo, hi)``).
@@ -166,6 +162,29 @@ class ShardMetrics:
             "final_clock_us": self.final_clock_us,
             "busy_s": round(self.busy_s, 6),
         }
+
+
+def shard_summary(shards: List[ShardMetrics]) -> Dict[str, float]:
+    """Rollups across the shards of one run (``shard_summary.json``
+    and the ``sync:`` line of ``run field --shards N``)."""
+    n = len(shards)
+    events = [s.events for s in shards]
+    stalls = [s.stall_grains for s in shards]
+    return {
+        "shards": n,
+        "shard_events_total": sum(events),
+        "shard_events_mean": sum(events) / n if n else 0.0,
+        "shard_events_max": max(events, default=0),
+        "sync_rounds": max((s.grains for s in shards), default=0),
+        "sync_stall_grains": sum(stalls),
+        "sync_stall_mean": sum(stalls) / n if n else 0.0,
+        "channel_bytes": sum(s.channel_bytes for s in shards),
+        "channel_msgs": sum(s.msgs_sent for s in shards),
+        "shard_max_backlog": max(
+            (s.max_backlog for s in shards), default=0),
+        "shard_final_clock_us": max(
+            (s.final_clock_us for s in shards), default=0.0),
+    }
 
 
 class _BarrierState:

@@ -41,12 +41,12 @@ import numpy as np
 
 from repro.faults.health import HealthTracker
 from repro.faults.policy import (PolicyConfig, PolicyEngine,
-                                 decisions_digest)
+                                 decisions_digest, emit_policy_action)
 from repro.faults.plan import FaultPlan
 from repro.faults.reliability import ReliabilityConfig
 from repro.faults.trace import fate_u01
 from repro.network.params import MACHINES
-from repro.obs.events import OP_BEGIN, OP_END, POLICY_ACTION
+from repro.obs.events import OP_BEGIN, OP_END
 from repro.obs.slo import (HIST_EDGES, SLO_HIST_BINS, SLOMonitor, bin_of,
                            detect_anomalies, hist_quantile, slo_summary)
 from repro.sim.shard import ShardContext
@@ -162,6 +162,8 @@ class TrafficResult:
     conns: int
     puts: int
     gets: int
+    #: Requests that ran out of retries on a lossy fabric.
+    failures: int
     hist: np.ndarray
     hist_hit: np.ndarray
     hist_miss: np.ndarray
@@ -484,13 +486,7 @@ class _TrafficCore:
         both observations are layout-invariant."""
         if self.slo is not None:
             self.slo.observe_policy_action(decision["t_us"])
-        if self.log.enabled:
-            self.log.emit(self.sim.now, POLICY_ACTION,
-                          node=decision["src"], dst=decision["dst"],
-                          action=decision["action"],
-                          mode=decision["mode"],
-                          t_us=decision["t_us"],
-                          policy=decision["policy"])
+        emit_policy_action(self.log, self.sim.now, decision)
 
     # -- handlers (instantaneous; costs ride in reply latency) ---------
 
@@ -626,6 +622,7 @@ def run_kv_traffic(params: TrafficParams, nshards: int = 1, *,
     return TrafficResult(
         requests=counts["requests"], hits=counts["hits"],
         misses=counts["misses"], conns=counts["conns"],
-        puts=counts["puts"], gets=counts["gets"], hist=hist,
+        puts=counts["puts"], gets=counts["gets"],
+        failures=counts["failures"], hist=hist,
         hist_hit=hist_hit, hist_miss=hist_miss, digests=digests,
         now=run.now, events=run.events, extra=extra)

@@ -12,9 +12,11 @@ import signal
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 
+from repro.campaign import cells
 from repro.campaign.cells import KINDS
 from repro.campaign.runner import (checkpoint_path, load_checkpoint,
                                    run_campaign)
@@ -198,7 +200,7 @@ def _campaign_cmd(spec_path, run_dir):
             "--spec", spec_path, "--run-dir", run_dir]
 
 
-def test_killed_campaign_resumes_byte_identical(tmp_path):
+def test_killed_campaign_resumes_byte_identical(tmp_path, monkeypatch):
     """SIGKILL a 2-worker campaign mid-run; resume must skip the
     completed cells and merge byte-identical output to an
     uninterrupted run."""
@@ -240,6 +242,9 @@ def test_killed_campaign_resumes_byte_identical(tmp_path):
     before = {c.cell_id: open(checkpoint_path(victim_dir, c.cell_id),
                               "rb").read() for c in survivors}
 
+    # Only the victim needs slow cells; the noop digest leaves sleep_s
+    # out, so the in-process runs below skip the sleeps.
+    monkeypatch.setattr(cells, "time", SimpleNamespace(sleep=lambda s: None))
     resumed = run_campaign(spec, victim_dir, workers=0)
     assert resumed.resumed == len(survivors)
     assert resumed.executed == 6 - len(survivors)

@@ -10,12 +10,13 @@ from repro.faults import (
     PinBudget,
 )
 from repro.faults.injector import _FAULT_STREAM
+from repro.runtime.metrics import RuntimeMetrics
 from repro.sim import Simulator
 from repro.util.rng import seeded_rng
 
 
 def make(plan: FaultPlan) -> FaultInjector:
-    return FaultInjector(plan, Simulator())
+    return FaultInjector(plan, Simulator(), RuntimeMetrics())
 
 
 def fate_bits(fate) -> tuple:
@@ -71,7 +72,7 @@ def test_time_window_gates_rules():
     sim = Simulator()
     plan = FaultPlan(seed=4, links=(
         LinkRule.static(loss=1.0, t_start=100.0, t_end=200.0, scope="am"),))
-    inj = FaultInjector(plan, sim)
+    inj = FaultInjector(plan, sim, RuntimeMetrics())
     assert inj.am_fate(0, 1) is NO_FAULT        # now=0, before window
     sim.now = 150.0
     fate = inj.am_fate(0, 1)
@@ -109,7 +110,7 @@ def test_one_stream_draws_in_a_fixed_order():
             want[3] += 5.0
             fired += 1
         assert fate_bits(inj.am_fate(0, 1)) == tuple(want)
-    assert inj.injected == fired
+    assert inj.metrics.faults_injected == fired
 
 
 def test_detoured_link_is_exempt_from_all_its_rules():
@@ -122,12 +123,13 @@ def test_detoured_link_is_exempt_from_all_its_rules():
                     if (src, dst) == (0, 1) else LinkMode())
 
     plan = FaultPlan(seed=6, links=(LinkRule.static(loss=1.0, delay_us=9.0),))
-    inj = FaultInjector(plan, Simulator(), policy=Detoured())
+    inj = FaultInjector(plan, Simulator(), RuntimeMetrics(),
+                        policy=Detoured())
     assert inj.am_fate(0, 1) is NO_FAULT
     assert inj.rdma_fate(0, 1) is NO_FAULT
-    assert inj.injected == 0
+    assert inj.metrics.faults_injected == 0
     assert inj.am_fate(1, 0).delay_us == 9.0    # other links still sick
-    assert inj.injected == 1
+    assert inj.metrics.faults_injected == 1
 
 
 def test_nic_stall_accumulates_and_counts():
@@ -138,7 +140,7 @@ def test_nic_stall_accumulates_and_counts():
     inj = make(plan)
     assert inj.nic_stall(0) == 15.0             # both rules match node 0
     assert inj.nic_stall(1) == 10.0             # only the wildcard
-    assert inj.injected == 3
+    assert inj.metrics.faults_injected == 3
 
 
 def test_pin_budget_is_cumulative_per_node():

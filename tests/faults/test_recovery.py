@@ -14,6 +14,7 @@ from repro.faults import FaultPlan, LinkRule, PinBudget, PROFILES
 from repro.memory import PinLimitError
 from repro.network import GM_MARENOSTRUM
 from repro.obs import DEGRADE, FAULT_INJECT, RETRY, TIMEOUT
+from repro.obs.cli import _run_workload
 from repro.obs.events import EventLog
 from repro.runtime import Runtime, RuntimeConfig
 from repro.util.units import KB
@@ -277,6 +278,31 @@ def test_summary_exposes_reliability_counters():
                 "degraded_handles", "faults_injected"):
         assert key in s
     assert s["faults_injected"] > 0
+
+
+@pytest.mark.parametrize("policy", [None, "do_nothing"])
+@pytest.mark.parametrize("workload", ["pointer", "update"])
+def test_link_ledger_equals_the_recorder(workload, policy):
+    # The per-link timeouts and retries the fault summary reports are
+    # the TIMEOUT and RETRY events the recorder saw on that link,
+    # whether or not a repair policy watches the run.
+    log = EventLog(enabled=True)
+    plan = FaultPlan(seed=3, links=(LinkRule.static(loss=0.15),))
+    m = _run_workload(workload, False, "gm", 8, seed=1, events=log,
+                      fault_plan=plan, repair_policy=policy).run.metrics
+    seen = {}
+    for col, kind in enumerate((TIMEOUT, RETRY)):
+        for e in log.by_kind(kind):
+            seen.setdefault((e.node, e.attrs["dst"]), [0, 0])[col] += 1
+    want = [{"src": src, "dst": dst, "timeouts": t, "retries": r}
+            for (src, dst), (t, r) in sorted(
+                seen.items(), key=lambda kv: (-kv[1][0], -kv[1][1],
+                                              kv[0]))]
+    assert m.summary()["noisy_links"] == want[:5]
+    # Every link fits in the summary, so the ledger covers the run.
+    assert len(want) <= 5 and m.timeouts > 0 and m.retries > 0
+    assert sum(r["timeouts"] for r in want) == m.timeouts
+    assert sum(r["retries"] for r in want) == m.retries
 
 
 # ---------------------------------------------------------------------------

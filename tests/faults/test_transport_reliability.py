@@ -33,7 +33,7 @@ def make(plan=None, reliability=None, nnodes=4, events=None):
     if reliability is not None:
         tp.reliability = reliability
     if plan is not None:
-        tp.faults = FaultInjector(plan, sim, events=events)
+        tp.faults = FaultInjector(plan, sim, tp.metrics, events=events)
     return sim, cluster
 
 

@@ -84,7 +84,7 @@ def test_window_run_and_traffic_quantiles_read_one_edge_table():
         counts = np.array(hist, dtype=np.int64)
         traffic = TrafficResult(
             requests=1, hits=0, misses=1, conns=0, puts=0, gets=1,
-            hist=counts, hist_hit=counts, hist_miss=counts, digests={},
+            failures=0, hist=counts, hist_hit=counts, hist_miss=counts, digests={},
             now=0.0, events=0).quantiles()
         for key in ("p50_us", "p99_us"):
             assert (window[key] == run[key] == traffic[key]

@@ -1,7 +1,9 @@
-"""``RuntimeMetrics.summary()`` must be a pure read (satellite 3).
+"""``RuntimeMetrics.summary()`` and ``shard_summary()`` must be pure
+reads.
 
-The rollups fold shard metrics afresh every call; a regression that mutates state while summarizing (or double-counts on
-re-attach) would silently skew every table the harness renders.
+The rollups fold their inputs afresh every call; a regression that
+mutates state while summarizing would silently skew every table the
+harness renders.
 """
 
 import pytest
@@ -10,6 +12,7 @@ from repro.network import GM_MARENOSTRUM
 from repro.runtime import Runtime, RuntimeConfig
 from repro.runtime.metrics import RuntimeMetrics
 from repro.service import kv_create
+from repro.sim.sync import shard_summary
 from repro.testing import generate_service_program
 
 from tests.sim.shard_referees import run_corpus_sharded
@@ -45,13 +48,10 @@ def test_summary_idempotent_after_real_run():
 def test_summary_idempotent_with_shard_rollups():
     program = generate_service_program(3, n_ops=60)
     out = run_corpus_sharded(program, 2)
-    m = RuntimeMetrics()
-    m.attach_shards(out["run"].metrics)
-    first = m.summary()
+    shards = out["run"].metrics
+    before = [m.as_dict() for m in shards]
+    first = shard_summary(shards)
     assert set(first) >= {"shards", "shard_events_total", "sync_rounds"}
     assert first["shards"] == 2
-    assert first == m.summary()
-    # Re-attaching the same shard list replaces it — no double count.
-    m.attach_shards(out["run"].metrics)
-    assert m.summary() == first
-    assert m.shard_summary() == m.shard_summary()
+    assert first == shard_summary(shards)
+    assert [m.as_dict() for m in shards] == before

@@ -81,7 +81,8 @@ def lossy_cluster(core):
     tp.events, tp.metrics = events, RuntimeMetrics()
     tp.reliability = ReliabilityConfig(am_timeout_us=20.0, max_retries=2)
     tp.faults = FaultInjector(FaultPlan(seed=1, links=(
-        LinkRule.static(loss=1.0, scope="am"),)), sim, events=events)
+        LinkRule.static(loss=1.0, scope="am"),)), sim, tp.metrics,
+        events=events)
     return sim, cluster
 
 

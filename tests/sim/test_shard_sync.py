@@ -16,7 +16,8 @@ from repro.sim.shard import ShardContext, ShardedSimulator
 from repro.sim.simulator import Simulator
 from repro.sim.sync import (INF, BarrierPost, GrainPlan, ShardMetrics,
                             ShardReport, SyncCoordinator, SyncDeadlock,
-                            SyncError, normalize_lookahead)
+                            SyncError, normalize_lookahead,
+                            shard_summary)
 from repro.util.rng import StreamFamily
 
 from tests.sim.drive import timer
@@ -388,8 +389,6 @@ def test_stream_family_key_rules():
 # ---------------------------------------------------------------------------
 
 def test_shard_metrics_rollup_in_summary():
-    m = RuntimeMetrics()
-    m.max_backlog = 3
     shards = [
         ShardMetrics(shard=0, events=100, grains=10, stall_grains=2,
                      msgs_sent=5, channel_bytes=400, max_backlog=7,
@@ -398,8 +397,7 @@ def test_shard_metrics_rollup_in_summary():
                      msgs_sent=9, channel_bytes=600, max_backlog=4,
                      final_clock_us=52.0),
     ]
-    m.attach_shards(shards)
-    s = m.summary()
+    s = shard_summary(shards)
     assert s["shards"] == 2
     assert s["shard_events_total"] == 400
     assert s["shard_events_mean"] == pytest.approx(200.0)
@@ -410,6 +408,6 @@ def test_shard_metrics_rollup_in_summary():
     assert s["channel_msgs"] == 14
     assert s["shard_max_backlog"] == 7
     assert s["shard_final_clock_us"] == 52.0
-    assert s["max_backlog"] == 7        # folded into the base field
-    # Pooled runs keep the base summary untouched.
+    assert shard_summary([])["shard_events_mean"] == 0.0
+    # The runtime's own summary carries no shard rollup.
     assert "shards" not in RuntimeMetrics().summary()

@@ -115,6 +115,20 @@ def test_exhausted_requests_are_counted_not_hung():
     assert res.requests + failures == 2_000
 
 
+@pytest.mark.parametrize("nshards", [1, 2])
+@pytest.mark.parametrize("loss", [0.0, 0.9], ids=["healthy", "lossy"])
+def test_failures_are_the_merged_shard_count(loss, nshards):
+    # a healthy fabric, or one whose 0->1 link loses nine tries in ten
+    plan = FaultPlan(seed=1, links=(LinkRule(src=0, dst=1, segments=(
+        TraceSegment(t_start=0.0, t_end=1e9, loss=loss),)),) if loss
+        else ())
+    p = _params(requests=4_000, fault_plan=plan.to_json())
+    res = run_kv_traffic(p, nshards)
+    assert res.failures == sum(o["counts"]["failures"]
+                               for o in res.extra["run"].outputs)
+    assert (res.failures > 0) == (loss > 0)
+
+
 def test_policy_without_trace_is_rejected():
     with pytest.raises(ValueError, match="needs a fault plan"):
         run_kv_traffic(_params(repair_policy="do_nothing"), 2)
