@@ -240,14 +240,15 @@ Not a paper figure — this quantifies the engine added on top of the
 reproduced runtime (DESIGN.md S21): a multi-block ``memget`` whose
 remote half used to pay one blocking round trip per block now
 coalesces arena-contiguous blocks and keeps ``bulk_max_inflight``
-messages on the wire.  Three configurations isolate the two
-mechanisms: serial (engine off), pipeline-only (coalescing off) and
+messages on the wire.  Three configurations of the one engine
+isolate the two mechanisms: serial (window 1, coalescing off: one
+blocking round trip per block), pipeline-only (coalescing off) and
 the full engine at defaults; the event columns are the
 substrate-efficiency view (the coalesced messages also make the
 *simulation itself* cheaper).
 
 **Measured:** at 16 remote blocks 3.0x faster in virtual time with
-63% fewer simulator events (2.4x from pipelining alone); 6.3x and 79%
+70% fewer simulator events (2.4x from pipelining alone); 6.3x and 84%
 at 256 blocks.
 """,
 }
@@ -262,8 +263,8 @@ single affine segment (the microbenchmarks stay inside one remote
 block and Field's overhang never exceeds a block), and single
 segments pass through the engine unsplit and unmerged — one wire message, the same protocol choice, the same
 virtual time (`tests/test_calibration.py` still enforces the shape
-bands, and `tests/runtime/test_bulk_engine.py` pins the
-window-1/no-coalesce path to the serial timings exactly).  The
+bands, and `tests/runtime/test_bulk_engine.py` pins the serial path,
+window 1 without coalescing, to its virtual times bit for bit).  The
 engine's own gains on genuinely multi-block spans are the
 `bulk_pipeline` row (X12) above.
 """

@@ -108,9 +108,6 @@ DECLARED = {
     **{f"testing/shrink.py::{name}": _FUZZ for name in (
         "_candidate", "_Budget.__init__", "_Budget.ok", "_sweep_phases",
         "_sweep_ops", "_sweep_statics", "shrink")},
-    "testing/generator.py::generate_service_program":
-        "the KV service program generator README and docs/SERVICE.md "
-        "document for differential runs of the store",
     # -- the event core ------------------------------------------------
     "sim/process.py::Process._throw":
         "failure delivery: throws a failed event's exception, or a "
@@ -140,6 +137,9 @@ DECLARED = {
         "(section 3.2), which tests/runtime/test_svd.py checks",
     "runtime/thread.py::UPCThread.get_nb":
         "split-phase GET of the kernel API (docs/PERFORMANCE.md)",
+    "runtime/thread.py::UPCThread.wait_all":
+        "the split-phase sync of the kernel API: waits on get_nb's "
+        "handles",
     "runtime/thread.py::UPCThread.forall":
         "upc_forall of the kernel API (README, DESIGN.md)",
     # -- documented analysis and model queries --------------------------

@@ -38,7 +38,6 @@ Quickstart::
 
 from repro.core import (
     EvictionPolicy,
-    PiggybackConfig,
     PiggybackMode,
     PinningPolicy,
     RemoteAddressCache,
@@ -78,7 +77,6 @@ __all__ = [
     "RemoteAddressCache",
     "EvictionPolicy",
     "PinningPolicy",
-    "PiggybackConfig",
     "PiggybackMode",
     "__version__",
 ]

@@ -130,7 +130,7 @@ def kvtraffic_main(args) -> int:
                         f"{tot['retries']}r)"
                         for (src, dst), tot in noisy_links(links, 3))
         print(f"  lossy fabric: {res.failures} exhausted request(s); "
-              f"noisy links: {row}")
+              f"noisy links: {row or 'none'}")
     policy = res.extra.get("policy")
     if policy is not None:
         print(f"  policy {policy['name']}: "

@@ -21,7 +21,7 @@ caller, so the cache can be unit-tested and trace-driven in isolation
 """
 
 from repro.core.address_cache import EvictionPolicy, RemoteAddressCache
-from repro.core.piggyback import PiggybackConfig, PiggybackMode
+from repro.core.piggyback import PiggybackMode
 from repro.core.pinned_table import PinnedAddressTable
 from repro.core.policy import PinningPolicy
 from repro.core.stats import CacheStats
@@ -32,6 +32,5 @@ __all__ = [
     "CacheStats",
     "PinnedAddressTable",
     "PinningPolicy",
-    "PiggybackConfig",
     "PiggybackMode",
 ]

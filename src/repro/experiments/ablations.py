@@ -16,7 +16,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from repro.core import EvictionPolicy, PinningPolicy
-from repro.core.piggyback import PiggybackConfig, PiggybackMode
+from repro.core.piggyback import PiggybackMode
 from repro.experiments.figures import (
     FigureResult,
     _field_params,
@@ -62,10 +62,8 @@ def ablation_piggyback(threads: int = 64, nodes: int = 16,
         machine=GM_MARENOSTRUM, nthreads=threads,
         threads_per_node=threads // nodes, nelems=1 << 14, hops=hops,
         seed=seed)
-    runs = [(mode, run_pointer(replace(
-        params, piggyback=PiggybackConfig(mode=mode))))
-        for mode in (PiggybackMode.ON_DATA, PiggybackMode.EXPLICIT,
-                     PiggybackMode.DISABLED)]
+    runs = [(mode, run_pointer(replace(params, piggyback=mode)))
+            for mode in PiggybackMode]
     if len({r.check for _, r in runs}) != 1:
         raise AssertionError("functional divergence in piggyback sweep")
     on_data = runs[0][1].elapsed_us
@@ -247,8 +245,8 @@ def _bulk_memget(remote_blocks: int, **config):
 def bulk_pipeline(blocks: Sequence[int] = (4, 16, 64, 256),
                   ) -> FigureResult:
     """The bulk-transfer engine on a multi-block ``memget``: serial
-    (engine off) vs pipeline-only (coalescing off) vs the full engine,
-    in virtual time and in simulator events."""
+    (window 1, coalescing off) vs pipeline-only (coalescing off) vs the
+    full engine, in virtual time and in simulator events."""
     fig = FigureResult(
         figure_id="Bulk engine",
         title="memget of alternating local/remote 256 B blocks "
@@ -260,7 +258,7 @@ def bulk_pipeline(blocks: Sequence[int] = (4, 16, 64, 256),
     for nblocks in blocks:
         (serial, off), (piped, pipe), (full, on) = (
             _bulk_memget(nblocks, **config) for config in (
-                dict(bulk_enabled=False),
+                dict(bulk_max_inflight=1, bulk_max_coalesce_bytes=0),
                 dict(bulk_max_coalesce_bytes=0), {}))
         if not (np.array_equal(full, serial)
                 and np.array_equal(piped, serial)):

@@ -150,11 +150,14 @@ class HealthTracker:
 
 
 def noisy_links(totals: Dict[Link, dict], k: int) -> List[tuple]:
-    """The ``k`` worst ``(link, totals)`` pairs of a
-    :meth:`HealthTracker.link_totals`-shaped dict, by (most timeouts,
-    most retries, link): the one noisy-links ranking of every report."""
-    return sorted(totals.items(), key=lambda kv: (
-        -kv[1]["timeouts"], -kv[1]["retries"], kv[0]))[:k]
+    """The ``k`` worst noisy ``(link, totals)`` pairs of a
+    :meth:`HealthTracker.link_totals`-shaped dict — a link is noisy if
+    it saw a timeout or a retry — by (most timeouts, most retries,
+    link): the one noisy-links rule of every report."""
+    return sorted(((link, t) for link, t in totals.items()
+                   if t["timeouts"] or t["retries"]),
+                  key=lambda kv: (-kv[1]["timeouts"], -kv[1]["retries"],
+                                  kv[0]))[:k]
 
 
 def fold_ewma(prev: float, delivery_rate: float, alpha: float) -> float:

@@ -160,10 +160,13 @@ def _render_links(doc: dict) -> List[str]:
              for key, tot in doc.get("links", {}).items()}
     lines = [f"links: {len(links)} observed, "
              f"{doc.get('failures', 0)} exhausted request(s)"]
-    if links:
+    noisy = noisy_links(links, 5)
+    if not noisy:
+        lines.append("  noisy links: none (no timeout or retry)")
+    else:
         lines.append(f"  {'link':<8} {'attempts':>9} {'timeouts':>9} "
                      f"{'retries':>8} {'deliveries':>11}")
-        for (src, dst), tot in noisy_links(links, 5):
+        for (src, dst), tot in noisy:
             lines.append(
                 f"  {f'{src}->{dst}':<8} {tot['attempts']:>9} "
                 f"{tot['timeouts']:>9} {tot['retries']:>8} "

@@ -24,12 +24,11 @@ it with two independent optimizations:
    pipeline to run and is issued in the calling process, on the same
    schedule (:meth:`BulkEngine._transfer`).
 
-With ``bulk_enabled`` off nothing goes on the wire from here: every
-segment is issued in order through the scalar op engine, one blocking
-round trip per block — which window 1 with coalescing off reproduces.
-The engine only *schedules*; protocol selection (RDMA vs. the default
-AM protocol) stays inside :class:`~repro.runtime.ops.OpEngine`, whose
-callbacks apply the data plane: results are bit-identical on or off.
+Window 1 with coalescing off is the serial path: one blocking round
+trip per block, in order.  The engine only *schedules*; protocol
+selection (RDMA vs. the default AM protocol) stays inside
+:class:`~repro.runtime.ops.OpEngine`, whose callbacks apply the data
+plane: results are bit-identical whatever the window and the cap.
 """
 
 from __future__ import annotations
@@ -51,7 +50,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.thread import UPCThread
 
 #: One affine segment: (span index, offset in span, start, count).  A bare
-#: one in a plan is issued inline through the scalar op engine, in order.
+#: one in a plan is on the caller's node and is issued inline through the
+#: scalar op engine, in order.
 Segment = Tuple[int, int, int, int]
 
 
@@ -136,7 +136,6 @@ class BulkEngine:
 
     def __init__(self, runtime: "Runtime") -> None:
         self.rt = runtime
-        self.enabled = runtime.config.bulk_enabled
         self.max_inflight = runtime.config.bulk_max_inflight
         self.max_coalesce_bytes = runtime.config.bulk_max_coalesce_bytes
         self._tpn = runtime.config.effective_threads_per_node
@@ -161,7 +160,7 @@ class BulkEngine:
                                   f"of range [0, {total})")
         home, elem = thread.node.id, array.elem_size
         bs = 0 if array.owner is not None else array.layout.blocksize
-        if len(spans) == 1 and nelems > 0 and self.enabled:  # the one span
+        if len(spans) == 1 and nelems > 0:  # the one span
             if not bs or index // bs == (index + nelems - 1) // bs:
                 _, node, lo = array.locate(index)   # the usual span: O(1)
                 m = self.rt.metrics
@@ -187,7 +186,7 @@ class BulkEngine:
                 _, node, lo = array.locate(pos)
                 pos += count
                 nsegs += 1
-                if node == home or not self.enabled:
+                if node == home:
                     items.append(seg)
                     continue
                 nbytes = count * elem
@@ -203,7 +202,7 @@ class BulkEngine:
                     items.append(msg)
                     nmsgs += 1
                 ends[node, msg[3] + msg[2]] = msg
-        self._count(nsegs * self.enabled, nmsgs, merged)
+        self._count(nsegs, nmsgs, merged)
         return [it if it.__class__ is tuple else _Message(*it)
                 for it in items]
 
@@ -307,10 +306,8 @@ class BulkEngine:
         ops, sim = rt.ops, rt.sim
         kind = "get" if values is None else "put"
         items = self._plan(thread, array, spans)
-        op_id = -1
-        if self.enabled:
-            rt.metrics.bulk_transfers += 1
-            op_id = thread._span_begin("bulk_" + kind, spans=len(spans))
+        rt.metrics.bulk_transfers += 1
+        op_id = thread._span_begin("bulk_" + kind, spans=len(spans))
         if op_id >= 0:
             wire = [len(it.segments) for it in items
                     if it.__class__ is not tuple]

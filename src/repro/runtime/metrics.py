@@ -138,13 +138,11 @@ class RuntimeMetrics:
             "faults_injected": self.faults_injected,
             "policy_actions": self.policy_actions,
             "kv_failover_ops": self.kv_failover_ops,
-            # The top five links with a timeout or retry.
             "noisy_links": [] if self.health is None else [
                 {"src": src, "dst": dst, "timeouts": t["timeouts"],
                  "retries": t["retries"]}
                 for (src, dst), t in noisy_links(
-                    self.health.link_totals(), 5)
-                if t["timeouts"] or t["retries"]],
+                    self.health.link_totals(), 5)],
         }
 
 

@@ -60,7 +60,7 @@ class OpEngine:
         piggy = runtime.config.piggyback
         self.dedicated_fetch = piggy.needs_dedicated_fetch
         self.wants_address = piggy.wants_address
-        self.reply_extra = piggy.reply_extra_bytes()
+        self.reply_extra = piggy.reply_extra_bytes
         # The PUT fast path (section 4.3): the config's override, else
         # the platform default; never without a cache or RDMA.
         cfg = runtime.config
@@ -230,7 +230,7 @@ class OpEngine:
         rt.metrics.get_remote.add(sim.now - t0)
         if op_id >= 0:
             self._end(thread, op_id, "rdma" if ok else "am", nbytes=nbytes)
-        if out is not None:     # a bare segment with the engine off
+        if out is not None:     # a bulk plan's bare (local) segment
             out[:] = array.data[index:index + nelems]
         elif bulk is None:      # a bulk GET's caller copies the data out
             return array.data[index] if scalar else array.read(index, nelems)
@@ -421,8 +421,8 @@ class OpEngine:
 
     def _insert_on_ack(self, remote_applied, src: Node, dst: Node,
                        array: SharedArray, op_id: int = -1) -> None:
-        """PiggybackMode.ON_ACK path: once the target applied the put,
-        the ACK carries the base address back after one wire latency."""
+        """The AM PUT's piggyback: once the target applied the put, the
+        ACK carries the base address back after one wire latency."""
         rt = self.rt
 
         def _tail():
@@ -510,11 +510,10 @@ class OpEngine:
         ``handles`` and the next miss skips this method.
 
         Registration can fail — the real registered-memory limit, or
-        the fault plane's injected budget.  When degradation is active
-        (a fault plane is installed, or ``degrade_pin_failures`` is
-        set) the handle is marked :data:`UNPINNABLE` and served over AM
-        forever; otherwise the failure propagates as
-        :class:`PinLimitError`, the strict pre-fault behavior.
+        the fault plane's injected budget.  Under a fault plan the
+        handle is marked :data:`UNPINNABLE` and served over AM forever;
+        without one the failure propagates as :class:`PinLimitError`,
+        the strict behavior of the capacity experiments.
         """
         rt = self.rt
         base = array.node_base.get(node.id)
@@ -538,7 +537,7 @@ class OpEngine:
                 c, ok = table.register(array.handle, vaddr, span)
                 cost += c
             if not ok:
-                if faults is None and not rt.config.degrade_pin_failures:
+                if faults is None:
                     raise table.last_pin_error
                 table.handles[array.handle] = UNPINNABLE
                 rt.metrics.pin_degrades += 1

@@ -28,7 +28,7 @@ Quickstart::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -38,7 +38,7 @@ from repro.core.address_cache import (
     EvictionPolicy,
     RemoteAddressCache,
 )
-from repro.core.piggyback import PiggybackConfig
+from repro.core.piggyback import PiggybackMode
 from repro.core.pinned_table import PinnedAddressTable
 from repro.core.policy import DEFAULT_CHUNK_BYTES, PinningPolicy
 from repro.core.stats import CacheStats
@@ -82,15 +82,12 @@ class RuntimeConfig:
     cache_policy: EvictionPolicy = EvictionPolicy.LRU
     pinning_policy: PinningPolicy = PinningPolicy.PIN_EVERYTHING
     pin_chunk_bytes: int = DEFAULT_CHUNK_BYTES
-    piggyback: PiggybackConfig = field(default_factory=PiggybackConfig)
+    piggyback: PiggybackMode = PiggybackMode.ON_DATA
     #: None = platform default (GM: RDMA PUTs on; LAPI: off, 4.3).
     use_rdma_put: Optional[bool] = None
-    #: Bulk-transfer engine switch: False falls back to the serial
-    #: per-segment memget/memput/gather loops (escape hatch used by
-    #: baselines and degenerate-behaviour tests).
-    bulk_enabled: bool = True
     #: Max in-flight wire messages per bulk operation (sliding window
-    #: with completion-driven refill; 1 = strictly serial issue).
+    #: with completion-driven refill; 1 = strictly serial issue, which
+    #: with coalescing off is the serial one-round-trip-per-block path).
     bulk_max_inflight: int = 8
     #: Coalesce arena-contiguous same-destination segments into single
     #: wire messages up to this many bytes (0 disables coalescing; a
@@ -111,10 +108,6 @@ class RuntimeConfig:
     #: messages can actually be lost, but configurable independently
     #: so tests can tighten timeouts.
     reliability: Optional[object] = None
-    #: Degrade pin-registration failures to the AM path even without a
-    #: fault plan (the default False preserves strict
-    #: PinLimitError-raising behavior for capacity experiments).
-    degrade_pin_failures: bool = False
     #: Optional repair policy name (one of
     #: :data:`repro.faults.POLICIES`); None = static fabric.  Builds a
     #: :class:`repro.faults.PolicyEngine` over the run's per-link

@@ -156,32 +156,20 @@ class UPCThread:
 
         Contract: with ``nelems == 1`` (the default) each entry is a
         NumPy *scalar*; with ``nelems > 1`` each entry is the fetched
-        array.  Through the bulk engine the window refills on every
-        completion (a sliding window) and adjacent same-destination
-        reads coalesce into single wire messages; with the engine off
-        the reads go in lock-step batches of ``width``.
+        array.  The bulk engine's window refills on every completion (a
+        sliding window) and adjacent same-destination reads coalesce
+        into single wire messages.
         """
-        indices = list(indices)
-        if self.runtime.config.bulk_enabled:
-            vals = yield from self.runtime.bulk.get_spans(
-                self, array, [(i, nelems) for i in indices], window=width)
-        else:
-            vals = []
-            for pos in range(0, len(indices), width):
-                # memget splits an entry that spans affinity boundaries.
-                vals += yield from self.wait_all([
-                    self.runtime.sim.process(
-                        self.memget(array, i, nelems),
-                        name=f"gather[t{self.id}]")
-                    for i in indices[pos:pos + width]])
+        vals = yield from self.runtime.bulk.get_spans(
+            self, array, [(i, nelems) for i in indices], window=width)
         return [v[0] for v in vals] if nelems == 1 else vals
 
     def memget(self, array: SharedArray, index: int, nelems: int):
         """``upc_memget``-style bulk read of a contiguous span, split
         into one transfer per owning block; through the bulk engine
         those are coalesced per destination node and pipelined under a
-        bounded in-flight window (engine off: one blocking round trip
-        per block, in order)."""
+        bounded in-flight window (window 1 with coalescing off: one
+        blocking round trip per block, in order)."""
         return self.runtime.bulk._transfer(self, array, [(index, nelems)],
                                            None, None, single=True)
 

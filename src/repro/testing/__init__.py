@@ -23,7 +23,6 @@ fixed-seed corpus in ``tests/fuzz/``.
 from repro.testing.generator import (
     ProgramGenerator,
     generate_program,
-    generate_service_program,
 )
 from repro.testing.oracle import (
     FlatOracle,
@@ -75,7 +74,6 @@ __all__ = [
     "config_by_name",
     "fuzz",
     "generate_program",
-    "generate_service_program",
     "live_objects_at_end",
     "record_flight",
     "run_config",

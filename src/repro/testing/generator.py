@@ -688,14 +688,3 @@ def generate_program(seed: int, n_ops: int = 100,
     return ProgramGenerator(
         seed, nthreads=nthreads, max_live_objects=max_live_objects,
         max_elems=max_elems, kv=kv).generate(n_ops)
-
-
-def generate_service_program(seed: int, n_ops: int = 100,
-                             nthreads: int = 4,
-                             max_live_objects: int = 5,
-                             max_elems: int = 192) -> Program:
-    """A program with kv-store traffic mixed into the usual churn —
-    the service-level differential suite's generator entry point."""
-    return generate_program(seed, n_ops=n_ops, nthreads=nthreads,
-                            max_live_objects=max_live_objects,
-                            max_elems=max_elems, kv=True)

@@ -3,9 +3,9 @@
 Replays a fuzz :class:`~repro.testing.program.Program` on the real
 runtime under every :class:`ConfigPoint` of a config matrix — GM vs
 LAPI vs TCP vs BG/L transports, polling vs interrupt progress, cache
-on/off/capacity/eviction-policy, RDMA-PUT on/off, bulk engine
-on/off/window/coalescing, piggyback modes — and checks three things
-against the flat-memory oracle:
+on/off/capacity/eviction-policy, RDMA-PUT on/off, bulk window and
+coalescing, piggyback modes — and checks three things against the
+flat-memory oracle:
 
 1. every *checked* op (reads, gathers, reduces, broadcasts, pointer
    walks) returned bit-identical values;
@@ -28,12 +28,13 @@ report), never timing noise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.address_cache import DEFAULT_CAPACITY, EvictionPolicy
-from repro.core.piggyback import PiggybackConfig, PiggybackMode
+from repro.core.address_cache import EvictionPolicy
+from repro.core.piggyback import PiggybackMode
 from repro.network.params import MACHINES
 from repro.runtime.pointer import PointerToShared
 from repro.runtime.runtime import Runtime, RuntimeConfig
@@ -52,25 +53,17 @@ from repro.testing.program import CHECKED_KINDS, Program, live_objects_at_end
 # The configuration matrix
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ConfigPoint:
-    """One named cell of the differential config matrix."""
+    """One named cell of the differential config matrix: a machine by
+    name, its progress engine (None = the machine's native one) and a
+    read-only mapping of the :class:`RuntimeConfig` fields it sets."""
 
-    name: str
-    machine: str = "gm"
-    #: 4-thread programs on tpn=2 span two nodes (network traffic plus
-    #: same-node shm accesses); tpn=1 makes every access remote.
-    threads_per_node: int = 2
-    cache_enabled: bool = True
-    cache_capacity: int = DEFAULT_CAPACITY
-    cache_policy: EvictionPolicy = EvictionPolicy.LRU
-    #: None = the machine's native progress engine.
-    progress: Optional[str] = None
-    use_rdma_put: Optional[bool] = None
-    bulk_enabled: bool = True
-    bulk_max_inflight: int = 8
-    bulk_max_coalesce_bytes: int = 64 * 1024
-    piggyback: Optional[PiggybackMode] = None
+    __slots__ = ("name", "machine", "progress", "overrides")
+
+    def __init__(self, name: str, machine: str = "gm",
+                 progress: Optional[str] = None, **overrides) -> None:
+        self.name, self.machine, self.progress = name, machine, progress
+        self.overrides = MappingProxyType(overrides)
 
     def runtime_config(self, nthreads: int, seed: int = 0) -> RuntimeConfig:
         machine = MACHINES[self.machine]
@@ -78,29 +71,18 @@ class ConfigPoint:
                 and machine.transport.progress != self.progress):
             machine = replace(machine, transport=machine.transport
                               .with_overrides(progress=self.progress))
-        kw = dict(
-            machine=machine,
-            nthreads=nthreads,
-            threads_per_node=self.threads_per_node,
-            cache_enabled=self.cache_enabled,
-            cache_capacity=self.cache_capacity,
-            cache_policy=self.cache_policy,
-            use_rdma_put=self.use_rdma_put,
-            bulk_enabled=self.bulk_enabled,
-            bulk_max_inflight=self.bulk_max_inflight,
-            bulk_max_coalesce_bytes=self.bulk_max_coalesce_bytes,
-            seed=seed,
-        )
-        if self.piggyback is not None:
-            kw["piggyback"] = PiggybackConfig(mode=self.piggyback)
-        return RuntimeConfig(**kw)
+        # 4-thread programs on tpn=2 span two nodes (network traffic
+        # plus same-node shm accesses); tpn=1 makes every access remote.
+        return RuntimeConfig(machine=machine, nthreads=nthreads, seed=seed,
+                             **{"threads_per_node": 2, **self.overrides})
 
 
 #: The smoke matrix: one representative per mechanism under test.
 QUICK_MATRIX: Tuple[ConfigPoint, ...] = (
     ConfigPoint("gm-base"),
     ConfigPoint("gm-nocache", cache_enabled=False),
-    ConfigPoint("gm-serial", bulk_enabled=False),
+    # Window 1 with coalescing off: the serial one-block-at-a-time path.
+    ConfigPoint("gm-win1", bulk_max_inflight=1, bulk_max_coalesce_bytes=0),
     ConfigPoint("gm-cap4-random", cache_capacity=4,
                 cache_policy=EvictionPolicy.RANDOM),
     ConfigPoint("gm-tpn1", threads_per_node=1),
@@ -111,15 +93,13 @@ QUICK_MATRIX: Tuple[ConfigPoint, ...] = (
 FULL_MATRIX: Tuple[ConfigPoint, ...] = QUICK_MATRIX + (
     ConfigPoint("gm-cap4-fifo", cache_capacity=4,
                 cache_policy=EvictionPolicy.FIFO),
-    ConfigPoint("gm-win1", bulk_max_inflight=1,
-                bulk_max_coalesce_bytes=0),
     ConfigPoint("gm-interrupt", progress="interrupt"),
     ConfigPoint("gm-rdmaput-off", use_rdma_put=False),
     ConfigPoint("gm-pb-explicit", piggyback=PiggybackMode.EXPLICIT),
     ConfigPoint("lapi-polling", machine="lapi", progress="polling"),
     ConfigPoint("lapi-rdmaput", machine="lapi", use_rdma_put=True),
-    ConfigPoint("lapi-serial-tpn1", machine="lapi", threads_per_node=1,
-                bulk_enabled=False),
+    ConfigPoint("lapi-win1-tpn1", machine="lapi", threads_per_node=1,
+                bulk_max_inflight=1, bulk_max_coalesce_bytes=0),
     ConfigPoint("tcp", machine="tcp"),
     ConfigPoint("bgl", machine="bgl"),
 )

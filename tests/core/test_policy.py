@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import PiggybackConfig, PiggybackMode, PinningPolicy
+from repro.core import PiggybackMode, PinningPolicy
 from repro.core.policy import ranges_to_pin
 
 
@@ -47,23 +47,18 @@ def test_touch_outside_object_rejected():
 
 
 def test_piggyback_on_data_adds_reply_bytes():
-    cfg = PiggybackConfig(mode=PiggybackMode.ON_DATA, extra_bytes=16)
-    assert cfg.wants_address
-    assert not cfg.needs_dedicated_fetch
-    assert cfg.reply_extra_bytes() == 16
-
-
-def test_piggyback_on_ack_keeps_data_reply_clean():
-    cfg = PiggybackConfig(mode=PiggybackMode.ON_ACK)
-    assert cfg.wants_address
-    assert cfg.reply_extra_bytes() == 0
+    mode = PiggybackMode.ON_DATA
+    assert mode.wants_address
+    assert not mode.needs_dedicated_fetch
+    assert mode.reply_extra_bytes == 16
 
 
 def test_piggyback_explicit_needs_fetch():
-    cfg = PiggybackConfig(mode=PiggybackMode.EXPLICIT)
-    assert cfg.needs_dedicated_fetch
+    mode = PiggybackMode.EXPLICIT
+    assert mode.needs_dedicated_fetch
+    assert mode.reply_extra_bytes == 0
 
 
 def test_piggyback_disabled_requests_nothing():
-    cfg = PiggybackConfig(mode=PiggybackMode.DISABLED)
-    assert not cfg.wants_address
+    mode = PiggybackMode.DISABLED
+    assert not mode.wants_address

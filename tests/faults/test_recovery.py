@@ -220,9 +220,9 @@ def test_pin_exhaustion_degrades_to_am_forever():
 
 
 def test_real_pin_limit_degrades_when_configured():
-    # Without a fault plan the strict behavior raises (covered in
-    # tests/runtime/test_failure_injection.py); with the degradation
-    # switch the same machine limit turns into AM-forever service.
+    # Without a fault plan the machine's own pin limit raises; under
+    # one — here a budget that never binds, so the failure is the
+    # machine's — the same limit turns into AM-forever service.
     tiny = replace(
         GM_MARENOSTRUM,
         transport=GM_MARENOSTRUM.transport.with_overrides(
@@ -237,12 +237,15 @@ def test_real_pin_limit_degrades_when_configured():
             assert v == 0
         yield from th.barrier()
 
+    roomy = FaultPlan(seed=1,
+                      pin_budgets=(PinBudget(budget_bytes=1 << 40),))
     cfg = RuntimeConfig(machine=tiny, nthreads=4, threads_per_node=2,
-                        seed=1, degrade_pin_failures=True)
+                        seed=1, fault_plan=roomy)
     rt = Runtime(cfg)
     rt.spawn(big)
     rt.run()                                 # completes, no raise
     assert rt.metrics.pin_degrades > 0
+    assert rt.metrics.faults_injected == 0   # the machine refused, not the plan
 
     strict = RuntimeConfig(machine=tiny, nthreads=4, threads_per_node=2,
                            seed=1)

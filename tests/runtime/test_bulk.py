@@ -122,8 +122,8 @@ def test_memget_touches_multiple_owner_nodes():
     assert rt.metrics.get_shm.count == 1      # block of thread 3
     assert rt.metrics.bulk_coalesced_segments == 1
 
-    # With the engine off the serial path pays one round trip per block.
-    rt, res = run1(kernel, bulk_enabled=False)
+    # At window 1 without coalescing: one round trip per remote block.
+    rt, res = run1(kernel, bulk_max_inflight=1, bulk_max_coalesce_bytes=0)
     assert rt.metrics.get_remote.count == 2
     assert rt.metrics.get_shm.count == 1
 

@@ -1,17 +1,22 @@
 """Pipelined bulk-transfer engine (:mod:`repro.runtime.bulk`).
 
 The contract under test: the engine changes *when* wire messages move,
-never *what* data lands — results are bit-identical with the engine on
-or off, window 1 with coalescing off degenerates to the serial path,
-and relaxed-put tracking still drains at fence/barrier.
+never *what* data lands — results are bit-identical whatever the window
+and the coalescing cap, window 1 with coalescing off is the serial
+path (one blocking round trip per block, its virtual times pinned
+below), and relaxed-put tracking still drains at fence/barrier.
 """
 
 import numpy as np
 import pytest
 
+from repro.experiments.ablations import _bulk_memget
 from repro.network import GM_MARENOSTRUM
 from repro.runtime import Runtime, RuntimeConfig
 from repro.runtime.errors import UPCRuntimeError
+
+#: The serial bulk path: one message per block, one in flight.
+SERIAL = dict(bulk_max_inflight=1, bulk_max_coalesce_bytes=0)
 
 
 def make_rt(**kw):
@@ -56,19 +61,33 @@ def seeded_kernel_results(**kw):
     return got, rt, res
 
 
+def expected_kernel_results():
+    """What :func:`seeded_kernel_results` must read, from NumPy alone."""
+    data = np.arange(256, dtype="u4")
+    wide = data[3:173].copy()
+    data[40:130] = np.arange(500, 590, dtype="u4")
+    return {"wide": wide, "after_put": data[40:130],
+            "gathered": [data[i] for i in (7, 250, 13, 131, 64)],
+            "gathered_v": [data[4:8], data[200:204]],
+            "observed": data[40:130]}
+
+
 def test_engine_on_off_bit_identical():
-    on, _, _ = seeded_kernel_results(bulk_enabled=True)
-    off, _, _ = seeded_kernel_results(bulk_enabled=False)
-    assert on.keys() == off.keys()
-    for key in on:
-        a, b = on[key], off[key]
-        if isinstance(a, list):
-            assert len(a) == len(b)
-            for x, y in zip(a, b):
-                assert np.array_equal(x, y), key
-        else:
-            assert a.dtype == b.dtype, key
-            assert np.array_equal(a, b), key
+    # The default engine and the serial window-1 engine read the same
+    # bits, and both read what NumPy says they must.
+    want = expected_kernel_results()
+    for kw in ({}, SERIAL):
+        got, _, _ = seeded_kernel_results(**kw)
+        assert got.keys() == want.keys()
+        for key in want:
+            a, b = got[key], want[key]
+            if isinstance(b, list):
+                assert len(a) == len(b)
+                for x, y in zip(a, b):
+                    assert np.array_equal(x, y), key
+            else:
+                assert a.dtype == b.dtype, key
+                assert np.array_equal(a, b), key
 
 
 def test_many_block_span_values_and_coalescing():
@@ -125,12 +144,22 @@ def test_window_one_no_coalesce_matches_serial_timing():
             yield from th.fence()
         yield from th.barrier()
 
-    _, serial = run1(kernel, bulk_enabled=False)
-    _, degenerate = run1(kernel, bulk_max_inflight=1,
-                         bulk_max_coalesce_bytes=0)
-    # One message per segment, one in flight at a time: the engine
-    # reproduces the serial path's virtual time exactly.
-    assert degenerate.elapsed_us == pytest.approx(serial.elapsed_us)
+    # One message per segment, one in flight at a time: the virtual
+    # time of the serial path, pinned bit for bit.
+    _, serial = run1(kernel, **SERIAL)
+    assert serial.elapsed_us == 276.3225634765625
+
+
+def test_window_one_pins_the_serial_bulk_sweep():
+    # X12's serial column (alternating local/remote 256 B blocks), at
+    # the virtual times the serial path has always produced.
+    for nblocks, elapsed_us in ((4, 142.14626953125),
+                                (16, 342.55470703124996),
+                                (64, 1144.9384570312504),
+                                (256, 4354.473457031247)):
+        data, res = _bulk_memget(nblocks, **SERIAL)
+        assert res.elapsed_us == elapsed_us, nblocks
+        assert np.array_equal(data, np.arange(len(data), dtype="u4"))
 
 
 def test_pipeline_depth_reaches_window():
@@ -204,7 +233,7 @@ def test_gather_scalar_vector_contract():
         [3, 4, 5, 6], [50, 51, 52, 53], [20, 21, 22, 23]]
 
 
-def test_gather_contract_matches_with_engine_off():
+def test_gather_contract_matches_at_window_one():
     def kernel(th):
         arr = yield from th.all_alloc(64, blocksize=8, dtype="u4")
         if th.id == 0:
@@ -217,7 +246,7 @@ def test_gather_contract_matches_with_engine_off():
             assert [list(x) for x in v] == [[9, 10, 11], [41, 42, 43]]
         yield from th.barrier()
 
-    run1(kernel, bulk_enabled=False)
+    run1(kernel, **SERIAL)
 
 
 def test_bulk_config_validation():
@@ -227,11 +256,11 @@ def test_bulk_config_validation():
         make_rt(bulk_max_coalesce_bytes=-1)
 
 
-@pytest.mark.parametrize("bulk", [True, False])
-def test_gather_nelems_zero_is_a_noop(bulk):
+@pytest.mark.parametrize("pipelined", [True, False])
+def test_gather_nelems_zero_is_a_noop(pipelined):
     """upc_memget(p, q, 0) is a no-op, so a vector gather with
     nelems=0 yields one empty (but correctly-typed) array per index
-    and moves no data — on the pipelined and serial paths alike."""
+    and moves no data — at the default window and at window 1 alike."""
     got = {}
 
     def kernel(th):
@@ -245,7 +274,7 @@ def test_gather_nelems_zero_is_a_noop(bulk):
             got["memget0"] = yield from th.memget(arr, 17, 0)
         yield from th.barrier()
 
-    run1(kernel, bulk_enabled=bulk)
+    run1(kernel, **({} if pipelined else SERIAL))
     assert len(got["empty"]) == 3
     for v in got["empty"]:
         assert v.shape == (0,) and v.dtype == np.dtype("u4")
@@ -253,11 +282,11 @@ def test_gather_nelems_zero_is_a_noop(bulk):
     assert got["memget0"].dtype == np.dtype("u4")
 
 
-@pytest.mark.parametrize("bulk", [True, False])
-def test_gather_span_crosses_affinity_boundary(bulk):
+@pytest.mark.parametrize("pipelined", [True, False])
+def test_gather_span_crosses_affinity_boundary(pipelined):
     """A gathered span that starts in one thread's block and ends in
-    the next must split like memget does — notably on the serial path,
-    where each element batch used to be issued as a single-block GET."""
+    the next must split like memget does — at window 1 too, where each
+    element batch was once issued as a single-block GET."""
     got = {}
 
     def kernel(th):
@@ -271,13 +300,13 @@ def test_gather_span_crosses_affinity_boundary(bulk):
             got["spans"] = yield from th.gather(arr, [6, 30], nelems=4)
         yield from th.barrier()
 
-    run1(kernel, bulk_enabled=bulk)
+    run1(kernel, **({} if pipelined else SERIAL))
     assert [list(v) for v in got["spans"]] == [[6, 7, 8, 9],
                                               [30, 31, 32, 33]]
 
 
-@pytest.mark.parametrize("bulk", [True, False])
-def test_gather_nelems_larger_than_blocksize(bulk):
+@pytest.mark.parametrize("pipelined", [True, False])
+def test_gather_nelems_larger_than_blocksize(pipelined):
     """nelems > blocksize covers several whole blocks per index."""
     got = {}
 
@@ -290,13 +319,13 @@ def test_gather_nelems_larger_than_blocksize(bulk):
             got["wide"] = yield from th.gather(arr, [2, 45], nelems=10)
         yield from th.barrier()
 
-    run1(kernel, bulk_enabled=bulk)
+    run1(kernel, **({} if pipelined else SERIAL))
     assert [list(v) for v in got["wide"]] == [
         list(range(2, 12)), list(range(45, 55))]
 
 
-@pytest.mark.parametrize("bulk", [True, False])
-def test_memget_negative_nelems_rejected(bulk):
+@pytest.mark.parametrize("pipelined", [True, False])
+def test_memget_negative_nelems_rejected(pipelined):
     def kernel(th):
         arr = yield from th.all_alloc(16, blocksize=4, dtype="u4")
         yield from th.barrier()
@@ -305,4 +334,4 @@ def test_memget_negative_nelems_rejected(bulk):
                 yield from th.memget(arr, 0, -1)
         yield from th.barrier()
 
-    run1(kernel, bulk_enabled=bulk)
+    run1(kernel, **({} if pipelined else SERIAL))

@@ -42,10 +42,8 @@ def pipelined(self, thread, array, spans, values, window, single=False):
     any other goes through ``_drive`` as in the product."""
     rt, ops, sim = self.rt, self.rt.ops, self.rt.sim
     kind = "get" if values is None else "put"
-    op_id = -1
-    if self.enabled:
-        rt.metrics.bulk_transfers += 1
-        op_id = thread._span_begin("bulk_" + kind, spans=len(spans))
+    rt.metrics.bulk_transfers += 1
+    op_id = thread._span_begin("bulk_" + kind, spans=len(spans))
     items = self._plan(thread, array, spans)
     if op_id >= 0:
         wire = [len(it.segments) for it in items

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.piggyback import PiggybackConfig, PiggybackMode
+from repro.core.piggyback import PiggybackMode
 from repro.network import GM_MARENOSTRUM, LAPI_POWER5
 from repro.runtime import Runtime, RuntimeConfig
 from repro.runtime.errors import LayoutError
@@ -226,8 +226,7 @@ def test_explicit_piggyback_mode_works_but_slower():
 
     rt_data, res_data = run_kernel(kernel)
     rt_expl, res_expl = run_kernel(
-        kernel,
-        piggyback=PiggybackConfig(mode=PiggybackMode.EXPLICIT))
+        kernel, piggyback=PiggybackMode.EXPLICIT)
     # Both end up caching; the explicit fetch pays an extra round trip
     # on the miss.
     assert rt_expl.addr_cache(0).stats.hits >= 1
@@ -245,7 +244,7 @@ def test_disabled_piggyback_never_populates_cache():
         yield from th.barrier()
 
     rt, _ = run_kernel(
-        kernel, piggyback=PiggybackConfig(mode=PiggybackMode.DISABLED))
+        kernel, piggyback=PiggybackMode.DISABLED)
     assert rt.metrics.rdma_gets == 0
     assert len(rt.addr_cache(0)) == 0
 

@@ -15,7 +15,7 @@ from repro.service.kvstore import KVStore
 from repro.testing import (
     QUICK_MATRIX,
     config_by_name,
-    generate_service_program,
+    generate_program,
     run_differential,
     shrink,
     validate,
@@ -28,7 +28,7 @@ from repro.testing import (
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_fixed_seed_kv_programs_quick_matrix(seed):
-    program = generate_service_program(seed, n_ops=110)
+    program = generate_program(seed, n_ops=110, kv=True)
     validate(program)
     assert any(op.kind.startswith("kv") for op in program.iter_ops())
     divs = run_differential(program, configs=list(QUICK_MATRIX))
@@ -38,15 +38,15 @@ def test_fixed_seed_kv_programs_quick_matrix(seed):
 def test_generated_corpus_exercises_both_access_paths():
     accesses = set()
     for seed in range(8):
-        program = generate_service_program(seed, n_ops=110)
+        program = generate_program(seed, n_ops=110, kv=True)
         accesses |= {op.args["access"] for op in program.iter_ops()
                      if op.kind == "kv_create"}
     assert accesses == {"onesided", "rpc"}
 
 
 def test_service_generator_is_deterministic_per_seed():
-    a = generate_service_program(5, n_ops=90)
-    b = generate_service_program(5, n_ops=90)
+    a = generate_program(5, n_ops=90, kv=True)
+    b = generate_program(5, n_ops=90, kv=True)
     assert a.dumps() == b.dumps()
 
 
@@ -57,7 +57,7 @@ def test_service_generator_is_deterministic_per_seed():
 @pytest.mark.parametrize("seed", [0, 3])
 def test_kv_programs_hold_under_chaos(seed):
     plan = resolve_profile("chaos", 1000003 * seed + 17)
-    program = generate_service_program(seed, n_ops=100)
+    program = generate_program(seed, n_ops=100, kv=True)
     divs = run_differential(
         program,
         configs=[config_by_name("gm-base"), config_by_name("gm-nocache")],
@@ -83,7 +83,7 @@ def test_mutation_corrupted_kv_put_is_caught_and_shrunk(monkeypatch):
     points = [config_by_name("gm-base")]
     program = None
     for seed in range(6):
-        cand = generate_service_program(seed, n_ops=110)
+        cand = generate_program(seed, n_ops=110, kv=True)
         if run_differential(cand, configs=points, stop_on_first=True):
             program = cand
             break

@@ -13,7 +13,7 @@ from repro.runtime import Runtime, RuntimeConfig
 from repro.runtime.metrics import RuntimeMetrics
 from repro.service import kv_create
 from repro.sim.sync import shard_summary
-from repro.testing import generate_service_program
+from repro.testing import generate_program
 
 from tests.sim.shard_referees import run_corpus_sharded
 
@@ -46,7 +46,7 @@ def test_summary_idempotent_after_real_run():
 
 @pytest.mark.shard
 def test_summary_idempotent_with_shard_rollups():
-    program = generate_service_program(3, n_ops=60)
+    program = generate_program(3, n_ops=60, kv=True)
     out = run_corpus_sharded(program, 2)
     shards = out["run"].metrics
     before = [m.as_dict() for m in shards]

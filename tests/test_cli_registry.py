@@ -450,6 +450,25 @@ def test_kvtraffic_honours_exactly_the_link_rule_subset(capsys):
         assert cannot in message
 
 
+@pytest.mark.shard
+def test_a_quiet_planned_run_lists_no_noisy_link(tmp_path, capsys):
+    # CI's lossy smoke: the flap never fires inside the run, so no
+    # link times out or retries, and neither kvtraffic nor the report
+    # lists one as noisy.
+    out_dir = tmp_path / "run"
+    assert main(["kvtraffic", "--requests", "5000", "--shards", "2",
+                 "--fault-profile", "flap", "--fault-seed", "7",
+                 "--repair-policy", "disable_and_repair",
+                 "--trace-dir", str(out_dir)]) == 0
+    out = capsys.readouterr().out
+    assert "lossy fabric: 0 exhausted request(s); noisy links: none" in out
+    assert "(0t/0r)" not in out
+    assert main(["report", str(out_dir)]) == 0
+    out = capsys.readouterr().out
+    assert "noisy links: none (no timeout or retry)" in out
+    assert "deliveries" not in out
+
+
 def test_sharded_run_and_trace_reject_the_same_combinations(capsys):
     for cmd in ("run", "trace"):
         assert "field stressmark only" in _usage_error(
