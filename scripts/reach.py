@@ -87,11 +87,6 @@ DECLARED = {
     "runtime/runtime.py::Runtime._on_policy_decision":
         "puts a repair-policy action on a runtime's recorder; runs when "
         "a policy acts on a runtime link (tests/faults/test_recovery.py)",
-    "obs/slo.py::SLOMonitor.observe_policy_action":
-        "marks a repair-policy action in its SLO window; runs when a "
-        "policy acts during a kvtraffic run with an SLO target",
-    "obs/slo.py::detect_anomalies.<locals>.flag":
-        "records an anomaly: runs only when a window is anomalous",
     "obs/sampler.py::CounterSampler.backlog_transition":
         "an AM-queue edge pushed by the polling engine while a sampler "
         "records; runs only when handlers queue behind a poller",
@@ -352,8 +347,9 @@ def runs():
             "--trace-dir {tmp}/kv-fuzz-traces",
             "fuzz --seed 0..4 --ops 200 --quick --faults "
             "--fault-profile chaos --trace-dir {tmp}/chaos-traces",
-            "kvtraffic --requests 5000 --shards 2 --fault-profile flap "
-            "--fault-seed 7 --repair-policy disable_and_repair",
+            "kvtraffic --requests 40000 --shards 2 --fault-profile flap "
+            "--fault-seed 7 --repair-policy disable_and_repair "
+            "--slo-target-us 30",
             "trace pointer --quick --format chrome --format csv "
             "--out {tmp}/trace-out",
             "trace field --shards 2 --format chrome "

@@ -9,15 +9,15 @@ and unbounded registration memory.  This package relaxes both:
   fault is one open-ended segment), transient NIC stalls,
   target-handler slowdowns, and injected pin-registration budgets;
 * :mod:`repro.faults.injector` — the :class:`FaultInjector` that draws
-  every fault from a seeded RNG, so any failure is replayable from
-  ``(workload seed, fault seed)`` alone;
+  every fault as a hash of its identity, so any failure is replayable
+  from ``(workload seed, fault seed)`` alone;
 * :mod:`repro.faults.reliability` — the knobs and data structures of
   the recovery protocols: :class:`ReliabilityConfig` (timeouts, capped
   exponential backoff), the :class:`DedupLedger` that makes retried AM
   handlers idempotent, and :class:`ReliabilityError`;
 * :mod:`repro.faults.trace` — seeded degradation shapes (``flap``,
   ``burst``, ``degrade``, ``gray``) built as plans, and the pure
-  identity hash the sharded traffic harness draws fates from;
+  identity hash every fate is drawn from;
 * :mod:`repro.faults.profiles` — named canned plans for CLI/chaos use
   and the one ``--fault-profile`` resolver.
 

@@ -1,14 +1,16 @@
-"""The fault injector: seeded draws against a :class:`FaultPlan`.
+"""The fault injector: identity-hashed draws against a :class:`FaultPlan`.
 
 One injector is built per :class:`~repro.runtime.runtime.Runtime` when
-a non-empty plan is configured.  Every decision — does this message
-drop, does this NIC stall, is this pin granted — is drawn from
-``seeded_rng(plan.seed, 0xFA17)`` in simulator order, which is itself
-deterministic, so a ``(workload seed, fault plan)`` pair replays the
-identical failure sequence.  Each fault that actually fires emits a
-``FAULT_INJECT`` flight-recorder event with the causal ``op_id`` and
-bumps ``metrics.faults_injected``; a rule that matches but whose
-probability draw says "healthy" costs one RNG draw and nothing else.
+a non-empty plan is configured.  Every draw is a pure function of
+identity — ``fate_u01(plan.seed, src, seq, attempt, slot)`` for a
+message (``(src, seq)`` the transport's per-node dedup key),
+``fate_u01(plan.seed, node, n, rule)`` for the ``n``-th stall check
+of a node — never of another node's traffic or of event order, so a
+``(workload seed, fault plan)`` pair replays the identical failure
+sequence.  Each fault that actually fires emits a ``FAULT_INJECT``
+flight-recorder event with the causal ``op_id`` and bumps
+``metrics.faults_injected``; a rule that matches but whose draw says
+"healthy" costs one hash and nothing else.
 
 The injector only *decides*; the transport, progress engines and op
 engine consult it and act (pay the delay, lose the message, fail the
@@ -21,12 +23,8 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.faults.plan import FaultPlan
+from repro.faults.trace import fate_u01
 from repro.obs.events import FAULT_INJECT
-from repro.util.rng import seeded_rng
-
-#: RNG stream salt for fault draws (distinct from cache/workload
-#: streams so adding faults never perturbs their sequences).
-_FAULT_STREAM = 0xFA17
 
 
 class Fate:
@@ -69,8 +67,8 @@ class FaultInjector:
     disabled).
     """
 
-    __slots__ = ("plan", "sim", "events", "metrics",
-                 "_rng", "_pin_granted", "policy", "health")
+    __slots__ = ("plan", "sim", "events", "metrics", "_checks",
+                 "_pin_granted", "policy", "health")
 
     def __init__(self, plan: FaultPlan, sim, metrics, events=None,
                  policy=None, health=None) -> None:
@@ -78,7 +76,8 @@ class FaultInjector:
         self.sim = sim
         self.events = events
         self.metrics = metrics
-        self._rng = seeded_rng(plan.seed, _FAULT_STREAM)
+        #: (stall kind, node id) -> checks made: the next draw's ``n``.
+        self._checks = {}
         #: node id -> pin bytes already granted against the budget.
         self._pin_granted = {}
         #: Optional :class:`~repro.faults.policy.PolicyEngine` — when a
@@ -100,20 +99,22 @@ class FaultInjector:
 
     # -- message fates -------------------------------------------------
 
-    def _link_fate(self, src: int, dst: int, op_id: int,
+    def _link_fate(self, key, dst: int, attempt: int, op_id: int,
                    family: str) -> Fate:
-        """Draw the fate of one ``family`` (``"am"``/``"rdma"``)
+        """Draw the fate of attempt ``attempt`` of message ``key`` (the
+        ``(src, seq)`` dedup key), a ``family`` (``"am"``/``"rdma"``)
         exchange on link ``src -> dst`` at the current instant.
 
         The link's active segments compose into one condition first;
-        the draws then come in a fixed order — loss (then which leg),
-        corruption, duplication, each probabilistic delay.  A link
-        detoured by ``disable_and_repair`` no longer crosses the sick
-        fabric segment, so none of its rules apply (the wire layer
-        charges the two-hop detour latency instead).
+        each draw then hashes the message's identity with its own slot:
+        loss 0 (its leg 1), corruption 2, duplication 3, each delay 4,
+        5, ….  A link detoured by ``disable_and_repair`` no longer
+        crosses the sick segment, so none of its rules apply (the wire
+        layer charges the two-hop detour latency instead).
         """
         if not self.plan.links:
             return NO_FAULT
+        src, seq = key
         now = self.sim.now
         if self.policy is not None:
             mode = self.policy.mode_of(src, dst, now)
@@ -126,80 +127,82 @@ class FaultInjector:
         # A standing delay is the link's condition, not an event: it is
         # paid without a draw and not counted as an injection.
         fate = Fate(delay_us=delay)
-        rng = self._rng
-        if loss and rng.random() < loss:
+        seed = self.plan.seed
+        if loss and fate_u01(seed, src, seq, attempt, 0) < loss:
             # One draw decides the request leg; the reply leg is a
             # separate message and only at risk if the request got
             # through.
-            if rng.random() < 0.5:
+            if fate_u01(seed, src, seq, attempt, 1) < 0.5:
                 fate.drop_request = True
                 self._fired("drop_request", op_id, dst, src=src, dst=dst)
             else:
                 fate.drop_reply = True
                 self._fired("drop_reply", op_id, dst, src=src, dst=dst)
-        elif corrupt and rng.random() < corrupt:
+        elif corrupt and fate_u01(seed, src, seq, attempt, 2) < corrupt:
             # A corrupt frame is detected and discarded by the
             # receiver: it behaves like a lost request leg but is
             # accounted separately.
             fate.drop_request = True
             self._fired("corrupt", op_id, dst, src=src, dst=dst)
-        if duplicate and rng.random() < duplicate:
+        if duplicate and fate_u01(seed, src, seq, attempt, 3) < duplicate:
             fate.duplicate = True
             self._fired("duplicate", op_id, dst, src=src, dst=dst)
-        for prob, delay_us in jitter:
-            if rng.random() < prob:
+        for slot, (prob, delay_us) in enumerate(jitter, 4):
+            if fate_u01(seed, src, seq, attempt, slot) < prob:
                 fate.delay_us += delay_us
                 self._fired("delay", op_id, dst, src=src, dst=dst,
                             delay_us=delay_us)
         return fate
 
-    def _observe(self, src: int, dst: int, fate: Fate) -> None:
+    def _observed(self, src: int, dst: int, fate: Fate) -> Fate:
         """Record one attempt's health against the link it rode."""
-        dropped = fate.drop_request or fate.drop_reply
-        self.health.record(self.sim.now, src, dst, attempts=1,
-                           timeouts=1 if dropped else 0,
-                           deliveries=0 if dropped else 1)
-
-    def am_fate(self, src: int, dst: int, op_id: int = -1) -> Fate:
-        """Fate for one AM request/reply exchange attempt."""
-        fate = self._link_fate(src, dst, op_id, "am")
         if self.health is not None:
-            self._observe(src, dst, fate)
+            dropped = fate.drop_request or fate.drop_reply
+            self.health.record(self.sim.now, src, dst, attempts=1,
+                               timeouts=1 if dropped else 0,
+                               deliveries=0 if dropped else 1)
         return fate
 
-    def rdma_fate(self, src: int, dst: int, op_id: int = -1) -> Fate:
-        """Fate for one one-sided RDMA operation.  A loss on either
-        leg means the completion never arrives."""
-        fate = self._link_fate(src, dst, op_id, "rdma")
+    def am_fate(self, key, dst: int, attempt: int = 0,
+                op_id: int = -1) -> Fate:
+        """Fate of attempt ``attempt`` of the AM request/reply exchange
+        ``key`` (its ``(src, seq)`` dedup key) toward ``dst``."""
+        return self._observed(key[0], dst, self._link_fate(
+            key, dst, attempt, op_id, "am"))
+
+    def rdma_fate(self, key, dst: int, op_id: int = -1) -> Fate:
+        """Fate of the one-sided RDMA operation ``key`` toward ``dst``.
+        A loss on either leg means the completion never arrives."""
+        fate = self._link_fate(key, dst, 0, op_id, "rdma")
         if fate.drop_reply:
             fate.drop_request = True
-        if self.health is not None:
-            self._observe(src, dst, fate)
-        return fate
+        return self._observed(key[0], dst, fate)
 
     # -- node-local stalls ---------------------------------------------
 
+    def _stall(self, kind: str, rules, first: int, node: int,
+               op_id: int) -> float:
+        """Extra µs of one ``kind`` check on ``node``; rule ``i`` of
+        ``rules`` draws slot ``first + i`` (the kinds share no slot)."""
+        n = self._checks.get((kind, node), 0)
+        self._checks[kind, node] = n + 1
+        total = 0.0
+        for slot, rule in enumerate(rules, first):
+            if (rule.matches(node, self.sim.now)
+                    and fate_u01(self.plan.seed, node, n, slot) < rule.prob):
+                total += rule.stall_us
+                self._fired(kind, op_id, node, stall_us=rule.stall_us)
+        return total
+
     def nic_stall(self, node: int, op_id: int = -1) -> float:
         """Extra µs this NIC injection pays (0.0 when healthy)."""
-        total = 0.0
-        now = self.sim.now
-        for rule in self.plan.nic_stalls:
-            if rule.matches(node, now) and self._rng.random() < rule.prob:
-                total += rule.stall_us
-                self._fired("nic_stall", op_id, node,
-                            stall_us=rule.stall_us)
-        return total
+        return self._stall("nic_stall", self.plan.nic_stalls, 0, node, op_id)
 
     def handler_stall(self, node: int, op_id: int = -1) -> float:
         """Extra µs this AM handler dispatch pays (0.0 when healthy)."""
-        total = 0.0
-        now = self.sim.now
-        for rule in self.plan.handler_stalls:
-            if rule.matches(node, now) and self._rng.random() < rule.prob:
-                total += rule.stall_us
-                self._fired("handler_stall", op_id, node,
-                            stall_us=rule.stall_us)
-        return total
+        plan = self.plan
+        return self._stall("handler_stall", plan.handler_stalls,
+                           len(plan.nic_stalls), node, op_id)
 
     # -- pin budget ----------------------------------------------------
 

@@ -4,12 +4,10 @@ A :class:`FaultPlan` is a frozen, JSON-round-trippable description of
 *what can go wrong* in a run: per-link conditions (loss, corruption,
 duplication, latency inflation — constant or evolving over time), NIC
 stalls, handler slowdowns, and injected pin-registration budgets.  It
-carries its own seed; *when* each fault actually fires is decided by
-the :class:`~repro.faults.injector.FaultInjector` drawing from
-``seeded_rng(plan.seed, ...)``, so a plan plus a workload seed replays
-the exact same failure sequence — the property that lets a fuzz
-counterexample or a chaos-CI failure be attached to a bug report as a
-short JSON document.
+carries its own seed, which keys every fate hash, so a plan plus a
+workload seed replays the exact same failure sequence — the property
+that lets a fuzz counterexample or a chaos-CI failure be attached to
+a bug report as a short JSON document.
 
 All times are virtual microseconds.  ``src``/``dst``/``node`` fields
 accept :data:`ANY_NODE` (``-1``) as a wildcard; ``t_end`` of ``inf``

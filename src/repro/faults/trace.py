@@ -9,17 +9,15 @@ generators here build the linkguardian-style scenario shapes as plans:
 storms), ``degrade`` (slow linear rot of loss + latency), and ``gray``
 (low-grade silent corruption that never trips a hard failure).
 
-Two draw disciplines consume a plan's link rules:
-
-* the pooled runtime's :class:`~repro.faults.injector.FaultInjector`
-  draws sequentially from its one seeded RNG (deterministic in
-  simulator order);
-* the sharded traffic harness draws each message's fate with
-  :func:`fate_u01` — a pure integer hash of
-  ``(seed, client, seq, attempt, leg)`` — so the fate of every attempt
-  is a function of *identity*, not of cross-shard event interleaving.
-  That is what makes "same plan + seed ⇒ bit-identical fate sequence
-  across shards {1,2,4}" hold by construction.
+One draw discipline consumes a plan's link rules: every fate is
+:func:`fate_u01` — a pure integer hash of the message's identity
+(``(seed, src, seq, attempt, slot)`` in the runtime's
+:class:`~repro.faults.injector.FaultInjector`, ``(seed, client, seq,
+attempt, leg)`` in the sharded traffic harness) — so the fate of every
+attempt is a function of *identity*, not of event interleaving.  That
+is what makes "same plan + seed ⇒ bit-identical fate sequence across
+shards {1,2,4}" hold by construction, and what keeps one node's fates
+from moving when another node's traffic changes.
 """
 
 from __future__ import annotations

@@ -24,6 +24,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class Node:
     """One host of the simulated cluster."""
 
+    #: Last sequence number of a message from here (``Transport._seq``).
+    last_seq = 0
+
     def __init__(self, sim: Simulator, node_id: int,
                  params: TransportParams) -> None:
         self.sim = sim

@@ -138,8 +138,6 @@ class TransportParams:
     cache_lookup_us: float = 0.10
     #: Insert/update of a piggybacked address.
     cache_insert_us: float = 0.20
-    #: Extra bytes carried on a reply when the address is piggybacked.
-    piggyback_bytes: int = 16
 
     def __post_init__(self) -> None:
         for field_name in ("o_send_us", "o_recv_us", "o_sw_us",

@@ -99,16 +99,15 @@ class Transport:
         #: Repair-policy engine (injected); None == static fabric.
         #: Consulted for per-link retransmit knobs and detours.
         self.policy = None
-        self._next_seq = 0
         for node in nodes:
             node.progress = make_progress(sim, node, params)
 
     def _seq(self, src: Node) -> Tuple[int, int]:
-        """Allocate the dedup key for one logical AM request: the
-        ``(initiator node, sequence number)`` pair every attempt of
-        the request carries."""
-        self._next_seq += 1
-        return (src.id, self._next_seq)
+        """Allocate the dedup and fate key of one logical message (AM
+        request or RDMA op) under a fault plan: the ``(initiator node,
+        its sequence number)`` pair every attempt carries."""
+        src.last_seq += 1
+        return (src.id, src.last_seq)
 
     # -- observability -------------------------------------------------
 
@@ -370,7 +369,7 @@ class Transport:
         while True:
             t0 = self.sim.now
             fate = (NO_FAULT if faults is None
-                    else faults.am_fate(src.id, dst.id, op_id=op_id))
+                    else faults.am_fate(key, dst.id, attempt, op_id))
             if nbytes <= p.eager_max_bytes:
                 # One eager attempt, inline: a lost leg leaves ``ok``
                 # False and the loop below owns the retransmit timer.
@@ -582,7 +581,7 @@ class Transport:
             while True:
                 t0 = self.sim.now
                 fate = (NO_FAULT if self.faults is None else
-                        self.faults.am_fate(src.id, dst.id, op_id=op_id))
+                        self.faults.am_fate(key, dst.id, attempt, op_id))
                 ok, _ = yield from self._rts_round(
                     src, dst, nbytes, handler, dst_addr, op_id, fate,
                     key, data=False)
@@ -631,7 +630,7 @@ class Transport:
             while True:
                 t0 = self.sim.now
                 fate = (NO_FAULT if self.faults is None else
-                        self.faults.am_fate(src.id, dst.id, op_id=op_id))
+                        self.faults.am_fate(key, dst.id, attempt, op_id))
                 if not (fate.drop_request or fate.drop_reply):
                     yield from self._arrive(src, dst, fate, handler,
                                             copy_bytes, op_id=op_id,
@@ -682,7 +681,7 @@ class Transport:
                 while True:
                     t0 = self.sim.now
                     fate = (NO_FAULT if self.faults is None else
-                            self.faults.am_fate(src.id, dst.id, op_id=-1))
+                            self.faults.am_fate(key, dst.id, attempt))
                     yield from self._inject(src, nbytes, fragmented=True)
                     if not (fate.drop_request or fate.drop_reply):
                         yield from self._arrive(src, dst, fate, handler,
@@ -717,7 +716,7 @@ class Transport:
         AM path)."""
         p = self.params
         rec = self.events.enabled
-        fate = (self.faults.rdma_fate(src.id, dst.id, op_id=op_id)
+        fate = (self.faults.rdma_fate(self._seq(src), dst.id, op_id)
                 if self.faults is not None else NO_FAULT)
         t_start = self.sim.now
         yield p.rdma_init_us
@@ -776,7 +775,7 @@ class Transport:
         store)."""
         p = self.params
         rec = self.events.enabled
-        fate = (self.faults.rdma_fate(src.id, dst.id, op_id=op_id)
+        fate = (self.faults.rdma_fate(self._seq(src), dst.id, op_id)
                 if self.faults is not None else NO_FAULT)
         t_start = self.sim.now
         remote_applied = Event(self.sim, name="rdma-put-applied")

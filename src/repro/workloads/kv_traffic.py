@@ -371,9 +371,9 @@ class _TrafficCore:
                              node=node, name="kv_req", key=key, hit=hit,
                              put=is_put, nbytes=req_bytes)
                     self._ops[(client, seq)] = op
-                if healthy:
-                    # The stamp is _tq(sim.now), written out; ``at``
-                    # can differ from the clock in the last bit.
+                if healthy or server == node:
+                    # A local request rides no link; the stamp is _tq(sim.now),
+                    # written out (``at`` can differ in the last bit).
                     wire.send(node, server, "kv_req",
                               (server, node, client, seq, hit, is_put,
                                round(sim.now * 1e6)), req_bytes, extra)

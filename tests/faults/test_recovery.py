@@ -94,58 +94,56 @@ def test_chaos_run_is_replayable_from_seeds():
 #: (workload, profile, nthreads) -> (sha256 of the flight-recorder
 #: JSONL, faults injected, timeouts, retries) of ``trace <workload>
 #: --nthreads N --fault-profile P --fault-seed 3``, produced at the
-#: last commit whose static profiles were kind/prob rules drawn by
-#: their own injector loop (bb4c6f0).  ``dup`` stays dormant on 8
-#: threads, so it is pinned once more where it fires.  The two
-#: ``update`` rows hold the PUT paths (eager and rendezvous AM PUT,
-#: one-way notifications); they were produced at 7f9419a, the last
-#: commit with a separate handler block per AM protocol.
+#: commit that made every runtime fate an identity hash (``fate_u01``).
+#: ``dup`` stays dormant on 8 and 16 threads, so it is pinned once
+#: more where it fires.  The ``update`` rows hold the PUT paths (eager
+#: and rendezvous AM PUT, one-way notifications).
 PARENT_STATIC_RUNS = {
     ("pointer", "drop", 8):
-        ("f3c3715fe2c2f78f286566c5748e4c216da84c14dc0f4f9311e1d494a0f51d9e",
-         12, 12, 2),
+        ("315cac46e16ae68bd9d8276a1562a38d99d415948b228c366c41cbbe9eeac2da",
+         8, 8, 0),
     ("pointer", "dup", 8):
         ("65e1434383d4e7cdaf4e6a7088a5b3d11a3747db3e68ddb4fff34a0905959c9b",
          0, 0, 0),
     ("pointer", "delay", 8):
-        ("b629af2664220d175e62c81c537b14015b0b844172ae3da21884988585154c41",
-         37, 0, 0),
+        ("634d07b94dd95024a350048ffc7bc5f4ecf47390d2054b7a93a55f84732863f8",
+         42, 0, 0),
     ("pointer", "stall", 8):
-        ("c855618759864b725348632ce45917aa83a82821223d1df3ed398a747ee82728",
-         25, 0, 0),
+        ("24355871d35b7c727a7e8229efc2d40dcdc8c63d66e8314e71c154c27ed9a016",
+         23, 0, 0),
     ("pointer", "pin", 8):
         ("d323bcbe833e1a84869af1c8d648eddc5508fec648f7b2191a1a9afdf3cdf1fa",
          2, 0, 0),
     ("pointer", "chaos", 8):
-        ("78ba04bb4e664df8eb4ae8116f695aaf69e97bf761d8d696fd7e6d5ab0b3a59a",
-         18, 8, 8),
+        ("d2cd05dae42d7f756b5e2d86cb48aa820ca2675db277cfed381ccb3bc6ffb290",
+         22, 7, 7),
     ("field", "drop", 8):
-        ("ffd090b3b548ff83d9bc20bc160cecce21d6a392bbb375f0e7b790eb802474b7",
-         3, 3, 1),
+        ("3d9615d4e2041eb4d47329e1a537e688bc32914039ef6629b15845333c1710ef",
+         3, 3, 0),
     ("field", "dup", 8):
         ("2888457c60c94802a467d2d4170e7564a69188a4d4d2d7f03bcd07b4ae4fb3fe",
          0, 0, 0),
     ("field", "delay", 8):
-        ("ba5fb494427d6c660b5728a63a55bdf6aa9d44ccc5b52e53b980d307c762c13d",
-         17, 0, 0),
+        ("17981e330a4d94d3f62f458e3b7e70bd2b2847a30a878474d594dedb36449669",
+         18, 0, 0),
     ("field", "stall", 8):
-        ("53936ec6b1cc1cb8a6c665509c7b1a966ff8cdcbbc31908eaf84d9d1208e5617",
-         10, 0, 0),
+        ("3311cd676a45de1d568f00453d168f4a4ba27e95370279e1aa40348dcc9f3c80",
+         11, 0, 0),
     ("field", "pin", 8):
         ("604b1fd6202e680818acfc9f512255642192d70cf1ee96cb6295831dda6aa65a",
          2, 0, 0),
     ("field", "chaos", 8):
-        ("3d202ce60c5cac99c35caa65488516d98812861286e5ac769c1ccd21c5ffa0ba",
-         9, 3, 3),
-    ("pointer", "dup", 16):
-        ("8e3c3fead2449f9484466b691b51324b827f76d4544d5fa5770680b8c8e7369c",
-         2, 0, 0),
+        ("b9a270c7fb8756e20f4fee11b9aac2c42f4bb2ced100e2ca678276926069c451",
+         7, 2, 2),
+    ("pointer", "dup", 32):
+        ("e0a45262471e94232b72dcc4da6aead91f09c6eff02efbb0de5f5f2fbcb29180",
+         1, 0, 0),
     ("update", "drop", 8):
-        ("c234713e6a6a29651f205c6ad742916146a5ab183edc77bbee3bca7f01fc4248",
-         6, 6, 1),
+        ("f01731476d89c4e08b3d865f8bdb58184e0771b7e534c17a0db08964ec873361",
+         5, 5, 0),
     ("update", "chaos", 8):
-        ("5f0a467223523ff4680f063c275f56aa131a0e3a69fe5eda3612cac430c7cf8c",
-         11, 5, 5),
+        ("2018f4f1bc6c9df2aeeccabfa1eb3c28852cf7d7c9cb153be02cbdde80e53334",
+         12, 4, 4),
 }
 
 
@@ -354,9 +352,9 @@ def test_failed_one_message_span_names_its_message():
 
 def test_failed_pipelined_span_names_its_message():
     # Three blocks: threads 2 and 3 on node 1 own one each (two
-    # messages in flight; the second's budget runs out first), the
+    # messages in flight; the first's budget runs out first), the
     # third is thread 0's own.
     rt, err = _memget_into_the_dark(3)
-    assert err.args[0] == ("bulk get t0->n1, message 2 of 2, failed after "
+    assert err.args[0] == ("bulk get t0->n1, message 1 of 2, failed after "
                            "retries: am get 0->1 gave up after 2 retries (op -1)")
     assert "'bulk[t0->n1]'" in err.args[1]

@@ -284,9 +284,9 @@ def test_dormant_rule_is_invisible_on_every_am_protocol(protocol, recorded):
 #: event that nothing waited for; every time is unchanged.
 RECOVERY_PINS = {
     "eager-get": (1, (0.0, 40.0), 86.59509277343749, 24, (2, 2, 1)),
-    "rdv-get": (3, (0.0, 40.0), 586.8986328125002, 22, (2, 2, 1)),
+    "rdv-get": (2, (0.0, 40.0), 586.8986328125002, 22, (2, 2, 1)),
     "eager-put": (1, (0.0, 40.0), 81.83923339843749, 15, (2, 2, 0)),
-    "rdv-put": (3, (0.0, 80.0), 354.28828125, 25, (2, 2, 1)),
+    "rdv-put": (2, (0.0, 80.0), 354.28828125, 25, (2, 2, 1)),
     "rdv-put-data": (1, (200.0, 600.0), 880.4765625, 21, (2, 2, 0)),
     "oneway": (1, (0.0, 40.0), 80.64414062499999, 15, (2, 2, 0)),
 }

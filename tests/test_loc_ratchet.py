@@ -23,7 +23,7 @@ SRC = os.path.join(ROOT, "src", "repro")
 
 #: Each step of the ceiling, and what went or came per file, is in
 #: docs/TRAJECTORY.md ("The `src/repro` line ceiling").
-SRC_LINES_CEILING = 19286
+SRC_LINES_CEILING = 19285
 
 
 def _sources(root=SRC):

@@ -11,7 +11,8 @@ parent-commit values over every layout.
 import numpy as np
 import pytest
 
-from repro.faults import FaultPlan, LinkRule, TraceSegment, make_trace
+from repro.faults import (FaultPlan, LinkRule, TraceSegment, make_trace,
+                          resolve_profile)
 from repro.workloads.kv_traffic import (TrafficParams, hist_cdf,
                                         run_kv_traffic)
 
@@ -162,6 +163,17 @@ def test_the_edges_of_the_valid_range_run():
 # ---------------------------------------------------------------------------
 # Health + decision plumbing
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("nshards", [1, 2])
+def test_a_node_local_request_rides_no_link(nshards):
+    # A client whose server is its own node sends nothing through the
+    # fabric (the runtime never sends a local access through the
+    # transport), so it draws no fate and no n->n link gets health.
+    p = _params(requests=2000,
+                fault_plan=resolve_profile("drop", 3).to_json())
+    links = run_kv_traffic(p, nshards).extra["links"]
+    assert links and not [link for link in links if link[0] == link[1]]
+
 
 def test_link_totals_and_decisions_ride_the_merge():
     p = _params(fault_plan=SICK.to_json(),

@@ -139,15 +139,18 @@ PINNED = {
         "msgs_routed": {1: 0, 2: 4026, 4: 5996},
     },
     "sick": {
+        #: The request digests and health links moved when node-local
+        #: requests stopped drawing fates (they fold no fate chain and
+        #: ride no n->n link); everything else is the parent's.
         "digests": {
-            0: 16801091919132630448, 1: 9126315356802768896,
-            2: 1658533489403169063, 3: 17983140923053144934,
-            4: 10850131372211280071, 5: 6802292106010038474,
-            6: 11248764116381773551, 7: 8897150015855302818,
-            8: 100703117804980192, 9: 6266782820097496953,
-            10: 17205594694952545409, 11: 6721524970598798711,
-            12: 17464724443459881894, 13: 11454842096361579341,
-            14: 717415294424292095, 15: 7229748945884107737},
+            0: 2102943751168345041, 1: 4310191883757052445,
+            2: 9279621477065800665, 3: 915932217666956942,
+            4: 7489786496153294470, 5: 6837394439553864946,
+            6: 10758763268178864779, 7: 18174466105659263251,
+            8: 14535565162291971388, 9: 17995841925419012900,
+            10: 11384221551546188439, 11: 11782833467053607068,
+            12: 706530406285177761, 13: 9746751518693902441,
+            14: 17005018341354682101, 15: 17101611913912199717},
         "hist": {68: 112, 69: 10, 75: 1135, 76: 94, 80: 2271, 81: 16,
                  83: 11, 84: 2, 87: 43, 99: 92, 102: 31, 109: 68,
                  111: 1, 112: 10, 117: 32, 118: 1, 120: 7, 124: 21,
@@ -178,14 +181,12 @@ PINNED = {
         "msgs_routed": {1: 0, 2: 4026, 4: 5996},
         #: (src, dst) -> (attempts, timeouts, retries, deliveries).
         "links": {
-            (0, 0): (291, 0, 0, 291), (0, 1): (550, 303, 303, 247),
-            (0, 2): (220, 0, 0, 220), (0, 3): (242, 0, 0, 242),
-            (1, 0): (744, 450, 450, 294), (1, 1): (241, 0, 0, 241),
+            (0, 1): (550, 303, 303, 247), (0, 2): (220, 0, 0, 220),
+            (0, 3): (242, 0, 0, 242), (1, 0): (744, 450, 450, 294),
             (1, 2): (230, 0, 0, 230), (1, 3): (235, 0, 0, 235),
             (2, 0): (309, 0, 0, 309), (2, 1): (242, 0, 0, 242),
-            (2, 2): (238, 0, 0, 238), (2, 3): (211, 0, 0, 211),
-            (3, 0): (284, 0, 0, 284), (3, 1): (251, 0, 0, 251),
-            (3, 2): (233, 0, 0, 233), (3, 3): (232, 0, 0, 232)},
+            (2, 3): (211, 0, 0, 211), (3, 0): (284, 0, 0, 284),
+            (3, 1): (251, 0, 0, 251), (3, 2): (233, 0, 0, 233)},
         #: (t_us, src, dst, action, mode, until_us) of each decision.
         "decisions": [
             (500.0, 0, 1, "disable", "disabled", 3000.0),
